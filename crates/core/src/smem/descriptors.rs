@@ -105,6 +105,76 @@ impl TransferList {
     }
 }
 
+/// The DMA channel cost model, written once: `n` channels, each a
+/// busy-until clock. A descriptor goes to the least-busy channel
+/// (deterministic tie-break on index), starts no earlier than
+/// `earliest` nor before that channel is free, and occupies it for
+/// `round(setup + ceil(bytes / bytes_per_cycle)).max(1) + route`
+/// cycles. The simulator's DMA engine wraps this with tags, stalls and
+/// statistics; the tune estimator prices transfer lists with it
+/// directly — so predicted and simulated DMA time cannot drift.
+#[derive(Clone, Debug)]
+pub struct DmaChannels {
+    busy_until: Vec<u64>,
+    setup_cycles: f64,
+    bytes_per_cycle: f64,
+    route_cycles: u64,
+}
+
+impl DmaChannels {
+    /// `channels` idle channels (at least one). `route_cycles` is the
+    /// NoC route every descriptor pays on top of setup + bandwidth (a
+    /// spatial block's placement-determined hop cost; 0 elsewhere).
+    pub fn new(
+        channels: u64,
+        setup_cycles: f64,
+        bytes_per_cycle: f64,
+        route_cycles: u64,
+    ) -> DmaChannels {
+        DmaChannels {
+            busy_until: vec![0; channels.max(1) as usize],
+            setup_cycles: setup_cycles.max(0.0),
+            bytes_per_cycle: bytes_per_cycle.max(1e-9),
+            route_cycles,
+        }
+    }
+
+    /// Number of channels.
+    pub fn count(&self) -> usize {
+        self.busy_until.len()
+    }
+
+    /// Queue one descriptor of `bytes`; returns `(channel, cycles it
+    /// occupies the channel, completion cycle)`.
+    pub fn issue(&mut self, bytes: u64, earliest: u64) -> (usize, u64, u64) {
+        let ch = self
+            .busy_until
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, &busy)| (busy, *i))
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        let xfer = (bytes as f64 / self.bytes_per_cycle).ceil();
+        let cost = (self.setup_cycles + xfer).round().max(1.0) as u64 + self.route_cycles;
+        let done = earliest.max(self.busy_until[ch]) + cost;
+        self.busy_until[ch] = done;
+        (ch, cost, done)
+    }
+
+    /// Queue a whole list; returns the completion cycle of its last
+    /// descriptor (`earliest` for an empty list).
+    pub fn issue_list(&mut self, list: &TransferList, word_bytes: u64, earliest: u64) -> u64 {
+        list.descriptors.iter().fold(earliest, |last, d| {
+            last.max(self.issue(d.bytes(word_bytes), earliest).2)
+        })
+    }
+
+    /// The cycle at which every channel is idle.
+    pub fn idle_at(&self) -> u64 {
+        self.busy_until.iter().copied().max().unwrap_or(0)
+    }
+}
+
 /// Move-in and move-out DMA lists for one buffer.
 #[derive(Clone, Debug)]
 pub struct TransferPlan {

@@ -43,7 +43,7 @@ pub use cache::{analyze_symbolic, analyze_symbolic_hier, parametrize_dims, Symbo
 pub use dataspace::{AccessId, RefInfo};
 pub use descriptors::{
     build_transfers, delta_transfer_list, flush_transfer_list, transfer_list, Direction,
-    TransferDescriptor, TransferList, TransferPlan,
+    DmaChannels, TransferDescriptor, TransferList, TransferPlan,
 };
 pub use hierarchy::{analyze_hierarchy, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;

@@ -9,7 +9,8 @@
 //! bytes from the movement/residency sets, DMA descriptor setup from
 //! the coalesced transfer lists, per-instance compute and memory ops
 //! from exact polyhedral point counts, and the §5 occupancy/sync terms
-//! — mirroring the executor's cycle formulas term by term, with **no
+//! — mirroring the executor's cycle formulas term by term (the DMA
+//! term through the very same [`DmaChannels`] model), with **no
 //! simulation**.
 //!
 //! Two mapping knobs are deliberately *absent* from the predicted
@@ -28,7 +29,7 @@
 
 use super::artifact::{hash_program, schema_hash, ArtifactKey, KeyHasher};
 use super::descriptors::{
-    delta_transfer_list, flush_transfer_list, transfer_list, Direction, TransferList,
+    delta_transfer_list, flush_transfer_list, transfer_list, Direction, DmaChannels, TransferList,
 };
 use super::{AccessId, Result, SmemError, SymbolicPlan};
 use crate::tiling::transform::fix_dims;
@@ -251,7 +252,10 @@ pub struct CostConstants {
 }
 
 impl CostConstants {
-    /// The §5 occupancy rule, mirroring `MachineConfig::concurrent_blocks`.
+    /// The §5 occupancy rule `min(X / M, hw limit)`: maximum
+    /// concurrently resident blocks for a per-block scratchpad use.
+    /// `smem_bytes == 0` means unlimited. The simulator's
+    /// `MachineConfig::concurrent_blocks` delegates here.
     pub fn concurrent_blocks(&self, smem_per_block: u64) -> u64 {
         let hw = self.n_outer * self.max_blocks_per_outer;
         if smem_per_block == 0 || self.smem_bytes == 0 {
@@ -262,9 +266,9 @@ impl CostConstants {
     }
 
     /// The worst per-descriptor NoC route any of `blocks` concurrent
-    /// blocks pays under column-major mesh placement, mirroring
-    /// `MachineConfig::max_route_cycles` — the estimator prices the
-    /// representative block as the round's critical path. 0 without a
+    /// blocks pays under column-major mesh placement (the estimator
+    /// prices the representative block as the round's critical path;
+    /// `MachineConfig::max_route_cycles` delegates here). 0 without a
     /// mesh.
     pub fn max_route_cycles(&self, blocks: u64) -> u64 {
         if self.mesh_rows == 0 || self.mesh_cols == 0 || blocks == 0 {
@@ -324,69 +328,8 @@ pub struct CostEstimate {
     pub smem_words: u64,
 }
 
-/// Tiny deterministic replica of the simulator's `DmaEngine` cost
-/// model (least-busy channel, setup + bandwidth per descriptor), used
-/// to price transfer lists without touching the machine crate.
-struct DmaSim {
-    channels: Vec<u64>,
-    setup: f64,
-    bpc: f64,
-    word_bytes: u64,
-    /// Per-descriptor NoC route cycles (spatial machines; 0 elsewhere),
-    /// mirroring `DmaEngine::with_route`.
-    route: u64,
-    descriptors: u64,
-    elements: u64,
-}
-
-impl DmaSim {
-    fn new(cc: &CostConstants, route: u64) -> DmaSim {
-        DmaSim {
-            channels: vec![0; cc.dma_channels.max(1) as usize],
-            setup: cc.dma_setup_cycles.max(0.0),
-            bpc: cc.dma_bytes_per_cycle.max(1e-9),
-            word_bytes: cc.word_bytes,
-            route,
-            descriptors: 0,
-            elements: 0,
-        }
-    }
-
-    /// Queue a whole list at `now`; returns the completion cycle of
-    /// its last descriptor.
-    fn issue_list(&mut self, list: &TransferList, now: u64) -> u64 {
-        let mut last = now;
-        for d in &list.descriptors {
-            let bytes = d.bytes(self.word_bytes);
-            let ch = self
-                .channels
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, &busy)| (busy, *i))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let start = now.max(self.channels[ch]);
-            let cost = (self.setup + (bytes as f64 / self.bpc).ceil())
-                .round()
-                .max(1.0) as u64
-                + self.route;
-            let done = start + cost;
-            self.channels[ch] = done;
-            self.descriptors += 1;
-            last = last.max(done);
-        }
-        self.elements += list.elements;
-        last
-    }
-
-    fn drain(&self) -> u64 {
-        self.channels.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// Per-movement-group pricing inputs gathered once per candidate.
 struct GroupLists {
-    array: usize,
     hoisted: bool,
     move_in: TransferList,
     move_out: TransferList,
@@ -541,7 +484,6 @@ pub fn estimate(
                 _ => (None, None),
             };
             groups.push(GroupLists {
-                array: buf.array,
                 hoisted: structure.hoisted_arrays.contains(&buf.array),
                 move_in,
                 move_out,
@@ -555,16 +497,26 @@ pub fn estimate(
     // pricing the representative block as the round's NoC critical
     // path (the easternmost concurrently placed block's route).
     let seqs = structure.seqs.max(1);
-    let mut dma = DmaSim::new(cc, cc.max_route_cycles(structure.blocks.max(1)));
+    let mut dma = DmaChannels::new(
+        cc.dma_channels,
+        cc.dma_setup_cycles,
+        cc.dma_bytes_per_cycle,
+        cc.max_route_cycles(structure.blocks.max(1)),
+    );
+    let (mut descriptors, mut moved_elems) = (0u64, 0u64);
+    // Queue a list no earlier than `at`; returns its completion cycle.
+    let mut issue = |list: &TransferList, at: u64| {
+        descriptors += list.descriptors.len() as u64;
+        moved_elems += list.elements;
+        dma.issue_list(list, cc.word_bytes, at)
+    };
     let mut now = 0u64;
-    let mut moved_elems = 0u64;
     if structure.double_buffer && seqs > 1 && !groups.is_empty() {
         // Pipelined: iteration s+1's move-in issues during compute of
         // s; only the first stage is exposed.
         let mut ready = 0u64;
         for g in &groups {
-            ready = ready.max(dma.issue_list(&g.move_in, now));
-            moved_elems += g.move_in.elements;
+            ready = ready.max(issue(&g.move_in, now));
         }
         for s in 0..seqs {
             now = now.max(ready);
@@ -572,14 +524,12 @@ pub fn estimate(
             ready = 0;
             if s + 1 < seqs {
                 for g in groups.iter().filter(|g| !g.hoisted) {
-                    ready = ready.max(dma.issue_list(&g.move_in, start));
-                    moved_elems += g.move_in.elements;
+                    ready = ready.max(issue(&g.move_in, start));
                 }
             }
             now += compute;
             for g in groups.iter().filter(|g| !g.hoisted) {
-                now = now.max(dma.issue_list(&g.move_out, now));
-                moved_elems += g.move_out.elements;
+                now = now.max(issue(&g.move_out, now));
             }
         }
     } else {
@@ -594,8 +544,7 @@ pub fn estimate(
                     (Some(d), false) => d,
                     _ => &g.move_in,
                 };
-                now = dma.issue_list(list, now);
-                moved_elems += list.elements;
+                now = issue(list, now);
             }
             now += compute;
             for g in groups.iter().filter(|g| !g.hoisted) {
@@ -603,17 +552,14 @@ pub fn estimate(
                     (Some(f), false) => f,
                     _ => &g.move_out,
                 };
-                now = dma.issue_list(list, now);
-                moved_elems += list.elements;
+                now = issue(list, now);
             }
         }
     }
     for g in groups.iter().filter(|g| g.hoisted) {
-        let _ = g.array;
-        now = dma.issue_list(&g.move_out, now);
-        moved_elems += g.move_out.elements;
+        now = issue(&g.move_out, now);
     }
-    now = now.max(dma.drain());
+    now = now.max(dma.idle_at());
     let block_cycles = now;
 
     let blocks = structure.blocks.max(1);
@@ -632,7 +578,7 @@ pub fn estimate(
             .saturating_mul(blocks)
             .saturating_mul(rounds)
             .saturating_mul(cc.word_bytes),
-        dma_descriptors: dma.descriptors,
+        dma_descriptors: descriptors,
         sync_cycles: rounds * sync,
         compute_ops: n_inst
             .saturating_mul(seqs)

@@ -225,18 +225,13 @@ impl MachineConfig {
     }
 
     /// The worst route any of `blocks` concurrent blocks pays (the
-    /// critical-path hop count of one round), mirroring the placement
-    /// rule of [`route_cycles`](MachineConfig::route_cycles). The cost
-    /// estimator prices the representative block with this.
+    /// critical-path hop count of one round), under the placement rule
+    /// of [`route_cycles`](MachineConfig::route_cycles). One
+    /// implementation, the cost estimator's
+    /// (`CostConstants::max_route_cycles`), which prices the
+    /// representative block with this.
     pub fn max_route_cycles(&self, blocks: u64) -> u64 {
-        match &self.mesh {
-            Some(m) if self.caps.placement_cost && blocks > 0 => {
-                let pes = (m.rows * m.cols).max(1);
-                let col = (blocks.min(pes) - 1) / m.rows.max(1);
-                ((col + 1) as f64 * m.hop_cycles).round() as u64
-            }
-            _ => 0,
-        }
+        crate::tune::cost_constants(self).max_route_cycles(blocks)
     }
 
     /// Total scratchpad bytes across the device (the paper's `X`).
@@ -246,14 +241,12 @@ impl MachineConfig {
 
     /// Maximum concurrently resident thread blocks for a given
     /// per-block scratchpad use (the §5 occupancy rule:
-    /// `min(X / M, hw limit)`).
+    /// `min(X / M, hw limit)`; `smem_bytes == 0` means unlimited, as
+    /// in the executor's overflow check). One implementation, shared
+    /// with the cost estimator (`CostConstants::concurrent_blocks`), so
+    /// predicted and simulated occupancy waves agree.
     pub fn concurrent_blocks(&self, smem_per_block: u64) -> u64 {
-        let by_hw = self.n_outer * self.max_blocks_per_outer;
-        if smem_per_block == 0 {
-            return by_hw;
-        }
-        let per_outer = (self.smem_bytes / smem_per_block).min(self.max_blocks_per_outer);
-        (per_outer * self.n_outer).max(1).min(by_hw.max(1))
+        crate::tune::cost_constants(self).concurrent_blocks(smem_per_block)
     }
 
     /// Convert cycles to milliseconds.

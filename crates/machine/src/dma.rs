@@ -17,7 +17,7 @@
 //! test.
 
 use crate::config::MachineConfig;
-use polymem_core::smem::{TransferDescriptor, TransferList};
+use polymem_core::smem::{DmaChannels, TransferDescriptor, TransferList};
 
 /// Number of log2 buckets in the bytes-per-descriptor histogram
 /// (bucket `k` counts descriptors with `bytes in [2^k, 2^(k+1))`;
@@ -141,17 +141,11 @@ impl DmaTag {
     }
 }
 
-/// Per-block DMA engine: `n` channels, each a busy-until clock.
+/// Per-block DMA engine: the shared [`DmaChannels`] cost model plus
+/// tags, stall accounting and observability counters.
 #[derive(Clone, Debug)]
 pub struct DmaEngine {
-    channels: Vec<u64>,
-    setup_cycles: f64,
-    bytes_per_cycle: f64,
-    /// NoC route cycles every descriptor pays on top of setup +
-    /// bandwidth — the inter-PE hop cost on spatial machines (the
-    /// issuing block's placement fixes the hop count for the whole
-    /// block). 0 on machines without placement-priced movement.
-    route_cycles: u64,
+    channels: DmaChannels,
     /// Accumulated observability counters.
     pub stats: DmaStats,
 }
@@ -165,26 +159,24 @@ impl DmaEngine {
     }
 
     /// Build an engine whose descriptors each pay `route_cycles` of
-    /// NoC routing (a spatial block's placement-determined hop cost).
+    /// NoC routing (a spatial block's placement-determined hop cost:
+    /// the issuing block's placement fixes the hop count for the whole
+    /// block; 0 on machines without placement-priced movement).
     pub fn with_route(config: &MachineConfig, route_cycles: u64) -> DmaEngine {
-        let n = config.dma_channels.max(1) as usize;
-        DmaEngine {
-            channels: vec![0; n],
-            setup_cycles: config.dma_setup_cycles.max(0.0),
-            bytes_per_cycle: config.dma_bytes_per_cycle.max(1e-9),
+        let channels = DmaChannels::new(
+            config.dma_channels,
+            config.dma_setup_cycles,
+            config.dma_bytes_per_cycle,
             route_cycles,
+        );
+        DmaEngine {
             stats: DmaStats {
-                channel_busy_cycles: vec![0; n],
+                channel_busy_cycles: vec![0; channels.count()],
                 bytes_hist: vec![0; DMA_HIST_BUCKETS],
                 ..DmaStats::default()
             },
+            channels,
         }
-    }
-
-    /// Cycles one descriptor occupies a channel.
-    fn transfer_cycles(&self, bytes: u64) -> u64 {
-        let xfer = (bytes as f64 / self.bytes_per_cycle).ceil();
-        (self.setup_cycles + xfer).round().max(1.0) as u64 + self.route_cycles
     }
 
     /// Queue one descriptor. The transfer starts no earlier than
@@ -199,17 +191,7 @@ impl DmaEngine {
         earliest: u64,
     ) -> DmaTag {
         let bytes = d.bytes(word_bytes);
-        let ch = self
-            .channels
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &busy)| (busy, *i))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let start = now.max(earliest).max(self.channels[ch]);
-        let cost = self.transfer_cycles(bytes);
-        let done = start + cost;
-        self.channels[ch] = done;
+        let (ch, cost, done) = self.channels.issue(bytes, now.max(earliest));
         self.stats.descriptors += 1;
         self.stats.elements += d.elements();
         self.stats.bytes += bytes;
@@ -251,8 +233,10 @@ impl DmaEngine {
 
     /// Block until every channel is idle (end-of-block fence).
     pub fn drain(&mut self, now: u64) -> u64 {
-        let done = self.channels.iter().copied().max().unwrap_or(0);
-        let tag = DmaTag { channel: 0, done };
+        let tag = DmaTag {
+            channel: 0,
+            done: self.channels.idle_at(),
+        };
         self.wait(&tag, now)
     }
 }

@@ -74,9 +74,9 @@ pub struct BlockedKernel {
 /// Counters collected by the functional executor.
 ///
 /// Equality compares every *deterministic* counter and ignores
-/// [`compute_ns`](ExecStats::compute_ns), which is wall-clock time and
-/// varies run to run (the parallel-determinism tests assert stats
-/// equality).
+/// [`compute_ns`](ExecStats::compute_ns), which is measured host CPU
+/// time and varies run to run (the parallel-determinism tests assert
+/// stats equality).
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     /// Thread blocks executed.
@@ -154,9 +154,11 @@ pub struct ExecStats {
     pub fallback: FallbackStats,
     /// DMA transfer-engine counters ([`crate::dma`]).
     pub dma: DmaStats,
-    /// Wall-clock nanoseconds spent in block compute phases (compiled
-    /// or interpreted), summed across blocks by
-    /// [`absorb`](ExecStats::absorb). Excluded from equality.
+    /// Host CPU nanoseconds spent in block compute phases (compiled or
+    /// interpreted): each block's elapsed time, summed over blocks by
+    /// [`absorb`](ExecStats::absorb). Blocks run on parallel workers,
+    /// so this is a sum over workers and can exceed the launch's
+    /// wall-clock time. Excluded from equality.
     pub compute_ns: u64,
 }
 
@@ -447,38 +449,41 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
     ]
 }
 
-/// Pin `kernel`'s block and seq dims (and, with hierarchy on, the
-/// thread dims) at their first enumerated values, extending `rep`
-/// (which already holds the representative round values). Returns the
-/// register-level spec, if any.
-fn complete_representative(
+/// The representative sub-block a launch analyses symbolically: its
+/// fixed dims as sorted `(dim, value)` pairs, plus the register-level
+/// spec, if any.
+type Representative = (Vec<(String, i64)>, Option<HierSpec>);
+
+/// Pin the round dims at `round0` and the block and seq dims (and,
+/// with hierarchy on, the thread dims) at their first enumerated
+/// values.
+fn representative(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
     lead: &polymem_ir::Statement,
-    rep: &mut HashMap<String, i64>,
-) -> Result<Option<HierSpec>> {
-    let bvals = enumerate_named(lead, &kernel.block_dims, params, rep, config.enum_budget)?;
-    if let Some(b0) = bvals.first() {
-        for (n, v) in kernel.block_dims.iter().zip(b0) {
-            rep.insert(n.clone(), *v);
-        }
-    }
-    if !kernel.seq_dims.is_empty() {
-        let svals = enumerate_named(lead, &kernel.seq_dims, params, rep, config.enum_budget)?;
-        if let Some(s0) = svals.first() {
-            for (n, v) in kernel.seq_dims.iter().zip(s0) {
-                rep.insert(n.clone(), *v);
-            }
+    round0: &[i64],
+) -> Result<Representative> {
+    let mut rep: HashMap<String, i64> = kernel
+        .round_dims
+        .iter()
+        .cloned()
+        .zip(round0.iter().copied())
+        .collect();
+    for dims in [&kernel.block_dims, &kernel.seq_dims] {
+        let vals = enumerate_named(lead, dims, params, &rep, config.enum_budget)?;
+        if let Some(v0) = vals.first() {
+            rep.extend(dims.iter().cloned().zip(v0.iter().copied()));
         }
     }
     // Register-tile level: analyse the intra-thread subnest of the
     // representative block with the thread dims as extra fixed
     // dims. The representative thread values feed Algorithm 1's
     // volume test exactly like the representative block values do.
+    let mut hier = None;
     if config.hierarchy && !kernel.thread_dims.is_empty() {
-        let tvals = enumerate_named(lead, &kernel.thread_dims, params, rep, config.enum_budget)?;
-        return Ok(tvals.first().map(|t0| HierSpec {
+        let tvals = enumerate_named(lead, &kernel.thread_dims, params, &rep, config.enum_budget)?;
+        hier = tvals.first().map(|t0| HierSpec {
             thread_dims: kernel.thread_dims.clone(),
             thread_reps: kernel
                 .thread_dims
@@ -487,52 +492,71 @@ fn complete_representative(
                 .zip(t0.iter().copied())
                 .collect(),
             regs_per_inner: config.regs_per_inner,
-        }));
+        });
     }
-    Ok(None)
+    let mut pairs: Vec<(String, i64)> = rep.into_iter().collect();
+    pairs.sort();
+    Ok((pairs, hier))
 }
 
-/// The content address of the symbolic plan [`execute_blocked`] would
-/// compile for this launch: the program IR, the mapping-relevant
-/// machine fields and the representative block-shape parametrization,
-/// hashed per `polymem_core::smem::artifact`. `None` when the mapping
-/// stages nothing through the plan cache (no scratchpad, no
-/// statements, or the cache disabled). Stable across processes — a
-/// compile service keys its warm cache and the on-disk store with it.
-pub fn plan_artifact_key(
+/// [`representative`] for the entry points that do not enumerate the
+/// launch themselves. `None` when the mapping stages nothing through
+/// the plan cache (no scratchpad, no statements, or the cache
+/// disabled).
+fn launch_representative(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
-) -> Result<Option<ArtifactKey>> {
+) -> Result<Option<Representative>> {
     if !kernel.use_scratchpad || !config.plan_cache {
         return Ok(None);
     }
     let Some(lead) = kernel.program.stmts.first() else {
         return Ok(None);
     };
-    let round_vals = enumerate_named(
+    let rounds = enumerate_named(
         lead,
         &kernel.round_dims,
         params,
         &HashMap::new(),
         config.enum_budget,
     )?;
-    let mut rep: HashMap<String, i64> = HashMap::new();
-    if let Some(r0) = round_vals.first() {
-        for (n, v) in kernel.round_dims.iter().zip(r0) {
-            rep.insert(n.clone(), *v);
-        }
-    }
-    let hier_spec = complete_representative(kernel, params, config, lead, &mut rep)?;
-    let mut pairs: Vec<(String, i64)> = rep.into_iter().collect();
-    pairs.sort();
-    Ok(Some(plan_key(
+    let round0 = rounds.first().map_or(&[][..], |r| r);
+    representative(kernel, params, config, lead, round0).map(Some)
+}
+
+/// The content address of the symbolic plan analysed at `pairs`: the
+/// program IR, the mapping-relevant machine fields and the
+/// representative block-shape parametrization, hashed per
+/// `polymem_core::smem::artifact`.
+fn shape_key(
+    kernel: &BlockedKernel,
+    params: &[i64],
+    config: &MachineConfig,
+    pairs: &[(String, i64)],
+    hier: Option<&HierSpec>,
+) -> ArtifactKey {
+    plan_key(
         &kernel.program,
         &smem_config(params, config, kernel),
-        &pairs,
-        hier_spec.as_ref(),
+        pairs,
+        hier,
         &machine_salt(config),
-    )))
+    )
+}
+
+/// The content address of the symbolic plan [`execute_blocked`] would
+/// compile for this launch. `None` when the mapping stages nothing
+/// through the plan cache (no scratchpad, no statements, or the cache
+/// disabled). Stable across processes — a compile service keys its
+/// warm cache and the on-disk store with it.
+pub fn plan_artifact_key(
+    kernel: &BlockedKernel,
+    params: &[i64],
+    config: &MachineConfig,
+) -> Result<Option<ArtifactKey>> {
+    Ok(launch_representative(kernel, params, config)?
+        .map(|(pairs, hier)| shape_key(kernel, params, config, &pairs, hier.as_ref())))
 }
 
 /// Obtain the shared symbolic plan [`execute_blocked`] would launch
@@ -549,53 +573,19 @@ pub fn warm_plan(
     seed: Option<&Arc<SymbolicPlan>>,
 ) -> Result<Option<WarmedPlan>> {
     kernel.program.validate()?;
-    if !kernel.use_scratchpad || !config.plan_cache {
-        return Ok(None);
-    }
-    let Some(lead) = kernel.program.stmts.first() else {
-        return Ok(None);
-    };
-    let round_vals = enumerate_named(
-        lead,
-        &kernel.round_dims,
-        params,
-        &HashMap::new(),
-        config.enum_budget,
-    )?;
-    let mut rep: HashMap<String, i64> = HashMap::new();
-    if let Some(r0) = round_vals.first() {
-        for (n, v) in kernel.round_dims.iter().zip(r0) {
-            rep.insert(n.clone(), *v);
-        }
-    }
-    let hier_spec = complete_representative(kernel, params, config, lead, &mut rep)?;
-    let art_store = config
-        .artifact_dir
-        .as_ref()
-        .and_then(|d| ArtifactStore::open(d).ok());
-    let akey = if art_store.is_some() || seed.is_some() {
-        let mut pairs: Vec<(String, i64)> = rep.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        pairs.sort();
-        Some(plan_key(
-            &kernel.program,
-            &smem_config(params, config, kernel),
-            &pairs,
-            hier_spec.as_ref(),
-            &machine_salt(config),
-        ))
-    } else {
-        None
-    };
-    Ok(PlanCache::new().warm(
-        &kernel.program,
-        &rep,
-        &smem_config(params, config, kernel),
-        hier_spec.as_ref(),
-        profiler,
-        seed,
-        art_store.as_ref(),
-        akey,
-    ))
+    Ok(
+        launch_representative(kernel, params, config)?.and_then(|(pairs, hier)| {
+            PlanCache::new().warm(
+                kernel,
+                params,
+                config,
+                &pairs,
+                hier.as_ref(),
+                profiler,
+                seed,
+            )
+        }),
+    )
 }
 
 impl PlanCache {
@@ -627,15 +617,16 @@ impl PlanCache {
         k
     }
 
-    /// Prime the cache with the representative instance's symbolic
-    /// plan (counted as the one miss all same-shape blocks share),
-    /// cheapest source first:
+    /// Prime the cache with the symbolic plan of the representative
+    /// instance at `pairs` (counted as the one miss all same-shape
+    /// blocks share), cheapest source first:
     ///
     /// 1. a caller-provided in-memory `seed` whose fixed names match
     ///    this shape (a compile service's warm cache);
-    /// 2. the content-addressed artifact `store` under `akey` —
-    ///    loads are fully re-proved against `program`, so a corrupt or
-    ///    stale file silently degrades to the next source;
+    /// 2. the content-addressed artifact store in
+    ///    `config.artifact_dir` — loads are fully re-proved against the
+    ///    program, so a corrupt or stale file silently degrades to the
+    ///    next source;
     /// 3. a fresh `analyze_symbolic_hier` run. Only this source
     ///    absorbs §3 pass times into the profiler (the others skipped
     ///    the passes) and, when a store is configured, persists the
@@ -647,32 +638,40 @@ impl PlanCache {
     #[allow(clippy::too_many_arguments)]
     fn warm(
         &self,
-        program: &Program,
-        rep: &HashMap<String, i64>,
-        cfg: &SmemConfig,
+        kernel: &BlockedKernel,
+        params: &[i64],
+        config: &MachineConfig,
+        pairs: &[(String, i64)],
         hier: Option<&HierSpec>,
         profiler: Option<&PassProfiler>,
         seed: Option<&Arc<SymbolicPlan>>,
-        store: Option<&ArtifactStore>,
-        akey: Option<ArtifactKey>,
     ) -> Option<WarmedPlan> {
-        let mut pairs: Vec<(String, i64)> = rep.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        pairs.sort();
+        let program = &kernel.program;
+        let cfg = smem_config(params, config, kernel);
+        // The on-disk store and the content-address are only computed
+        // when someone can use them: a configured artifact dir, or a
+        // caller-provided seed (whose provider keys by the same hash).
+        let store = config
+            .artifact_dir
+            .as_ref()
+            .and_then(|d| ArtifactStore::open(d).ok());
+        let akey = (store.is_some() || seed.is_some())
+            .then(|| shape_key(kernel, params, config, pairs, hier));
         let key: Vec<String> = pairs.iter().map(|p| p.0.clone()).collect();
         let seeded = seed
             .filter(|sp| sp.fixed == key)
             .map(|sp| (sp.clone(), PlanSource::Seeded));
         let entry = seeded
             .or_else(|| {
-                let art = store.and_then(|s| s.load(&akey?, program))?;
+                let art = store.as_ref()?.load(&akey?, program)?;
                 (art.plan.fixed == key).then(|| (Arc::new(art.plan), PlanSource::Artifact))
             })
             .or_else(|| {
-                let sp = analyze_symbolic_hier(program, &pairs, cfg, hier).ok()?;
+                let sp = analyze_symbolic_hier(program, pairs, &cfg, hier).ok()?;
                 if let Some(pr) = profiler {
                     pr.absorb_pass_times(&sp.pass_times);
                 }
-                if let (Some(s), Some(k)) = (store, akey) {
+                if let (Some(s), Some(k)) = (&store, akey) {
                     let mut ext = cfg.sample_params.clone();
                     ext.extend(pairs.iter().map(|p| p.1));
                     if let Ok(art) = PlanArtifact::build(program, &sp, k, &ext) {
@@ -796,40 +795,15 @@ pub fn execute_blocked_seeded(
     };
     let mut warmed: Option<WarmedPlan> = None;
     if let Some(c) = &cache {
-        let mut rep: HashMap<String, i64> = HashMap::new();
-        for (n, v) in kernel.round_dims.iter().zip(rounds[0].iter()) {
-            rep.insert(n.clone(), *v);
-        }
-        let hier_spec = complete_representative(kernel, params, config, lead, &mut rep)?;
-        // The on-disk store and the content-address are only computed
-        // when someone can use them: a configured artifact dir, or a
-        // caller-provided seed (whose provider keys by the same hash).
-        let art_store = config
-            .artifact_dir
-            .as_ref()
-            .and_then(|d| ArtifactStore::open(d).ok());
-        let akey = if art_store.is_some() || seed.is_some() {
-            let mut pairs: Vec<(String, i64)> = rep.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            pairs.sort();
-            Some(plan_key(
-                program,
-                &smem_config(params, config, kernel),
-                &pairs,
-                hier_spec.as_ref(),
-                &machine_salt(config),
-            ))
-        } else {
-            None
-        };
+        let (pairs, hier) = representative(kernel, params, config, lead, &rounds[0])?;
         warmed = c.warm(
-            program,
-            &rep,
-            &smem_config(params, config, kernel),
-            hier_spec.as_ref(),
+            kernel,
+            params,
+            config,
+            &pairs,
+            hier.as_ref(),
             profiler,
             seed,
-            art_store.as_ref(),
-            akey,
         );
     }
     let cache = cache.as_ref();
@@ -1384,8 +1358,8 @@ fn buffer_poisoned(plan: &SmemPlan, mi: usize, poisoned: &HashSet<AccessId>) -> 
         .any(|(id, la)| la.buffer == b && poisoned.contains(id))
 }
 
-/// Whether the synchronous path would serve this (read-only) buffer
-/// from the §4.2 persistent copy for free: the array is
+/// Whether staging after the predecessor's move-out would serve this
+/// (read-only) buffer from the §4.2 parked copy for free: the array is
 /// hoist-eligible and its buffer shape (extents and offsets) does not
 /// shift between the current and the next sub-tile. Prefetching such
 /// a buffer would only add global traffic.
@@ -1404,7 +1378,7 @@ fn hoist_shortcut_hits(
             let cplan = cs.source.plan();
             // Plans of consecutive sub-tiles share buffer layout
             // (same shape class); anything else is unexpected, so be
-            // conservative and keep the synchronous schedule.
+            // conservative and do not prefetch.
             bi >= cplan.buffers.len()
                 || cplan.buffers[bi].array != array
                 || (cs.local.bufs[bi].1 == next.local.bufs[bi].1
@@ -1416,7 +1390,7 @@ fn hoist_shortcut_hits(
 
 /// One sub-tile's scratchpad state: plan, parameter vector and
 /// allocated local buffers, plus per-movement-entry staging progress
-/// (the pipelined path interleaves entries of two live sub-tiles).
+/// (with overlap on, entries of two live sub-tiles interleave).
 struct Staging {
     source: PlanRef,
     pparams: Vec<i64>,
@@ -1437,9 +1411,8 @@ struct SubBlock {
 }
 
 /// Restrict the program to one (sub-)block and build its scratchpad
-/// plan and local buffers. Footprint checks are the caller's job (the
-/// synchronous path needs one footprint resident, the double-buffered
-/// path two).
+/// plan and local buffers. Footprint checks are the caller's job (one
+/// footprint must be resident without overlap, two with it).
 fn prepare_sub_block(
     kernel: &BlockedKernel,
     fixed: &HashMap<String, i64>,
@@ -1530,84 +1503,6 @@ fn flush_stale_persistent(
     Ok(())
 }
 
-/// Functionally stage one movement entry's move-in (global → local).
-/// Returns `false` when the hoist shortcut satisfied it from the
-/// persistent copy (no global traffic, nothing for the DMA engine).
-#[allow(clippy::too_many_arguments)]
-fn move_in_buffer(
-    program: &Program,
-    staging: &mut Staging,
-    mi: usize,
-    store: &ArrayStore,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<bool> {
-    let Staging {
-        source,
-        pparams,
-        local,
-        staged,
-        ..
-    } = staging;
-    let plan = source.plan();
-    let mc = &plan.movement[mi];
-    let buf = &plan.buffers[mc.buffer];
-    let name = &program.arrays[buf.array].name;
-    staged[mi] = true;
-    if let (Some(h), Some(pers)) = (hoistable, persistent) {
-        if plan_hoists(plan, buf.array, h) {
-            let shape_matches = pers.get(&buf.array).is_some_and(|p| {
-                p.extents == local.bufs[mc.buffer].1 && p.offsets == local.bufs[mc.buffer].2
-            });
-            if shape_matches {
-                let p = pers.get(&buf.array).expect("checked");
-                local.bufs[mc.buffer].0.copy_from_slice(&p.data);
-                return Ok(false);
-            }
-            // A stale differently-shaped copy must reach global
-            // memory before this sub-tile stages fresh data.
-            if let Some(p) = pers.remove(&buf.array) {
-                if p.dirty {
-                    writeback_persistent(&p, overlay, stats, clock, config)?;
-                }
-            }
-        }
-    }
-    let mut err = None;
-    let ext = &clock.ext[buf.array];
-    polymem_core::smem::movement::for_each_move_in(mc, buf, pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        match read_global(store, overlay, buf.array, name, g, ext) {
-            Ok(v) => {
-                if let Err(e) = local.set(mc.buffer, l, v) {
-                    err = Some(e);
-                }
-            }
-            Err(e) => err = Some(e),
-        }
-        stats.global_reads += 1;
-        stats.moved_in += 1;
-    })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(true),
-    }
-}
-
-/// The scratchpad contents of a sub-tile, snapshotted after its
-/// move-out so the lexicographic successor can re-base retained atoms
-/// with a scratchpad-local copy and transfer only the delta.
-struct ResidencyCarry {
-    fixed: HashMap<String, i64>,
-    local: LocalStore,
-}
-
 /// The shared plan's residency decomposition, when it applies between
 /// `prev_fixed` and `fixed`: same shared symbolic plan, and the two
 /// sub-tiles are lexicographically consecutive along the residency seq
@@ -1632,32 +1527,34 @@ fn shared_residency<'a>(
     consecutive.then_some(res)
 }
 
-/// Whether a sub-tile's plan carries a non-empty residency
-/// decomposition (worth snapshotting the local store for).
-fn residency_nonempty(source: &PlanRef) -> bool {
-    match source {
-        PlanRef::Shared(sp) => sp.residency.as_ref().is_some_and(|r| !r.is_empty()),
-        PlanRef::Owned(_) => false,
-    }
-}
-
-/// Stage one movement entry via inter-block residency: re-base the
-/// retained atoms from the predecessor's still-resident local store (a
-/// scratchpad-local copy, no global traffic) and fetch only the delta
-/// atoms from global memory. Returns the delta's DMA tag, or `None`
-/// when residency does not apply to this entry — no carried
-/// predecessor, owned plan, retention denied at planning time, or a
-/// shape-stable §4.2 persistent copy that serves the buffer for free —
-/// in which case the caller falls back to the full move-in.
+/// Stage one movement entry's move-in (global → local): the one place
+/// a movement entry becomes a move-in [`DmaTag`]. Cheapest source
+/// first:
+///
+/// 1. the §4.2 parked copy, when the array hoists and the copy's
+///    shape (extents and offsets) is this sub-tile's — free, no tag
+///    (`None`);
+/// 2. residency, when the plan retains this buffer across `pred` (the
+///    lexicographic predecessor, its scratchpad still live): the
+///    retained atoms re-base with a scratchpad-local copy and only the
+///    delta crosses the bus;
+/// 3. the full window — the partition whose retained set is empty.
+///
+/// The transfer starts no earlier than `earliest` (buffer-reuse
+/// dependence on an earlier sub-tile's move-out). A `prefetch` runs
+/// ahead of the predecessor's compute, so `pred` holds pre-compute
+/// contents (the caller only prefetches read-only, dependence-free
+/// groups) and the parked copy is never taken: the caller's
+/// [`hoist_shortcut_hits`] filter already ruled source 1 out.
 #[allow(clippy::too_many_arguments)]
-fn move_in_buffer_resident(
+fn stage_entry(
     program: &Program,
-    staging: &mut Staging,
+    sb: &mut SubBlock,
     mi: usize,
-    fixed: &HashMap<String, i64>,
-    carry: Option<(&HashMap<String, i64>, &LocalStore)>,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
+    pred: Option<&SubBlock>,
+    hoistable: &HashSet<usize>,
+    persistent: &mut HashMap<usize, Persistent>,
+    prefetch: bool,
     store: &ArrayStore,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
@@ -1665,87 +1562,80 @@ fn move_in_buffer_resident(
     config: &MachineConfig,
     earliest: u64,
 ) -> Result<Option<DmaTag>> {
-    let Some((prev_fixed, prev_local)) = carry else {
-        return Ok(None);
-    };
     let Staging {
         source,
         pparams,
         local,
         staged,
         ..
-    } = staging;
-    let Some(res) = shared_residency(source, fixed, prev_fixed) else {
-        return Ok(None);
-    };
+    } = sb.staging.as_mut().expect("staged");
     let plan = source.plan();
     let mc = &plan.movement[mi];
     let bi = mc.buffer;
     let buf = &plan.buffers[bi];
-    let Some(rp) = res.plans.get(&bi) else {
-        return Ok(None);
-    };
-    if bi >= prev_local.bufs.len() {
-        return Ok(None);
-    }
-    if hoistable.is_some_and(|h| plan_hoists(plan, buf.array, h)) {
-        // The §4.2 shortcut serves a shape-stable persistent copy for
-        // free — cheaper than any delta. Defer to it when it would
-        // hit. When the parked copy's shape shifted (so the shortcut
-        // would miss and fully restage), flush it first — the
-        // predecessor's writes must reach the overlay before the
-        // delta reads it — then stage by residency.
-        let Some(pers) = persistent else {
-            return Ok(None);
-        };
-        let shape_matches = pers
+    staged[mi] = true;
+    let hoists = plan_hoists(plan, buf.array, hoistable);
+    let parked_fits = hoists
+        && persistent
             .get(&buf.array)
             .is_some_and(|p| p.extents == local.bufs[bi].1 && p.offsets == local.bufs[bi].2);
-        if shape_matches {
-            return Ok(None);
-        }
-        if let Some(p) = pers.remove(&buf.array) {
+    if parked_fits && !prefetch {
+        local.bufs[bi]
+            .0
+            .copy_from_slice(&persistent[&buf.array].data);
+        return Ok(None);
+    }
+    // Residency defers to a shape-stable parked copy (free, so cheaper
+    // than any delta).
+    let resident = pred.filter(|_| !parked_fits).and_then(|p| {
+        let prev = &p.staging.as_ref()?.local;
+        let rp = shared_residency(source, &sb.fixed, &p.fixed)?
+            .plans
+            .get(&bi)?;
+        (bi < prev.bufs.len()).then_some((rp, prev))
+    });
+    // A stale differently-shaped parked copy must reach global memory
+    // before this sub-tile stages fresh data — the predecessor's
+    // writes must be in the overlay before the move-in reads it. A
+    // prefetched full window leaves the parked copy alone: the
+    // predecessor has not moved out yet and re-parks it when it does.
+    if hoists && !parked_fits && (resident.is_some() || !prefetch) {
+        if let Some(p) = persistent.remove(&buf.array) {
             if p.dirty {
                 writeback_persistent(&p, overlay, stats, clock, config)?;
             }
         }
     }
-    let name = &program.arrays[buf.array].name;
-    staged[mi] = true;
+    let mut err: Option<MachineError> = None;
     // Re-base the retained atoms: the predecessor's window contains
     // them by construction (retained ⊆ W(s−1) ⊆ its bounding box), so
     // the indexed reads below are always in bounds, boundary tiles
     // included.
-    let prev_offsets = &prev_local.bufs[bi].2;
-    let mut err: Option<MachineError> = None;
     let mut retained = 0u64;
-    polymem_core::smem::residency::for_each_retained(rp, buf, pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        let prev_l: Vec<i64> = buf
-            .kept_dims
-            .iter()
-            .zip(prev_offsets.iter())
-            .map(|(&d, off)| g[d] - off)
-            .collect();
-        match prev_local.get(bi, &prev_l) {
-            Ok(v) => {
-                if let Err(e) = local.set(bi, l, v) {
-                    err = Some(e);
-                }
+    if let Some((rp, prev)) = resident {
+        polymem_core::smem::residency::for_each_retained(rp, buf, pparams, &mut |g, l| {
+            if err.is_some() {
+                return;
             }
-            Err(e) => err = Some(e),
+            match prev.get(bi, &level1_index(buf, &prev.bufs[bi].2, g)) {
+                Ok(v) => {
+                    if let Err(e) = local.set(bi, l, v) {
+                        err = Some(e);
+                    }
+                }
+                Err(e) => err = Some(e),
+            }
+            retained += 1;
+        })?;
+        if let Some(e) = err.take() {
+            return Err(e);
         }
-        retained += 1;
-    })?;
-    if let Some(e) = err {
-        return Err(e);
     }
-    // Fetch the delta atoms — the only elements crossing the bus.
+    // Fetch what crosses the bus: the delta atoms, or the whole window.
+    let name = &program.arrays[buf.array].name;
     let ext = &clock.ext[buf.array];
-    let mut delta = 0u64;
-    polymem_core::smem::residency::for_each_delta_in(rp, buf, pparams, &mut |g, l| {
+    let mut fetched = 0u64;
+    let mut fetch = |g: &[i64], l: &[i64]| {
         if err.is_some() {
             return;
         }
@@ -1757,32 +1647,28 @@ fn move_in_buffer_resident(
             }
             Err(e) => err = Some(e),
         }
-        stats.global_reads += 1;
-        stats.moved_in += 1;
-        delta += 1;
-    })?;
+        fetched += 1;
+    };
+    match resident {
+        Some((rp, _)) => {
+            polymem_core::smem::residency::for_each_delta_in(rp, buf, pparams, &mut fetch)?
+        }
+        None => polymem_core::smem::movement::for_each_move_in(mc, buf, pparams, &mut fetch)?,
+    }
     if let Some(e) = err {
         return Err(e);
     }
-    stats.retained_elems += retained;
-    stats.delta_elems += delta;
-    stats.residency_groups += 1;
-    let tag = clock.issue_delta(rp, buf, pparams, config, earliest, retained)?;
-    Ok(Some(tag))
-}
-
-/// What [`move_out_buffer`] did with one movement entry, telling the
-/// caller which DMA list (if any) to issue.
-enum MoveOut {
-    /// Hoisted array parked in `persistent`; nothing crossed the bus.
-    Parked,
-    /// Full move-out applied to the overlay.
-    Full,
-    /// Only the flush delta applied: the skipped elements lie in the
-    /// successor's write set and it will stage this buffer by
-    /// residency, so their newest values are already where every
-    /// legal reader looks (the carried scratchpad).
-    Delta,
+    stats.global_reads += fetched;
+    stats.moved_in += fetched;
+    Ok(Some(match resident {
+        Some((rp, _)) => {
+            stats.retained_elems += retained;
+            stats.delta_elems += fetched;
+            stats.residency_groups += 1;
+            clock.issue_delta(rp, buf, pparams, config, earliest, retained)?
+        }
+        None => clock.issue_movement(plan, mi, pparams, Direction::In, config, earliest)?,
+    }))
 }
 
 /// The flush-delta plan for one movement entry, present iff the delta
@@ -1802,52 +1688,54 @@ fn flush_delta_plan<'a>(
     rp.flush_legal.then_some(rp)
 }
 
-/// Functionally apply one movement entry's move-out (local → global
-/// overlay). Hoisted arrays park in `persistent` instead (one
-/// writeback at the end of the block). When the successor stages this
+/// Apply one movement entry's move-out (local → global overlay) and
+/// queue its DMA list at the current cycle. Hoisted arrays park in
+/// `persistent` instead (one writeback at the end of the block;
+/// nothing crosses the bus, no tag). When the successor stages this
 /// buffer by residency and [`RetainPlan::flush_legal`] holds, only
-/// the flush delta is written back — the skipped elements are
-/// overwritten by a later sub-tile's flush before anything can read
-/// them from global memory.
+/// the flush delta is written back: the skipped elements lie in the
+/// successor's write set, so a later sub-tile's flush overwrites them
+/// before anything can read them from global memory, and their newest
+/// values are already where every legal reader looks (this sub-tile's
+/// still-live scratchpad).
 #[allow(clippy::too_many_arguments)]
 fn move_out_buffer(
-    staging: &Staging,
+    sb: &SubBlock,
     mi: usize,
-    fixed: &HashMap<String, i64>,
     next_fixed: Option<&HashMap<String, i64>>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-    hoistable: Option<&HashSet<usize>>,
-    persistent: Option<&mut HashMap<usize, Persistent>>,
-    ext: &[Vec<i64>],
-) -> Result<MoveOut> {
+    hoistable: &HashSet<usize>,
+    persistent: &mut HashMap<usize, Persistent>,
+    clock: &mut BlockClock,
+    config: &MachineConfig,
+) -> Result<Option<DmaTag>> {
+    let staging = sb.staging.as_ref().expect("staged");
     let plan = staging.source.plan();
     let mc = &plan.movement[mi];
     let buf = &plan.buffers[mc.buffer];
-    if let (Some(h), Some(pers)) = (hoistable, persistent) {
-        if plan_hoists(plan, buf.array, h) {
-            let dirty = !mc.write_spaces.is_empty();
-            let prev_dirty = pers.get(&buf.array).map(|q| q.dirty).unwrap_or(false);
-            pers.insert(
-                buf.array,
-                Persistent {
-                    buffer: buf.clone(),
-                    mc: mc.clone(),
-                    pparams: staging.pparams.clone(),
-                    data: staging.local.bufs[mc.buffer].0.clone(),
-                    extents: staging.local.bufs[mc.buffer].1.clone(),
-                    offsets: staging.local.bufs[mc.buffer].2.clone(),
-                    dirty: dirty || prev_dirty,
-                },
-            );
-            return Ok(MoveOut::Parked);
-        }
+    if plan_hoists(plan, buf.array, hoistable) {
+        let dirty = !mc.write_spaces.is_empty();
+        let prev_dirty = persistent.get(&buf.array).is_some_and(|q| q.dirty);
+        persistent.insert(
+            buf.array,
+            Persistent {
+                buffer: buf.clone(),
+                mc: mc.clone(),
+                pparams: staging.pparams.clone(),
+                data: staging.local.bufs[mc.buffer].0.clone(),
+                extents: staging.local.bufs[mc.buffer].1.clone(),
+                offsets: staging.local.bufs[mc.buffer].2.clone(),
+                dirty: dirty || prev_dirty,
+            },
+        );
+        return Ok(None);
     }
-    let flush = flush_delta_plan(staging, mi, fixed, next_fixed);
+    let flush = flush_delta_plan(staging, mi, &sb.fixed, next_fixed);
     let ls = &staging.local;
     let mut err = None;
     let mut n = 0u64;
-    let aext = &ext[buf.array];
+    let aext = &clock.ext[buf.array];
     let mut copy = |g: &[i64], l: &[i64]| {
         if err.is_some() {
             return;
@@ -1862,22 +1750,30 @@ fn move_out_buffer(
         }
         n += 1;
     };
-    let out = if let Some(rp) = flush {
-        polymem_core::smem::residency::for_each_flush_delta(rp, buf, &staging.pparams, &mut copy)?;
-        MoveOut::Delta
-    } else {
-        polymem_core::smem::movement::for_each_move_out(mc, buf, &staging.pparams, &mut copy)?;
-        MoveOut::Full
-    };
+    match flush {
+        Some(rp) => polymem_core::smem::residency::for_each_flush_delta(
+            rp,
+            buf,
+            &staging.pparams,
+            &mut copy,
+        )?,
+        None => {
+            polymem_core::smem::movement::for_each_move_out(mc, buf, &staging.pparams, &mut copy)?
+        }
+    }
     if let Some(e) = err {
         return Err(e);
     }
     stats.global_writes += n;
     stats.moved_out += n;
-    if matches!(out, MoveOut::Delta) {
-        stats.flushed_delta_elems += n;
-    }
-    Ok(out)
+    let now = clock.now;
+    Ok(Some(match flush {
+        Some(rp) => {
+            stats.flushed_delta_elems += n;
+            clock.issue_flush(rp, buf, &staging.pparams, config, now)?
+        }
+        None => clock.issue_movement(plan, mi, &staging.pparams, Direction::Out, config, now)?,
+    }))
 }
 
 /// Execute the sub-block's statement instances in interleaved source
@@ -2097,8 +1993,10 @@ pub(crate) struct FrameSet {
     pub(crate) frames: LocalStore,
 }
 
-/// The level-1 local index of global array element `g` in buffer
-/// `buf1` (whose concrete offsets are `offsets1`).
+/// The local index of global array element `g` in buffer `buf1`
+/// (whose concrete offsets are `offsets1`): a level-1 buffer backing a
+/// register frame, or the predecessor's window residency re-bases
+/// from.
 fn level1_index(buf1: &LocalBuffer, offsets1: &[i64], g: &[i64]) -> Vec<i64> {
     buf1.kept_dims
         .iter()
@@ -2426,7 +2324,23 @@ fn interpreted_compute(
     Ok((n_inst, n_smem, n_glob))
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Execute one thread block: the single sub-tile driver. Every
+/// schedule is this loop — per sub-tile `t`: stage what is left of
+/// `t`, prepare `t+1` (and, when overlap is legal and on, prefetch its
+/// eligible groups), wait `t`'s tags, compute, move out. A mapping
+/// without sequential sub-tiles is one sub-tile spanning the block;
+/// the synchronous schedule is the pipeline at prefetch depth 0.
+///
+/// Overlap (double buffering) only changes *when* a copy is issued,
+/// never *what* it copies: with it on, the move-in for `t+1` is in
+/// flight on the DMA channels while `t` computes, and `t`'s move-out
+/// is left flying over `t+1`; with it off, every tag is waited on at
+/// issue. Functional semantics are identical either way: prefetched
+/// groups carry no seq-dim flow dependence (`poisoned`, from
+/// [`overlap_poisoned_reads`]), and everything else — hoisted copies,
+/// poisoned or written groups — stages after the previous sub-tile's
+/// move-out.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 fn execute_one_block(
     kernel: &BlockedKernel,
     fixed: &HashMap<String, i64>,
@@ -2445,454 +2359,125 @@ fn execute_one_block(
         ..ExecStats::default()
     };
     let mut clock = BlockClock::new(launch.ext.clone(), config, block_idx);
-    if kernel.use_scratchpad && !kernel.seq_dims.is_empty() {
-        // Sequential sub-tiles with §4.2 hoisting.
+    // Sequential sub-tiles with §4.2 hoisting; otherwise one sub-tile
+    // spans the block and nothing hoists.
+    let (seq_vals, hoistable) = if kernel.use_scratchpad && !kernel.seq_dims.is_empty() {
         let Some(lead) = kernel.program.stmts.first() else {
             return Ok((overlay, stats));
         };
-        let seq_vals = enumerate_named(lead, &kernel.seq_dims, params, fixed, config.enum_budget)?;
-        let seqs = if seq_vals.is_empty() {
-            vec![Vec::new()]
-        } else {
-            seq_vals
-        };
-        let hoistable = seq_redundant_arrays(kernel);
-        let mut persistent: HashMap<usize, Persistent> = HashMap::new();
-        match poisoned {
-            Some(poisoned) if config.double_buffer && seqs.len() > 1 => {
-                execute_block_pipelined(
-                    kernel,
-                    fixed,
-                    params,
-                    store,
-                    config,
-                    cache,
-                    profiler,
-                    &mut overlay,
-                    &mut stats,
-                    &mut clock,
-                    &seqs,
-                    &hoistable,
-                    &mut persistent,
-                    poisoned,
-                    launch,
-                )?;
-            }
-            _ => {
-                let mut carry: Option<ResidencyCarry> = None;
-                let fixeds: Vec<HashMap<String, i64>> = seqs
-                    .iter()
-                    .map(|sv| {
-                        let mut f2 = fixed.clone();
-                        for (n, v) in kernel.seq_dims.iter().zip(sv) {
-                            f2.insert(n.clone(), *v);
-                        }
-                        f2
-                    })
-                    .collect();
-                for (i, f2) in fixeds.iter().enumerate() {
-                    run_sub_block(
-                        kernel,
-                        f2,
-                        params,
-                        store,
-                        config,
-                        cache,
-                        profiler,
-                        &mut overlay,
-                        &mut stats,
-                        Some((&hoistable, &mut persistent)),
-                        &mut clock,
-                        launch,
-                        Some(&mut carry),
-                        fixeds.get(i + 1),
-                    )?;
-                }
-            }
-        }
-        // Deterministic writeback order (DMA timing depends on it).
-        let mut arrays: Vec<usize> = persistent.keys().copied().collect();
-        arrays.sort_unstable();
-        for a in arrays {
-            let p = &persistent[&a];
-            if p.dirty {
-                writeback_persistent(p, &mut overlay, &mut stats, &mut clock, config)?;
-            }
-        }
+        (
+            enumerate_named(lead, &kernel.seq_dims, params, fixed, config.enum_budget)?,
+            seq_redundant_arrays(kernel),
+        )
     } else {
-        run_sub_block(
-            kernel,
-            fixed,
-            params,
-            store,
-            config,
-            cache,
-            profiler,
-            &mut overlay,
-            &mut stats,
-            None,
-            &mut clock,
-            launch,
-            None,
-            None,
-        )?;
-    }
-    clock.now = clock.dma.drain(clock.now);
-    stats.block_cycles = clock.now;
-    stats.dma = clock.dma.stats.clone();
-    Ok((overlay, stats))
-}
-
-/// One sub-block, fully synchronous: stage in, compute, stage out,
-/// each DMA list waited on at issue. `carry_slot`, when threaded by a
-/// sequential sub-tile loop, holds the predecessor's scratchpad
-/// snapshot on entry (served to the residency staging path) and is
-/// replaced by this sub-tile's own snapshot on exit. `next_fixed` is
-/// the successor sub-tile's fixed-dim map (when one exists), feeding
-/// the flush-delta decision of [`move_out_buffer`].
-#[allow(clippy::too_many_arguments)]
-fn run_sub_block(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    mut hoist: Option<(&HashSet<usize>, &mut HashMap<usize, Persistent>)>,
-    clock: &mut BlockClock,
-    launch: &LaunchShared,
-    carry_slot: Option<&mut Option<ResidencyCarry>>,
-    next_fixed: Option<&HashMap<String, i64>>,
-) -> Result<()> {
-    let mut sb = prepare_sub_block(kernel, fixed, params, config, cache, profiler, stats)?;
-    if let Some(st) = &sb.staging {
-        if config.smem_bytes > 0 && st.words * config.word_bytes > config.smem_bytes {
-            return Err(MachineError::ScratchpadOverflow {
-                requested: st.words * config.word_bytes,
-                available: config.smem_bytes,
-            });
-        }
-    }
-    if let Some(n_move) = sb
-        .staging
-        .as_ref()
-        .map(|st| st.source.plan().movement.len())
-    {
-        let t0 = Instant::now();
-        if let (Some(st), Some((_, persistent))) = (&sb.staging, hoist.as_mut()) {
-            flush_stale_persistent(st, persistent, overlay, stats, clock, config)?;
-        }
-        for mi in 0..n_move {
-            let prev = carry_slot
-                .as_deref()
-                .and_then(|c| c.as_ref())
-                .map(|c| (&c.fixed, &c.local));
-            let st = sb.staging.as_mut().expect("staged");
-            let now = clock.now;
-            let (h_set, h_pers) = match hoist.as_mut() {
-                Some((h, p)) => (Some(&**h), Some(&mut **p)),
-                None => (None, None),
-            };
-            if let Some(tag) = move_in_buffer_resident(
-                &kernel.program,
-                st,
-                mi,
-                &sb.fixed,
-                prev,
-                h_set,
-                h_pers,
-                store,
-                overlay,
-                stats,
-                clock,
-                config,
-                now,
-            )? {
-                clock.wait(&tag);
-                continue;
-            }
-            let st = sb.staging.as_mut().expect("staged");
-            let real = move_in_buffer(
-                &kernel.program,
-                st,
-                mi,
-                store,
-                overlay,
-                stats,
-                hoist.as_ref().map(|(h, _)| *h),
-                hoist.as_mut().map(|(_, p)| &mut **p),
-                clock,
-                config,
-            )?;
-            if real {
-                let st = sb.staging.as_ref().expect("staged");
-                let tag = clock.issue_movement(
-                    st.source.plan(),
-                    mi,
-                    &st.pparams,
-                    Direction::In,
-                    config,
-                    clock.now,
-                )?;
-                clock.wait(&tag);
-            }
-        }
-        if let Some(pr) = profiler {
-            pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-        }
-    }
-    compute_sub_block(
-        kernel, &mut sb, params, store, config, cache, profiler, overlay, stats, clock, launch,
-    )?;
-    if let Some(n_move) = sb
-        .staging
-        .as_ref()
-        .map(|st| st.source.plan().movement.len())
-    {
-        let t0 = Instant::now();
-        for mi in 0..n_move {
-            let st = sb.staging.as_ref().expect("staged");
-            let out = move_out_buffer(
-                st,
-                mi,
-                &sb.fixed,
-                next_fixed,
-                overlay,
-                stats,
-                hoist.as_ref().map(|(h, _)| *h),
-                hoist.as_mut().map(|(_, p)| &mut **p),
-                &clock.ext,
-            )?;
-            match out {
-                MoveOut::Parked => {}
-                MoveOut::Full => {
-                    let st = sb.staging.as_ref().expect("staged");
-                    let tag = clock.issue_movement(
-                        st.source.plan(),
-                        mi,
-                        &st.pparams,
-                        Direction::Out,
-                        config,
-                        clock.now,
-                    )?;
-                    clock.wait(&tag);
-                }
-                MoveOut::Delta => {
-                    let st = sb.staging.as_ref().expect("staged");
-                    let plan = st.source.plan();
-                    let buf = &plan.buffers[plan.movement[mi].buffer];
-                    let rp = flush_delta_plan(st, mi, &sb.fixed, next_fixed).expect("flushed");
-                    let tag = clock.issue_flush(rp, buf, &st.pparams, config, clock.now)?;
-                    clock.wait(&tag);
-                }
-            }
-        }
-        if let Some(pr) = profiler {
-            pr.record(crate::trace::PassKind::MoveOut, t0.elapsed());
-        }
-    }
-    // Snapshot the post-move-out scratchpad for the successor's delta
-    // staging. The snapshot holds the newest value of every element
-    // (flushing copies out of it, never into it), so it stays correct
-    // under a delta flush: skipped elements are exactly the ones the
-    // successor serves from this snapshot instead of global memory.
-    if let Some(slot) = carry_slot {
-        *slot = sb.staging.as_ref().and_then(|st| {
-            residency_nonempty(&st.source).then(|| ResidencyCarry {
-                fixed: sb.fixed.clone(),
-                local: st.local.clone(),
-            })
-        });
-    }
-    Ok(())
-}
-
-/// Stage every movement entry prefetching skipped, synchronously:
-/// the stale-persistent flush, hoisted-copy shortcuts, and groups
-/// pinned by a seq-carried flow dependence (counted in `sync_groups`
-/// when `count_denied`). Transfers start no earlier than `earliest`.
-#[allow(clippy::too_many_arguments)]
-fn stage_remaining_sync(
-    kernel: &BlockedKernel,
-    sb: &mut SubBlock,
-    store: &ArrayStore,
-    config: &MachineConfig,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
-    clock: &mut BlockClock,
-    poisoned: &HashSet<AccessId>,
-    earliest: u64,
-    count_denied: bool,
-    carry: Option<(&HashMap<String, i64>, &LocalStore)>,
-) -> Result<()> {
-    if sb.staging.is_none() {
-        return Ok(());
-    }
-    let t0 = Instant::now();
-    if let Some(st) = &sb.staging {
-        flush_stale_persistent(st, persistent, overlay, stats, clock, config)?;
-    }
-    let n_move = sb
-        .staging
-        .as_ref()
-        .map_or(0, |st| st.source.plan().movement.len());
-    for mi in 0..n_move {
-        if sb.staging.as_ref().expect("staged").staged[mi] {
-            continue;
-        }
-        let denied = {
-            let plan = sb.staging.as_ref().expect("staged").source.plan();
-            !plan_hoists(
-                plan,
-                plan.buffers[plan.movement[mi].buffer].array,
-                hoistable,
-            ) && buffer_poisoned(plan, mi, poisoned)
-        };
-        // Residency first: the predecessor has computed and flushed
-        // by now, so even written or dependence-carrying groups may
-        // re-base their retained atoms from its snapshot.
-        let st = sb.staging.as_mut().expect("staged");
-        if let Some(tag) = move_in_buffer_resident(
-            &kernel.program,
-            st,
-            mi,
-            &sb.fixed,
-            carry,
-            Some(hoistable),
-            Some(persistent),
-            store,
-            overlay,
-            stats,
-            clock,
-            config,
-            earliest,
-        )? {
-            clock.wait(&tag);
-            if count_denied && denied {
-                stats.sync_groups += 1;
-            }
-            continue;
-        }
-        let st = sb.staging.as_mut().expect("staged");
-        let real = move_in_buffer(
-            &kernel.program,
-            st,
-            mi,
-            store,
-            overlay,
-            stats,
-            Some(hoistable),
-            Some(persistent),
-            clock,
-            config,
-        )?;
-        if real {
-            let st = sb.staging.as_ref().expect("staged");
-            let tag = clock.issue_movement(
-                st.source.plan(),
-                mi,
-                &st.pparams,
-                Direction::In,
-                config,
-                earliest,
-            )?;
-            clock.wait(&tag);
-            if count_denied && denied {
-                stats.sync_groups += 1;
-            }
-        }
-    }
-    if let Some(pr) = profiler {
-        pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-    }
-    Ok(())
-}
-
-/// Software-pipelined sub-tile loop (double buffering): while
-/// sub-tile t computes, the move-in for t+1 is in flight on the DMA
-/// channels, and t's move-out is issued right after its compute and
-/// overlaps t+1. Functional semantics stay identical to the
-/// synchronous schedule: prefetched groups carry no seq-dim flow
-/// dependence (checked by the caller via `overlap_poisoned_reads`),
-/// and everything else — hoisted copies, poisoned groups — stages
-/// after the previous sub-tile's move-out, exactly as in the
-/// synchronous path.
-#[allow(clippy::too_many_arguments)]
-fn execute_block_pipelined(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    seqs: &[Vec<i64>],
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
-    poisoned: &HashSet<AccessId>,
-    launch: &LaunchShared,
-) -> Result<()> {
-    let fixed_for = |sv: &[i64]| {
+        (Vec::new(), HashSet::new())
+    };
+    let seqs = if seq_vals.is_empty() {
+        vec![Vec::new()]
+    } else {
+        seq_vals
+    };
+    let prepare = |sv: &[i64], stats: &mut ExecStats| {
         let mut f2 = fixed.clone();
         for (n, v) in kernel.seq_dims.iter().zip(sv) {
             f2.insert(n.clone(), *v);
         }
-        f2
+        prepare_sub_block(kernel, &f2, params, config, cache, profiler, stats)
     };
-    let wb = config.word_bytes;
-    let mut cur = prepare_sub_block(
-        kernel,
-        &fixed_for(&seqs[0]),
-        params,
-        config,
-        cache,
-        profiler,
-        stats,
-    )?;
-    if let Some(st) = &cur.staging {
-        if config.smem_bytes > 0 && st.words * wb > config.smem_bytes {
+    let overflows = |words: u64| {
+        (config.smem_bytes > 0 && words * config.word_bytes > config.smem_bytes)
+            .then_some((words * config.word_bytes, config.smem_bytes))
+    };
+    let poisoned = poisoned.filter(|_| config.double_buffer && seqs.len() > 1);
+    let overlap = poisoned.is_some();
+    let mut persistent: HashMap<usize, Persistent> = HashMap::new();
+    // The lexicographic predecessor, kept alive past its move-out:
+    // its scratchpad holds the newest value of every element (flushing
+    // copies out of it, never into it), which is what residency
+    // re-bases retained atoms from — also under a delta flush, whose
+    // skipped elements are exactly the ones served from here.
+    let mut pred: Option<SubBlock> = None;
+    let mut cur = prepare(&seqs[0], &mut stats)?;
+    // Cycle at which the previous sub-tile's move-out has drained:
+    // its writes are in global memory and its buffer slots are free.
+    let mut out_done = 0u64;
+    for t in 0..seqs.len() {
+        let cur_words = cur.staging.as_ref().map_or(0, |st| st.words);
+        if let Some((requested, available)) = overflows(cur_words) {
             return Err(MachineError::ScratchpadOverflow {
-                requested: st.words * wb,
-                available: config.smem_bytes,
+                requested,
+                available,
             });
         }
-    }
-    // Sub-tile 0 stages synchronously: nothing to overlap with yet.
-    stage_remaining_sync(
-        kernel, &mut cur, store, config, profiler, overlay, stats, hoistable, persistent, clock,
-        poisoned, 0, false, None,
-    )?;
-    let mut reuse_ready = clock.now;
-    for t in 0..seqs.len() {
-        // Prepare t+1 and prefetch its overlap-legal, non-hoisted
-        // groups; the transfers fly while t computes. Functionally the
-        // copies happen before t's writes, which is exactly what the
-        // legality check licenses.
-        let mut next = if t + 1 < seqs.len() {
-            let mut nx = prepare_sub_block(
-                kernel,
-                &fixed_for(&seqs[t + 1]),
-                params,
+        // Stage whatever prefetching left of `t` (everything, when
+        // overlap is off or `t` is the first sub-tile): the stale
+        // parked copies, hoisted-copy shortcuts, written groups and
+        // groups pinned by a seq-carried flow dependence. These must
+        // observe `t−1`'s writes, so they run after its move-out and
+        // their transfers start no earlier than `out_done`.
+        if let Some(st) = cur.staging.as_ref() {
+            let t0 = Instant::now();
+            let n_move = st.source.plan().movement.len();
+            flush_stale_persistent(
+                st,
+                &mut persistent,
+                &mut overlay,
+                &mut stats,
+                &mut clock,
                 config,
-                cache,
-                profiler,
-                stats,
             )?;
-            let cw = cur.staging.as_ref().map_or(0, |s| s.words);
-            let nw = nx.staging.as_ref().map_or(0, |s| s.words);
-            if config.smem_bytes > 0 && (cw + nw) * wb > config.smem_bytes {
+            for mi in 0..n_move {
+                if cur.staging.as_ref().expect("staged").staged[mi] {
+                    continue;
+                }
+                let Some(tag) = stage_entry(
+                    &kernel.program,
+                    &mut cur,
+                    mi,
+                    pred.as_ref(),
+                    &hoistable,
+                    &mut persistent,
+                    false,
+                    store,
+                    &mut overlay,
+                    &mut stats,
+                    &mut clock,
+                    config,
+                    out_done,
+                )?
+                else {
+                    continue;
+                };
+                clock.wait(&tag);
+                let plan = cur.staging.as_ref().expect("staged").source.plan();
+                let array = plan.buffers[plan.movement[mi].buffer].array;
+                if t > 0
+                    && !plan_hoists(plan, array, &hoistable)
+                    && poisoned.is_some_and(|p| buffer_poisoned(plan, mi, p))
+                {
+                    stats.sync_groups += 1;
+                }
+            }
+            if let Some(pr) = profiler {
+                pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
+            }
+        }
+        let mut next = match seqs.get(t + 1) {
+            Some(sv) => Some(prepare(sv, &mut stats)?),
+            None => None,
+        };
+        // Prefetch `t+1`'s overlap-legal, non-hoisted groups; the
+        // transfers fly while `t` computes. Functionally the copies
+        // happen before `t`'s writes, which is exactly what the
+        // legality check licenses. Their slots were `t−1`'s, so they
+        // start no earlier than `out_done`; and two footprints must be
+        // resident at once.
+        if let (Some(poisoned), Some(nx)) = (poisoned, next.as_mut()) {
+            let words = cur_words + nx.staging.as_ref().map_or(0, |st| st.words);
+            if let Some((requested, available)) = overflows(words) {
                 return Err(MachineError::DoubleBufferOverflow {
-                    requested: (cw + nw) * wb,
-                    available: config.smem_bytes,
+                    requested,
+                    available,
                 });
             }
             let t0 = Instant::now();
@@ -2901,71 +2486,37 @@ fn execute_block_pipelined(
                 .as_ref()
                 .map_or(0, |st| st.source.plan().movement.len());
             for mi in 0..n_move {
+                let nst = nx.staging.as_ref().expect("staged");
+                let plan = nst.source.plan();
+                let bi = plan.movement[mi].buffer;
+                // Only read-only, dependence-free buffers the hoist
+                // shortcut cannot satisfy prefetch: a written buffer's
+                // move-in may read locations the previous sub-tile
+                // wrote (an output/anti dependence the flow-dep check
+                // does not cover). Read-only and retention-legal also
+                // means `cur`'s pre-compute contents already hold the
+                // retained values residency re-bases from.
+                if !plan.movement[mi].write_spaces.is_empty()
+                    || buffer_poisoned(plan, mi, poisoned)
+                    || hoist_shortcut_hits(&cur, nst, bi, plan.buffers[bi].array, &hoistable)
                 {
-                    let nst = nx.staging.as_ref().expect("staged");
-                    let plan = nst.source.plan();
-                    let bi = plan.movement[mi].buffer;
-                    let array = plan.buffers[bi].array;
-                    // Only read-only, dependence-free buffers the
-                    // hoist shortcut cannot satisfy prefetch: a
-                    // written buffer's move-in may read locations the
-                    // previous sub-tile wrote (an output/anti
-                    // dependence the flow-dep check does not cover).
-                    if !plan.movement[mi].write_spaces.is_empty()
-                        || buffer_poisoned(plan, mi, poisoned)
-                        || hoist_shortcut_hits(&cur, nst, bi, array, hoistable)
-                    {
-                        continue;
-                    }
-                }
-                // Residency first: the group is read-only (checked
-                // above) and retention-legal, so `cur`'s pre-compute
-                // contents already hold the retained values — re-base
-                // locally and prefetch only the delta.
-                let prev = cur.staging.as_ref().map(|cs| (&cur.fixed, &cs.local));
-                let st = nx.staging.as_mut().expect("staged");
-                if let Some(tag) = move_in_buffer_resident(
-                    &kernel.program,
-                    st,
-                    mi,
-                    &nx.fixed,
-                    prev,
-                    Some(hoistable),
-                    Some(persistent),
-                    store,
-                    overlay,
-                    stats,
-                    clock,
-                    config,
-                    reuse_ready,
-                )? {
-                    nx.staging.as_mut().expect("staged").tags.push(tag);
-                    stats.overlap_groups += 1;
                     continue;
                 }
-                let st = nx.staging.as_mut().expect("staged");
-                let real = move_in_buffer(
+                if let Some(tag) = stage_entry(
                     &kernel.program,
-                    st,
+                    nx,
                     mi,
+                    Some(&cur),
+                    &hoistable,
+                    &mut persistent,
+                    true,
                     store,
-                    overlay,
-                    stats,
-                    None,
-                    None,
-                    clock,
+                    &mut overlay,
+                    &mut stats,
+                    &mut clock,
                     config,
-                )?;
-                if real {
-                    let st = nx.staging.as_ref().expect("staged");
-                    let tag = clock.issue_movement(
-                        st.source.plan(),
-                        mi,
-                        &st.pparams,
-                        Direction::In,
-                        config,
-                        reuse_ready,
-                    )?;
+                    out_done,
+                )? {
                     nx.staging.as_mut().expect("staged").tags.push(tag);
                     stats.overlap_groups += 1;
                 }
@@ -2973,26 +2524,31 @@ fn execute_block_pipelined(
             if let Some(pr) = profiler {
                 pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
             }
-            Some(nx)
-        } else {
-            None
-        };
-        // The prefetches for `cur` (issued while t−1 computed) must
+        }
+        // The prefetches for `cur` (issued while `t−1` computed) must
         // have landed before its compute touches the buffers.
         if let Some(st) = cur.staging.as_mut() {
-            let tags = std::mem::take(&mut st.tags);
-            for tag in &tags {
-                clock.wait(tag);
+            for tag in std::mem::take(&mut st.tags) {
+                clock.wait(&tag);
             }
         }
         compute_sub_block(
-            kernel, &mut cur, params, store, config, cache, profiler, overlay, stats, clock, launch,
+            kernel,
+            &mut cur,
+            params,
+            store,
+            config,
+            cache,
+            profiler,
+            &mut overlay,
+            &mut stats,
+            &mut clock,
+            launch,
         )?;
-        // Move-out of t: applied functionally now (same order as the
-        // synchronous schedule), its DMA time overlapping t+1's
-        // compute. Move-in for t+2 reuses these slots, so it starts
-        // no earlier than `out_done`.
-        let mut out_done = clock.now;
+        // Move-out of `t`: applied functionally now, in the same order
+        // under every schedule. With overlap its DMA time flies over
+        // `t+1`'s compute; without, each tag is waited on at issue.
+        out_done = clock.now;
         if let Some(n_move) = cur
             .staging
             .as_ref()
@@ -3001,63 +2557,42 @@ fn execute_block_pipelined(
             let t0 = Instant::now();
             let next_fixed = next.as_ref().map(|nx| &nx.fixed);
             for mi in 0..n_move {
-                let st = cur.staging.as_ref().expect("staged");
-                let out = move_out_buffer(
-                    st,
+                if let Some(tag) = move_out_buffer(
+                    &cur,
                     mi,
-                    &cur.fixed,
                     next_fixed,
-                    overlay,
-                    stats,
-                    Some(hoistable),
-                    Some(persistent),
-                    &clock.ext,
-                )?;
-                match out {
-                    MoveOut::Parked => {}
-                    MoveOut::Full => {
-                        let st = cur.staging.as_ref().expect("staged");
-                        let tag = clock.issue_movement(
-                            st.source.plan(),
-                            mi,
-                            &st.pparams,
-                            Direction::Out,
-                            config,
-                            clock.now,
-                        )?;
-                        out_done = out_done.max(tag.done);
+                    &mut overlay,
+                    &mut stats,
+                    &hoistable,
+                    &mut persistent,
+                    &mut clock,
+                    config,
+                )? {
+                    if !overlap {
+                        clock.wait(&tag);
                     }
-                    MoveOut::Delta => {
-                        let st = cur.staging.as_ref().expect("staged");
-                        let plan = st.source.plan();
-                        let buf = &plan.buffers[plan.movement[mi].buffer];
-                        let rp = flush_delta_plan(st, mi, &cur.fixed, next_fixed).expect("flushed");
-                        let tag = clock.issue_flush(rp, buf, &st.pparams, config, clock.now)?;
-                        out_done = out_done.max(tag.done);
-                    }
+                    out_done = out_done.max(tag.done);
                 }
             }
             if let Some(pr) = profiler {
                 pr.record(crate::trace::PassKind::MoveOut, t0.elapsed());
             }
         }
-        // Stage what prefetching skipped; these must observe t's
-        // writes, so they run after its move-out. `cur` now holds t's
-        // post-compute scratchpad — the residency predecessor.
-        if let Some(nx) = next.as_mut() {
-            let prev = cur.staging.as_ref().map(|cs| (&cur.fixed, &cs.local));
-            stage_remaining_sync(
-                kernel, nx, store, config, profiler, overlay, stats, hoistable, persistent, clock,
-                poisoned, out_done, true, prev,
-            )?;
-        }
-        reuse_ready = out_done;
-        match next {
-            Some(nx) => cur = nx,
-            None => break,
+        pred = next.map(|nx| std::mem::replace(&mut cur, nx));
+    }
+    // Deterministic writeback order (DMA timing depends on it).
+    let mut arrays: Vec<usize> = persistent.keys().copied().collect();
+    arrays.sort_unstable();
+    for a in arrays {
+        let p = &persistent[&a];
+        if p.dirty {
+            writeback_persistent(p, &mut overlay, &mut stats, &mut clock, config)?;
         }
     }
-    Ok(())
+    clock.now = clock.dma.drain(clock.now);
+    stats.block_cycles = clock.now;
+    stats.dma = clock.dma.stats.clone();
+    Ok((overlay, stats))
 }
 
 /// A global element read: the block's own buffered writes shadow the
@@ -3395,7 +2930,7 @@ mod tests {
         assert_eq!(a.dma.channel_busy_cycles, vec![101, 139]);
         assert_eq!(a.dma.stall_cycles, 141);
         assert_eq!(a.dma.bytes_hist, vec![143]);
-        assert_eq!(a.compute_ns, 145); // wall time sums across workers
+        assert_eq!(a.compute_ns, 145); // CPU time sums across workers
         assert_eq!(a.smem_loads_saved, 147);
         assert_eq!(a.reg_bytes_moved, 149);
         assert_eq!(a.hier_groups, 151);

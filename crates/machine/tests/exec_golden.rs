@@ -1,6 +1,6 @@
 //! Golden executor counters, recorded on the commit *before* the two
-//! block drivers (synchronous `run_sub_block`, pipelined
-//! `execute_block_pipelined`) were collapsed into one sub-tile loop.
+//! block drivers (one synchronous, one software-pipelined) were
+//! collapsed into one sub-tile loop.
 //! Every deterministic [`ExecStats`] field — modeled cycles, movement
 //! and residency counters, the full [`DmaStats`](polymem_machine::DmaStats)
 //! including per-channel busy cycles and stalls — plus an output

@@ -10,7 +10,8 @@
 use polymem_ir::{exec_program, ArrayStore};
 use polymem_kernels::{matmul, me, tunespace};
 use polymem_machine::{
-    desc, execute_blocked, plan_artifact_key, BlockedKernel, MachineConfig, MachineDesc,
+    cost_constants, desc, execute_blocked, plan_artifact_key, BlockedKernel, MachineConfig,
+    MachineDesc,
 };
 use proptest::prelude::*;
 
@@ -260,4 +261,45 @@ fn spatial_placement_is_priced_and_only_there() {
     assert!(spatial.route_cycles(0) > 0);
     assert!(spatial.route_cycles(8) > spatial.route_cycles(0));
     assert_eq!(flat.route_cycles(8), 0);
+}
+
+/// A machine file whose scratchpad declares `capacity_bytes = 0` is
+/// "unlimited" to the executor's overflow check and to the cost
+/// estimator, but the simulator's own occupancy rule used to read it
+/// as one staged block per wave (`0 / M = 0 → max(1)`). With one rule,
+/// predicted and simulated waves agree.
+#[test]
+fn unlimited_scratchpad_occupancy_agrees_between_estimator_and_simulator() {
+    let mut d = desc::gpu();
+    d.name = "gpu_unlimited".into();
+    let spad = d.levels.iter_mut().find(|l| l.name == "scratchpad");
+    spad.expect("gpu has a scratchpad").capacity_bytes = 0;
+    let dir = std::env::temp_dir().join("polymem_machines_props_occupancy");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("gpu_unlimited.toml");
+    std::fs::write(&path, d.to_toml()).expect("write");
+    let cfg = MachineDesc::from_file(path.to_str().expect("utf8"))
+        .expect("load")
+        .config();
+    assert_eq!(cfg.smem_bytes, 0);
+
+    let (stats, _) = run_exact("matmul", &cfg);
+    assert!(stats.moved_in > 0, "buffers are staged");
+    let per_block_bytes = stats.max_smem_words * cfg.word_bytes;
+    let predicted_waves = stats
+        .blocks
+        .div_ceil(cost_constants(&cfg).concurrent_blocks(per_block_bytes));
+    assert_eq!(predicted_waves, 1, "4 blocks fit the 128 hardware slots");
+    assert_eq!(
+        cfg.concurrent_blocks(per_block_bytes),
+        cfg.n_outer * cfg.max_blocks_per_outer
+    );
+    // Matmul's four blocks are identical, so the round's slowest
+    // block is the mean and the simulated waves fall out of the total.
+    let sync = (cfg.device_sync_base + cfg.device_sync_per_block * stats.blocks as f64).round();
+    assert_eq!(
+        stats.modeled_cycles,
+        stats.block_cycles / stats.blocks * predicted_waves + sync as u64,
+        "simulated occupancy waves differ from the estimator's"
+    );
 }

@@ -900,7 +900,7 @@ fn run(name: &str, size: i64) -> ExitCode {
         )
     };
     println!(
-        "  compute phase {:.3} ms wall ({engine})",
+        "  compute phase {:.3} ms cpu (summed over block workers) ({engine})",
         stats.compute_ns as f64 / 1e6
     );
     if stats.interpreted_blocks > 0 {

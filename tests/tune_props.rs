@@ -8,11 +8,14 @@
 //! fewer global bytes.
 
 use polymem::core::smem::tune::{estimate, CostEstimate, MappingDesc};
+use polymem::core::smem::{DmaChannels, TransferDescriptor, TransferList};
 use polymem::ir::ArrayStore;
 use polymem::kernels::tunespace;
 use polymem::machine::{
-    config_for, cost_constants, structure_of, tune, warm_plan, MachineConfig, TuneOptions,
+    config_for, cost_constants, structure_of, tune, warm_plan, DmaEngine, MachineConfig,
+    TuneOptions,
 };
+use proptest::prelude::*;
 
 /// Price one mapping of a built-in kernel with the analytic estimator
 /// (no simulation).
@@ -185,5 +188,57 @@ fn pruned_frontier_contains_the_simulated_optimum() {
                 r.desc.label()
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// "Predicted == simulated whenever counts agree", for the DMA
+    /// term: over arbitrary transfer lists, issue times, channel
+    /// counts and setup / bandwidth / route values, the completion
+    /// cycle the estimator computes with [`DmaChannels`] is the `done`
+    /// of the tag the simulator's [`DmaEngine`] hands back.
+    #[test]
+    fn estimator_dma_completion_equals_the_engine(
+        issues in prop::collection::vec(
+            (0u64..500, prop::collection::vec((1i64..200, 1i64..6), 0..6)),
+            1..6,
+        ),
+        channels in 0u64..9,
+        setup in 0.0f64..400.0,
+        bytes_per_cycle in 0.25f64..32.0,
+        route in 0u64..2000,
+        word_bytes in 1u64..9,
+    ) {
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        cfg.dma_channels = channels;
+        cfg.dma_setup_cycles = setup;
+        cfg.dma_bytes_per_cycle = bytes_per_cycle;
+        let mut engine = DmaEngine::with_route(&cfg, route);
+        let mut model = DmaChannels::new(channels, setup, bytes_per_cycle, route);
+        let mut now = 0u64;
+        for (gap, rows) in &issues {
+            now += gap;
+            let descriptors: Vec<TransferDescriptor> = rows
+                .iter()
+                .map(|&(elem_count, n_rows)| TransferDescriptor {
+                    global_base: 0,
+                    local_base: 0,
+                    elem_count,
+                    stride: 1,
+                    n_rows,
+                    global_row_stride: elem_count,
+                    local_stride: 1,
+                    local_row_stride: elem_count,
+                })
+                .collect();
+            let elements = descriptors.iter().map(|d| d.elements()).sum();
+            let list = TransferList { descriptors, elements };
+            let predicted = model.issue_list(&list, word_bytes, now);
+            let simulated = engine.issue_list(&list, word_bytes, now, now).done;
+            prop_assert_eq!(predicted, simulated);
+        }
+        prop_assert_eq!(model.idle_at(), engine.drain(0));
     }
 }
