@@ -18,51 +18,38 @@
 //!
 //! Exits non-zero if outputs differ or the mean speedup is < 5×.
 
+use polymem_bench::harness::Case;
 use polymem_ir::ArrayStore;
 use polymem_kernels::{jacobi, me};
-use polymem_machine::{execute_blocked, BlockedKernel, ExecStats, MachineConfig};
+use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
 use std::time::Instant;
 
-struct Case {
-    name: &'static str,
-    kernel: BlockedKernel,
-    params: Vec<i64>,
-    base: ArrayStore,
-    check: &'static str,
-}
-
-fn cases() -> Vec<Case> {
-    let mut out = Vec::new();
-    // ME (fig. 4 kernel): 32x32 frame in 2x2 tiles -> 256 blocks, each
-    // with a trivial 2x2 x ws^2 SAD — compile-bound without the cache.
+/// `(label, case)`: the two compile-bound launches of Figs. 4 and 5.
+fn cases() -> Vec<(&'static str, Case)> {
     let size = me::MeSize {
         ni: 32,
         nj: 32,
         ws: 3,
     };
-    let p = me::program();
-    let mut st = ArrayStore::for_program(&p, &me::params(&size)).expect("store");
-    me::init_store(&mut st, 7);
-    out.push(Case {
-        name: "ME 32x32 (2x2 tiles, 256 blocks)",
-        kernel: me::blocked_kernel(2, 2, true),
-        params: me::params(&size),
-        base: st,
-        check: "Sad",
-    });
-    // Jacobi stepwise (fig. 5 kernel): 4 rounds x 64 space blocks.
     let s = jacobi::JacobiSize { n: 128, t: 4 };
-    let p = jacobi::program();
-    let mut st = ArrayStore::for_program(&p, &jacobi::params(&s)).expect("store");
-    jacobi::init_store(&mut st, 8);
-    out.push(Case {
-        name: "Jacobi N=128 (tile 2, 4 rounds x 64 blocks)",
-        kernel: jacobi::stepwise_kernel(2, true),
-        params: jacobi::params(&s),
-        base: st,
-        check: "A",
-    });
-    out
+    vec![
+        // 32x32 frame in 2x2 tiles -> 256 blocks, each with a trivial
+        // 2x2 x ws^2 SAD — compile-bound without the cache.
+        (
+            "ME 32x32 (2x2 tiles, 256 blocks)",
+            Case::builtin("me", me::params(&size), 7, me::blocked_kernel(2, 2, true)),
+        ),
+        // Stepwise: 4 rounds x 64 space blocks.
+        (
+            "Jacobi N=128 (tile 2, 4 rounds x 64 blocks)",
+            Case::builtin(
+                "jacobi",
+                jacobi::params(&s),
+                8,
+                jacobi::stepwise_kernel(2, true),
+            ),
+        ),
+    ]
 }
 
 const REPS: usize = 3;
@@ -91,7 +78,7 @@ fn main() {
     let mut ok = true;
     let mut speedups = Vec::new();
     println!("plan-cache speedup (wall-clock including the compiler, best of {REPS})\n");
-    for case in cases() {
+    for (label, case) in cases() {
         // Warm the process (allocator, page faults) before timing.
         let _ = timed_run(&case, false);
         let (ms_off, st_off, s_off) = timed_run(&case, false);
@@ -101,7 +88,7 @@ fn main() {
         ok &= exact;
         let speedup = ms_off / ms_on.max(1e-9);
         speedups.push(speedup);
-        println!("{}", case.name);
+        println!("{label}");
         println!(
             "  cache off: {ms_off:8.2} ms  (hits {}, misses {})",
             s_off.plan_cache_hits, s_off.plan_cache_misses

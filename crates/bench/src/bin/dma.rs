@@ -27,95 +27,58 @@
 //! modeled (deterministic integer cycle counts), so the gates hold on
 //! noisy CI runners too.
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, store_for, Case};
+use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, Case};
 use polymem_ir::ArrayStore;
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
 use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
 
 fn cases(smoke: bool) -> Vec<Case> {
-    let mut out = Vec::new();
-
-    let size = if smoke {
-        me::MeSize {
-            ni: 16,
-            nj: 16,
-            ws: 2,
-        }
-    } else {
-        me::MeSize {
-            ni: 32,
-            nj: 32,
-            ws: 3,
-        }
+    let pick = |small: i64, full: i64| if smoke { small } else { full };
+    let me_size = me::MeSize {
+        ni: pick(16, 32),
+        nj: pick(16, 32),
+        ws: pick(2, 3),
     };
-    let p = me::program();
-    let prm = me::params(&size);
-    out.push(Case {
-        name: "me",
-        base: store_for(&p, &prm, |st| me::init_store(st, 7)),
-        program: p,
-        kernel: me::blocked_seq_kernel(4, 4, true),
-        params: prm,
-        check: "Sad",
-    });
-
-    let s = if smoke {
-        jacobi::JacobiSize { n: 32, t: 2 }
-    } else {
-        jacobi::JacobiSize { n: 128, t: 4 }
+    let jacobi_size = jacobi::JacobiSize {
+        n: pick(32, 128),
+        t: pick(2, 4),
     };
-    let p = jacobi::program();
-    let prm = jacobi::params(&s);
-    out.push(Case {
-        name: "jacobi",
-        base: store_for(&p, &prm, |st| jacobi::init_store(st, 8)),
-        program: p,
-        kernel: jacobi::stepwise_kernel(16, true),
-        params: prm,
-        check: "A",
-    });
-
-    let (t, n) = if smoke { (2, 8) } else { (2, 16) };
-    let p = jacobi2d::program();
-    let prm = jacobi2d::params(t, n);
-    out.push(Case {
-        name: "jacobi2d",
-        base: store_for(&p, &prm, |st| jacobi2d::init_store(st, 9)),
-        program: p,
-        kernel: jacobi2d::stepwise_seq_kernel(4, if smoke { 4 } else { 8 }, true),
-        params: prm,
-        check: "A",
-    });
-
-    let n = if smoke { 8 } else { 16 };
-    let p = matmul::program();
-    let prm = vec![n];
-    out.push(Case {
-        name: "matmul",
-        base: store_for(&p, &prm, |st| matmul::init_store(st, 10)),
-        program: p,
-        kernel: matmul::blocked_kernel_hoisted(4, 4, 4, true),
-        params: prm,
-        check: "C",
-    });
-
-    let s = if smoke {
-        conv2d::ConvSize { n: 7, k: 3 }
-    } else {
-        conv2d::ConvSize { n: 15, k: 3 }
+    let conv_size = conv2d::ConvSize {
+        n: pick(7, 15),
+        k: 3,
     };
-    let p = conv2d::program();
-    let prm = conv2d::params(&s);
-    out.push(Case {
-        name: "conv2d",
-        base: store_for(&p, &prm, |st| conv2d::init_store(st, 11)),
-        program: p,
-        kernel: conv2d::blocked_seq_kernel(3, if smoke { 3 } else { 5 }, true),
-        params: prm,
-        check: "Out",
-    });
-
-    out
+    vec![
+        Case::builtin(
+            "me",
+            me::params(&me_size),
+            7,
+            me::blocked_seq_kernel(4, 4, true),
+        ),
+        Case::builtin(
+            "jacobi",
+            jacobi::params(&jacobi_size),
+            8,
+            jacobi::stepwise_kernel(16, true),
+        ),
+        Case::builtin(
+            "jacobi2d",
+            jacobi2d::params(2, pick(8, 16)),
+            9,
+            jacobi2d::stepwise_seq_kernel(4, pick(4, 8), true),
+        ),
+        Case::builtin(
+            "matmul",
+            vec![pick(8, 16)],
+            10,
+            matmul::blocked_kernel_hoisted(4, 4, 4, true),
+        ),
+        Case::builtin(
+            "conv2d",
+            conv2d::params(&conv_size),
+            11,
+            conv2d::blocked_seq_kernel(3, pick(3, 5), true),
+        ),
+    ]
 }
 
 struct ModeResult {

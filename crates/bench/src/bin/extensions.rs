@@ -24,7 +24,7 @@
 //! All gated quantities come from the deterministic cost model or
 //! deterministic counters, so the gates hold in smoke mode too.
 
-use polymem_bench::harness::{best_of, conclude, json_escape_free, smoke_mode, store_for, Case};
+use polymem_bench::harness::{best_of, conclude, json_escape_free, smoke_mode, Case};
 use polymem_bench::{Figure, Series};
 use polymem_kernels::{conv2d, jacobi, matmul, me};
 use polymem_machine::{execute_blocked, MachineConfig, Timeline};
@@ -94,15 +94,7 @@ struct CellRow {
 
 /// Extension 2: the same staged matmul on both machine presets.
 fn cell_comparison(n: i64) -> Vec<CellRow> {
-    let p = matmul::program();
-    let case = Case {
-        name: "matmul",
-        base: store_for(&p, &[n], |st| matmul::init_store(st, 1)),
-        program: p,
-        kernel: matmul::blocked_kernel(4, 4, 8, true),
-        params: vec![n],
-        check: "C",
-    };
+    let case = Case::builtin("matmul", vec![n], 1, matmul::blocked_kernel(4, 4, 8, true));
     let reference = case.reference();
     let mut rows = Vec::new();
     for (machine, cfg) in [

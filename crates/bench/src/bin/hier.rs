@@ -34,101 +34,9 @@
 //! Exits non-zero on any check failure. All gated quantities are
 //! deterministic counters, so the gates hold on noisy CI runners too.
 
-use polymem_bench::harness::{best_of, conclude, json_escape_free, smoke_mode, store_for, Case};
+use polymem_bench::harness::{best_of, conclude, json_escape_free, seq_cases, smoke_mode, Case};
 use polymem_ir::ArrayStore;
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
 use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
-
-fn cases(smoke: bool) -> Vec<Case> {
-    let mut out = Vec::new();
-
-    let size = if smoke {
-        me::MeSize {
-            ni: 16,
-            nj: 16,
-            ws: 2,
-        }
-    } else {
-        me::MeSize {
-            ni: 32,
-            nj: 32,
-            ws: 3,
-        }
-    };
-    let p = me::program();
-    let prm = me::params(&size);
-    out.push(Case {
-        name: "me",
-        base: store_for(&p, &prm, |st| me::init_store(st, 7)),
-        program: p,
-        kernel: me::blocked_seq_kernel(4, 4, true),
-        params: prm,
-        check: "Sad",
-    });
-
-    let s = if smoke {
-        jacobi::JacobiSize { n: 32, t: 2 }
-    } else {
-        jacobi::JacobiSize { n: 256, t: 4 }
-    };
-    let p = jacobi::program();
-    let prm = jacobi::params(&s);
-    out.push(Case {
-        name: "jacobi",
-        base: store_for(&p, &prm, |st| jacobi::init_store(st, 8)),
-        program: p,
-        kernel: jacobi::stepwise_kernel(16, true),
-        params: prm,
-        check: "A",
-    });
-
-    let (t, n) = if smoke { (2, 8) } else { (4, 32) };
-    let p = jacobi2d::program();
-    let prm = jacobi2d::params(t, n);
-    out.push(Case {
-        name: "jacobi2d",
-        base: store_for(&p, &prm, |st| jacobi2d::init_store(st, 9)),
-        program: p,
-        kernel: jacobi2d::stepwise_seq_kernel(4, if smoke { 4 } else { 8 }, true),
-        params: prm,
-        check: "A",
-    });
-
-    let n = if smoke { 8 } else { 32 };
-    let p = matmul::program();
-    let prm = vec![n];
-    out.push(Case {
-        name: "matmul",
-        base: store_for(&p, &prm, |st| matmul::init_store(st, 10)),
-        program: p,
-        kernel: matmul::blocked_kernel_hoisted(
-            if smoke { 4 } else { 8 },
-            if smoke { 4 } else { 8 },
-            if smoke { 4 } else { 8 },
-            true,
-        ),
-        params: prm,
-        check: "C",
-    });
-
-    let s = if smoke {
-        conv2d::ConvSize { n: 7, k: 3 }
-    } else {
-        conv2d::ConvSize { n: 23, k: 3 }
-    };
-    let p = conv2d::program();
-    let prm = conv2d::params(&s);
-    out.push(Case {
-        name: "conv2d",
-        base: store_for(&p, &prm, |st| conv2d::init_store(st, 11)),
-        program: p,
-        kernel: conv2d::blocked_seq_kernel(3, if smoke { 3 } else { 5 }, true),
-        params: prm,
-        check: "Out",
-    });
-
-    out
-}
 
 struct ModeResult {
     stats: ExecStats,
@@ -266,7 +174,7 @@ fn main() {
         if check { ", oracle cross-check on" } else { "" }
     );
     let mut results = Vec::new();
-    for case in cases(smoke) {
+    for case in seq_cases(smoke) {
         let r = run_case(&case);
         for m in &r.machines {
             println!(

@@ -30,7 +30,7 @@
 //! All asserted quantities are modeled (deterministic integer counts),
 //! so the gates hold on noisy CI runners too.
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, store_for, Case};
+use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, Case};
 use polymem_ir::ArrayStore;
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
 use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
@@ -45,118 +45,86 @@ struct ResCase {
 }
 
 fn cases(smoke: bool) -> Vec<ResCase> {
-    let mut out = Vec::new();
-
-    // ME: the W-wide search window slides one column per sub-tile;
-    // consecutive windows share W of W+1 columns.
-    let size = if smoke {
-        me::MeSize {
-            ni: 8,
-            nj: 8,
-            ws: 4,
-        }
-    } else {
-        me::MeSize {
-            ni: 16,
-            nj: 16,
-            ws: 4,
-        }
+    let pick = |small: i64, full: i64| if smoke { small } else { full };
+    let res = |case, gated, merged_layout| ResCase {
+        case,
+        gated,
+        merged_layout,
     };
-    let p = me::program();
-    let prm = me::params(&size);
-    out.push(ResCase {
-        case: Case {
-            name: "me",
-            base: store_for(&p, &prm, |st| me::init_store(st, 7)),
-            program: p,
-            kernel: me::blocked_seq_kernel(8, 1, true),
-            params: prm,
-            check: "Sad",
-        },
-        gated: true,
-        merged_layout: false,
-    });
-
-    // 1-D Jacobi keeps its round-only mapping: no sequential sub-tile
-    // loop, so residency must be a structural no-op.
-    let s = if smoke {
-        jacobi::JacobiSize { n: 32, t: 2 }
-    } else {
-        jacobi::JacobiSize { n: 128, t: 4 }
+    let me_size = me::MeSize {
+        ni: pick(8, 16),
+        nj: pick(8, 16),
+        ws: 4,
     };
-    let p = jacobi::program();
-    let prm = jacobi::params(&s);
-    out.push(ResCase {
-        case: Case {
-            name: "jacobi",
-            base: store_for(&p, &prm, |st| jacobi::init_store(st, 8)),
-            program: p,
-            kernel: jacobi::stepwise_kernel(16, true),
-            params: prm,
-            check: "A",
-        },
-        gated: false,
-        merged_layout: false,
-    });
-
-    // Jacobi-2D with a single-column sub-tile: the 5-point window
-    // spans three sliding columns, of which two are retained. The
-    // merged layout keeps the whole window in one buffer.
-    let (t, n, ti) = if smoke { (2, 32, 8) } else { (2, 64, 16) };
-    let p = jacobi2d::program();
-    let prm = jacobi2d::params(t, n);
-    out.push(ResCase {
-        case: Case {
-            name: "jacobi2d",
-            base: store_for(&p, &prm, |st| jacobi2d::init_store(st, 9)),
-            program: p,
-            kernel: jacobi2d::stepwise_seq_kernel(ti, 1, true),
-            params: prm,
-            check: "A",
-        },
-        gated: true,
-        merged_layout: true,
-    });
-
-    // Matmul's hoisted mapping: the persistent-buffer shortcut (§4.2)
-    // takes priority over residency on the hoisted operand.
-    let n = if smoke { 8 } else { 16 };
-    let p = matmul::program();
-    let prm = vec![n];
-    out.push(ResCase {
-        case: Case {
-            name: "matmul",
-            base: store_for(&p, &prm, |st| matmul::init_store(st, 10)),
-            program: p,
-            kernel: matmul::blocked_kernel_hoisted(4, 4, 4, true),
-            params: prm,
-            check: "C",
-        },
-        gated: false,
-        merged_layout: false,
-    });
-
-    let s = if smoke {
-        conv2d::ConvSize { n: 7, k: 3 }
-    } else {
-        conv2d::ConvSize { n: 15, k: 3 }
+    let jacobi_size = jacobi::JacobiSize {
+        n: pick(32, 128),
+        t: pick(2, 4),
     };
-    let p = conv2d::program();
-    let prm = conv2d::params(&s);
-    out.push(ResCase {
-        case: Case {
-            name: "conv2d",
-            base: store_for(&p, &prm, |st| conv2d::init_store(st, 11)),
-            program: p,
-            kernel: conv2d::blocked_seq_kernel(3, if smoke { 3 } else { 5 }, true),
-            params: prm,
-            check: "Out",
-        },
-        gated: false,
-        merged_layout: false,
-    });
-
-    out
+    let conv_size = conv2d::ConvSize {
+        n: pick(7, 15),
+        k: 3,
+    };
+    vec![
+        // ME: the W-wide search window slides one column per sub-tile;
+        // consecutive windows share W of W+1 columns.
+        res(
+            Case::builtin(
+                "me",
+                me::params(&me_size),
+                7,
+                me::blocked_seq_kernel(8, 1, true),
+            ),
+            true,
+            false,
+        ),
+        // 1-D Jacobi keeps its round-only mapping: no sequential
+        // sub-tile loop, so residency must be a structural no-op.
+        res(
+            Case::builtin(
+                "jacobi",
+                jacobi::params(&jacobi_size),
+                8,
+                jacobi::stepwise_kernel(16, true),
+            ),
+            false,
+            false,
+        ),
+        // Jacobi-2D with a single-column sub-tile: the 5-point window
+        // spans three sliding columns, of which two are retained. The
+        // merged layout keeps the whole window in one buffer.
+        res(
+            Case::builtin(
+                "jacobi2d",
+                jacobi2d::params(2, pick(32, 64)),
+                9,
+                jacobi2d::stepwise_seq_kernel(pick(8, 16), 1, true),
+            ),
+            true,
+            true,
+        ),
+        // Matmul's hoisted mapping: the persistent-buffer shortcut
+        // (§4.2) takes priority over residency on the hoisted operand.
+        res(
+            Case::builtin(
+                "matmul",
+                vec![pick(8, 16)],
+                10,
+                matmul::blocked_kernel_hoisted(4, 4, 4, true),
+            ),
+            false,
+            false,
+        ),
+        res(
+            Case::builtin(
+                "conv2d",
+                conv2d::params(&conv_size),
+                11,
+                conv2d::blocked_seq_kernel(3, pick(3, 5), true),
+            ),
+            false,
+            false,
+        ),
+    ]
 }
 
 struct ModeResult {

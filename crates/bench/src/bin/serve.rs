@@ -29,10 +29,10 @@
 //! ```
 
 use polymem_bench::harness::{conclude, json_escape_free, smoke_mode};
-use polymem_ir::ArrayStore;
-use polymem_machine::execute_blocked;
-use polymem_serve::workload;
-use polymem_serve::{Json, ServeConfig, Server, KERNELS};
+use polymem_kernels::builtins::launch;
+use polymem_machine::{execute_blocked, LaunchToggles};
+use polymem_serve::workload::{self, KERNELS};
+use polymem_serve::{Json, ServeConfig, Server};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -82,21 +82,16 @@ fn is_ok(v: &Json) -> bool {
 }
 
 /// The checksum a direct (daemon-free) run of this launch produces —
-/// the bit-exactness oracle. Mirrors the daemon's request defaults:
-/// hierarchy and residency on, no double buffering.
+/// the bit-exactness oracle: the resolver's launch under the request
+/// defaults (hierarchy and residency on, no double buffering).
 fn direct_checksum(kernel: &str, machine: &str, size: i64) -> u64 {
-    let w = workload::resolve(kernel, size, false).expect("built-in kernel");
-    let mut cfg = match machine {
-        "gpu" => polymem_machine::MachineConfig::geforce_8800_gtx(),
-        "cell" => polymem_machine::MachineConfig::cell_like(),
-        _ => unreachable!(),
-    };
-    cfg.hierarchy = true;
-    cfg.residency = true;
-    let mut st = ArrayStore::for_program(&w.program, &w.params).expect("store");
-    workload::init(kernel, &mut st);
-    execute_blocked(&w.kernel, &w.params, &mut st, &cfg, true).expect("direct run");
-    workload::checksum(st.data(w.check).expect("output array"))
+    let base = polymem_machine::desc::lookup(machine)
+        .expect("registered machine")
+        .config();
+    let l = launch(kernel, size, &base, &LaunchToggles::default(), false).expect("built-in kernel");
+    let mut st = l.seeded_store(42).expect("store");
+    execute_blocked(&l.kernel, &l.params, &mut st, &l.config, true).expect("direct run");
+    workload::checksum(st.data(l.check).expect("output array"))
 }
 
 /// Per-(kernel, machine) aggregate across the phases.

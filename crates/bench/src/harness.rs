@@ -1,15 +1,18 @@
 //! Shared machinery for the `BENCH_*.json` harness binaries
-//! (`polycore`, `dma`, `exec`, `hier`).
+//! (`polycore`, `dma`, `exec`, `hier`, …).
 //!
 //! Each binary benches the five built-in kernels on the machine
 //! models, checks outputs against the reference interpreter, gates on
 //! a bench-specific quantity, writes a JSON report and exits non-zero
 //! on any failure. The case bookkeeping, best-of-N timing,
 //! bit-exactness plumbing and report ritual are identical across them
-//! and live here; each binary keeps only its own case sizes, measured
-//! quantities and gates.
+//! and live here; each binary keeps only its own problem sizes, tiles,
+//! measured quantities and gates — program, initialiser and checked
+//! array come from the built-in kernel table.
 
 use polymem_ir::{exec_program, ArrayStore, Program};
+use polymem_kernels::builtins::Builtin;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
 use polymem_machine::BlockedKernel;
 
 /// One benchable kernel: a program, its blocked mapping, concrete
@@ -31,6 +34,24 @@ pub struct Case {
 }
 
 impl Case {
+    /// The built-in kernel `name` at explicit parameter values (benches
+    /// pick their own problem shapes, not `--size`'s), its inputs
+    /// seeded with `seed`, under the mapping `kernel`.
+    pub fn builtin(name: &str, params: Vec<i64>, seed: u64, kernel: BlockedKernel) -> Case {
+        let b = Builtin::named(name).expect("built-in kernel");
+        let program = (b.program)();
+        let mut base = ArrayStore::for_program(&program, &params).expect("store");
+        (b.init)(&mut base, seed);
+        Case {
+            name: b.name,
+            program,
+            kernel,
+            params,
+            base,
+            check: b.check,
+        }
+    }
+
     /// Run the reference interpreter on a clone of the base store.
     pub fn reference(&self) -> ArrayStore {
         let mut st = self.base.clone();
@@ -45,15 +66,56 @@ impl Case {
     }
 }
 
-/// Build a store for `program` at `params` and initialize it.
-pub fn store_for(
-    program: &Program,
-    params: &[i64],
-    init: impl FnOnce(&mut ArrayStore),
-) -> ArrayStore {
-    let mut st = ArrayStore::for_program(program, params).expect("store");
-    init(&mut st);
-    st
+/// The five kernels in their sequential-sub-tile mappings, at the
+/// sizes the `exec`, `hier` and `unified` harnesses share.
+pub fn seq_cases(smoke: bool) -> Vec<Case> {
+    let pick = |small: i64, full: i64| if smoke { small } else { full };
+    let me_size = me::MeSize {
+        ni: pick(16, 32),
+        nj: pick(16, 32),
+        ws: pick(2, 3),
+    };
+    let jacobi_size = jacobi::JacobiSize {
+        n: pick(32, 256),
+        t: pick(2, 4),
+    };
+    let conv_size = conv2d::ConvSize {
+        n: pick(7, 23),
+        k: 3,
+    };
+    let mm = pick(4, 8);
+    vec![
+        Case::builtin(
+            "me",
+            me::params(&me_size),
+            7,
+            me::blocked_seq_kernel(4, 4, true),
+        ),
+        Case::builtin(
+            "jacobi",
+            jacobi::params(&jacobi_size),
+            8,
+            jacobi::stepwise_kernel(16, true),
+        ),
+        Case::builtin(
+            "jacobi2d",
+            jacobi2d::params(pick(2, 4), pick(8, 32)),
+            9,
+            jacobi2d::stepwise_seq_kernel(4, pick(4, 8), true),
+        ),
+        Case::builtin(
+            "matmul",
+            vec![pick(8, 32)],
+            10,
+            matmul::blocked_kernel_hoisted(mm, mm, mm, true),
+        ),
+        Case::builtin(
+            "conv2d",
+            conv2d::params(&conv_size),
+            11,
+            conv2d::blocked_seq_kernel(3, pick(3, 5), true),
+        ),
+    ]
 }
 
 /// Run `run` `reps` times and keep the iteration with the smallest

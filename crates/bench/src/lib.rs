@@ -86,7 +86,7 @@ impl Figure {
 }
 
 /// Human-friendly size formatting (k/M suffixes) for x values.
-pub fn fmt_size(x: f64) -> String {
+fn fmt_size(x: f64) -> String {
     let v = x as u64;
     if v >= 1 << 20 && v.is_multiple_of(1 << 20) {
         format!("{}M", v >> 20)

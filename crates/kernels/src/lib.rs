@@ -18,6 +18,7 @@
 //! (1-D Jacobi with concurrent-start time tiling), [`matmul`] and
 //! [`jacobi2d`] (extra workloads for examples and tests).
 
+pub mod builtins;
 pub mod conv2d;
 pub mod jacobi;
 pub mod jacobi2d;
@@ -26,7 +27,7 @@ pub mod me;
 pub mod tunespace;
 
 /// Deterministic pseudo-random fill values for workload arrays (xorshift).
-pub fn synth_value(seed: u64, idx: &[i64]) -> i64 {
+pub(crate) fn synth_value(seed: u64, idx: &[i64]) -> i64 {
     let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
     for &i in idx {
         x ^= (i as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -14,7 +14,8 @@
 //! generic tiling scheme cannot express. `polymem run --tuned` and the
 //! compile service use it to execute a tuned winner without searching.
 
-use crate::{conv2d, jacobi, jacobi2d, matmul, me};
+use crate::builtins::Builtin;
+use crate::jacobi;
 use polymem_core::smem::tune::MappingDesc;
 use polymem_ir::{ArrayStore, Program};
 use polymem_machine::{tile_kernel, BlockedKernel, MachineConfig, TuneCandidate};
@@ -22,39 +23,15 @@ use polymem_machine::{tile_kernel, BlockedKernel, MachineConfig, TuneCandidate};
 /// The base (untiled) program and concrete parameters a built-in
 /// kernel tunes at `--size`, plus the checked output array.
 pub fn workload(name: &str, size: i64) -> Option<(Program, Vec<i64>, &'static str)> {
-    Some(match name {
-        "me" => {
-            let s = me::MeSize {
-                ni: size,
-                nj: size,
-                ws: 4,
-            };
-            (me::program(), me::params(&s), "Sad")
-        }
-        "jacobi" => {
-            let s = jacobi::JacobiSize { n: size, t: 8 };
-            (jacobi::program(), jacobi::params(&s), "A")
-        }
-        "jacobi2d" => (jacobi2d::program(), jacobi2d::params(3, size), "A"),
-        "matmul" => (matmul::program(), vec![size], "C"),
-        "conv2d" => {
-            let s = conv2d::ConvSize { n: size, k: 3 };
-            (conv2d::program(), conv2d::params(&s), "Out")
-        }
-        _ => return None,
-    })
+    let b = Builtin::named(name)?;
+    Some(((b.program)(), (b.params)(size), b.check))
 }
 
 /// Deterministically seed a workload's array store (same seed the CLI
 /// `run` check uses).
 pub fn init_store(name: &str, store: &mut ArrayStore, seed: u64) {
-    match name {
-        "me" => me::init_store(store, seed),
-        "jacobi" => jacobi::init_store(store, seed),
-        "jacobi2d" => jacobi2d::init_store(store, seed),
-        "matmul" => matmul::init_store(store, seed),
-        "conv2d" => conv2d::init_store(store, seed),
-        _ => {}
+    if let Some(b) = Builtin::named(name) {
+        (b.init)(store, seed);
     }
 }
 
@@ -66,7 +43,7 @@ pub fn build(name: &str, desc: &MappingDesc) -> Option<BlockedKernel> {
         |d: &str| -> Option<i64> { desc.tiles.iter().find(|(n, _)| n == d).map(|(_, s)| *s) };
     match desc.scheme.as_str() {
         "tile" => {
-            let (program, _, _) = workload(name, 8)?;
+            let program = (Builtin::named(name)?.program)();
             tile_kernel(&program, desc).ok().flatten()
         }
         "jacobi_overlapped" => Some(jacobi::overlapped_kernel(
@@ -79,88 +56,70 @@ pub fn build(name: &str, desc: &MappingDesc) -> Option<BlockedKernel> {
     }
 }
 
-/// Description of one `"tile"`-scheme shape: which tiled dims span
-/// blocks vs the sequential intra-block loop.
+/// One `"tile"`-scheme variation of a kernel's canonical mapping:
+/// whether the last tile loop runs sequentially inside the block, and
+/// the movement toggles.
 struct Shape {
     seq_last: bool,
     double_buffer: bool,
     residency: bool,
 }
 
-fn tile_desc(
-    tiles: Vec<(String, i64)>,
-    round_dims: Vec<String>,
-    thread: &str,
-    n_block: usize,
-    shape: &Shape,
-    base: &MachineConfig,
-) -> MappingDesc {
-    // The first `n_block` tile loops span thread blocks; with
-    // `seq_last`, the *last* tile loop instead runs sequentially
-    // inside the block (matmul keeps `iT`,`jT` across blocks and
-    // sequences `kT`; the 2-D kernels sequence `jT` under `iT`).
-    let all: Vec<String> = tiles.iter().map(|(n, _)| format!("{n}T")).collect();
-    let (block_dims, seq_dims) = if shape.seq_last && all.len() >= 2 {
-        let last = all.len() - 1;
-        (all[..n_block.min(last)].to_vec(), vec![all[last].clone()])
-    } else {
-        (all[..n_block.min(all.len())].to_vec(), vec![])
-    };
+/// `desc` with its tile loops resized to `sizes`, in order (none
+/// keeps them).
+fn retiled(mut desc: MappingDesc, sizes: &[i64]) -> MappingDesc {
+    for ((_, t), s) in desc.tiles.iter_mut().zip(sizes) {
+        *t = *s;
+    }
+    desc
+}
+
+/// The kernel's canonical mapping in `shape`, re-tiled to `sizes`. The
+/// tuner does not price the register level, so candidates leave it
+/// off.
+fn variant(b: &Builtin, sizes: &[i64], shape: &Shape, base: &MachineConfig) -> MappingDesc {
     MappingDesc {
-        scheme: "tile".into(),
-        tiles,
-        round_dims,
-        block_dims,
-        seq_dims,
-        thread_dims: vec![thread.to_string()],
-        use_scratchpad: true,
         double_buffer: shape.double_buffer,
         hierarchy: false,
         residency: shape.residency,
-        vector_width: base.vector_width,
+        ..retiled(b.mapping(shape.seq_last, base), sizes)
     }
 }
 
+/// Every combination of one entry per menu, first menu outermost.
+fn product(menus: &[&[i64]]) -> Vec<Vec<i64>> {
+    menus.iter().fold(vec![vec![]], |acc, menu| {
+        acc.iter()
+            .flat_map(|p| menu.iter().map(move |&t| [&p[..], &[t]].concat()))
+            .collect()
+    })
+}
+
 /// The candidate space of one built-in kernel on `base`. `smoke`
-/// narrows the tile menu for CI. The preset row reproduces the CLI's
-/// canonical mapping with the base config's toggles.
+/// narrows the tile menu for CI. The pinned preset row is the mapping
+/// `base` launches untuned (the [`BUILTINS`](crate::builtins::BUILTINS)
+/// table's, in the variant `base.double_buffer` selects).
 pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<TuneCandidate>> {
+    let b = Builtin::named(name)?;
     let sizes: &[i64] = if smoke { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    let shapes: &[Shape] = if smoke {
-        &[
-            Shape {
-                seq_last: false,
-                double_buffer: false,
-                residency: true,
-            },
-            Shape {
-                seq_last: true,
-                double_buffer: true,
-                residency: true,
-            },
-        ]
+    let flat = Shape {
+        seq_last: false,
+        double_buffer: false,
+        residency: true,
+    };
+    let shape = |double_buffer, residency| Shape {
+        seq_last: true,
+        double_buffer,
+        residency,
+    };
+    let shapes = if smoke {
+        vec![flat, shape(true, true)]
     } else {
-        &[
-            Shape {
-                seq_last: false,
-                double_buffer: false,
-                residency: true,
-            },
-            Shape {
-                seq_last: true,
-                double_buffer: false,
-                residency: true,
-            },
-            Shape {
-                seq_last: true,
-                double_buffer: true,
-                residency: true,
-            },
-            Shape {
-                seq_last: true,
-                double_buffer: true,
-                residency: false,
-            },
+        vec![
+            flat,
+            shape(false, true),
+            shape(true, true),
+            shape(true, false),
         ]
     };
     let mut out: Vec<TuneCandidate> = Vec::new();
@@ -173,166 +132,75 @@ pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<T
             });
         }
     };
-    match name {
-        "me" | "conv2d" | "jacobi2d" => {
-            let round: Vec<String> = if name == "jacobi2d" {
-                vec!["t".into()]
-            } else {
-                vec![]
+    push(b.mapping(base.double_buffer, base), true);
+    if name == "jacobi" {
+        // The preset is the paper's overlapped (time-tiled) mapping;
+        // the space crosses its (time, space) tile sizes and adds the
+        // stepwise per-round mapping with and without scratchpad
+        // staging.
+        let unpipelined = MappingDesc {
+            double_buffer: false,
+            hierarchy: false,
+            ..b.mapping(false, base)
+        };
+        let tts: &[i64] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+        let sis: &[i64] = if smoke { &[4, 8, 16] } else { &[4, 8, 16, 32] };
+        for tiles in product(&[tts, sis]) {
+            push(retiled(unpipelined.clone(), &tiles), false);
+        }
+        for &si in sis {
+            let step = MappingDesc {
+                scheme: "jacobi_stepwise".into(),
+                tiles: vec![("i".into(), si)],
+                round_dims: vec!["t".into()],
+                thread_dims: vec!["i".into()],
+                use_scratchpad: true,
+                ..unpipelined.clone()
             };
-            let preset = tile_desc(
-                vec![("i".into(), 4), ("j".into(), 4)],
-                round.clone(),
-                "i",
-                2,
-                &Shape {
-                    seq_last: false,
-                    double_buffer: base.double_buffer,
-                    residency: base.residency,
-                },
-                base,
-            );
-            push(preset, true);
-            for &ti in sizes {
-                for &tj in sizes {
-                    for shape in shapes {
-                        let d = tile_desc(
-                            vec![("i".into(), ti), ("j".into(), tj)],
-                            round.clone(),
-                            "i",
-                            2,
-                            shape,
-                            base,
-                        );
-                        push(d, false);
-                    }
-                }
-            }
-            // Unstaged baseline and a vector-width variant: wall-clock
-            // knobs that never change modeled cycles, kept in the
-            // space so the artifact records them.
-            let d0 = tile_desc(
-                vec![("i".into(), 4), ("j".into(), 4)],
-                round.clone(),
-                "i",
-                2,
-                &shapes[0],
-                base,
-            );
+            push(step.clone(), false);
             push(
                 MappingDesc {
                     use_scratchpad: false,
-                    ..d0.clone()
+                    ..step
                 },
                 false,
             );
+        }
+    } else {
+        // Cross a size menu per tile loop (matmul's reduction loop `k`
+        // has its own) with the shapes.
+        let tk_menu: &[i64] = if smoke { &[8] } else { &[4, 8, 16] };
+        // The flat shape at the table's own tile sizes.
+        let canonical = variant(b, &[], &shapes[0], base);
+        let menus: Vec<&[i64]> = canonical
+            .tiles
+            .iter()
+            .map(|(n, _)| if n == "k" { tk_menu } else { sizes })
+            .collect();
+        for tiles in product(&menus) {
+            for shape in &shapes {
+                push(variant(b, &tiles, shape, base), false);
+            }
+        }
+        // Unstaged baseline and (on the 2-D kernels) a vector-width
+        // variant: wall-clock knobs that never change modeled cycles,
+        // kept in the space so the artifact records them.
+        push(
+            MappingDesc {
+                use_scratchpad: false,
+                ..canonical.clone()
+            },
+            false,
+        );
+        if name != "matmul" {
             push(
                 MappingDesc {
                     vector_width: (base.vector_width / 2).max(1),
-                    ..d0
+                    ..canonical
                 },
                 false,
             );
         }
-        "matmul" => {
-            let tk_menu: &[i64] = if smoke { &[8] } else { &[4, 8, 16] };
-            let preset = tile_desc(
-                vec![("i".into(), 4), ("j".into(), 4), ("k".into(), 8)],
-                vec![],
-                "i",
-                2,
-                &Shape {
-                    seq_last: base.double_buffer,
-                    double_buffer: base.double_buffer,
-                    residency: base.residency,
-                },
-                base,
-            );
-            push(preset, true);
-            for &ti in sizes {
-                for &tj in sizes {
-                    for &tk in tk_menu {
-                        for shape in shapes {
-                            let d = tile_desc(
-                                vec![("i".into(), ti), ("j".into(), tj), ("k".into(), tk)],
-                                vec![],
-                                "i",
-                                2,
-                                shape,
-                                base,
-                            );
-                            push(d, false);
-                        }
-                    }
-                }
-            }
-            let d0 = tile_desc(
-                vec![("i".into(), 4), ("j".into(), 4), ("k".into(), 8)],
-                vec![],
-                "i",
-                2,
-                &shapes[0],
-                base,
-            );
-            push(
-                MappingDesc {
-                    use_scratchpad: false,
-                    ..d0
-                },
-                false,
-            );
-        }
-        "jacobi" => {
-            // The preset is the paper's overlapped (time-tiled)
-            // mapping; the space crosses its (time, space) tile sizes
-            // and adds the stepwise per-round mapping with and
-            // without scratchpad staging.
-            let over = |tt: i64, si: i64, spad: bool| MappingDesc {
-                scheme: "jacobi_overlapped".into(),
-                tiles: vec![("t".into(), tt), ("i".into(), si)],
-                round_dims: vec!["tT".into()],
-                block_dims: vec!["iT".into()],
-                seq_dims: vec![],
-                thread_dims: vec![],
-                use_scratchpad: spad,
-                double_buffer: false,
-                hierarchy: false,
-                residency: base.residency,
-                vector_width: base.vector_width,
-            };
-            push(over(2, 8, false), true);
-            let tts: &[i64] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-            let sis: &[i64] = if smoke { &[4, 8, 16] } else { &[4, 8, 16, 32] };
-            for &tt in tts {
-                for &si in sis {
-                    push(over(tt, si, false), false);
-                }
-            }
-            for &si in sis {
-                let step = MappingDesc {
-                    scheme: "jacobi_stepwise".into(),
-                    tiles: vec![("i".into(), si)],
-                    round_dims: vec!["t".into()],
-                    block_dims: vec!["iT".into()],
-                    seq_dims: vec![],
-                    thread_dims: vec!["i".into()],
-                    use_scratchpad: true,
-                    double_buffer: false,
-                    hierarchy: false,
-                    residency: base.residency,
-                    vector_width: base.vector_width,
-                };
-                push(step.clone(), false);
-                push(
-                    MappingDesc {
-                        use_scratchpad: false,
-                        ..step
-                    },
-                    false,
-                );
-            }
-        }
-        _ => return None,
     }
     Some(out)
 }
@@ -365,16 +233,5 @@ mod tests {
                 assert_eq!(k.use_scratchpad, c.kernel.use_scratchpad);
             }
         }
-    }
-
-    #[test]
-    fn preset_matches_cli_canonical_mapping() {
-        let gpu = MachineConfig::geforce_8800_gtx();
-        let cands = candidates("matmul", &gpu, true).unwrap();
-        let preset = cands.iter().find(|c| c.preset).unwrap();
-        let canonical = matmul::blocked_kernel(4, 4, 8, true);
-        assert_eq!(preset.kernel.block_dims, canonical.block_dims);
-        assert_eq!(preset.kernel.seq_dims, canonical.seq_dims);
-        assert_eq!(preset.kernel.thread_dims, canonical.thread_dims);
     }
 }

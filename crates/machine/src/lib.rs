@@ -49,8 +49,8 @@ pub use exec::{
 pub use profile::{KernelProfile, TimeBreakdown};
 pub use trace::{PassKind, PassProfiler, PassReport, Phase, Timeline};
 pub use tune::{
-    config_for, cost_constants, generic_candidates, structure_of, tile_kernel, tune, TuneCandidate,
-    TuneOptions, TuneOutcome,
+    config_for, cost_constants, generic_candidates, launch_config, structure_of, tile_kernel, tune,
+    LaunchToggles, TuneCandidate, TuneOptions, TuneOutcome,
 };
 
 use std::fmt;

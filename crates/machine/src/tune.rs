@@ -126,6 +126,52 @@ pub fn config_for(desc: &MappingDesc, base: &MachineConfig) -> MachineConfig {
     cfg
 }
 
+/// The per-launch policy switches of a built-in launch: what
+/// `polymem run`'s flags and a serve request's optional fields both
+/// parse into. The defaults are the CLI's (and the protocol's).
+#[derive(Clone, Debug)]
+pub struct LaunchToggles {
+    /// Run the sequential-sub-tile mapping and overlap its DMA.
+    pub double_buffer: bool,
+    /// Execute block compute phases on the compiled engine.
+    pub compiled_exec: bool,
+    /// Stage per-inner-process register tiles.
+    pub hierarchy: bool,
+    /// Keep overlapping windows resident across sub-tiles (only where
+    /// the machine derives residency at all).
+    pub residency: bool,
+    /// Override the machine's SIMD batch width (already validated
+    /// `>= 1` where it entered the program).
+    pub vector_width: Option<u64>,
+    /// Persist compiled plans (and tune winners) here.
+    pub artifact_dir: Option<String>,
+}
+
+impl Default for LaunchToggles {
+    fn default() -> Self {
+        LaunchToggles {
+            double_buffer: false,
+            compiled_exec: true,
+            hierarchy: true,
+            residency: true,
+            vector_width: None,
+            artifact_dir: None,
+        }
+    }
+}
+
+/// Fold launch toggles over a machine's pristine configuration.
+pub fn launch_config(toggles: &LaunchToggles, base: &MachineConfig) -> MachineConfig {
+    let mut cfg = base.clone();
+    cfg.double_buffer = toggles.double_buffer;
+    cfg.compiled_exec = toggles.compiled_exec;
+    cfg.hierarchy = toggles.hierarchy;
+    cfg.residency = base.residency && toggles.residency;
+    cfg.vector_width = toggles.vector_width.unwrap_or(base.vector_width);
+    cfg.artifact_dir = toggles.artifact_dir.clone();
+    cfg
+}
+
 /// Rebuild the [`BlockedKernel`] a `scheme == "tile"` description
 /// denotes on `program`. Returns `None` for foreign schemes (callers
 /// with kernel-specific rebuilders handle those).

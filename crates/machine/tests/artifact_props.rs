@@ -15,10 +15,11 @@ use polymem_core::smem::artifact::{
     decode_artifact, encode_artifact, ArtifactStore, FORMAT_VERSION,
 };
 use polymem_ir::{exec_program, ArrayStore};
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::builtins::{launch, Builtin};
+use polymem_kernels::tunespace;
 use polymem_machine::{
-    execute_blocked_seeded, plan_artifact_key, warm_plan, BlockedKernel, MachineConfig,
-    PassProfiler, PlanSource,
+    execute_blocked_seeded, plan_artifact_key, warm_plan, BlockedKernel, LaunchToggles,
+    MachineConfig, PassProfiler, PlanSource,
 };
 use proptest::prelude::*;
 
@@ -28,66 +29,23 @@ use proptest::prelude::*;
 const PLANNED: [&str; 4] = ["me", "jacobi2d", "matmul", "conv2d"];
 
 /// The canonical blocked mapping + launch params of each built-in
-/// kernel at a small size (mirrors the CLI's `run` table).
+/// kernel at a small size: the table's flat variant, as `polymem run`
+/// resolves it.
 fn workload(name: &str, size: i64) -> (BlockedKernel, Vec<i64>, &'static str) {
-    match name {
-        "me" => {
-            let s = me::MeSize {
-                ni: size,
-                nj: size,
-                ws: 4,
-            };
-            (me::blocked_kernel(4, 4, true), me::params(&s), "Sad")
-        }
-        "jacobi" => {
-            let s = jacobi::JacobiSize { n: size, t: 8 };
-            (
-                jacobi::overlapped_kernel(2, 8, false),
-                jacobi::params(&s),
-                "A",
-            )
-        }
-        "jacobi2d" => (
-            jacobi2d::stepwise_kernel(4, 4, true),
-            jacobi2d::params(3, size),
-            "A",
-        ),
-        "matmul" => (matmul::blocked_kernel(4, 4, 8, true), vec![size], "C"),
-        "conv2d" => {
-            let s = conv2d::ConvSize { n: size, k: 3 };
-            (
-                conv2d::blocked_kernel(4, 4, true),
-                conv2d::params(&s),
-                "Out",
-            )
-        }
-        _ => unreachable!("unknown kernel {name}"),
-    }
+    let gpu = MachineConfig::geforce_8800_gtx();
+    let l = launch(name, size, &gpu, &LaunchToggles::default(), false).expect("built-in");
+    (l.kernel, l.params, l.check)
 }
 
 /// The untiled source program each mapping was derived from — the
 /// reference semantics (the tiled loop nests are only equivalent
 /// under the executor's round/block schedule).
 fn base_program(name: &str) -> polymem_ir::Program {
-    match name {
-        "me" => me::program(),
-        "jacobi" => jacobi::program(),
-        "jacobi2d" => jacobi2d::program(),
-        "matmul" => matmul::program(),
-        "conv2d" => conv2d::program(),
-        _ => unreachable!(),
-    }
+    (Builtin::named(name).expect("built-in").program)()
 }
 
 fn init(name: &str, st: &mut ArrayStore) {
-    match name {
-        "me" => me::init_store(st, 42),
-        "jacobi" => jacobi::init_store(st, 42),
-        "jacobi2d" => jacobi2d::init_store(st, 42),
-        "matmul" => matmul::init_store(st, 42),
-        "conv2d" => conv2d::init_store(st, 42),
-        _ => unreachable!(),
-    }
+    tunespace::init_store(name, st, 42);
 }
 
 fn config(cell: bool, hierarchy: bool, dir: &std::path::Path) -> MachineConfig {

@@ -282,6 +282,18 @@ pub(crate) fn empty_memo(
 mod tests {
     use super::*;
     use crate::space::Space;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The memo, its counters and the naive flag are process-global and
+    /// `cargo test` runs tests on parallel threads: the tests that reset
+    /// the memo or flip the flag hold this lock, or one test's
+    /// `set_naive_mode(true)` / `poly_core_reset()` lands between the
+    /// other's two projections.
+    fn global_core() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // A failed assertion in one test must not fail the other too.
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn tri() -> Polyhedron {
         Polyhedron::new(
@@ -297,6 +309,7 @@ mod tests {
 
     #[test]
     fn repeat_projections_hit_the_cache() {
+        let _core = global_core();
         poly_core_reset();
         set_naive_mode(false);
         let t = tri();
@@ -313,6 +326,7 @@ mod tests {
 
     #[test]
     fn naive_mode_bypasses_the_cache_and_matches() {
+        let _core = global_core();
         poly_core_reset();
         let t = tri();
         set_naive_mode(false);

@@ -77,7 +77,7 @@ impl Json {
 }
 
 /// Render a string with JSON escaping.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -3,7 +3,7 @@
 //! Re-running `polymem run` pays the §3 symbolic analysis on every
 //! process start. This crate keeps that work warm twice over:
 //!
-//! - **in memory** — a shared [`PlanLru`] of `Arc<SymbolicPlan>`s,
+//! - **in memory** — a shared LRU (`lru::PlanLru`) of `Arc<SymbolicPlan>`s,
 //!   seeded straight into launches (`PlanSource::Seeded`), evicted
 //!   least-recently-used, invalidated by generation;
 //! - **on disk** — the content-addressed artifact store
@@ -11,17 +11,15 @@
 //!   fully re-proved on load (`PlanSource::Artifact`).
 //!
 //! The daemon itself ([`Server`]) is std-only: a `TcpListener` shared
-//! by a small thread pool, speaking line-delimited JSON ([`json`]),
+//! by a small thread pool, speaking line-delimited JSON ([`Json`]),
 //! with concurrent launches batched onto the executor's worker pool
 //! through a counting gate. `polymem serve` starts it from the CLI;
 //! the `serve` bench drives it with a multi-tenant load generator.
 
-pub mod json;
-pub mod lru;
-pub mod server;
+mod json;
+mod lru;
+mod server;
 pub mod workload;
 
 pub use json::Json;
-pub use lru::{LruStats, PlanLru};
 pub use server::{ServeConfig, Server, ServerHandle};
-pub use workload::{checksum, Workload, KERNELS};

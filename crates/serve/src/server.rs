@@ -48,11 +48,9 @@
 use crate::json::Json;
 use crate::lru::PlanLru;
 use crate::workload;
-use polymem_ir::ArrayStore;
-use polymem_kernels::tunespace;
+use polymem_kernels::builtins::{launch, Launch};
 use polymem_machine::{
-    config_for, execute_blocked_seeded, plan_artifact_key, tune, warm_plan, BlockedKernel,
-    MachineConfig, PassProfiler, PlanSource, TuneOptions,
+    execute_blocked_seeded, plan_artifact_key, warm_plan, LaunchToggles, PassProfiler, PlanSource,
 };
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -318,20 +316,18 @@ fn source_str(source: Option<PlanSource>) -> &'static str {
     }
 }
 
-/// One parsed request.
+/// One parsed request: which launch, under which toggles.
 struct Request {
     kernel: String,
     machine: String,
     size: i64,
-    double_buffer: bool,
-    hierarchy: bool,
-    residency: bool,
-    vector_width: Option<u64>,
+    toggles: LaunchToggles,
     tuned: bool,
 }
 
 impl Request {
-    fn from(v: &Json) -> Request {
+    fn from(v: &Json, artifact_dir: &Option<String>) -> Request {
+        let defaults = LaunchToggles::default();
         let b = |k: &str, d: bool| v.get(k).and_then(Json::as_bool).unwrap_or(d);
         Request {
             kernel: v
@@ -345,32 +341,21 @@ impl Request {
                 .unwrap_or("gpu")
                 .to_string(),
             size: v.get("size").and_then(Json::as_i64).unwrap_or(16),
-            double_buffer: b("double_buffer", false),
-            hierarchy: b("hierarchy", true),
-            residency: b("residency", true),
-            vector_width: v
-                .get("vector_width")
-                .and_then(Json::as_i64)
-                .and_then(|w| u64::try_from(w).ok()),
+            toggles: LaunchToggles {
+                double_buffer: b("double_buffer", defaults.double_buffer),
+                hierarchy: b("hierarchy", defaults.hierarchy),
+                residency: b("residency", defaults.residency),
+                // Anything but a positive integer keeps the machine's.
+                vector_width: v
+                    .get("vector_width")
+                    .and_then(Json::as_i64)
+                    .and_then(|w| u64::try_from(w).ok())
+                    .filter(|&w| w >= 1),
+                artifact_dir: artifact_dir.clone(),
+                ..defaults
+            },
             tuned: b("tuned", false),
         }
-    }
-
-    /// The launch configuration, mirroring `polymem run`'s flag
-    /// handling over the named description: any machine in the
-    /// registry works (`cpu` stays an accepted alias for `host`).
-    fn machine_config(&self, artifact_dir: &Option<String>) -> Option<MachineConfig> {
-        let mut cfg = polymem_machine::desc::lookup(&self.machine)?.config();
-        cfg.double_buffer = self.double_buffer;
-        cfg.hierarchy = self.hierarchy;
-        cfg.residency = cfg.residency && self.residency;
-        if let Some(w) = self.vector_width {
-            if w >= 1 {
-                cfg.vector_width = w;
-            }
-        }
-        cfg.artifact_dir = artifact_dir.clone();
-        Some(cfg)
     }
 }
 
@@ -430,8 +415,8 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
         "shutdown" => {
             return (obj(vec![("ok", Json::Bool(true))]), true);
         }
-        "run" => handle_run(&Request::from(&v), shared),
-        "analyze" => handle_analyze(&Request::from(&v), shared),
+        "run" => handle_run(&Request::from(&v, &shared.artifact_dir), shared),
+        "analyze" => handle_analyze(&Request::from(&v, &shared.artifact_dir), shared),
         other => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             err("usage", &format!("unknown cmd `{other}`"))
@@ -440,110 +425,69 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
     (resp, false)
 }
 
-/// Resolve the autotuned mapping for a `tuned` request: the same
-/// search (and artifact key) as `polymem tune <kernel>` / `polymem
-/// run --tuned`, so a tune artifact written by the CLI answers with
-/// zero simulations. The search runs under the launch gate.
-fn tuned_mapping(
-    req: &Request,
-    shared: &Shared,
-) -> Result<(BlockedKernel, MachineConfig, String), String> {
-    let mut base = match polymem_machine::desc::lookup(&req.machine) {
-        Some(d) => d.config(),
-        None => return Err(format!("unknown machine `{}`", req.machine)),
-    };
-    base.artifact_dir = shared.artifact_dir.clone();
-    let cands = tunespace::candidates(&req.kernel, &base, false)
-        .ok_or_else(|| format!("no tune space for `{}`", req.kernel))?;
-    let (program, params, _) = tunespace::workload(&req.kernel, req.size)
-        .ok_or_else(|| format!("no workload for `{}`", req.kernel))?;
-    let opts = TuneOptions {
-        space_label: format!("cli:{}:size={}", req.kernel, req.size),
-        ..TuneOptions::default()
-    };
-    let name = req.kernel.clone();
-    let out = {
-        let _slot = shared.gate.acquire();
-        tune(
-            &program,
-            &params,
-            &|st: &mut ArrayStore| tunespace::init_store(&name, st, 42),
-            &cands,
-            &base,
-            &opts,
-        )
-    }
-    .map_err(|e| e.to_string())?;
-    let kernel = tunespace::build(&req.kernel, &out.winner)
-        .ok_or_else(|| format!("winner `{}` does not rebuild", out.winner.label()))?;
-    let cfg = config_for(&out.winner, &base);
-    Ok((
-        kernel,
-        cfg,
-        format!("{} [{}]", out.winner.label(), out.plan_source),
-    ))
-}
-
-/// Resolve a request's workload, config and content address, plus the
-/// warm-cache seed if the plan is already resident. For `tuned`
-/// requests the preset mapping (and the request's execution toggles)
-/// are replaced by the autotuned winner; the returned label reports
-/// which mapping runs.
+/// Resolve a request's launch and content address, plus the
+/// warm-cache seed if the plan is already resident. Any registered
+/// machine works (`cpu` stays an accepted alias for `host`). For
+/// `tuned` requests the preset mapping (and the request's execution
+/// toggles) are replaced by the autotuned winner — the search, if the
+/// tune artifact is cold, runs under the launch gate; the returned
+/// label reports which mapping runs.
 #[allow(clippy::type_complexity)]
 fn prepare(
     req: &Request,
     shared: &Shared,
 ) -> Result<
     (
-        workload::Workload,
-        MachineConfig,
+        Launch,
         Option<String>,
         Option<Arc<polymem_core::smem::SymbolicPlan>>,
         Option<String>,
     ),
     String,
 > {
-    let Some(mut w) = workload::resolve(&req.kernel, req.size, req.double_buffer) else {
-        return Err(err("usage", &format!("unknown kernel `{}`", req.kernel)));
-    };
-    let Some(mut cfg) = req.machine_config(&shared.artifact_dir) else {
+    let Some(desc) = polymem_machine::desc::lookup(&req.machine) else {
         return Err(err("usage", &format!("unknown machine `{}`", req.machine)));
     };
-    let mut mapping = None;
-    if req.tuned {
-        match tuned_mapping(req, shared) {
-            Ok((kernel, tcfg, label)) => {
-                w.kernel = kernel;
-                cfg = tcfg;
-                mapping = Some(label);
-            }
-            Err(m) => mapping = Some(format!("preset [tune failed: {m}]")),
-        }
-    }
-    let key_hex = match plan_artifact_key(&w.kernel, &w.params, &cfg) {
+    let resolved = {
+        let _slot = req.tuned.then(|| shared.gate.acquire());
+        launch(
+            &req.kernel,
+            req.size,
+            &desc.config(),
+            &req.toggles,
+            req.tuned,
+        )
+    };
+    let Some(l) = resolved else {
+        return Err(err("usage", &format!("unknown kernel `{}`", req.kernel)));
+    };
+    let mapping = l.tune.as_ref().map(|t| match t {
+        Ok(source) => format!("{} [{source}]", l.mapping.label()),
+        Err(m) => format!("preset [tune failed: {m}]"),
+    });
+    let key_hex = match plan_artifact_key(&l.kernel, &l.params, &l.config) {
         Ok(k) => k.map(|k| k.to_string()),
         Err(e) => return Err(err("compile", &e.to_string())),
     };
     let seed = key_hex.as_deref().and_then(|k| shared.lru.get(k));
-    Ok((w, cfg, key_hex, seed, mapping))
+    Ok((l, key_hex, seed, mapping))
 }
 
 fn handle_run(req: &Request, shared: &Shared) -> String {
-    let (w, cfg, key_hex, seed, mapping) = match prepare(req, shared) {
+    let (w, key_hex, seed, mapping) = match prepare(req, shared) {
         Ok(p) => p,
         Err(resp) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             return resp;
         }
     };
-    let mut st = match ArrayStore::for_program(&w.program, &w.params) {
+    let mut st = match w.seeded_store(42) {
         Ok(s) => s,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             return err("compile", &e.to_string());
         }
     };
-    workload::init(&req.kernel, &mut st);
     let profiler = PassProfiler::new();
     let t0 = Instant::now();
     let outcome = {
@@ -552,7 +496,7 @@ fn handle_run(req: &Request, shared: &Shared) -> String {
             &w.kernel,
             &w.params,
             &mut st,
-            &cfg,
+            &w.config,
             true,
             Some(&profiler),
             seed.as_ref(),
@@ -605,7 +549,7 @@ fn handle_run(req: &Request, shared: &Shared) -> String {
 }
 
 fn handle_analyze(req: &Request, shared: &Shared) -> String {
-    let (w, cfg, key_hex, seed, mapping) = match prepare(req, shared) {
+    let (w, key_hex, seed, mapping) = match prepare(req, shared) {
         Ok(p) => p,
         Err(resp) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -614,7 +558,13 @@ fn handle_analyze(req: &Request, shared: &Shared) -> String {
     };
     let profiler = PassProfiler::new();
     let t0 = Instant::now();
-    let warmed = match warm_plan(&w.kernel, &w.params, &cfg, Some(&profiler), seed.as_ref()) {
+    let warmed = match warm_plan(
+        &w.kernel,
+        &w.params,
+        &w.config,
+        Some(&profiler),
+        seed.as_ref(),
+    ) {
         Ok(r) => r,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -697,26 +647,59 @@ mod tests {
     fn run_warms_the_cache_and_matches_direct_execution() {
         let h = start_local();
         let (mut r, mut w) = client(h.addr());
-        let req = r#"{"cmd":"run","kernel":"matmul","machine":"gpu","size":8}"#;
-        let first = request(&mut r, &mut w, req);
-        assert_eq!(first.get("ok").unwrap().as_bool(), Some(true), "{first:?}");
-        assert_eq!(first.get("plan_source").unwrap().as_str(), Some("fresh"));
-        let second = request(&mut r, &mut w, req);
-        assert_eq!(second.get("plan_source").unwrap().as_str(), Some("seeded"));
-        assert_eq!(second.get("analysis_ns").unwrap().as_i64(), Some(0));
-        assert_eq!(
-            first.get("checksum").unwrap().as_str(),
-            second.get("checksum").unwrap().as_str()
-        );
-        // Bit-exact against a direct in-process execution.
-        let wl = workload::resolve("matmul", 8, false).unwrap();
-        let cfg = MachineConfig::geforce_8800_gtx();
-        let mut st = ArrayStore::for_program(&wl.program, &wl.params).unwrap();
-        workload::init("matmul", &mut st);
-        polymem_machine::execute_blocked(&wl.kernel, &wl.params, &mut st, &cfg, true).unwrap();
-        let direct = format!("{:016x}", workload::checksum(st.data("C").unwrap()));
-        assert_eq!(first.get("checksum").unwrap().as_str(), Some(&direct[..]));
+        let gpu = polymem_machine::desc::lookup("gpu").unwrap().config();
+        // Every built-in, flat and double-buffered: the daemon's `run`
+        // is the resolver's launch, bit for bit and key for key.
+        for kernel in workload::KERNELS {
+            for db in [false, true] {
+                let req = format!(
+                    r#"{{"cmd":"run","kernel":"{kernel}","machine":"gpu","size":8,"double_buffer":{db}}}"#
+                );
+                let first = request(&mut r, &mut w, &req);
+                assert_eq!(first.get("ok").unwrap().as_bool(), Some(true), "{first:?}");
+                let toggles = LaunchToggles {
+                    double_buffer: db,
+                    ..LaunchToggles::default()
+                };
+                let l = launch(kernel, 8, &gpu, &toggles, false).unwrap();
+                let mut st = l.seeded_store(42).unwrap();
+                polymem_machine::execute_blocked(&l.kernel, &l.params, &mut st, &l.config, true)
+                    .unwrap();
+                let direct = format!("{:016x}", workload::checksum(st.data(l.check).unwrap()));
+                assert_eq!(
+                    first.get("checksum").unwrap().as_str(),
+                    Some(&direct[..]),
+                    "{kernel} db={db}"
+                );
+                let key = plan_artifact_key(&l.kernel, &l.params, &l.config)
+                    .unwrap()
+                    .map(|k| k.to_string());
+                assert_eq!(
+                    first.get("key").unwrap().as_str(),
+                    key.as_deref(),
+                    "{kernel} db={db}"
+                );
+                // Unstaged launches (jacobi) have no plan to warm.
+                let staged = key.is_some();
+                let source = |v: &Json| v.get("plan_source").unwrap().as_str().map(str::to_string);
+                assert_eq!(
+                    source(&first).as_deref(),
+                    Some(if staged { "fresh" } else { "none" })
+                );
+                let second = request(&mut r, &mut w, &req);
+                assert_eq!(
+                    source(&second).as_deref(),
+                    Some(if staged { "seeded" } else { "none" })
+                );
+                assert_eq!(second.get("analysis_ns").unwrap().as_i64(), Some(0));
+                assert_eq!(
+                    first.get("checksum").unwrap().as_str(),
+                    second.get("checksum").unwrap().as_str()
+                );
+            }
+        }
         // Invalidate drops the warm cache: next run is fresh again.
+        let req = r#"{"cmd":"run","kernel":"matmul","machine":"gpu","size":8}"#;
         let inv = request(&mut r, &mut w, r#"{"cmd":"invalidate"}"#);
         assert_eq!(inv.get("generation").unwrap().as_i64(), Some(1));
         let third = request(&mut r, &mut w, req);

@@ -1,19 +1,29 @@
-//! Built-in kernel resolution for the compile service.
+//! The service's view of the built-in kernel table.
 //!
-//! Mirrors the `polymem` CLI's kernel table (same canonical blocked
-//! mappings, same parameter construction, same deterministic seed-42
-//! initialisation, same checked output array), so a `run` request
-//! against the daemon computes bit-for-bit the same launch as
-//! `polymem run <kernel> --size N`.
+//! Nothing here decides what a built-in launch is: the table and the
+//! launch resolver live in [`polymem_kernels::builtins`], which the
+//! `polymem` CLI reads too — that shared owner, not a mirrored copy, is
+//! why a `run` request against the daemon computes bit-for-bit the
+//! launch `polymem run <kernel> --size N` does. This module keeps the
+//! names its callers import ([`KERNELS`], [`Workload`], [`resolve`])
+//! as projections of that table, plus the result [`checksum`].
 
-use polymem_ir::{ArrayStore, Program};
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
-use polymem_machine::BlockedKernel;
+use polymem_ir::Program;
+use polymem_kernels::builtins::{launch, BUILTINS};
+use polymem_machine::{BlockedKernel, LaunchToggles, MachineConfig};
 
-/// The built-in kernel names the service accepts.
-pub const KERNELS: [&str; 5] = ["me", "jacobi", "jacobi2d", "matmul", "conv2d"];
+/// The built-in kernel names the service accepts: the table's.
+pub const KERNELS: [&str; BUILTINS.len()] = {
+    let mut names = [""; BUILTINS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = BUILTINS[i].name;
+        i += 1;
+    }
+    names
+};
 
-/// Everything needed to execute one service request.
+/// A built-in launch without its machine configuration.
 pub struct Workload {
     /// The whole-program IR (reference executions run this).
     pub program: Program,
@@ -27,80 +37,26 @@ pub struct Workload {
 
 /// Resolve a built-in kernel at a problem size. `db` selects the
 /// sequential-sub-tile variant that double buffering overlaps (the
-/// CLI's `--double-buffer` table). `None` for unknown names.
+/// CLI's `--double-buffer`). `None` for unknown names.
 pub fn resolve(name: &str, size: i64, db: bool) -> Option<Workload> {
-    let (program, params, check) = match name {
-        "me" => {
-            let s = me::MeSize {
-                ni: size,
-                nj: size,
-                ws: 4,
-            };
-            (me::program(), me::params(&s), "Sad")
-        }
-        "jacobi" => {
-            let s = jacobi::JacobiSize { n: size, t: 8 };
-            (jacobi::program(), jacobi::params(&s), "A")
-        }
-        "jacobi2d" => (jacobi2d::program(), jacobi2d::params(3, size), "A"),
-        "matmul" => (matmul::program(), vec![size], "C"),
-        "conv2d" => {
-            let s = conv2d::ConvSize { n: size, k: 3 };
-            (conv2d::program(), conv2d::params(&s), "Out")
-        }
-        _ => return None,
+    let toggles = LaunchToggles {
+        double_buffer: db,
+        ..LaunchToggles::default()
     };
-    let kernel = match name {
-        "me" => {
-            if db {
-                me::blocked_seq_kernel(4, 4, true)
-            } else {
-                me::blocked_kernel(4, 4, true)
-            }
-        }
-        "jacobi" => jacobi::overlapped_kernel(2, 8, false),
-        "jacobi2d" => {
-            if db {
-                jacobi2d::stepwise_seq_kernel(4, 4, true)
-            } else {
-                jacobi2d::stepwise_kernel(4, 4, true)
-            }
-        }
-        "matmul" => {
-            if db {
-                matmul::blocked_kernel_hoisted(4, 4, 8, true)
-            } else {
-                matmul::blocked_kernel(4, 4, 8, true)
-            }
-        }
-        "conv2d" => {
-            if db {
-                conv2d::blocked_seq_kernel(4, 4, true)
-            } else {
-                conv2d::blocked_kernel(4, 4, true)
-            }
-        }
-        _ => unreachable!("names covered above"),
-    };
+    // The mapping's shape does not depend on the machine.
+    let l = launch(
+        name,
+        size,
+        &MachineConfig::geforce_8800_gtx(),
+        &toggles,
+        false,
+    )?;
     Some(Workload {
-        program,
-        kernel,
-        params,
-        check,
+        program: l.program,
+        kernel: l.kernel,
+        params: l.params,
+        check: l.check,
     })
-}
-
-/// Deterministically initialise a workload's store (seed 42, like the
-/// CLI).
-pub fn init(name: &str, st: &mut ArrayStore) {
-    match name {
-        "me" => me::init_store(st, 42),
-        "jacobi" => jacobi::init_store(st, 42),
-        "jacobi2d" => jacobi2d::init_store(st, 42),
-        "matmul" => matmul::init_store(st, 42),
-        "conv2d" => conv2d::init_store(st, 42),
-        _ => {}
-    }
 }
 
 /// FNV-1a over an array's words: the result fingerprint `run`
@@ -122,6 +78,7 @@ mod tests {
 
     #[test]
     fn all_builtins_resolve_both_variants() {
+        assert_eq!(KERNELS, ["me", "jacobi", "jacobi2d", "matmul", "conv2d"]);
         for name in KERNELS {
             for db in [false, true] {
                 let w = resolve(name, 16, db).unwrap();
@@ -130,18 +87,5 @@ mod tests {
             }
         }
         assert!(resolve("nope", 16, false).is_none());
-    }
-
-    #[test]
-    fn init_is_deterministic() {
-        let w = resolve("me", 16, false).unwrap();
-        let mut a = ArrayStore::for_program(&w.program, &w.params).unwrap();
-        let mut b = ArrayStore::for_program(&w.program, &w.params).unwrap();
-        init("me", &mut a);
-        init("me", &mut b);
-        assert_eq!(
-            checksum(a.data("Cur").unwrap()),
-            checksum(b.data("Cur").unwrap())
-        );
     }
 }

@@ -20,14 +20,16 @@ use polymem::core::smem::{
     analyze_program_timed, analyze_symbolic_hier, HierSpec, SmemConfig, SmemPlan,
 };
 use polymem::ir::{exec_program, init_random_store, random_program, ArrayStore, Program};
-use polymem::kernels::{conv2d, jacobi, jacobi2d, matmul, me, tunespace};
+use polymem::kernels::builtins::{launch, Builtin, Launch, BUILTINS};
+use polymem::kernels::{jacobi, me, tunespace};
 use polymem::machine::{
-    config_for, execute_blocked_profiled, generic_candidates, plan_artifact_key, tune,
-    BlockedKernel, MachineConfig, PassProfiler, TuneOptions, TuneOutcome,
+    execute_blocked_profiled, generic_candidates, launch_config, plan_artifact_key, tune,
+    LaunchToggles, MachineConfig, PassProfiler, TuneOptions, TuneOutcome,
 };
 use polymem::serve::{ServeConfig, Server};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Store initializer threaded into `machine::tune` (boxed so built-in
 /// and generated workloads share one code path).
@@ -53,88 +55,6 @@ fn compile_error(msg: &str) -> ExitCode {
 fn runtime_error(msg: &str) -> ExitCode {
     eprintln!("runtime error: {msg}");
     ExitCode::from(EXIT_RUNTIME)
-}
-
-/// `--profile` on the command line, or `POLYMEM_PROFILE=1` in the
-/// environment: print the pass-level wall-clock profile.
-fn profile_requested() -> bool {
-    std::env::args().any(|a| a == "--profile")
-        || std::env::var("POLYMEM_PROFILE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-/// `--double-buffer` on the command line: map one tile dimension to a
-/// sequential intra-block loop and overlap its DMA with compute.
-fn double_buffer_requested() -> bool {
-    std::env::args().any(|a| a == "--double-buffer")
-}
-
-/// `--no-compiled-exec` on the command line: run block compute phases
-/// through the per-point interpreter instead of the compiled engine
-/// (for timing comparisons and fallback debugging).
-fn compiled_exec_disabled() -> bool {
-    std::env::args().any(|a| a == "--no-compiled-exec")
-}
-
-/// `--no-hierarchy` on the command line: stage through the scratchpad
-/// only, without the per-inner-process register-tile level.
-fn hierarchy_disabled() -> bool {
-    std::env::args().any(|a| a == "--no-hierarchy")
-}
-
-/// `--no-residency` on the command line: re-stage every group's full
-/// window at each sequential sub-tile instead of retaining the
-/// overlap in scratchpad and transferring only the delta.
-fn residency_disabled() -> bool {
-    std::env::args().any(|a| a == "--no-residency")
-}
-
-/// `--json` on the command line: machine-readable output.
-fn json_requested() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Resolve the base machine: `--machine-file PATH` loads a TOML
-/// description, `--machine NAME` looks up the registry (any registered
-/// name or alias, not a hardcoded list), default `gpu`. Returns the
-/// lowered config together with the description's name.
-fn resolve_machine() -> Result<(MachineConfig, String), String> {
-    use polymem::machine::desc;
-    if let Some(path) = flag_value("--machine-file") {
-        if flag_value("--machine").is_some() {
-            return Err("--machine and --machine-file are mutually exclusive".into());
-        }
-        let d = desc::MachineDesc::from_file(&path)?;
-        return Ok((d.config(), d.name));
-    }
-    let name = flag_value("--machine").unwrap_or_else(|| "gpu".into());
-    match desc::lookup(&name) {
-        Some(d) => Ok((d.config(), d.name)),
-        None => Err(format!(
-            "unknown machine `{name}` (registered: {})",
-            desc::NAMES.join(", ")
-        )),
-    }
-}
-
-/// The machine configuration every simulating subcommand shares,
-/// assembled from the resolved machine description plus the execution
-/// flags — `analyze` and `run` must describe/execute the *same*
-/// launch.
-fn machine_config() -> Result<MachineConfig, String> {
-    let (mut cfg, _) = resolve_machine()?;
-    cfg.double_buffer = double_buffer_requested();
-    cfg.compiled_exec = !compiled_exec_disabled();
-    cfg.hierarchy = !hierarchy_disabled();
-    cfg.residency = cfg.residency && !residency_disabled();
-    cfg.artifact_dir = flag_value("--artifact-dir");
-    Ok(cfg)
-}
-
-/// The value following a `--flag`, if present.
-fn flag_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let p = args.iter().position(|a| a == flag)?;
-    args.get(p + 1).cloned()
 }
 
 /// Flags each subcommand accepts. Anything else starting with `--`
@@ -204,63 +124,167 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
     }
 }
 
-/// Reject unknown `--` flags up front (with the usage hint), instead
-/// of `args().any(..)` silently ignoring a typo like `--no-heirarchy`
-/// and running with the feature still on.
-fn validate_flags(cmd: &str, args: &[String]) -> Result<(), String> {
-    const VALUED: &[&str] = &[
-        "--size",
-        "--params",
-        "--vector-width",
-        "--artifact-dir",
-        "--addr",
-        "--threads",
-        "--lru",
-        "--launch-slots",
-        "--machine",
-        "--machine-file",
-        "--top",
-        "--reps",
-        "--random",
-        "--seed",
-    ];
-    let allowed = allowed_flags(cmd);
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            if !allowed.contains(&a) {
+/// Flags that take a value (the next argument).
+const VALUED: &[&str] = &[
+    "--size",
+    "--params",
+    "--vector-width",
+    "--artifact-dir",
+    "--addr",
+    "--threads",
+    "--lru",
+    "--launch-slots",
+    "--machine",
+    "--machine-file",
+    "--top",
+    "--reps",
+    "--random",
+    "--seed",
+];
+
+/// The command line after the subcommand, parsed once: every helper
+/// below reads this, none rescans the process arguments.
+struct Cli {
+    /// The word right after the subcommand: kernel, figure number, ….
+    target: Option<String>,
+    /// Each `--flag` present, with its value if it takes one.
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Cli {
+    /// Split `args` into flags and values. Unknown `--` flags (typo'd
+    /// or misplaced, like `--no-heirarchy`) are an error up front, not
+    /// a silent no-op that runs with the feature still on.
+    fn parse(cmd: &str, args: &[String]) -> Result<Cli, String> {
+        let allowed = allowed_flags(cmd);
+        let mut flags = Vec::new();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                continue;
+            }
+            if !allowed.contains(&a.as_str()) {
                 return Err(format!("unknown flag `{a}` for `{cmd}`"));
             }
-            if VALUED.contains(&a) {
-                i += 1;
-                if i >= args.len() {
-                    return Err(format!("flag `{a}` needs a value"));
-                }
-            }
+            let value = if VALUED.contains(&a.as_str()) {
+                Some(
+                    it.next()
+                        .ok_or_else(|| format!("flag `{a}` needs a value"))?
+                        .clone(),
+                )
+            } else {
+                None
+            };
+            flags.push((a.clone(), value));
         }
-        i += 1;
+        Ok(Cli {
+            target: args.first().cloned(),
+            flags,
+        })
     }
-    Ok(())
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value following a `--flag`, if present.
+    fn value(&self, flag: &str) -> Option<&str> {
+        let (_, v) = self.flags.iter().find(|(f, _)| f == flag)?;
+        v.as_deref()
+    }
+
+    /// A flag whose value must be an integer `>= 1`.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, String> {
+        match self.value(flag) {
+            None => Ok(None),
+            Some(v) => match v.parse::<T>() {
+                Ok(n) if n >= T::from(1) => Ok(Some(n)),
+                _ => Err(format!("flag `{flag}` needs a positive integer")),
+            },
+        }
+    }
+
+    /// `--size N` (default 16).
+    fn size(&self) -> Result<i64, String> {
+        match self.value("--size") {
+            None => Ok(16),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("flag `--size` needs an integer, got `{v}`")),
+        }
+    }
+
+    /// `--params a,b,c`, if present and well-formed.
+    fn params(&self) -> Option<Vec<i64>> {
+        self.value("--params")?
+            .split(',')
+            .map(|x| x.trim().parse::<i64>().ok())
+            .collect()
+    }
+
+    /// `--profile`, or `POLYMEM_PROFILE=1` in the environment: print
+    /// the pass-level wall-clock profile.
+    fn profile(&self) -> bool {
+        self.has("--profile")
+            || std::env::var("POLYMEM_PROFILE").is_ok_and(|v| v != "0" && !v.is_empty())
+    }
+
+    /// The base machine, pristine: `--machine-file PATH` loads a TOML
+    /// description, `--machine NAME` looks up the registry (any
+    /// registered name or alias, not a hardcoded list), default `gpu`.
+    /// Returns the lowered config together with the description's name.
+    fn machine(&self) -> Result<(MachineConfig, String), String> {
+        use polymem::machine::desc;
+        if let Some(path) = self.value("--machine-file") {
+            if self.has("--machine") {
+                return Err("--machine and --machine-file are mutually exclusive".into());
+            }
+            let d = desc::MachineDesc::from_file(path)?;
+            return Ok((d.config(), d.name));
+        }
+        let name = self.value("--machine").unwrap_or("gpu");
+        match desc::lookup(name) {
+            Some(d) => Ok((d.config(), d.name)),
+            None => Err(format!(
+                "unknown machine `{name}` (registered: {})",
+                desc::NAMES.join(", ")
+            )),
+        }
+    }
+
+    /// The execution flags every simulating subcommand shares —
+    /// `analyze --json`, `key` and `run` must describe, address and
+    /// execute the *same* launch.
+    fn toggles(&self) -> Result<LaunchToggles, String> {
+        Ok(LaunchToggles {
+            double_buffer: self.has("--double-buffer"),
+            compiled_exec: !self.has("--no-compiled-exec"),
+            hierarchy: !self.has("--no-hierarchy"),
+            residency: !self.has("--no-residency"),
+            vector_width: self.positive("--vector-width")?,
+            artifact_dir: self.value("--artifact-dir").map(str::to_string),
+        })
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(cmd) = args.first() {
-        if let Err(msg) = validate_flags(cmd, &args[1..]) {
-            return usage(&msg);
-        }
-    }
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("figures") => figures(it.next()),
-        Some("analyze") => with_kernel(it.next(), analyze),
-        Some("emit") => {
-            let k = it.next();
-            let cuda = args.iter().any(|a| a == "--cuda");
-            with_kernel(k, |name| emit(name, cuda))
-        }
-        Some("search") => match it.next() {
+    let Some(cmd) = args.first() else {
+        return usage("");
+    };
+    let cli = match Cli::parse(cmd, &args[1..]) {
+        Ok(c) => c,
+        Err(msg) => return usage(&msg),
+    };
+    let target = cli.target.as_deref();
+    match cmd.as_str() {
+        "figures" => figures(target),
+        "analyze" => analyze(&cli),
+        "emit" => emit(&cli),
+        "search" => match target {
             Some("me") => {
                 let gpu = MachineConfig::geforce_8800_gtx();
                 let size = me::MeSize::square(1 << 22, 16);
@@ -285,7 +309,7 @@ fn main() -> ExitCode {
             }
             other => usage(&format!("unknown search target {other:?}")),
         },
-        Some("trace") => match it.next() {
+        "trace" => match target {
             Some("me") => {
                 let gpu = MachineConfig::geforce_8800_gtx();
                 let s = me::MeSize::square(16 << 20, 16);
@@ -311,29 +335,12 @@ fn main() -> ExitCode {
             }
             other => usage(&format!("unknown trace target {other:?}")),
         },
-        Some("run") => {
-            let k = it.next().map(str::to_string);
-            let size = cli_size(&args);
-            with_kernel(k.as_deref(), |name| run(name, size))
-        }
-        Some("key") => {
-            let k = it.next().map(str::to_string);
-            let size = cli_size(&args);
-            with_kernel(k.as_deref(), |name| key(name, size))
-        }
-        Some("tune") => tune_cmd(&args[1..]),
-        Some("serve") => serve(&args[1..]),
+        "run" => run(&cli),
+        "key" => key(&cli),
+        "tune" => tune_cmd(&cli),
+        "serve" => serve(&cli),
         _ => usage(""),
     }
-}
-
-/// `--size N` from the command line (default 16).
-fn cli_size(args: &[String]) -> i64 {
-    args.iter()
-        .position(|a| a == "--size")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse::<i64>().ok())
-        .unwrap_or(16)
 }
 
 fn usage(msg: &str) -> ExitCode {
@@ -436,52 +443,43 @@ enum KernelError {
 }
 
 /// A kernel instance small enough for interactive analysis/emission:
-/// a built-in name or a `.poly` file path.
-fn kernel_program(name: &str) -> Result<(Program, Vec<i64>), KernelError> {
-    Ok(match name {
-        "me" => (me::program(), vec![64, 64, 16]),
-        "jacobi" => (jacobi::program(), vec![16, 256]),
-        "jacobi2d" => (jacobi2d::program(), vec![4, 32]),
-        "matmul" => (matmul::program(), vec![64]),
-        "conv2d" => (conv2d::program(), vec![64, 5]),
-        path if path.ends_with(".poly") => {
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| KernelError::Compile(format!("cannot read `{path}`: {e}")))?;
-            let program = polymem::ir::parse_program(&src)
-                .map_err(|e| KernelError::Compile(e.to_string()))?;
-            let params = cli_params().unwrap_or_else(|| vec![64; program.params.len()]);
-            if params.len() != program.params.len() {
-                return Err(KernelError::Usage(format!(
-                    "--params needs {} values for {:?}",
-                    program.params.len(),
-                    program.params
-                )));
-            }
-            (program, params)
-        }
-        _ => return Err(KernelError::Unknown),
-    })
+/// a built-in name (at the table's analysis parameters) or a `.poly`
+/// file path (at `--params`, default 64 each).
+fn kernel_program(cli: &Cli, name: &str) -> Result<(Program, Vec<i64>), KernelError> {
+    if let Some(b) = Builtin::named(name) {
+        return Ok(((b.program)(), b.analysis_params.to_vec()));
+    }
+    if !name.ends_with(".poly") {
+        return Err(KernelError::Unknown);
+    }
+    let src = std::fs::read_to_string(name)
+        .map_err(|e| KernelError::Compile(format!("cannot read `{name}`: {e}")))?;
+    let program =
+        polymem::ir::parse_program(&src).map_err(|e| KernelError::Compile(e.to_string()))?;
+    let params = cli
+        .params()
+        .unwrap_or_else(|| vec![64; program.params.len()]);
+    if params.len() != program.params.len() {
+        return Err(KernelError::Usage(format!(
+            "--params needs {} values for {:?}",
+            program.params.len(),
+            program.params
+        )));
+    }
+    Ok((program, params))
 }
 
-/// `--params a,b,c` from the command line, if present.
-fn cli_params() -> Option<Vec<i64>> {
-    let args: Vec<String> = std::env::args().collect();
-    let p = args.iter().position(|a| a == "--params")?;
-    let list = args.get(p + 1)?;
-    list.split(',')
-        .map(|x| x.trim().parse::<i64>().ok())
-        .collect()
-}
-
-fn with_kernel(name: Option<&str>, f: impl Fn(&str) -> ExitCode) -> ExitCode {
-    match name {
-        Some(n) => match kernel_program(n) {
-            Ok(_) => f(n),
-            Err(KernelError::Unknown) => usage(&format!("unknown kernel `{n}`")),
-            Err(KernelError::Usage(msg)) => usage(&msg),
-            Err(KernelError::Compile(msg)) => compile_error(&msg),
-        },
-        None => usage("missing kernel name"),
+/// The subcommand's kernel argument, resolved; `Err` carries the exit
+/// already taken.
+fn resolve_kernel(cli: &Cli) -> Result<(&str, Program, Vec<i64>), ExitCode> {
+    let Some(n) = cli.target.as_deref() else {
+        return Err(usage("missing kernel name"));
+    };
+    match kernel_program(cli, n) {
+        Ok((program, params)) => Ok((n, program, params)),
+        Err(KernelError::Unknown) => Err(usage(&format!("unknown kernel `{n}`"))),
+        Err(KernelError::Usage(msg)) => Err(usage(&msg)),
+        Err(KernelError::Compile(msg)) => Err(compile_error(&msg)),
     }
 }
 
@@ -497,46 +495,6 @@ fn plan_of_timed(
         },
     )
     .map_err(|e| e.to_string())
-}
-
-/// The canonical blocked mapping of each built-in kernel — one table,
-/// shared by `run` (which executes it) and `analyze --json` (which
-/// describes it), so the two subcommands can never drift apart. `db`
-/// selects the sequential-sub-tile variant that double buffering
-/// overlaps.
-fn kernel_mapping(name: &str, db: bool) -> Option<BlockedKernel> {
-    Some(match name {
-        "me" => {
-            if db {
-                me::blocked_seq_kernel(4, 4, true)
-            } else {
-                me::blocked_kernel(4, 4, true)
-            }
-        }
-        "jacobi" => jacobi::overlapped_kernel(2, 8, false),
-        "jacobi2d" => {
-            if db {
-                jacobi2d::stepwise_seq_kernel(4, 4, true)
-            } else {
-                jacobi2d::stepwise_kernel(4, 4, true)
-            }
-        }
-        "matmul" => {
-            if db {
-                matmul::blocked_kernel_hoisted(4, 4, 8, true)
-            } else {
-                matmul::blocked_kernel(4, 4, 8, true)
-            }
-        }
-        "conv2d" => {
-            if db {
-                conv2d::blocked_seq_kernel(4, 4, true)
-            } else {
-                conv2d::blocked_kernel(4, 4, true)
-            }
-        }
-        _ => return None,
-    })
 }
 
 /// One memory level of the `analyze --json` dump: buffers with their
@@ -596,12 +554,12 @@ fn level_json(label: &str, plan: &SmemPlan, ext: &[i64]) -> String {
 /// Honors the same execution flags as `run` (`--double-buffer`,
 /// `--no-hierarchy`, `--no-compiled-exec`): the dump describes the
 /// launch those flags would execute, not a hardcoded default.
-fn analyze_json(name: &str) -> ExitCode {
-    let (program, params) = kernel_program(name).expect("checked");
-    let gpu = match machine_config() {
-        Ok(c) => c,
+fn analyze_json(cli: &Cli, name: &str, program: &Program, params: &[i64]) -> ExitCode {
+    let (base, toggles) = match cli.machine().and_then(|(m, _)| Ok((m, cli.toggles()?))) {
+        Ok(x) => x,
         Err(m) => return usage(&m),
     };
+    let gpu = launch_config(&toggles, &base);
     let mut out = String::from("{\n");
     out.push_str(&format!(
         "  \"kernel\": \"{}\",\n  \"params\": {params:?},\n",
@@ -611,7 +569,8 @@ fn analyze_json(name: &str) -> ExitCode {
         "  \"config\": {{ \"double_buffer\": {}, \"compiled_exec\": {}, \"hierarchy\": {}, \"residency\": {}, \"vector_width\": {} }},\n",
         gpu.double_buffer, gpu.compiled_exec, gpu.hierarchy, gpu.residency, gpu.vector_width
     ));
-    match kernel_mapping(name, gpu.double_buffer) {
+    // Built-ins dump the launch `run` would execute under these flags.
+    match launch(name, 16, &base, &toggles, false).map(|l| l.kernel) {
         Some(kernel) => {
             // The representative block and thread instance: every
             // round/block/seq tile dim and thread dim at 0 (all
@@ -629,14 +588,14 @@ fn analyze_json(name: &str) -> ExitCode {
                 regs_per_inner: gpu.regs_per_inner,
             });
             let config = SmemConfig {
-                sample_params: params.clone(),
+                sample_params: params.to_vec(),
                 ..SmemConfig::default()
             };
             let sp = analyze_symbolic_hier(&kernel.program, &fixed, &config, spec.as_ref())
                 .expect("analysis succeeds on built-in kernels");
             let fixed_map: HashMap<String, i64> = fixed.iter().cloned().collect();
             let ext1 = sp
-                .ext_params(&params, &fixed_map)
+                .ext_params(params, &fixed_map)
                 .expect("fixed dims covered");
             out.push_str(&format!(
                 "  \"mapping\": {{ \"round_dims\": {:?}, \"block_dims\": {:?}, \"seq_dims\": {:?}, \"thread_dims\": {:?} }},\n",
@@ -647,7 +606,7 @@ fn analyze_json(name: &str) -> ExitCode {
             if let Some(h) = &sp.hier {
                 let threads = vec![0i64; h.thread_dims.len()];
                 let ext2 = h
-                    .ext_params(&params, &fixed_map, &threads)
+                    .ext_params(params, &fixed_map, &threads)
                     .expect("thread reps covered");
                 out.push_str(",\n");
                 let mut reg = level_json("register", &h.plan, &ext2);
@@ -665,12 +624,12 @@ fn analyze_json(name: &str) -> ExitCode {
             out.push_str("\n  ]\n");
         }
         None => {
-            let (plan, _) = match plan_of_timed(&program, &params) {
+            let (plan, _) = match plan_of_timed(program, params) {
                 Ok(x) => x,
                 Err(e) => return compile_error(&e),
             };
             out.push_str("  \"levels\": [\n");
-            out.push_str(&level_json("scratchpad", &plan, &params));
+            out.push_str(&level_json("scratchpad", &plan, params));
             out.push_str("\n  ]\n");
         }
     }
@@ -679,11 +638,14 @@ fn analyze_json(name: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn analyze(name: &str) -> ExitCode {
-    if json_requested() {
-        return analyze_json(name);
+fn analyze(cli: &Cli) -> ExitCode {
+    let (name, program, params) = match resolve_kernel(cli) {
+        Ok(x) => x,
+        Err(exit) => return exit,
+    };
+    if cli.has("--json") {
+        return analyze_json(cli, name, &program, &params);
     }
-    let (program, params) = kernel_program(name).expect("checked");
     println!("== {} ==\n{program}", program.name);
     let (plan, times) = match plan_of_timed(&program, &params) {
         Ok(x) => x,
@@ -715,7 +677,7 @@ fn analyze(name: &str) -> ExitCode {
             mc.move_out_count(&params)
         );
     }
-    if profile_requested() {
+    if cli.profile() {
         println!("\n== Pass profile ==");
         let pr = PassProfiler::new();
         pr.absorb_pass_times(&times);
@@ -724,14 +686,17 @@ fn analyze(name: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn emit(name: &str, cuda: bool) -> ExitCode {
-    let (program, params) = kernel_program(name).expect("checked");
+fn emit(cli: &Cli) -> ExitCode {
+    let (_, program, params) = match resolve_kernel(cli) {
+        Ok(x) => x,
+        Err(exit) => return exit,
+    };
     let plan = match plan_of_timed(&program, &params) {
         Ok((plan, _)) => plan,
         Err(e) => return compile_error(&e),
     };
     let opts = EmitOptions {
-        cuda,
+        cuda: cli.has("--cuda"),
         block_dims: vec![],
         thread_dims: vec![],
     };
@@ -739,110 +704,59 @@ fn emit(name: &str, cuda: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The simulator launch each built-in kernel runs at `--size N`:
-/// concrete parameter values plus the output array the functional
-/// check compares. Shared by `run` (which executes) and `key` (which
-/// must address the *same* launch).
-fn run_params(name: &str, size: i64) -> Option<(Vec<i64>, &'static str)> {
-    Some(match name {
-        "me" => {
-            let s = me::MeSize {
-                ni: size,
-                nj: size,
-                ws: 4,
-            };
-            (me::params(&s), "Sad")
+/// The subcommand's kernel under `--machine`, the execution flags and
+/// `--size`, resolved against the built-in table: the launch `run`
+/// executes and `key` addresses. `Err` carries the exit already taken
+/// (usage text printed).
+fn resolve_launch(cli: &Cli) -> Result<(&str, Launch, i64), ExitCode> {
+    let Some(name) = cli.target.as_deref() else {
+        return Err(usage("missing kernel name"));
+    };
+    let parsed = cli
+        .machine()
+        .and_then(|(base, _)| Ok((base, cli.toggles()?, cli.size()?)));
+    let (base, toggles, size) = parsed.map_err(|m| usage(&m))?;
+    match launch(name, size, &base, &toggles, cli.has("--tuned")) {
+        Some(l) => Ok((name, l, size)),
+        None => {
+            let names: Vec<&str> = BUILTINS.iter().map(|b| b.name).collect();
+            Err(usage(&format!(
+                "unknown kernel `{name}` (built in: {})",
+                names.join(", ")
+            )))
         }
-        "jacobi" => {
-            let s = jacobi::JacobiSize { n: size, t: 8 };
-            (jacobi::params(&s), "A")
-        }
-        "jacobi2d" => (jacobi2d::params(3, size), "A"),
-        "matmul" => (vec![size], "C"),
-        "conv2d" => {
-            let s = conv2d::ConvSize { n: size, k: 3 };
-            (conv2d::params(&s), "Out")
-        }
-        _ => return None,
-    })
+    }
 }
 
-/// Fold `--vector-width N` into the config; `Some(exit)` on a
-/// malformed value.
-fn apply_vector_width(gpu: &mut MachineConfig) -> Option<ExitCode> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(p) = args.iter().position(|a| a == "--vector-width") {
-        match args.get(p + 1).and_then(|s| s.parse::<u64>().ok()) {
-            Some(w) if w >= 1 => gpu.vector_width = w,
-            _ => return Some(usage("--vector-width needs a positive integer")),
+fn run(cli: &Cli) -> ExitCode {
+    let (name, l, size) = match resolve_launch(cli) {
+        Ok(x) => x,
+        Err(exit) => return exit,
+    };
+    // `--tuned`: the autotuned winner ran the search on the pristine
+    // machine `polymem tune <name>` uses (run's execution toggles are
+    // superseded by the winner's anyway), so a prior `tune` with the
+    // same --artifact-dir is found, not re-searched.
+    let tuned_note = match &l.tune {
+        Some(Ok(source)) => Some(format!("tuned mapping ({source}): {}", l.mapping.label())),
+        Some(Err(msg)) => {
+            eprintln!("tune: {msg}; falling back to the preset mapping");
+            None
         }
-    }
-    None
-}
-
-fn run(name: &str, size: i64) -> ExitCode {
-    let mut gpu = match machine_config() {
-        Ok(c) => c,
-        Err(m) => return usage(&m),
+        None => None,
     };
-    if let Some(exit) = apply_vector_width(&mut gpu) {
-        return exit;
-    }
-    // `--tuned`: swap in the autotuned winner (zero search cost when
-    // the tune artifact is warm); fall back to the preset mapping with
-    // a note when no tuned mapping resolves.
-    let mut tuned_note = None;
-    let kernel = if std::env::args().any(|a| a == "--tuned") {
-        // The tune key hashes the base machine: use the same pristine
-        // description `polymem tune <name>` does (run's execution
-        // toggles are superseded by the winner's anyway), so a prior
-        // `tune` with the same --artifact-dir is found, not
-        // re-searched.
-        let mut tune_base = match resolve_machine() {
-            Ok((c, _)) => c,
-            Err(m) => return usage(&m),
-        };
-        tune_base.artifact_dir = gpu.artifact_dir.clone();
-        match tuned_mapping(name, size, &tune_base) {
-            Ok((k, cfg, note)) => {
-                gpu = cfg;
-                tuned_note = Some(note);
-                Some(k)
-            }
-            Err(msg) => {
-                eprintln!("tune: {msg}; falling back to the preset mapping");
-                kernel_mapping(name, gpu.double_buffer)
-            }
-        }
-    } else {
-        kernel_mapping(name, gpu.double_buffer)
+    let (gpu, kernel, params, check) = (&l.config, &l.kernel, &l.params, l.check);
+    let mut st = match l.seeded_store(42) {
+        Ok(st) => st,
+        Err(e) => return compile_error(&format!("no store for size {size}: {e}")),
     };
-    let Some(kernel) = kernel else {
-        return usage("unknown kernel");
-    };
-    let (params, check) = run_params(name, size).expect("kernel_mapping covered the names");
-    let base_program = match name {
-        "me" => me::program(),
-        "jacobi" => jacobi::program(),
-        "jacobi2d" => jacobi2d::program(),
-        "matmul" => matmul::program(),
-        "conv2d" => conv2d::program(),
-        _ => unreachable!(),
-    };
-    let mut st = ArrayStore::for_program(&base_program, &params).expect("store");
-    match name {
-        "me" => me::init_store(&mut st, 42),
-        "jacobi" => jacobi::init_store(&mut st, 42),
-        "jacobi2d" => jacobi2d::init_store(&mut st, 42),
-        "matmul" => matmul::init_store(&mut st, 42),
-        "conv2d" => conv2d::init_store(&mut st, 42),
-        _ => unreachable!(),
-    }
     let mut reference = st.clone();
-    exec_program(&base_program, &params, &mut reference).expect("reference run");
-    let profiler = profile_requested().then(PassProfiler::new);
+    if let Err(e) = exec_program(&l.program, params, &mut reference) {
+        return runtime_error(&format!("reference run failed: {e}"));
+    }
+    let profiler = cli.profile().then(PassProfiler::new);
     let stats =
-        match execute_blocked_profiled(&kernel, &params, &mut st, &gpu, true, profiler.as_ref()) {
+        match execute_blocked_profiled(kernel, params, &mut st, gpu, true, profiler.as_ref()) {
             Ok(s) => s,
             Err(e) => return runtime_error(&format!("simulation failed: {e}")),
         };
@@ -927,7 +841,7 @@ fn run(name: &str, size: i64) -> ExitCode {
             println!("DMA channel timeline (hidden vs exposed):");
             print!(
                 "{}",
-                polymem::machine::Timeline::from_dma(&stats.dma, &gpu).render(64)
+                polymem::machine::Timeline::from_dma(&stats.dma, gpu).render(64)
             );
             print!("{}", stats.dma.render());
         }
@@ -944,19 +858,12 @@ fn run(name: &str, size: i64) -> ExitCode {
 /// is a pure function of the program, the mapping-relevant machine
 /// configuration, and the block-shape parametrization — stable across
 /// processes, so two invocations must print the same 32 hex digits.
-fn key(name: &str, size: i64) -> ExitCode {
-    let mut gpu = match machine_config() {
-        Ok(c) => c,
-        Err(m) => return usage(&m),
+fn key(cli: &Cli) -> ExitCode {
+    let l = match resolve_launch(cli) {
+        Ok((_, l, _)) => l,
+        Err(exit) => return exit,
     };
-    if let Some(exit) = apply_vector_width(&mut gpu) {
-        return exit;
-    }
-    let Some(kernel) = kernel_mapping(name, gpu.double_buffer) else {
-        return usage("`key` needs a built-in kernel (me, jacobi, jacobi2d, matmul, conv2d)");
-    };
-    let (params, _) = run_params(name, size).expect("kernel_mapping covered the names");
-    match plan_artifact_key(&kernel, &params, &gpu) {
+    match plan_artifact_key(&l.kernel, &l.params, &l.config) {
         Ok(Some(k)) => {
             println!("{k}");
             ExitCode::SUCCESS
@@ -971,40 +878,19 @@ fn key(name: &str, size: i64) -> ExitCode {
     }
 }
 
-/// `--machine NAME` / `--machine-file PATH` for `tune`: the base
-/// machine the search prices and simulates against (default `gpu`).
-/// Any registered description works — unknown names are a usage error.
-fn tune_machine_config() -> Result<(MachineConfig, String), String> {
-    let (mut cfg, name) = resolve_machine()?;
-    cfg.artifact_dir = flag_value("--artifact-dir");
-    Ok((cfg, name))
-}
-
 /// The search options `tune` and `run --tuned` must agree on: both
 /// derive the artifact key from them, so a tuned run can only reuse a
 /// search performed with the same shape.
-fn tune_options(label: String) -> Result<TuneOptions, String> {
-    let mut opts = TuneOptions {
+fn tune_options(cli: &Cli, label: String) -> Result<TuneOptions, String> {
+    let defaults = TuneOptions::default();
+    Ok(TuneOptions {
+        top_k: cli.positive("--top")?.unwrap_or(defaults.top_k),
+        reps: cli.positive("--reps")?.unwrap_or(defaults.reps),
+        exhaustive: cli.has("--exhaustive"),
+        force: cli.has("--force"),
         space_label: label,
-        ..TuneOptions::default()
-    };
-    if let Some(v) = flag_value("--top") {
-        opts.top_k = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("flag `--top` needs a positive integer")?;
-    }
-    if let Some(v) = flag_value("--reps") {
-        opts.reps = v
-            .parse::<u32>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or("flag `--reps` needs a positive integer")?;
-    }
-    opts.exhaustive = std::env::args().any(|a| a == "--exhaustive");
-    opts.force = std::env::args().any(|a| a == "--force");
-    Ok(opts)
+        ..defaults
+    })
 }
 
 /// Render one [`TuneOutcome`] — human table or `--json` dump of the
@@ -1089,26 +975,28 @@ fn print_tune_outcome(target: &str, machine: &str, out: &TuneOutcome, json: bool
 
 /// `tune <kernel|.poly>` / `tune --random N`: run the cost-model-pruned
 /// mapping search and print (or persist) the ranked table.
-fn tune_cmd(args: &[String]) -> ExitCode {
-    let size = cli_size(args);
-    let ((base, machine), json) = match tune_machine_config() {
-        Ok(c) => (c, json_requested()),
+fn tune_cmd(cli: &Cli) -> ExitCode {
+    // The base machine the search prices and simulates against is the
+    // pristine description (default `gpu`) plus the artifact store.
+    let parsed = cli
+        .machine()
+        .and_then(|(base, machine)| Ok((base, machine, cli.size()?)));
+    let (mut base, machine, size) = match parsed {
+        Ok(x) => x,
         Err(m) => return usage(&m),
     };
-    let smoke = args.iter().any(|a| a == "--smoke");
+    base.artifact_dir = cli.value("--artifact-dir").map(str::to_string);
+    let json = cli.has("--json");
+    let smoke = cli.has("--smoke");
     let menu: &[i64] = if smoke { &[2, 4, 8] } else { &[2, 4, 8, 16] };
 
-    if let Some(nv) = flag_value("--random") {
-        let Some(n) = nv.parse::<u64>().ok().filter(|&n| n >= 1) else {
-            return usage("flag `--random` needs a positive integer");
-        };
-        let seed0 = flag_value("--seed")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(1);
-        return tune_random(n, seed0, size, &base, &machine, menu, json);
+    match cli.positive::<u64>("--random") {
+        Ok(Some(n)) => return tune_random(cli, n, size, &base, &machine, menu),
+        Ok(None) => {}
+        Err(m) => return usage(&m),
     }
 
-    let Some(target) = args.first().filter(|a| !a.starts_with("--")) else {
+    let Some(target) = cli.target.as_ref().filter(|a| !a.starts_with("--")) else {
         return usage("`tune` needs a kernel name, a .poly path, or --random N");
     };
 
@@ -1128,7 +1016,7 @@ fn tune_cmd(args: &[String]) -> ExitCode {
                 )
             }
             None => {
-                let (program, params) = match kernel_program(target) {
+                let (program, params) = match kernel_program(cli, target) {
                     Ok(x) => x,
                     Err(KernelError::Unknown) => {
                         return usage(&format!("unknown kernel `{target}`"))
@@ -1149,7 +1037,7 @@ fn tune_cmd(args: &[String]) -> ExitCode {
                 )
             }
         };
-    let opts = match tune_options(format!("cli:{target}:size={size}")) {
+    let opts = match tune_options(cli, format!("cli:{target}:size={size}")) {
         Ok(o) => o,
         Err(m) => return usage(&m),
     };
@@ -1167,14 +1055,18 @@ fn tune_cmd(args: &[String]) -> ExitCode {
 /// each one (set `POLYMEM_EXEC_CHECK=1` to cross-check every simulated
 /// block against the interpreter).
 fn tune_random(
+    cli: &Cli,
     n: u64,
-    seed0: u64,
     size: i64,
     base: &MachineConfig,
     machine: &str,
     menu: &[i64],
-    json: bool,
 ) -> ExitCode {
+    let seed0 = cli
+        .value("--seed")
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(1);
+    let json = cli.has("--json");
     let mut failures = 0u64;
     for k in 0..n {
         let seed = seed0 + k;
@@ -1188,7 +1080,7 @@ fn tune_random(
                 continue;
             }
         };
-        let opts = match tune_options(format!("cli:random:{seed}:size={size}")) {
+        let opts = match tune_options(cli, format!("cli:random:{seed}:size={size}")) {
             Ok(o) => o,
             Err(m) => return usage(&m),
         };
@@ -1222,80 +1114,27 @@ fn tune_random(
     }
 }
 
-/// Resolve the tuned mapping for `run --tuned`: consult (or, when the
-/// store is cold, perform) the same search `polymem tune <name>` runs,
-/// then rebuild the winning kernel and fold its toggles into the
-/// config.
-fn tuned_mapping(
-    name: &str,
-    size: i64,
-    base: &MachineConfig,
-) -> Result<(BlockedKernel, MachineConfig, String), String> {
-    let cands = tunespace::candidates(name, base, false)
-        .ok_or_else(|| format!("no tune space for `{name}`"))?;
-    let (program, params, _) =
-        tunespace::workload(name, size).ok_or_else(|| format!("no workload for `{name}`"))?;
-    let opts = TuneOptions {
-        space_label: format!("cli:{name}:size={size}"),
-        ..TuneOptions::default()
-    };
-    let out = tune(
-        &program,
-        &params,
-        &|st: &mut ArrayStore| tunespace::init_store(name, st, 42),
-        &cands,
-        base,
-        &opts,
-    )
-    .map_err(|e| e.to_string())?;
-    let kernel = tunespace::build(name, &out.winner)
-        .ok_or_else(|| format!("winner `{}` does not rebuild", out.winner.label()))?;
-    let cfg = config_for(&out.winner, base);
-    Ok((
-        kernel,
-        cfg,
-        format!(
-            "tuned mapping ({}): {}",
-            out.plan_source,
-            out.winner.label()
-        ),
-    ))
+fn serve_config(cli: &Cli) -> Result<ServeConfig, String> {
+    let defaults = ServeConfig::default();
+    Ok(ServeConfig {
+        addr: cli.value("--addr").map_or(defaults.addr, str::to_string),
+        threads: cli.positive("--threads")?.unwrap_or(defaults.threads),
+        lru_capacity: cli.positive("--lru")?.unwrap_or(defaults.lru_capacity),
+        launch_slots: cli
+            .positive("--launch-slots")?
+            .unwrap_or(defaults.launch_slots),
+        artifact_dir: cli.value("--artifact-dir").map(str::to_string),
+    })
 }
 
 /// `serve [--addr A] [--threads N] [--lru N] [--launch-slots N]
 /// [--artifact-dir DIR]`: start the persistent compile service and
 /// block until a protocol `shutdown` request.
-fn serve(args: &[String]) -> ExitCode {
-    let mut cfg = ServeConfig::default();
-    let numeric = |flag: &str, default: usize| -> Result<usize, String> {
-        match flag_value(flag) {
-            None => Ok(default),
-            Some(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("flag `{flag}` needs a positive integer")),
-            },
-        }
-    };
-    if let Some(a) = args
-        .iter()
-        .position(|a| a == "--addr")
-        .and_then(|p| args.get(p + 1))
-    {
-        cfg.addr = a.clone();
-    }
-    cfg.threads = match numeric("--threads", cfg.threads) {
-        Ok(n) => n,
+fn serve(cli: &Cli) -> ExitCode {
+    let cfg = match serve_config(cli) {
+        Ok(c) => c,
         Err(msg) => return usage(&msg),
     };
-    cfg.lru_capacity = match numeric("--lru", cfg.lru_capacity) {
-        Ok(n) => n,
-        Err(msg) => return usage(&msg),
-    };
-    cfg.launch_slots = match numeric("--launch-slots", cfg.launch_slots) {
-        Ok(n) => n,
-        Err(msg) => return usage(&msg),
-    };
-    cfg.artifact_dir = flag_value("--artifact-dir");
     match Server::start(cfg) {
         Ok(handle) => {
             println!("polymem serve listening on {}", handle.addr());

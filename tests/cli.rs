@@ -98,6 +98,23 @@ fn usage_errors_exit_with_code_2() {
     assert!(stderr.contains("unknown flag"), "{stderr}");
     let (_, _, code) = polymem_code(&["run", "nosuchkernel"], &[]);
     assert_eq!(code, 2);
+    // A non-integer --size used to run size 16 silently.
+    for cmd in ["run", "key", "tune"] {
+        let (stdout, stderr, code) = polymem_code(&[cmd, "matmul", "--size", "abc"], &[]);
+        assert_eq!(code, 2, "{cmd}: {stdout}{stderr}");
+        assert!(stderr.contains("`--size` needs an integer"), "{stderr}");
+    }
+}
+
+#[test]
+fn unbuildable_sizes_are_typed_errors_not_panics() {
+    // No store exists for a negative extent: a compile-class error
+    // (like the daemon's `class: compile`), where `expect("store")`
+    // used to panic with exit 101.
+    let (_, stderr, code) = polymem_code(&["run", "me", "--size", "-3"], &[]);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("compile error:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

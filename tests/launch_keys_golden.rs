@@ -9,7 +9,14 @@
 //! built-in launch is" moves a key. 5 kernels × {flat,
 //! `--double-buffer`} × {gpu, cell}; `launch_keys_golden.txt` must
 //! stay untouched by a refactor.
+//!
+//! Since the collapse the same file also pins the in-process resolver
+//! and the tuner's preset row: `tunespace::build` of the pinned preset
+//! description must address the very launch the table resolves.
 
+use polymem::kernels::builtins::launch;
+use polymem::kernels::tunespace;
+use polymem::machine::{config_for, desc, plan_artifact_key, LaunchToggles};
 use std::process::Command;
 
 const GOLDEN: &str = include_str!("launch_keys_golden.txt");
@@ -51,5 +58,38 @@ fn cli_keys_match_golden() {
     assert!(
         actual == GOLDEN,
         "launch keys diverged from tests/launch_keys_golden.txt; actual output:\n{actual}"
+    );
+}
+
+#[test]
+fn resolver_and_tuner_preset_address_the_same_launches() {
+    let actual = render(|kernel, machine, db| {
+        let base = desc::lookup(machine).expect("registered").config();
+        let toggles = LaunchToggles {
+            double_buffer: db,
+            ..LaunchToggles::default()
+        };
+        let l = launch(kernel, 16, &base, &toggles, false).expect("built-in");
+        let key_of = |k, cfg| match plan_artifact_key(k, &l.params, cfg).expect("key") {
+            Some(key) => key.to_string(),
+            None => "none".into(),
+        };
+        // The tuner's pinned preset on this launch's config *is* this
+        // launch: same description, and rebuilding it moves no key.
+        let cands = tunespace::candidates(kernel, &l.config, true).expect("space");
+        let preset = cands.iter().find(|c| c.preset).expect("pinned preset");
+        assert_eq!(preset.desc, l.mapping, "{kernel}/{machine} db={db}");
+        let rebuilt = tunespace::build(kernel, &preset.desc).expect("rebuilds");
+        let key = key_of(&l.kernel, &l.config);
+        assert_eq!(
+            key_of(&rebuilt, &config_for(&preset.desc, &l.config)),
+            key,
+            "{kernel}/{machine} db={db}"
+        );
+        key
+    });
+    assert!(
+        actual == GOLDEN,
+        "resolver keys diverged from tests/launch_keys_golden.txt; actual output:\n{actual}"
     );
 }
