@@ -1,7 +1,7 @@
 //! Criterion benchmarks of the compiler passes themselves: the
 //! polyhedral substrate (Fourier–Motzkin, images, scanning) and the
 //! full §3 analysis on each kernel. These measure the *tool*, not the
-//! simulated machine — the figure harness (`fig4`–`fig8` binaries)
+//! simulated machine — the figure harness (`polymem figures`)
 //! covers the paper's performance results.
 
 use criterion::{criterion_group, criterion_main, Criterion};

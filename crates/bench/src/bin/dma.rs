@@ -27,10 +27,9 @@
 //! modeled (deterministic integer cycle counts), so the gates hold on
 //! noisy CI runners too.
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, Case};
-use polymem_ir::ArrayStore;
+use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
-use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
+use polymem_machine::{ExecStats, Json, MachineConfig};
 
 fn cases(smoke: bool) -> Vec<Case> {
     let pick = |small: i64, full: i64| if smoke { small } else { full };
@@ -81,36 +80,6 @@ fn cases(smoke: bool) -> Vec<Case> {
     ]
 }
 
-struct ModeResult {
-    stats: ExecStats,
-    store: ArrayStore,
-    /// Bytes moved through global memory: staged element moves plus
-    /// direct (unstaged) accesses, at the machine's word size.
-    global_bytes: u64,
-    word_bytes: u64,
-}
-
-struct MachineResult {
-    machine: &'static str,
-    off: ModeResult,
-    on: ModeResult,
-    bit_exact: bool,
-}
-
-struct KernelResult {
-    name: &'static str,
-    has_seq: bool,
-    machines: Vec<MachineResult>,
-}
-
-impl MachineResult {
-    /// Modeled-time ratio, synchronous over double-buffered (>1 means
-    /// the overlap helped).
-    fn improvement(&self) -> f64 {
-        self.off.stats.modeled_cycles as f64 / self.on.stats.modeled_cycles.max(1) as f64
-    }
-}
-
 fn element_moves(s: &ExecStats) -> u64 {
     s.moved_in + s.moved_out
 }
@@ -121,188 +90,118 @@ fn global_bytes(s: &ExecStats, word_bytes: u64) -> u64 {
     (element_moves(s) + s.global_reads + s.global_writes) * word_bytes
 }
 
-fn run_case(case: &Case) -> KernelResult {
-    let reference = case.reference();
-    let mut machines = Vec::new();
-    for (label, cfg) in [
-        ("gpu", MachineConfig::geforce_8800_gtx()),
-        ("cell", MachineConfig::cell_like()),
-    ] {
-        let run = |double_buffer: bool| {
-            let mut config = cfg.clone();
-            config.double_buffer = double_buffer;
-            let mut store = case.base.clone();
-            let stats = execute_blocked(&case.kernel, &case.params, &mut store, &config, false)
-                .expect("execution succeeds");
-            let gb = global_bytes(&stats, config.word_bytes);
-            ModeResult {
-                stats,
-                store,
-                global_bytes: gb,
-                word_bytes: config.word_bytes,
-            }
-        };
-        let off = run(false);
-        let on = run(true);
-        let bit_exact = case.output_matches(&off.store, &reference)
-            && case.output_matches(&on.store, &reference);
-        machines.push(MachineResult {
-            machine: label,
-            off,
-            on,
-            bit_exact,
-        });
-    }
-    KernelResult {
-        name: case.name,
-        has_seq: !case.kernel.seq_dims.is_empty(),
-        machines,
-    }
-}
-
-fn mode_json(m: &ModeResult) -> String {
-    let s = &m.stats;
-    format!(
-        "{{ \"modeled_cycles\": {}, \"element_moves\": {}, \"descriptors\": {}, \
-         \"dma_bytes\": {}, \"global_bytes\": {}, \"mean_descriptor_bytes\": {:.2}, \
-         \"overlap_fraction\": {:.4}, \
-         \"stall_cycles\": {}, \"overlap_groups\": {}, \"sync_groups\": {} }}",
-        s.modeled_cycles,
-        element_moves(s),
-        s.dma.descriptors,
-        s.dma.bytes,
-        m.global_bytes,
-        s.dma.mean_descriptor_bytes(),
-        s.dma.overlap_fraction(),
-        s.dma.stall_cycles,
-        s.overlap_groups,
-        s.sync_groups,
-    )
-}
-
-fn render_json(
-    mode: &str,
-    kernels: &[KernelResult],
-    coalesce_ratio: f64,
-    ratio_target: f64,
-    pass: bool,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"name\": \"{}\",\n      \"has_seq\": {},\n",
-            json_escape_free(k.name),
-            k.has_seq
-        ));
-        out.push_str("      \"runs\": [\n");
-        for (j, m) in k.machines.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"machine\": \"{}\",\n          \"sync\": {},\n          \"double_buffer\": {},\n          \"bit_exact\": {}, \"modeled_improvement\": {:.4} }}{}\n",
-                json_escape_free(m.machine),
-                mode_json(&m.off),
-                mode_json(&m.on),
-                m.bit_exact,
-                m.improvement(),
-                if j + 1 == k.machines.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 == kernels.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"coalesce_ratio\": {coalesce_ratio:.2},\n  \"coalesce_target\": {ratio_target:.1},\n  \"pass\": {pass}\n}}\n"
-    ));
-    out
-}
-
 fn main() {
     let smoke = smoke_mode();
     let mode = if smoke { "smoke" } else { "full" };
     let ratio_target = 10.0;
 
     println!("dma transfer-engine harness ({mode} mode)\n");
-    let mut results = Vec::new();
-    for case in cases(smoke) {
-        let r = run_case(&case);
-        for m in &r.machines {
-            println!(
-                "{:<9} [{:<4}] modeled {:>9} -> {:>9} cycles ({:4.2}x)  moves {:>6} descs {:>5} ({:5.1} B/desc)  overlap {:4.1}%  groups {}+{}  bit-exact: {}",
-                r.name,
-                m.machine,
-                m.off.stats.modeled_cycles,
-                m.on.stats.modeled_cycles,
-                m.improvement(),
-                element_moves(&m.on.stats),
-                m.on.stats.dma.descriptors,
-                m.on.stats.dma.mean_descriptor_bytes(),
-                100.0 * m.on.stats.dma.overlap_fraction(),
-                m.on.stats.overlap_groups,
-                m.on.stats.sync_groups,
-                if m.bit_exact { "yes" } else { "NO" },
-            );
-            println!(
-                "{:<9} [{:<4}] global traffic {} bytes sync / {} bytes double-buffered",
-                r.name, m.machine, m.off.global_bytes, m.on.global_bytes,
-            );
-        }
-        results.push(r);
-    }
+    let cases = cases(smoke);
+    let machines = [
+        ("gpu", MachineConfig::geforce_8800_gtx()),
+        ("cell", MachineConfig::cell_like()),
+    ];
+    let modes: [(_, fn(&mut MachineConfig)); 2] = [
+        ("sync", |c| c.double_buffer = false),
+        ("double_buffer", |c| c.double_buffer = true),
+    ];
 
     let mut failures = Vec::new();
+    let mut runs = Vec::new();
+    let (mut moves, mut descs) = (0u64, 0u64);
+    for c in sweep(&cases, &machines, &modes, 1) {
+        let (off, on) = (&c.stats[0], &c.stats[1]);
+        let at = format!("{}[{}]", c.kernel, c.machine);
+        let has_seq = cases
+            .iter()
+            .any(|k| k.name == c.kernel && !k.kernel.seq_dims.is_empty());
+        // Modeled-time ratio, synchronous over double-buffered (>1
+        // means the overlap helped).
+        let improvement = off.modeled_cycles as f64 / on.modeled_cycles.max(1) as f64;
+        let (off_bytes, on_bytes) = (
+            global_bytes(off, c.word_bytes),
+            global_bytes(on, c.word_bytes),
+        );
+        println!(
+            "{:<9} [{:<4}] modeled {:>9} -> {:>9} cycles ({:4.2}x)  moves {:>6} descs {:>5} ({:5.1} B/desc)  overlap {:4.1}%  groups {}+{}  bit-exact: {}",
+            c.kernel,
+            c.machine,
+            off.modeled_cycles,
+            on.modeled_cycles,
+            improvement,
+            element_moves(on),
+            on.dma.descriptors,
+            on.dma.mean_descriptor_bytes(),
+            100.0 * on.dma.overlap_fraction(),
+            on.overlap_groups,
+            on.sync_groups,
+            if c.bit_exact { "yes" } else { "NO" },
+        );
+        println!(
+            "{:<9} [{:<4}] global traffic {off_bytes} bytes sync / {on_bytes} bytes double-buffered",
+            c.kernel, c.machine,
+        );
 
-    // Everything bit-exact, both modes, both machines.
-    for r in &results {
-        for m in &r.machines {
-            if !m.bit_exact {
-                failures.push(format!("{}[{}]: output mismatch", r.name, m.machine));
-            }
+        // Everything bit-exact, both modes, both machines.
+        if !c.bit_exact {
+            failures.push(format!("{at}: output mismatch"));
         }
-    }
-
-    // Traffic accounting in bytes: every staged element crosses the
-    // global interface through exactly one coalesced descriptor, so
-    // descriptor bytes must equal element-move bytes; and overlapping
-    // the transfers (double buffering) must not change how many bytes
-    // touch global memory.
-    for r in &results {
-        for m in &r.machines {
-            for (mode, res) in [("sync", &m.off), ("dbuf", &m.on)] {
-                let move_bytes = element_moves(&res.stats) * res.word_bytes;
-                if res.stats.dma.bytes != move_bytes {
-                    failures.push(format!(
-                        "{}[{} {mode}]: descriptor bytes {} != element-move bytes {}",
-                        r.name, m.machine, res.stats.dma.bytes, move_bytes
-                    ));
-                }
-            }
-            if m.off.global_bytes != m.on.global_bytes {
+        // Traffic accounting in bytes: every staged element crosses the
+        // global interface through exactly one coalesced descriptor, so
+        // descriptor bytes must equal element-move bytes; and
+        // overlapping the transfers (double buffering) must not change
+        // how many bytes touch global memory.
+        for (mode, s) in [("sync", off), ("dbuf", on)] {
+            let move_bytes = element_moves(s) * c.word_bytes;
+            if s.dma.bytes != move_bytes {
                 failures.push(format!(
-                    "{}[{}]: double buffering changed global traffic ({} -> {} bytes)",
-                    r.name, m.machine, m.off.global_bytes, m.on.global_bytes
+                    "{}[{} {mode}]: descriptor bytes {} != element-move bytes {move_bytes}",
+                    c.kernel, c.machine, s.dma.bytes
                 ));
             }
         }
+        if off_bytes != on_bytes {
+            failures.push(format!(
+                "{at}: double buffering changed global traffic ({off_bytes} -> {on_bytes} bytes)"
+            ));
+        }
+        // Double buffering must improve modeled time on the two kernels
+        // the paper's pipelining discussion centres on.
+        if ["jacobi2d", "matmul"].contains(&c.kernel) && on.modeled_cycles >= off.modeled_cycles {
+            failures.push(format!(
+                "{at}: no modeled-time improvement ({} -> {})",
+                off.modeled_cycles, on.modeled_cycles
+            ));
+        }
+        // Every seq-mapped kernel must actually overlap transfers.
+        if has_seq {
+            if on.overlap_groups == 0 {
+                failures.push(format!("{at}: no prefetches issued"));
+            }
+            if on.dma.overlap_fraction() <= 0.0 {
+                failures.push(format!("{at}: zero overlap fraction"));
+            }
+        }
+        // The round-only 1-D Jacobi exercises the fallback:
+        // double_buffer on, nothing to pipeline, still bit-exact with
+        // zero prefetches.
+        if c.kernel == "jacobi" && on.overlap_groups != 0 {
+            failures.push(format!("{at}: round-only kernel should not prefetch"));
+        }
+        moves += element_moves(on);
+        descs += on.dma.descriptors;
+        runs.push(c.to_json([
+            ("has_seq", has_seq.into()),
+            ("element_moves_sync", element_moves(off).into()),
+            ("element_moves_double_buffer", element_moves(on).into()),
+            ("global_bytes_sync", off_bytes.into()),
+            ("global_bytes_double_buffer", on_bytes.into()),
+            ("modeled_improvement", Json::fixed(improvement, 4)),
+        ]));
     }
 
     // Coalescing: aggregate element moves over DMA descriptors (the
     // per-element baseline would issue one operation per element).
-    let moves: u64 = results
-        .iter()
-        .flat_map(|r| &r.machines)
-        .map(|m| element_moves(&m.on.stats))
-        .sum();
-    let descs: u64 = results
-        .iter()
-        .flat_map(|r| &r.machines)
-        .map(|m| m.on.stats.dma.descriptors)
-        .sum();
     let coalesce_ratio = moves as f64 / descs.max(1) as f64;
     println!(
         "\ncoalescing: {moves} element moves in {descs} descriptors ({coalesce_ratio:.1}x, target >= {ratio_target}x)"
@@ -313,44 +212,10 @@ fn main() {
         ));
     }
 
-    // Double buffering must improve modeled time on the two kernels
-    // the paper's pipelining discussion centres on.
-    for name in ["jacobi2d", "matmul"] {
-        let r = results.iter().find(|r| r.name == name).expect("case");
-        for m in &r.machines {
-            if m.on.stats.modeled_cycles >= m.off.stats.modeled_cycles {
-                failures.push(format!(
-                    "{name}[{}]: no modeled-time improvement ({} -> {})",
-                    m.machine, m.off.stats.modeled_cycles, m.on.stats.modeled_cycles
-                ));
-            }
-        }
-    }
-
-    // Every seq-mapped kernel must actually overlap transfers.
-    for r in results.iter().filter(|r| r.has_seq) {
-        for m in &r.machines {
-            if m.on.stats.overlap_groups == 0 {
-                failures.push(format!("{}[{}]: no prefetches issued", r.name, m.machine));
-            }
-            if m.on.stats.dma.overlap_fraction() <= 0.0 {
-                failures.push(format!("{}[{}]: zero overlap fraction", r.name, m.machine));
-            }
-        }
-    }
-    // The round-only 1-D Jacobi exercises the fallback: double_buffer
-    // on, nothing to pipeline, still bit-exact with zero prefetches.
-    let j = results.iter().find(|r| r.name == "jacobi").expect("case");
-    if j.machines.iter().any(|m| m.on.stats.overlap_groups != 0) {
-        failures.push("jacobi: round-only kernel should not prefetch".into());
-    }
-
-    let json = render_json(
-        mode,
-        &results,
-        coalesce_ratio,
-        ratio_target,
-        failures.is_empty(),
-    );
-    conclude("BENCH_dma.json", &json, &failures);
+    let body = Json::obj([
+        ("runs", runs.into()),
+        ("coalesce_ratio", Json::fixed(coalesce_ratio, 2)),
+        ("coalesce_target", ratio_target.into()),
+    ]);
+    conclude("dma", smoke, body, &failures);
 }

@@ -29,118 +29,13 @@
 //!
 //! Exits non-zero on any check failure.
 
-use polymem_bench::harness::{best_of, conclude, json_escape_free, seq_cases, smoke_mode, Case};
-use polymem_ir::ArrayStore;
-use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
+use polymem_bench::harness::{conclude, seq_cases, smoke_mode, sweep, Cell};
+use polymem_machine::{Json, MachineConfig};
 
-struct ModeResult {
-    stats: ExecStats,
-    store: ArrayStore,
-    /// Best-of-three compute-phase wall time.
-    min_compute_ns: u64,
-}
-
-struct MachineResult {
-    machine: &'static str,
-    interp: ModeResult,
-    compiled: ModeResult,
-    bit_exact: bool,
-    stats_equal: bool,
-}
-
-struct KernelResult {
-    name: &'static str,
-    machines: Vec<MachineResult>,
-}
-
-impl MachineResult {
-    /// Compute-phase speedup: interpreted over compiled wall time.
-    fn speedup(&self) -> f64 {
-        self.interp.min_compute_ns as f64 / self.compiled.min_compute_ns.max(1) as f64
-    }
-}
-
-fn run_mode(case: &Case, cfg: &MachineConfig, compiled: bool) -> ModeResult {
-    let mut config = cfg.clone();
-    config.compiled_exec = compiled;
-    let (ns, (stats, store)) = best_of(3, || {
-        let mut store = case.base.clone();
-        let stats = execute_blocked(&case.kernel, &case.params, &mut store, &config, false)
-            .expect("execution succeeds");
-        (stats.compute_ns as f64, (stats, store))
-    });
-    ModeResult {
-        stats,
-        store,
-        min_compute_ns: ns as u64,
-    }
-}
-
-fn run_case(case: &Case) -> KernelResult {
-    let reference = case.reference();
-    let mut machines = Vec::new();
-    for (label, cfg) in [
-        ("gpu", MachineConfig::geforce_8800_gtx()),
-        ("cell", MachineConfig::cell_like()),
-    ] {
-        let interp = run_mode(case, &cfg, false);
-        let compiled = run_mode(case, &cfg, true);
-        let bit_exact = case.output_matches(&interp.store, &reference)
-            && case.output_matches(&compiled.store, &reference);
-        // `ExecStats` equality compares every deterministic counter
-        // (instances, memory traffic, plan-cache hits, modeled cycles,
-        // DMA) and ignores wall-clock compute time.
-        let stats_equal = interp.stats == compiled.stats;
-        machines.push(MachineResult {
-            machine: label,
-            interp,
-            compiled,
-            bit_exact,
-            stats_equal,
-        });
-    }
-    KernelResult {
-        name: case.name,
-        machines,
-    }
-}
-
-fn render_json(mode: &str, kernels: &[KernelResult], target: f64, pass: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"name\": \"{}\",\n      \"runs\": [\n",
-            json_escape_free(k.name)
-        ));
-        for (j, m) in k.machines.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"machine\": \"{}\", \"interp_compute_ns\": {}, \
-                 \"compiled_compute_ns\": {}, \"speedup\": {:.2}, \
-                 \"instances\": {}, \"bit_exact\": {}, \"stats_equal\": {} }}{}\n",
-                json_escape_free(m.machine),
-                m.interp.min_compute_ns,
-                m.compiled.min_compute_ns,
-                m.speedup(),
-                m.compiled.stats.instances,
-                m.bit_exact,
-                m.stats_equal,
-                if j + 1 == k.machines.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 == kernels.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"speedup_target\": {target:.1},\n  \"pass\": {pass}\n}}\n"
-    ));
-    out
+/// Compute-phase speedup: interpreted over compiled best-of-three
+/// compute time.
+fn speedup(c: &Cell) -> f64 {
+    c.stats[0].compute_ns as f64 / c.stats[1].compute_ns.max(1) as f64
 }
 
 fn main() {
@@ -153,58 +48,60 @@ fn main() {
         "compiled-execution harness ({mode} mode{})\n",
         if check { ", oracle cross-check on" } else { "" }
     );
-    let mut results = Vec::new();
-    for case in seq_cases(smoke) {
-        let r = run_case(&case);
-        for m in &r.machines {
-            println!(
-                "{:<9} [{:<4}] compute {:>12} -> {:>12} ns ({:6.2}x)  instances {:>8}  bit-exact: {}  stats: {}",
-                r.name,
-                m.machine,
-                m.interp.min_compute_ns,
-                m.compiled.min_compute_ns,
-                m.speedup(),
-                m.compiled.stats.instances,
-                if m.bit_exact { "yes" } else { "NO" },
-                if m.stats_equal { "equal" } else { "DIFFER" },
-            );
-        }
-        results.push(r);
-    }
+    let cases = seq_cases(smoke);
+    let machines = [
+        ("gpu", MachineConfig::geforce_8800_gtx()),
+        ("cell", MachineConfig::cell_like()),
+    ];
+    let modes: [(_, fn(&mut MachineConfig)); 2] = [
+        ("interp", |c| c.compiled_exec = false),
+        ("compiled", |c| c.compiled_exec = true),
+    ];
 
     let mut failures = Vec::new();
-
-    // Both engines bit-exact against the reference, identical
-    // counters, on every kernel and both machines.
-    for r in &results {
-        for m in &r.machines {
-            if !m.bit_exact {
-                failures.push(format!("{}[{}]: output mismatch", r.name, m.machine));
-            }
-            if !m.stats_equal {
-                failures.push(format!("{}[{}]: counter mismatch", r.name, m.machine));
-            }
+    let mut runs = Vec::new();
+    for c in sweep(&cases, &machines, &modes, 3) {
+        let (interp, compiled) = (&c.stats[0], &c.stats[1]);
+        // `ExecStats` equality compares every deterministic counter
+        // (instances, memory traffic, plan-cache hits, modeled cycles,
+        // DMA) and ignores wall-clock compute time.
+        let stats_equal = interp == compiled;
+        println!(
+            "{:<9} [{:<4}] compute {:>12} -> {:>12} ns ({:6.2}x)  instances {:>8}  bit-exact: {}  stats: {}",
+            c.kernel,
+            c.machine,
+            interp.compute_ns,
+            compiled.compute_ns,
+            speedup(&c),
+            compiled.instances,
+            if c.bit_exact { "yes" } else { "NO" },
+            if stats_equal { "equal" } else { "DIFFER" },
+        );
+        // Both engines bit-exact against the reference, identical
+        // counters, on every kernel and both machines.
+        if !c.bit_exact {
+            failures.push(format!("{}[{}]: output mismatch", c.kernel, c.machine));
         }
+        if !stats_equal {
+            failures.push(format!("{}[{}]: counter mismatch", c.kernel, c.machine));
+        }
+        // The speedup gate: compute-phase-dominated kernels must get at
+        // least `target`x from the compiled engine. Full mode only —
+        // smoke sizes finish in microseconds and measure the timer.
+        if !smoke && ["matmul", "jacobi2d"].contains(&c.kernel) && speedup(&c) < target {
+            failures.push(format!(
+                "{}[{}]: compute speedup {:.2}x below {target}x",
+                c.kernel,
+                c.machine,
+                speedup(&c)
+            ));
+        }
+        runs.push(c.to_json([
+            ("stats_equal", stats_equal.into()),
+            ("speedup", Json::fixed(speedup(&c), 2)),
+        ]));
     }
 
-    // The speedup gate: compute-phase-dominated kernels must get at
-    // least `target`x from the compiled engine. Full mode only —
-    // smoke sizes finish in microseconds and measure the timer.
-    if !smoke {
-        for name in ["matmul", "jacobi2d"] {
-            let r = results.iter().find(|r| r.name == name).expect("case");
-            for m in &r.machines {
-                if m.speedup() < target {
-                    failures.push(format!(
-                        "{name}[{}]: compute speedup {:.2}x below {target}x",
-                        m.machine,
-                        m.speedup()
-                    ));
-                }
-            }
-        }
-    }
-
-    let json = render_json(mode, &results, target, failures.is_empty());
-    conclude("BENCH_exec.json", &json, &failures);
+    let body = Json::obj([("runs", runs.into()), ("speedup_target", target.into())]);
+    conclude("exec", smoke, body, &failures);
 }

@@ -24,10 +24,10 @@
 //! All gated quantities come from the deterministic cost model or
 //! deterministic counters, so the gates hold in smoke mode too.
 
-use polymem_bench::harness::{best_of, conclude, json_escape_free, smoke_mode, Case};
+use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
 use polymem_bench::{Figure, Series};
 use polymem_kernels::{conv2d, jacobi, matmul, me};
-use polymem_machine::{execute_blocked, MachineConfig, Timeline};
+use polymem_machine::{Json, MachineConfig, Timeline};
 
 struct SweepRow {
     k: i64,
@@ -42,7 +42,7 @@ impl SweepRow {
 }
 
 /// Extension 1: staged vs DRAM-only conv2d across window widths, via
-/// the figure machinery the `fig*` binaries share.
+/// the figure machinery `polymem figures` prints with.
 fn conv2d_sweep(n: i64) -> (Figure, Vec<SweepRow>) {
     let gpu = MachineConfig::geforce_8800_gtx();
     let mut dram = Series {
@@ -79,46 +79,6 @@ fn conv2d_sweep(n: i64) -> (Figure, Vec<SweepRow>) {
         series: vec![dram, staged],
     };
     (fig, rows)
-}
-
-struct CellRow {
-    machine: &'static str,
-    blocks: u64,
-    moved_in: u64,
-    moved_out: u64,
-    peak_words: u64,
-    word_bytes: u64,
-    smem_bytes: u64,
-    bit_exact: bool,
-}
-
-/// Extension 2: the same staged matmul on both machine presets.
-fn cell_comparison(n: i64) -> Vec<CellRow> {
-    let case = Case::builtin("matmul", vec![n], 1, matmul::blocked_kernel(4, 4, 8, true));
-    let reference = case.reference();
-    let mut rows = Vec::new();
-    for (machine, cfg) in [
-        ("gpu", MachineConfig::geforce_8800_gtx()),
-        ("cell", MachineConfig::cell_like()),
-    ] {
-        let (_, (stats, store)) = best_of(3, || {
-            let mut store = case.base.clone();
-            let stats = execute_blocked(&case.kernel, &case.params, &mut store, &cfg, true)
-                .expect("execution succeeds");
-            (stats.compute_ns as f64, (stats, store))
-        });
-        rows.push(CellRow {
-            machine,
-            blocks: stats.blocks,
-            moved_in: stats.moved_in,
-            moved_out: stats.moved_out,
-            peak_words: stats.max_smem_words,
-            word_bytes: cfg.word_bytes,
-            smem_bytes: cfg.smem_bytes,
-            bit_exact: case.output_matches(&store, &reference),
-        });
-    }
-    rows
 }
 
 struct TimelineRow {
@@ -160,90 +120,48 @@ fn timelines(smoke: bool) -> Vec<TimelineRow> {
     out
 }
 
-fn render_json(
-    mode: &str,
-    sweep: &[SweepRow],
-    cells: &[CellRow],
-    tls: &[TimelineRow],
-    pass: bool,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"conv2d_sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"k\": {}, \"dram_ms\": {:.3}, \"staged_ms\": {:.3}, \"gain\": {:.3} }}{}\n",
-            r.k,
-            r.dram_ms,
-            r.staged_ms,
-            r.gain(),
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"cell_comparison\": [\n");
-    for (i, r) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"machine\": \"{}\", \"blocks\": {}, \"moved_in\": {}, \"moved_out\": {}, \
-             \"peak_words\": {}, \"smem_bytes\": {}, \"bit_exact\": {} }}{}\n",
-            json_escape_free(r.machine),
-            r.blocks,
-            r.moved_in,
-            r.moved_out,
-            r.peak_words,
-            r.smem_bytes,
-            r.bit_exact,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"timelines\": [\n");
-    for (i, r) in tls.iter().enumerate() {
-        let phases = r
-            .timeline
-            .segments
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{ \"phase\": \"{}\", \"ms\": {:.4} }}",
-                    s.phase.label(),
-                    s.ms
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"total_ms\": {:.4}, \"segments\": [{}] }}{}\n",
-            json_escape_free(r.name),
-            r.timeline.total_ms,
-            phases,
-            if i + 1 == tls.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!("  ],\n  \"pass\": {pass}\n}}\n"));
-    out
-}
-
 fn main() {
     let smoke = smoke_mode();
     let mode = if smoke { "smoke" } else { "full" };
     println!("extension experiments ({mode} mode)\n");
 
-    let (fig, sweep) = conv2d_sweep(if smoke { 512 } else { 4096 });
+    let (fig, rows) = conv2d_sweep(if smoke { 512 } else { 4096 });
     println!("{}", fig.to_table());
     println!("   (the window-overlap reuse the framework captures grows with k^2)\n");
 
-    let cells = cell_comparison(if smoke { 8 } else { 16 });
+    let mut failures = Vec::new();
+
+    // Extension 2: the same staged matmul on both machine presets.
+    let n = if smoke { 8 } else { 16 };
+    let case = Case::builtin("matmul", vec![n], 1, matmul::blocked_kernel(4, 4, 8, true));
+    let machines = [
+        ("gpu", MachineConfig::geforce_8800_gtx()),
+        ("cell", MachineConfig::cell_like()),
+    ];
     println!("== Extension 2: same staged kernel on GPU-like vs Cell-like ==");
-    for r in &cells {
+    let mut cells = Vec::new();
+    for (c, (_, cfg)) in sweep(&[case], &machines, &[("staged", |_| {})], 3).zip(&machines) {
+        let s = &c.stats[0];
         println!(
             "  [{:<4}] {} blocks, moved in/out {}/{}, peak {} words ({} B limit), bit-exact: {}",
-            r.machine,
-            r.blocks,
-            r.moved_in,
-            r.moved_out,
-            r.peak_words,
-            r.smem_bytes,
-            if r.bit_exact { "yes" } else { "NO" },
+            c.machine,
+            s.blocks,
+            s.moved_in,
+            s.moved_out,
+            s.max_smem_words,
+            cfg.smem_bytes,
+            if c.bit_exact { "yes" } else { "NO" },
         );
+        if !c.bit_exact {
+            failures.push(format!("matmul[{}]: output mismatch", c.machine));
+        }
+        if s.max_smem_words * c.word_bytes > cfg.smem_bytes {
+            failures.push(format!(
+                "matmul[{}]: peak {} words exceeds the {} B local store",
+                c.machine, s.max_smem_words, cfg.smem_bytes
+            ));
+        }
+        cells.push(c.to_json([("smem_bytes", cfg.smem_bytes.into())]));
     }
 
     let tls = timelines(smoke);
@@ -253,13 +171,12 @@ fn main() {
         print!("{}", r.timeline.render(64));
     }
 
-    let mut failures = Vec::new();
-    for r in &sweep {
+    for r in &rows {
         if r.staged_ms >= r.dram_ms {
             failures.push(format!("conv2d k={}: staging did not win", r.k));
         }
     }
-    for w in sweep.windows(2) {
+    for w in rows.windows(2) {
         if w[1].gain() <= w[0].gain() {
             failures.push(format!(
                 "conv2d: gain did not grow from k={} ({:.2}x) to k={} ({:.2}x)",
@@ -267,17 +184,6 @@ fn main() {
                 w[0].gain(),
                 w[1].k,
                 w[1].gain()
-            ));
-        }
-    }
-    for r in &cells {
-        if !r.bit_exact {
-            failures.push(format!("matmul[{}]: output mismatch", r.machine));
-        }
-        if r.peak_words * r.word_bytes > r.smem_bytes {
-            failures.push(format!(
-                "matmul[{}]: peak {} words exceeds the {} B local store",
-                r.machine, r.peak_words, r.smem_bytes
             ));
         }
     }
@@ -291,6 +197,38 @@ fn main() {
         }
     }
 
-    let json = render_json(mode, &sweep, &cells, &tls, failures.is_empty());
-    conclude("BENCH_extensions.json", &json, &failures);
+    let ms = |x: f64| Json::fixed(x, 4);
+    let body = Json::obj([
+        (
+            "conv2d_sweep",
+            rows.iter()
+                .map(|r| {
+                    Json::obj([
+                        ("k", r.k.into()),
+                        ("dram_ms", Json::fixed(r.dram_ms, 3)),
+                        ("staged_ms", Json::fixed(r.staged_ms, 3)),
+                        ("gain", Json::fixed(r.gain(), 3)),
+                    ])
+                })
+                .collect(),
+        ),
+        ("cell_comparison", cells.into()),
+        (
+            "timelines",
+            tls.iter()
+                .map(|r| {
+                    let segments =
+                        r.timeline.segments.iter().map(|s| {
+                            Json::obj([("phase", s.phase.label().into()), ("ms", ms(s.ms))])
+                        });
+                    Json::obj([
+                        ("name", r.name.into()),
+                        ("total_ms", ms(r.timeline.total_ms)),
+                        ("segments", segments.collect()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    conclude("extensions", smoke, body, &failures);
 }

@@ -26,10 +26,10 @@
 //! cargo run --release -p polymem-bench --bin machines -- --smoke # CI
 //! ```
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode};
+use polymem_bench::harness::{conclude, smoke_mode};
 use polymem_ir::{exec_program, ArrayStore};
 use polymem_kernels::tunespace;
-use polymem_machine::{desc, execute_blocked, tune, MachineConfig, TuneOptions};
+use polymem_machine::{desc, execute_blocked, tune, ExecStats, Json, MachineConfig, TuneOptions};
 
 const KERNELS: [&str; 5] = ["matmul", "me", "jacobi", "jacobi2d", "conv2d"];
 const MACHINES: [&str; 4] = ["gpu", "cell", "pim", "spatial"];
@@ -39,13 +39,31 @@ struct RunRow {
     kernel: &'static str,
     machine: &'static str,
     exact: bool,
+    word_bytes: u64,
+    stats: ExecStats,
+}
+
+impl RunRow {
     /// Bytes staged into local memory across the launch (the mapping
     /// decision under test: 0 when Algorithm 1 declines every group).
-    moved_in_bytes: u64,
-    moved_out_bytes: u64,
-    /// Peak scratchpad words of any block.
-    smem_words: u64,
-    modeled_cycles: u64,
+    fn moved_in_bytes(&self) -> u64 {
+        self.stats.moved_in * self.word_bytes
+    }
+
+    fn moved_out_bytes(&self) -> u64 {
+        self.stats.moved_out * self.word_bytes
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kernel", self.kernel.into()),
+            ("machine", self.machine.into()),
+            ("exact", self.exact.into()),
+            ("moved_in_bytes", self.moved_in_bytes().into()),
+            ("moved_out_bytes", self.moved_out_bytes().into()),
+            ("stats", self.stats.to_json()),
+        ])
+    }
 }
 
 /// One kernel × machine autotune outcome.
@@ -60,6 +78,19 @@ struct TuneRow {
     winner_cycles: u64,
     simulated: usize,
     total: usize,
+}
+
+impl TuneRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kernel", self.kernel.into()),
+            ("machine", self.machine.into()),
+            ("winner", self.winner.as_str().into()),
+            ("winner_cycles", self.winner_cycles.into()),
+            ("simulated", self.simulated.into()),
+            ("candidates", self.total.into()),
+        ])
+    }
 }
 
 fn machine_config(name: &str) -> MachineConfig {
@@ -83,10 +114,8 @@ fn run_preset(name: &'static str, mlabel: &'static str, size: i64) -> RunRow {
         kernel: name,
         machine: mlabel,
         exact,
-        moved_in_bytes: stats.moved_in * cfg.word_bytes,
-        moved_out_bytes: stats.moved_out * cfg.word_bytes,
-        smem_words: stats.max_smem_words,
-        modeled_cycles: stats.modeled_cycles,
+        word_bytes: cfg.word_bytes,
+        stats,
     }
 }
 
@@ -113,43 +142,6 @@ fn tune_machine(name: &'static str, mlabel: &'static str, size: i64, dir: &str) 
         simulated: out.simulated,
         total: out.total,
     }
-}
-
-fn render_json(mode: &str, runs: &[RunRow], tunes: &[TuneRow], pass: bool) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"machine\": \"{}\", \"exact\": {}, \
-             \"moved_in_bytes\": {}, \"moved_out_bytes\": {}, \"smem_words\": {}, \
-             \"modeled_cycles\": {} }}{}\n",
-            json_escape_free(r.kernel),
-            json_escape_free(r.machine),
-            r.exact,
-            r.moved_in_bytes,
-            r.moved_out_bytes,
-            r.smem_words,
-            r.modeled_cycles,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ],\n  \"tunes\": [\n");
-    for (i, t) in tunes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"machine\": \"{}\", \"winner\": \"{}\", \
-             \"winner_cycles\": {}, \"simulated\": {}, \"candidates\": {} }}{}\n",
-            json_escape_free(t.kernel),
-            json_escape_free(t.machine),
-            json_escape_free(&t.winner),
-            t.winner_cycles,
-            t.simulated,
-            t.total,
-            if i + 1 == tunes.len() { "" } else { "," }
-        ));
-    }
-    s.push_str(&format!("  ],\n  \"pass\": {pass}\n}}\n"));
-    s
 }
 
 fn main() {
@@ -180,10 +172,10 @@ fn main() {
                 r.kernel,
                 r.machine,
                 if r.exact { "yes" } else { "NO" },
-                r.moved_in_bytes,
-                r.moved_out_bytes,
-                r.smem_words,
-                r.modeled_cycles,
+                r.moved_in_bytes(),
+                r.moved_out_bytes(),
+                r.stats.max_smem_words,
+                r.stats.modeled_cycles,
             );
             runs.push(r);
         }
@@ -222,7 +214,7 @@ fn main() {
     let moved = |machine: &str, kernel: &str| {
         runs.iter()
             .find(|r| r.machine == machine && r.kernel == kernel)
-            .map(|r| r.moved_in_bytes)
+            .map(|r| r.moved_in_bytes())
             .unwrap_or(0)
     };
     let mut pim_strictly_fewer = 0usize;
@@ -275,6 +267,9 @@ fn main() {
         ));
     }
 
-    let json = render_json(mode, &runs, &tunes, failures.is_empty());
-    conclude("BENCH_machines.json", &json, &failures);
+    let body = Json::obj([
+        ("runs", runs.iter().map(RunRow::to_json).collect()),
+        ("tunes", tunes.iter().map(TuneRow::to_json).collect()),
+    ]);
+    conclude("machines", smoke, body, &failures);
 }

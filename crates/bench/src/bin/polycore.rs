@@ -29,11 +29,11 @@
 //! skips the speedup assertion (timings on CI runners are noise) but
 //! still fails on panics, output mismatches, or oracle disagreement.
 
-use polymem_bench::harness::{best_of, conclude, json_escape_free, smoke_mode, Case};
+use polymem_bench::harness::{best_of, conclude, smoke_mode, Case};
 use polymem_core::smem::{analyze_program_timed, PassTimes, SmemConfig};
 use polymem_ir::ArrayStore;
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
-use polymem_machine::{execute_blocked, MachineConfig};
+use polymem_machine::{execute_blocked, Json, MachineConfig};
 use polymem_poly::cache::{poly_core_reset, poly_core_stats, set_naive_mode, PolyCoreStats};
 use polymem_poly::{Constraint, Polyhedron, Space};
 use std::time::Instant;
@@ -168,6 +168,41 @@ impl KernelResult {
     /// This is the quantity the ≥2× regression gate asserts.
     fn speedup(&self) -> f64 {
         self.core_naive_ms / self.core_fast_ms.max(1e-9)
+    }
+
+    fn to_json(&self) -> Json {
+        let ms = |x: f64| Json::fixed(x, 4);
+        Json::obj([
+            ("name", self.name.into()),
+            ("analyze_ms_fast", ms(self.analyze_fast_ms)),
+            ("analyze_ms_naive", ms(self.analyze_naive_ms)),
+            ("core_ms_fast", ms(self.core_fast_ms)),
+            ("core_ms_naive", ms(self.core_naive_ms)),
+            ("compiler_speedup", Json::fixed(self.speedup(), 3)),
+            (
+                "pass_ms",
+                Json::obj(self.pass_ms.iter().map(|(name, t)| (*name, ms(*t)))),
+            ),
+            ("cache_hits", self.stats.cache_hits.into()),
+            ("cache_misses", self.stats.cache_misses.into()),
+            ("cache_hit_rate", ms(self.stats.hit_rate())),
+            ("fm_rows_generated", self.stats.fm_rows_generated.into()),
+            ("fm_rows_pruned", self.stats.fm_rows_pruned.into()),
+            (
+                "runs",
+                self.machines
+                    .iter()
+                    .map(|m| {
+                        Json::obj([
+                            ("machine", m.machine.into()),
+                            ("run_ms_fast", ms(m.run_fast_ms)),
+                            ("run_ms_naive", ms(m.run_naive_ms)),
+                            ("bit_exact", m.bit_exact.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ])
     }
 }
 
@@ -355,85 +390,6 @@ fn figures_ok() -> bool {
     ok
 }
 
-fn render_json(
-    mode: &str,
-    kernels: &[KernelResult],
-    oracle: (usize, usize, usize),
-    figures: Option<bool>,
-    target: f64,
-    pass: bool,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"name\": \"{}\",\n",
-            json_escape_free(k.name)
-        ));
-        out.push_str(&format!(
-            "      \"analyze_ms_fast\": {:.4},\n      \"analyze_ms_naive\": {:.4},\n",
-            k.analyze_fast_ms, k.analyze_naive_ms,
-        ));
-        out.push_str(&format!(
-            "      \"core_ms_fast\": {:.4},\n      \"core_ms_naive\": {:.4},\n      \"compiler_speedup\": {:.3},\n",
-            k.core_fast_ms,
-            k.core_naive_ms,
-            k.speedup()
-        ));
-        out.push_str("      \"pass_ms\": {");
-        for (j, (name, ms)) in k.pass_ms.iter().enumerate() {
-            out.push_str(&format!(
-                "{}\"{}\": {:.4}",
-                if j == 0 { " " } else { ", " },
-                json_escape_free(name),
-                ms
-            ));
-        }
-        out.push_str(" },\n");
-        out.push_str(&format!(
-            "      \"cache_hits\": {},\n      \"cache_misses\": {},\n      \"cache_hit_rate\": {:.4},\n",
-            k.stats.cache_hits,
-            k.stats.cache_misses,
-            k.stats.hit_rate()
-        ));
-        out.push_str(&format!(
-            "      \"fm_rows_generated\": {},\n      \"fm_rows_pruned\": {},\n",
-            k.stats.fm_rows_generated, k.stats.fm_rows_pruned
-        ));
-        out.push_str("      \"runs\": [\n");
-        for (j, m) in k.machines.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"machine\": \"{}\", \"run_ms_fast\": {:.4}, \"run_ms_naive\": {:.4}, \"bit_exact\": {} }}{}\n",
-                json_escape_free(m.machine),
-                m.run_fast_ms,
-                m.run_naive_ms,
-                m.bit_exact,
-                if j + 1 == k.machines.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 == kernels.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"emptiness_oracle\": {{ \"systems\": {}, \"disagreements\": {}, \"fm_tightening_extra\": {} }},\n",
-        oracle.0, oracle.1, oracle.2
-    ));
-    match figures {
-        Some(ok) => out.push_str(&format!("  \"figures_ok\": {ok},\n")),
-        None => out.push_str("  \"figures_ok\": null,\n"),
-    }
-    out.push_str(&format!(
-        "  \"speedup_target\": {target:.1},\n  \"pass\": {pass}\n}}\n"
-    ));
-    out
-}
-
 fn main() {
     let smoke = smoke_mode();
     let mode = if smoke { "smoke" } else { "full" };
@@ -523,6 +479,21 @@ fn main() {
         }
     }
 
-    let json = render_json(mode, &results, oracle, figures, target, failures.is_empty());
-    conclude("BENCH_polycore.json", &json, &failures);
+    let body = Json::obj([
+        (
+            "kernels",
+            results.iter().map(KernelResult::to_json).collect(),
+        ),
+        (
+            "emptiness_oracle",
+            Json::obj([
+                ("systems", oracle.0.into()),
+                ("disagreements", oracle.1.into()),
+                ("fm_tightening_extra", oracle.2.into()),
+            ]),
+        ),
+        ("figures_ok", figures.into()),
+        ("speedup_target", target.into()),
+    ]);
+    conclude("polycore", smoke, body, &failures);
 }

@@ -30,10 +30,9 @@
 //! All asserted quantities are modeled (deterministic integer counts),
 //! so the gates hold on noisy CI runners too.
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode, Case};
-use polymem_ir::ArrayStore;
+use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
-use polymem_machine::{execute_blocked, ExecStats, MachineConfig};
+use polymem_machine::{ExecStats, Json, MachineConfig};
 
 /// A harness case plus residency-specific knobs: whether the 2x
 /// traffic gate applies, and whether to use the merged (Fig. 1)
@@ -127,144 +126,28 @@ fn cases(smoke: bool) -> Vec<ResCase> {
     ]
 }
 
-struct ModeResult {
-    stats: ExecStats,
-    store: ArrayStore,
-    /// Bytes entering the compute level from global memory: staged
-    /// move-ins plus direct (unstaged) reads.
-    in_bytes: u64,
-}
-
-struct RunResult {
-    machine: &'static str,
-    double_buffer: bool,
-    off: ModeResult,
-    on: ModeResult,
-    bit_exact: bool,
-}
-
-struct KernelResult {
-    name: &'static str,
-    gated: bool,
-    runs: Vec<RunResult>,
-}
-
-impl RunResult {
-    /// Move-in traffic ratio, off over on (>1: residency saved bytes).
-    fn traffic_ratio(&self) -> f64 {
-        self.off.in_bytes as f64 / self.on.in_bytes.max(1) as f64
-    }
-    fn label(&self) -> String {
-        format!(
-            "{}{}",
-            self.machine,
-            if self.double_buffer { "+db" } else { "" }
-        )
-    }
-}
-
+/// Bytes entering the compute level from global memory: staged
+/// move-ins plus direct (unstaged) reads.
 fn in_bytes(s: &ExecStats, word_bytes: u64) -> u64 {
     (s.moved_in + s.global_reads) * word_bytes
 }
 
-fn run_case(rc: &ResCase) -> KernelResult {
-    let case = &rc.case;
-    let reference = case.reference();
-    let mut runs = Vec::new();
-    for (label, cfg) in [
-        ("gpu", MachineConfig::geforce_8800_gtx()),
-        ("cell", MachineConfig::cell_like()),
-    ] {
-        for double_buffer in [false, true] {
-            let run = |residency: bool| {
-                let mut config = cfg.clone();
-                config.double_buffer = double_buffer;
-                config.residency = residency;
-                if rc.merged_layout {
-                    config.partition = false;
-                }
-                let mut store = case.base.clone();
-                let stats = execute_blocked(&case.kernel, &case.params, &mut store, &config, false)
-                    .expect("execution succeeds");
-                let ib = in_bytes(&stats, config.word_bytes);
-                ModeResult {
-                    stats,
-                    store,
-                    in_bytes: ib,
-                }
-            };
-            let off = run(false);
-            let on = run(true);
-            let bit_exact = case.output_matches(&off.store, &reference)
-                && case.output_matches(&on.store, &reference);
-            runs.push(RunResult {
-                machine: label,
-                double_buffer,
-                off,
-                on,
-                bit_exact,
-            });
-        }
-    }
-    KernelResult {
-        name: case.name,
-        gated: rc.gated,
-        runs,
-    }
-}
-
-fn mode_json(m: &ModeResult) -> String {
-    let s = &m.stats;
-    format!(
-        "{{ \"modeled_cycles\": {}, \"moved_in\": {}, \"global_reads\": {}, \
-         \"in_bytes\": {}, \"dma_bytes\": {}, \"residency_groups\": {}, \
-         \"retained_elems\": {}, \"delta_elems\": {}, \"interpreted_blocks\": {} }}",
-        s.modeled_cycles,
-        s.moved_in,
-        s.global_reads,
-        m.in_bytes,
-        s.dma.bytes,
-        s.residency_groups,
-        s.retained_elems,
-        s.delta_elems,
-        s.interpreted_blocks,
-    )
-}
-
-fn render_json(mode: &str, kernels: &[KernelResult], target: f64, pass: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"name\": \"{}\",\n      \"traffic_gated\": {},\n",
-            json_escape_free(k.name),
-            k.gated
-        ));
-        out.push_str("      \"runs\": [\n");
-        for (j, r) in k.runs.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"machine\": \"{}\", \"double_buffer\": {},\n          \"residency_off\": {},\n          \"residency_on\": {},\n          \"bit_exact\": {}, \"traffic_ratio\": {:.4} }}{}\n",
-                json_escape_free(r.machine),
-                r.double_buffer,
-                mode_json(&r.off),
-                mode_json(&r.on),
-                r.bit_exact,
-                r.traffic_ratio(),
-                if j + 1 == k.runs.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 == kernels.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"traffic_target\": {target:.1},\n  \"pass\": {pass}\n}}\n"
-    ));
-    out
+/// Both machine models, synchronous and double-buffered (`+db`), in
+/// the Fig. 1 single-buffer layout when `merged_layout`.
+fn machines(merged_layout: bool) -> Vec<(&'static str, MachineConfig)> {
+    [
+        ("gpu", MachineConfig::geforce_8800_gtx(), false),
+        ("gpu+db", MachineConfig::geforce_8800_gtx(), true),
+        ("cell", MachineConfig::cell_like(), false),
+        ("cell+db", MachineConfig::cell_like(), true),
+    ]
+    .into_iter()
+    .map(|(label, mut config, double_buffer)| {
+        config.double_buffer = double_buffer;
+        config.partition &= !merged_layout;
+        (label, config)
+    })
+    .collect()
 }
 
 fn main() {
@@ -273,91 +156,83 @@ fn main() {
     let target = 2.0;
 
     println!("inter-block residency harness ({mode} mode)\n");
-    let mut results = Vec::new();
-    for rc in cases(smoke) {
-        let r = run_case(&rc);
-        for m in &r.runs {
-            println!(
-                "{:<9} [{:<7}] in-bytes {:>8} -> {:>8} ({:4.2}x)  retained {:>6} delta {:>6} groups {:>4}  cycles {:>9} -> {:>9}  bit-exact: {}",
-                r.name,
-                m.label(),
-                m.off.in_bytes,
-                m.on.in_bytes,
-                m.traffic_ratio(),
-                m.on.stats.retained_elems,
-                m.on.stats.delta_elems,
-                m.on.stats.residency_groups,
-                m.off.stats.modeled_cycles,
-                m.on.stats.modeled_cycles,
-                if m.bit_exact { "yes" } else { "NO" },
-            );
-        }
-        results.push(r);
-    }
+    let modes: [(_, fn(&mut MachineConfig)); 2] = [
+        ("residency_off", |c| c.residency = false),
+        ("residency_on", |c| c.residency = true),
+    ];
 
     let mut failures = Vec::new();
+    let mut runs = Vec::new();
+    for rc in cases(smoke) {
+        let machines = machines(rc.merged_layout);
+        for c in sweep(std::slice::from_ref(&rc.case), &machines, &modes, 1) {
+            let (off, on) = (&c.stats[0], &c.stats[1]);
+            let at = format!("{}[{}]", c.kernel, c.machine);
+            let (off_bytes, on_bytes) = (in_bytes(off, c.word_bytes), in_bytes(on, c.word_bytes));
+            // Move-in traffic ratio, off over on (>1: residency saved
+            // bytes).
+            let traffic_ratio = off_bytes as f64 / on_bytes.max(1) as f64;
+            println!(
+                "{:<9} [{:<7}] in-bytes {:>8} -> {:>8} ({:4.2}x)  retained {:>6} delta {:>6} groups {:>4}  cycles {:>9} -> {:>9}  bit-exact: {}",
+                c.kernel,
+                c.machine,
+                off_bytes,
+                on_bytes,
+                traffic_ratio,
+                on.retained_elems,
+                on.delta_elems,
+                on.residency_groups,
+                off.modeled_cycles,
+                on.modeled_cycles,
+                if c.bit_exact { "yes" } else { "NO" },
+            );
 
-    for r in &results {
-        for m in &r.runs {
             // Bit-exact in every mode, against the reference and
             // between the two settings.
-            if !m.bit_exact {
-                failures.push(format!("{}[{}]: output mismatch", r.name, m.label()));
+            if !c.bit_exact {
+                failures.push(format!("{at}: output mismatch"));
             }
             // Modeled time must never regress with residency on.
-            if m.on.stats.modeled_cycles > m.off.stats.modeled_cycles {
+            if on.modeled_cycles > off.modeled_cycles {
                 failures.push(format!(
-                    "{}[{}]: modeled cycles regressed ({} -> {})",
-                    r.name,
-                    m.label(),
-                    m.off.stats.modeled_cycles,
-                    m.on.stats.modeled_cycles
+                    "{at}: modeled cycles regressed ({} -> {})",
+                    off.modeled_cycles, on.modeled_cycles
                 ));
             }
             // The pass must leave no trace when disabled.
-            if m.off.stats.residency_groups != 0
-                || m.off.stats.retained_elems != 0
-                || m.off.stats.delta_elems != 0
-            {
+            if off.residency_groups != 0 || off.retained_elems != 0 || off.delta_elems != 0 {
                 failures.push(format!(
-                    "{}[{}]: residency counters nonzero with the pass off",
-                    r.name,
-                    m.label()
+                    "{at}: residency counters nonzero with the pass off"
                 ));
             }
             // The compiled engine must keep executing every block.
-            if m.on.stats.interpreted_blocks != 0 {
+            if on.interpreted_blocks != 0 {
                 failures.push(format!(
-                    "{}[{}]: {} interpreter fallbacks with residency on",
-                    r.name,
-                    m.label(),
-                    m.on.stats.interpreted_blocks
+                    "{at}: {} interpreter fallbacks with residency on",
+                    on.interpreted_blocks
                 ));
             }
-        }
-        // The sliding-window kernels must clear the 2x traffic gate
-        // and actually exercise retention.
-        if r.gated {
-            for m in &r.runs {
-                if m.traffic_ratio() < target {
+            // The sliding-window kernels must clear the 2x traffic gate
+            // and actually exercise retention.
+            if rc.gated {
+                if traffic_ratio < target {
                     failures.push(format!(
-                        "{}[{}]: move-in traffic ratio {:.2} below {target}",
-                        r.name,
-                        m.label(),
-                        m.traffic_ratio()
+                        "{at}: move-in traffic ratio {traffic_ratio:.2} below {target}"
                     ));
                 }
-                if m.on.stats.residency_groups == 0 || m.on.stats.retained_elems == 0 {
-                    failures.push(format!(
-                        "{}[{}]: residency counters inactive",
-                        r.name,
-                        m.label()
-                    ));
+                if on.residency_groups == 0 || on.retained_elems == 0 {
+                    failures.push(format!("{at}: residency counters inactive"));
                 }
             }
+            runs.push(c.to_json([
+                ("traffic_gated", rc.gated.into()),
+                ("in_bytes_off", off_bytes.into()),
+                ("in_bytes_on", on_bytes.into()),
+                ("traffic_ratio", Json::fixed(traffic_ratio, 4)),
+            ]));
         }
     }
 
-    let json = render_json(mode, &results, target, failures.is_empty());
-    conclude("BENCH_residency.json", &json, &failures);
+    let body = Json::obj([("runs", runs.into()), ("traffic_target", target.into())]);
+    conclude("residency", smoke, body, &failures);
 }

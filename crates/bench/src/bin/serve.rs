@@ -28,7 +28,7 @@
 //! cargo run --release -p polymem-bench --bin serve -- --smoke # CI
 //! ```
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode};
+use polymem_bench::harness::{conclude, smoke_mode};
 use polymem_kernels::builtins::launch;
 use polymem_machine::{execute_blocked, LaunchToggles};
 use polymem_serve::workload::{self, KERNELS};
@@ -55,9 +55,10 @@ impl Client {
         }
     }
 
-    fn request(&mut self, line: &str) -> Json {
-        self.out.write_all(line.as_bytes()).expect("send");
-        self.out.write_all(b"\n").expect("send");
+    fn request(&mut self, req: &Json) -> Json {
+        self.out
+            .write_all(format!("{req}\n").as_bytes())
+            .expect("send");
         self.out.flush().expect("flush");
         let mut resp = String::new();
         self.reader.read_line(&mut resp).expect("receive");
@@ -65,8 +66,19 @@ impl Client {
     }
 }
 
-fn req_line(cmd: &str, kernel: &str, machine: &str, size: i64) -> String {
-    format!(r#"{{"cmd":"{cmd}","kernel":"{kernel}","machine":"{machine}","size":{size}}}"#)
+/// A bare command (`ping`, `stats`, `shutdown`).
+fn command(cmd: &str) -> Json {
+    Json::obj([("cmd", cmd.into())])
+}
+
+/// A launch request (`run` / `analyze`).
+fn launch_req(cmd: &str, kernel: &str, machine: &str, size: i64) -> Json {
+    Json::obj([
+        ("cmd", cmd.into()),
+        ("kernel", kernel.into()),
+        ("machine", machine.into()),
+        ("size", size.into()),
+    ])
 }
 
 fn field_str(v: &Json, k: &str) -> String {
@@ -128,7 +140,7 @@ fn main() {
     let smoke = smoke_mode();
     let size: i64 = if smoke { 8 } else { 16 };
     let clients = if smoke { 2 } else { 4 };
-    let iters = if smoke { 2 } else { 4 };
+    let iters: usize = if smoke { 2 } else { 4 };
 
     let store_dir =
         std::env::temp_dir().join(format!("polymem_bench_serve_{}", std::process::id()));
@@ -157,7 +169,7 @@ fn main() {
         for kernel in KERNELS {
             for machine in MACHINES {
                 // Fresh compile through the protocol.
-                let an = c.request(&req_line("analyze", kernel, machine, size));
+                let an = c.request(&launch_req("analyze", kernel, machine, size));
                 if !is_ok(&an) {
                     failures.push(format!(
                         "cold analyze {kernel}[{machine}]: {}",
@@ -175,7 +187,7 @@ fn main() {
                 }
                 // Execute; the analyze above warmed the shared cache,
                 // so the launch must seed from it.
-                let rn = c.request(&req_line("run", kernel, machine, size));
+                let rn = c.request(&launch_req("run", kernel, machine, size));
                 if !is_ok(&rn) {
                     failures.push(format!(
                         "cold run {kernel}[{machine}]: {}",
@@ -234,7 +246,7 @@ fn main() {
                         for kernel in KERNELS {
                             for machine in MACHINES {
                                 for cmd in ["analyze", "run"] {
-                                    let resp = c.request(&req_line(cmd, kernel, machine, size));
+                                    let resp = c.request(&launch_req(cmd, kernel, machine, size));
                                     let cs = u64::from_str_radix(&field_str(&resp, "checksum"), 16)
                                         .unwrap_or(0);
                                     out.push((
@@ -304,7 +316,7 @@ fn main() {
     // Warm-hit ratio from the daemon's own counters.
     let (hits, misses) = {
         let mut c = Client::connect(addr);
-        let resp = c.request(r#"{"cmd":"stats"}"#);
+        let resp = c.request(&command("stats"));
         (field_i64(&resp, "lru_hits"), field_i64(&resp, "lru_misses"))
     };
     let warm_hit_ratio = hits as f64 / ((hits + misses).max(1)) as f64;
@@ -347,7 +359,7 @@ fn main() {
     println!("\nrestart (cold daemon, warm store):");
     {
         let mut c = Client::connect(addr);
-        let resp = c.request(r#"{"cmd":"shutdown"}"#);
+        let resp = c.request(&command("shutdown"));
         assert!(is_ok(&resp), "shutdown acknowledged");
     }
     server.join();
@@ -357,7 +369,7 @@ fn main() {
     {
         let mut c = Client::connect(server2.addr());
         for kernel in ["me", "jacobi2d"] {
-            let resp = c.request(&req_line("run", kernel, "gpu", size));
+            let resp = c.request(&launch_req("run", kernel, "gpu", size));
             let source = field_str(&resp, "plan_source");
             let analysis = field_i64(&resp, "analysis_ns");
             let checksum = field_str(&resp, "checksum");
@@ -385,57 +397,44 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // ---- report -----------------------------------------------------------
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(&format!(
-        "  \"clients\": {clients},\n  \"iterations\": {iters},\n  \"size\": {size},\n"
-    ));
-    json.push_str("  \"cases\": [\n");
-    let mut first = true;
+    let mut cases = Vec::new();
     for kernel in KERNELS {
         for machine in MACHINES {
             let r = &results[&(kernel.to_string(), machine.to_string())];
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
             let speedup = speedups
                 .iter()
                 .find(|(k, m, _)| k == kernel && m == machine)
-                .map(|(_, _, s)| *s)
-                .unwrap_or(0.0);
-            json.push_str(&format!(
-                "    {{ \"kernel\": \"{}\", \"machine\": \"{}\", \"analyze_cold_ns\": {}, \"analyze_warm_ns\": {}, \"run_first_ns\": {}, \"run_warm_ns\": {}, \"warm_samples\": {}, \"compile_speedup\": {:.2}, \"plan_source_cold\": \"{}\", \"plan_source_warm\": \"{}\", \"bit_exact\": {} }}",
-                json_escape_free(kernel),
-                json_escape_free(machine),
-                r.analyze_cold_ns,
-                r.analyze_warm_ns,
-                r.run_first_ns,
-                r.run_warm_ns,
-                r.warm_samples,
-                speedup,
-                json_escape_free(&r.source_cold),
-                json_escape_free(&r.source_warm),
-                r.bit_exact
-            ));
+                .map_or(0.0, |(_, _, s)| *s);
+            cases.push(Json::obj([
+                ("kernel", kernel.into()),
+                ("machine", machine.into()),
+                ("analyze_cold_ns", r.analyze_cold_ns.into()),
+                ("analyze_warm_ns", r.analyze_warm_ns.into()),
+                ("run_first_ns", r.run_first_ns.into()),
+                ("run_warm_ns", r.run_warm_ns.into()),
+                ("warm_samples", r.warm_samples.into()),
+                ("compile_speedup", Json::fixed(speedup, 2)),
+                ("plan_source_cold", r.source_cold.as_str().into()),
+                ("plan_source_warm", r.source_warm.as_str().into()),
+                ("bit_exact", r.bit_exact.into()),
+            ]));
         }
     }
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        "  \"throughput_rps\": {throughput:.1},\n  \"warm_hit_ratio\": {warm_hit_ratio:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"restart\": {{ \"plan_source\": \"{}\", \"analysis_ns\": {} }},\n",
-        json_escape_free(&restart_source),
-        restart_analysis_ns
-    ));
-    json.push_str(&format!(
-        "  \"speedup_target\": {target},\n  \"pass\": {}\n}}\n",
-        failures.is_empty()
-    ));
-
-    conclude("BENCH_serve.json", &json, &failures);
+    let body = Json::obj([
+        ("clients", clients.into()),
+        ("iterations", iters.into()),
+        ("size", size.into()),
+        ("cases", cases.into()),
+        ("throughput_rps", Json::fixed(throughput, 1)),
+        ("warm_hit_ratio", Json::fixed(warm_hit_ratio, 4)),
+        (
+            "restart",
+            Json::obj([
+                ("plan_source", restart_source.into()),
+                ("analysis_ns", restart_analysis_ns.into()),
+            ]),
+        ),
+        ("speedup_target", target.into()),
+    ]);
+    conclude("serve", smoke, body, &failures);
 }

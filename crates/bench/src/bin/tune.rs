@@ -31,10 +31,10 @@
 //! deterministic counters. Writes `BENCH_tune.json`; exits non-zero on
 //! any gate failure.
 
-use polymem_bench::harness::{conclude, json_escape_free, smoke_mode};
+use polymem_bench::harness::{conclude, smoke_mode};
 use polymem_ir::ArrayStore;
 use polymem_kernels::tunespace;
-use polymem_machine::{tune, MachineConfig, TuneOptions, TuneOutcome};
+use polymem_machine::{tune, Json, MachineConfig, TuneOptions, TuneOutcome};
 
 const KERNELS_FULL: [&str; 5] = ["matmul", "me", "jacobi", "jacobi2d", "conv2d"];
 const KERNELS_SMOKE: [&str; 2] = ["matmul", "me"];
@@ -126,58 +126,40 @@ struct PruneResult {
     same_winner: bool,
 }
 
+impl RunResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kernel", self.kernel.into()),
+            ("machine", self.machine.into()),
+            ("candidates", self.total.into()),
+            ("simulated", self.simulated.into()),
+            ("preset_cycles", self.preset_cycles.into()),
+            ("tuned_cycles", self.tuned_cycles.into()),
+            ("winner", self.winner.as_str().into()),
+            ("spearman", self.spearman.map(|r| Json::fixed(r, 4)).into()),
+            ("all_exact", self.all_exact.into()),
+            ("warm_plan_source", self.warm_source.into()),
+            ("warm_simulated", self.warm_simulated.into()),
+            ("warm_same_winner", self.warm_same_winner.into()),
+        ])
+    }
+}
+
 impl PruneResult {
     fn ratio(&self) -> f64 {
         self.exhaustive_simulated as f64 / self.pruned_simulated.max(1) as f64
     }
-}
 
-fn fmt_opt_f(v: Option<f64>) -> String {
-    v.map(|x| format!("{x:.4}"))
-        .unwrap_or_else(|| "null".into())
-}
-
-fn render_json(mode: &str, runs: &[RunResult], prunes: &[PruneResult], pass: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape_free(mode)));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"machine\": \"{}\", \"candidates\": {}, \"simulated\": {}, \
-             \"preset_cycles\": {}, \"tuned_cycles\": {}, \"winner\": \"{}\", \"spearman\": {}, \
-             \"all_exact\": {}, \"warm_plan_source\": \"{}\", \"warm_simulated\": {}, \
-             \"warm_same_winner\": {} }}{}\n",
-            json_escape_free(r.kernel),
-            json_escape_free(r.machine),
-            r.total,
-            r.simulated,
-            r.preset_cycles.map(|c| c.to_string()).unwrap_or_else(|| "null".into()),
-            r.tuned_cycles,
-            json_escape_free(&r.winner),
-            fmt_opt_f(r.spearman),
-            r.all_exact,
-            r.warm_source,
-            r.warm_simulated,
-            r.warm_same_winner,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("kernel", self.kernel.into()),
+            ("machine", self.machine.into()),
+            ("exhaustive_simulated", self.exhaustive_simulated.into()),
+            ("pruned_simulated", self.pruned_simulated.into()),
+            ("ratio", Json::fixed(self.ratio(), 2)),
+            ("same_winner", self.same_winner.into()),
+        ])
     }
-    out.push_str("  ],\n  \"prune\": [\n");
-    for (i, p) in prunes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"machine\": \"{}\", \"exhaustive_simulated\": {}, \
-             \"pruned_simulated\": {}, \"ratio\": {:.2}, \"same_winner\": {} }}{}\n",
-            json_escape_free(p.kernel),
-            json_escape_free(p.machine),
-            p.exhaustive_simulated,
-            p.pruned_simulated,
-            p.ratio(),
-            p.same_winner,
-            if i + 1 == prunes.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!("  ],\n  \"pass\": {pass}\n}}\n"));
-    out
 }
 
 fn main() {
@@ -250,7 +232,7 @@ fn main() {
                     .unwrap_or_else(|| "-".into()),
                 r.tuned_cycles,
                 r.winner,
-                fmt_opt_f(r.spearman),
+                r.spearman.map_or("null".into(), |rho| format!("{rho:.4}")),
                 r.warm_source,
                 r.warm_simulated,
             );
@@ -378,6 +360,9 @@ fn main() {
         }
     }
 
-    let json = render_json(mode, &runs, &prunes, failures.is_empty());
-    conclude("BENCH_tune.json", &json, &failures);
+    let body = Json::obj([
+        ("runs", runs.iter().map(RunResult::to_json).collect()),
+        ("prune", prunes.iter().map(PruneResult::to_json).collect()),
+    ]);
+    conclude("tune", smoke, body, &failures);
 }

@@ -4,16 +4,21 @@
 //! Each binary benches the five built-in kernels on the machine
 //! models, checks outputs against the reference interpreter, gates on
 //! a bench-specific quantity, writes a JSON report and exits non-zero
-//! on any failure. The case bookkeeping, best-of-N timing,
-//! bit-exactness plumbing and report ritual are identical across them
+//! on any failure. The case bookkeeping, the kernel × machine ×
+//! toggle-mode loop ([`sweep`]: best-of-N runs, bit-exactness against
+//! the reference, full [`ExecStats`] per mode) and the report ritual
+//! ([`conclude`]: one envelope, one writer) are identical across them
 //! and live here; each binary keeps only its own problem sizes, tiles,
-//! measured quantities and gates — program, initialiser and checked
-//! array come from the built-in kernel table.
+//! mode table, derived ratios, printed row and gates — program,
+//! initialiser and checked array come from the built-in kernel table,
+//! counter names from [`ExecStats::to_json`].
 
 use polymem_ir::{exec_program, ArrayStore, Program};
 use polymem_kernels::builtins::Builtin;
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
-use polymem_machine::BlockedKernel;
+use polymem_machine::{
+    execute_blocked, BlockedKernel, ExecStats, Json, MachineConfig, STATS_SCHEMA,
+};
 
 /// One benchable kernel: a program, its blocked mapping, concrete
 /// parameters, an initialized input store and the output array to
@@ -52,18 +57,91 @@ impl Case {
         }
     }
 
-    /// Run the reference interpreter on a clone of the base store.
-    pub fn reference(&self) -> ArrayStore {
+    /// The checked output array after the reference interpreter ran
+    /// on a clone of the base store.
+    fn reference_output(&self) -> Vec<i64> {
         let mut st = self.base.clone();
         exec_program(&self.program, &self.params, &mut st).expect("reference interpreter");
-        st
+        st.data(self.check).expect("reference output").to_vec()
     }
+}
 
-    /// Whether `store`'s checked output equals the reference's.
-    pub fn output_matches(&self, store: &ArrayStore, reference: &ArrayStore) -> bool {
-        store.data(self.check).expect("output")
-            == reference.data(self.check).expect("reference output")
+/// One kernel × machine cell of a [`sweep`].
+pub struct Cell {
+    /// Kernel name ([`Case::name`]).
+    pub kernel: &'static str,
+    /// Machine label as passed to [`sweep`].
+    pub machine: &'static str,
+    /// The machine's element size, for byte-denominated ratios.
+    pub word_bytes: u64,
+    /// Per mode, in mode-table order: the stats of the run with the
+    /// least compute time — so `compute_ns` is the best-of-N figure.
+    pub stats: Vec<ExecStats>,
+    /// Every mode's checked output equals the reference interpreter's.
+    pub bit_exact: bool,
+    labels: Vec<&'static str>,
+}
+
+impl Cell {
+    /// The report row: `kernel`, `machine`, `bit_exact`, the full
+    /// stats of each mode under `modes.<label>`, then the binary's
+    /// `derived` quantities.
+    pub fn to_json(&self, derived: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        let modes = self.labels.iter().zip(&self.stats);
+        let mut row = vec![
+            ("kernel", self.kernel.into()),
+            ("machine", self.machine.into()),
+            ("bit_exact", self.bit_exact.into()),
+            ("modes", Json::obj(modes.map(|(l, s)| (*l, s.to_json())))),
+        ];
+        row.extend(derived);
+        Json::obj(row)
     }
+}
+
+/// The loop every toggle harness shares: each case on each machine
+/// under each mode — a label plus what it sets on a clone of the
+/// machine's configuration — executed sequentially `reps` times from a
+/// fresh clone of the inputs, keeping the run with the least compute
+/// time and comparing its output with the reference interpreter's.
+/// Cells are produced lazily, in case-major order, so a harness prints
+/// each row as it completes.
+pub fn sweep<'a, F: Fn(&mut MachineConfig)>(
+    cases: &'a [Case],
+    machines: &'a [(&'static str, MachineConfig)],
+    modes: &'a [(&'static str, F)],
+    reps: usize,
+) -> impl Iterator<Item = Cell> + 'a {
+    cases.iter().flat_map(move |case| {
+        let reference = case.reference_output();
+        machines.iter().map(move |(machine, base)| {
+            let mut bit_exact = true;
+            let stats = modes
+                .iter()
+                .map(|(_, apply)| {
+                    let mut config = base.clone();
+                    apply(&mut config);
+                    let (_, (stats, store)) = best_of(reps, || {
+                        let mut store = case.base.clone();
+                        let stats =
+                            execute_blocked(&case.kernel, &case.params, &mut store, &config, false)
+                                .expect("execution succeeds");
+                        (stats.compute_ns as f64, (stats, store))
+                    });
+                    bit_exact &= store.data(case.check).expect("output") == reference;
+                    stats
+                })
+                .collect();
+            Cell {
+                kernel: case.name,
+                machine,
+                word_bytes: base.word_bytes,
+                stats,
+                bit_exact,
+                labels: modes.iter().map(|(label, _)| *label).collect(),
+            }
+        })
+    })
 }
 
 /// The five kernels in their sequential-sub-tile mappings, at the
@@ -140,25 +218,30 @@ pub fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// All strings the harnesses emit into JSON are static identifiers;
-/// assert that rather than escaping.
-pub fn json_escape_free(s: &str) -> &str {
-    assert!(
-        s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()),
-        "bench JSON strings must not need escaping: {s:?}"
-    );
-    s
-}
-
-/// Write the report, print the failures, and exit — zero iff there
-/// were none. The caller embeds `failures.is_empty()` in the JSON as
-/// its `pass` field before calling.
-pub fn conclude(path: &str, json: &str, failures: &[String]) -> ! {
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+/// Write `BENCH_<bench>.json` — the envelope every report shares
+/// (`bench`, `schema`, `mode`, `pass`) followed by the fields of
+/// `body` — print the failures, and exit: zero iff there were none.
+pub fn conclude(bench: &str, smoke: bool, body: Json, failures: &[String]) -> ! {
+    let Json::Obj(body) = body else {
+        panic!("a report body is an object");
+    };
+    let pass = failures.is_empty();
+    let mode = if smoke { "smoke" } else { "full" };
+    let mut report: Vec<(String, Json)> = [
+        ("bench", Json::from(bench)),
+        ("schema", STATS_SCHEMA.into()),
+        ("mode", mode.into()),
+        ("pass", pass.into()),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+    .into();
+    report.extend(body);
+    let path = format!("BENCH_{bench}.json");
+    std::fs::write(&path, Json::Obj(report).pretty())
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
     for f in failures {
         eprintln!("FAILED: {f}");
     }
-    let pass = failures.is_empty();
     println!("\nwrote {path} (pass: {pass})");
     std::process::exit(if pass { 0 } else { 1 });
 }
@@ -179,8 +262,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not need escaping")]
-    fn json_escape_free_rejects_quotes() {
-        json_escape_free("a\"b");
+    fn sweep_runs_every_mode_and_rows_carry_full_stats() {
+        let cases: Vec<Case> = seq_cases(true)
+            .into_iter()
+            .filter(|c| c.name == "matmul")
+            .collect();
+        let modes: [(_, fn(&mut MachineConfig)); 2] = [
+            ("off", |c| c.hierarchy = false),
+            ("on", |c| c.hierarchy = true),
+        ];
+        let gpu = [("gpu", MachineConfig::geforce_8800_gtx())];
+        let cells: Vec<Cell> = sweep(&cases, &gpu, &modes, 1).collect();
+        let [cell] = &cells[..] else {
+            panic!("one case on one machine is one cell");
+        };
+        assert!(cell.bit_exact);
+        let [off, on] = &cell.stats[..] else {
+            panic!("one stats block per mode");
+        };
+        assert_eq!((off.hier_groups, on.hier_groups > 0), (0, true));
+        let row = cell.to_json([("extra", 7u64.into())]);
+        assert_eq!(row.get("kernel").and_then(Json::as_str), Some("matmul"));
+        let on_json = row.get("modes").and_then(|m| m.get("on")).expect("mode");
+        assert_eq!(on_json, &on.to_json());
+        assert_eq!(row.get("extra").and_then(Json::as_i64), Some(7));
+        assert_eq!(Json::parse(&row.pretty()), Some(row));
     }
 }

@@ -1,12 +1,12 @@
 //! Figure-reproduction harness for the paper's evaluation (§6).
 //!
 //! The paper's quantitative results are Figures 4–8 (there are no
-//! numbered tables). Each `fig*` binary in `src/bin/` regenerates the
-//! corresponding figure's series on the simulated GeForce 8800 GTX and
-//! prints the same rows the paper plots; `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison. This library holds the shared
+//! numbered tables). `polymem figures [N]` regenerates each figure's
+//! series on the simulated GeForce 8800 GTX and prints the same rows
+//! the paper plots; `EXPERIMENTS.md` records the paper-vs-measured
+//! comparison. This library holds the shared
 //! series/reporting machinery plus the per-figure generators, so the
-//! binaries stay thin and integration tests can assert the *shapes*
+//! CLI stays thin and integration tests can assert the *shapes*
 //! (who wins, by what factor, where optima fall) directly.
 
 use polymem_kernels::{jacobi, me};

@@ -71,7 +71,7 @@ use polymem_poly::bounds::{AffineForm, BoundList};
 use polymem_poly::{AffineMap, Constraint, ConstraintKind, PolyUnion, Polyhedron, Space};
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -97,17 +97,30 @@ const SCHEMA: &str = "v1:ivec,imat,space,constraint(kind,coeffs),poly,union,map,
 
 /// Schema hash baked into every artifact (see [`SCHEMA`]).
 pub fn schema_hash() -> u64 {
-    fnv1a(FNV_OFFSET, SCHEMA.as_bytes())
+    fnv1a(FNV_OFFSET, KEY_PRIME, SCHEMA.as_bytes())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The standard 64-bit FNV-1a offset basis: the `h` a fresh
+/// [`fnv1a`] hash starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// The standard 64-bit FNV prime.
+pub const FNV_PRIME: u64 = 0x0100_0000_01b3;
+/// The multiplier of everything this module persists (plan keys, the
+/// schema hash, envelope checksums). It is one hex digit longer than
+/// [`FNV_PRIME`] and frozen: every stored artifact's name, the golden
+/// launch keys and the daemon's `ping` schema are values of it.
+const KEY_PRIME: u64 = 0x1000_0000_01b3;
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+/// Fold `bytes` into the 64-bit FNV-1a state `h` with multiplier
+/// `prime`. The one FNV loop in the tree: artifact keys and envelope
+/// checksums ([`KEY_PRIME`]), the tune artifact's checksum and the
+/// serve protocol's result fingerprint ([`FNV_PRIME`]) all hash
+/// through it.
+pub fn fnv1a(mut h: u64, prime: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+        h = h.wrapping_mul(prime);
     }
     h
 }
@@ -155,15 +168,15 @@ impl KeyHasher {
     /// Raw bytes, length-prefixed.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
-        self.lo = fnv1a(self.lo, b);
-        self.hi = fnv1a(self.hi, b);
+        self.lo = fnv1a(self.lo, KEY_PRIME, b);
+        self.hi = fnv1a(self.hi, KEY_PRIME, b);
     }
 
     /// One word, no prefix.
     pub fn u64(&mut self, v: u64) {
         let b = v.to_le_bytes();
-        self.lo = fnv1a(self.lo, &b);
-        self.hi = fnv1a(self.hi, &b);
+        self.lo = fnv1a(self.lo, KEY_PRIME, &b);
+        self.hi = fnv1a(self.hi, KEY_PRIME, &b);
     }
 
     /// One signed word.
@@ -1219,7 +1232,7 @@ pub fn encode_artifact(a: &PlanArtifact) -> Vec<u8> {
     e.u64(a.key.hi);
     e.usize(payload.len());
     e.buf.extend_from_slice(&payload);
-    e.u64(fnv1a(FNV_OFFSET, &payload));
+    e.u64(fnv1a(FNV_OFFSET, KEY_PRIME, &payload));
     e.buf
 }
 
@@ -1247,7 +1260,7 @@ fn decode_inner(bytes: &[u8]) -> DResult<PlanArtifact> {
     };
     let plen = d.len()?;
     let payload = d.take(plen)?;
-    if d.u64()? != fnv1a(FNV_OFFSET, payload) {
+    if d.u64()? != fnv1a(FNV_OFFSET, KEY_PRIME, payload) {
         return Err(Corrupt);
     }
     if d.remaining() != 0 {
@@ -1325,18 +1338,30 @@ impl ArtifactStore {
 
     /// Persist an artifact under its own key, atomically.
     pub fn save(&self, artifact: &PlanArtifact) -> io::Result<PathBuf> {
-        let bytes = encode_artifact(artifact);
-        let path = self.path_for(&artifact.key);
-        let tmp = self
-            .dir
-            .join(format!(".{}.{}.tmp", artifact.key, std::process::id()));
-        std::fs::write(&tmp, &bytes)?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
+        let name = format!("{}.plan", artifact.key);
+        atomic_write(&self.dir, &name, &encode_artifact(artifact))
+    }
+}
+
+/// Write `dir/file_name` so that a reader (another daemon sharing the
+/// directory, or this process after a crash) only ever observes a
+/// complete file: the bytes go to a process-private temp file, are
+/// synced, then renamed into place. The temp file is removed on any
+/// failure. Returns the final path.
+pub fn atomic_write(dir: &Path, file_name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+    let path = dir.join(file_name);
+    let tmp = dir.join(format!(".{file_name}.{}.tmp", std::process::id()));
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, &path));
+    match written {
+        Ok(()) => Ok(path),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
         }
     }
 }
@@ -1416,6 +1441,26 @@ mod tests {
         assert_eq!(encode_artifact(&loaded), encode_artifact(&art));
         let other = ArtifactKey { lo: 1, hi: 2 };
         assert!(store.load(&other, &program).is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_replaces_whole_files_and_cleans_up_on_failure() {
+        let dir = std::env::temp_dir().join(format!("polymem-atomic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = atomic_write(&dir, "a.tune", b"one").unwrap();
+        atomic_write(&dir, "a.tune", b"two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        // A rename that cannot succeed (the target is a non-empty
+        // directory) reports the error and leaves no temp file behind.
+        std::fs::create_dir_all(dir.join("b.tune/occupied")).unwrap();
+        assert!(atomic_write(&dir, "b.tune", b"x").is_err());
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["a.tune", "b.tune"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,7 +27,9 @@
 //! (`polymem run --tuned`, `polymem serve`) load the best mapping with
 //! zero search cost.
 
-use super::artifact::{hash_program, schema_hash, ArtifactKey, KeyHasher};
+use super::artifact::{
+    atomic_write, fnv1a, hash_program, schema_hash, ArtifactKey, KeyHasher, FNV_OFFSET, FNV_PRIME,
+};
 use super::descriptors::{
     delta_transfer_list, flush_transfer_list, transfer_list, Direction, DmaChannels, TransferList,
 };
@@ -36,7 +38,6 @@ use crate::tiling::transform::fix_dims;
 use polymem_ir::Program;
 use polymem_poly::count::{count_points, enumerate_points};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Version stamp of the tune key derivation and artifact codec.
@@ -265,6 +266,29 @@ impl CostConstants {
         (per_unit * self.n_outer).max(1).min(hw.max(1))
     }
 
+    /// Modeled cycles of one sub-block's compute phase: every statement
+    /// instance pays `cycles_per_op`, every scratchpad access
+    /// `smem_latency`, every global access the overlap-hidden
+    /// `global_latency`. The executor charges its measured counts
+    /// through this, the estimator its polyhedral ones.
+    pub fn compute_cycles(&self, n_inst: u64, n_smem: u64, n_glob: u64) -> u64 {
+        let l = self.global_latency / self.global_overlap.max(1.0);
+        (n_inst as f64 * self.cycles_per_op + n_smem as f64 * self.smem_latency + n_glob as f64 * l)
+            .round() as u64
+    }
+
+    /// Modeled device cycles of one round of `blocks` blocks: the
+    /// slowest block, times the occupancy waves its scratchpad
+    /// footprint (`smem_per_block` bytes) allows (§5), plus the
+    /// device-wide barrier. A round of zero-cycle blocks costs exactly
+    /// the barrier.
+    pub fn round_cycles(&self, max_block_cycles: u64, blocks: u64, smem_per_block: u64) -> u64 {
+        let waves = blocks.div_ceil(self.concurrent_blocks(smem_per_block));
+        let sync =
+            (self.device_sync_base + self.device_sync_per_block * blocks as f64).round() as u64;
+        max_block_cycles.saturating_mul(waves).saturating_add(sync)
+    }
+
     /// The worst per-descriptor NoC route any of `blocks` concurrent
     /// blocks pays under column-major mesh placement (the estimator
     /// prices the representative block as the round's critical path;
@@ -449,10 +473,7 @@ pub fn estimate(
         }
     }
 
-    let l = cc.global_latency / cc.global_overlap.max(1.0);
-    let compute =
-        (n_inst as f64 * cc.cycles_per_op + n_smem as f64 * cc.smem_latency + n_glob as f64 * l)
-            .round() as u64;
+    let compute = cc.compute_cycles(n_inst, n_smem, n_glob);
 
     // Movement lists of the representative sub-block.
     let mut groups: Vec<GroupLists> = Vec::new();
@@ -564,13 +585,8 @@ pub fn estimate(
 
     let blocks = structure.blocks.max(1);
     let rounds = structure.rounds.max(1);
-    let conc = cc.concurrent_blocks(smem_words * cc.word_bytes).max(1);
-    let sync = (cc.device_sync_base + cc.device_sync_per_block * blocks as f64).round() as u64;
-    let predicted = rounds.saturating_mul(
-        block_cycles
-            .saturating_mul(blocks.div_ceil(conc))
-            .saturating_add(sync),
-    );
+    let smem_bytes = smem_words * cc.word_bytes;
+    let predicted = rounds.saturating_mul(cc.round_cycles(block_cycles, blocks, smem_bytes));
     let per_block_glob = moved_elems + n_glob.saturating_mul(seqs);
     Ok(CostEstimate {
         predicted_cycles: predicted,
@@ -579,7 +595,7 @@ pub fn estimate(
             .saturating_mul(rounds)
             .saturating_mul(cc.word_bytes),
         dma_descriptors: descriptors,
-        sync_cycles: rounds * sync,
+        sync_cycles: rounds * cc.round_cycles(0, blocks, smem_bytes),
         compute_ops: n_inst
             .saturating_mul(seqs)
             .saturating_mul(blocks)
@@ -644,15 +660,6 @@ pub struct TuneArtifact {
     pub rows: Vec<TuneRow>,
 }
 
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 fn escape_note(s: &str) -> String {
     let cleaned: String = s
         .chars()
@@ -697,7 +704,7 @@ impl TuneArtifact {
                 r.desc.to_line(),
             ));
         }
-        let sum = fnv64(body.as_bytes());
+        let sum = fnv1a(FNV_OFFSET, FNV_PRIME, body.as_bytes());
         body.push_str(&format!("checksum {sum:016x}\n"));
         body
     }
@@ -706,15 +713,7 @@ impl TuneArtifact {
     /// plan artifact store). Returns the final path.
     pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = TuneArtifact::path_for(dir, &self.key);
-        let tmp = dir.join(format!(".{}.{}.tune.tmp", self.key, std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.encode().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
+        atomic_write(dir, &format!("{}.tune", self.key), self.encode().as_bytes())
     }
 
     /// Load and validate (checksum + key match); `None` on any
@@ -723,7 +722,7 @@ impl TuneArtifact {
         let text = std::fs::read_to_string(TuneArtifact::path_for(dir, key)).ok()?;
         let (body, sum_line) = text.rsplit_once("checksum ")?;
         let sum = u64::from_str_radix(sum_line.trim(), 16).ok()?;
-        if fnv64(body.as_bytes()) != sum {
+        if fnv1a(FNV_OFFSET, FNV_PRIME, body.as_bytes()) != sum {
             return None;
         }
         let mut lines = body.lines();

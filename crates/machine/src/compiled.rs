@@ -44,6 +44,7 @@ use crate::config::MachineConfig;
 use crate::exec::{budget_error, flush_frames, stage_frames, ExecStats, FrameSet, LocalStore};
 use crate::overlay::Overlay;
 use crate::{MachineError, Result};
+use polymem_core::smem::tune::CostConstants;
 use polymem_core::smem::{
     lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, HierPlan, LoweredRow,
     SmemPlan, SymbolicPlan,
@@ -76,6 +77,9 @@ pub(crate) struct LaunchShared {
     /// `POLYMEM_EXEC_CHECK=1`: run the interpreter as an oracle beside
     /// every compiled block and panic on divergence.
     pub exec_check: bool,
+    /// The cycle model's constants: the formulas the launch charges
+    /// compute phases and rounds with are the estimator's.
+    pub cost: CostConstants,
 }
 
 impl LaunchShared {
@@ -116,6 +120,7 @@ impl LaunchShared {
             bodies,
             compiled,
             exec_check,
+            cost: crate::tune::cost_constants(config),
         })
     }
 }

@@ -17,6 +17,7 @@
 //! test.
 
 use crate::config::MachineConfig;
+use crate::json::{counters_json, Json};
 use polymem_core::smem::{DmaChannels, TransferDescriptor, TransferList};
 
 /// Number of log2 buckets in the bytes-per-descriptor histogram
@@ -67,6 +68,27 @@ impl DmaStats {
             return 0.0;
         }
         self.bytes as f64 / self.descriptors as f64
+    }
+
+    /// Every counter under its field name, plus the two ratios derived
+    /// from them that reports quote.
+    pub fn to_json(&self) -> Json {
+        let mut fields = counters_json!(
+            DmaStats {
+                descriptors,
+                elements,
+                bytes,
+                channel_busy_cycles,
+                stall_cycles,
+                bytes_hist,
+            } = self
+        );
+        fields.push((
+            "mean_descriptor_bytes",
+            Json::fixed(self.mean_descriptor_bytes(), 2),
+        ));
+        fields.push(("overlap_fraction", Json::fixed(self.overlap_fraction(), 4)));
+        Json::obj(fields)
     }
 
     /// Accumulate another engine's stats (used by

@@ -23,6 +23,7 @@
 use crate::compiled::{run_compiled, LaunchShared};
 use crate::config::MachineConfig;
 use crate::dma::{DmaEngine, DmaStats, DmaTag};
+use crate::json::{counters_json, Json};
 use crate::overlay::{flatten, Overlay};
 use crate::trace::PassProfiler;
 use crate::{MachineError, Result};
@@ -189,6 +190,18 @@ impl FallbackStats {
         self.engine_off + self.owned_plan + self.shape_uncompiled + self.runtime_decline
     }
 
+    /// Every counter under its field name.
+    pub fn to_json(&self) -> Json {
+        Json::obj(counters_json!(
+            FallbackStats {
+                engine_off,
+                owned_plan,
+                shape_uncompiled,
+                runtime_decline,
+            } = self
+        ))
+    }
+
     fn absorb(&mut self, o: &FallbackStats) {
         self.engine_off += o.engine_off;
         self.owned_plan += o.owned_plan;
@@ -228,7 +241,54 @@ impl PartialEq for ExecStats {
 
 impl Eq for ExecStats {}
 
+/// Version of the [`ExecStats::to_json`] document and of the report
+/// envelope the bench harnesses wrap around it. Bump it whenever a
+/// counter is renamed, removed or changes meaning (adding one is
+/// compatible).
+pub const STATS_SCHEMA: u64 = 1;
+
 impl ExecStats {
+    /// The one place a counter is named in output: `schema`, then every
+    /// field under its own name, `fallback` and `dma` nested. The CLI,
+    /// the daemon and every `BENCH_*.json` take their counters from
+    /// here (DESIGN.md "Reports" lists units and clocks).
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("schema", STATS_SCHEMA.into())];
+        fields.extend(counters_json!(
+            ExecStats {
+                blocks,
+                instances,
+                global_reads,
+                global_writes,
+                smem_reads,
+                smem_writes,
+                moved_in,
+                moved_out,
+                rounds,
+                max_smem_words,
+                plan_cache_hits,
+                plan_cache_misses,
+                block_cycles,
+                modeled_cycles,
+                overlap_groups,
+                sync_groups,
+                smem_loads_saved,
+                reg_bytes_moved,
+                hier_groups,
+                retained_elems,
+                delta_elems,
+                flushed_delta_elems,
+                residency_groups,
+                compiled_blocks,
+                interpreted_blocks,
+                fallback,
+                dma,
+                compute_ns,
+            } = self
+        ));
+        Json::obj(fields)
+    }
+
     /// Merge another stats block into this one. Field-complete:
     /// every counter is summed (`max_smem_words` maxes; `dma`
     /// delegates to [`DmaStats::absorb`]). `rounds` and
@@ -452,7 +512,7 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
 /// The representative sub-block a launch analyses symbolically: its
 /// fixed dims as sorted `(dim, value)` pairs, plus the register-level
 /// spec, if any.
-type Representative = (Vec<(String, i64)>, Option<HierSpec>);
+pub type Representative = (Vec<(String, i64)>, Option<HierSpec>);
 
 /// Pin the round dims at `round0` and the block and seq dims (and,
 /// with hierarchy on, the thread dims) at their first enumerated
@@ -500,10 +560,11 @@ fn representative(
 }
 
 /// [`representative`] for the entry points that do not enumerate the
-/// launch themselves. `None` when the mapping stages nothing through
-/// the plan cache (no scratchpad, no statements, or the cache
-/// disabled).
-fn launch_representative(
+/// launch themselves — and for reports that evaluate a [`warm_plan`]
+/// at the block it was analysed for. `None` when the mapping stages
+/// nothing through the plan cache (no scratchpad, no statements, or
+/// the cache disabled).
+pub fn launch_representative(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
@@ -921,13 +982,11 @@ pub fn execute_blocked_seeded(
         }
         // Device time for this round: the slowest block, times the
         // number of occupancy waves (§5), plus the barrier cost.
-        let nblocks = results.len() as u64;
-        let conc = config
-            .concurrent_blocks(round_max_words * config.word_bytes)
-            .max(1);
-        let sync = (config.device_sync_base + config.device_sync_per_block * nblocks as f64).round()
-            as u64;
-        stats.modeled_cycles += round_max_cycles * nblocks.div_ceil(conc) + sync;
+        stats.modeled_cycles += launch.cost.round_cycles(
+            round_max_cycles,
+            results.len() as u64,
+            round_max_words * config.word_bytes,
+        );
         stats.rounds += 1;
     }
     if let Some(c) = cache {
@@ -1969,11 +2028,7 @@ fn compute_sub_block(
         );
     }
 
-    let l = config.global_latency / config.global_overlap.max(1.0);
-    let cycles = n_inst as f64 * config.cycles_per_op
-        + n_smem as f64 * config.smem_latency
-        + n_glob as f64 * l;
-    clock.now += cycles.round() as u64;
+    clock.now += launch.cost.compute_cycles(n_inst, n_smem, n_glob);
     Ok(())
 }
 

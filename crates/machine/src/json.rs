@@ -1,9 +1,19 @@
-//! A minimal JSON value type, parser and serializer.
+//! The one JSON value type, parser and writer in the tree.
 //!
-//! The build environment has no reachable crates-io mirror, so the
-//! wire format is hand-rolled (precedent: `polymem analyze --json`
-//! renders its dump manually). The subset is full JSON minus float
-//! exponent edge cases the protocol never produces; parsing is
+//! Everything polymem emits as JSON — the daemon's line protocol,
+//! `polymem analyze --json` / `tune --json`, and every committed
+//! `BENCH_*.json` — is a [`Json`] value rendered by this module, and
+//! every counter in those documents is named by
+//! [`ExecStats::to_json`](crate::ExecStats::to_json). It lives in this
+//! crate because that is the lowest one all of those emitters already
+//! depend on; `polymem_serve::Json` re-exports it. The build
+//! environment has no reachable crates-io mirror, hence hand-rolled.
+//!
+//! Two renderings of the same value: [`Display`](fmt::Display) is the
+//! compact single-line wire form, [`Json::pretty`] the indented form
+//! for files people diff. Both are inverse to [`Json::parse`] — the
+//! writer emits nothing the parser rejects (non-finite numbers, which
+//! JSON cannot carry, are written as `null`). Parsing is
 //! recursive-descent with a depth cap so a hostile client cannot blow
 //! the stack.
 
@@ -76,59 +86,166 @@ impl Json {
     }
 }
 
-/// Render a string with JSON escaping.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl Json {
+    /// An object holding `fields` in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
-    out.push('"');
-    out
-}
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// `x` rounded to `places` decimals: ratios and milliseconds in
+    /// reports are meaningful to a few digits, and a committed file
+    /// should not churn in the sixteenth.
+    pub fn fixed(x: f64, places: i32) -> Json {
+        let scale = 10f64.powi(places);
+        Json::Num((x * scale).round() / scale)
+    }
+
+    /// The indented rendering, for files people read and diff: one
+    /// object field or array element per line, except that arrays of
+    /// scalars stay on one line. Ends with a newline.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0)).expect("writing to a String");
+        out.push('\n');
+        out
+    }
+
+    /// The one writer. `indent` is `None` for the compact wire form,
+    /// else the current nesting level of the indented form.
+    fn write(&self, out: &mut impl fmt::Write, indent: Option<usize>) -> fmt::Result {
+        let scalar = |v: &Json| !matches!(v, Json::Arr(_) | Json::Obj(_));
+        // Line break + indentation at `level`, or nothing when compact
+        // (or when an array of scalars stays on its line).
+        let nl = |out: &mut dyn fmt::Write, level: Option<usize>| match level {
+            Some(l) => write!(out, "\n{:width$}", "", width = 2 * l),
+            None => Ok(()),
+        };
         match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e18 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write!(f, "{}", escape(s)),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => write!(out, "{b}"),
+            // JSON has no spelling for NaN or the infinities.
+            Json::Num(n) if !n.is_finite() => out.write_str("null"),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e18 => write!(out, "{}", *n as i64),
+            Json::Num(n) => write!(out, "{n}"),
+            Json::Str(s) => escape(s, out),
             Json::Arr(items) => {
-                write!(f, "[")?;
+                let inner = indent.filter(|_| !items.iter().all(scalar)).map(|l| l + 1);
+                let sep = if indent.is_some() && inner.is_none() {
+                    ", "
+                } else {
+                    ","
+                };
+                out.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_str(sep)?;
                     }
-                    write!(f, "{v}")?;
+                    nl(out, inner)?;
+                    v.write(out, inner)?;
                 }
-                write!(f, "]")
+                if !items.is_empty() {
+                    nl(out, inner.and(indent))?;
+                }
+                out.write_char(']')
             }
             Json::Obj(fields) => {
-                write!(f, "{{")?;
+                let inner = indent.map(|l| l + 1);
+                out.write_char('{')?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        out.write_char(',')?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    nl(out, inner)?;
+                    escape(k, out)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, inner)?;
                 }
-                write!(f, "}}")
+                if !fields.is_empty() {
+                    nl(out, indent)?;
+                }
+                out.write_char('}')
             }
         }
+    }
+}
+
+/// Write a string with JSON escaping.
+fn escape(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+/// The compact single-line form (the daemon's wire format).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, None)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+/// Integers are exact up to 2^53, far above any counter here.
+macro_rules! json_from_int {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_int!(i64, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        items.into_iter().collect()
+    }
+}
+
+/// Collecting values yields an array.
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -289,6 +406,38 @@ impl Parser<'_> {
     }
 }
 
+/// A counter's JSON form; the stats structs' own `to_json` methods
+/// nest through the same name.
+pub(crate) trait CounterJson {
+    fn to_json(&self) -> Json;
+}
+
+impl CounterJson for u64 {
+    fn to_json(&self) -> Json {
+        (*self).into()
+    }
+}
+
+impl CounterJson for Vec<u64> {
+    fn to_json(&self) -> Json {
+        self.clone().into()
+    }
+}
+
+/// `[("<field>", <value>), …]` over the named fields of a stats
+/// struct, each under its own name. The pattern is exhaustive, so a
+/// counter added to the struct without being reported here does not
+/// compile.
+macro_rules! counters_json {
+    ($ty:ident { $($f:ident),* $(,)? } = $s:expr) => {{
+        #[allow(unused_imports)]
+        use $crate::json::CounterJson as _;
+        let $ty { $($f),* } = $s;
+        vec![$((stringify!($f), $f.to_json())),*]
+    }};
+}
+pub(crate) use counters_json;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +483,37 @@ mod tests {
 
     #[test]
     fn escape_covers_controls() {
-        assert_eq!(escape("a\"b\\c\nd\u{1}"), r#""a\"b\\c\nd\u0001""#);
+        let v = Json::from("a\"b\\c\nd\u{1}");
+        assert_eq!(v.to_string(), r#""a\"b\\c\nd\u0001""#);
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        // A bench ratio `a / 0` reaches the writer through `fixed`.
+        assert_eq!(Json::fixed(1.0 / 0.0, 4).to_string(), "null");
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let v = Json::Arr(vec![Json::Num(n)]);
+            assert_eq!(v.to_string(), "[null]");
+            assert!(Json::parse(&v.pretty()).is_some());
+        }
+    }
+
+    #[test]
+    fn pretty_indents_objects_and_inlines_scalar_arrays() {
+        let v = Json::obj([
+            ("a", Json::from(vec![1u64, 2, 3])),
+            ("b", Json::obj([("c", Json::fixed(2.0 / 3.0, 4))])),
+            (
+                "d",
+                Json::Arr(vec![Json::obj::<&str>([]), Json::Arr(vec![])]),
+            ),
+        ]);
+        let want = "{\n  \"a\": [1, 2, 3],\n  \"b\": {\n    \"c\": 0.6667\n  },\n  \"d\": [\n    {},\n    []\n  ]\n}\n";
+        assert_eq!(v.pretty(), want);
+        assert_eq!(Json::parse(&v.pretty()), Some(v.clone()));
+        assert_eq!(
+            v.to_string(),
+            r#"{"a":[1,2,3],"b":{"c":0.6667},"d":[{},[]]}"#
+        );
     }
 }

@@ -34,6 +34,7 @@ pub mod config;
 pub mod desc;
 pub mod dma;
 pub mod exec;
+mod json;
 mod overlay;
 pub mod profile;
 pub mod trace;
@@ -43,9 +44,11 @@ pub use config::{Capabilities, MachineConfig, MeshDesc};
 pub use desc::{MachineDesc, MemLevel};
 pub use dma::{DmaEngine, DmaStats, DmaTag};
 pub use exec::{
-    execute_blocked, execute_blocked_profiled, execute_blocked_seeded, plan_artifact_key,
-    warm_plan, BlockedKernel, ExecStats, FallbackStats, PlanSource, WarmedPlan,
+    execute_blocked, execute_blocked_profiled, execute_blocked_seeded, launch_representative,
+    plan_artifact_key, warm_plan, BlockedKernel, ExecStats, FallbackStats, PlanSource, WarmedPlan,
+    STATS_SCHEMA,
 };
+pub use json::Json;
 pub use profile::{KernelProfile, TimeBreakdown};
 pub use trace::{PassKind, PassProfiler, PassReport, Phase, Timeline};
 pub use tune::{

@@ -16,10 +16,9 @@
 //! through a counting gate. `polymem serve` starts it from the CLI;
 //! the `serve` bench drives it with a multi-tenant load generator.
 
-mod json;
 mod lru;
 mod server;
 pub mod workload;
 
-pub use json::Json;
+pub use polymem_machine::Json;
 pub use server::{ServeConfig, Server, ServerHandle};

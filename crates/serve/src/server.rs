@@ -45,9 +45,9 @@
 //!
 //! [`ArtifactStore`]: polymem_core::smem::ArtifactStore
 
-use crate::json::Json;
 use crate::lru::PlanLru;
 use crate::workload;
+use crate::Json;
 use polymem_kernels::builtins::{launch, Launch};
 use polymem_machine::{
     execute_blocked_seeded, plan_artifact_key, warm_plan, LaunchToggles, PassProfiler, PlanSource,
@@ -296,14 +296,14 @@ fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io:
 }
 
 fn obj(fields: Vec<(&str, Json)>) -> String {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect()).to_string()
+    Json::obj(fields).to_string()
 }
 
 fn err(class: &str, msg: &str) -> String {
     obj(vec![
-        ("ok", Json::Bool(false)),
-        ("class", Json::Str(class.into())),
-        ("error", Json::Str(msg.into())),
+        ("ok", false.into()),
+        ("class", class.into()),
+        ("error", msg.into()),
     ])
 }
 
@@ -369,51 +369,33 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
     let cmd = v.get("cmd").and_then(Json::as_str).unwrap_or("");
     let resp = match cmd {
         "ping" => obj(vec![
-            ("ok", Json::Bool(true)),
-            ("pong", Json::Bool(true)),
+            ("ok", true.into()),
+            ("pong", true.into()),
             (
                 "schema",
-                Json::Str(format!(
-                    "{:016x}",
-                    polymem_core::smem::artifact::schema_hash()
-                )),
+                format!("{:016x}", polymem_core::smem::artifact::schema_hash()).into(),
             ),
         ]),
         "stats" => {
             let s = shared.lru.stats();
             obj(vec![
-                ("ok", Json::Bool(true)),
-                (
-                    "requests",
-                    Json::Num(shared.requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "errors",
-                    Json::Num(shared.errors.load(Ordering::Relaxed) as f64),
-                ),
-                ("lru_hits", Json::Num(s.hits as f64)),
-                ("lru_misses", Json::Num(s.misses as f64)),
-                ("lru_evictions", Json::Num(s.evictions as f64)),
-                ("lru_resident", Json::Num(s.resident as f64)),
-                ("generation", Json::Num(s.generation as f64)),
-                (
-                    "artifact_dir",
-                    match &shared.artifact_dir {
-                        Some(d) => Json::Str(d.clone()),
-                        None => Json::Null,
-                    },
-                ),
+                ("ok", true.into()),
+                ("requests", shared.requests.load(Ordering::Relaxed).into()),
+                ("errors", shared.errors.load(Ordering::Relaxed).into()),
+                ("lru_hits", s.hits.into()),
+                ("lru_misses", s.misses.into()),
+                ("lru_evictions", s.evictions.into()),
+                ("lru_resident", s.resident.into()),
+                ("generation", s.generation.into()),
+                ("artifact_dir", shared.artifact_dir.clone().into()),
             ])
         }
         "invalidate" => {
             let g = shared.lru.invalidate();
-            obj(vec![
-                ("ok", Json::Bool(true)),
-                ("generation", Json::Num(g as f64)),
-            ])
+            obj(vec![("ok", true.into()), ("generation", g.into())])
         }
         "shutdown" => {
-            return (obj(vec![("ok", Json::Bool(true))]), true);
+            return (obj(vec![("ok", true.into())]), true);
         }
         "run" => handle_run(&Request::from(&v, &shared.artifact_dir), shared),
         "analyze" => handle_analyze(&Request::from(&v, &shared.artifact_dir), shared),
@@ -522,30 +504,32 @@ fn handle_run(req: &Request, shared: &Shared) -> String {
             return err("runtime", &e.to_string());
         }
     };
-    obj(vec![
-        ("ok", Json::Bool(true)),
-        ("kernel", Json::Str(req.kernel.clone())),
-        ("machine", Json::Str(req.machine.clone())),
-        ("size", Json::Num(req.size as f64)),
-        ("mapping", mapping.map(Json::Str).unwrap_or(Json::Null)),
-        ("plan_source", Json::Str(source_str(source).into())),
-        ("key", key_hex.map(Json::Str).unwrap_or(Json::Null)),
-        ("checksum", Json::Str(format!("{checksum:016x}"))),
+    let mut fields = vec![
+        ("ok", true.into()),
+        ("kernel", req.kernel.as_str().into()),
+        ("machine", req.machine.as_str().into()),
+        ("size", req.size.into()),
+        ("mapping", mapping.into()),
+        ("plan_source", source_str(source).into()),
+        ("key", key_hex.into()),
+        ("checksum", format!("{checksum:016x}").into()),
         ("elapsed_ns", Json::Num(elapsed.as_nanos() as f64)),
-        ("analysis_ns", Json::Num(analysis_ns as f64)),
-        ("blocks", Json::Num(stats.blocks as f64)),
-        ("rounds", Json::Num(stats.rounds as f64)),
-        ("instances", Json::Num(stats.instances as f64)),
-        ("plan_cache_hits", Json::Num(stats.plan_cache_hits as f64)),
-        (
-            "plan_cache_misses",
-            Json::Num(stats.plan_cache_misses as f64),
-        ),
-        (
-            "generation",
-            Json::Num(shared.lru.stats().generation as f64),
-        ),
-    ])
+        ("analysis_ns", analysis_ns.into()),
+    ];
+    // The launch counters a reply carries, under the names the one
+    // stats schema gives them.
+    let counters = stats.to_json();
+    for name in [
+        "blocks",
+        "rounds",
+        "instances",
+        "plan_cache_hits",
+        "plan_cache_misses",
+    ] {
+        fields.push((name, counters.get(name).expect("a stats counter").clone()));
+    }
+    fields.push(("generation", shared.lru.stats().generation.into()));
+    obj(fields)
 }
 
 fn handle_analyze(req: &Request, shared: &Shared) -> String {
@@ -578,23 +562,20 @@ fn handle_analyze(req: &Request, shared: &Shared) -> String {
     }
     let analysis_ns = profiler.report().compiler_total().as_nanos() as u64;
     let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        ("kernel", Json::Str(req.kernel.clone())),
-        ("machine", Json::Str(req.machine.clone())),
-        ("mapping", mapping.map(Json::Str).unwrap_or(Json::Null)),
-        ("plan_source", Json::Str(source_str(source).into())),
-        ("key", key_hex.map(Json::Str).unwrap_or(Json::Null)),
+        ("ok", true.into()),
+        ("kernel", req.kernel.as_str().into()),
+        ("machine", req.machine.as_str().into()),
+        ("mapping", mapping.into()),
+        ("plan_source", source_str(source).into()),
+        ("key", key_hex.into()),
         ("elapsed_ns", Json::Num(elapsed.as_nanos() as f64)),
-        ("analysis_ns", Json::Num(analysis_ns as f64)),
+        ("analysis_ns", analysis_ns.into()),
     ];
     if let Some((sp, _)) = &warmed {
-        fields.push(("buffers", Json::Num(sp.plan.buffers.len() as f64)));
-        fields.push((
-            "fixed",
-            Json::Arr(sp.fixed.iter().map(|f| Json::Str(f.clone())).collect()),
-        ));
-        fields.push(("hierarchy_plan", Json::Bool(sp.hier.is_some())));
-        fields.push(("residency_plan", Json::Bool(sp.residency.is_some())));
+        fields.push(("buffers", sp.plan.buffers.len().into()));
+        fields.push(("fixed", sp.fixed.clone().into()));
+        fields.push(("hierarchy_plan", sp.hier.is_some().into()));
+        fields.push(("residency_plan", sp.residency.is_some().into()));
     }
     obj(fields)
 }

@@ -8,6 +8,7 @@
 //! names its callers import ([`KERNELS`], [`Workload`], [`resolve`])
 //! as projections of that table, plus the result [`checksum`].
 
+use polymem_core::smem::artifact::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use polymem_ir::Program;
 use polymem_kernels::builtins::{launch, BUILTINS};
 use polymem_machine::{BlockedKernel, LaunchToggles, MachineConfig};
@@ -62,19 +63,22 @@ pub fn resolve(name: &str, size: i64, db: bool) -> Option<Workload> {
 /// FNV-1a over an array's words: the result fingerprint `run`
 /// responses carry, comparable against a direct in-process execution.
 pub fn checksum(data: &[i64]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for v in data {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    data.iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a(h, FNV_PRIME, &v.to_le_bytes()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Clients compare these fingerprints across versions (the
+    /// `benchmark/` crate against direct execution): standard 64-bit
+    /// FNV-1a over the little-endian words.
+    #[test]
+    fn checksum_values_are_pinned() {
+        assert_eq!(checksum(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum(&[1, -2, 3]), 0xadf8_1e59_2c2c_f47e);
+    }
 
     #[test]
     fn all_builtins_resolve_both_variants() {

@@ -11,20 +11,19 @@
 //!
 //! `<kernel>` is a built-in name (`me`, `jacobi`, `jacobi2d`,
 //! `matmul`, `conv2d`) or a path to a `.poly` source file (see
-//! `examples/kernels/*.poly` and `polymem_ir::parse`); for files,
-//! `--params a,b,c` supplies the representative parameter values
-//! (default: 64 per parameter).
+//! `examples/kernels/*.poly` and `polymem_ir::parse`); `--params a,b,c`
+//! supplies the representative parameter values (default: the kernel
+//! table's analysis parameters, or 64 per parameter of a file).
 
 use polymem::core::emit::{emit_staged, EmitOptions};
-use polymem::core::smem::{
-    analyze_program_timed, analyze_symbolic_hier, HierSpec, SmemConfig, SmemPlan,
-};
+use polymem::core::smem::{analyze_program_timed, SmemConfig, SmemPlan};
 use polymem::ir::{exec_program, init_random_store, random_program, ArrayStore, Program};
 use polymem::kernels::builtins::{launch, Builtin, Launch, BUILTINS};
 use polymem::kernels::{jacobi, me, tunespace};
 use polymem::machine::{
-    execute_blocked_profiled, generic_candidates, launch_config, plan_artifact_key, tune,
-    LaunchToggles, MachineConfig, PassProfiler, TuneOptions, TuneOutcome,
+    execute_blocked_profiled, generic_candidates, launch_config, launch_representative,
+    plan_artifact_key, tune, warm_plan, Json, LaunchToggles, MachineConfig, PassProfiler,
+    TuneOptions, TuneOutcome,
 };
 use polymem::serve::{ServeConfig, Server};
 use std::collections::HashMap;
@@ -443,22 +442,22 @@ enum KernelError {
 }
 
 /// A kernel instance small enough for interactive analysis/emission:
-/// a built-in name (at the table's analysis parameters) or a `.poly`
-/// file path (at `--params`, default 64 each).
+/// a built-in name or a `.poly` file path, at `--params` (default: the
+/// table's analysis parameters for a built-in, 64 each for a file).
 fn kernel_program(cli: &Cli, name: &str) -> Result<(Program, Vec<i64>), KernelError> {
-    if let Some(b) = Builtin::named(name) {
-        return Ok(((b.program)(), b.analysis_params.to_vec()));
-    }
-    if !name.ends_with(".poly") {
+    let (program, default_params) = if let Some(b) = Builtin::named(name) {
+        ((b.program)(), b.analysis_params.to_vec())
+    } else if name.ends_with(".poly") {
+        let src = std::fs::read_to_string(name)
+            .map_err(|e| KernelError::Compile(format!("cannot read `{name}`: {e}")))?;
+        let program =
+            polymem::ir::parse_program(&src).map_err(|e| KernelError::Compile(e.to_string()))?;
+        let n = program.params.len();
+        (program, vec![64; n])
+    } else {
         return Err(KernelError::Unknown);
-    }
-    let src = std::fs::read_to_string(name)
-        .map_err(|e| KernelError::Compile(format!("cannot read `{name}`: {e}")))?;
-    let program =
-        polymem::ir::parse_program(&src).map_err(|e| KernelError::Compile(e.to_string()))?;
-    let params = cli
-        .params()
-        .unwrap_or_else(|| vec![64; program.params.len()]);
+    };
+    let params = cli.params().unwrap_or(default_params);
     if params.len() != program.params.len() {
         return Err(KernelError::Usage(format!(
             "--params needs {} values for {:?}",
@@ -498,143 +497,127 @@ fn plan_of_timed(
 }
 
 /// One memory level of the `analyze --json` dump: buffers with their
-/// concrete shapes at the representative block, and per-buffer move
-/// volumes. `ext` is the plan's full parameter vector (program params
-/// plus representative fixed/thread values).
-fn level_json(label: &str, plan: &SmemPlan, ext: &[i64]) -> String {
-    let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".into());
-    let mut out = format!("    {{\n      \"level\": \"{label}\",\n");
-    out.push_str(&format!(
-        "      \"total_words\": {},\n",
-        or_null(plan.total_buffer_words(ext).ok().map(|w| w.to_string()))
-    ));
-    out.push_str("      \"buffers\": [\n");
-    for (i, b) in plan.buffers.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{ \"id\": {i}, \"array\": \"{}\", \"extents\": {}, \"offsets\": {}, \"size_words\": {} }}{}\n",
-            b.array_name,
-            or_null(b.extents(ext).ok().map(|e| format!("{e:?}"))),
-            or_null(b.offsets(ext).ok().map(|o| format!("{o:?}"))),
-            or_null(b.size_words(ext).ok().map(|w| w.to_string())),
-            if i + 1 == plan.buffers.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("      ],\n      \"movement\": [\n");
-    for (i, mc) in plan.movement.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{ \"buffer\": {}, \"array\": \"{}\", \"move_in\": {}, \"move_out\": {} }}{}\n",
-            mc.buffer,
-            plan.buffers[mc.buffer].array_name,
-            mc.move_in_count(ext),
-            mc.move_out_count(ext),
-            if i + 1 == plan.movement.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("      ],\n      \"decisions\": [\n");
-    for (i, (array, d)) in plan.decisions.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{ \"array\": \"{array}\", \"beneficial\": {}, \"rank_deficient\": {}, \"overlap_fraction\": {} }}{}\n",
-            d.beneficial,
-            d.order_of_magnitude,
-            or_null(d.overlap_fraction.map(|f| format!("{f:.4}"))),
-            if i + 1 == plan.decisions.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("      ]\n    }");
-    out
+/// concrete shapes, and per-buffer move volumes. `ext` is the plan's
+/// full parameter vector (program params plus the block's fixed/thread
+/// values); `extra` the level's own fields.
+fn level_dump(label: &str, extra: Vec<(&str, Json)>, plan: &SmemPlan, ext: &[i64]) -> Json {
+    let buffers = plan.buffers.iter().enumerate().map(|(i, b)| {
+        Json::obj([
+            ("id", i.into()),
+            ("array", b.array_name.as_str().into()),
+            ("extents", b.extents(ext).ok().into()),
+            ("offsets", b.offsets(ext).ok().into()),
+            ("size_words", b.size_words(ext).ok().into()),
+        ])
+    });
+    let movement = plan.movement.iter().map(|mc| {
+        Json::obj([
+            ("buffer", mc.buffer.into()),
+            ("array", plan.buffers[mc.buffer].array_name.as_str().into()),
+            ("move_in", mc.move_in_count(ext).into()),
+            ("move_out", mc.move_out_count(ext).into()),
+        ])
+    });
+    let decisions = plan.decisions.iter().map(|(array, d)| {
+        Json::obj([
+            ("array", array.as_str().into()),
+            ("beneficial", d.beneficial.into()),
+            ("rank_deficient", d.order_of_magnitude.into()),
+            (
+                "overlap_fraction",
+                d.overlap_fraction.map(|f| Json::fixed(f, 4)).into(),
+            ),
+        ])
+    });
+    let mut fields = vec![("level", label.into())];
+    fields.extend(extra);
+    fields.extend([
+        ("total_words", plan.total_buffer_words(ext).ok().into()),
+        ("buffers", buffers.collect()),
+        ("movement", movement.collect()),
+        ("decisions", decisions.collect()),
+    ]);
+    Json::obj(fields)
 }
 
 /// `analyze <kernel> --json`: the machine-readable two-level plan.
-/// Built-in kernels dump the per-block symbolic plan of their
-/// canonical blocked mapping — the scratchpad level, plus the register
-/// level when the mapping's thread dims yield one. `.poly` sources
-/// have no blocked mapping, so they dump the whole-program scratchpad
-/// plan only.
-///
-/// Honors the same execution flags as `run` (`--double-buffer`,
-/// `--no-hierarchy`, `--no-compiled-exec`): the dump describes the
-/// launch those flags would execute, not a hardcoded default.
+/// Built-in kernels dump the plan `run` would launch with under the
+/// same `--machine` and execution flags — obtained from
+/// [`warm_plan`], the daemon's `analyze` path, so the machine's
+/// staging policy, the residency dim and the artifact store all apply
+/// — evaluated at the representative block and thread the executor
+/// analysed it for (the launch's first): the scratchpad level, plus the
+/// register level when the mapping's thread dims yield one; a mapping
+/// that stages nothing has no levels.
+/// `.poly` sources have no blocked mapping, so they dump the
+/// whole-program scratchpad plan only.
 fn analyze_json(cli: &Cli, name: &str, program: &Program, params: &[i64]) -> ExitCode {
     let (base, toggles) = match cli.machine().and_then(|(m, _)| Ok((m, cli.toggles()?))) {
         Ok(x) => x,
         Err(m) => return usage(&m),
     };
-    let gpu = launch_config(&toggles, &base);
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"kernel\": \"{}\",\n  \"params\": {params:?},\n",
-        program.name
-    ));
-    out.push_str(&format!(
-        "  \"config\": {{ \"double_buffer\": {}, \"compiled_exec\": {}, \"hierarchy\": {}, \"residency\": {}, \"vector_width\": {} }},\n",
-        gpu.double_buffer, gpu.compiled_exec, gpu.hierarchy, gpu.residency, gpu.vector_width
-    ));
-    // Built-ins dump the launch `run` would execute under these flags.
-    match launch(name, 16, &base, &toggles, false).map(|l| l.kernel) {
-        Some(kernel) => {
-            // The representative block and thread instance: every
-            // round/block/seq tile dim and thread dim at 0 (all
-            // built-in mappings start there).
-            let fixed: Vec<(String, i64)> = kernel
-                .round_dims
-                .iter()
-                .chain(&kernel.block_dims)
-                .chain(&kernel.seq_dims)
-                .map(|d| (d.clone(), 0))
-                .collect();
-            let spec = (gpu.hierarchy && !kernel.thread_dims.is_empty()).then(|| HierSpec {
-                thread_dims: kernel.thread_dims.clone(),
-                thread_reps: kernel.thread_dims.iter().map(|d| (d.clone(), 0)).collect(),
-                regs_per_inner: gpu.regs_per_inner,
-            });
-            let config = SmemConfig {
-                sample_params: params.to_vec(),
-                ..SmemConfig::default()
-            };
-            let sp = analyze_symbolic_hier(&kernel.program, &fixed, &config, spec.as_ref())
-                .expect("analysis succeeds on built-in kernels");
-            let fixed_map: HashMap<String, i64> = fixed.iter().cloned().collect();
-            let ext1 = sp
-                .ext_params(params, &fixed_map)
-                .expect("fixed dims covered");
-            out.push_str(&format!(
-                "  \"mapping\": {{ \"round_dims\": {:?}, \"block_dims\": {:?}, \"seq_dims\": {:?}, \"thread_dims\": {:?} }},\n",
-                kernel.round_dims, kernel.block_dims, kernel.seq_dims, kernel.thread_dims
+    let config = launch_config(&toggles, &base);
+    let mut doc = vec![
+        ("kernel", program.name.as_str().into()),
+        ("params", params.to_vec().into()),
+        (
+            "config",
+            Json::obj([
+                ("double_buffer", config.double_buffer.into()),
+                ("compiled_exec", config.compiled_exec.into()),
+                ("hierarchy", config.hierarchy.into()),
+                ("residency", config.residency.into()),
+                ("vector_width", config.vector_width.into()),
+            ]),
+        ),
+    ];
+    let mut levels = Vec::new();
+    match launch(name, 16, &base, &toggles, false) {
+        Some(l) => {
+            let kernel = &l.kernel;
+            doc.push((
+                "mapping",
+                Json::obj([
+                    ("round_dims", kernel.round_dims.clone().into()),
+                    ("block_dims", kernel.block_dims.clone().into()),
+                    ("seq_dims", kernel.seq_dims.clone().into()),
+                    ("thread_dims", kernel.thread_dims.clone().into()),
+                ]),
             ));
-            out.push_str("  \"levels\": [\n");
-            out.push_str(&level_json("scratchpad", &sp.plan, &ext1));
-            if let Some(h) = &sp.hier {
-                let threads = vec![0i64; h.thread_dims.len()];
-                let ext2 = h
-                    .ext_params(params, &fixed_map, &threads)
-                    .expect("thread reps covered");
-                out.push_str(",\n");
-                let mut reg = level_json("register", &h.plan, &ext2);
-                // Frames cache level-1 buffers; record which.
-                reg = reg.replacen(
-                    "\"level\": \"register\",",
-                    &format!(
-                        "\"level\": \"register\",\n      \"regs_per_inner\": {},\n      \"backing\": {:?},",
-                        h.regs_per_inner, h.backing
-                    ),
-                    1,
-                );
-                out.push_str(&reg);
+            let warmed = launch_representative(kernel, params, &l.config)
+                .and_then(|rep| Ok(rep.zip(warm_plan(kernel, params, &l.config, None, None)?)));
+            let warmed = match warmed {
+                Ok(w) => w,
+                Err(e) => return compile_error(&e.to_string()),
+            };
+            if let Some(((block, spec), (sp, _))) = warmed {
+                let block: HashMap<String, i64> = block.into_iter().collect();
+                let ext1 = sp.ext_params(params, &block).expect("fixed dims covered");
+                levels.push(level_dump("scratchpad", vec![], &sp.plan, &ext1));
+                if let (Some(h), Some(spec)) = (&sp.hier, spec) {
+                    let threads: Vec<i64> = spec.thread_reps.iter().map(|(_, v)| *v).collect();
+                    let ext2 = h
+                        .ext_params(params, &block, &threads)
+                        .expect("thread dims covered");
+                    // Frames cache level-1 buffers; record which.
+                    let extra = vec![
+                        ("regs_per_inner", h.regs_per_inner.into()),
+                        ("backing", h.backing.clone().into()),
+                    ];
+                    levels.push(level_dump("register", extra, &h.plan, &ext2));
+                }
             }
-            out.push_str("\n  ]\n");
         }
         None => {
             let (plan, _) = match plan_of_timed(program, params) {
                 Ok(x) => x,
                 Err(e) => return compile_error(&e),
             };
-            out.push_str("  \"levels\": [\n");
-            out.push_str(&level_json("scratchpad", &plan, params));
-            out.push_str("\n  ]\n");
+            levels.push(level_dump("scratchpad", vec![], &plan, params));
         }
     }
-    out.push_str("}\n");
-    print!("{out}");
+    doc.push(("levels", levels.into()));
+    print!("{}", Json::obj(doc).pretty());
     ExitCode::SUCCESS
 }
 
@@ -897,35 +880,36 @@ fn tune_options(cli: &Cli, label: String) -> Result<TuneOptions, String> {
 /// ranked predicted-vs-simulated table.
 fn print_tune_outcome(target: &str, machine: &str, out: &TuneOutcome, json: bool) {
     if json {
-        let mut s = format!(
-            "{{\n  \"kernel\": \"{target}\", \"machine\": \"{machine}\",\n  \
-             \"key\": \"{}\", \"plan_source\": \"{}\",\n  \
-             \"simulated\": {}, \"total\": {},\n  \
-             \"winner\": {{ \"mapping\": \"{}\", \"predicted\": {}, \"cycles\": {} }},\n  \
-             \"rows\": [\n",
-            out.key,
-            out.plan_source,
-            out.simulated,
-            out.total,
-            out.winner.label(),
-            out.winner_predicted,
-            out.winner_cycles
-        );
-        for (i, r) in out.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{ \"mapping\": \"{}\", \"predicted\": {}, \"simulated\": {}, \
-                 \"exact\": {}, \"preset\": {}, \"note\": \"{}\" }}{}\n",
-                r.desc.label(),
-                r.predicted,
-                r.simulated.map_or("null".into(), |c| c.to_string()),
-                r.exact,
-                r.preset,
-                r.note,
-                if i + 1 == out.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        print!("{s}");
+        // An infeasible candidate has no prediction (`u64::MAX`).
+        let predicted = |p: u64| Json::from((p != u64::MAX).then_some(p));
+        let rows = out.rows.iter().map(|r| {
+            Json::obj([
+                ("mapping", r.desc.label().into()),
+                ("predicted", predicted(r.predicted)),
+                ("simulated", r.simulated.into()),
+                ("exact", r.exact.into()),
+                ("preset", r.preset.into()),
+                ("note", r.note.as_str().into()),
+            ])
+        });
+        let doc = Json::obj([
+            ("kernel", target.into()),
+            ("machine", machine.into()),
+            ("key", out.key.to_string().into()),
+            ("plan_source", out.plan_source.into()),
+            ("simulated", out.simulated.into()),
+            ("total", out.total.into()),
+            (
+                "winner",
+                Json::obj([
+                    ("mapping", out.winner.label().into()),
+                    ("predicted", predicted(out.winner_predicted)),
+                    ("cycles", out.winner_cycles.into()),
+                ]),
+            ),
+            ("rows", rows.collect()),
+        ]);
+        print!("{}", doc.pretty());
         return;
     }
     println!(

@@ -1,5 +1,6 @@
 //! Smoke tests of the `polymem` CLI binary.
 
+use polymem::machine::Json;
 use std::process::Command;
 
 fn polymem(args: &[&str]) -> (String, String, bool) {
@@ -245,12 +246,21 @@ fn tune_json_dumps_the_ranked_table() {
         &[],
     );
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("\"plan_source\": \"search\""), "{out}");
-    assert!(out.contains("\"winner\""), "{out}");
-    assert!(out.contains("\"predicted\""), "{out}");
-    assert!(out.contains("\"simulated\""), "{out}");
+    let doc = Json::parse(&out).unwrap_or_else(|| panic!("not JSON: {out}"));
+    assert_eq!(
+        doc.get("plan_source").and_then(Json::as_str),
+        Some("search")
+    );
+    let winner = doc.get("winner").expect("winner");
+    assert!(winner.get("predicted").and_then(Json::as_i64).is_some());
+    let Some(Json::Arr(rows)) = doc.get("rows") else {
+        panic!("no rows: {out}");
+    };
+    assert!(rows
+        .iter()
+        .any(|r| r.get("simulated").and_then(Json::as_i64).is_some()));
     // Unsimulated rows carry null, not a number.
-    assert!(out.contains("\"simulated\": null"), "{out}");
+    assert!(rows.iter().any(|r| r.get("simulated") == Some(&Json::Null)));
 }
 
 #[test]
@@ -373,4 +383,75 @@ fn machine_keys_are_stable_across_processes_and_differ_per_machine() {
     assert_ne!(keys[0], keys[1], "gpu vs pim");
     assert_ne!(keys[0], keys[2], "gpu vs spatial");
     assert_ne!(keys[1], keys[2], "pim vs spatial");
+}
+
+/// `analyze <kernel> --json --params P --machine M`, parsed; returns the
+/// scratchpad level, if the dump has one.
+fn analyze_scratchpad_level(kernel: &str, params: &str, machine: &str) -> Option<Json> {
+    let (out, stderr, code) = polymem_code(
+        &[
+            "analyze",
+            kernel,
+            "--json",
+            "--params",
+            params,
+            "--machine",
+            machine,
+        ],
+        &[],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    let doc = Json::parse(&out).unwrap_or_else(|| panic!("not JSON: {out}"));
+    let Some(Json::Arr(levels)) = doc.get("levels") else {
+        panic!("no levels array: {out}");
+    };
+    levels
+        .iter()
+        .find(|l| l.get("level").and_then(Json::as_str) == Some("scratchpad"))
+        .cloned()
+}
+
+#[test]
+fn analyze_json_on_pim_stages_nothing() {
+    // In-place compute declines every group: the dump must say what
+    // `run --machine pim` does, not what the gpu would.
+    let level = analyze_scratchpad_level("matmul", "16", "pim").expect("a staged mapping");
+    assert_eq!(level.get("buffers"), Some(&Json::Arr(vec![])), "{level}");
+    assert_eq!(level.get("total_words").and_then(Json::as_i64), Some(0));
+}
+
+#[test]
+fn analyze_json_describes_the_launch_run_executes() {
+    // Same problem size on both sides: `run --size 16` vs the
+    // parameters the kernel table derives from it.
+    for (kernel, params) in [
+        ("me", "16,16,4"),
+        ("jacobi", "8,16"),
+        ("jacobi2d", "3,16"),
+        ("matmul", "16"),
+        ("conv2d", "16,3"),
+    ] {
+        for machine in ["gpu", "cell", "pim"] {
+            let (out, stderr, code) =
+                polymem_code(&["run", kernel, "--size", "16", "--machine", machine], &[]);
+            assert_eq!(code, 0, "{stderr}");
+            let peak: i64 = out
+                .split("peak scratchpad ")
+                .nth(1)
+                .and_then(|rest| rest.split(' ').next())
+                .and_then(|w| w.parse().ok())
+                .unwrap_or_else(|| panic!("no peak in: {out}"));
+            // An unstaged mapping (jacobi's) dumps no levels.
+            let dumped = analyze_scratchpad_level(kernel, params, machine)
+                .map_or(0, |l| l.get("total_words").and_then(Json::as_i64).unwrap());
+            if kernel == "jacobi2d" {
+                // Its loops start at 1, so the representative (first)
+                // block is a clipped boundary tile; the peak is an
+                // interior tile's.
+                assert!(dumped <= peak && (dumped > 0) == (peak > 0));
+            } else {
+                assert_eq!(dumped, peak, "{kernel} on {machine}");
+            }
+        }
+    }
 }

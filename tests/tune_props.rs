@@ -12,8 +12,8 @@ use polymem::core::smem::{DmaChannels, TransferDescriptor, TransferList};
 use polymem::ir::ArrayStore;
 use polymem::kernels::tunespace;
 use polymem::machine::{
-    config_for, cost_constants, structure_of, tune, warm_plan, DmaEngine, MachineConfig,
-    TuneOptions,
+    config_for, cost_constants, execute_blocked, structure_of, tune, warm_plan, DmaEngine,
+    MachineConfig, TuneOptions,
 };
 use proptest::prelude::*;
 
@@ -240,5 +240,67 @@ proptest! {
             prop_assert_eq!(predicted, simulated);
         }
         prop_assert_eq!(model.idle_at(), engine.drain(0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same property for the compute and round terms
+    /// (`CostConstants::{compute_cycles, round_cycles}`): an unstaged
+    /// flat matmul mapping has no DMA and uniform blocks, so the
+    /// estimator's polyhedral counts are the executor's measured ones —
+    /// and then, over arbitrary latencies, barrier costs and occupancy
+    /// limits, the predicted launch cycles are the simulated ones
+    /// exactly. (No sequential dim: the executor runs an unstaged block
+    /// as one sub-tile and rounds its cycles once, the estimator once
+    /// per sub-tile — a rounding-granularity residual, ROADMAP item 2.)
+    #[test]
+    fn estimator_compute_and_round_cycles_equal_the_executor(
+        tiles in (0usize..3, 0usize..3, 0usize..3),
+        latencies in (0.5f64..8.0, 1.0f64..400.0, 0.5f64..16.0),
+        sync in (0.0f64..5000.0, 0.0f64..50.0),
+        occupancy in (1u64..9, 1u64..5),
+    ) {
+        let menu = [2i64, 4, 8];
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        (cfg.cycles_per_op, cfg.global_latency, cfg.global_overlap) = latencies;
+        (cfg.device_sync_base, cfg.device_sync_per_block) = sync;
+        (cfg.n_outer, cfg.max_blocks_per_outer) = occupancy;
+        let desc = MappingDesc {
+            scheme: "tile".into(),
+            tiles: vec![
+                ("i".into(), menu[tiles.0]),
+                ("j".into(), menu[tiles.1]),
+                ("k".into(), menu[tiles.2]),
+            ],
+            round_dims: vec![],
+            block_dims: vec!["iT".into(), "jT".into()],
+            seq_dims: vec![],
+            thread_dims: vec![],
+            use_scratchpad: false,
+            double_buffer: false,
+            hierarchy: false,
+            residency: false,
+            vector_width: cfg.vector_width,
+        };
+        let kernel = tunespace::build("matmul", &desc).expect("desc rebuilds");
+        let (program, params, _) = tunespace::workload("matmul", 8).expect("workload");
+        let st = structure_of(&kernel, &params, &cfg).expect("structure");
+        let est = estimate(&kernel.program, None, &params, &st, &cost_constants(&cfg))
+            .expect("estimate");
+
+        let mut store = ArrayStore::for_program(&program, &params).expect("store");
+        tunespace::init_store("matmul", &mut store, 42);
+        let stats = execute_blocked(&kernel, &params, &mut store, &cfg, false).expect("runs");
+
+        // Counts agree ...
+        prop_assert_eq!(est.compute_ops, stats.instances);
+        prop_assert_eq!(
+            est.global_accesses * st.blocks,
+            stats.global_reads + stats.global_writes
+        );
+        // ... so cycles do.
+        prop_assert_eq!(est.predicted_cycles, stats.modeled_cycles);
     }
 }
