@@ -1,17 +1,17 @@
 //! Compile-once-per-shape plan reuse.
 //!
-//! The functional executor restricts the tiled program to one block by
-//! fixing the round/block/seq dims to concrete values and re-running
-//! the whole §3 pipeline on the restricted view — once *per sub-tile of
-//! every block of every round*, even though every instance has the same
-//! shape and the analysis result differs only in where the fixed dims
-//! sit. This module removes the redundancy: [`parametrize_dims`] turns
-//! the fixed dims into extra *parameters* of the program, so one
+//! A blocked launch restricts the tiled program to one block by fixing
+//! the round/block/seq dims to concrete values. Every instance has the
+//! same shape and its analysis result differs only in where the fixed
+//! dims sit, so running the §3 pipeline on each restricted view — once
+//! *per sub-tile of every block of every round* — would repeat one
+//! analysis. This module makes it happen once: [`parametrize_dims`]
+//! turns the fixed dims into extra *parameters* of the program, so one
 //! symbolic [`analyze_program`] run produces a [`SymbolicPlan`] whose
 //! buffer bounds, access rewrites and movement loop nests are affine in
-//! those parameters. Re-instantiating the plan for a concrete block is
-//! then just evaluating affine forms at `params ++ fixed values` —
-//! no Fourier–Motzkin, no partitioning, no codegen.
+//! those parameters. Instantiating the plan for a concrete block is
+//! then just evaluating affine forms at `params ++ fixed values`
+//! ([`ext_params`]) — no Fourier–Motzkin, no partitioning, no codegen.
 //!
 //! Exactness: buffer bounds ([`UnionBound`]), movement ASTs and local
 //! access maps are already fully parametric, so instantiating the
@@ -74,20 +74,9 @@ impl SymbolicPlan {
         }
     }
 
-    /// The extended parameter vector `params ++ fixed values` for one
-    /// concrete block instance, or `None` if `fixed` lacks a value for
-    /// one of the plan's fixed dims (a shape mismatch — the caller
-    /// should fall back to per-instance analysis).
+    /// [`ext_params`] over this plan's fixed dims.
     pub fn ext_params(&self, params: &[i64], fixed: &HashMap<String, i64>) -> Option<Vec<i64>> {
-        if fixed.len() != self.fixed.len() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(params.len() + self.fixed.len());
-        out.extend_from_slice(params);
-        for name in &self.fixed {
-            out.push(*fixed.get(name)?);
-        }
-        Some(out)
+        ext_params(&self.fixed, params, fixed)
     }
 
     /// Project a full-space iteration point of statement `stmt` down to
@@ -95,6 +84,26 @@ impl SymbolicPlan {
     pub fn project_point(&self, stmt: usize, point: &[i64]) -> Vec<i64> {
         self.kept_dims[stmt].iter().map(|&d| point[d]).collect()
     }
+}
+
+/// The extended parameter vector `params ++ fixed values` of one
+/// concrete block instance: every affine structure analysed over the
+/// [`parametrize_dims`] view at `names` evaluates under it. `None` if
+/// `fixed` does not pin exactly the dims in `names` (a shape mismatch).
+pub fn ext_params(
+    names: &[String],
+    params: &[i64],
+    fixed: &HashMap<String, i64>,
+) -> Option<Vec<i64>> {
+    if fixed.len() != names.len() {
+        return None;
+    }
+    let mut out = Vec::with_capacity(params.len() + names.len());
+    out.extend_from_slice(params);
+    for name in names {
+        out.push(*fixed.get(name)?);
+    }
+    Some(out)
 }
 
 /// Rebuild a statement space with the `names` dims moved to the end of
@@ -125,19 +134,27 @@ fn remap_row(row: impl Fn(usize) -> i64, col_map: &[Option<usize>]) -> Vec<i64> 
     col_map.iter().map(|c| c.map(&row).unwrap_or(0)).collect()
 }
 
+/// Whether the dims `names` can become parameters of `program` — the
+/// one way [`parametrize_dims`] fails: a name that already is one.
+pub fn check_parametrizable<'a>(
+    program: &Program,
+    names: impl IntoIterator<Item = &'a String>,
+) -> Result<()> {
+    match names.into_iter().find(|n| program.params.contains(n)) {
+        Some(n) => Err(SmemError::Ir(polymem_ir::IrError::UnknownName(format!(
+            "fixed dim `{n}` collides with a program parameter"
+        )))),
+        None => Ok(()),
+    }
+}
+
 /// The symbolic-block view: every dim named in `names` becomes a
 /// program *parameter* (appended after the existing ones, in the given
 /// order), in statement domains and access functions alike. Statement
 /// bodies are left untouched and must not be evaluated against the
 /// transformed spaces.
 pub fn parametrize_dims(program: &Program, names: &[String]) -> Result<Program> {
-    for n in names {
-        if program.params.contains(n) {
-            return Err(SmemError::Ir(polymem_ir::IrError::UnknownName(format!(
-                "fixed dim `{n}` collides with a program parameter"
-            ))));
-        }
-    }
+    check_parametrizable(program, names)?;
     let mut out = program.clone();
     out.params.extend(names.iter().cloned());
     for s in &mut out.stmts {

@@ -39,7 +39,10 @@ pub use alloc::{LocalBuffer, UnionBound};
 pub use artifact::{
     decode_artifact, encode_artifact, plan_key, ArtifactKey, ArtifactStore, KeyHasher, PlanArtifact,
 };
-pub use cache::{analyze_symbolic, analyze_symbolic_hier, parametrize_dims, SymbolicPlan};
+pub use cache::{
+    analyze_symbolic, analyze_symbolic_hier, check_parametrizable, ext_params, parametrize_dims,
+    SymbolicPlan,
+};
 pub use dataspace::{AccessId, RefInfo};
 pub use descriptors::{
     build_transfers, delta_transfer_list, flush_transfer_list, transfer_list, Direction,

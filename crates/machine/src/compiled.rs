@@ -4,8 +4,8 @@
 //! through `Expr::eval` and `AffineMap::apply`, allocating index
 //! vectors and hashing multi-index overlay keys per point. This module
 //! lowers everything that is invariant across a block *shape* — the
-//! set of fixed (block-origin) dims — exactly once, next to the cached
-//! [`SymbolicPlan`]:
+//! set of fixed (block-origin) dims — exactly once per launch
+//! ([`LaunchShared`]), next to the shared [`SymbolicPlan`]:
 //!
 //! * statement bodies compile to flat stack bytecode
 //!   ([`polymem_ir::BodyCode`]), validated ahead of time;
@@ -46,20 +46,26 @@ use crate::overlay::Overlay;
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::CostConstants;
 use polymem_core::smem::{
-    lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, HierPlan, LoweredRow,
-    SmemPlan, SymbolicPlan,
+    ext_params, lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, HierPlan,
+    LoweredRow, SmemPlan, SymbolicPlan,
 };
-use polymem_ir::{ArrayStore, BodyCode, IrError, Program};
+use polymem_ir::{ArrayStore, BodyCode, IrError, Program, Statement};
 use polymem_poly::bounds::{all_param_bounds, bound_cascade, DimBounds};
 use polymem_poly::{PolyError, Polyhedron};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// Per-launch state shared (read-only) by every block worker: the
-/// hoisted common-prefix depth matrix, global array extents and
-/// row-major weights, the compiled statement bodies, and the per-shape
-/// compiled-stream cache.
+/// Per-launch state, built before any block worker runs and shared
+/// read-only by all of them: the hoisted common-prefix depth matrix,
+/// global array extents and row-major weights, the compiled statement
+/// bodies — and the launch's one *block shape*. Every sub-block of a
+/// launch pins the same dims (round ∪ block ∪ seq), so everything that
+/// depends only on *which* dims are pinned is derived here once: the
+/// shared symbolic plan, the per-statement enumeration layout both
+/// engines walk, and the compiled address streams on top of it. A
+/// sub-block contributes only its `params ++ fixed values` vector
+/// ([`LaunchShared::sub_block_params`]).
 pub(crate) struct LaunchShared {
     /// `common[a][b]` = shared loop-dim prefix of statements `a`, `b`.
     pub common: Vec<Vec<usize>>,
@@ -68,22 +74,44 @@ pub(crate) struct LaunchShared {
     /// Row-major flattening weights per array (`None` if the array
     /// size overflows `i64` — flat addressing then stays guarded).
     pub weights: Vec<Option<Vec<i64>>>,
-    /// Compiled statement bodies, or `None` if any body failed to
-    /// compile (the whole launch then uses the interpreter).
+    /// Compiled statement bodies; `None` when compiled execution is
+    /// off for the launch (the config flag, or a body that failed to
+    /// compile to bytecode).
     pub bodies: Option<Vec<BodyCode>>,
-    /// Per-shape compiled streams; `None` when compiled execution is
-    /// disabled (config, naive mode, or uncompilable bodies).
-    pub compiled: Option<CompiledCache>,
     /// `POLYMEM_EXEC_CHECK=1`: run the interpreter as an oracle beside
     /// every compiled block and panic on divergence.
     pub exec_check: bool,
     /// The cycle model's constants: the formulas the launch charges
     /// compute phases and rounds with are the estimator's.
     pub cost: CostConstants,
+    /// Fixed-dim names of the block shape, in the (sorted) order their
+    /// values extend the params.
+    pub fixed: Vec<String>,
+    /// The shared symbolic scratchpad plan every staged sub-block
+    /// evaluates; `None` when the mapping stages nothing.
+    pub plan: Option<Arc<SymbolicPlan>>,
+    /// Per-statement enumeration layout, read by the interpreter
+    /// (`enumerate_with_cascade` + sort) and the compiled engine
+    /// ([`Cursor`]) alike.
+    pub layouts: Vec<StmtLayout>,
+    /// The lowered accesses of every statement; `None` when compiled
+    /// execution is off or the shape does not lower (unbounded proof
+    /// boxes, or a plan/dim-layout mismatch).
+    pub streams: Option<Vec<StmtStreams>>,
 }
 
 impl LaunchShared {
-    pub fn new(program: &Program, params: &[i64], config: &MachineConfig) -> Result<LaunchShared> {
+    /// Derive the launch state for the block shape pinning the dims
+    /// `fixed` (sorted), staged through `plan` if the mapping stages.
+    /// A shape that cannot be parametrized or scanned is a typed
+    /// error: there is no per-block path to degrade to.
+    pub fn new(
+        program: &Program,
+        params: &[i64],
+        config: &MachineConfig,
+        fixed: Vec<String>,
+        plan: Option<Arc<SymbolicPlan>>,
+    ) -> Result<LaunchShared> {
         let n = program.stmts.len();
         let mut common = vec![vec![0usize; n]; n];
         for (a, row) in common.iter_mut().enumerate() {
@@ -96,66 +124,60 @@ impl LaunchShared {
             ext.push(a.eval_extents(&program.params, params)?);
         }
         let weights = ext.iter().map(|e| row_major_weights(e)).collect();
-        let bodies: Option<Vec<BodyCode>> = program
+        let bodies: Option<Vec<BodyCode>> = config
+            .compiled_exec
+            .then(|| {
+                program
+                    .stmts
+                    .iter()
+                    .map(|s| {
+                        BodyCode::compile(
+                            &s.body,
+                            s.reads.len(),
+                            s.domain.space().dims().len(),
+                            params.len(),
+                        )
+                        .ok()
+                    })
+                    .collect()
+            })
+            .flatten();
+        let sym = parametrize_dims(program, &fixed)?;
+        let layouts = program
             .stmts
             .iter()
-            .map(|s| {
-                BodyCode::compile(
-                    &s.body,
-                    s.reads.len(),
-                    s.domain.space().dims().len(),
-                    params.len(),
-                )
-                .ok()
-            })
-            .collect();
-        let compiled =
-            (config.compiled_exec && !polymem_poly::cache::naive_mode() && bodies.is_some())
-                .then(CompiledCache::new);
-        let exec_check = std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1");
+            .zip(&sym.stmts)
+            .map(|(orig, ss)| StmtLayout::build(orig, ss, &fixed, program.params.len()))
+            .collect::<polymem_poly::Result<Vec<_>>>()?;
+        let streams = bodies
+            .as_ref()
+            .and_then(|_| lower_streams(&sym, &layouts, plan.as_deref()));
         Ok(LaunchShared {
             common,
             ext,
             weights,
             bodies,
-            compiled,
-            exec_check,
+            exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
+            fixed,
+            plan,
+            layouts,
+            streams,
         })
     }
-}
 
-/// Memo of one [`CompiledShape`] per block shape (sorted fixed-dim
-/// names), mirroring the plan cache: warmed lazily, `None` parked for
-/// shapes that fail to compile so same-shape blocks skip the retry.
-pub(crate) struct CompiledCache {
-    shapes: RwLock<HashMap<Vec<String>, Option<Arc<CompiledShape>>>>,
-}
-
-impl CompiledCache {
-    pub fn new() -> CompiledCache {
-        CompiledCache {
-            shapes: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// The compiled shape for this sub-block's fixed-dim set, built on
-    /// first use. `plan` must be the shared symbolic scratchpad plan
-    /// of the same shape (or `None` when no scratchpad is in play).
-    pub fn shape(
+    /// `params ++ fixed values` of one sub-block: the parameter vector
+    /// the plan, the layouts and the streams all evaluate under. A
+    /// sub-block pinning other dims than the launch shape is a typed
+    /// error.
+    pub fn sub_block_params(
         &self,
+        params: &[i64],
         fixed: &HashMap<String, i64>,
-        program: &Program,
-        plan: Option<&SymbolicPlan>,
-    ) -> Option<Arc<CompiledShape>> {
-        let mut key: Vec<String> = fixed.keys().cloned().collect();
-        key.sort();
-        if let Some(entry) = self.shapes.read().unwrap().get(&key) {
-            return entry.clone();
-        }
-        let built = CompiledShape::build(program, &key, plan).map(Arc::new);
-        let mut map = self.shapes.write().unwrap();
-        map.entry(key).or_insert(built).clone()
+    ) -> Result<Vec<i64>> {
+        ext_params(&self.fixed, params, fixed).ok_or(MachineError::Poly(PolyError::SpaceMismatch {
+            op: "evaluating the launch shape at a sub-block that fixes different dims",
+        }))
     }
 }
 
@@ -181,21 +203,65 @@ pub(crate) struct AccTemplate {
     pub rows: Vec<LoweredRow>,
 }
 
-/// Everything shape-invariant about one statement: the parametrized
-/// domain, its bound cascade, context-free per-dim boxes, the
-/// kept/fixed dim layout, and the lowered accesses.
-pub(crate) struct ShapeStmt {
+/// Everything shape-invariant about one statement's iteration space:
+/// the parametrized domain, its bound cascade and the kept/fixed dim
+/// layout. Enumerating a concrete sub-block is bound *evaluation* at
+/// its extended params — no per-block Fourier–Motzkin.
+pub(crate) struct StmtLayout {
     /// Statement domain with the fixed dims turned into parameters.
     pub domain: Polyhedron,
     pub cascade: Vec<DimBounds>,
-    /// Context-free parametric bounds of each kept dim (the proof box).
-    pub boxes: Vec<DimBounds>,
     /// Original dim index of each kept dim, in order.
     pub kept: Vec<usize>,
-    /// `(original dim index, index into the fixed-name list)`.
+    /// `(original dim index, index into the extended params)` of each
+    /// fixed dim this statement iterates.
     pub fixed_pos: Vec<(usize, usize)>,
     /// Dim count of the original (full-space) statement domain.
     pub n_full: usize,
+}
+
+impl StmtLayout {
+    fn build(
+        orig: &Statement,
+        sym: &Statement,
+        fixed: &[String],
+        n_params: usize,
+    ) -> polymem_poly::Result<StmtLayout> {
+        let dims = orig.domain.space().dims();
+        let (mut kept, mut fixed_pos) = (Vec::new(), Vec::new());
+        for (i, d) in dims.iter().enumerate() {
+            match fixed.iter().position(|n| n == d) {
+                Some(fi) => fixed_pos.push((i, n_params + fi)),
+                None => kept.push(i),
+            }
+        }
+        Ok(StmtLayout {
+            cascade: bound_cascade(&sym.domain)?,
+            domain: sym.domain.clone(),
+            kept,
+            fixed_pos,
+            n_full: dims.len(),
+        })
+    }
+
+    /// The full-space point of the kept-dim point `p` in the sub-block
+    /// at extended params `ep`.
+    pub fn full_point(&self, p: &[i64], ep: &[i64]) -> Vec<i64> {
+        let mut full = vec![0i64; self.n_full];
+        for (&d, &v) in self.kept.iter().zip(p) {
+            full[d] = v;
+        }
+        for &(d, e) in &self.fixed_pos {
+            full[d] = ep[e];
+        }
+        full
+    }
+}
+
+/// The lowered accesses of one statement, over its [`StmtLayout`].
+pub(crate) struct StmtStreams {
+    /// Context-free parametric bounds of each kept dim (the proof box).
+    pub boxes: Vec<DimBounds>,
     /// The innermost kept dim is a level-2 thread dim — batching along
     /// it would straddle thread-key (frame staging) boundaries.
     pub vary_thread: bool,
@@ -203,124 +269,64 @@ pub(crate) struct ShapeStmt {
     pub write: AccTemplate,
 }
 
-/// The per-shape compilation product: one [`ShapeStmt`] per statement.
-pub(crate) struct CompiledShape {
-    /// Fixed-dim names in the order their values extend the params.
-    pub fixed: Vec<String>,
-    pub stmts: Vec<ShapeStmt>,
-}
-
-impl CompiledShape {
-    pub fn build(
-        program: &Program,
-        fixed_names: &[String],
-        plan: Option<&SymbolicPlan>,
-    ) -> Option<CompiledShape> {
-        let hier = plan.and_then(|sp| sp.hier.as_ref());
-        let sym = parametrize_dims(program, fixed_names).ok()?;
-        let n_ext = program.params.len() + fixed_names.len();
-        let mut stmts = Vec::with_capacity(program.stmts.len());
-        for (si, (orig, ss)) in program.stmts.iter().zip(&sym.stmts).enumerate() {
-            let cascade = bound_cascade(&ss.domain).ok()?;
-            let boxes = all_param_bounds(&ss.domain).ok()?;
-            let orig_dims = orig.domain.space().dims();
-            let kept: Vec<usize> = (0..orig_dims.len())
-                .filter(|&i| !fixed_names.contains(&orig_dims[i]))
-                .collect();
-            let fixed_pos: Vec<(usize, usize)> = (0..orig_dims.len())
-                .filter_map(|i| {
-                    fixed_names
-                        .iter()
-                        .position(|n| *n == orig_dims[i])
-                        .map(|fi| (i, fi))
-                })
-                .collect();
-            if let Some(sp) = plan {
-                // The plan's projection must agree with our dim layout,
-                // or local-access rows would read the wrong cursor dims.
-                if sp.kept_dims.get(si) != Some(&kept) {
-                    return None;
-                }
+/// Lower every access of the parametrized program `sym` against the
+/// shape's layouts and (if the mapping stages) its shared plan.
+fn lower_streams(
+    sym: &Program,
+    layouts: &[StmtLayout],
+    plan: Option<&SymbolicPlan>,
+) -> Option<Vec<StmtStreams>> {
+    let hier = plan.and_then(|sp| sp.hier.as_ref());
+    let n_ext = sym.params.len();
+    let mut stmts = Vec::with_capacity(sym.stmts.len());
+    for (si, (ss, layout)) in sym.stmts.iter().zip(layouts).enumerate() {
+        let kept = &layout.kept;
+        if let Some(sp) = plan {
+            // The plan's projection must agree with our dim layout,
+            // or local-access rows would read the wrong cursor dims.
+            if sp.kept_dims.get(si) != Some(kept) {
+                return None;
             }
-            // Frame-redirected accesses need a thread key at every
-            // instance of their statement.
-            let keyed = hier
-                .and_then(|h| h.stmt_thread_pos.get(si))
-                .is_some_and(|p| p.is_some());
-            let vary_thread = hier
-                .and_then(|h| h.stmt_thread_pos.get(si))
-                .and_then(|p| p.as_ref())
-                .is_some_and(|pos| kept.last().is_some_and(|vd| pos.contains(vd)));
-            let lower = |id: AccessId, array: usize, map: &polymem_poly::AffineMap| {
-                if hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
-                    // Level-2 frame target: resolved per point against
-                    // the staged FrameSet, nothing to flat-lower here.
-                    if !keyed {
-                        return None;
-                    }
-                    return Some(AccTemplate {
-                        target: Target::Frame { id },
-                        rows: Vec::new(),
-                    });
-                }
-                match plan.and_then(|sp| sp.plan.rewrites.get(&id)) {
-                    Some(la) => {
-                        if la.map.n_in() != kept.len() || la.map.in_space().n_params() != n_ext {
-                            return None;
-                        }
-                        Some(AccTemplate {
-                            target: Target::Local { buffer: la.buffer },
-                            rows: lower_rows(&la.map),
-                        })
-                    }
-                    None => {
-                        if map.n_in() != kept.len() || map.in_space().n_params() != n_ext {
-                            return None;
-                        }
-                        Some(AccTemplate {
-                            target: Target::Global { array },
-                            rows: lower_rows(map),
-                        })
-                    }
-                }
+        }
+        let thread_pos = hier.and_then(|h| h.stmt_thread_pos.get(si)?.as_ref());
+        // Frame-redirected accesses need a thread key at every
+        // instance of their statement.
+        let keyed = thread_pos.is_some();
+        let vary_thread =
+            thread_pos.is_some_and(|pos| kept.last().is_some_and(|vd| pos.contains(vd)));
+        let lower = |id: AccessId, array: usize, map: &polymem_poly::AffineMap| {
+            if hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
+                // Level-2 frame target: resolved per point against
+                // the staged FrameSet, nothing to flat-lower here.
+                return keyed.then(|| AccTemplate {
+                    target: Target::Frame { id },
+                    rows: Vec::new(),
+                });
+            }
+            let (target, map) = match plan.and_then(|sp| sp.plan.rewrites.get(&id)) {
+                Some(la) => (Target::Local { buffer: la.buffer }, &la.map),
+                None => (Target::Global { array }, map),
             };
-            let reads = ss
-                .reads
-                .iter()
-                .enumerate()
-                .map(|(k, r)| lower(AccessId::read(si, k), r.array, &r.map))
-                .collect::<Option<Vec<_>>>()?;
-            let write = lower(AccessId::write(si), ss.write.array, &ss.write.map)?;
-            stmts.push(ShapeStmt {
-                domain: ss.domain.clone(),
-                cascade,
-                boxes,
-                kept,
-                fixed_pos,
-                n_full: orig_dims.len(),
-                vary_thread,
-                reads,
-                write,
-            });
-        }
-        Some(CompiledShape {
-            fixed: fixed_names.to_vec(),
-            stmts,
-        })
+            (map.n_in() == kept.len() && map.in_space().n_params() == n_ext).then(|| AccTemplate {
+                target,
+                rows: lower_rows(map),
+            })
+        };
+        let reads = ss
+            .reads
+            .iter()
+            .enumerate()
+            .map(|(k, r)| lower(AccessId::read(si, k), r.array, &r.map))
+            .collect::<Option<Vec<_>>>()?;
+        let write = lower(AccessId::write(si), ss.write.array, &ss.write.map)?;
+        stmts.push(StmtStreams {
+            boxes: all_param_bounds(&ss.domain).ok()?,
+            vary_thread,
+            reads,
+            write,
+        });
     }
-
-    /// `params ++ fixed values`, or `None` on a shape mismatch.
-    pub fn ext_params(&self, params: &[i64], fixed: &HashMap<String, i64>) -> Option<Vec<i64>> {
-        if fixed.len() != self.fixed.len() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(params.len() + self.fixed.len());
-        out.extend_from_slice(params);
-        for name in &self.fixed {
-            out.push(*fixed.get(name)?);
-        }
-        Some(out)
-    }
+    Some(stmts)
 }
 
 /// A per-block address stream: proven (incremental partial sums, no
@@ -400,7 +406,7 @@ impl StmtInst<'_> {
 /// `polymem_poly::count`, with identical budget and membership
 /// semantics, plus carry-depth tracking for incremental addressing.
 pub(crate) struct Cursor<'a> {
-    st: &'a ShapeStmt,
+    st: &'a StmtLayout,
     ep: &'a [i64],
     budget: u64,
     /// Kept-dim coordinates.
@@ -416,7 +422,9 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(st: &'a ShapeStmt, ep: &'a [i64], budget: u64) -> Cursor<'a> {
+    /// A cursor over `st` in the sub-block at extended params `ep`
+    /// (`params ++ fixed values`), the fixed full-space dims pre-filled.
+    pub fn new(st: &'a StmtLayout, ep: &'a [i64], budget: u64) -> Cursor<'a> {
         let n = st.cascade.len();
         Cursor {
             st,
@@ -424,17 +432,9 @@ impl<'a> Cursor<'a> {
             budget,
             point: vec![0; n],
             hi: vec![0; n],
-            full: vec![0i64; st.n_full],
+            full: st.full_point(&[], ep),
             visited: 0,
             changed: 0,
-        }
-    }
-
-    /// Pre-fill the fixed full-space dims from the extended params
-    /// (`ep` is `params ++ fixed values`; `n_params` = `params.len()`).
-    fn fill_fixed(&mut self, n_params: usize) {
-        for &(d, fi) in &self.st.fixed_pos {
-            self.full[d] = self.ep[n_params + fi];
         }
     }
 
@@ -778,12 +778,15 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
     true
 }
 
-/// Run one sub-block's compute phase through the compiled engine.
+/// Run one sub-block's compute phase through the compiled engine, at
+/// the sub-block's extended params `ep`; `local` is its staged
+/// scratchpad (present iff the launch has a plan).
 ///
 /// Returns `Ok(None)` — *before any effect* — when this block cannot
-/// take the compiled path (shape mismatch, unbounded boxes, foreign
-/// store); the caller then runs the interpreter. After the first
-/// instance executes, errors are hard and mirror the interpreter's.
+/// take the compiled path (engine off or shape not lowered for the
+/// launch, unbounded boxes, foreign store); the caller then runs the
+/// interpreter. After the first instance executes, errors are hard and
+/// mirror the interpreter's.
 ///
 /// Hierarchy plans (`plan.hier`) execute here natively: the merge
 /// tracks each keyed statement's thread key and stages/flushes
@@ -793,23 +796,19 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
 /// `RegisterOverflow`) is bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_compiled<'s>(
-    shape: &'s CompiledShape,
-    launch: &LaunchShared,
+    launch: &'s LaunchShared,
     program: &Program,
     params: &[i64],
     fixed: &HashMap<String, i64>,
+    ep: &[i64],
     store: &ArrayStore,
     mut local: Option<&mut LocalStore>,
-    plan: Option<&SymbolicPlan>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
     config: &MachineConfig,
 ) -> Result<Option<CompiledCounts>> {
     let budget = config.enum_budget;
-    let Some(bodies) = launch.bodies.as_ref() else {
-        return Ok(None);
-    };
-    let Some(ep) = shape.ext_params(params, fixed) else {
+    let (Some(bodies), Some(streams)) = (launch.bodies.as_ref(), launch.streams.as_ref()) else {
         return Ok(None);
     };
     // Resolve store ids once and insist the store agrees with the
@@ -821,31 +820,8 @@ pub(crate) fn run_compiled<'s>(
             _ => return Ok(None),
         }
     }
-    let hier: Option<&HierPlan> = plan.and_then(|sp| sp.hier.as_ref());
-    let plan1: Option<&SmemPlan> = plan.map(|sp| &sp.plan);
-    // A local or frame target without a staged local store cannot run
-    // compiled (frames fill from and flush to the level-1 buffers).
-    let needs_local = hier.is_some()
-        || shape.stmts.iter().any(|st| {
-            st.reads
-                .iter()
-                .chain(std::iter::once(&st.write))
-                .any(|t| !matches!(t.target, Target::Global { .. }))
-        });
-    if needs_local && local.is_none() {
-        return Ok(None);
-    }
-    // A frame target without the hier plan in hand is a caller bug
-    // (shape and plan are cached together) — decline defensively.
-    let has_frames = shape.stmts.iter().any(|st| {
-        st.reads
-            .iter()
-            .chain(std::iter::once(&st.write))
-            .any(|t| matches!(t.target, Target::Frame { .. }))
-    });
-    if has_frames && hier.is_none() {
-        return Ok(None);
-    }
+    let plan1: Option<&SmemPlan> = launch.plan.as_deref().map(|sp| &sp.plan);
+    let hier: Option<&HierPlan> = launch.plan.as_deref().and_then(|sp| sp.hier.as_ref());
     let lweights: Vec<Option<Vec<i64>>> = local
         .as_deref()
         .map(|l| l.bufs.iter().map(|b| row_major_weights(&b.1)).collect())
@@ -853,14 +829,13 @@ pub(crate) fn run_compiled<'s>(
 
     // Instantiate address streams and cursors for every statement —
     // all soft-fallback exits happen in this phase, before any effect.
-    let n_stmts = shape.stmts.len();
+    let n_stmts = streams.len();
     let mut insts: Vec<StmtInst> = Vec::with_capacity(n_stmts);
     let mut cursors: Vec<Cursor> = Vec::with_capacity(n_stmts);
-    let n_params = params.len();
-    for st in &shape.stmts {
+    for (st, layout) in streams.iter().zip(&launch.layouts) {
         let mut boxes = Vec::with_capacity(st.boxes.len());
         for b in &st.boxes {
-            match b.eval_range(&[], &ep) {
+            match b.eval_range(&[], ep) {
                 Some(r) => boxes.push(r),
                 None => return Ok(None),
             }
@@ -869,13 +844,15 @@ pub(crate) fn run_compiled<'s>(
             let proven = match t.target {
                 Target::Global { array } => launch.weights[array]
                     .as_ref()
-                    .and_then(|w| prove_flat(&t.rows, &ep, w, &launch.ext[array], None, &boxes)),
+                    .and_then(|w| prove_flat(&t.rows, ep, w, &launch.ext[array], None, &boxes)),
                 Target::Local { buffer } => {
-                    let l = local.as_deref().expect("checked above");
+                    let l = local
+                        .as_deref()
+                        .expect("a staged launch passes its scratchpad");
                     let (_, ext_b, off_b) = &l.bufs[buffer];
                     lweights[buffer]
                         .as_ref()
-                        .and_then(|w| prove_flat(&t.rows, &ep, w, ext_b, Some(off_b), &boxes))
+                        .and_then(|w| prove_flat(&t.rows, ep, w, ext_b, Some(off_b), &boxes))
                 }
                 // Frames re-anchor per thread key — always resolved
                 // through the staged FrameSet, never flat-proven.
@@ -898,9 +875,7 @@ pub(crate) fn run_compiled<'s>(
             reads: st.reads.iter().map(make).collect(),
             write: make(&st.write),
         });
-        let mut cur = Cursor::new(st, &ep, budget);
-        cur.fill_fixed(n_params);
-        cursors.push(cur);
+        cursors.push(Cursor::new(layout, ep, budget));
     }
     let mut alive = vec![false; n_stmts];
     for si in 0..n_stmts {
@@ -973,7 +948,9 @@ pub(crate) fn run_compiled<'s>(
             if let Some(key) = h.thread_key(si, &cursors[si].full) {
                 if cur_frames.as_ref().map(|fs| fs.key.as_slice()) != Some(key.as_slice()) {
                     let p1 = plan1.expect("hier rides on the level-1 plan");
-                    let ls = local.as_deref_mut().expect("checked above");
+                    let ls = local
+                        .as_deref_mut()
+                        .expect("a staged launch passes its scratchpad");
                     if let Some(fs) = cur_frames.take() {
                         counts.n_smem += flush_frames(h, p1, &fs, ls, stats, config)?;
                     }
@@ -983,8 +960,8 @@ pub(crate) fn run_compiled<'s>(
                 }
             }
         }
-        let st = &shape.stmts[si];
-        let n = st.cascade.len();
+        let (st, layout) = (&streams[si], &launch.layouts[si]);
+        let n = layout.cascade.len();
 
         // Probe for a batch: up to `vw` consecutive innermost-dim
         // instances, clipped to the run, the domain, the budget, and
@@ -1000,7 +977,7 @@ pub(crate) fn run_compiled<'s>(
                 let mut ok = 1usize;
                 while ok < lanes {
                     probe_buf[n - 1] += 1;
-                    if !st.domain.contains(&probe_buf, &ep) {
+                    if !layout.domain.contains(&probe_buf, ep) {
                         break;
                     }
                     ok += 1;
@@ -1008,7 +985,7 @@ pub(crate) fn run_compiled<'s>(
                 lanes = ok;
             }
             if lanes > 1 && n_stmts > 1 {
-                let vd = st.kept[n - 1];
+                let vd = layout.kept[n - 1];
                 end_full_buf.clear();
                 end_full_buf.extend_from_slice(&cur.full);
                 'shrink: while lanes > 1 {
@@ -1032,7 +1009,7 @@ pub(crate) fn run_compiled<'s>(
         }
 
         if lanes > 1 {
-            let vd = st.kept[n - 1];
+            let vd = layout.kept[n - 1];
             let base_full = &cursors[si].full;
             let nr = insts[si].reads.len();
             if flags_buf.iter().any(|&f| f) {
@@ -1144,11 +1121,13 @@ pub(crate) fn run_compiled<'s>(
                         let off = match &acc.addr {
                             Addr::Proven { .. } => acc.offset(),
                             Addr::Guarded { rows } => {
-                                let l = local.as_deref().expect("checked above");
+                                let l = local
+                                    .as_deref()
+                                    .expect("a staged launch passes its scratchpad");
                                 guarded_offset(
                                     rows,
                                     &cur.point,
-                                    &ep,
+                                    ep,
                                     &l.bufs[buffer].1,
                                     Some(&l.bufs[buffer].2),
                                     &mut idx,
@@ -1158,7 +1137,11 @@ pub(crate) fn run_compiled<'s>(
                         };
                         stats.smem_reads += 1;
                         counts.n_smem += 1;
-                        local.as_deref().expect("checked above").bufs[buffer].0[off]
+                        local
+                            .as_deref()
+                            .expect("a staged launch passes its scratchpad")
+                            .bufs[buffer]
+                            .0[off]
                     }
                     Target::Global { array } => {
                         let off = match &acc.addr {
@@ -1166,7 +1149,7 @@ pub(crate) fn run_compiled<'s>(
                             Addr::Guarded { rows } => guarded_offset(
                                 rows,
                                 &cur.point,
-                                &ep,
+                                ep,
                                 &launch.ext[array],
                                 None,
                                 &mut idx,
@@ -1199,11 +1182,13 @@ pub(crate) fn run_compiled<'s>(
                     let woff = match &wacc.addr {
                         Addr::Proven { .. } => wacc.offset(),
                         Addr::Guarded { rows } => {
-                            let l = local.as_deref().expect("checked above");
+                            let l = local
+                                .as_deref()
+                                .expect("a staged launch passes its scratchpad");
                             guarded_offset(
                                 rows,
                                 &cur.point,
-                                &ep,
+                                ep,
                                 &l.bufs[buffer].1,
                                 Some(&l.bufs[buffer].2),
                                 &mut idx,
@@ -1213,7 +1198,11 @@ pub(crate) fn run_compiled<'s>(
                     };
                     stats.smem_writes += 1;
                     counts.n_smem += 1;
-                    local.as_deref_mut().expect("checked above").bufs[buffer].0[woff] = value;
+                    local
+                        .as_deref_mut()
+                        .expect("a staged launch passes its scratchpad")
+                        .bufs[buffer]
+                        .0[woff] = value;
                 }
                 Target::Global { array } => {
                     let woff = match &wacc.addr {
@@ -1221,7 +1210,7 @@ pub(crate) fn run_compiled<'s>(
                         Addr::Guarded { rows } => guarded_offset(
                             rows,
                             &cur.point,
-                            &ep,
+                            ep,
                             &launch.ext[array],
                             None,
                             &mut idx,
@@ -1245,7 +1234,7 @@ pub(crate) fn run_compiled<'s>(
     // like the interpreter's final flush.
     if let (Some(h), Some(fs)) = (hier, cur_frames.take()) {
         let p1 = plan1.expect("hier rides on the level-1 plan");
-        let ls = local.expect("checked above");
+        let ls = local.expect("a staged launch passes its scratchpad");
         counts.n_smem += flush_frames(h, p1, &fs, ls, stats, config)?;
     }
     Ok(Some(counts))
@@ -1271,13 +1260,17 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The launch state of `triangular()` with no dim pinned.
+    fn triangular_launch() -> LaunchShared {
+        let cfg = MachineConfig::geforce_8800_gtx();
+        LaunchShared::new(&triangular(), &[4], &cfg, Vec::new(), None).unwrap()
+    }
+
     #[test]
     fn cursor_walks_triangular_domain_in_lex_order() {
-        let p = triangular();
-        let shape = CompiledShape::build(&p, &[], None).unwrap();
-        let st = &shape.stmts[0];
+        let launch = triangular_launch();
         let ep = vec![4i64];
-        let mut cur = Cursor::new(st, &ep, 1000);
+        let mut cur = Cursor::new(&launch.layouts[0], &ep, 1000);
         let mut pts = Vec::new();
         assert!(cur.first().unwrap());
         loop {
@@ -1299,11 +1292,28 @@ mod tests {
     }
 
     #[test]
+    fn sub_block_pinning_other_dims_than_the_shape_is_a_typed_error() {
+        let cfg = MachineConfig::geforce_8800_gtx();
+        let fixed = vec!["i".to_string()];
+        let launch = LaunchShared::new(&triangular(), &[4], &cfg, fixed, None).unwrap();
+        let at = |pins: &[(&str, i64)]| {
+            let fixed = pins.iter().map(|(n, v)| (n.to_string(), *v)).collect();
+            launch.sub_block_params(&[4], &fixed)
+        };
+        assert_eq!(at(&[("i", 2)]).unwrap(), vec![4, 2]);
+        for wrong in [&[][..], &[("j", 2)], &[("i", 2), ("j", 0)]] {
+            assert!(matches!(
+                at(wrong),
+                Err(MachineError::Poly(PolyError::SpaceMismatch { .. }))
+            ));
+        }
+    }
+
+    #[test]
     fn cursor_enforces_the_enumeration_budget() {
-        let p = triangular();
-        let shape = CompiledShape::build(&p, &[], None).unwrap();
+        let launch = triangular_launch();
         let ep = vec![4i64];
-        let mut cur = Cursor::new(&shape.stmts[0], &ep, 3);
+        let mut cur = Cursor::new(&launch.layouts[0], &ep, 3);
         assert!(cur.first().unwrap());
         let mut n = 1;
         let err = loop {

@@ -93,10 +93,6 @@ pub struct MachineConfig {
     /// functional executor; exceeding it is a typed
     /// `MachineError::EnumerationBudget` instead of an unbounded walk.
     pub enum_budget: u64,
-    /// Reuse one symbolically analysed scratchpad plan across block
-    /// instances of the same shape (compile-once-per-shape) instead of
-    /// re-running the §3 analysis per sub-tile.
-    pub plan_cache: bool,
     /// Tagged DMA channels per outer unit (Cell MFC queue depth /
     /// GPU memory-pipe width). `0` disables the DMA transfer engine
     /// entirely (movement is charged per element as before).
@@ -128,11 +124,11 @@ pub struct MachineConfig {
     /// pipeline over the intra-thread subnest of each block and stage
     /// beneficial groups into per-thread frames (smem→reg move-in,
     /// reg→smem move-out). Off in every preset; `polymem run` turns it
-    /// on unless `--no-hierarchy` is given. Requires the plan cache.
-    /// Both engines execute level-2 plans: the compiled engine tracks
-    /// thread-key change points inside its merged cursors and stages
-    /// frames through the same movement code as the interpreter, so
-    /// counters stay bit-identical between the two.
+    /// on unless `--no-hierarchy` is given. Both engines execute
+    /// level-2 plans: the compiled engine tracks thread-key change
+    /// points inside its merged cursors and stages frames through the
+    /// same movement code as the interpreter, so counters stay
+    /// bit-identical between the two.
     pub hierarchy: bool,
     /// Lane count of the compiled engine's batched inner loop. `1` is
     /// the scalar path; wider values evaluate up to this many
@@ -148,9 +144,9 @@ pub struct MachineConfig {
     /// against its lexicographic predecessor and only the *delta*
     /// crosses the global bus; overlapping elements are retained (and
     /// re-based in-place when the window slides, as in stencil halos).
-    /// Requires the plan cache; derived per description: on exactly
-    /// for machines with a scratchpad worth keeping warm;
-    /// `polymem run --no-residency` turns it off.
+    /// Derived per description: on exactly for machines with a
+    /// scratchpad worth keeping warm; `polymem run --no-residency`
+    /// turns it off.
     pub residency: bool,
     /// Partition each array's references into maximal disjoint groups
     /// (§3.1, the default). With `false`, all references share one

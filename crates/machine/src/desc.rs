@@ -133,7 +133,6 @@ impl MachineDesc {
             device_sync_per_block: self.device_sync_per_block,
             max_blocks_per_outer: self.max_blocks_per_outer,
             enum_budget: DEFAULT_ENUM_BUDGET,
-            plan_cache: true,
             dma_channels: self.dma_channels,
             dma_setup_cycles: self.dma_setup_cycles,
             dma_bytes_per_cycle: self.dma_bytes_per_cycle,

@@ -14,11 +14,11 @@
 //! barrier).
 //!
 //! With `use_scratchpad`, each block stages data through local buffers
-//! using the full §3 pipeline — `analyze_program` on the block's
-//! restricted view, generated move-in code, rewritten accesses,
-//! generated move-out code — so the executor is an end-to-end test of
-//! the compiler: the test-suite compares final array contents
-//! bit-exactly against the reference interpreter.
+//! using the full §3 pipeline — one symbolic analysis of the launch's
+//! block shape, evaluated per sub-block: generated move-in code,
+//! rewritten accesses, generated move-out code — so the executor is an
+//! end-to-end test of the compiler: the test-suite compares final
+//! array contents bit-exactly against the reference interpreter.
 
 use crate::compiled::{run_compiled, LaunchShared};
 use crate::config::MachineConfig;
@@ -28,20 +28,17 @@ use crate::overlay::{flatten, Overlay};
 use crate::trace::PassProfiler;
 use crate::{MachineError, Result};
 use polymem_core::smem::{
-    analyze_program_timed, analyze_symbolic_hier, delta_transfer_list, flush_transfer_list,
-    parametrize_dims, plan_key, transfer_list, AccessId, ArtifactKey, ArtifactStore, Direction,
-    HierPlan, HierSpec, LocalBuffer, PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemPlan,
+    analyze_symbolic_hier, check_parametrizable, delta_transfer_list, flush_transfer_list,
+    plan_key, transfer_list, AccessId, ArtifactKey, ArtifactStore, Direction, HierPlan, HierSpec,
+    LocalBuffer, MovementCode, PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemPlan,
     SymbolicPlan,
 };
 use polymem_core::tiling::transform::fix_dims;
 use polymem_ir::{ArrayStore, Program};
-use polymem_poly::bounds::{bound_cascade, DimBounds};
 use polymem_poly::count::{enumerate_points, enumerate_with_cascade};
-use polymem_poly::{Constraint, Polyhedron};
-use std::borrow::Cow;
+use polymem_poly::Constraint;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A tiled program mapped onto the two-level machine.
@@ -101,11 +98,12 @@ pub struct ExecStats {
     /// Peak scratchpad words used by any single block.
     pub max_smem_words: u64,
     /// Sub-blocks whose scratchpad plan was instantiated from the
-    /// shared symbolic plan (compile-once-per-shape reuse).
+    /// shared symbolic plan (compile-once-per-shape reuse): every
+    /// staged sub-block.
     pub plan_cache_hits: u64,
-    /// Sub-blocks that required a fresh §3 analysis (the one symbolic
-    /// warm-up analysis counts as a miss, as does any block whose
-    /// fixed-dim shape differs from the representative).
+    /// Symbolic plans the launch had to obtain: 1 for a staged launch
+    /// (the one warm-up of its block shape, whatever its source), else
+    /// 0.
     pub plan_cache_misses: u64,
     /// Modeled cycles one block spent (compute + exposed transfer
     /// time); summed over blocks by [`absorb`](ExecStats::absorb).
@@ -169,25 +167,21 @@ pub struct ExecStats {
 /// reporting compute time as if the compiled engine were on.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FallbackStats {
-    /// Compiled execution was off for the launch: the config flag,
-    /// naive mode, or a body that failed to compile to bytecode.
+    /// Compiled execution was off for the launch: the config flag, or
+    /// a body that failed to compile to bytecode.
     pub engine_off: u64,
-    /// The sub-block's scratchpad plan was analysed per-block (owned),
-    /// so there is no shared shape to key compiled streams on.
-    pub owned_plan: u64,
-    /// The block shape failed to compile (unbounded cascade, or a
-    /// plan/dim-layout mismatch); parked so same-shape blocks skip the
-    /// retry.
+    /// The launch's block shape failed to lower (unbounded proof
+    /// boxes, or a plan/dim-layout mismatch).
     pub shape_uncompiled: u64,
     /// The compiled engine declined at run time, before any effect
-    /// (parameter mismatch, foreign store, unbounded proof box).
+    /// (foreign store, unbounded proof box or cascade).
     pub runtime_decline: u64,
 }
 
 impl FallbackStats {
     /// Total interpreted-phase fallbacks.
     pub fn total(&self) -> u64 {
-        self.engine_off + self.owned_plan + self.shape_uncompiled + self.runtime_decline
+        self.engine_off + self.shape_uncompiled + self.runtime_decline
     }
 
     /// Every counter under its field name.
@@ -195,7 +189,6 @@ impl FallbackStats {
         Json::obj(counters_json!(
             FallbackStats {
                 engine_off,
-                owned_plan,
                 shape_uncompiled,
                 runtime_decline,
             } = self
@@ -204,7 +197,6 @@ impl FallbackStats {
 
     fn absorb(&mut self, o: &FallbackStats) {
         self.engine_off += o.engine_off;
-        self.owned_plan += o.owned_plan;
         self.shape_uncompiled += o.shape_uncompiled;
         self.runtime_decline += o.runtime_decline;
     }
@@ -245,7 +237,7 @@ impl Eq for ExecStats {}
 /// envelope the bench harnesses wrap around it. Bump it whenever a
 /// counter is renamed, removed or changes meaning (adding one is
 /// compatible).
-pub const STATS_SCHEMA: u64 = 1;
+pub const STATS_SCHEMA: u64 = 2;
 
 impl ExecStats {
     /// The one place a counter is named in output: `schema`, then every
@@ -328,141 +320,6 @@ impl ExecStats {
     }
 }
 
-/// The scratchpad plan a sub-block executes with: either freshly
-/// analysed for this instance, or a shared symbolic plan evaluated at
-/// the instance's fixed-dim values.
-enum PlanRef {
-    Owned(SmemPlan),
-    Shared(Arc<SymbolicPlan>),
-}
-
-impl PlanRef {
-    fn plan(&self) -> &SmemPlan {
-        match self {
-            PlanRef::Owned(p) => p,
-            PlanRef::Shared(s) => &s.plan,
-        }
-    }
-
-    /// Map a full-space instance point into the plan's iteration
-    /// space (the symbolic plan drops the fixed dims).
-    fn project<'a>(&self, si: usize, point: &'a [i64]) -> Cow<'a, [i64]> {
-        match self {
-            PlanRef::Owned(_) => Cow::Borrowed(point),
-            PlanRef::Shared(s) => Cow::Owned(s.project_point(si, point)),
-        }
-    }
-}
-
-/// Shared memo of the one-per-shape symbolic scratchpad plan, keyed on
-/// the (sorted) fixed-dim names of a sub-block's restricted view.
-/// Warmed once before workers spawn; lookups from parallel block
-/// workers are read-only, so hit/miss counts are deterministic and
-/// identical between sequential and parallel execution.
-struct PlanCache {
-    plans: RwLock<HashMap<Vec<String>, Option<Arc<SymbolicPlan>>>>,
-    /// Per-shape symbolic instance-enumeration plans (lazily built).
-    enums: RwLock<HashMap<Vec<String>, Option<Arc<EnumPlan>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Compile-once-per-shape instance enumeration: the bound cascade of
-/// every statement domain with the block's fixed dims turned into
-/// parameters. Enumerating a concrete sub-block is then bound
-/// *evaluation* at `params ++ fixed values` — no per-block
-/// Fourier–Motzkin. Disabled in the polyhedral core's naive mode so
-/// the pre-optimization baseline stays measurable.
-struct EnumPlan {
-    /// Fixed-dim names in the order their values extend the params.
-    fixed: Vec<String>,
-    stmts: Vec<StmtEnum>,
-}
-
-struct StmtEnum {
-    /// The statement domain with the fixed dims as parameters.
-    domain: Polyhedron,
-    cascade: Vec<DimBounds>,
-    /// Original dim index of each symbolic dim, in order.
-    kept: Vec<usize>,
-    /// `(original dim index, index into the fixed-name list)` for each
-    /// fixed dim present in this statement.
-    fixed_pos: Vec<(usize, usize)>,
-    /// Dim count of the original (full-space) statement domain.
-    n_full: usize,
-}
-
-impl EnumPlan {
-    fn build(program: &Program, fixed_names: &[String]) -> Option<EnumPlan> {
-        let sym = parametrize_dims(program, fixed_names).ok()?;
-        let mut stmts = Vec::with_capacity(sym.stmts.len());
-        for (si, s) in sym.stmts.iter().enumerate() {
-            let cascade = bound_cascade(&s.domain).ok()?;
-            let orig_dims = program.stmts[si].domain.space().dims();
-            let kept: Vec<usize> = (0..orig_dims.len())
-                .filter(|&i| !fixed_names.contains(&orig_dims[i]))
-                .collect();
-            let fixed_pos: Vec<(usize, usize)> = (0..orig_dims.len())
-                .filter_map(|i| {
-                    fixed_names
-                        .iter()
-                        .position(|n| *n == orig_dims[i])
-                        .map(|fi| (i, fi))
-                })
-                .collect();
-            stmts.push(StmtEnum {
-                domain: s.domain.clone(),
-                cascade,
-                kept,
-                fixed_pos,
-                n_full: orig_dims.len(),
-            });
-        }
-        Some(EnumPlan {
-            fixed: fixed_names.to_vec(),
-            stmts,
-        })
-    }
-
-    /// `params ++ fixed values`, or `None` on a shape mismatch.
-    fn ext_params(&self, params: &[i64], fixed: &HashMap<String, i64>) -> Option<Vec<i64>> {
-        if fixed.len() != self.fixed.len() {
-            return None;
-        }
-        let mut out = Vec::with_capacity(params.len() + self.fixed.len());
-        out.extend_from_slice(params);
-        for name in &self.fixed {
-            out.push(*fixed.get(name)?);
-        }
-        Some(out)
-    }
-
-    /// Enumerate statement `si`'s instances for the block at `ext`,
-    /// reconstructing full-space points. Errors (unbounded cascade,
-    /// exceeded budget) surface so the caller can fall back to the
-    /// per-block path.
-    fn enumerate(
-        &self,
-        si: usize,
-        ext: &[i64],
-        budget: u64,
-        out: &mut Vec<(usize, Vec<i64>)>,
-    ) -> polymem_poly::Result<()> {
-        let se = &self.stmts[si];
-        let n_params = ext.len() - self.fixed.len();
-        enumerate_with_cascade(&se.domain, &se.cascade, ext, budget, &mut |p| {
-            let mut full = vec![0i64; se.n_full];
-            for (k, &d) in se.kept.iter().enumerate() {
-                full[d] = p[k];
-            }
-            for &(d, fi) in &se.fixed_pos {
-                full[d] = ext[n_params + fi];
-            }
-            out.push((si, full));
-        })
-    }
-}
-
 /// Where the launch's shared symbolic plan came from (see
 /// [`execute_blocked_seeded`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -498,7 +355,9 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
             | (config.caps.hardware_cache as u64) << 3,
         config.smem_bytes,
         config.word_bytes,
-        config.plan_cache as u64,
+        // Held the retired `plan_cache` knob (always on); kept so no
+        // plan or tune key moves.
+        1,
         config.double_buffer as u64,
         config.compiled_exec as u64,
         config.regs_per_inner,
@@ -514,34 +373,52 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
 /// spec, if any.
 pub type Representative = (Vec<(String, i64)>, Option<HierSpec>);
 
-/// Pin the round dims at `round0` and the block and seq dims (and,
-/// with hierarchy on, the thread dims) at their first enumerated
-/// values.
-fn representative(
+/// The values one level of dims (round, block or seq) enumerates to.
+pub(crate) type LevelValues = Vec<Vec<i64>>;
+
+/// Enumerate each level of dims of `lead` in turn, every outer level
+/// pinned at its first enumerated value: the launch's first sub-block.
+/// It is the representative the shared plan is analysed at *and* the
+/// point the tuner's estimator prices, so both read this one walker.
+/// Returns the pinned dims plus every level's enumerated values.
+pub(crate) fn first_sub_block(
+    lead: &polymem_ir::Statement,
+    levels: &[&[String]],
+    params: &[i64],
+    budget: u64,
+) -> Result<(HashMap<String, i64>, Vec<LevelValues>)> {
+    let mut rep = HashMap::new();
+    let mut vals = Vec::with_capacity(levels.len());
+    for dims in levels {
+        let level = enumerate_named(lead, dims, params, &rep, budget)?;
+        if let Some(v0) = level.first() {
+            rep.extend(dims.iter().cloned().zip(v0.iter().copied()));
+        }
+        vals.push(level);
+    }
+    Ok((rep, vals))
+}
+
+/// The launch's round values and its representative: the dims every
+/// sub-block pins (round ∪ block, ∪ seq when the mapping stages) at
+/// their first values and, with hierarchy on, the thread dims at
+/// theirs. Dims that cannot become parameters of the program are the
+/// typed analysis error here, for every entry point alike.
+fn first_block(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
     lead: &polymem_ir::Statement,
-    round0: &[i64],
-) -> Result<Representative> {
-    let mut rep: HashMap<String, i64> = kernel
-        .round_dims
-        .iter()
-        .cloned()
-        .zip(round0.iter().copied())
-        .collect();
-    for dims in [&kernel.block_dims, &kernel.seq_dims] {
-        let vals = enumerate_named(lead, dims, params, &rep, config.enum_budget)?;
-        if let Some(v0) = vals.first() {
-            rep.extend(dims.iter().cloned().zip(v0.iter().copied()));
-        }
-    }
+) -> Result<(LevelValues, Representative)> {
+    let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
+    let staged = if kernel.use_scratchpad { 3 } else { 2 };
+    let (rep, mut vals) = first_sub_block(lead, &levels[..staged], params, config.enum_budget)?;
     // Register-tile level: analyse the intra-thread subnest of the
     // representative block with the thread dims as extra fixed
     // dims. The representative thread values feed Algorithm 1's
     // volume test exactly like the representative block values do.
     let mut hier = None;
-    if config.hierarchy && !kernel.thread_dims.is_empty() {
+    if kernel.use_scratchpad && config.hierarchy && !kernel.thread_dims.is_empty() {
         let tvals = enumerate_named(lead, &kernel.thread_dims, params, &rep, config.enum_budget)?;
         hier = tvals.first().map(|t0| HierSpec {
             thread_dims: kernel.thread_dims.clone(),
@@ -554,36 +431,27 @@ fn representative(
             regs_per_inner: config.regs_per_inner,
         });
     }
+    check_parametrizable(&kernel.program, rep.keys())?;
     let mut pairs: Vec<(String, i64)> = rep.into_iter().collect();
     pairs.sort();
-    Ok((pairs, hier))
+    Ok((vals.swap_remove(0), (pairs, hier)))
 }
 
-/// [`representative`] for the entry points that do not enumerate the
-/// launch themselves — and for reports that evaluate a [`warm_plan`]
-/// at the block it was analysed for. `None` when the mapping stages
-/// nothing through the plan cache (no scratchpad, no statements, or
-/// the cache disabled).
+/// The representative sub-block of a staged launch — what
+/// [`warm_plan`] analyses, for reports that evaluate the plan at the
+/// block it was analysed for. `None` when the mapping stages nothing
+/// (no scratchpad, or no statements).
 pub fn launch_representative(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
 ) -> Result<Option<Representative>> {
-    if !kernel.use_scratchpad || !config.plan_cache {
-        return Ok(None);
+    match kernel.program.stmts.first() {
+        Some(lead) if kernel.use_scratchpad => {
+            Ok(Some(first_block(kernel, params, config, lead)?.1))
+        }
+        _ => Ok(None),
     }
-    let Some(lead) = kernel.program.stmts.first() else {
-        return Ok(None);
-    };
-    let rounds = enumerate_named(
-        lead,
-        &kernel.round_dims,
-        params,
-        &HashMap::new(),
-        config.enum_budget,
-    )?;
-    let round0 = rounds.first().map_or(&[][..], |r| r);
-    representative(kernel, params, config, lead, round0).map(Some)
 }
 
 /// The content address of the symbolic plan analysed at `pairs`: the
@@ -594,30 +462,28 @@ fn shape_key(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
-    pairs: &[(String, i64)],
-    hier: Option<&HierSpec>,
+    (pairs, hier): &Representative,
 ) -> ArtifactKey {
     plan_key(
         &kernel.program,
         &smem_config(params, config, kernel),
         pairs,
-        hier,
+        hier.as_ref(),
         &machine_salt(config),
     )
 }
 
 /// The content address of the symbolic plan [`execute_blocked`] would
-/// compile for this launch. `None` when the mapping stages nothing
-/// through the plan cache (no scratchpad, no statements, or the cache
-/// disabled). Stable across processes — a compile service keys its
-/// warm cache and the on-disk store with it.
+/// compile for this launch. `None` when the mapping stages nothing (no
+/// scratchpad, or no statements). Stable across processes — a compile
+/// service keys its warm cache and the on-disk store with it.
 pub fn plan_artifact_key(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
 ) -> Result<Option<ArtifactKey>> {
     Ok(launch_representative(kernel, params, config)?
-        .map(|(pairs, hier)| shape_key(kernel, params, config, &pairs, hier.as_ref())))
+        .map(|rep| shape_key(kernel, params, config, &rep)))
 }
 
 /// Obtain the shared symbolic plan [`execute_blocked`] would launch
@@ -625,7 +491,7 @@ pub fn plan_artifact_key(
 /// entry point. Consults the caller's `seed` and the configured
 /// artifact store exactly like execution does — and persists fresh
 /// analyses the same way — so a later `run` of the same launch finds
-/// the plan warm. `None` when nothing stages through the plan cache.
+/// the plan warm. `None` when the mapping stages nothing.
 pub fn warm_plan(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -634,136 +500,69 @@ pub fn warm_plan(
     seed: Option<&Arc<SymbolicPlan>>,
 ) -> Result<Option<WarmedPlan>> {
     kernel.program.validate()?;
-    Ok(
-        launch_representative(kernel, params, config)?.and_then(|(pairs, hier)| {
-            PlanCache::new().warm(
-                kernel,
-                params,
-                config,
-                &pairs,
-                hier.as_ref(),
-                profiler,
-                seed,
-            )
-        }),
-    )
+    launch_representative(kernel, params, config)?
+        .map(|rep| warm(kernel, params, config, &rep, profiler, seed))
+        .transpose()
 }
 
-impl PlanCache {
-    fn new() -> PlanCache {
-        PlanCache {
-            plans: RwLock::new(HashMap::new()),
-            enums: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+/// Obtain the symbolic plan of the launch's block shape, analysed at
+/// the representative `rep`, cheapest source first:
+///
+/// 1. a caller-provided in-memory `seed` whose fixed names match
+///    this shape (a compile service's warm cache);
+/// 2. the content-addressed artifact store in
+///    `config.artifact_dir` — loads are fully re-proved against the
+///    program, so a corrupt or stale file silently degrades to the
+///    next source;
+/// 3. a fresh `analyze_symbolic_hier` run. Only this source
+///    absorbs §3 pass times into the profiler (the others skipped
+///    the passes) and, when a store is configured, persists the
+///    result for future processes.
+///
+/// A failed analysis is the launch's error: there is no per-block
+/// analysis to degrade to.
+fn warm(
+    kernel: &BlockedKernel,
+    params: &[i64],
+    config: &MachineConfig,
+    rep: &Representative,
+    profiler: Option<&PassProfiler>,
+    seed: Option<&Arc<SymbolicPlan>>,
+) -> Result<WarmedPlan> {
+    let program = &kernel.program;
+    let (pairs, hier) = rep;
+    // The on-disk store and the content-address are only computed
+    // when someone can use them: a configured artifact dir, or a
+    // caller-provided seed (whose provider keys by the same hash).
+    let store = config
+        .artifact_dir
+        .as_ref()
+        .and_then(|d| ArtifactStore::open(d).ok());
+    let akey = (store.is_some() || seed.is_some()).then(|| shape_key(kernel, params, config, rep));
+    let same_shape = |sp: &SymbolicPlan| sp.fixed.iter().eq(pairs.iter().map(|p| &p.0));
+    if let Some(sp) = seed.filter(|sp| same_shape(sp)) {
+        return Ok((sp.clone(), PlanSource::Seeded));
+    }
+    let loaded = store
+        .as_ref()
+        .zip(akey)
+        .and_then(|(s, k)| s.load(&k, program));
+    if let Some(art) = loaded.filter(|art| same_shape(&art.plan)) {
+        return Ok((Arc::new(art.plan), PlanSource::Artifact));
+    }
+    let cfg = smem_config(params, config, kernel);
+    let sp = analyze_symbolic_hier(program, pairs, &cfg, hier.as_ref())?;
+    if let Some(pr) = profiler {
+        pr.absorb_pass_times(&sp.pass_times);
+    }
+    if let (Some(s), Some(k)) = (&store, akey) {
+        let mut ext = cfg.sample_params;
+        ext.extend(pairs.iter().map(|p| p.1));
+        if let Ok(art) = PlanArtifact::build(program, &sp, k, &ext) {
+            let _ = s.save(&art);
         }
     }
-
-    /// The per-shape enumeration plan for this sub-block's fixed-dim
-    /// set, built on first use. A shape whose construction fails parks
-    /// `None` so every same-shape block uses the per-block path.
-    fn enum_plan(&self, fixed: &HashMap<String, i64>, program: &Program) -> Option<Arc<EnumPlan>> {
-        let key = Self::key(fixed);
-        if let Some(entry) = self.enums.read().unwrap().get(&key) {
-            return entry.clone();
-        }
-        let built = EnumPlan::build(program, &key).map(Arc::new);
-        let mut map = self.enums.write().unwrap();
-        map.entry(key).or_insert(built).clone()
-    }
-
-    fn key(fixed: &HashMap<String, i64>) -> Vec<String> {
-        let mut k: Vec<String> = fixed.keys().cloned().collect();
-        k.sort();
-        k
-    }
-
-    /// Prime the cache with the symbolic plan of the representative
-    /// instance at `pairs` (counted as the one miss all same-shape
-    /// blocks share), cheapest source first:
-    ///
-    /// 1. a caller-provided in-memory `seed` whose fixed names match
-    ///    this shape (a compile service's warm cache);
-    /// 2. the content-addressed artifact store in
-    ///    `config.artifact_dir` — loads are fully re-proved against the
-    ///    program, so a corrupt or stale file silently degrades to the
-    ///    next source;
-    /// 3. a fresh `analyze_symbolic_hier` run. Only this source
-    ///    absorbs §3 pass times into the profiler (the others skipped
-    ///    the passes) and, when a store is configured, persists the
-    ///    result for future processes.
-    ///
-    /// A failed symbolic analysis parks `None`, making every block
-    /// fall back to per-instance analysis. Returns the shared plan and
-    /// where it came from.
-    #[allow(clippy::too_many_arguments)]
-    fn warm(
-        &self,
-        kernel: &BlockedKernel,
-        params: &[i64],
-        config: &MachineConfig,
-        pairs: &[(String, i64)],
-        hier: Option<&HierSpec>,
-        profiler: Option<&PassProfiler>,
-        seed: Option<&Arc<SymbolicPlan>>,
-    ) -> Option<WarmedPlan> {
-        let program = &kernel.program;
-        let cfg = smem_config(params, config, kernel);
-        // The on-disk store and the content-address are only computed
-        // when someone can use them: a configured artifact dir, or a
-        // caller-provided seed (whose provider keys by the same hash).
-        let store = config
-            .artifact_dir
-            .as_ref()
-            .and_then(|d| ArtifactStore::open(d).ok());
-        let akey = (store.is_some() || seed.is_some())
-            .then(|| shape_key(kernel, params, config, pairs, hier));
-        let key: Vec<String> = pairs.iter().map(|p| p.0.clone()).collect();
-        let seeded = seed
-            .filter(|sp| sp.fixed == key)
-            .map(|sp| (sp.clone(), PlanSource::Seeded));
-        let entry = seeded
-            .or_else(|| {
-                let art = store.as_ref()?.load(&akey?, program)?;
-                (art.plan.fixed == key).then(|| (Arc::new(art.plan), PlanSource::Artifact))
-            })
-            .or_else(|| {
-                let sp = analyze_symbolic_hier(program, pairs, &cfg, hier).ok()?;
-                if let Some(pr) = profiler {
-                    pr.absorb_pass_times(&sp.pass_times);
-                }
-                if let (Some(s), Some(k)) = (&store, akey) {
-                    let mut ext = cfg.sample_params.clone();
-                    ext.extend(pairs.iter().map(|p| p.1));
-                    if let Ok(art) = PlanArtifact::build(program, &sp, k, &ext) {
-                        let _ = s.save(&art);
-                    }
-                }
-                Some((Arc::new(sp), PlanSource::Fresh))
-            });
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.plans
-            .write()
-            .unwrap()
-            .insert(key, entry.as_ref().map(|(sp, _)| sp.clone()));
-        entry
-    }
-
-    /// A shared plan for this sub-block's shape, counting the lookup.
-    fn get(&self, fixed: &HashMap<String, i64>) -> Option<Arc<SymbolicPlan>> {
-        let key = Self::key(fixed);
-        let entry = self.plans.read().unwrap().get(&key).cloned();
-        match entry {
-            Some(Some(sp)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(sp)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
+    Ok((Arc::new(sp), PlanSource::Fresh))
 }
 
 /// Execute a mapped kernel functionally.
@@ -815,59 +614,45 @@ pub fn execute_blocked_seeded(
     kernel.program.validate()?;
     let program = &kernel.program;
 
-    // Enumerate round values from the first statement that has all
-    // round dims (programs with no statements do nothing).
+    // Rounds, blocks and sub-tiles are enumerated from the first
+    // statement (programs with no statements do nothing).
     let mut stats = ExecStats::default();
     let Some(lead) = program.stmts.first() else {
         return Ok((stats, None));
     };
-    // Per-launch shared state: hoisted common-depth matrix, global
-    // extents/weights, compiled bodies and the compiled-shape cache.
-    let launch = LaunchShared::new(program, params, config)?;
-    let launch = &launch;
     // Test hook: `POLYMEM_FAULT_PANIC_BLOCK=<idx>` makes the parallel
     // worker for that block index panic (exercises WorkerPanicked).
     let fault_block: Option<usize> = std::env::var("POLYMEM_FAULT_PANIC_BLOCK")
         .ok()
         .and_then(|s| s.parse().ok());
-    let round_vals = enumerate_named(
-        lead,
-        &kernel.round_dims,
-        params,
-        &HashMap::new(),
-        config.enum_budget,
-    )?;
+
+    // Compile-once-per-launch: every sub-block pins the same dims, so
+    // one representative sub-block is analysed symbolically (fixed
+    // dims as parameters) before any worker runs, and every sub-block
+    // evaluates the shared plan, enumeration layout and compiled
+    // streams at its own fixed values. Building up-front keeps the
+    // workers lock-free and every counter deterministic under
+    // parallel execution.
+    let (round_vals, rep) = first_block(kernel, params, config, lead)?;
     let rounds = if round_vals.is_empty() {
         vec![Vec::new()]
     } else {
         round_vals
     };
-
-    // Compile-once-per-shape: analyse one representative sub-block
-    // symbolically (fixed dims as parameters) before any worker runs,
-    // so every same-shape block instantiates the shared plan instead
-    // of re-running the §3 pipeline. Warming up-front (rather than
-    // filling on first use) keeps hit/miss counts deterministic under
-    // parallel execution.
-    let cache = if kernel.use_scratchpad && config.plan_cache {
-        Some(PlanCache::new())
+    let warmed = if kernel.use_scratchpad {
+        stats.plan_cache_misses = 1;
+        Some(warm(kernel, params, config, &rep, profiler, seed)?)
     } else {
         None
     };
-    let mut warmed: Option<WarmedPlan> = None;
-    if let Some(c) = &cache {
-        let (pairs, hier) = representative(kernel, params, config, lead, &rounds[0])?;
-        warmed = c.warm(
-            kernel,
-            params,
-            config,
-            &pairs,
-            hier.as_ref(),
-            profiler,
-            seed,
-        );
-    }
-    let cache = cache.as_ref();
+    let launch = LaunchShared::new(
+        program,
+        params,
+        config,
+        rep.0.into_iter().map(|p| p.0).collect(),
+        warmed.as_ref().map(|(sp, _)| sp.clone()),
+    )?;
+    let launch = &launch;
 
     // Double-buffer legality (§3.1.4 dependence information, reused):
     // read accesses reached by a seq-carried flow dependence within a
@@ -907,7 +692,7 @@ pub fn execute_blocked_seeded(
                 fixed.insert(n.clone(), *v);
             }
             execute_one_block(
-                kernel, &fixed, params, store, config, cache, profiler, poisoned, launch, bidx,
+                kernel, &fixed, params, store, config, profiler, poisoned, launch, bidx,
             )
         };
 
@@ -989,16 +774,11 @@ pub fn execute_blocked_seeded(
         );
         stats.rounds += 1;
     }
-    if let Some(c) = cache {
-        stats.plan_cache_hits = c.hits.load(Ordering::Relaxed);
-        stats.plan_cache_misses = c.misses.load(Ordering::Relaxed);
-    }
     Ok((stats, warmed))
 }
 
-/// The §3 configuration the executor analyses (and warms) with. The
-/// residency dim (innermost `seq_dims` entry) only affects the shared
-/// symbolic analysis; per-instance (owned) analysis ignores it.
+/// The §3 configuration the executor analyses (and warms) with; the
+/// residency dim is the innermost `seq_dims` entry.
 pub(crate) fn smem_config(
     params: &[i64],
     config: &MachineConfig,
@@ -1020,7 +800,7 @@ pub(crate) fn smem_config(
 
 /// Enumerate the values of the named dims of a statement's domain
 /// (projected), with some dims already fixed.
-pub(crate) fn enumerate_named(
+fn enumerate_named(
     stmt: &polymem_ir::Statement,
     names: &[String],
     params: &[i64],
@@ -1098,16 +878,14 @@ impl LocalStore {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 /// A buffer kept alive across a block's sequential sub-tiles because
 /// none of its references depend on the sub-tile dims (§4.2 hoisting).
-struct Persistent {
-    buffer: polymem_core::smem::LocalBuffer,
-    mc: polymem_core::smem::MovementCode,
-    /// Parameter vector `buffer`/`mc` are affine in: the program
-    /// params for an owned plan, `params ++ fixed` for a shared
-    /// symbolic plan (hoisted buffers do not depend on the seq dims,
-    /// so any captured seq value yields the same element set).
+struct Persistent<'a> {
+    buffer: &'a LocalBuffer,
+    mc: &'a MovementCode,
+    /// The parking sub-tile's `params ++ fixed values` (hoisted
+    /// buffers do not depend on the seq dims, so any captured seq
+    /// value yields the same element set).
     pparams: Vec<i64>,
     data: Vec<i64>,
     extents: Vec<i64>,
@@ -1137,7 +915,7 @@ fn writeback_persistent(
     };
     let mut err = None;
     let ext = &clock.ext[p.buffer.array];
-    polymem_core::smem::movement::for_each_move_out(&p.mc, &p.buffer, &p.pparams, &mut |g, l| {
+    polymem_core::smem::movement::for_each_move_out(p.mc, p.buffer, &p.pparams, &mut |g, l| {
         if err.is_some() {
             return;
         }
@@ -1164,8 +942,8 @@ fn writeback_persistent(
     }
     if clock.dma_on {
         let list = transfer_list(
-            &p.mc,
-            &p.buffer,
+            p.mc,
+            p.buffer,
             Direction::Out,
             &clock.ext[p.buffer.array],
             &p.pparams,
@@ -1402,8 +1180,7 @@ fn overlap_poisoned_reads(kernel: &BlockedKernel) -> Result<HashSet<AccessId>> {
 /// §4.2 hoisting applies only when the array materialises as exactly
 /// one buffer in the plan: with separate read and write buffers,
 /// parking by array key would keep only the last-parked buffer and
-/// lose the other's writes (the stale-flush rule already treats the
-/// multi-buffer case as unhoistable).
+/// lose the other's writes.
 fn plan_hoists(plan: &SmemPlan, array: usize, hoistable: &HashSet<usize>) -> bool {
     hoistable.contains(&array) && plan.buffers.iter().filter(|b| b.array == array).count() == 1
 }
@@ -1423,36 +1200,25 @@ fn buffer_poisoned(plan: &SmemPlan, mi: usize, poisoned: &HashSet<AccessId>) -> 
 /// shift between the current and the next sub-tile. Prefetching such
 /// a buffer would only add global traffic.
 fn hoist_shortcut_hits(
+    plan: &SmemPlan,
     cur: &SubBlock,
-    next: &Staging,
+    next: &SubBlock,
     bi: usize,
-    array: usize,
     hoistable: &HashSet<usize>,
 ) -> bool {
-    if !plan_hoists(next.source.plan(), array, hoistable) {
+    let (Some(c), Some(n)) = (cur.staging.as_ref(), next.staging.as_ref()) else {
         return false;
-    }
-    match cur.staging.as_ref() {
-        Some(cs) => {
-            let cplan = cs.source.plan();
-            // Plans of consecutive sub-tiles share buffer layout
-            // (same shape class); anything else is unexpected, so be
-            // conservative and do not prefetch.
-            bi >= cplan.buffers.len()
-                || cplan.buffers[bi].array != array
-                || (cs.local.bufs[bi].1 == next.local.bufs[bi].1
-                    && cs.local.bufs[bi].2 == next.local.bufs[bi].2)
-        }
-        None => true,
-    }
+    };
+    let (c, n) = (&c.local.bufs[bi], &n.local.bufs[bi]);
+    plan_hoists(plan, plan.buffers[bi].array, hoistable) && c.1 == n.1 && c.2 == n.2
 }
 
-/// One sub-tile's scratchpad state: plan, parameter vector and
-/// allocated local buffers, plus per-movement-entry staging progress
-/// (with overlap on, entries of two live sub-tiles interleave).
-struct Staging {
-    source: PlanRef,
-    pparams: Vec<i64>,
+/// One sub-tile's scratchpad state: the launch's shared plan and the
+/// local buffers allocated for it at this sub-tile's extents, plus
+/// per-movement-entry staging progress (with overlap on, entries of
+/// two live sub-tiles interleave).
+struct Staging<'a> {
+    plan: &'a SymbolicPlan,
     local: LocalStore,
     words: u64,
     /// Per movement entry: functional move-in already performed.
@@ -1461,119 +1227,65 @@ struct Staging {
     tags: Vec<DmaTag>,
 }
 
-/// A sub-block prepared for execution: the restricted program view
-/// and (with `use_scratchpad`) its staging state.
-struct SubBlock {
+/// A sub-block prepared for execution: the dims it pins, the
+/// parameter vector `params ++ fixed values` everything shape-level
+/// (plan, enumeration layout, compiled streams) evaluates under, and
+/// (when the launch stages) its staging state.
+struct SubBlock<'a> {
     fixed: HashMap<String, i64>,
-    view: Program,
-    staging: Option<Staging>,
+    pparams: Vec<i64>,
+    staging: Option<Staging<'a>>,
 }
 
-/// Restrict the program to one (sub-)block and build its scratchpad
-/// plan and local buffers. Footprint checks are the caller's job (one
-/// footprint must be resident without overlap, two with it).
-fn prepare_sub_block(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
+/// Evaluate the launch shape at one (sub-)block and allocate its local
+/// buffers. Footprint checks are the caller's job (one footprint must
+/// be resident without overlap, two with it).
+fn prepare_sub_block<'a>(
+    fixed: HashMap<String, i64>,
     params: &[i64],
-    config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    profiler: Option<&PassProfiler>,
+    launch: &'a LaunchShared,
     stats: &mut ExecStats,
-) -> Result<SubBlock> {
-    let program = &kernel.program;
-    let mut view = program.clone();
-    for s in &mut view.stmts {
-        s.domain = fix_dims(&s.domain, fixed);
-    }
-    let staging = if kernel.use_scratchpad {
-        let (source, pparams) = match cache.and_then(|c| c.get(fixed)) {
-            Some(sp) => {
-                let ext = sp
-                    .ext_params(params, fixed)
-                    .expect("cache key matched fixed-dim names");
-                (PlanRef::Shared(sp), ext)
-            }
-            None => {
-                let (plan, times) =
-                    analyze_program_timed(&view, &smem_config(params, config, kernel))?;
-                if let Some(pr) = profiler {
-                    pr.absorb_pass_times(&times);
-                }
-                (PlanRef::Owned(plan), params.to_vec())
-            }
-        };
-        let (bufs, words, n_move) = {
-            let plan = source.plan();
-            let mut bufs = Vec::with_capacity(plan.buffers.len());
+) -> Result<SubBlock<'a>> {
+    let pparams = launch.sub_block_params(params, &fixed)?;
+    let staging = match launch.plan.as_deref() {
+        Some(sp) => {
+            stats.plan_cache_hits += 1;
+            let mut bufs = Vec::with_capacity(sp.plan.buffers.len());
             let mut words = 0u64;
-            for b in &plan.buffers {
+            for b in &sp.plan.buffers {
                 let extents = b.extents(&pparams)?;
                 let offsets = b.offsets(&pparams)?;
                 let size: i64 = extents.iter().product::<i64>().max(0);
                 words += size as u64;
                 bufs.push((vec![0i64; size as usize], extents, offsets));
             }
-            (bufs, words, plan.movement.len())
-        };
-        stats.max_smem_words = stats.max_smem_words.max(words);
-        Some(Staging {
-            source,
-            pparams,
-            local: LocalStore { bufs },
-            words,
-            staged: vec![false; n_move],
-            tags: Vec::new(),
-        })
-    } else {
-        None
+            stats.max_smem_words = stats.max_smem_words.max(words);
+            Some(Staging {
+                plan: sp,
+                local: LocalStore { bufs },
+                words,
+                staged: vec![false; sp.plan.movement.len()],
+                tags: Vec::new(),
+            })
+        }
+        None => None,
     };
     Ok(SubBlock {
-        fixed: fixed.clone(),
-        view,
+        fixed,
+        pparams,
         staging,
     })
 }
 
-/// A hoisted buffer whose array this sub-tile does not stage as
-/// exactly one buffer would become invisible to the tile's accesses:
-/// write dirty stale entries back first.
-fn flush_stale_persistent(
-    staging: &Staging,
-    persistent: &mut HashMap<usize, Persistent>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<()> {
-    let plan = staging.source.plan();
-    let mut stale: Vec<usize> = persistent
-        .keys()
-        .filter(|a| plan.buffers.iter().filter(|b| b.array == **a).count() != 1)
-        .copied()
-        .collect();
-    stale.sort_unstable();
-    for a in stale {
-        let p = persistent.remove(&a).expect("key listed");
-        if p.dirty {
-            writeback_persistent(&p, overlay, stats, clock, config)?;
-        }
-    }
-    Ok(())
-}
-
 /// The shared plan's residency decomposition, when it applies between
-/// `prev_fixed` and `fixed`: same shared symbolic plan, and the two
-/// sub-tiles are lexicographically consecutive along the residency seq
-/// dim (every other fixed dim equal).
+/// `prev_fixed` and `fixed`: the two sub-tiles are lexicographically
+/// consecutive along the residency seq dim (every other fixed dim
+/// equal).
 fn shared_residency<'a>(
-    source: &'a PlanRef,
+    sp: &'a SymbolicPlan,
     fixed: &HashMap<String, i64>,
     prev_fixed: &HashMap<String, i64>,
 ) -> Option<&'a ResidencyPlan> {
-    let PlanRef::Shared(sp) = source else {
-        return None;
-    };
     let res = sp.residency.as_ref()?;
     if res.plans.is_empty() || prev_fixed.len() != fixed.len() {
         return None;
@@ -1621,14 +1333,14 @@ fn stage_entry(
     config: &MachineConfig,
     earliest: u64,
 ) -> Result<Option<DmaTag>> {
+    let pparams = &sb.pparams;
     let Staging {
-        source,
-        pparams,
+        plan: sp,
         local,
         staged,
         ..
     } = sb.staging.as_mut().expect("staged");
-    let plan = source.plan();
+    let plan = &sp.plan;
     let mc = &plan.movement[mi];
     let bi = mc.buffer;
     let buf = &plan.buffers[bi];
@@ -1648,10 +1360,8 @@ fn stage_entry(
     // than any delta).
     let resident = pred.filter(|_| !parked_fits).and_then(|p| {
         let prev = &p.staging.as_ref()?.local;
-        let rp = shared_residency(source, &sb.fixed, &p.fixed)?
-            .plans
-            .get(&bi)?;
-        (bi < prev.bufs.len()).then_some((rp, prev))
+        let rp = shared_residency(sp, &sb.fixed, &p.fixed)?.plans.get(&bi)?;
+        Some((rp, prev))
     });
     // A stale differently-shaped parked copy must reach global memory
     // before this sub-tile stages fresh data — the predecessor's
@@ -1737,13 +1447,13 @@ fn stage_entry(
 /// `(next_fixed, fixed)`), so the two sides can never disagree.
 /// `None` means the full move-out must run.
 fn flush_delta_plan<'a>(
-    staging: &'a Staging,
+    sp: &'a SymbolicPlan,
     mi: usize,
     fixed: &HashMap<String, i64>,
     next_fixed: Option<&HashMap<String, i64>>,
 ) -> Option<&'a RetainPlan> {
-    let res = shared_residency(&staging.source, next_fixed?, fixed)?;
-    let rp = res.plans.get(&staging.source.plan().movement[mi].buffer)?;
+    let res = shared_residency(sp, next_fixed?, fixed)?;
+    let rp = res.plans.get(&sp.plan.movement[mi].buffer)?;
     rp.flush_legal.then_some(rp)
 }
 
@@ -1758,19 +1468,20 @@ fn flush_delta_plan<'a>(
 /// values are already where every legal reader looks (this sub-tile's
 /// still-live scratchpad).
 #[allow(clippy::too_many_arguments)]
-fn move_out_buffer(
-    sb: &SubBlock,
+fn move_out_buffer<'a>(
+    sb: &SubBlock<'a>,
     mi: usize,
     next_fixed: Option<&HashMap<String, i64>>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
     hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
+    persistent: &mut HashMap<usize, Persistent<'a>>,
     clock: &mut BlockClock,
     config: &MachineConfig,
 ) -> Result<Option<DmaTag>> {
     let staging = sb.staging.as_ref().expect("staged");
-    let plan = staging.source.plan();
+    let sp: &'a SymbolicPlan = staging.plan;
+    let plan = &sp.plan;
     let mc = &plan.movement[mi];
     let buf = &plan.buffers[mc.buffer];
     if plan_hoists(plan, buf.array, hoistable) {
@@ -1779,9 +1490,9 @@ fn move_out_buffer(
         persistent.insert(
             buf.array,
             Persistent {
-                buffer: buf.clone(),
-                mc: mc.clone(),
-                pparams: staging.pparams.clone(),
+                buffer: buf,
+                mc,
+                pparams: sb.pparams.clone(),
                 data: staging.local.bufs[mc.buffer].0.clone(),
                 extents: staging.local.bufs[mc.buffer].1.clone(),
                 offsets: staging.local.bufs[mc.buffer].2.clone(),
@@ -1790,7 +1501,7 @@ fn move_out_buffer(
         );
         return Ok(None);
     }
-    let flush = flush_delta_plan(staging, mi, &sb.fixed, next_fixed);
+    let flush = flush_delta_plan(sp, mi, &sb.fixed, next_fixed);
     let ls = &staging.local;
     let mut err = None;
     let mut n = 0u64;
@@ -1810,15 +1521,10 @@ fn move_out_buffer(
         n += 1;
     };
     match flush {
-        Some(rp) => polymem_core::smem::residency::for_each_flush_delta(
-            rp,
-            buf,
-            &staging.pparams,
-            &mut copy,
-        )?,
-        None => {
-            polymem_core::smem::movement::for_each_move_out(mc, buf, &staging.pparams, &mut copy)?
+        Some(rp) => {
+            polymem_core::smem::residency::for_each_flush_delta(rp, buf, &sb.pparams, &mut copy)?
         }
+        None => polymem_core::smem::movement::for_each_move_out(mc, buf, &sb.pparams, &mut copy)?,
     }
     if let Some(e) = err {
         return Err(e);
@@ -1829,93 +1535,56 @@ fn move_out_buffer(
     Ok(Some(match flush {
         Some(rp) => {
             stats.flushed_delta_elems += n;
-            clock.issue_flush(rp, buf, &staging.pparams, config, now)?
+            clock.issue_flush(rp, buf, &sb.pparams, config, now)?
         }
-        None => clock.issue_movement(plan, mi, &staging.pparams, Direction::Out, config, now)?,
+        None => clock.issue_movement(plan, mi, &sb.pparams, Direction::Out, config, now)?,
     }))
 }
 
 /// Execute the sub-block's statement instances in interleaved source
 /// order, then charge the modeled compute cycles to the block clock.
 ///
-/// Dispatch: when the launch compiled (bytecode bodies + a per-shape
-/// [`crate::compiled::CompiledShape`]) and the block's staging plan is
-/// the shared symbolic one (or absent), the compiled engine runs the
+/// Dispatch: when the launch compiled (bytecode bodies + the lowered
+/// streams of its block shape), the compiled engine runs the
 /// instances — including hierarchy (level-2) plans, whose register
 /// frames it stages through the same [`stage_frames`]/[`flush_frames`]
-/// protocol as the interpreter; otherwise — owned per-block plan,
-/// naive mode, shape compile failure, or a per-block proof obstacle —
-/// the interpreter does, with identical semantics and counters. Which
-/// engine ran, and why a fallback happened, lands in
-/// [`ExecStats::compiled_blocks`] / [`ExecStats::interpreted_blocks`]
-/// / [`ExecStats::fallback`]. `POLYMEM_EXEC_CHECK=1` runs the
-/// interpreter as an oracle on cloned state beside every compiled
-/// block (outside the timed window) and panics on divergence.
+/// protocol as the interpreter; otherwise — engine off, shape lowering
+/// failure, or a per-block proof obstacle — the interpreter does, with
+/// identical semantics and counters. Which engine ran, and why a
+/// fallback happened, lands in [`ExecStats::compiled_blocks`] /
+/// [`ExecStats::interpreted_blocks`] / [`ExecStats::fallback`].
+/// `POLYMEM_EXEC_CHECK=1` runs the interpreter as an oracle on cloned
+/// state beside every compiled block (outside the timed window) and
+/// panics on divergence.
 #[allow(clippy::too_many_arguments)]
 fn compute_sub_block(
-    kernel: &BlockedKernel,
+    program: &Program,
     sb: &mut SubBlock,
     params: &[i64],
     store: &ArrayStore,
     config: &MachineConfig,
-    cache: Option<&PlanCache>,
     profiler: Option<&PassProfiler>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
     clock: &mut BlockClock,
     launch: &LaunchShared,
 ) -> Result<()> {
-    let program = &kernel.program;
-    // Fallback attribution for the engine counters; `None` after the
-    // dispatch below means the compiled engine ran.
-    enum Why {
-        EngineOff,
-        OwnedPlan,
-        ShapeUncompiled,
-        RuntimeDecline,
-    }
-    let mut why: Option<Why> = None;
-    let shape = match &launch.compiled {
-        Some(cc) => match sb.staging.as_ref() {
-            None => cc.shape(&sb.fixed, program, None),
-            Some(st) => match &st.source {
-                PlanRef::Shared(sp) => cc.shape(&sb.fixed, program, Some(sp)),
-                // A freshly analysed per-block plan has no shared
-                // shape to key the compiled streams on.
-                PlanRef::Owned(_) => {
-                    why = Some(Why::OwnedPlan);
-                    None
-                }
-            },
-        },
-        None => {
-            why = Some(Why::EngineOff);
-            None
-        }
-    };
-    if shape.is_none() && why.is_none() {
-        why = Some(Why::ShapeUncompiled);
-    }
+    let compiled = launch.bodies.is_some() && launch.streams.is_some();
 
     // Oracle pass (check mode only): the interpreter runs first on
     // cloned state, outside the timed window.
-    let oracle = if shape.is_some() && launch.exec_check {
+    let oracle = if compiled && launch.exec_check {
         let mut ov = overlay.clone();
         let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
         let mut sc = ExecStats::default();
-        let staging_arg = match (sb.staging.as_ref(), loc.as_mut()) {
-            (Some(st), Some(l)) => Some((&st.source, st.pparams.as_slice(), l)),
-            _ => None,
-        };
         let c = interpreted_compute(
-            kernel,
-            &sb.view,
+            program,
             &sb.fixed,
+            &sb.pparams,
             params,
             store,
             config,
-            cache,
-            staging_arg,
+            loc.as_mut(),
             &mut ov,
             &mut sc,
             launch,
@@ -1927,59 +1596,41 @@ fn compute_sub_block(
     let before = oracle.as_ref().map(|_| stats.clone());
 
     let t0 = Instant::now();
-    let mut counts = None;
-    if let Some(shape) = &shape {
-        let (local, splan) = match sb.staging.as_mut() {
-            Some(st) => {
-                let sp = match &st.source {
-                    PlanRef::Shared(sp) => Some(sp.as_ref()),
-                    PlanRef::Owned(_) => None,
-                };
-                (Some(&mut st.local), sp)
-            }
-            None => (None, None),
-        };
-        counts = run_compiled(
-            shape, launch, program, params, &sb.fixed, store, local, splan, overlay, stats, config,
-        )?
-        .map(|c| (c.n_inst, c.n_smem, c.n_glob));
-        if counts.is_none() {
-            why = Some(Why::RuntimeDecline);
-        }
-    }
-    match &why {
-        None => stats.compiled_blocks += 1,
-        Some(w) => {
-            stats.interpreted_blocks += 1;
-            match w {
-                Why::EngineOff => stats.fallback.engine_off += 1,
-                Why::OwnedPlan => stats.fallback.owned_plan += 1,
-                Why::ShapeUncompiled => stats.fallback.shape_uncompiled += 1,
-                Why::RuntimeDecline => stats.fallback.runtime_decline += 1,
-            }
-        }
-    }
+    let counts = run_compiled(
+        launch,
+        program,
+        params,
+        &sb.fixed,
+        &sb.pparams,
+        store,
+        sb.staging.as_mut().map(|st| &mut st.local),
+        overlay,
+        stats,
+        config,
+    )?;
     let (n_inst, n_smem, n_glob) = match counts {
-        Some(c) => c,
+        Some(c) => {
+            stats.compiled_blocks += 1;
+            (c.n_inst, c.n_smem, c.n_glob)
+        }
         None => {
-            let staging_arg = sb.staging.as_mut().map(|st| {
-                let Staging {
-                    source,
-                    pparams,
-                    local,
-                    ..
-                } = st;
-                (&*source, pparams.as_slice(), local)
-            });
+            stats.interpreted_blocks += 1;
+            // Fallback attribution, one count per interpreted phase.
+            if launch.bodies.is_none() {
+                stats.fallback.engine_off += 1;
+            } else if launch.streams.is_none() {
+                stats.fallback.shape_uncompiled += 1;
+            } else {
+                stats.fallback.runtime_decline += 1;
+            }
             interpreted_compute(
-                kernel,
-                &sb.view,
+                program,
                 &sb.fixed,
+                &sb.pparams,
                 params,
                 store,
                 config,
-                cache,
-                staging_arg,
+                sb.staging.as_mut().map(|st| &mut st.local),
                 overlay,
                 stats,
                 launch,
@@ -2172,11 +1823,14 @@ pub(crate) fn flush_frames(
 }
 
 /// The reference per-point interpreter for one sub-block's compute
-/// phase: enumerate every statement's instances (shared enumeration
-/// plan when available), sort into interleaved source order, then walk
-/// them through `Expr::eval` and `AffineMap::apply`. Returns the
-/// `(instances, smem accesses, global accesses)` tallies for the cycle
-/// model.
+/// phase: enumerate every statement's instances through the launch's
+/// shared layout (bound evaluation at `pparams`), sort into
+/// interleaved source order, then walk them through `Expr::eval` and
+/// `AffineMap::apply`. It shares the layout with the compiled engine
+/// but none of its walking code, which is what makes it an oracle.
+/// `local` is the sub-block's staged scratchpad (present iff the
+/// launch has a plan). Returns the `(instances, smem accesses, global
+/// accesses)` tallies for the cycle model.
 ///
 /// When the shared symbolic plan carries a level-2 (register-tile)
 /// plan, the walk additionally stages register frames per thread key:
@@ -2189,61 +1843,30 @@ pub(crate) fn flush_frames(
 /// any other access of the same instance at any thread value.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn interpreted_compute(
-    kernel: &BlockedKernel,
-    view: &Program,
+    program: &Program,
     fixed: &HashMap<String, i64>,
+    pparams: &[i64],
     params: &[i64],
     store: &ArrayStore,
     config: &MachineConfig,
-    cache: Option<&PlanCache>,
-    staging: Option<(&PlanRef, &[i64], &mut LocalStore)>,
+    mut local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
     launch: &LaunchShared,
 ) -> Result<(u64, u64, u64)> {
-    let program = &kernel.program;
-    let (source, pparams, mut local) = match staging {
-        Some((s, p, l)) => (Some(s), p, Some(l)),
-        None => (None, &[][..], None),
-    };
-    // The level-2 (register-tile) plan rides on the shared symbolic
-    // plan only; owned per-block plans never carry one.
-    let hier: Option<&HierPlan> = source.and_then(|s| match s {
-        PlanRef::Shared(sp) => sp.hier.as_ref(),
-        PlanRef::Owned(_) => None,
-    });
+    let source = launch.plan.as_deref();
+    let hier: Option<&HierPlan> = source.and_then(|sp| sp.hier.as_ref());
     let mut cur_frames: Option<FrameSet> = None;
 
-    // With the plan cache active, the shared per-shape enumeration
-    // plan turns this into bound evaluation; the per-block projection
-    // path is the fallback (and the whole story in naive mode).
-    let enum_plan = if polymem_poly::cache::naive_mode() {
-        None
-    } else {
-        cache.and_then(|c| c.enum_plan(fixed, program))
-    };
     let mut instances: Vec<(usize, Vec<i64>)> = Vec::new();
-    for (si, s) in view.stmts.iter().enumerate() {
-        let shared = enum_plan
-            .as_ref()
-            .and_then(|ep| ep.ext_params(params, fixed).map(|ext| (ep, ext)))
-            .is_some_and(|(ep, ext)| {
-                let mark = instances.len();
-                match ep.enumerate(si, &ext, config.enum_budget, &mut instances) {
-                    Ok(()) => true,
-                    Err(_) => {
-                        instances.truncate(mark);
-                        false
-                    }
-                }
-            });
-        if shared {
-            continue;
-        }
-        let dom = s.domain.substitute_params(params)?;
-        enumerate_points(&dom, config.enum_budget, &mut |p| {
-            instances.push((si, p.to_vec()))
-        })
+    for (si, l) in launch.layouts.iter().enumerate() {
+        enumerate_with_cascade(
+            &l.domain,
+            &l.cascade,
+            pparams,
+            config.enum_budget,
+            &mut |p| instances.push((si, l.full_point(p, pparams))),
+        )
         .map_err(budget_error)?;
     }
     let common = &launch.common;
@@ -2263,7 +1886,7 @@ fn interpreted_compute(
 
     let (mut n_inst, mut n_smem, mut n_glob) = (0u64, 0u64, 0u64);
     for (si, point) in &instances {
-        let stmt = &view.stmts[*si];
+        let stmt = &program.stmts[*si];
         // Stage the instance's register frames: flush the previous
         // thread key's written frames, load this key's from
         // scratchpad. Statements that don't iterate every thread dim
@@ -2272,7 +1895,7 @@ fn interpreted_compute(
         if let Some(h) = hier {
             if let Some(key) = h.thread_key(*si, point) {
                 if cur_frames.as_ref().map(|fs| &fs.key) != Some(&key) {
-                    let plan1 = source.expect("hier implies staging").plan();
+                    let plan1 = &source.expect("hier implies staging").plan;
                     let ls = local.as_deref_mut().expect("hier implies local store");
                     if let Some(fs) = cur_frames.take() {
                         n_smem += flush_frames(h, plan1, &fs, ls, stats, config)?;
@@ -2299,10 +1922,10 @@ fn interpreted_compute(
                 }
             }
             if staged.is_none() {
-                if let Some(src) = source {
-                    if let Some(la) = src.plan().rewrites.get(&id) {
-                        let buf = &src.plan().buffers[la.buffer];
-                        let proj = src.project(*si, point);
+                if let Some(sp) = source {
+                    if let Some(la) = sp.plan.rewrites.get(&id) {
+                        let buf = &sp.plan.buffers[la.buffer];
+                        let proj = sp.project_point(*si, point);
                         let idx = la.local_index(buf, &proj, pparams)?;
                         stats.smem_reads += 1;
                         n_smem += 1;
@@ -2342,10 +1965,10 @@ fn interpreted_compute(
             }
         }
         if !staged {
-            if let Some(src) = source {
-                if let Some(la) = src.plan().rewrites.get(&wid) {
-                    let buf = &src.plan().buffers[la.buffer];
-                    let proj = src.project(*si, point);
+            if let Some(sp) = source {
+                if let Some(la) = sp.plan.rewrites.get(&wid) {
+                    let buf = &sp.plan.buffers[la.buffer];
+                    let proj = sp.project_point(*si, point);
                     let idx = la.local_index(buf, &proj, pparams)?;
                     stats.smem_writes += 1;
                     n_smem += 1;
@@ -2372,7 +1995,7 @@ fn interpreted_compute(
     // Final flush: the last thread key's written frames must reach
     // scratchpad before the sub-block's move-out runs.
     if let (Some(h), Some(fs)) = (hier, cur_frames.take()) {
-        let plan1 = source.expect("hier implies staging").plan();
+        let plan1 = &source.expect("hier implies staging").plan;
         let ls = local.expect("hier implies local store");
         n_smem += flush_frames(h, plan1, &fs, ls, stats, config)?;
     }
@@ -2402,7 +2025,6 @@ fn execute_one_block(
     params: &[i64],
     store: &ArrayStore,
     config: &MachineConfig,
-    cache: Option<&PlanCache>,
     profiler: Option<&PassProfiler>,
     poisoned: Option<&HashSet<AccessId>>,
     launch: &LaunchShared,
@@ -2437,7 +2059,7 @@ fn execute_one_block(
         for (n, v) in kernel.seq_dims.iter().zip(sv) {
             f2.insert(n.clone(), *v);
         }
-        prepare_sub_block(kernel, &f2, params, config, cache, profiler, stats)
+        prepare_sub_block(f2, params, launch, stats)
     };
     let overflows = |words: u64| {
         (config.smem_bytes > 0 && words * config.word_bytes > config.smem_bytes)
@@ -2470,17 +2092,10 @@ fn execute_one_block(
         // groups pinned by a seq-carried flow dependence. These must
         // observe `t−1`'s writes, so they run after its move-out and
         // their transfers start no earlier than `out_done`.
-        if let Some(st) = cur.staging.as_ref() {
+        if let Some(sp) = cur.staging.as_ref().map(|st| st.plan) {
             let t0 = Instant::now();
-            let n_move = st.source.plan().movement.len();
-            flush_stale_persistent(
-                st,
-                &mut persistent,
-                &mut overlay,
-                &mut stats,
-                &mut clock,
-                config,
-            )?;
+            let plan = &sp.plan;
+            let n_move = plan.movement.len();
             for mi in 0..n_move {
                 if cur.staging.as_ref().expect("staged").staged[mi] {
                     continue;
@@ -2504,7 +2119,6 @@ fn execute_one_block(
                     continue;
                 };
                 clock.wait(&tag);
-                let plan = cur.staging.as_ref().expect("staged").source.plan();
                 let array = plan.buffers[plan.movement[mi].buffer].array;
                 if t > 0
                     && !plan_hoists(plan, array, &hoistable)
@@ -2527,7 +2141,10 @@ fn execute_one_block(
         // legality check licenses. Their slots were `t−1`'s, so they
         // start no earlier than `out_done`; and two footprints must be
         // resident at once.
-        if let (Some(poisoned), Some(nx)) = (poisoned, next.as_mut()) {
+        let next_plan = next
+            .as_ref()
+            .and_then(|nx| Some(&nx.staging.as_ref()?.plan.plan));
+        if let (Some(poisoned), Some(nx), Some(plan)) = (poisoned, next.as_mut(), next_plan) {
             let words = cur_words + nx.staging.as_ref().map_or(0, |st| st.words);
             if let Some((requested, available)) = overflows(words) {
                 return Err(MachineError::DoubleBufferOverflow {
@@ -2536,13 +2153,7 @@ fn execute_one_block(
                 });
             }
             let t0 = Instant::now();
-            let n_move = nx
-                .staging
-                .as_ref()
-                .map_or(0, |st| st.source.plan().movement.len());
-            for mi in 0..n_move {
-                let nst = nx.staging.as_ref().expect("staged");
-                let plan = nst.source.plan();
+            for mi in 0..plan.movement.len() {
                 let bi = plan.movement[mi].buffer;
                 // Only read-only, dependence-free buffers the hoist
                 // shortcut cannot satisfy prefetch: a written buffer's
@@ -2553,7 +2164,7 @@ fn execute_one_block(
                 // retained values residency re-bases from.
                 if !plan.movement[mi].write_spaces.is_empty()
                     || buffer_poisoned(plan, mi, poisoned)
-                    || hoist_shortcut_hits(&cur, nst, bi, plan.buffers[bi].array, &hoistable)
+                    || hoist_shortcut_hits(plan, &cur, nx, bi, &hoistable)
                 {
                     continue;
                 }
@@ -2588,12 +2199,11 @@ fn execute_one_block(
             }
         }
         compute_sub_block(
-            kernel,
+            &kernel.program,
             &mut cur,
             params,
             store,
             config,
-            cache,
             profiler,
             &mut overlay,
             &mut stats,
@@ -2604,11 +2214,7 @@ fn execute_one_block(
         // under every schedule. With overlap its DMA time flies over
         // `t+1`'s compute; without, each tag is waited on at issue.
         out_done = clock.now;
-        if let Some(n_move) = cur
-            .staging
-            .as_ref()
-            .map(|st| st.source.plan().movement.len())
-        {
+        if let Some(n_move) = cur.staging.as_ref().map(|st| st.plan.plan.movement.len()) {
             let t0 = Instant::now();
             let next_fixed = next.as_ref().map(|nx| &nx.fixed);
             for mi in 0..n_move {
@@ -2748,32 +2354,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_hits_and_can_be_disabled() {
-        let k = blocked(true);
-        let p = window2d();
-        let run_with = |plan_cache: bool| {
-            let mut st = ArrayStore::for_program(&p, &[10]).unwrap();
-            st.fill_with("A", |ix| ix[0] * 1000 + ix[1]).unwrap();
-            let mut cfg = MachineConfig::geforce_8800_gtx();
-            cfg.plan_cache = plan_cache;
-            let stats = execute_blocked(&k, &[10], &mut st, &cfg, false).unwrap();
-            (st, stats)
-        };
-        let (st_on, on) = run_with(true);
-        let (st_off, off) = run_with(false);
-        // Bit-exact contents either way.
-        assert_eq!(st_on.data("C").unwrap(), st_off.data("C").unwrap());
-        // 9 blocks: 1 warm-up miss, every block a hit.
-        assert_eq!(on.plan_cache_misses, 1);
-        assert_eq!(on.plan_cache_hits, 9);
-        assert_eq!(off.plan_cache_hits, 0);
-        assert_eq!(off.plan_cache_misses, 0);
-        // Traffic identical: instantiation is exact, boundary tiles
-        // included (10 = 2*4 + 2 leaves partial tiles).
-        assert_eq!(on.moved_in, off.moved_in);
-        assert_eq!(on.global_reads, off.global_reads);
-        assert_eq!(on.smem_reads, off.smem_reads);
-        assert_eq!(on.max_smem_words, off.max_smem_words);
+    fn plan_cache_hits_once_per_sub_block() {
+        let (_, stats) = run(&blocked(true), &[10], false);
+        // 9 blocks: 1 warm-up miss, every block a hit (10 = 2*4 + 2
+        // leaves partial tiles, which evaluate the same shared plan).
+        assert_eq!(stats.plan_cache_misses, 1);
+        assert_eq!(stats.plan_cache_hits, 9);
+        // Nothing staged, nothing to warm.
+        let (_, unstaged) = run(&blocked(false), &[10], false);
+        assert_eq!(unstaged.plan_cache_misses, 0);
+        assert_eq!(unstaged.plan_cache_hits, 0);
     }
 
     #[test]
@@ -2946,7 +2536,6 @@ mod tests {
             interpreted_blocks: x + 27,
             fallback: FallbackStats {
                 engine_off: x + 28,
-                owned_plan: x + 29,
                 shape_uncompiled: x + 30,
                 runtime_decline: x + 31,
             },
@@ -2996,10 +2585,9 @@ mod tests {
         assert_eq!(a.compiled_blocks, 153);
         assert_eq!(a.interpreted_blocks, 155);
         assert_eq!(a.fallback.engine_off, 157);
-        assert_eq!(a.fallback.owned_plan, 159);
         assert_eq!(a.fallback.shape_uncompiled, 161);
         assert_eq!(a.fallback.runtime_decline, 163);
-        assert_eq!(a.fallback.total(), 157 + 159 + 161 + 163);
+        assert_eq!(a.fallback.total(), 157 + 161 + 163);
     }
 
     /// Square matmul C[i][j] += A[i][k] * B[k][j] with i and j tiled,

@@ -109,6 +109,11 @@ pub enum MachineError {
         /// whose worker panicked.
         block: usize,
     },
+    /// The mapping autotuner could not produce or persist a winner
+    /// (empty candidate space, no candidate simulated successfully, or
+    /// the tune artifact could not be saved). Rendered bare: every
+    /// caller of [`tune`] already names the tuner in its own message.
+    Tune(String),
 }
 
 impl fmt::Display for MachineError {
@@ -146,6 +151,7 @@ impl fmt::Display for MachineError {
             MachineError::WorkerPanicked { block } => {
                 write!(f, "block worker panicked while executing block {block}")
             }
+            MachineError::Tune(msg) => write!(f, "{msg}"),
         }
     }
 }

@@ -25,8 +25,8 @@
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    enumerate_named, execute_blocked_seeded, machine_salt, seq_redundant_arrays, warm_plan,
-    BlockedKernel,
+    execute_blocked_seeded, first_sub_block, machine_salt, seq_redundant_arrays, warm_plan,
+    BlockedKernel, LevelValues,
 };
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::{
@@ -196,9 +196,10 @@ pub fn tile_kernel(program: &Program, desc: &MappingDesc) -> Result<Option<Block
 }
 
 /// Enumerate the launch shape the estimator prices: round/block/seq
-/// counts plus the representative fixed-dim values (first enumerated
-/// point, matching the executor's representative-plan choice) and the
-/// advanced seq point the residency delta sets are evaluated at.
+/// counts plus the representative fixed-dim values — the executor's
+/// own [`first_sub_block`], so the estimator prices the sub-block the
+/// shared plan is analysed at — and the advanced seq point the
+/// residency delta sets are evaluated at.
 pub fn structure_of(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -216,40 +217,20 @@ pub fn structure_of(
     let Some(lead) = kernel.program.stmts.first() else {
         return Ok(st);
     };
-    let budget = config.enum_budget;
-    let round_vals = enumerate_named(lead, &kernel.round_dims, params, &st.rep_first, budget)?;
-    if let Some(r0) = round_vals.first() {
-        st.rounds = round_vals.len() as u64;
-        for (n, v) in kernel.round_dims.iter().zip(r0) {
-            st.rep_first.insert(n.clone(), *v);
-        }
-    }
-    let block_vals = enumerate_named(lead, &kernel.block_dims, params, &st.rep_first, budget)?;
-    if let Some(b0) = block_vals.first() {
-        st.blocks = block_vals.len() as u64;
-        for (n, v) in kernel.block_dims.iter().zip(b0) {
-            st.rep_first.insert(n.clone(), *v);
-        }
-    }
-    let seq_vals = enumerate_named(lead, &kernel.seq_dims, params, &st.rep_first, budget)?;
-    if let Some(s0) = seq_vals.first() {
-        st.seqs = seq_vals.len() as u64;
-        if let Some(s1) = seq_vals.get(1) {
-            let mut mid = st.rep_first.clone();
-            for (n, v) in kernel.seq_dims.iter().zip(s0) {
-                mid.insert(n.clone(), *v);
-            }
-            // The delta sets compare sub-tile s1 against its
-            // predecessor s0, so the mid point carries s1's values.
-            for (n, v) in kernel.seq_dims.iter().zip(s1) {
-                mid.insert(n.clone(), *v);
-            }
-            st.rep_mid = Some(mid);
-        }
-        for (n, v) in kernel.seq_dims.iter().zip(s0) {
-            st.rep_first.insert(n.clone(), *v);
-        }
-    }
+    let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
+    let (rep, vals) = first_sub_block(lead, &levels, params, config.enum_budget)?;
+    let count = |level: &LevelValues| level.len().max(1) as u64;
+    st.rounds = count(&vals[0]);
+    st.blocks = count(&vals[1]);
+    st.seqs = count(&vals[2]);
+    // The delta sets compare sub-tile s1 against its predecessor s0,
+    // so the mid point carries s1's values.
+    st.rep_mid = vals[2].get(1).map(|s1| {
+        let mut mid = rep.clone();
+        mid.extend(kernel.seq_dims.iter().cloned().zip(s1.iter().copied()));
+        mid
+    });
+    st.rep_first = rep;
     if !kernel.seq_dims.is_empty() && kernel.use_scratchpad {
         let mut h: Vec<usize> = seq_redundant_arrays(kernel).into_iter().collect();
         h.sort_unstable();
@@ -288,10 +269,6 @@ pub fn cost_constants(config: &MachineConfig) -> CostConstants {
             _ => 0.0,
         },
     }
-}
-
-fn tune_error(msg: &str) -> MachineError {
-    MachineError::Ir(polymem_ir::IrError::UnknownName(format!("tune: {msg}")))
 }
 
 /// Derive a candidate space for an arbitrary affine program from the
@@ -533,7 +510,7 @@ pub fn tune(
     opts: &TuneOptions,
 ) -> Result<TuneOutcome> {
     if candidates.is_empty() {
-        return Err(tune_error("empty candidate space"));
+        return Err(MachineError::Tune("empty candidate space".into()));
     }
     // The space description keys the artifact: any change to the
     // candidate set or the pruning shape re-searches.
@@ -691,7 +668,7 @@ pub fn tune(
         .filter(|(_, sim, exact)| sim.is_some() && *exact)
         .min_by_key(|(ri, sim, _)| (sim.unwrap(), *ri))
         .map(|(ri, _, _)| *ri)
-        .ok_or_else(|| tune_error("no candidate simulated successfully"))?;
+        .ok_or_else(|| MachineError::Tune("no candidate simulated successfully".into()))?;
     let winner = rows[winner_row].desc.clone();
     let winner_predicted = rows[winner_row].predicted;
     let winner_cycles = rows[winner_row].simulated.unwrap();
@@ -705,7 +682,7 @@ pub fn tune(
     };
     if let Some(dir) = &art_dir {
         art.save(Path::new(dir))
-            .map_err(|e| tune_error(&format!("artifact save: {e}")))?;
+            .map_err(|e| MachineError::Tune(format!("artifact save: {e}")))?;
     }
     Ok(TuneOutcome {
         key,

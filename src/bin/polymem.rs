@@ -16,7 +16,7 @@
 //! table's analysis parameters, or 64 per parameter of a file).
 
 use polymem::core::emit::{emit_staged, EmitOptions};
-use polymem::core::smem::{analyze_program_timed, SmemConfig, SmemPlan};
+use polymem::core::smem::{analyze_program_timed, ArtifactStore, SmemConfig, SmemPlan};
 use polymem::ir::{exec_program, init_random_store, random_program, ArrayStore, Program};
 use polymem::kernels::builtins::{launch, Builtin, Launch, BUILTINS};
 use polymem::kernels::{jacobi, me, tunespace};
@@ -552,9 +552,9 @@ fn level_dump(label: &str, extra: Vec<(&str, Json)>, plan: &SmemPlan, ext: &[i64
 /// `.poly` sources have no blocked mapping, so they dump the
 /// whole-program scratchpad plan only.
 fn analyze_json(cli: &Cli, name: &str, program: &Program, params: &[i64]) -> ExitCode {
-    let (base, toggles) = match cli.machine().and_then(|(m, _)| Ok((m, cli.toggles()?))) {
+    let (base, toggles) = match launch_inputs(cli) {
         Ok(x) => x,
-        Err(m) => return usage(&m),
+        Err(exit) => return exit,
     };
     let config = launch_config(&toggles, &base);
     let mut doc = vec![
@@ -687,6 +687,22 @@ fn emit(cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The pristine `--machine` and the execution flags a built-in launch
+/// resolves under. `--artifact-dir` is opened here, once: the library
+/// degrades an unusable store to "no persistence", which someone who
+/// asked for persistence should hear about before anything runs. `Err`
+/// carries the exit already taken.
+fn launch_inputs(cli: &Cli) -> Result<(MachineConfig, LaunchToggles), ExitCode> {
+    let parsed = cli
+        .machine()
+        .and_then(|(base, _)| Ok((base, cli.toggles()?)));
+    let (base, toggles) = parsed.map_err(|m| usage(&m))?;
+    if let Some(dir) = &toggles.artifact_dir {
+        ArtifactStore::open(dir).map_err(|e| runtime_error(&format!("artifact dir {dir}: {e}")))?;
+    }
+    Ok((base, toggles))
+}
+
 /// The subcommand's kernel under `--machine`, the execution flags and
 /// `--size`, resolved against the built-in table: the launch `run`
 /// executes and `key` addresses. `Err` carries the exit already taken
@@ -695,10 +711,8 @@ fn resolve_launch(cli: &Cli) -> Result<(&str, Launch, i64), ExitCode> {
     let Some(name) = cli.target.as_deref() else {
         return Err(usage("missing kernel name"));
     };
-    let parsed = cli
-        .machine()
-        .and_then(|(base, _)| Ok((base, cli.toggles()?, cli.size()?)));
-    let (base, toggles, size) = parsed.map_err(|m| usage(&m))?;
+    let (base, toggles) = launch_inputs(cli)?;
+    let size = cli.size().map_err(|m| usage(&m))?;
     match launch(name, size, &base, &toggles, cli.has("--tuned")) {
         Some(l) => Ok((name, l, size)),
         None => {
@@ -803,8 +817,8 @@ fn run(cli: &Cli) -> ExitCode {
     if stats.interpreted_blocks > 0 {
         let f = &stats.fallback;
         println!(
-            "  interpreter fallbacks: {} engine-off, {} owned-plan, {} shape-uncompiled, {} runtime-decline",
-            f.engine_off, f.owned_plan, f.shape_uncompiled, f.runtime_decline
+            "  interpreter fallbacks: {} engine-off, {} shape-uncompiled, {} runtime-decline",
+            f.engine_off, f.shape_uncompiled, f.runtime_decline
         );
     }
     if stats.dma.descriptors > 0 {
@@ -852,8 +866,8 @@ fn key(cli: &Cli) -> ExitCode {
             ExitCode::SUCCESS
         }
         Ok(None) => {
-            // No scratchpad plan (e.g. plan cache disabled): nothing
-            // to address, but not an error.
+            // The mapping stages nothing (e.g. jacobi's canonical one):
+            // nothing to address, but not an error.
             println!("none");
             ExitCode::SUCCESS
         }

@@ -143,6 +143,40 @@ fn runtime_errors_exit_with_code_4() {
 }
 
 #[test]
+fn unusable_artifact_dirs_are_runtime_errors() {
+    // A regular file where the store directory should be: asking for
+    // persistence that cannot happen is an error before anything runs,
+    // not a silent launch without it.
+    let file = std::env::temp_dir().join("polymem_cli_not_a_dir");
+    std::fs::write(&file, b"x").unwrap();
+    let f = file.to_str().unwrap();
+    for cmd in [
+        &["run", "me", "--size", "8"][..],
+        &["key", "me", "--size", "8"],
+        &["analyze", "me", "--json"],
+    ] {
+        let args = [cmd, &["--artifact-dir", f]].concat();
+        let (stdout, stderr, code) = polymem_code(&args, &[]);
+        assert_eq!(code, 4, "{cmd:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("runtime error: artifact dir {f}: ")),
+            "{cmd:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{cmd:?}: {stdout}");
+    }
+    // The tuner only meets the store when it saves its winner; that
+    // failure renders as what it is, not as an IR "unknown name".
+    let (_, stderr, code) = polymem_code(&["tune", "me", "--size", "8", "--artifact-dir", f], &[]);
+    assert_eq!(code, 4, "{stderr}");
+    assert!(
+        stderr.starts_with("runtime error: tune failed: artifact save: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("unknown name"), "{stderr}");
+    let _ = std::fs::remove_file(&file);
+}
+
+#[test]
 fn key_is_stable_across_processes() {
     // The artifact address must be a pure content hash: two fresh
     // processes — separate ASLR, allocation order, everything —
