@@ -104,7 +104,7 @@ impl LaunchShared {
     /// Derive the launch state for the block shape pinning the dims
     /// `fixed` (sorted), staged through `plan` if the mapping stages.
     /// A shape that cannot be parametrized or scanned is a typed
-    /// error: there is no per-block path to degrade to.
+    /// error.
     pub fn new(
         program: &Program,
         params: &[i64],

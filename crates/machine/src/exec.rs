@@ -402,8 +402,7 @@ pub(crate) fn first_sub_block(
 /// The launch's round values and its representative: the dims every
 /// sub-block pins (round ∪ block, ∪ seq when the mapping stages) at
 /// their first values and, with hierarchy on, the thread dims at
-/// theirs. Dims that cannot become parameters of the program are the
-/// typed analysis error here, for every entry point alike.
+/// theirs.
 fn first_block(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -431,7 +430,6 @@ fn first_block(
             regs_per_inner: config.regs_per_inner,
         });
     }
-    check_parametrizable(&kernel.program, rep.keys())?;
     let mut pairs: Vec<(String, i64)> = rep.into_iter().collect();
     pairs.sort();
     Ok((vals.swap_remove(0), (pairs, hier)))
@@ -448,7 +446,11 @@ pub fn launch_representative(
 ) -> Result<Option<Representative>> {
     match kernel.program.stmts.first() {
         Some(lead) if kernel.use_scratchpad => {
-            Ok(Some(first_block(kernel, params, config, lead)?.1))
+            let rep = first_block(kernel, params, config, lead)?.1;
+            // Reports and keys run no analysis that would reject dims
+            // the symbolic view cannot turn into parameters.
+            check_parametrizable(&kernel.program, rep.0.iter().map(|p| &p.0))?;
+            Ok(Some(rep))
         }
         _ => Ok(None),
     }
@@ -519,8 +521,7 @@ pub fn warm_plan(
 ///    the passes) and, when a store is configured, persists the
 ///    result for future processes.
 ///
-/// A failed analysis is the launch's error: there is no per-block
-/// analysis to degrade to.
+/// A failed analysis is the launch's error.
 fn warm(
     kernel: &BlockedKernel,
     params: &[i64],

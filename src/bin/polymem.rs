@@ -711,18 +711,22 @@ fn resolve_launch(cli: &Cli) -> Result<(&str, Launch, i64), ExitCode> {
     let Some(name) = cli.target.as_deref() else {
         return Err(usage("missing kernel name"));
     };
-    let (base, toggles) = launch_inputs(cli)?;
     let size = cli.size().map_err(|m| usage(&m))?;
-    match launch(name, size, &base, &toggles, cli.has("--tuned")) {
-        Some(l) => Ok((name, l, size)),
-        None => {
-            let names: Vec<&str> = BUILTINS.iter().map(|b| b.name).collect();
-            Err(usage(&format!(
-                "unknown kernel `{name}` (built in: {})",
-                names.join(", ")
-            )))
-        }
+    let unknown = || {
+        let names: Vec<&str> = BUILTINS.iter().map(|b| b.name).collect();
+        usage(&format!(
+            "unknown kernel `{name}` (built in: {})",
+            names.join(", ")
+        ))
+    };
+    if Builtin::named(name).is_none() {
+        return Err(unknown());
     }
+    // Last: it creates the artifact dir, which a usage error must not.
+    let (base, toggles) = launch_inputs(cli)?;
+    launch(name, size, &base, &toggles, cli.has("--tuned"))
+        .map(|l| (name, l, size))
+        .ok_or_else(unknown)
 }
 
 fn run(cli: &Cli) -> ExitCode {

@@ -174,6 +174,18 @@ fn unusable_artifact_dirs_are_runtime_errors() {
     );
     assert!(!stderr.contains("unknown name"), "{stderr}");
     let _ = std::fs::remove_file(&file);
+    // A usage error exits before the store directory is created.
+    let dir = std::env::temp_dir().join("polymem_cli_never_created");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    for cmd in [
+        &["run", "me", "--size", "x"][..],
+        &["key", "nosuch", "--size", "8"],
+    ] {
+        let (_, stderr, code) = polymem_code(&[cmd, &["--artifact-dir", d]].concat(), &[]);
+        assert_eq!(code, 2, "{cmd:?}: {stderr}");
+        assert!(!dir.exists(), "{cmd:?} created {d}");
+    }
 }
 
 #[test]

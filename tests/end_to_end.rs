@@ -106,8 +106,7 @@ fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     use polymem::kernels::conv2d;
     use polymem::machine::BlockedKernel;
     // Every sub-block of a launch evaluates the one shared symbolic
-    // plan (there is no per-block analysis to compare against any
-    // more), so the contract is against the reference interpreter:
+    // plan, so the contract is against the reference interpreter:
     // same contents, on the compiled engine, with no fallback.
     let run =
         |p: &Program, kernel: &BlockedKernel, params: &[i64], base: &ArrayStore, out: &str| {
