@@ -134,18 +134,46 @@ fn remap_row(row: impl Fn(usize) -> i64, col_map: &[Option<usize>]) -> Vec<i64> 
     col_map.iter().map(|c| c.map(&row).unwrap_or(0)).collect()
 }
 
-/// Whether the dims `names` can become parameters of `program` — the
-/// one way [`parametrize_dims`] fails: a name that already is one.
+/// Whether the dims `names` can become parameters next to `params` —
+/// the one way [`parametrize_dims`] fails: a name that already is one.
 pub fn check_parametrizable<'a>(
-    program: &Program,
+    params: &[String],
     names: impl IntoIterator<Item = &'a String>,
 ) -> Result<()> {
-    match names.into_iter().find(|n| program.params.contains(n)) {
+    match names.into_iter().find(|n| params.contains(n)) {
         Some(n) => Err(SmemError::Ir(polymem_ir::IrError::UnknownName(format!(
             "fixed dim `{n}` collides with a program parameter"
         )))),
         None => Ok(()),
     }
+}
+
+/// One statement domain of the symbolic-block view: the dims in
+/// `names` this domain iterates become parameters, appended after the
+/// existing ones in the given order (a name it does not iterate becomes
+/// an unconstrained parameter). Returns the new space's column map
+/// alongside, for remapping the statement's accesses.
+fn parametrize_space(domain: &Polyhedron, names: &[String]) -> (Polyhedron, Vec<Option<usize>>) {
+    let (new_space, col_map, _) = remap_columns(domain.space(), names);
+    let rows: Vec<Constraint> = domain
+        .constraints()
+        .iter()
+        .map(|c| {
+            let coeffs = remap_row(|j| c.coeff(j), &col_map);
+            match c.kind {
+                ConstraintKind::Ineq => Constraint::ineq(coeffs),
+                ConstraintKind::Eq => Constraint::eq(coeffs),
+            }
+        })
+        .collect();
+    (Polyhedron::new(new_space, rows), col_map)
+}
+
+/// [`parametrize_dims`] for a single iteration domain: what a launch
+/// grid tier is projected from, with the outer tiers' dims as `names`.
+pub fn parametrize_domain(domain: &Polyhedron, names: &[String]) -> Result<Polyhedron> {
+    check_parametrizable(domain.space().params(), names)?;
+    Ok(parametrize_space(domain, names).0)
 }
 
 /// The symbolic-block view: every dim named in `names` becomes a
@@ -154,24 +182,13 @@ pub fn check_parametrizable<'a>(
 /// bodies are left untouched and must not be evaluated against the
 /// transformed spaces.
 pub fn parametrize_dims(program: &Program, names: &[String]) -> Result<Program> {
-    check_parametrizable(program, names)?;
+    check_parametrizable(&program.params, names)?;
     let mut out = program.clone();
     out.params.extend(names.iter().cloned());
     for s in &mut out.stmts {
-        let (new_space, col_map, _) = remap_columns(s.domain.space(), names);
-        let rows: Vec<Constraint> = s
-            .domain
-            .constraints()
-            .iter()
-            .map(|c| {
-                let coeffs = remap_row(|j| c.coeff(j), &col_map);
-                match c.kind {
-                    ConstraintKind::Ineq => Constraint::ineq(coeffs),
-                    ConstraintKind::Eq => Constraint::eq(coeffs),
-                }
-            })
-            .collect();
-        s.domain = Polyhedron::new(new_space.clone(), rows);
+        let (domain, col_map) = parametrize_space(&s.domain, names);
+        s.domain = domain;
+        let new_space = s.domain.space().clone();
         let remap_access = |acc: &Access| -> Access {
             let m = acc.map.matrix();
             let rows: Vec<Vec<i64>> = (0..m.rows())

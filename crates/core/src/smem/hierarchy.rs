@@ -97,11 +97,54 @@ pub struct HierPlan {
     pub regs_per_inner: u64,
 }
 
+/// Where one entry of a level-2 extended parameter vector comes from:
+/// the index map [`HierPlan::ext_sources`] resolves names into, once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExtSource {
+    /// This position of the level-1 vector `params ++ fixed values`.
+    Level1(usize),
+    /// This position of the thread key (`thread_dims` order).
+    Thread(usize),
+}
+
+impl ExtSource {
+    /// The level-2 vector `params ++ ext values` of one (sub-block,
+    /// thread key) instance: `level1` is the sub-block's
+    /// `params ++ fixed values`, `threads` the key.
+    pub fn assemble(sources: &[ExtSource], level1: &[i64], threads: &[i64]) -> Vec<i64> {
+        sources
+            .iter()
+            .map(|s| match *s {
+                ExtSource::Level1(j) => level1[j],
+                ExtSource::Thread(k) => threads[k],
+            })
+            .collect()
+    }
+}
+
 impl HierPlan {
-    /// The extended parameter vector `params ++ ext values` for one
-    /// concrete (block, thread) instance. `fixed` holds the level-1
-    /// fixed-dim values, `threads` the thread-dim values in
-    /// `thread_dims` order. `None` on a shape mismatch.
+    /// Per entry of `params ++ ext_names` (with `n_params` program
+    /// parameters), where its value comes from. The non-thread ext
+    /// names are the level-1 fixed dims in their sorted order, so they
+    /// index the level-1 vector in sequence. A launch resolves this
+    /// once and assembles every thread key's vector by index.
+    pub fn ext_sources(&self, n_params: usize) -> Vec<ExtSource> {
+        let mut next = n_params;
+        let ext = self.ext_names.iter().map(|name| {
+            match self.thread_dims.iter().position(|t| t == name) {
+                Some(k) => ExtSource::Thread(k),
+                None => {
+                    next += 1;
+                    ExtSource::Level1(next - 1)
+                }
+            }
+        });
+        (0..n_params).map(ExtSource::Level1).chain(ext).collect()
+    }
+
+    /// The named boundary over [`ExtSource::assemble`]: `fixed` holds
+    /// the level-1 fixed-dim values by name, `threads` the thread-dim
+    /// values in `thread_dims` order. `None` on a shape mismatch.
     pub fn ext_params(
         &self,
         params: &[i64],
@@ -111,15 +154,14 @@ impl HierPlan {
         if threads.len() != self.thread_dims.len() {
             return None;
         }
-        let mut out = Vec::with_capacity(params.len() + self.ext_names.len());
-        out.extend_from_slice(params);
+        let mut level1 = params.to_vec();
         for name in &self.ext_names {
-            match self.thread_dims.iter().position(|t| t == name) {
-                Some(k) => out.push(threads[k]),
-                None => out.push(*fixed.get(name)?),
+            if !self.thread_dims.contains(name) {
+                level1.push(*fixed.get(name)?);
             }
         }
-        Some(out)
+        let sources = self.ext_sources(params.len());
+        Some(ExtSource::assemble(&sources, &level1, threads))
     }
 
     /// Project a full-space iteration point of statement `stmt` down

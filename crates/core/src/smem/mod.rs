@@ -41,14 +41,14 @@ pub use artifact::{
 };
 pub use cache::{
     analyze_symbolic, analyze_symbolic_hier, check_parametrizable, ext_params, parametrize_dims,
-    SymbolicPlan,
+    parametrize_domain, SymbolicPlan,
 };
 pub use dataspace::{AccessId, RefInfo};
 pub use descriptors::{
     build_transfers, delta_transfer_list, flush_transfer_list, transfer_list, Direction,
     DmaChannels, TransferDescriptor, TransferList, TransferPlan,
 };
-pub use hierarchy::{analyze_hierarchy, HierPlan, HierSpec, MemLevel};
+pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
 pub use lowering::{lower_rows, prove_flat, row_major_weights, FlatAffine, LoweredRow};
 pub use movement::MovementCode;

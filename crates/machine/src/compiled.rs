@@ -41,32 +41,39 @@
 //! block against it).
 
 use crate::config::MachineConfig;
-use crate::exec::{budget_error, flush_frames, stage_frames, ExecStats, FrameSet, LocalStore};
+use crate::exec::{
+    budget_error, flush_frames, stage_frames, BlockedKernel, ExecStats, FrameSet, LaunchGrid,
+    LocalStore, StagingFlags,
+};
 use crate::overlay::Overlay;
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::CostConstants;
 use polymem_core::smem::{
-    ext_params, lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, HierPlan,
+    lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, ExtSource, HierPlan,
     LoweredRow, SmemPlan, SymbolicPlan,
 };
 use polymem_ir::{ArrayStore, BodyCode, IrError, Program, Statement};
 use polymem_poly::bounds::{all_param_bounds, bound_cascade, DimBounds};
 use polymem_poly::{PolyError, Polyhedron};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-launch state, built before any block worker runs and shared
-/// read-only by all of them: the hoisted common-prefix depth matrix,
-/// global array extents and row-major weights, the compiled statement
-/// bodies — and the launch's one *block shape*. Every sub-block of a
-/// launch pins the same dims (round ∪ block ∪ seq), so everything that
-/// depends only on *which* dims are pinned is derived here once: the
-/// shared symbolic plan, the per-statement enumeration layout both
-/// engines walk, and the compiled address streams on top of it. A
-/// sub-block contributes only its `params ++ fixed values` vector
-/// ([`LaunchShared::sub_block_params`]).
-pub(crate) struct LaunchShared {
+/// The launch record: everything that depends only on the launch,
+/// built before any block worker runs and shared read-only by all of
+/// them. The launch itself (program, parameters, machine), the
+/// hoisted common-prefix depth matrix, global array extents and
+/// row-major weights, the compiled statement bodies — and the launch's
+/// one *block shape*: every sub-block pins the same dims
+/// (round ∪ block ∪ seq), so the grid that enumerates them, the shared
+/// symbolic plan, the per-statement enumeration layout both engines
+/// walk, the compiled address streams on top of it and the
+/// per-movement-entry staging flags are all derived here once. A
+/// sub-block contributes only its coordinate vector
+/// ([`LaunchGrid::pparams`]).
+pub(crate) struct LaunchShared<'a> {
+    pub(crate) program: &'a Program,
+    pub(crate) params: &'a [i64],
+    pub(crate) config: &'a MachineConfig,
     /// `common[a][b]` = shared loop-dim prefix of statements `a`, `b`.
     pub common: Vec<Vec<usize>>,
     /// Concrete extents of every global array, in program order.
@@ -84,12 +91,21 @@ pub(crate) struct LaunchShared {
     /// The cycle model's constants: the formulas the launch charges
     /// compute phases and rounds with are the estimator's.
     pub cost: CostConstants,
-    /// Fixed-dim names of the block shape, in the (sorted) order their
-    /// values extend the params.
-    pub fixed: Vec<String>,
+    /// Rounds, blocks and sub-tiles, and the block shape they pin
+    /// (`grid.fixed`, sorted: the order the values extend the params).
+    pub(crate) grid: LaunchGrid,
     /// The shared symbolic scratchpad plan every staged sub-block
     /// evaluates; `None` when the mapping stages nothing.
     pub plan: Option<Arc<SymbolicPlan>>,
+    /// Hoisting and prefetch legality per movement entry of `plan`.
+    pub(crate) flags: StagingFlags,
+    /// Index of the residency seq dim in a sub-block's
+    /// `params ++ fixed values`, when the plan retains anything.
+    pub(crate) residency_at: Option<usize>,
+    /// Where each entry of a level-2 `params ++ ext values` vector
+    /// comes from (sub-block vector or thread key); empty without a
+    /// register level. Lives here, not in the serialised plan.
+    pub(crate) hier_ext: Vec<ExtSource>,
     /// Per-statement enumeration layout, read by the interpreter
     /// (`enumerate_with_cascade` + sort) and the compiled engine
     /// ([`Cursor`]) alike.
@@ -100,18 +116,19 @@ pub(crate) struct LaunchShared {
     pub streams: Option<Vec<StmtStreams>>,
 }
 
-impl LaunchShared {
-    /// Derive the launch state for the block shape pinning the dims
-    /// `fixed` (sorted), staged through `plan` if the mapping stages.
-    /// A shape that cannot be parametrized or scanned is a typed
-    /// error.
+impl<'a> LaunchShared<'a> {
+    /// Derive the launch state for the block shape `grid` pins, staged
+    /// through `plan` if the mapping stages. A shape that cannot be
+    /// parametrized or scanned, or a plan analysed for another shape,
+    /// is a typed error.
     pub fn new(
-        program: &Program,
-        params: &[i64],
-        config: &MachineConfig,
-        fixed: Vec<String>,
+        kernel: &'a BlockedKernel,
+        params: &'a [i64],
+        config: &'a MachineConfig,
+        grid: LaunchGrid,
         plan: Option<Arc<SymbolicPlan>>,
-    ) -> Result<LaunchShared> {
+    ) -> Result<LaunchShared<'a>> {
+        let program = &kernel.program;
         let n = program.stmts.len();
         let mut common = vec![vec![0usize; n]; n];
         for (a, row) in common.iter_mut().enumerate() {
@@ -142,42 +159,62 @@ impl LaunchShared {
                     .collect()
             })
             .flatten();
-        let sym = parametrize_dims(program, &fixed)?;
+        let fixed = &grid.fixed;
+        let sym = parametrize_dims(program, fixed)?;
         let layouts = program
             .stmts
             .iter()
             .zip(&sym.stmts)
-            .map(|(orig, ss)| StmtLayout::build(orig, ss, &fixed, program.params.len()))
+            .map(|(orig, ss)| StmtLayout::build(orig, ss, fixed, program.params.len()))
             .collect::<polymem_poly::Result<Vec<_>>>()?;
         let streams = bodies
             .as_ref()
             .and_then(|_| lower_streams(&sym, &layouts, plan.as_deref()));
+        let sp = plan.as_deref();
+        let residency = sp.and_then(|sp| sp.residency.as_ref());
+        let residency_at = residency
+            .filter(|res| !res.plans.is_empty())
+            .and_then(|res| fixed.iter().position(|n| *n == res.seq_param))
+            .map(|i| params.len() + i);
+        let hier_ext = match sp.and_then(|sp| sp.hier.as_ref()) {
+            Some(h) => {
+                // The level-2 vector indexes the sub-block's by
+                // position: its non-thread names must be this shape's.
+                let level1 = h.ext_names.iter().filter(|n| !h.thread_dims.contains(n));
+                if !level1.eq(fixed) {
+                    return Err(MachineError::Poly(PolyError::SpaceMismatch {
+                        op: "a register-level plan analysed for another launch shape",
+                    }));
+                }
+                h.ext_sources(params.len())
+            }
+            None => Vec::new(),
+        };
         Ok(LaunchShared {
+            program,
+            params,
+            config,
             common,
             ext,
             weights,
             bodies,
             exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
-            fixed,
+            flags: StagingFlags::new(kernel, config, sp.map(|sp| &sp.plan))?,
+            residency_at,
+            hier_ext,
+            grid,
             plan,
             layouts,
             streams,
         })
     }
 
-    /// `params ++ fixed values` of one sub-block: the parameter vector
-    /// the plan, the layouts and the streams all evaluate under. A
-    /// sub-block pinning other dims than the launch shape is a typed
-    /// error.
-    pub fn sub_block_params(
-        &self,
-        params: &[i64],
-        fixed: &HashMap<String, i64>,
-    ) -> Result<Vec<i64>> {
-        ext_params(&self.fixed, params, fixed).ok_or(MachineError::Poly(PolyError::SpaceMismatch {
-            op: "evaluating the launch shape at a sub-block that fixes different dims",
-        }))
+    /// The level-1 plan and the register-level plan riding on it, when
+    /// the launch has a register level.
+    pub(crate) fn hier(&self) -> Option<(&SmemPlan, &HierPlan)> {
+        let sp = self.plan.as_deref()?;
+        Some((&sp.plan, sp.hier.as_ref()?))
     }
 }
 
@@ -630,6 +667,36 @@ fn guarded_offset(
     Ok(flat as usize)
 }
 
+/// The flat offset of a scratchpad or global access at the cursor's
+/// `point`: a proven stream's current offset, or a guarded evaluation
+/// against the target's extents (`local` is the block's scratchpad,
+/// required for local targets).
+#[inline]
+fn flat_offset(
+    acc: &AccInst,
+    point: &[i64],
+    ep: &[i64],
+    launch: &LaunchShared,
+    local: Option<&LocalStore>,
+    scratch: &mut Vec<i64>,
+) -> Result<usize> {
+    let Addr::Guarded { rows } = &acc.addr else {
+        return Ok(acc.offset());
+    };
+    match acc.target {
+        Target::Local { buffer } => {
+            let b = &local.expect("local target implies store").bufs[buffer];
+            let name = || format!("local buffer {buffer}");
+            guarded_offset(rows, point, ep, &b.extents, Some(&b.offsets), scratch, name)
+        }
+        Target::Global { array } => {
+            let name = || launch.program.arrays[array].name.clone();
+            guarded_offset(rows, point, ep, &launch.ext[array], None, scratch, name)
+        }
+        Target::Frame { .. } => unreachable!("frames resolve through the staged FrameSet"),
+    }
+}
+
 /// Instance/traffic counts of one compiled compute phase, for the
 /// cycle model (identical to the interpreter's tallies).
 #[derive(Clone, Copy, Debug, Default)]
@@ -707,7 +774,9 @@ fn read_at_lane(
     let off = (acc.offset() as i64 + acc.vary_stride() * l as i64) as usize;
     match acc.target {
         Target::Frame { .. } => unreachable!("frame statements are never batched"),
-        Target::Local { buffer } => local.expect("local target implies store").bufs[buffer].0[off],
+        Target::Local { buffer } => {
+            local.expect("local target implies store").bufs[buffer].data[off]
+        }
         Target::Global { array } => match overlay.get(array, off) {
             Some(v) => v,
             None => gdatas[array][off],
@@ -733,7 +802,7 @@ fn store_at_lane(
                 .as_deref_mut()
                 .expect("local target implies store")
                 .bufs[buffer]
-                .0[off] = value;
+                .data[off] = value;
         }
         Target::Global { array } => overlay.set(array, off, value),
     }
@@ -794,19 +863,15 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
 /// [`stage_frames`]/[`flush_frames`] at exactly the key-change points
 /// the interpreter would hit, so every counter (and the typed
 /// `RegisterOverflow`) is bit-identical.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_compiled<'s>(
     launch: &'s LaunchShared,
-    program: &Program,
-    params: &[i64],
-    fixed: &HashMap<String, i64>,
     ep: &[i64],
     store: &ArrayStore,
     mut local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-    config: &MachineConfig,
 ) -> Result<Option<CompiledCounts>> {
+    let (program, params, config) = (launch.program, launch.params, launch.config);
     let budget = config.enum_budget;
     let (Some(bodies), Some(streams)) = (launch.bodies.as_ref(), launch.streams.as_ref()) else {
         return Ok(None);
@@ -820,11 +885,15 @@ pub(crate) fn run_compiled<'s>(
             _ => return Ok(None),
         }
     }
-    let plan1: Option<&SmemPlan> = launch.plan.as_deref().map(|sp| &sp.plan);
-    let hier: Option<&HierPlan> = launch.plan.as_deref().and_then(|sp| sp.hier.as_ref());
+    let hier: Option<&HierPlan> = launch.hier().map(|(_, h)| h);
     let lweights: Vec<Option<Vec<i64>>> = local
         .as_deref()
-        .map(|l| l.bufs.iter().map(|b| row_major_weights(&b.1)).collect())
+        .map(|l| {
+            l.bufs
+                .iter()
+                .map(|b| row_major_weights(&b.extents))
+                .collect()
+        })
         .unwrap_or_default();
 
     // Instantiate address streams and cursors for every statement —
@@ -849,10 +918,10 @@ pub(crate) fn run_compiled<'s>(
                     let l = local
                         .as_deref()
                         .expect("a staged launch passes its scratchpad");
-                    let (_, ext_b, off_b) = &l.bufs[buffer];
-                    lweights[buffer]
-                        .as_ref()
-                        .and_then(|w| prove_flat(&t.rows, ep, w, ext_b, Some(off_b), &boxes))
+                    let b = &l.bufs[buffer];
+                    lweights[buffer].as_ref().and_then(|w| {
+                        prove_flat(&t.rows, ep, w, &b.extents, Some(&b.offsets), &boxes)
+                    })
                 }
                 // Frames re-anchor per thread key — always resolved
                 // through the staged FrameSet, never flat-proven.
@@ -947,14 +1016,13 @@ pub(crate) fn run_compiled<'s>(
         if let Some(h) = hier {
             if let Some(key) = h.thread_key(si, &cursors[si].full) {
                 if cur_frames.as_ref().map(|fs| fs.key.as_slice()) != Some(key.as_slice()) {
-                    let p1 = plan1.expect("hier rides on the level-1 plan");
                     let ls = local
                         .as_deref_mut()
                         .expect("a staged launch passes its scratchpad");
                     if let Some(fs) = cur_frames.take() {
-                        counts.n_smem += flush_frames(h, p1, &fs, ls, stats, config)?;
+                        counts.n_smem += flush_frames(launch, &fs, ls, stats)?;
                     }
-                    let (fs, dn) = stage_frames(h, p1, key, params, fixed, ls, stats, config)?;
+                    let (fs, dn) = stage_frames(launch, key, ep, ls, stats)?;
                     counts.n_smem += dn;
                     cur_frames = Some(fs);
                 }
@@ -1109,55 +1177,21 @@ pub(crate) fn run_compiled<'s>(
             let cur = &cursors[si];
             reads_buf.clear();
             for acc in &insts[si].reads {
+                charge_read(acc.target, stats, &mut counts);
                 let v = match acc.target {
                     Target::Frame { id } => {
                         let h = hier.expect("frame target implies hier");
                         let fs = cur_frames.as_ref().expect("keyed statement staged frames");
                         let (b, fidx) = frame_index(id, si, &cur.full, h, &fs.pp2)?;
-                        stats.smem_loads_saved += 1;
                         fs.frames.get(b, &fidx)?
                     }
                     Target::Local { buffer } => {
-                        let off = match &acc.addr {
-                            Addr::Proven { .. } => acc.offset(),
-                            Addr::Guarded { rows } => {
-                                let l = local
-                                    .as_deref()
-                                    .expect("a staged launch passes its scratchpad");
-                                guarded_offset(
-                                    rows,
-                                    &cur.point,
-                                    ep,
-                                    &l.bufs[buffer].1,
-                                    Some(&l.bufs[buffer].2),
-                                    &mut idx,
-                                    || format!("local buffer {buffer}"),
-                                )?
-                            }
-                        };
-                        stats.smem_reads += 1;
-                        counts.n_smem += 1;
-                        local
-                            .as_deref()
-                            .expect("a staged launch passes its scratchpad")
-                            .bufs[buffer]
-                            .0[off]
+                        let l = local.as_deref();
+                        let off = flat_offset(acc, &cur.point, ep, launch, l, &mut idx)?;
+                        l.expect("local target implies store").bufs[buffer].data[off]
                     }
                     Target::Global { array } => {
-                        let off = match &acc.addr {
-                            Addr::Proven { .. } => acc.offset(),
-                            Addr::Guarded { rows } => guarded_offset(
-                                rows,
-                                &cur.point,
-                                ep,
-                                &launch.ext[array],
-                                None,
-                                &mut idx,
-                                || program.arrays[array].name.clone(),
-                            )?,
-                        };
-                        stats.global_reads += 1;
-                        counts.n_glob += 1;
+                        let off = flat_offset(acc, &cur.point, ep, launch, None, &mut idx)?;
                         match overlay.get(array, off) {
                             Some(v) => v,
                             None => gdatas[array][off],
@@ -1170,6 +1204,7 @@ pub(crate) fn run_compiled<'s>(
                 .eval(&mut stack, &reads_buf, &cur.full, params)
                 .map_err(MachineError::Ir)?;
             let wacc = &insts[si].write;
+            charge_write(wacc.target, stats, &mut counts);
             match wacc.target {
                 Target::Frame { id } => {
                     let h = hier.expect("frame target implies hier");
@@ -1179,47 +1214,13 @@ pub(crate) fn run_compiled<'s>(
                     fs.frames.set(b, &fidx, value)?;
                 }
                 Target::Local { buffer } => {
-                    let woff = match &wacc.addr {
-                        Addr::Proven { .. } => wacc.offset(),
-                        Addr::Guarded { rows } => {
-                            let l = local
-                                .as_deref()
-                                .expect("a staged launch passes its scratchpad");
-                            guarded_offset(
-                                rows,
-                                &cur.point,
-                                ep,
-                                &l.bufs[buffer].1,
-                                Some(&l.bufs[buffer].2),
-                                &mut idx,
-                                || format!("local buffer {buffer}"),
-                            )?
-                        }
-                    };
-                    stats.smem_writes += 1;
-                    counts.n_smem += 1;
-                    local
-                        .as_deref_mut()
-                        .expect("a staged launch passes its scratchpad")
-                        .bufs[buffer]
-                        .0[woff] = value;
+                    let l = local.as_deref_mut().expect("local target implies store");
+                    let off = flat_offset(wacc, &cur.point, ep, launch, Some(l), &mut idx)?;
+                    l.bufs[buffer].data[off] = value;
                 }
                 Target::Global { array } => {
-                    let woff = match &wacc.addr {
-                        Addr::Proven { .. } => wacc.offset(),
-                        Addr::Guarded { rows } => guarded_offset(
-                            rows,
-                            &cur.point,
-                            ep,
-                            &launch.ext[array],
-                            None,
-                            &mut idx,
-                            || program.arrays[array].name.clone(),
-                        )?,
-                    };
-                    stats.global_writes += 1;
-                    counts.n_glob += 1;
-                    overlay.set(array, woff, value);
+                    let off = flat_offset(wacc, &cur.point, ep, launch, None, &mut idx)?;
+                    overlay.set(array, off, value);
                 }
             }
             stats.instances += 1;
@@ -1232,10 +1233,9 @@ pub(crate) fn run_compiled<'s>(
     }
     // The trailing frame set flushes after the last instance, exactly
     // like the interpreter's final flush.
-    if let (Some(h), Some(fs)) = (hier, cur_frames.take()) {
-        let p1 = plan1.expect("hier rides on the level-1 plan");
+    if let Some(fs) = cur_frames.take() {
         let ls = local.expect("a staged launch passes its scratchpad");
-        counts.n_smem += flush_frames(h, p1, &fs, ls, stats, config)?;
+        counts.n_smem += flush_frames(launch, &fs, ls, stats)?;
     }
     Ok(Some(counts))
 }
@@ -1260,17 +1260,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The launch state of `triangular()` with no dim pinned.
-    fn triangular_launch() -> LaunchShared {
-        let cfg = MachineConfig::geforce_8800_gtx();
-        LaunchShared::new(&triangular(), &[4], &cfg, Vec::new(), None).unwrap()
+    /// The enumeration layout of `triangular()` with no dim pinned.
+    fn triangular_layout() -> StmtLayout {
+        let p = triangular();
+        StmtLayout::build(&p.stmts[0], &p.stmts[0], &[], p.params.len()).unwrap()
     }
 
     #[test]
     fn cursor_walks_triangular_domain_in_lex_order() {
-        let launch = triangular_launch();
+        let layout = triangular_layout();
         let ep = vec![4i64];
-        let mut cur = Cursor::new(&launch.layouts[0], &ep, 1000);
+        let mut cur = Cursor::new(&layout, &ep, 1000);
         let mut pts = Vec::new();
         assert!(cur.first().unwrap());
         loop {
@@ -1292,28 +1292,10 @@ mod tests {
     }
 
     #[test]
-    fn sub_block_pinning_other_dims_than_the_shape_is_a_typed_error() {
-        let cfg = MachineConfig::geforce_8800_gtx();
-        let fixed = vec!["i".to_string()];
-        let launch = LaunchShared::new(&triangular(), &[4], &cfg, fixed, None).unwrap();
-        let at = |pins: &[(&str, i64)]| {
-            let fixed = pins.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-            launch.sub_block_params(&[4], &fixed)
-        };
-        assert_eq!(at(&[("i", 2)]).unwrap(), vec![4, 2]);
-        for wrong in [&[][..], &[("j", 2)], &[("i", 2), ("j", 0)]] {
-            assert!(matches!(
-                at(wrong),
-                Err(MachineError::Poly(PolyError::SpaceMismatch { .. }))
-            ));
-        }
-    }
-
-    #[test]
     fn cursor_enforces_the_enumeration_budget() {
-        let launch = triangular_launch();
+        let layout = triangular_layout();
         let ep = vec![4i64];
-        let mut cur = Cursor::new(&launch.layouts[0], &ep, 3);
+        let mut cur = Cursor::new(&layout, &ep, 3);
         assert!(cur.first().unwrap());
         let mut n = 1;
         let err = loop {

@@ -25,18 +25,20 @@ use crate::config::MachineConfig;
 use crate::dma::{DmaEngine, DmaStats, DmaTag};
 use crate::json::{counters_json, Json};
 use crate::overlay::{flatten, Overlay};
-use crate::trace::PassProfiler;
+use crate::trace::{PassKind, PassProfiler};
 use crate::{MachineError, Result};
+use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
+use polymem_core::smem::residency::{for_each_delta_in, for_each_flush_delta, for_each_retained};
 use polymem_core::smem::{
     analyze_symbolic_hier, check_parametrizable, delta_transfer_list, flush_transfer_list,
-    plan_key, transfer_list, AccessId, ArtifactKey, ArtifactStore, Direction, HierPlan, HierSpec,
-    LocalBuffer, MovementCode, PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemPlan,
-    SymbolicPlan,
+    parametrize_domain, plan_key, transfer_list, AccessId, ArtifactKey, ArtifactStore, Direction,
+    ExtSource, HierPlan, HierSpec, LocalBuffer, MovementCode, PlanArtifact, ResidencyPlan,
+    RetainPlan, SmemConfig, SmemPlan, SymbolicPlan, TransferList,
 };
-use polymem_core::tiling::transform::fix_dims;
-use polymem_ir::{ArrayStore, Program};
-use polymem_poly::count::{enumerate_points, enumerate_with_cascade};
-use polymem_poly::Constraint;
+use polymem_ir::{ArrayStore, Program, Statement};
+use polymem_poly::bounds::{bound_cascade, DimBounds};
+use polymem_poly::count::enumerate_with_cascade;
+use polymem_poly::{Constraint, PolyError, Polyhedron};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -373,66 +375,208 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
 /// spec, if any.
 pub type Representative = (Vec<(String, i64)>, Option<HierSpec>);
 
-/// The values one level of dims (round, block or seq) enumerates to.
-pub(crate) type LevelValues = Vec<Vec<i64>>;
-
-/// Enumerate each level of dims of `lead` in turn, every outer level
-/// pinned at its first enumerated value: the launch's first sub-block.
-/// It is the representative the shared plan is analysed at *and* the
-/// point the tuner's estimator prices, so both read this one walker.
-/// Returns the pinned dims plus every level's enumerated values.
-pub(crate) fn first_sub_block(
-    lead: &polymem_ir::Statement,
-    levels: &[&[String]],
-    params: &[i64],
-    budget: u64,
-) -> Result<(HashMap<String, i64>, Vec<LevelValues>)> {
-    let mut rep = HashMap::new();
-    let mut vals = Vec::with_capacity(levels.len());
-    for dims in levels {
-        let level = enumerate_named(lead, dims, params, &rep, budget)?;
-        if let Some(v0) = level.first() {
-            rep.extend(dims.iter().cloned().zip(v0.iter().copied()));
-        }
-        vals.push(level);
-    }
-    Ok((rep, vals))
+fn shape_error(op: &'static str) -> MachineError {
+    MachineError::Poly(PolyError::SpaceMismatch { op })
 }
 
-/// The launch's round values and its representative: the dims every
-/// sub-block pins (round ∪ block, ∪ seq when the mapping stages) at
-/// their first values and, with hierarchy on, the thread dims at
-/// theirs.
-fn first_block(
+/// One tier of the launch grid: the lead statement's shadow on the
+/// tier's dims, parametric in the program parameters and the dims of
+/// every outer pinned tier, with its bound cascade — the tier's values
+/// under any outer coordinates are bound evaluation, not a projection.
+struct Tier {
+    shadow: Polyhedron,
+    cascade: Vec<DimBounds>,
+    /// The launch's first sub-block found a value here, so the tier's
+    /// dims are part of the launch shape and every sub-block pins them.
+    pinned: bool,
+}
+
+impl Tier {
+    fn values(&self, outer: &[i64], budget: u64) -> Result<Vec<Vec<i64>>> {
+        let mut out = Vec::new();
+        enumerate_with_cascade(&self.shadow, &self.cascade, outer, budget, &mut |p| {
+            out.push(p.to_vec())
+        })
+        .map_err(budget_error)?;
+        Ok(out)
+    }
+}
+
+/// The launch grid — rounds → blocks → sequential sub-tiles, the tile
+/// iterators of the §4 mapping — projected from the lead statement
+/// once per launch. A sub-block is addressed by its *grid coordinates*
+/// `params ++ round values ++ block values ++ seq values` (pinned tiers
+/// only, each tier's dims in domain order); everything analysed over
+/// the launch shape evaluates under the same values in sorted-name
+/// order ([`LaunchGrid::pparams`]). Names stop here: past
+/// construction, a sub-block is a vector.
+pub(crate) struct LaunchGrid {
+    tiers: Vec<Option<Tier>>,
+    /// Names of the pinned dims, in grid-coordinate order (what
+    /// `structure_of` zips back onto coordinates for the estimator).
+    pub(crate) names: Vec<String>,
+    /// The launch shape: the same names sorted, the order
+    /// `SymbolicPlan::fixed` extends the parameters in.
+    pub(crate) fixed: Vec<String>,
+    /// Per entry of `params ++ fixed values`, its index in the grid
+    /// coordinates (the parameters stay in front).
+    perm: Vec<usize>,
+    /// Grid coordinates of the launch's first sub-block — the
+    /// representative the shared plan is analysed at *and* the point
+    /// the tuner's estimator prices.
+    first: Vec<i64>,
+    /// The thread dims at their first values in that sub-block, when
+    /// the grid was asked for the thread tier and it has a value.
+    thread_reps: Option<Vec<(String, i64)>>,
+    budget: u64,
+}
+
+impl LaunchGrid {
+    /// Project every level of `lead` in turn (then `thread_dims`, for
+    /// the hierarchy representative), each under the outer levels
+    /// pinned at their first values. A level naming a dim `lead` does
+    /// not iterate, or a dim another level (or itself) already names,
+    /// is a typed error: mapping descriptions cross a trust boundary
+    /// (tune artifacts), and a misspelt dim must not run as one
+    /// untiled level.
+    pub(crate) fn new(
+        lead: &Statement,
+        levels: &[&[String]],
+        thread_dims: &[String],
+        params: &[i64],
+        budget: u64,
+    ) -> Result<LaunchGrid> {
+        let mut grid = LaunchGrid {
+            tiers: Vec::with_capacity(levels.len()),
+            names: Vec::new(),
+            fixed: Vec::new(),
+            perm: Vec::new(),
+            first: params.to_vec(),
+            thread_reps: None,
+            budget,
+        };
+        let mut seen: Vec<&String> = Vec::new();
+        for (k, dims) in levels.iter().copied().chain([thread_dims]).enumerate() {
+            for n in dims {
+                if lead.domain.space().find_dim(n).is_none() {
+                    return Err(shape_error(
+                        "a launch level names a dim the lead statement does not iterate",
+                    ));
+                }
+                if seen.contains(&n) {
+                    return Err(shape_error("a launch level names a dim twice"));
+                }
+                seen.push(n);
+            }
+            // The thread tier only contributes its first value.
+            let thread = k == levels.len();
+            if dims.is_empty() {
+                if !thread {
+                    grid.tiers.push(None);
+                }
+                continue;
+            }
+            let sym = parametrize_domain(&lead.domain, &grid.names)?;
+            let keep: Vec<usize> = dims
+                .iter()
+                .filter_map(|n| sym.space().find_dim(n))
+                .collect();
+            let shadow = sym.project_onto(&keep)?;
+            let mut tier = Tier {
+                cascade: bound_cascade(&shadow)?,
+                shadow,
+                pinned: false,
+            };
+            // The projection keeps domain order, whatever order the
+            // level listed its dims in.
+            let here = tier.shadow.space().dims().to_vec();
+            let v0 = tier.values(&grid.first, budget)?.into_iter().next();
+            if thread {
+                grid.thread_reps = v0.map(|v| here.into_iter().zip(v).collect());
+                continue;
+            }
+            if let Some(v) = v0 {
+                tier.pinned = true;
+                grid.names.extend(here);
+                grid.first.extend(v);
+            }
+            grid.tiers.push(Some(tier));
+        }
+        // The symbolic view turns the pinned dims into parameters.
+        check_parametrizable(lead.domain.space().params(), &grid.names)?;
+        let mut order: Vec<usize> = (0..grid.names.len()).collect();
+        order.sort_by(|&a, &b| grid.names[a].cmp(&grid.names[b]));
+        grid.fixed = order.iter().map(|&g| grid.names[g].clone()).collect();
+        let np = params.len();
+        grid.perm = (0..np).chain(order.into_iter().map(|g| np + g)).collect();
+        Ok(grid)
+    }
+
+    /// The grid coordinates of every instance of tier `k` (0 = round,
+    /// 1 = block, 2 = seq) under the outer coordinates `outer`, in
+    /// lexicographic order. A tier without dims — or one the launch
+    /// shape does not pin — is the single instance `outer` itself; an
+    /// instance set that disagrees with the launch shape (a pinned
+    /// tier with no value here, or an unpinned one with some) is a
+    /// typed error.
+    pub(crate) fn scan(&self, k: usize, outer: &[i64]) -> Result<Vec<Vec<i64>>> {
+        let Some(tier) = self.tiers.get(k).and_then(Option::as_ref) else {
+            return Ok(vec![outer.to_vec()]);
+        };
+        let vals = tier.values(outer, self.budget)?;
+        if vals.is_empty() == tier.pinned {
+            return Err(shape_error(
+                "evaluating the launch shape at a sub-block that fixes different dims",
+            ));
+        }
+        if vals.is_empty() {
+            return Ok(vec![outer.to_vec()]);
+        }
+        Ok(vals.iter().map(|v| [outer, v].concat()).collect())
+    }
+
+    /// `params ++ fixed values` of the sub-block at grid coordinates
+    /// `coords`: the parameter vector the plan, the layouts and the
+    /// streams all evaluate under.
+    pub(crate) fn pparams(&self, coords: &[i64]) -> Vec<i64> {
+        debug_assert_eq!(coords.len(), self.perm.len());
+        self.perm.iter().map(|&g| coords[g]).collect()
+    }
+
+    /// The representative of a launch of `kernel` on this grid.
+    fn representative(&self, kernel: &BlockedKernel, config: &MachineConfig) -> Representative {
+        let n_params = self.first.len() - self.names.len();
+        let vals = self.pparams(&self.first).split_off(n_params);
+        let hier = self.thread_reps.clone().map(|thread_reps| HierSpec {
+            thread_dims: kernel.thread_dims.clone(),
+            thread_reps,
+            regs_per_inner: config.regs_per_inner,
+        });
+        (self.fixed.iter().cloned().zip(vals).collect(), hier)
+    }
+}
+
+/// The grid of a launch of `kernel`: round and block tiers, the seq
+/// tier when the mapping stages (an unstaged block is one sub-tile),
+/// and the thread tier when the register level is on.
+fn launch_grid(
     kernel: &BlockedKernel,
     params: &[i64],
     config: &MachineConfig,
-    lead: &polymem_ir::Statement,
-) -> Result<(LevelValues, Representative)> {
+    lead: &Statement,
+) -> Result<LaunchGrid> {
     let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
     let staged = if kernel.use_scratchpad { 3 } else { 2 };
-    let (rep, mut vals) = first_sub_block(lead, &levels[..staged], params, config.enum_budget)?;
-    // Register-tile level: analyse the intra-thread subnest of the
-    // representative block with the thread dims as extra fixed
-    // dims. The representative thread values feed Algorithm 1's
-    // volume test exactly like the representative block values do.
-    let mut hier = None;
-    if kernel.use_scratchpad && config.hierarchy && !kernel.thread_dims.is_empty() {
-        let tvals = enumerate_named(lead, &kernel.thread_dims, params, &rep, config.enum_budget)?;
-        hier = tvals.first().map(|t0| HierSpec {
-            thread_dims: kernel.thread_dims.clone(),
-            thread_reps: kernel
-                .thread_dims
-                .iter()
-                .cloned()
-                .zip(t0.iter().copied())
-                .collect(),
-            regs_per_inner: config.regs_per_inner,
-        });
-    }
-    let mut pairs: Vec<(String, i64)> = rep.into_iter().collect();
-    pairs.sort();
-    Ok((vals.swap_remove(0), (pairs, hier)))
+    // Register-tile level: the intra-thread subnest of the
+    // representative block is analysed with the thread dims as extra
+    // fixed dims; their representative values feed Algorithm 1's
+    // volume test like the block values do.
+    let threads: &[String] = if kernel.use_scratchpad && config.hierarchy {
+        &kernel.thread_dims
+    } else {
+        &[]
+    };
+    LaunchGrid::new(lead, &levels[..staged], threads, params, config.enum_budget)
 }
 
 /// The representative sub-block of a staged launch — what
@@ -446,11 +590,8 @@ pub fn launch_representative(
 ) -> Result<Option<Representative>> {
     match kernel.program.stmts.first() {
         Some(lead) if kernel.use_scratchpad => {
-            let rep = first_block(kernel, params, config, lead)?.1;
-            // Reports and keys run no analysis that would reject dims
-            // the symbolic view cannot turn into parameters.
-            check_parametrizable(&kernel.program, rep.0.iter().map(|p| &p.0))?;
-            Ok(Some(rep))
+            let grid = launch_grid(kernel, params, config, lead)?;
+            Ok(Some(grid.representative(kernel, config)))
         }
         _ => Ok(None),
     }
@@ -628,73 +769,30 @@ pub fn execute_blocked_seeded(
         .and_then(|s| s.parse().ok());
 
     // Compile-once-per-launch: every sub-block pins the same dims, so
-    // one representative sub-block is analysed symbolically (fixed
-    // dims as parameters) before any worker runs, and every sub-block
-    // evaluates the shared plan, enumeration layout and compiled
-    // streams at its own fixed values. Building up-front keeps the
-    // workers lock-free and every counter deterministic under
-    // parallel execution.
-    let (round_vals, rep) = first_block(kernel, params, config, lead)?;
-    let rounds = if round_vals.is_empty() {
-        vec![Vec::new()]
-    } else {
-        round_vals
-    };
+    // the launch grid is projected and one representative sub-block is
+    // analysed symbolically (fixed dims as parameters) before any
+    // worker runs; every sub-block then evaluates the grid, the shared
+    // plan, the enumeration layout and the compiled streams at its own
+    // coordinates. Building up-front keeps the workers lock-free and
+    // every counter deterministic under parallel execution.
+    let grid = launch_grid(kernel, params, config, lead)?;
     let warmed = if kernel.use_scratchpad {
         stats.plan_cache_misses = 1;
+        let rep = grid.representative(kernel, config);
         Some(warm(kernel, params, config, &rep, profiler, seed)?)
     } else {
         None
     };
-    let launch = LaunchShared::new(
-        program,
-        params,
-        config,
-        rep.0.into_iter().map(|p| p.0).collect(),
-        warmed.as_ref().map(|(sp, _)| sp.clone()),
-    )?;
-    let launch = &launch;
+    let plan = warmed.as_ref().map(|(sp, _)| sp.clone());
+    let launch = &LaunchShared::new(kernel, params, config, grid, plan)?;
 
-    // Double-buffer legality (§3.1.4 dependence information, reused):
-    // read accesses reached by a seq-carried flow dependence within a
-    // block may not be prefetched ahead of the writing sub-tile.
-    // Computed once per launch, shared read-only by all workers.
-    let poisoned: Option<HashSet<AccessId>> =
-        if kernel.use_scratchpad && config.double_buffer && !kernel.seq_dims.is_empty() {
-            Some(overlap_poisoned_reads(kernel)?)
-        } else {
-            None
-        };
-    let poisoned = poisoned.as_ref();
-
-    for round in &rounds {
-        let mut fixed_round: HashMap<String, i64> = HashMap::new();
-        for (n, v) in kernel.round_dims.iter().zip(round) {
-            fixed_round.insert(n.clone(), *v);
-        }
-        let block_vals = enumerate_named(
-            lead,
-            &kernel.block_dims,
-            params,
-            &fixed_round,
-            config.enum_budget,
-        )?;
-        let blocks = if block_vals.is_empty() {
-            vec![Vec::new()]
-        } else {
-            block_vals
-        };
+    for round in launch.grid.scan(0, params)? {
+        let blocks = launch.grid.scan(1, &round)?;
 
         // Execute every block of this round against the same store
         // snapshot, buffering writes.
-        let run_block = |bv: &Vec<i64>, bidx: u64| -> Result<(Overlay, ExecStats)> {
-            let mut fixed = fixed_round.clone();
-            for (n, v) in kernel.block_dims.iter().zip(bv) {
-                fixed.insert(n.clone(), *v);
-            }
-            execute_one_block(
-                kernel, &fixed, params, store, config, profiler, poisoned, launch, bidx,
-            )
+        let run_block = |coords: &Vec<i64>, bidx: u64| -> Result<(Overlay, ExecStats)> {
+            execute_one_block(launch, coords, store, profiler, bidx)
         };
 
         let results: Vec<(Overlay, ExecStats)> = if parallel && blocks.len() > 1 {
@@ -764,7 +862,7 @@ pub fn execute_blocked_seeded(
             stats.absorb(bstats);
         }
         if let Some(pr) = profiler {
-            pr.record(crate::trace::PassKind::Barrier, t0.elapsed());
+            pr.record(PassKind::Barrier, t0.elapsed());
         }
         // Device time for this round: the slowest block, times the
         // number of occupancy waves (§5), plus the barrier cost.
@@ -799,33 +897,6 @@ pub(crate) fn smem_config(
     }
 }
 
-/// Enumerate the values of the named dims of a statement's domain
-/// (projected), with some dims already fixed.
-fn enumerate_named(
-    stmt: &polymem_ir::Statement,
-    names: &[String],
-    params: &[i64],
-    fixed: &HashMap<String, i64>,
-    budget: u64,
-) -> Result<Vec<Vec<i64>>> {
-    if names.is_empty() {
-        return Ok(Vec::new());
-    }
-    let dom = fix_dims(&stmt.domain, fixed);
-    let keep: Vec<usize> = names
-        .iter()
-        .filter_map(|n| dom.space().find_dim(n))
-        .collect();
-    if keep.len() != names.len() {
-        return Ok(Vec::new());
-    }
-    let proj = dom.project_onto(&keep)?;
-    let concrete = proj.substitute_params(params)?;
-    let mut out = Vec::new();
-    enumerate_points(&concrete, budget, &mut |p| out.push(p.to_vec())).map_err(budget_error)?;
-    Ok(out)
-}
-
 /// Map point-budget exhaustion to its typed machine error; everything
 /// else stays a polyhedral error.
 pub(crate) fn budget_error(e: polymem_poly::PolyError) -> MachineError {
@@ -837,46 +908,100 @@ pub(crate) fn budget_error(e: polymem_poly::PolyError) -> MachineError {
     }
 }
 
-/// Local scratchpad storage for one block.
+/// One buffer's storage: row-major `data` over `extents`, holding the
+/// global elements from `offsets` on. Scratchpad buffers, register
+/// frames and parked (§4.2) copies are all this.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Buffer {
+    pub(crate) data: Vec<i64>,
+    pub(crate) extents: Vec<i64>,
+    pub(crate) offsets: Vec<i64>,
+}
+
+impl Buffer {
+    /// Zeroed storage for `b` at the extended params `ep`.
+    fn alloc(b: &LocalBuffer, ep: &[i64]) -> Result<Buffer> {
+        let extents = b.extents(ep)?;
+        let size: i64 = extents.iter().product::<i64>().max(0);
+        Ok(Buffer {
+            data: vec![0i64; size as usize],
+            offsets: b.offsets(ep)?,
+            extents,
+        })
+    }
+
+    /// Row-major position of the local index `idx`; `None` outside
+    /// the extents.
+    fn flat(&self, idx: &[i64]) -> Option<usize> {
+        flatten(idx, &self.extents)
+    }
+
+    fn get(&self, idx: &[i64]) -> Option<i64> {
+        self.flat(idx).map(|f| self.data[f])
+    }
+
+    fn set(&mut self, idx: &[i64], v: i64) -> Option<()> {
+        self.flat(idx).map(|f| self.data[f] = v)
+    }
+}
+
+/// The typed error of an index outside the buffer called `array`.
+fn out_of_bounds(array: String, idx: &[i64]) -> MachineError {
+    MachineError::Ir(polymem_ir::IrError::OutOfBounds {
+        array,
+        index: idx.to_vec(),
+    })
+}
+
+/// Local scratchpad storage for one block (or the register frames of
+/// one thread key), indexed by buffer id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct LocalStore {
-    /// Per buffer id: (flat data, extents, offsets).
-    pub(crate) bufs: Vec<(Vec<i64>, Vec<i64>, Vec<i64>)>,
+    pub(crate) bufs: Vec<Buffer>,
 }
 
 impl LocalStore {
-    fn flat(&self, buf: usize, idx: &[i64]) -> Option<usize> {
-        let (_, extents, _) = &self.bufs[buf];
-        let mut off: i64 = 0;
-        for (&i, &e) in idx.iter().zip(extents) {
-            if i < 0 || i >= e {
-                return None;
-            }
-            off = off * e + i;
-        }
-        Some(off as usize)
+    /// Storage for every buffer of `plan` at the extended params `ep`,
+    /// plus the total words.
+    fn alloc(plan: &SmemPlan, ep: &[i64]) -> Result<(LocalStore, u64)> {
+        let bufs = plan
+            .buffers
+            .iter()
+            .map(|b| Buffer::alloc(b, ep))
+            .collect::<Result<Vec<_>>>()?;
+        let words = bufs.iter().map(|b| b.data.len() as u64).sum();
+        Ok((LocalStore { bufs }, words))
     }
 
     pub(crate) fn get(&self, buf: usize, idx: &[i64]) -> Result<i64> {
-        let f = self.flat(buf, idx).ok_or_else(|| {
-            MachineError::Ir(polymem_ir::IrError::OutOfBounds {
-                array: format!("local buffer {buf}"),
-                index: idx.to_vec(),
-            })
-        })?;
-        Ok(self.bufs[buf].0[f])
+        let v = self.bufs[buf].get(idx);
+        v.ok_or_else(|| out_of_bounds(format!("local buffer {buf}"), idx))
     }
 
     pub(crate) fn set(&mut self, buf: usize, idx: &[i64], v: i64) -> Result<()> {
-        let f = self.flat(buf, idx).ok_or_else(|| {
-            MachineError::Ir(polymem_ir::IrError::OutOfBounds {
-                array: format!("local buffer {buf}"),
-                index: idx.to_vec(),
-            })
-        })?;
-        self.bufs[buf].0[f] = v;
-        Ok(())
+        let done = self.bufs[buf].set(idx, v);
+        done.ok_or_else(|| out_of_bounds(format!("local buffer {buf}"), idx))
     }
+}
+
+/// Walk one movement nest (`scan` hands every `(global index, local
+/// index)` pair to its callback) and copy each element through `copy`.
+/// The walkers cannot stop early, so after the first failed copy the
+/// remaining pairs are skipped and that error is returned; otherwise
+/// the number of elements copied.
+fn copy_elements(
+    scan: impl FnOnce(&mut dyn FnMut(&[i64], &[i64])) -> polymem_core::smem::Result<()>,
+    mut copy: impl FnMut(&[i64], &[i64]) -> Result<()>,
+) -> Result<u64> {
+    let mut n = 0u64;
+    let mut err = None;
+    scan(&mut |g, l| {
+        if err.is_none() {
+            n += 1;
+            err = copy(g, l).err();
+        }
+    })?;
+    err.map_or(Ok(n), Err)
 }
 
 /// A buffer kept alive across a block's sequential sub-tiles because
@@ -888,73 +1013,8 @@ struct Persistent<'a> {
     /// buffers do not depend on the seq dims, so any captured seq
     /// value yields the same element set).
     pparams: Vec<i64>,
-    data: Vec<i64>,
-    extents: Vec<i64>,
-    offsets: Vec<i64>,
+    buf: Buffer,
     dirty: bool,
-}
-
-/// Write a persistent buffer's contents back to the (overlay of)
-/// global memory, once, at the end of the block. The transfer is
-/// modeled as a synchronous DMA list.
-fn writeback_persistent(
-    p: &Persistent,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<()> {
-    let flat = |idx: &[i64]| -> Option<usize> {
-        let mut off: i64 = 0;
-        for (&i, &e) in idx.iter().zip(&p.extents) {
-            if i < 0 || i >= e {
-                return None;
-            }
-            off = off * e + i;
-        }
-        Some(off as usize)
-    };
-    let mut err = None;
-    let ext = &clock.ext[p.buffer.array];
-    polymem_core::smem::movement::for_each_move_out(p.mc, p.buffer, &p.pparams, &mut |g, l| {
-        if err.is_some() {
-            return;
-        }
-        match flat(l) {
-            Some(off) => {
-                if let Err(e) =
-                    overlay.set_idx(p.buffer.array, &p.buffer.array_name, g, ext, p.data[off])
-                {
-                    err = Some(MachineError::Ir(e));
-                }
-            }
-            None => {
-                err = Some(MachineError::Ir(polymem_ir::IrError::OutOfBounds {
-                    array: format!("persistent L{}", p.buffer.array_name),
-                    index: l.to_vec(),
-                }))
-            }
-        }
-        stats.global_writes += 1;
-        stats.moved_out += 1;
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if clock.dma_on {
-        let list = transfer_list(
-            p.mc,
-            p.buffer,
-            Direction::Out,
-            &clock.ext[p.buffer.array],
-            &p.pparams,
-        )?;
-        let tag = clock
-            .dma
-            .issue_list(&list, config.word_bytes, clock.now, clock.now);
-        clock.wait(&tag);
-    }
-    Ok(())
 }
 
 /// Arrays none of whose accesses depend on the kernel's seq dims:
@@ -1005,49 +1065,41 @@ pub(crate) fn seq_redundant_arrays(kernel: &BlockedKernel) -> std::collections::
 /// modeled compute cycles, the engine tracks in-flight transfers.
 /// Everything is deterministic integer arithmetic, so block stats are
 /// identical between sequential and parallel execution.
-struct BlockClock {
+struct BlockClock<'a> {
     now: u64,
     dma: DmaEngine,
     /// DMA modeling enabled (`dma_channels > 0`). When off, movement
     /// costs nothing in modeled time (the pre-DMA behaviour) and no
     /// descriptors are built.
     dma_on: bool,
-    /// Concrete extents of every global array, for flattening
-    /// descriptor addresses and overlay offsets (shared per launch).
-    ext: Vec<Vec<i64>>,
+    config: &'a MachineConfig,
 }
 
-impl BlockClock {
-    fn new(ext: Vec<Vec<i64>>, config: &MachineConfig, block_idx: u64) -> BlockClock {
+impl<'a> BlockClock<'a> {
+    fn new(config: &'a MachineConfig, block_idx: u64) -> BlockClock<'a> {
         BlockClock {
             now: 0,
             dma: DmaEngine::with_route(config, config.route_cycles(block_idx)),
             dma_on: config.dma_channels > 0,
-            ext,
+            config,
         }
     }
 
-    /// Build the DMA list for one movement entry and queue it. The
-    /// transfer starts no earlier than `earliest` (buffer-reuse
-    /// dependence on the previous sub-tile's move-out).
-    fn issue_movement(
+    /// Build one transfer's DMA list and queue it; the transfer starts
+    /// no earlier than `earliest` (buffer-reuse dependence on an
+    /// earlier sub-tile's move-out).
+    fn issue(
         &mut self,
-        plan: &SmemPlan,
-        mi: usize,
-        pparams: &[i64],
-        dir: Direction,
-        config: &MachineConfig,
         earliest: u64,
+        list: impl FnOnce() -> polymem_core::smem::Result<TransferList>,
     ) -> Result<DmaTag> {
         if !self.dma_on {
             return Ok(DmaTag::immediate(self.now));
         }
-        let mc = &plan.movement[mi];
-        let buf = &plan.buffers[mc.buffer];
-        let list = transfer_list(mc, buf, dir, &self.ext[buf.array], pparams)?;
+        let word_bytes = self.config.word_bytes;
         Ok(self
             .dma
-            .issue_list(&list, config.word_bytes, self.now, earliest))
+            .issue_list(&list()?, word_bytes, self.now, earliest))
     }
 
     /// Queue the DMA list for a residency delta — the only elements
@@ -1060,61 +1112,22 @@ impl BlockClock {
     /// double-buffered schedule.
     fn issue_delta(
         &mut self,
-        rp: &RetainPlan,
-        buf: &LocalBuffer,
-        pparams: &[i64],
-        config: &MachineConfig,
         earliest: u64,
         retained: u64,
+        list: impl FnOnce() -> polymem_core::smem::Result<TransferList>,
     ) -> Result<DmaTag> {
-        if !self.dma_on {
-            return Ok(DmaTag::immediate(self.now));
-        }
         let start = earliest.max(self.now);
+        let mut tag = self.issue(start, list)?;
         // Re-basing the retained atoms is a scratchpad-local copy at 4x
         // the global DMA rate; it proceeds concurrently with the
         // incoming delta (the two touch disjoint buffer regions), so
         // the group is ready at the max of the two, never the sum.
-        let mut rebase_done = start;
-        if retained > 0 {
-            let bytes = (retained * config.word_bytes) as f64;
-            rebase_done += (bytes / (config.dma_bytes_per_cycle * 4.0)).ceil() as u64;
+        if self.dma_on {
+            let bytes = (retained * self.config.word_bytes) as f64;
+            let rebase = (bytes / (self.config.dma_bytes_per_cycle * 4.0)).ceil() as u64;
+            tag.done = tag.done.max(start + rebase);
         }
-        let list = delta_transfer_list(rp, buf, &self.ext[buf.array], pparams)?;
-        if list.is_empty() {
-            return Ok(DmaTag::immediate(rebase_done));
-        }
-        let mut tag = self
-            .dma
-            .issue_list(&list, config.word_bytes, self.now, start);
-        tag.done = tag.done.max(rebase_done);
         Ok(tag)
-    }
-
-    /// Queue the DMA list for a residency flush delta — the move-out
-    /// elements the successor does not overwrite. Issued in place of
-    /// the full move-out list when [`RetainPlan::flush_legal`] holds;
-    /// the list is a subset of the full one, so the tag never
-    /// completes later than the flush it replaces.
-    fn issue_flush(
-        &mut self,
-        rp: &RetainPlan,
-        buf: &LocalBuffer,
-        pparams: &[i64],
-        config: &MachineConfig,
-        earliest: u64,
-    ) -> Result<DmaTag> {
-        if !self.dma_on {
-            return Ok(DmaTag::immediate(self.now));
-        }
-        let start = earliest.max(self.now);
-        let list = flush_transfer_list(rp, buf, &self.ext[buf.array], pparams)?;
-        if list.is_empty() {
-            return Ok(DmaTag::immediate(start));
-        }
-        Ok(self
-            .dma
-            .issue_list(&list, config.word_bytes, self.now, start))
     }
 
     /// Advance the clock to the tag's completion, recording stalls.
@@ -1178,48 +1191,69 @@ fn overlap_poisoned_reads(kernel: &BlockedKernel) -> Result<HashSet<AccessId>> {
     Ok(out)
 }
 
-/// §4.2 hoisting applies only when the array materialises as exactly
-/// one buffer in the plan: with separate read and write buffers,
-/// parking by array key would keep only the last-parked buffer and
-/// lose the other's writes.
-fn plan_hoists(plan: &SmemPlan, array: usize, hoistable: &HashSet<usize>) -> bool {
-    hoistable.contains(&array) && plan.buffers.iter().filter(|b| b.array == array).count() == 1
+/// What staging needs to know about each movement entry of the
+/// launch's plan, decided once per launch: whether double buffering
+/// can engage at all, and per entry whether its array hoists (§4.2)
+/// and whether a prefetch of it could read stale data.
+#[derive(Default)]
+pub(crate) struct StagingFlags {
+    /// The mapping stages sequential sub-tiles with double buffering
+    /// on: a block with more than one sub-tile prefetches.
+    pub(crate) overlap: bool,
+    /// §4.2 hoisting applies: none of the array's accesses depend on
+    /// the seq dims *and* the array materialises as exactly one buffer
+    /// (with separate read and write buffers, parking by array would
+    /// keep only the last-parked buffer and lose the other's writes).
+    pub(crate) hoists: Vec<bool>,
+    /// A read reached by a seq-carried flow dependence is rewritten
+    /// into the entry's buffer: its group must stage synchronously.
+    pub(crate) poisoned: Vec<bool>,
 }
 
-/// Whether any poisoned read access is rewritten into the buffer
-/// served by movement entry `mi`.
-fn buffer_poisoned(plan: &SmemPlan, mi: usize, poisoned: &HashSet<AccessId>) -> bool {
-    let b = plan.movement[mi].buffer;
-    plan.rewrites
-        .iter()
-        .any(|(id, la)| la.buffer == b && poisoned.contains(id))
+impl StagingFlags {
+    pub(crate) fn new(
+        kernel: &BlockedKernel,
+        config: &MachineConfig,
+        plan: Option<&SmemPlan>,
+    ) -> Result<StagingFlags> {
+        let Some(plan) = plan else {
+            return Ok(StagingFlags::default());
+        };
+        let (mut hoistable, mut stale) = (HashSet::new(), HashSet::new());
+        let overlap = config.double_buffer && !kernel.seq_dims.is_empty();
+        if !kernel.seq_dims.is_empty() {
+            hoistable = seq_redundant_arrays(kernel);
+        }
+        // Double-buffer legality (§3.1.4 dependence information,
+        // reused): read accesses reached by a seq-carried flow
+        // dependence within a block may not be prefetched ahead of the
+        // writing sub-tile.
+        if overlap {
+            stale = overlap_poisoned_reads(kernel)?;
+        }
+        let one_buffer = |a: usize| plan.buffers.iter().filter(|b| b.array == a).count() == 1;
+        let entries = plan.movement.iter().map(|mc| {
+            let array = plan.buffers[mc.buffer].array;
+            let poisoned = plan
+                .rewrites
+                .iter()
+                .any(|(id, la)| la.buffer == mc.buffer && stale.contains(id));
+            (hoistable.contains(&array) && one_buffer(array), poisoned)
+        });
+        let (hoists, poisoned) = entries.unzip();
+        Ok(StagingFlags {
+            overlap,
+            hoists,
+            poisoned,
+        })
+    }
 }
 
-/// Whether staging after the predecessor's move-out would serve this
-/// (read-only) buffer from the §4.2 parked copy for free: the array is
-/// hoist-eligible and its buffer shape (extents and offsets) does not
-/// shift between the current and the next sub-tile. Prefetching such
-/// a buffer would only add global traffic.
-fn hoist_shortcut_hits(
-    plan: &SmemPlan,
-    cur: &SubBlock,
-    next: &SubBlock,
-    bi: usize,
-    hoistable: &HashSet<usize>,
-) -> bool {
-    let (Some(c), Some(n)) = (cur.staging.as_ref(), next.staging.as_ref()) else {
-        return false;
-    };
-    let (c, n) = (&c.local.bufs[bi], &n.local.bufs[bi]);
-    plan_hoists(plan, plan.buffers[bi].array, hoistable) && c.1 == n.1 && c.2 == n.2
-}
-
-/// One sub-tile's scratchpad state: the launch's shared plan and the
-/// local buffers allocated for it at this sub-tile's extents, plus
+/// One sub-tile's scratchpad state: the local buffers allocated for
+/// the launch's shared plan at this sub-tile's extents, plus
 /// per-movement-entry staging progress (with overlap on, entries of
 /// two live sub-tiles interleave).
-struct Staging<'a> {
-    plan: &'a SymbolicPlan,
+struct Staging {
     local: LocalStore,
     words: u64,
     /// Per movement entry: functional move-in already performed.
@@ -1228,460 +1262,577 @@ struct Staging<'a> {
     tags: Vec<DmaTag>,
 }
 
-/// A sub-block prepared for execution: the dims it pins, the
-/// parameter vector `params ++ fixed values` everything shape-level
-/// (plan, enumeration layout, compiled streams) evaluates under, and
+/// A sub-block prepared for execution: the parameter vector
+/// `params ++ fixed values` everything shape-level (plan, enumeration
+/// layout, compiled streams) evaluates under — its identity — and
 /// (when the launch stages) its staging state.
-struct SubBlock<'a> {
-    fixed: HashMap<String, i64>,
+struct SubBlock {
     pparams: Vec<i64>,
-    staging: Option<Staging<'a>>,
-}
-
-/// Evaluate the launch shape at one (sub-)block and allocate its local
-/// buffers. Footprint checks are the caller's job (one footprint must
-/// be resident without overlap, two with it).
-fn prepare_sub_block<'a>(
-    fixed: HashMap<String, i64>,
-    params: &[i64],
-    launch: &'a LaunchShared,
-    stats: &mut ExecStats,
-) -> Result<SubBlock<'a>> {
-    let pparams = launch.sub_block_params(params, &fixed)?;
-    let staging = match launch.plan.as_deref() {
-        Some(sp) => {
-            stats.plan_cache_hits += 1;
-            let mut bufs = Vec::with_capacity(sp.plan.buffers.len());
-            let mut words = 0u64;
-            for b in &sp.plan.buffers {
-                let extents = b.extents(&pparams)?;
-                let offsets = b.offsets(&pparams)?;
-                let size: i64 = extents.iter().product::<i64>().max(0);
-                words += size as u64;
-                bufs.push((vec![0i64; size as usize], extents, offsets));
-            }
-            stats.max_smem_words = stats.max_smem_words.max(words);
-            Some(Staging {
-                plan: sp,
-                local: LocalStore { bufs },
-                words,
-                staged: vec![false; sp.plan.movement.len()],
-                tags: Vec::new(),
-            })
-        }
-        None => None,
-    };
-    Ok(SubBlock {
-        fixed,
-        pparams,
-        staging,
-    })
+    staging: Option<Staging>,
 }
 
 /// The shared plan's residency decomposition, when it applies between
-/// `prev_fixed` and `fixed`: the two sub-tiles are lexicographically
-/// consecutive along the residency seq dim (every other fixed dim
-/// equal).
+/// the sub-tiles at `prev` and `cur` (each a `params ++ fixed values`
+/// vector): the two are lexicographically consecutive along the
+/// residency seq dim, every other coordinate equal.
 fn shared_residency<'a>(
-    sp: &'a SymbolicPlan,
-    fixed: &HashMap<String, i64>,
-    prev_fixed: &HashMap<String, i64>,
+    launch: &'a LaunchShared,
+    cur: &[i64],
+    prev: &[i64],
 ) -> Option<&'a ResidencyPlan> {
-    let res = sp.residency.as_ref()?;
-    if res.plans.is_empty() || prev_fixed.len() != fixed.len() {
-        return None;
-    }
-    let consecutive = fixed.iter().all(|(k, v)| match prev_fixed.get(k) {
-        Some(pv) if *k == res.seq_param => *v == pv + 1,
-        Some(pv) => v == pv,
-        None => false,
-    });
-    consecutive.then_some(res)
-}
-
-/// Stage one movement entry's move-in (global → local): the one place
-/// a movement entry becomes a move-in [`DmaTag`]. Cheapest source
-/// first:
-///
-/// 1. the §4.2 parked copy, when the array hoists and the copy's
-///    shape (extents and offsets) is this sub-tile's — free, no tag
-///    (`None`);
-/// 2. residency, when the plan retains this buffer across `pred` (the
-///    lexicographic predecessor, its scratchpad still live): the
-///    retained atoms re-base with a scratchpad-local copy and only the
-///    delta crosses the bus;
-/// 3. the full window — the partition whose retained set is empty.
-///
-/// The transfer starts no earlier than `earliest` (buffer-reuse
-/// dependence on an earlier sub-tile's move-out). A `prefetch` runs
-/// ahead of the predecessor's compute, so `pred` holds pre-compute
-/// contents (the caller only prefetches read-only, dependence-free
-/// groups) and the parked copy is never taken: the caller's
-/// [`hoist_shortcut_hits`] filter already ruled source 1 out.
-#[allow(clippy::too_many_arguments)]
-fn stage_entry(
-    program: &Program,
-    sb: &mut SubBlock,
-    mi: usize,
-    pred: Option<&SubBlock>,
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent>,
-    prefetch: bool,
-    store: &ArrayStore,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-    earliest: u64,
-) -> Result<Option<DmaTag>> {
-    let pparams = &sb.pparams;
-    let Staging {
-        plan: sp,
-        local,
-        staged,
-        ..
-    } = sb.staging.as_mut().expect("staged");
-    let plan = &sp.plan;
-    let mc = &plan.movement[mi];
-    let bi = mc.buffer;
-    let buf = &plan.buffers[bi];
-    staged[mi] = true;
-    let hoists = plan_hoists(plan, buf.array, hoistable);
-    let parked_fits = hoists
-        && persistent
-            .get(&buf.array)
-            .is_some_and(|p| p.extents == local.bufs[bi].1 && p.offsets == local.bufs[bi].2);
-    if parked_fits && !prefetch {
-        local.bufs[bi]
-            .0
-            .copy_from_slice(&persistent[&buf.array].data);
-        return Ok(None);
-    }
-    // Residency defers to a shape-stable parked copy (free, so cheaper
-    // than any delta).
-    let resident = pred.filter(|_| !parked_fits).and_then(|p| {
-        let prev = &p.staging.as_ref()?.local;
-        let rp = shared_residency(sp, &sb.fixed, &p.fixed)?.plans.get(&bi)?;
-        Some((rp, prev))
-    });
-    // A stale differently-shaped parked copy must reach global memory
-    // before this sub-tile stages fresh data — the predecessor's
-    // writes must be in the overlay before the move-in reads it. A
-    // prefetched full window leaves the parked copy alone: the
-    // predecessor has not moved out yet and re-parks it when it does.
-    if hoists && !parked_fits && (resident.is_some() || !prefetch) {
-        if let Some(p) = persistent.remove(&buf.array) {
-            if p.dirty {
-                writeback_persistent(&p, overlay, stats, clock, config)?;
-            }
-        }
-    }
-    let mut err: Option<MachineError> = None;
-    // Re-base the retained atoms: the predecessor's window contains
-    // them by construction (retained ⊆ W(s−1) ⊆ its bounding box), so
-    // the indexed reads below are always in bounds, boundary tiles
-    // included.
-    let mut retained = 0u64;
-    if let Some((rp, prev)) = resident {
-        polymem_core::smem::residency::for_each_retained(rp, buf, pparams, &mut |g, l| {
-            if err.is_some() {
-                return;
-            }
-            match prev.get(bi, &level1_index(buf, &prev.bufs[bi].2, g)) {
-                Ok(v) => {
-                    if let Err(e) = local.set(bi, l, v) {
-                        err = Some(e);
-                    }
-                }
-                Err(e) => err = Some(e),
-            }
-            retained += 1;
-        })?;
-        if let Some(e) = err.take() {
-            return Err(e);
-        }
-    }
-    // Fetch what crosses the bus: the delta atoms, or the whole window.
-    let name = &program.arrays[buf.array].name;
-    let ext = &clock.ext[buf.array];
-    let mut fetched = 0u64;
-    let mut fetch = |g: &[i64], l: &[i64]| {
-        if err.is_some() {
-            return;
-        }
-        match read_global(store, overlay, buf.array, name, g, ext) {
-            Ok(v) => {
-                if let Err(e) = local.set(bi, l, v) {
-                    err = Some(e);
-                }
-            }
-            Err(e) => err = Some(e),
-        }
-        fetched += 1;
-    };
-    match resident {
-        Some((rp, _)) => {
-            polymem_core::smem::residency::for_each_delta_in(rp, buf, pparams, &mut fetch)?
-        }
-        None => polymem_core::smem::movement::for_each_move_in(mc, buf, pparams, &mut fetch)?,
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    stats.global_reads += fetched;
-    stats.moved_in += fetched;
-    Ok(Some(match resident {
-        Some((rp, _)) => {
-            stats.retained_elems += retained;
-            stats.delta_elems += fetched;
-            stats.residency_groups += 1;
-            clock.issue_delta(rp, buf, pparams, config, earliest, retained)?
-        }
-        None => clock.issue_movement(plan, mi, pparams, Direction::In, config, earliest)?,
-    }))
+    let at = launch.residency_at?;
+    let consecutive =
+        (cur.iter().zip(prev).enumerate()).all(|(i, (c, p))| *c == p + i64::from(i == at));
+    launch
+        .plan
+        .as_deref()?
+        .residency
+        .as_ref()
+        .filter(|_| consecutive)
 }
 
 /// The flush-delta plan for one movement entry, present iff the delta
 /// flush is legal *and* the successor sub-tile will provably stage
 /// this buffer by residency — decided with the exact predicate and
 /// argument pair its move-in uses ([`shared_residency`] on
-/// `(next_fixed, fixed)`), so the two sides can never disagree.
-/// `None` means the full move-out must run.
+/// `(next, cur)`), so the two sides can never disagree. `None` means
+/// the full move-out must run.
 fn flush_delta_plan<'a>(
-    sp: &'a SymbolicPlan,
-    mi: usize,
-    fixed: &HashMap<String, i64>,
-    next_fixed: Option<&HashMap<String, i64>>,
+    launch: &'a LaunchShared,
+    buffer: usize,
+    cur: &[i64],
+    next: Option<&[i64]>,
 ) -> Option<&'a RetainPlan> {
-    let res = shared_residency(sp, next_fixed?, fixed)?;
-    let rp = res.plans.get(&sp.plan.movement[mi].buffer)?;
+    let rp = shared_residency(launch, next?, cur)?.plans.get(&buffer)?;
     rp.flush_legal.then_some(rp)
 }
 
-/// Apply one movement entry's move-out (local → global overlay) and
-/// queue its DMA list at the current cycle. Hoisted arrays park in
-/// `persistent` instead (one writeback at the end of the block;
-/// nothing crosses the bus, no tag). When the successor stages this
-/// buffer by residency and [`RetainPlan::flush_legal`] holds, only
-/// the flush delta is written back: the skipped elements lie in the
-/// successor's write set, so a later sub-tile's flush overwrites them
-/// before anything can read them from global memory, and their newest
-/// values are already where every legal reader looks (this sub-tile's
-/// still-live scratchpad).
-#[allow(clippy::too_many_arguments)]
-fn move_out_buffer<'a>(
-    sb: &SubBlock<'a>,
-    mi: usize,
-    next_fixed: Option<&HashMap<String, i64>>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    hoistable: &HashSet<usize>,
-    persistent: &mut HashMap<usize, Persistent<'a>>,
-    clock: &mut BlockClock,
-    config: &MachineConfig,
-) -> Result<Option<DmaTag>> {
-    let staging = sb.staging.as_ref().expect("staged");
-    let sp: &'a SymbolicPlan = staging.plan;
-    let plan = &sp.plan;
-    let mc = &plan.movement[mi];
-    let buf = &plan.buffers[mc.buffer];
-    if plan_hoists(plan, buf.array, hoistable) {
-        let dirty = !mc.write_spaces.is_empty();
-        let prev_dirty = persistent.get(&buf.array).is_some_and(|q| q.dirty);
-        persistent.insert(
-            buf.array,
-            Persistent {
+/// One thread block in flight: the launch record and store snapshot it
+/// reads, and everything it accumulates — buffered global writes,
+/// counters, the modeled clock and the §4.2 parked copies.
+struct Block<'a> {
+    launch: &'a LaunchShared<'a>,
+    store: &'a ArrayStore,
+    profiler: Option<&'a PassProfiler>,
+    overlay: Overlay,
+    stats: ExecStats,
+    clock: BlockClock<'a>,
+    /// Parked copies by array.
+    persistent: HashMap<usize, Persistent<'a>>,
+}
+
+impl<'a> Block<'a> {
+    /// The launch's staged plan (staging entry points only run under
+    /// one).
+    fn plan(&self) -> &'a SmemPlan {
+        &self.launch.plan.as_deref().expect("staged launch").plan
+    }
+
+    fn record(&self, kind: PassKind, since: Instant) {
+        if let Some(pr) = self.profiler {
+            pr.record(kind, since.elapsed());
+        }
+    }
+
+    /// Evaluate the launch shape at the sub-block at grid coordinates
+    /// `coords` and allocate its local buffers. Footprint checks are
+    /// the caller's job (one footprint must be resident without
+    /// overlap, two with it).
+    fn prepare_sub_block(&mut self, coords: &[i64]) -> Result<SubBlock> {
+        let pparams = self.launch.grid.pparams(coords);
+        let staging = match self.launch.plan.as_deref() {
+            Some(sp) => {
+                self.stats.plan_cache_hits += 1;
+                let (local, words) = LocalStore::alloc(&sp.plan, &pparams)?;
+                self.stats.max_smem_words = self.stats.max_smem_words.max(words);
+                Some(Staging {
+                    local,
+                    words,
+                    staged: vec![false; sp.plan.movement.len()],
+                    tags: Vec::new(),
+                })
+            }
+            None => None,
+        };
+        Ok(SubBlock { pparams, staging })
+    }
+
+    /// Write a persistent buffer's contents back to the (overlay of)
+    /// global memory, once, at the end of the block. The transfer is
+    /// modeled as a synchronous DMA list.
+    fn writeback_persistent(&mut self, p: &Persistent) -> Result<()> {
+        let (array, name) = (p.buffer.array, &p.buffer.array_name);
+        let ext = &self.launch.ext[array];
+        let overlay = &mut self.overlay;
+        let n = copy_elements(
+            |f| for_each_move_out(p.mc, p.buffer, &p.pparams, f),
+            |g, l| {
+                let v = p.buf.get(l);
+                let v = v.ok_or_else(|| out_of_bounds(format!("persistent L{name}"), l))?;
+                Ok(overlay.set_idx(array, name, g, ext, v)?)
+            },
+        )?;
+        self.stats.global_writes += n;
+        self.stats.moved_out += n;
+        let list = || transfer_list(p.mc, p.buffer, Direction::Out, ext, &p.pparams);
+        let tag = self.clock.issue(self.clock.now, list)?;
+        self.clock.wait(&tag);
+        Ok(())
+    }
+
+    /// Stage one movement entry's move-in (global → local): the one place
+    /// a movement entry becomes a move-in [`DmaTag`]. Cheapest source
+    /// first:
+    ///
+    /// 1. the §4.2 parked copy, when the array hoists and the copy's
+    ///    shape (extents and offsets) is this sub-tile's — free, no tag
+    ///    (`None`);
+    /// 2. residency, when the plan retains this buffer across `pred` (the
+    ///    lexicographic predecessor, its scratchpad still live): the
+    ///    retained atoms re-base with a scratchpad-local copy and only the
+    ///    delta crosses the bus;
+    /// 3. the full window — the partition whose retained set is empty.
+    ///
+    /// The transfer starts no earlier than `earliest` (buffer-reuse
+    /// dependence on an earlier sub-tile's move-out). A `prefetch` runs
+    /// ahead of the predecessor's compute, so `pred` holds pre-compute
+    /// contents (the caller only prefetches read-only, dependence-free
+    /// groups) and the parked copy is never taken: the caller's
+    /// [`hoist_shortcut_hits`] filter already ruled source 1 out.
+    fn stage_entry(
+        &mut self,
+        sb: &mut SubBlock,
+        mi: usize,
+        pred: Option<&SubBlock>,
+        prefetch: bool,
+        earliest: u64,
+    ) -> Result<Option<DmaTag>> {
+        let launch = self.launch;
+        let plan = self.plan();
+        let mc = &plan.movement[mi];
+        let bi = mc.buffer;
+        let buf = &plan.buffers[bi];
+        let pparams = &sb.pparams;
+        let Staging { local, staged, .. } = sb.staging.as_mut().expect("staged");
+        staged[mi] = true;
+        let hoists = launch.flags.hoists[mi];
+        let parked_fits = hoists
+            && self.persistent.get(&buf.array).is_some_and(|p| {
+                p.buf.extents == local.bufs[bi].extents && p.buf.offsets == local.bufs[bi].offsets
+            });
+        if parked_fits && !prefetch {
+            local.bufs[bi]
+                .data
+                .copy_from_slice(&self.persistent[&buf.array].buf.data);
+            return Ok(None);
+        }
+        // Residency defers to a shape-stable parked copy (free, so cheaper
+        // than any delta).
+        let resident = pred.filter(|_| !parked_fits).and_then(|p| {
+            let prev = &p.staging.as_ref()?.local;
+            let rp = shared_residency(launch, pparams, &p.pparams)?
+                .plans
+                .get(&bi)?;
+            Some((rp, prev))
+        });
+        // A stale differently-shaped parked copy must reach global memory
+        // before this sub-tile stages fresh data — the predecessor's
+        // writes must be in the overlay before the move-in reads it. A
+        // prefetched full window leaves the parked copy alone: the
+        // predecessor has not moved out yet and re-parks it when it does.
+        if hoists && !parked_fits && (resident.is_some() || !prefetch) {
+            if let Some(p) = self.persistent.remove(&buf.array) {
+                if p.dirty {
+                    self.writeback_persistent(&p)?;
+                }
+            }
+        }
+        // Re-base the retained atoms: the predecessor's window contains
+        // them by construction (retained ⊆ W(s−1) ⊆ its bounding box), so
+        // the indexed reads below are always in bounds, boundary tiles
+        // included.
+        let mut retained = 0u64;
+        if let Some((rp, prev)) = resident {
+            let origin = &prev.bufs[bi].offsets;
+            retained = copy_elements(
+                |f| for_each_retained(rp, buf, pparams, f),
+                |g, l| local.set(bi, l, prev.get(bi, &level1_index(buf, origin, g))?),
+            )?;
+        }
+        // Fetch what crosses the bus: the delta atoms, or the whole window.
+        let name = &launch.program.arrays[buf.array].name;
+        let ext = &launch.ext[buf.array];
+        let (store, overlay) = (self.store, &self.overlay);
+        let fetched = copy_elements(
+            |f| match resident {
+                Some((rp, _)) => for_each_delta_in(rp, buf, pparams, f),
+                None => for_each_move_in(mc, buf, pparams, f),
+            },
+            |g, l| local.set(bi, l, read_global(store, overlay, buf.array, name, g, ext)?),
+        )?;
+        self.stats.global_reads += fetched;
+        self.stats.moved_in += fetched;
+        Ok(Some(match resident {
+            Some((rp, _)) => {
+                self.stats.retained_elems += retained;
+                self.stats.delta_elems += fetched;
+                self.stats.residency_groups += 1;
+                let list = || delta_transfer_list(rp, buf, ext, pparams);
+                self.clock.issue_delta(earliest, retained, list)?
+            }
+            None => {
+                let list = || transfer_list(mc, buf, Direction::In, ext, pparams);
+                self.clock.issue(earliest, list)?
+            }
+        }))
+    }
+
+    /// Apply one movement entry's move-out (local → global overlay) and
+    /// queue its DMA list at the current cycle. Hoisted arrays park in
+    /// `persistent` instead (one writeback at the end of the block;
+    /// nothing crosses the bus, no tag). When the successor (at
+    /// `next`) stages this buffer by residency and
+    /// [`RetainPlan::flush_legal`] holds, only the flush delta is
+    /// written back: the skipped elements lie in the successor's write
+    /// set, so a later sub-tile's flush overwrites them before
+    /// anything can read them from global memory, and their newest
+    /// values are already where every legal reader looks (this
+    /// sub-tile's still-live scratchpad).
+    fn move_out_buffer(
+        &mut self,
+        sb: &SubBlock,
+        mi: usize,
+        next: Option<&[i64]>,
+    ) -> Result<Option<DmaTag>> {
+        let launch = self.launch;
+        let plan = self.plan();
+        let mc = &plan.movement[mi];
+        let buf = &plan.buffers[mc.buffer];
+        let local = &sb.staging.as_ref().expect("staged").local;
+        if launch.flags.hoists[mi] {
+            let dirty = !mc.write_spaces.is_empty()
+                || self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
+            let parked = Persistent {
                 buffer: buf,
                 mc,
                 pparams: sb.pparams.clone(),
-                data: staging.local.bufs[mc.buffer].0.clone(),
-                extents: staging.local.bufs[mc.buffer].1.clone(),
-                offsets: staging.local.bufs[mc.buffer].2.clone(),
-                dirty: dirty || prev_dirty,
+                buf: local.bufs[mc.buffer].clone(),
+                dirty,
+            };
+            self.persistent.insert(buf.array, parked);
+            return Ok(None);
+        }
+        let flush = flush_delta_plan(launch, mc.buffer, &sb.pparams, next);
+        let aext = &launch.ext[buf.array];
+        let overlay = &mut self.overlay;
+        let n = copy_elements(
+            |f| match flush {
+                Some(rp) => for_each_flush_delta(rp, buf, &sb.pparams, f),
+                None => for_each_move_out(mc, buf, &sb.pparams, f),
             },
-        );
-        return Ok(None);
-    }
-    let flush = flush_delta_plan(sp, mi, &sb.fixed, next_fixed);
-    let ls = &staging.local;
-    let mut err = None;
-    let mut n = 0u64;
-    let aext = &clock.ext[buf.array];
-    let mut copy = |g: &[i64], l: &[i64]| {
-        if err.is_some() {
-            return;
-        }
-        match ls.get(mc.buffer, l) {
-            Ok(v) => {
-                if let Err(e) = overlay.set_idx(buf.array, &buf.array_name, g, aext, v) {
-                    err = Some(MachineError::Ir(e));
-                }
+            |g, l| {
+                let v = local.get(mc.buffer, l)?;
+                Ok(overlay.set_idx(buf.array, &buf.array_name, g, aext, v)?)
+            },
+        )?;
+        self.stats.global_writes += n;
+        self.stats.moved_out += n;
+        // The flush delta is a subset of the full list, so its tag
+        // never completes later than the flush it replaces.
+        let now = self.clock.now;
+        Ok(Some(match flush {
+            Some(rp) => {
+                self.stats.flushed_delta_elems += n;
+                let list = || flush_transfer_list(rp, buf, aext, &sb.pparams);
+                self.clock.issue(now, list)?
             }
-            Err(e) => err = Some(e),
-        }
-        n += 1;
-    };
-    match flush {
-        Some(rp) => {
-            polymem_core::smem::residency::for_each_flush_delta(rp, buf, &sb.pparams, &mut copy)?
-        }
-        None => polymem_core::smem::movement::for_each_move_out(mc, buf, &sb.pparams, &mut copy)?,
+            None => {
+                let list = || transfer_list(mc, buf, Direction::Out, aext, &sb.pparams);
+                self.clock.issue(now, list)?
+            }
+        }))
     }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    stats.global_writes += n;
-    stats.moved_out += n;
-    let now = clock.now;
-    Ok(Some(match flush {
-        Some(rp) => {
-            stats.flushed_delta_elems += n;
-            clock.issue_flush(rp, buf, &sb.pparams, config, now)?
+
+    /// Execute the sub-block's statement instances in interleaved source
+    /// order, then charge the modeled compute cycles to the block clock.
+    ///
+    /// Dispatch: when the launch compiled (bytecode bodies + the lowered
+    /// streams of its block shape), the compiled engine runs the
+    /// instances — including hierarchy (level-2) plans, whose register
+    /// frames it stages through the same [`stage_frames`]/[`flush_frames`]
+    /// protocol as the interpreter; otherwise — engine off, shape lowering
+    /// failure, or a per-block proof obstacle — the interpreter does, with
+    /// identical semantics and counters. Which engine ran, and why a
+    /// fallback happened, lands in [`ExecStats::compiled_blocks`] /
+    /// [`ExecStats::interpreted_blocks`] / [`ExecStats::fallback`].
+    /// `POLYMEM_EXEC_CHECK=1` runs the interpreter as an oracle on cloned
+    /// state beside every compiled block (outside the timed window) and
+    /// panics on divergence.
+    fn compute_sub_block(&mut self, sb: &mut SubBlock) -> Result<()> {
+        let (launch, store) = (self.launch, self.store);
+        let compiled = launch.bodies.is_some() && launch.streams.is_some();
+
+        // Oracle pass (check mode only): the interpreter runs first on
+        // cloned state, outside the timed window.
+        let oracle = if compiled && launch.exec_check {
+            let mut ov = self.overlay.clone();
+            let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
+            let mut sc = ExecStats::default();
+            let c =
+                interpreted_compute(launch, &sb.pparams, store, loc.as_mut(), &mut ov, &mut sc)?;
+            Some((ov, loc, sc, c, self.stats.clone()))
+        } else {
+            None
+        };
+
+        let t0 = Instant::now();
+        let (overlay, stats) = (&mut self.overlay, &mut self.stats);
+        let mut local = sb.staging.as_mut().map(|st| &mut st.local);
+        let counts = match run_compiled(
+            launch,
+            &sb.pparams,
+            store,
+            local.as_deref_mut(),
+            overlay,
+            stats,
+        )? {
+            Some(c) => {
+                stats.compiled_blocks += 1;
+                (c.n_inst, c.n_smem, c.n_glob)
+            }
+            None => {
+                stats.interpreted_blocks += 1;
+                // Fallback attribution, one count per interpreted phase.
+                if launch.bodies.is_none() {
+                    stats.fallback.engine_off += 1;
+                } else if launch.streams.is_none() {
+                    stats.fallback.shape_uncompiled += 1;
+                } else {
+                    stats.fallback.runtime_decline += 1;
+                }
+                interpreted_compute(launch, &sb.pparams, store, local, overlay, stats)?
+            }
+        };
+        self.record(PassKind::Compute, t0);
+        self.stats.compute_ns += t0.elapsed().as_nanos() as u64;
+
+        if let Some((ov, loc, sc, oc, before)) = oracle {
+            let local_now = sb.staging.as_ref().map(|st| &st.local);
+            let tally = |s: &ExecStats| {
+                [
+                    s.instances,
+                    s.global_reads,
+                    s.global_writes,
+                    s.smem_reads,
+                    s.smem_writes,
+                    s.smem_loads_saved,
+                    s.reg_bytes_moved,
+                    s.hier_groups,
+                ]
+            };
+            let (odeltas, mut deltas) = (tally(&sc), tally(&self.stats));
+            for (d, b) in deltas.iter_mut().zip(tally(&before)) {
+                *d -= b;
+            }
+            assert!(
+                self.overlay == ov
+                    && local_now == loc.as_ref()
+                    && deltas == odeltas
+                    && counts == oc,
+                "POLYMEM_EXEC_CHECK: compiled execution diverged from the interpreter \
+                 (sub-block {:?}: overlay match {}, local match {}, counters {:?} vs {:?})",
+                sb.pparams,
+                self.overlay == ov,
+                local_now == loc.as_ref(),
+                deltas,
+                odeltas,
+            );
         }
-        None => clock.issue_movement(plan, mi, &sb.pparams, Direction::Out, config, now)?,
-    }))
+
+        let (n_inst, n_smem, n_glob) = counts;
+        self.clock.now += launch.cost.compute_cycles(n_inst, n_smem, n_glob);
+        Ok(())
+    }
 }
 
-/// Execute the sub-block's statement instances in interleaved source
-/// order, then charge the modeled compute cycles to the block clock.
+/// Whether staging after the predecessor's move-out would serve this
+/// (read-only) buffer from the §4.2 parked copy for free: the entry's
+/// array hoists and its buffer shape (extents and offsets) does not
+/// shift between the current and the next sub-tile. Prefetching such
+/// a buffer would only add global traffic.
+fn hoist_shortcut_hits(launch: &LaunchShared, cur: &SubBlock, next: &SubBlock, mi: usize) -> bool {
+    let (Some(c), Some(n), Some(sp)) = (&cur.staging, &next.staging, &launch.plan) else {
+        return false;
+    };
+    let bi = sp.plan.movement[mi].buffer;
+    let (c, n) = (&c.local.bufs[bi], &n.local.bufs[bi]);
+    launch.flags.hoists[mi] && c.extents == n.extents && c.offsets == n.offsets
+}
+
+/// Execute the thread block at grid coordinates `coords`: the single
+/// sub-tile driver. Every schedule is this loop — per sub-tile `t`:
+/// stage what is left of `t`, prepare `t+1` (and, when overlap is
+/// legal and on, prefetch its eligible groups), wait `t`'s tags,
+/// compute, move out. A mapping without sequential sub-tiles is one
+/// sub-tile spanning the block; the synchronous schedule is the
+/// pipeline at prefetch depth 0.
 ///
-/// Dispatch: when the launch compiled (bytecode bodies + the lowered
-/// streams of its block shape), the compiled engine runs the
-/// instances — including hierarchy (level-2) plans, whose register
-/// frames it stages through the same [`stage_frames`]/[`flush_frames`]
-/// protocol as the interpreter; otherwise — engine off, shape lowering
-/// failure, or a per-block proof obstacle — the interpreter does, with
-/// identical semantics and counters. Which engine ran, and why a
-/// fallback happened, lands in [`ExecStats::compiled_blocks`] /
-/// [`ExecStats::interpreted_blocks`] / [`ExecStats::fallback`].
-/// `POLYMEM_EXEC_CHECK=1` runs the interpreter as an oracle on cloned
-/// state beside every compiled block (outside the timed window) and
-/// panics on divergence.
-#[allow(clippy::too_many_arguments)]
-fn compute_sub_block(
-    program: &Program,
-    sb: &mut SubBlock,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    profiler: Option<&PassProfiler>,
-    overlay: &mut Overlay,
-    stats: &mut ExecStats,
-    clock: &mut BlockClock,
+/// Overlap (double buffering) only changes *when* a copy is issued,
+/// never *what* it copies: with it on, the move-in for `t+1` is in
+/// flight on the DMA channels while `t` computes, and `t`'s move-out
+/// is left flying over `t+1`; with it off, every tag is waited on at
+/// issue. Functional semantics are identical either way: prefetched
+/// groups carry no seq-dim flow dependence
+/// ([`StagingFlags::poisoned`]), and everything else — hoisted copies,
+/// poisoned or written groups — stages after the previous sub-tile's
+/// move-out.
+#[allow(clippy::too_many_lines)]
+fn execute_one_block(
     launch: &LaunchShared,
-) -> Result<()> {
-    let compiled = launch.bodies.is_some() && launch.streams.is_some();
-
-    // Oracle pass (check mode only): the interpreter runs first on
-    // cloned state, outside the timed window.
-    let oracle = if compiled && launch.exec_check {
-        let mut ov = overlay.clone();
-        let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
-        let mut sc = ExecStats::default();
-        let c = interpreted_compute(
-            program,
-            &sb.fixed,
-            &sb.pparams,
-            params,
-            store,
-            config,
-            loc.as_mut(),
-            &mut ov,
-            &mut sc,
-            launch,
-        )?;
-        Some((ov, loc, sc, c))
-    } else {
-        None
-    };
-    let before = oracle.as_ref().map(|_| stats.clone());
-
-    let t0 = Instant::now();
-    let counts = run_compiled(
+    coords: &[i64],
+    store: &ArrayStore,
+    profiler: Option<&PassProfiler>,
+    block_idx: u64,
+) -> Result<(Overlay, ExecStats)> {
+    let (config, flags) = (launch.config, &launch.flags);
+    let mut b = Block {
         launch,
-        program,
-        params,
-        &sb.fixed,
-        &sb.pparams,
         store,
-        sb.staging.as_mut().map(|st| &mut st.local),
-        overlay,
-        stats,
-        config,
-    )?;
-    let (n_inst, n_smem, n_glob) = match counts {
-        Some(c) => {
-            stats.compiled_blocks += 1;
-            (c.n_inst, c.n_smem, c.n_glob)
-        }
-        None => {
-            stats.interpreted_blocks += 1;
-            // Fallback attribution, one count per interpreted phase.
-            if launch.bodies.is_none() {
-                stats.fallback.engine_off += 1;
-            } else if launch.streams.is_none() {
-                stats.fallback.shape_uncompiled += 1;
-            } else {
-                stats.fallback.runtime_decline += 1;
-            }
-            interpreted_compute(
-                program,
-                &sb.fixed,
-                &sb.pparams,
-                params,
-                store,
-                config,
-                sb.staging.as_mut().map(|st| &mut st.local),
-                overlay,
-                stats,
-                launch,
-            )?
-        }
+        profiler,
+        overlay: Overlay::new(launch.program.arrays.len()),
+        stats: ExecStats {
+            blocks: 1,
+            ..ExecStats::default()
+        },
+        clock: BlockClock::new(config, block_idx),
+        persistent: HashMap::new(),
     };
-    if let Some(pr) = profiler {
-        pr.record(crate::trace::PassKind::Compute, t0.elapsed());
+    // The block's sequential sub-tiles (§4.2 hoisting applies across
+    // them); an unstaged or seq-less block is one sub-tile spanning it.
+    let seqs = launch.grid.scan(2, coords)?;
+    let n_move = launch.plan.as_deref().map(|sp| sp.plan.movement.len());
+    let overflows = |words: u64| {
+        (config.smem_bytes > 0 && words * config.word_bytes > config.smem_bytes)
+            .then_some((words * config.word_bytes, config.smem_bytes))
+    };
+    let overlap = flags.overlap && seqs.len() > 1;
+    // The lexicographic predecessor, kept alive past its move-out:
+    // its scratchpad holds the newest value of every element (flushing
+    // copies out of it, never into it), which is what residency
+    // re-bases retained atoms from — also under a delta flush, whose
+    // skipped elements are exactly the ones served from here.
+    let mut pred: Option<SubBlock> = None;
+    let mut cur = b.prepare_sub_block(&seqs[0])?;
+    // Cycle at which the previous sub-tile's move-out has drained:
+    // its writes are in global memory and its buffer slots are free.
+    let mut out_done = 0u64;
+    for t in 0..seqs.len() {
+        let cur_words = cur.staging.as_ref().map_or(0, |st| st.words);
+        if let Some((requested, available)) = overflows(cur_words) {
+            return Err(MachineError::ScratchpadOverflow {
+                requested,
+                available,
+            });
+        }
+        // Stage whatever prefetching left of `t` (everything, when
+        // overlap is off or `t` is the first sub-tile): the stale
+        // parked copies, hoisted-copy shortcuts, written groups and
+        // groups pinned by a seq-carried flow dependence. These must
+        // observe `t−1`'s writes, so they run after its move-out and
+        // their transfers start no earlier than `out_done`.
+        if let Some(n_move) = n_move {
+            let t0 = Instant::now();
+            for mi in 0..n_move {
+                if cur.staging.as_ref().expect("staged").staged[mi] {
+                    continue;
+                }
+                let Some(tag) = b.stage_entry(&mut cur, mi, pred.as_ref(), false, out_done)? else {
+                    continue;
+                };
+                b.clock.wait(&tag);
+                if t > 0 && overlap && !flags.hoists[mi] && flags.poisoned[mi] {
+                    b.stats.sync_groups += 1;
+                }
+            }
+            b.record(PassKind::MoveIn, t0);
+        }
+        let mut next = match seqs.get(t + 1) {
+            Some(at) => Some(b.prepare_sub_block(at)?),
+            None => None,
+        };
+        // Prefetch `t+1`'s overlap-legal, non-hoisted groups; the
+        // transfers fly while `t` computes. Functionally the copies
+        // happen before `t`'s writes, which is exactly what the
+        // legality check licenses. Their slots were `t−1`'s, so they
+        // start no earlier than `out_done`; and two footprints must be
+        // resident at once.
+        if let (true, Some(nx), Some(n_move)) = (overlap, next.as_mut(), n_move) {
+            let words = cur_words + nx.staging.as_ref().map_or(0, |st| st.words);
+            if let Some((requested, available)) = overflows(words) {
+                return Err(MachineError::DoubleBufferOverflow {
+                    requested,
+                    available,
+                });
+            }
+            let t0 = Instant::now();
+            for mi in 0..n_move {
+                // Only read-only, dependence-free buffers the hoist
+                // shortcut cannot satisfy prefetch: a written buffer's
+                // move-in may read locations the previous sub-tile
+                // wrote (an output/anti dependence the flow-dep check
+                // does not cover). Read-only and retention-legal also
+                // means `cur`'s pre-compute contents already hold the
+                // retained values residency re-bases from.
+                if !b.plan().movement[mi].write_spaces.is_empty()
+                    || flags.poisoned[mi]
+                    || hoist_shortcut_hits(launch, &cur, nx, mi)
+                {
+                    continue;
+                }
+                if let Some(tag) = b.stage_entry(nx, mi, Some(&cur), true, out_done)? {
+                    nx.staging.as_mut().expect("staged").tags.push(tag);
+                    b.stats.overlap_groups += 1;
+                }
+            }
+            b.record(PassKind::MoveIn, t0);
+        }
+        // The prefetches for `cur` (issued while `t−1` computed) must
+        // have landed before its compute touches the buffers.
+        if let Some(st) = cur.staging.as_mut() {
+            for tag in std::mem::take(&mut st.tags) {
+                b.clock.wait(&tag);
+            }
+        }
+        b.compute_sub_block(&mut cur)?;
+        // Move-out of `t`: applied functionally now, in the same order
+        // under every schedule. With overlap its DMA time flies over
+        // `t+1`'s compute; without, each tag is waited on at issue.
+        out_done = b.clock.now;
+        if let Some(n_move) = n_move {
+            let t0 = Instant::now();
+            let next_at = next.as_ref().map(|nx| nx.pparams.as_slice());
+            for mi in 0..n_move {
+                if let Some(tag) = b.move_out_buffer(&cur, mi, next_at)? {
+                    if !overlap {
+                        b.clock.wait(&tag);
+                    }
+                    out_done = out_done.max(tag.done);
+                }
+            }
+            b.record(PassKind::MoveOut, t0);
+        }
+        pred = next.map(|nx| std::mem::replace(&mut cur, nx));
     }
-    stats.compute_ns += t0.elapsed().as_nanos() as u64;
-
-    if let (Some((ov, loc, sc, oc)), Some(before)) = (oracle, before) {
-        let local_now = sb.staging.as_ref().map(|st| st.local.clone());
-        let deltas = (
-            stats.instances - before.instances,
-            stats.global_reads - before.global_reads,
-            stats.global_writes - before.global_writes,
-            stats.smem_reads - before.smem_reads,
-            stats.smem_writes - before.smem_writes,
-            stats.smem_loads_saved - before.smem_loads_saved,
-            stats.reg_bytes_moved - before.reg_bytes_moved,
-            stats.hier_groups - before.hier_groups,
-        );
-        let odeltas = (
-            sc.instances,
-            sc.global_reads,
-            sc.global_writes,
-            sc.smem_reads,
-            sc.smem_writes,
-            sc.smem_loads_saved,
-            sc.reg_bytes_moved,
-            sc.hier_groups,
-        );
-        assert!(
-            *overlay == ov
-                && local_now == loc
-                && deltas == odeltas
-                && (n_inst, n_smem, n_glob) == oc,
-            "POLYMEM_EXEC_CHECK: compiled execution diverged from the interpreter \
-             (fixed dims {:?}: overlay match {}, local match {}, counters {:?} vs {:?})",
-            sb.fixed,
-            *overlay == ov,
-            local_now == loc,
-            deltas,
-            odeltas,
-        );
+    // Deterministic writeback order (DMA timing depends on it).
+    let mut parked: Vec<_> = std::mem::take(&mut b.persistent).into_iter().collect();
+    parked.sort_unstable_by_key(|(array, _)| *array);
+    for (_, p) in parked.iter().filter(|(_, p)| p.dirty) {
+        b.writeback_persistent(p)?;
     }
-
-    clock.now += launch.cost.compute_cycles(n_inst, n_smem, n_glob);
-    Ok(())
+    b.clock.now = b.clock.dma.drain(b.clock.now);
+    b.stats.block_cycles = b.clock.now;
+    b.stats.dma = b.clock.dma.stats.clone();
+    Ok((b.overlay, b.stats))
 }
 
 /// Register frames staged for one inner process (thread key) during a
@@ -1712,69 +1863,46 @@ fn level1_index(buf1: &LocalBuffer, offsets1: &[i64], g: &[i64]) -> Vec<i64> {
         .collect()
 }
 
-/// Stage every register frame for one thread key (smem → reg move-in):
-/// allocate the frames at the key's concrete extents, enforce the
-/// register-file capacity at runtime (the plan-time gate only checked
-/// the representative block — frames can grow past it, e.g. on
-/// triangular domains), then run the level-2 movement code against the
-/// backing level-1 buffers. Returns the staged set plus the scratchpad
-/// reads to charge the cycle model.
-#[allow(clippy::too_many_arguments)]
+/// Stage every register frame for one thread key of the sub-block at
+/// `pparams` (smem → reg move-in): allocate the frames at the key's
+/// concrete extents, enforce the register-file capacity at runtime
+/// (the plan-time gate only checked the representative block — frames
+/// can grow past it, e.g. on triangular domains), then run the level-2
+/// movement code against the backing level-1 buffers. Returns the
+/// staged set plus the scratchpad reads to charge the cycle model.
 pub(crate) fn stage_frames(
-    h: &HierPlan,
-    plan1: &SmemPlan,
+    launch: &LaunchShared,
     key: Vec<i64>,
-    params: &[i64],
-    fixed: &HashMap<String, i64>,
+    pparams: &[i64],
     local: &LocalStore,
     stats: &mut ExecStats,
-    config: &MachineConfig,
 ) -> Result<(FrameSet, u64)> {
-    let pp2 = h
-        .ext_params(params, fixed, &key)
-        .expect("hier plan was built from this shape's fixed dims");
-    let mut bufs = Vec::with_capacity(h.plan.buffers.len());
-    let mut words = 0u64;
-    for b in &h.plan.buffers {
-        let extents = b.extents(&pp2)?;
-        let offsets = b.offsets(&pp2)?;
-        let size: i64 = extents.iter().product::<i64>().max(0);
-        words += size as u64;
-        bufs.push((vec![0i64; size as usize], extents, offsets));
-    }
+    let (plan1, h) = launch.hier().expect("frames stage under a level-2 plan");
+    let pp2 = ExtSource::assemble(&launch.hier_ext, pparams, &key);
+    let (mut frames, words) = LocalStore::alloc(&h.plan, &pp2)?;
     if words > h.regs_per_inner {
         return Err(MachineError::RegisterOverflow {
             requested: words,
             available: h.regs_per_inner,
         });
     }
-    let mut frames = LocalStore { bufs };
     let mut n_smem = 0u64;
     for mc in &h.plan.movement {
-        let buf = &h.plan.buffers[mc.buffer];
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
-        let mut err = None;
-        polymem_core::smem::movement::for_each_move_in(mc, buf, &pp2, &mut |g, l| {
-            if err.is_some() {
-                return;
-            }
-            let l1 = level1_index(buf1, &local.bufs[buf1.id].2, g);
-            match local.get(buf1.id, &l1) {
-                Ok(v) => {
-                    if let Err(e) = frames.set(mc.buffer, l, v) {
-                        err = Some(e);
-                    }
-                }
-                Err(e) => err = Some(e),
-            }
-            stats.smem_reads += 1;
-            stats.reg_bytes_moved += config.word_bytes;
-            n_smem += 1;
-        })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
+        let origin = &local.bufs[buf1.id].offsets;
+        n_smem += copy_elements(
+            |f| for_each_move_in(mc, &h.plan.buffers[mc.buffer], &pp2, f),
+            |g, l| {
+                frames.set(
+                    mc.buffer,
+                    l,
+                    local.get(buf1.id, &level1_index(buf1, origin, g))?,
+                )
+            },
+        )?;
     }
+    stats.smem_reads += n_smem;
+    stats.reg_bytes_moved += n_smem * launch.config.word_bytes;
     stats.hier_groups += 1;
     Ok((FrameSet { key, pp2, frames }, n_smem))
 }
@@ -1784,42 +1912,34 @@ pub(crate) fn stage_frames(
 /// phase ends. Read-only frames are dropped for free. Returns the
 /// scratchpad writes to charge the cycle model.
 pub(crate) fn flush_frames(
-    h: &HierPlan,
-    plan1: &SmemPlan,
+    launch: &LaunchShared,
     fs: &FrameSet,
     local: &mut LocalStore,
     stats: &mut ExecStats,
-    config: &MachineConfig,
 ) -> Result<u64> {
+    let (plan1, h) = launch.hier().expect("frames flush under a level-2 plan");
     let mut n_smem = 0u64;
-    for mc in &h.plan.movement {
-        if mc.write_spaces.is_empty() {
-            continue;
-        }
-        let buf = &h.plan.buffers[mc.buffer];
+    for mc in h
+        .plan
+        .movement
+        .iter()
+        .filter(|mc| !mc.write_spaces.is_empty())
+    {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
-        let mut err = None;
-        polymem_core::smem::movement::for_each_move_out(mc, buf, &fs.pp2, &mut |g, l| {
-            if err.is_some() {
-                return;
-            }
-            let l1 = level1_index(buf1, &local.bufs[buf1.id].2, g);
-            match fs.frames.get(mc.buffer, l) {
-                Ok(v) => {
-                    if let Err(e) = local.set(buf1.id, &l1, v) {
-                        err = Some(e);
-                    }
-                }
-                Err(e) => err = Some(e),
-            }
-            stats.smem_writes += 1;
-            stats.reg_bytes_moved += config.word_bytes;
-            n_smem += 1;
-        })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
+        let origin = local.bufs[buf1.id].offsets.clone();
+        n_smem += copy_elements(
+            |f| for_each_move_out(mc, &h.plan.buffers[mc.buffer], &fs.pp2, f),
+            |g, l| {
+                local.set(
+                    buf1.id,
+                    &level1_index(buf1, &origin, g),
+                    fs.frames.get(mc.buffer, l)?,
+                )
+            },
+        )?;
     }
+    stats.smem_writes += n_smem;
+    stats.reg_bytes_moved += n_smem * launch.config.word_bytes;
     Ok(n_smem)
 }
 
@@ -1842,19 +1962,16 @@ pub(crate) fn flush_frames(
 /// scratchpad. Flush-on-change keeps cross-key overlap (e.g. sliding
 /// windows) exact — §3.1 partitioning guarantees frames never alias
 /// any other access of the same instance at any thread value.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 fn interpreted_compute(
-    program: &Program,
-    fixed: &HashMap<String, i64>,
+    launch: &LaunchShared,
     pparams: &[i64],
-    params: &[i64],
     store: &ArrayStore,
-    config: &MachineConfig,
     mut local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-    launch: &LaunchShared,
 ) -> Result<(u64, u64, u64)> {
+    let (program, params) = (launch.program, launch.params);
     let source = launch.plan.as_deref();
     let hier: Option<&HierPlan> = source.and_then(|sp| sp.hier.as_ref());
     let mut cur_frames: Option<FrameSet> = None;
@@ -1865,7 +1982,7 @@ fn interpreted_compute(
             &l.domain,
             &l.cascade,
             pparams,
-            config.enum_budget,
+            launch.config.enum_budget,
             &mut |p| instances.push((si, l.full_point(p, pparams))),
         )
         .map_err(budget_error)?;
@@ -1896,12 +2013,11 @@ fn interpreted_compute(
         if let Some(h) = hier {
             if let Some(key) = h.thread_key(*si, point) {
                 if cur_frames.as_ref().map(|fs| &fs.key) != Some(&key) {
-                    let plan1 = &source.expect("hier implies staging").plan;
                     let ls = local.as_deref_mut().expect("hier implies local store");
                     if let Some(fs) = cur_frames.take() {
-                        n_smem += flush_frames(h, plan1, &fs, ls, stats, config)?;
+                        n_smem += flush_frames(launch, &fs, ls, stats)?;
                     }
-                    let (fs, dn) = stage_frames(h, plan1, key, params, fixed, ls, stats, config)?;
+                    let (fs, dn) = stage_frames(launch, key, pparams, ls, stats)?;
                     n_smem += dn;
                     cur_frames = Some(fs);
                 }
@@ -1986,275 +2102,18 @@ fn interpreted_compute(
             let idx = stmt.write.map.apply(point, params)?;
             stats.global_writes += 1;
             n_glob += 1;
-            overlay
-                .set_idx(a, &program.arrays[a].name, &idx, &launch.ext[a], value)
-                .map_err(MachineError::Ir)?;
+            overlay.set_idx(a, &program.arrays[a].name, &idx, &launch.ext[a], value)?;
         }
         stats.instances += 1;
         n_inst += 1;
     }
     // Final flush: the last thread key's written frames must reach
     // scratchpad before the sub-block's move-out runs.
-    if let (Some(h), Some(fs)) = (hier, cur_frames.take()) {
-        let plan1 = &source.expect("hier implies staging").plan;
+    if let Some(fs) = cur_frames.take() {
         let ls = local.expect("hier implies local store");
-        n_smem += flush_frames(h, plan1, &fs, ls, stats, config)?;
+        n_smem += flush_frames(launch, &fs, ls, stats)?;
     }
     Ok((n_inst, n_smem, n_glob))
-}
-
-/// Execute one thread block: the single sub-tile driver. Every
-/// schedule is this loop — per sub-tile `t`: stage what is left of
-/// `t`, prepare `t+1` (and, when overlap is legal and on, prefetch its
-/// eligible groups), wait `t`'s tags, compute, move out. A mapping
-/// without sequential sub-tiles is one sub-tile spanning the block;
-/// the synchronous schedule is the pipeline at prefetch depth 0.
-///
-/// Overlap (double buffering) only changes *when* a copy is issued,
-/// never *what* it copies: with it on, the move-in for `t+1` is in
-/// flight on the DMA channels while `t` computes, and `t`'s move-out
-/// is left flying over `t+1`; with it off, every tag is waited on at
-/// issue. Functional semantics are identical either way: prefetched
-/// groups carry no seq-dim flow dependence (`poisoned`, from
-/// [`overlap_poisoned_reads`]), and everything else — hoisted copies,
-/// poisoned or written groups — stages after the previous sub-tile's
-/// move-out.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn execute_one_block(
-    kernel: &BlockedKernel,
-    fixed: &HashMap<String, i64>,
-    params: &[i64],
-    store: &ArrayStore,
-    config: &MachineConfig,
-    profiler: Option<&PassProfiler>,
-    poisoned: Option<&HashSet<AccessId>>,
-    launch: &LaunchShared,
-    block_idx: u64,
-) -> Result<(Overlay, ExecStats)> {
-    let mut overlay = Overlay::new(kernel.program.arrays.len());
-    let mut stats = ExecStats {
-        blocks: 1,
-        ..ExecStats::default()
-    };
-    let mut clock = BlockClock::new(launch.ext.clone(), config, block_idx);
-    // Sequential sub-tiles with §4.2 hoisting; otherwise one sub-tile
-    // spans the block and nothing hoists.
-    let (seq_vals, hoistable) = if kernel.use_scratchpad && !kernel.seq_dims.is_empty() {
-        let Some(lead) = kernel.program.stmts.first() else {
-            return Ok((overlay, stats));
-        };
-        (
-            enumerate_named(lead, &kernel.seq_dims, params, fixed, config.enum_budget)?,
-            seq_redundant_arrays(kernel),
-        )
-    } else {
-        (Vec::new(), HashSet::new())
-    };
-    let seqs = if seq_vals.is_empty() {
-        vec![Vec::new()]
-    } else {
-        seq_vals
-    };
-    let prepare = |sv: &[i64], stats: &mut ExecStats| {
-        let mut f2 = fixed.clone();
-        for (n, v) in kernel.seq_dims.iter().zip(sv) {
-            f2.insert(n.clone(), *v);
-        }
-        prepare_sub_block(f2, params, launch, stats)
-    };
-    let overflows = |words: u64| {
-        (config.smem_bytes > 0 && words * config.word_bytes > config.smem_bytes)
-            .then_some((words * config.word_bytes, config.smem_bytes))
-    };
-    let poisoned = poisoned.filter(|_| config.double_buffer && seqs.len() > 1);
-    let overlap = poisoned.is_some();
-    let mut persistent: HashMap<usize, Persistent> = HashMap::new();
-    // The lexicographic predecessor, kept alive past its move-out:
-    // its scratchpad holds the newest value of every element (flushing
-    // copies out of it, never into it), which is what residency
-    // re-bases retained atoms from — also under a delta flush, whose
-    // skipped elements are exactly the ones served from here.
-    let mut pred: Option<SubBlock> = None;
-    let mut cur = prepare(&seqs[0], &mut stats)?;
-    // Cycle at which the previous sub-tile's move-out has drained:
-    // its writes are in global memory and its buffer slots are free.
-    let mut out_done = 0u64;
-    for t in 0..seqs.len() {
-        let cur_words = cur.staging.as_ref().map_or(0, |st| st.words);
-        if let Some((requested, available)) = overflows(cur_words) {
-            return Err(MachineError::ScratchpadOverflow {
-                requested,
-                available,
-            });
-        }
-        // Stage whatever prefetching left of `t` (everything, when
-        // overlap is off or `t` is the first sub-tile): the stale
-        // parked copies, hoisted-copy shortcuts, written groups and
-        // groups pinned by a seq-carried flow dependence. These must
-        // observe `t−1`'s writes, so they run after its move-out and
-        // their transfers start no earlier than `out_done`.
-        if let Some(sp) = cur.staging.as_ref().map(|st| st.plan) {
-            let t0 = Instant::now();
-            let plan = &sp.plan;
-            let n_move = plan.movement.len();
-            for mi in 0..n_move {
-                if cur.staging.as_ref().expect("staged").staged[mi] {
-                    continue;
-                }
-                let Some(tag) = stage_entry(
-                    &kernel.program,
-                    &mut cur,
-                    mi,
-                    pred.as_ref(),
-                    &hoistable,
-                    &mut persistent,
-                    false,
-                    store,
-                    &mut overlay,
-                    &mut stats,
-                    &mut clock,
-                    config,
-                    out_done,
-                )?
-                else {
-                    continue;
-                };
-                clock.wait(&tag);
-                let array = plan.buffers[plan.movement[mi].buffer].array;
-                if t > 0
-                    && !plan_hoists(plan, array, &hoistable)
-                    && poisoned.is_some_and(|p| buffer_poisoned(plan, mi, p))
-                {
-                    stats.sync_groups += 1;
-                }
-            }
-            if let Some(pr) = profiler {
-                pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-            }
-        }
-        let mut next = match seqs.get(t + 1) {
-            Some(sv) => Some(prepare(sv, &mut stats)?),
-            None => None,
-        };
-        // Prefetch `t+1`'s overlap-legal, non-hoisted groups; the
-        // transfers fly while `t` computes. Functionally the copies
-        // happen before `t`'s writes, which is exactly what the
-        // legality check licenses. Their slots were `t−1`'s, so they
-        // start no earlier than `out_done`; and two footprints must be
-        // resident at once.
-        let next_plan = next
-            .as_ref()
-            .and_then(|nx| Some(&nx.staging.as_ref()?.plan.plan));
-        if let (Some(poisoned), Some(nx), Some(plan)) = (poisoned, next.as_mut(), next_plan) {
-            let words = cur_words + nx.staging.as_ref().map_or(0, |st| st.words);
-            if let Some((requested, available)) = overflows(words) {
-                return Err(MachineError::DoubleBufferOverflow {
-                    requested,
-                    available,
-                });
-            }
-            let t0 = Instant::now();
-            for mi in 0..plan.movement.len() {
-                let bi = plan.movement[mi].buffer;
-                // Only read-only, dependence-free buffers the hoist
-                // shortcut cannot satisfy prefetch: a written buffer's
-                // move-in may read locations the previous sub-tile
-                // wrote (an output/anti dependence the flow-dep check
-                // does not cover). Read-only and retention-legal also
-                // means `cur`'s pre-compute contents already hold the
-                // retained values residency re-bases from.
-                if !plan.movement[mi].write_spaces.is_empty()
-                    || buffer_poisoned(plan, mi, poisoned)
-                    || hoist_shortcut_hits(plan, &cur, nx, bi, &hoistable)
-                {
-                    continue;
-                }
-                if let Some(tag) = stage_entry(
-                    &kernel.program,
-                    nx,
-                    mi,
-                    Some(&cur),
-                    &hoistable,
-                    &mut persistent,
-                    true,
-                    store,
-                    &mut overlay,
-                    &mut stats,
-                    &mut clock,
-                    config,
-                    out_done,
-                )? {
-                    nx.staging.as_mut().expect("staged").tags.push(tag);
-                    stats.overlap_groups += 1;
-                }
-            }
-            if let Some(pr) = profiler {
-                pr.record(crate::trace::PassKind::MoveIn, t0.elapsed());
-            }
-        }
-        // The prefetches for `cur` (issued while `t−1` computed) must
-        // have landed before its compute touches the buffers.
-        if let Some(st) = cur.staging.as_mut() {
-            for tag in std::mem::take(&mut st.tags) {
-                clock.wait(&tag);
-            }
-        }
-        compute_sub_block(
-            &kernel.program,
-            &mut cur,
-            params,
-            store,
-            config,
-            profiler,
-            &mut overlay,
-            &mut stats,
-            &mut clock,
-            launch,
-        )?;
-        // Move-out of `t`: applied functionally now, in the same order
-        // under every schedule. With overlap its DMA time flies over
-        // `t+1`'s compute; without, each tag is waited on at issue.
-        out_done = clock.now;
-        if let Some(n_move) = cur.staging.as_ref().map(|st| st.plan.plan.movement.len()) {
-            let t0 = Instant::now();
-            let next_fixed = next.as_ref().map(|nx| &nx.fixed);
-            for mi in 0..n_move {
-                if let Some(tag) = move_out_buffer(
-                    &cur,
-                    mi,
-                    next_fixed,
-                    &mut overlay,
-                    &mut stats,
-                    &hoistable,
-                    &mut persistent,
-                    &mut clock,
-                    config,
-                )? {
-                    if !overlap {
-                        clock.wait(&tag);
-                    }
-                    out_done = out_done.max(tag.done);
-                }
-            }
-            if let Some(pr) = profiler {
-                pr.record(crate::trace::PassKind::MoveOut, t0.elapsed());
-            }
-        }
-        pred = next.map(|nx| std::mem::replace(&mut cur, nx));
-    }
-    // Deterministic writeback order (DMA timing depends on it).
-    let mut arrays: Vec<usize> = persistent.keys().copied().collect();
-    arrays.sort_unstable();
-    for a in arrays {
-        let p = &persistent[&a];
-        if p.dirty {
-            writeback_persistent(p, &mut overlay, &mut stats, &mut clock, config)?;
-        }
-    }
-    clock.now = clock.dma.drain(clock.now);
-    stats.block_cycles = clock.now;
-    stats.dma = clock.dma.stats.clone();
-    Ok((overlay, stats))
 }
 
 /// A global element read: the block's own buffered writes shadow the
@@ -2805,12 +2664,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seq_carried_dep_forces_sync_staging() {
-        // A[s][i] = A[s-1][i] + 1 carries a flow dependence on the
-        // seq dim `s`, so A's group must stage synchronously; the
-        // independent Out[s][i] = B2[s][i] * 2 statement still
-        // prefetches B2. Both must stay bit-exact.
+    /// `A[s][i] = A[s-1][i] + 1` carries a flow dependence on the seq
+    /// dim `s`; the independent `Out[s][i] = B2[s][i] * 2` does not.
+    fn carry_kernel() -> (Program, BlockedKernel) {
         let mut b = ProgramBuilder::new("d", ["N"]);
         b.array("A", &[LinExpr::c(4), v("N")]);
         b.array("B2", &[LinExpr::c(4), v("N")]);
@@ -2843,6 +2699,15 @@ mod tests {
             thread_dims: vec![],
             use_scratchpad: true,
         };
+        (p, k)
+    }
+
+    #[test]
+    fn seq_carried_dep_forces_sync_staging() {
+        // A's group must stage synchronously under double buffering;
+        // the independent statement still prefetches B2. Both must
+        // stay bit-exact.
+        let (p, k) = carry_kernel();
         let run = |double_buffer: bool| {
             let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
             st.fill_with("A", |ix| ix[1]).unwrap();
@@ -2870,5 +2735,438 @@ mod tests {
             on.overlap_groups > 0,
             "independent group must still prefetch"
         );
+    }
+
+    // ---- The launch grid against the per-level projection it replaced,
+    // ---- and the per-launch staging flags against the per-call predicates.
+
+    use polymem_core::tiling::transform::fix_dims;
+    use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+    use polymem_poly::count::enumerate_points;
+    use proptest::prelude::*;
+
+    /// A `polymem_kernels` constructor's kernel as this crate's type
+    /// (the dev-dependency links the non-test build of this crate, so
+    /// its `BlockedKernel` is a different type with the same fields).
+    macro_rules! own {
+        ($kernel:expr) => {{
+            let k = $kernel;
+            BlockedKernel {
+                program: k.program,
+                round_dims: k.round_dims,
+                block_dims: k.block_dims,
+                seq_dims: k.seq_dims,
+                thread_dims: k.thread_dims,
+                use_scratchpad: k.use_scratchpad,
+            }
+        }};
+    }
+
+    /// The five built-ins at the sizes `tests/exec_golden.rs` runs, in
+    /// their sequential-sub-tile or flat mappings.
+    fn golden_builtins(seq: bool) -> Vec<(&'static str, BlockedKernel, Vec<i64>)> {
+        let me_size = me::MeSize {
+            ni: 8,
+            nj: 8,
+            ws: 4,
+        };
+        let mut jacobi_k = own!(jacobi::stepwise_kernel(4, true));
+        if seq {
+            jacobi_k.block_dims = vec![];
+            jacobi_k.seq_dims = vec!["iT".into()];
+        }
+        let pick = |s: BlockedKernel, f: BlockedKernel| if seq { s } else { f };
+        vec![
+            (
+                "me",
+                pick(
+                    own!(me::blocked_seq_kernel(4, 2, true)),
+                    own!(me::blocked_kernel(4, 4, true)),
+                ),
+                me::params(&me_size),
+            ),
+            (
+                "jacobi",
+                jacobi_k,
+                jacobi::params(&jacobi::JacobiSize { n: 16, t: 2 }),
+            ),
+            (
+                "jacobi2d",
+                pick(
+                    own!(jacobi2d::stepwise_seq_kernel(4, 2, true)),
+                    own!(jacobi2d::stepwise_kernel(4, 4, true)),
+                ),
+                jacobi2d::params(2, 8),
+            ),
+            (
+                "matmul",
+                pick(
+                    own!(matmul::blocked_kernel_hoisted(4, 4, 2, true)),
+                    own!(matmul::blocked_kernel(4, 4, 4, true)),
+                ),
+                vec![8],
+            ),
+            (
+                "conv2d",
+                pick(
+                    own!(conv2d::blocked_seq_kernel(4, 2, true)),
+                    own!(conv2d::blocked_kernel(4, 4, true)),
+                ),
+                conv2d::params(&conv2d::ConvSize { n: 8, k: 3 }),
+            ),
+        ]
+    }
+
+    /// `exec_golden`'s `flush` program: overlapping in-place updates,
+    /// so residency flush deltas engage.
+    fn flush_kernel() -> BlockedKernel {
+        let mut b = ProgramBuilder::new("p", ["M", "N"]);
+        b.array("A", &[v("M"), v("N") + 2]);
+        b.array("B", &[v("M"), v("N")]);
+        b.array("C", &[v("M"), v("N")]);
+        for (name, shift, other) in [("S1", 0, "B"), ("S2", 2, "C")] {
+            b.stmt(name)
+                .loops(&[
+                    ("j", LinExpr::c(0), v("M") - 1),
+                    ("i", LinExpr::c(0), v("N") - 1),
+                ])
+                .write("A", &[v("j"), v("i") + shift])
+                .read("A", &[v("j"), v("i") + shift])
+                .read(other, &[v("j"), v("i")])
+                .body(Expr::add(Expr::Read(0), Expr::Read(1)))
+                .done();
+        }
+        let p = b.build().unwrap();
+        BlockedKernel {
+            program: tile_program(&p, &TileSpec::new(&[("j", 4), ("i", 4)], "T")).unwrap(),
+            round_dims: vec![],
+            block_dims: vec!["jT".into()],
+            seq_dims: vec!["iT".into()],
+            thread_dims: vec![],
+            use_scratchpad: true,
+        }
+    }
+
+    /// The parent's name-keyed dim context (sorted, as the plan wants
+    /// the values).
+    type Pins = std::collections::BTreeMap<String, i64>;
+
+    /// The parent's `enumerate_named`: pin `fixed` by name, project
+    /// the lead domain onto `names`, substitute the parameters,
+    /// enumerate — one Fourier–Motzkin projection per level instance.
+    fn reference_level(
+        lead: &Statement,
+        names: &[String],
+        params: &[i64],
+        fixed: &Pins,
+    ) -> Vec<Vec<i64>> {
+        if names.is_empty() {
+            return Vec::new();
+        }
+        let fixed = fixed.iter().map(|(n, v)| (n.clone(), *v)).collect();
+        let dom = fix_dims(&lead.domain, &fixed);
+        let keep: Vec<usize> = names
+            .iter()
+            .map(|n| dom.space().find_dim(n).expect("level dim of the lead"))
+            .collect();
+        let concrete = dom
+            .project_onto(&keep)
+            .and_then(|p| p.substitute_params(params))
+            .unwrap();
+        let mut out = Vec::new();
+        enumerate_points(&concrete, 1 << 20, &mut |p| out.push(p.to_vec())).unwrap();
+        out
+    }
+
+    /// Walk the launch the way the parent's executor did — name-keyed
+    /// pins, one projection per level instance — and demand that the
+    /// grid yields the same instances in the same order at every tier
+    /// and the same `params ++ sorted fixed values` per sub-block.
+    /// Where a level's emptiness departs from the first sub-block's
+    /// (the launch shape) the parent failed evaluating the shape
+    /// there; the grid must answer the same typed error.
+    struct GridWalk<'a> {
+        grid: LaunchGrid,
+        lead: &'a Statement,
+        levels: [&'a [String]; 3],
+        params: &'a [i64],
+        /// Per tier: did the first sub-block find a value?
+        shape: [Option<bool>; 3],
+        sub_blocks: u64,
+        mismatches: u64,
+    }
+
+    impl GridWalk<'_> {
+        fn tier(&mut self, k: usize, coords: &[i64], pins: &Pins) {
+            if k == 3 {
+                let want: Vec<i64> = (self.params.iter()).chain(pins.values()).copied().collect();
+                assert_eq!(self.grid.pparams(coords), want);
+                self.sub_blocks += 1;
+                return;
+            }
+            let vals = reference_level(self.lead, self.levels[k], self.params, pins);
+            let pinned = *self.shape[k].get_or_insert(!vals.is_empty());
+            let got = self.grid.scan(k, coords);
+            if vals.is_empty() == pinned && !self.levels[k].is_empty() {
+                assert!(
+                    matches!(
+                        got,
+                        Err(MachineError::Poly(PolyError::SpaceMismatch { .. }))
+                    ),
+                    "tier {k} at {coords:?}: {got:?}"
+                );
+                self.mismatches += 1;
+                return;
+            }
+            let vals = if vals.is_empty() { vec![vec![]] } else { vals };
+            let want: Vec<Vec<i64>> = vals.iter().map(|v| [coords, v].concat()).collect();
+            assert_eq!(got.unwrap(), want, "tier {k} at {coords:?}");
+            for (at, v) in want.iter().zip(&vals) {
+                let mut inner = pins.clone();
+                inner.extend(self.levels[k].iter().cloned().zip(v.iter().copied()));
+                self.tier(k + 1, at, &inner);
+            }
+        }
+    }
+
+    /// Sub-blocks visited and shape mismatches met walking `kernel`'s
+    /// grid against the reference.
+    fn walk_grid(kernel: &BlockedKernel, params: &[i64]) -> (u64, u64) {
+        let lead = &kernel.program.stmts[0];
+        let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
+        let mut walk = GridWalk {
+            grid: LaunchGrid::new(lead, &levels, &[], params, 1 << 20).unwrap(),
+            lead,
+            levels,
+            params,
+            shape: [None; 3],
+            sub_blocks: 0,
+            mismatches: 0,
+        };
+        walk.tier(0, params, &Pins::new());
+        (walk.sub_blocks, walk.mismatches)
+    }
+
+    #[test]
+    fn grid_is_the_per_level_projection_on_the_builtins() {
+        for seq in [false, true] {
+            for (name, k, params) in golden_builtins(seq) {
+                let (sub_blocks, mismatches) = walk_grid(&k, &params);
+                assert!(sub_blocks > 1, "{name} seq={seq}: {sub_blocks} sub-blocks");
+                assert_eq!(mismatches, 0, "{name} seq={seq}");
+            }
+        }
+        for k in [flush_kernel(), carry_kernel().1] {
+            assert_eq!(walk_grid(&k, &[8, 12][..k.program.params.len()]).1, 0);
+        }
+    }
+
+    #[test]
+    fn grid_is_the_per_level_projection_on_a_triangular_domain() {
+        // j <= i: the jT range of a block row depends on its iT.
+        let mut b = ProgramBuilder::new("tri", ["N"]);
+        b.array("T", &[v("N"), v("N")]);
+        b.stmt("S")
+            .loops(&[
+                ("i", LinExpr::c(0), v("N") - 1),
+                ("j", LinExpr::c(0), v("i")),
+            ])
+            .write("T", &[v("i"), v("j")])
+            .body(Expr::Const(1))
+            .done();
+        let p = b.build().unwrap();
+        let t = tile_program(&p, &TileSpec::new(&[("i", 4), ("j", 3)], "T")).unwrap();
+        let dims = |d: &[&str]| d.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        for (round, block, seq) in [
+            (vec![], dims(&["iT", "jT"]), vec![]),
+            (vec![], dims(&["iT"]), dims(&["jT"])),
+            (dims(&["iT"]), dims(&["jT"]), vec![]),
+            // Tiers against domain order: grid order != sorted order.
+            (vec![], dims(&["jT"]), dims(&["iT"])),
+        ] {
+            let k = BlockedKernel {
+                program: t.clone(),
+                round_dims: round,
+                block_dims: block,
+                seq_dims: seq,
+                thread_dims: vec![],
+                use_scratchpad: true,
+            };
+            // Tile row iT holds i <= min(4 iT + 3, 12), hence the jT
+            // values 0..=i/3: 2 + 3 + 4 + 5 tiles.
+            let (sub_blocks, mismatches) = walk_grid(&k, &[13]);
+            assert_eq!((sub_blocks, mismatches), (14, 0), "{:?}", k.seq_dims);
+        }
+    }
+
+    #[test]
+    fn grid_answers_a_hollow_fibre_with_the_shape_mismatch() {
+        // `launch_shape.rs`'s kernel: `2s = b` leaves block b = 1 with
+        // an empty integer fibre over the seq dim the shape pins.
+        let mut b = ProgramBuilder::new("hollow", ["N"]);
+        b.array("A", &[v("N")]);
+        b.array("Out", &[v("N")]);
+        b.stmt("S")
+            .loops(&[
+                ("b", LinExpr::c(0), LinExpr::c(1)),
+                ("s", LinExpr::c(0), LinExpr::c(1)),
+                ("i", LinExpr::c(0), v("N") - 1),
+            ])
+            .guard_le(v("b"), v("s") * 2)
+            .guard_le(v("s") * 2, v("b"))
+            .write("Out", &[v("i")])
+            .read("A", &[v("i")])
+            .body(Expr::Read(0))
+            .done();
+        let k = BlockedKernel {
+            program: b.build().unwrap(),
+            round_dims: vec![],
+            block_dims: vec!["b".into()],
+            seq_dims: vec!["s".into()],
+            thread_dims: vec![],
+            use_scratchpad: true,
+        };
+        assert_eq!(walk_grid(&k, &[8]), (1, 1));
+    }
+
+    #[test]
+    fn grid_rejects_levels_it_cannot_place() {
+        let k = blocked_seq();
+        let lead = &k.program.stmts[0];
+        let grid = |block: &[&str], seq: &[&str]| {
+            let names = |d: &[&str]| d.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+            let (block, seq) = (names(block), names(seq));
+            LaunchGrid::new(lead, &[&[], &block, &seq], &[], &[10], 1000).map(|g| g.fixed)
+        };
+        assert_eq!(grid(&["jT"], &["iT"]).unwrap(), ["iT", "jT"]);
+        for (block, seq) in [
+            (&["iT", "kT"][..], &[][..]),
+            (&["iT"], &["iT"]),
+            (&["jT", "jT"], &[]),
+        ] {
+            let got = grid(block, seq);
+            assert!(
+                matches!(
+                    got,
+                    Err(MachineError::Poly(PolyError::SpaceMismatch { .. }))
+                ),
+                "{block:?} {seq:?}: {got:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Generated stencil pipelines under every tier split of a 2-D
+        /// tiling, partial edge tiles included.
+        #[test]
+        fn grid_is_the_per_level_projection_on_generated_programs(
+            seed in 0u64..1000,
+            n in 5i64..=13,
+            ti in 2i64..=5,
+            tj in 2i64..=5,
+            split in 0usize..=4,
+        ) {
+            let p = polymem_ir::random_program(seed);
+            let t = tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj)], "T")).unwrap();
+            let (it, jt) = ("iT".to_string(), "jT".to_string());
+            let (round_dims, block_dims, seq_dims) = match split {
+                0 => (vec![], vec![it, jt], vec![]),
+                1 => (vec![], vec![it], vec![jt]),
+                2 => (vec![it], vec![jt], vec![]),
+                3 => (vec![], vec![jt], vec![it]),
+                _ => (vec![jt], vec![], vec![it]),
+            };
+            let k = BlockedKernel {
+                program: t,
+                round_dims,
+                block_dims,
+                seq_dims,
+                thread_dims: vec![],
+                use_scratchpad: true,
+            };
+            let (sub_blocks, mismatches) = walk_grid(&k, &[n]);
+            let tiles = |size: i64| ((n + size - 1) / size) as u64;
+            prop_assert_eq!(sub_blocks, tiles(ti) * tiles(tj));
+            prop_assert_eq!(mismatches, 0);
+        }
+    }
+
+    /// The parent's per-call predicate behind every hoisting decision:
+    /// §4.2 hoisting applies only when the array materialises as
+    /// exactly one buffer in the plan.
+    fn plan_hoists(plan: &SmemPlan, array: usize, hoistable: &HashSet<usize>) -> bool {
+        hoistable.contains(&array) && plan.buffers.iter().filter(|b| b.array == array).count() == 1
+    }
+
+    /// The parent's per-call predicate behind every prefetch decision:
+    /// whether any poisoned read access is rewritten into the buffer
+    /// served by movement entry `mi`.
+    fn buffer_poisoned(plan: &SmemPlan, mi: usize, poisoned: &HashSet<AccessId>) -> bool {
+        let b = plan.movement[mi].buffer;
+        plan.rewrites
+            .iter()
+            .any(|(id, la)| la.buffer == b && poisoned.contains(id))
+    }
+
+    #[test]
+    fn per_launch_staging_flags_equal_the_per_call_predicates() {
+        let mut kernels = golden_builtins(true);
+        kernels.push(("flush", flush_kernel(), vec![8, 12]));
+        kernels.push(("carry", carry_kernel().1, vec![8]));
+        let machines = [
+            MachineConfig::geforce_8800_gtx(),
+            MachineConfig::cell_like(),
+            MachineConfig::spatial_mesh(),
+        ];
+        let (mut entries, mut hoisting, mut pinned) = (0, 0, 0);
+        for (name, k, params) in &kernels {
+            let lead = &k.program.stmts[0];
+            let hoistable = seq_redundant_arrays(k);
+            let stale = overlap_poisoned_reads(k).unwrap();
+            for (base, db, variant) in golden_columns(&machines) {
+                // exec_golden's columns: residency on / off, then the
+                // register level on top of the machine's default.
+                let mut cfg = base.clone();
+                cfg.double_buffer = db;
+                match variant {
+                    0 => cfg.residency = true,
+                    1 => cfg.residency = false,
+                    _ => cfg.hierarchy = true,
+                }
+                let grid = launch_grid(k, params, &cfg, lead).unwrap();
+                let rep = grid.representative(k, &cfg);
+                let (sp, _) = warm(k, params, &cfg, &rep, None, None).unwrap();
+                let launch = LaunchShared::new(k, params, &cfg, grid, Some(sp.clone())).unwrap();
+                let (plan, flags) = (&sp.plan, &launch.flags);
+                assert_eq!(flags.overlap, db, "{name}");
+                for (mi, mc) in plan.movement.iter().enumerate() {
+                    let array = plan.buffers[mc.buffer].array;
+                    let hoists = plan_hoists(plan, array, &hoistable);
+                    let poisoned = db && buffer_poisoned(plan, mi, &stale);
+                    assert_eq!(flags.hoists[mi], hoists, "{name} db={db} entry {mi}");
+                    assert_eq!(flags.poisoned[mi], poisoned, "{name} db={db} entry {mi}");
+                    entries += 1;
+                    hoisting += hoists as u32;
+                    pinned += poisoned as u32;
+                }
+            }
+        }
+        // The comparison saw both answers of both predicates.
+        assert!(hoisting > 0 && pinned > 0 && entries > hoisting + pinned);
+    }
+
+    /// machine × double buffering × exec_golden column.
+    fn golden_columns(machines: &[MachineConfig]) -> Vec<(&MachineConfig, bool, u8)> {
+        let mut out = Vec::new();
+        for m in machines {
+            for db in [false, true] {
+                for variant in 0..3 {
+                    out.push((m, db, variant));
+                }
+            }
+        }
+        out
     }
 }

@@ -25,8 +25,8 @@
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    execute_blocked_seeded, first_sub_block, machine_salt, seq_redundant_arrays, warm_plan,
-    BlockedKernel, LevelValues,
+    execute_blocked_seeded, machine_salt, seq_redundant_arrays, warm_plan, BlockedKernel,
+    LaunchGrid,
 };
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::{
@@ -196,10 +196,11 @@ pub fn tile_kernel(program: &Program, desc: &MappingDesc) -> Result<Option<Block
 }
 
 /// Enumerate the launch shape the estimator prices: round/block/seq
-/// counts plus the representative fixed-dim values — the executor's
-/// own [`first_sub_block`], so the estimator prices the sub-block the
-/// shared plan is analysed at — and the advanced seq point the
-/// residency delta sets are evaluated at.
+/// counts plus the representative fixed-dim values — walked on the
+/// executor's own [`LaunchGrid`], so the estimator prices the
+/// sub-block the shared plan is analysed at — and the advanced seq
+/// point the residency delta sets are evaluated at. This is where the
+/// grid's coordinates get their names back.
 pub fn structure_of(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -218,19 +219,23 @@ pub fn structure_of(
         return Ok(st);
     };
     let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
-    let (rep, vals) = first_sub_block(lead, &levels, params, config.enum_budget)?;
-    let count = |level: &LevelValues| level.len().max(1) as u64;
-    st.rounds = count(&vals[0]);
-    st.blocks = count(&vals[1]);
-    st.seqs = count(&vals[2]);
+    let grid = LaunchGrid::new(lead, &levels, &[], params, config.enum_budget)?;
+    let named = |coords: &[i64]| -> HashMap<String, i64> {
+        let vals = coords[params.len()..].iter().copied();
+        grid.names.iter().cloned().zip(vals).collect()
+    };
+    // Every tier at the first instance of the tiers outside it (a scan
+    // has at least one instance).
+    let rounds = grid.scan(0, params)?;
+    let blocks = grid.scan(1, &rounds[0])?;
+    let seqs = grid.scan(2, &blocks[0])?;
+    st.rounds = rounds.len() as u64;
+    st.blocks = blocks.len() as u64;
+    st.seqs = seqs.len() as u64;
+    st.rep_first = named(&seqs[0]);
     // The delta sets compare sub-tile s1 against its predecessor s0,
     // so the mid point carries s1's values.
-    st.rep_mid = vals[2].get(1).map(|s1| {
-        let mut mid = rep.clone();
-        mid.extend(kernel.seq_dims.iter().cloned().zip(s1.iter().copied()));
-        mid
-    });
-    st.rep_first = rep;
+    st.rep_mid = seqs.get(1).map(|s1| named(s1));
     if !kernel.seq_dims.is_empty() && kernel.use_scratchpad {
         let mut h: Vec<usize> = seq_redundant_arrays(kernel).into_iter().collect();
         h.sort_unstable();

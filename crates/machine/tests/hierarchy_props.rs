@@ -10,13 +10,19 @@
 //! plans, compiled execution (at every vector width) must agree with
 //! the interpreter counter for counter and must actually *run*
 //! compiled — zero silent fallbacks. A directed test checks the typed
-//! `RegisterOverflow` surfaces identically from both engines.
+//! `RegisterOverflow` surfaces identically from both engines, and
+//! another that the index map a launch assembles level-2 parameter
+//! vectors through agrees with a by-name lookup at every thread key.
 
+use polymem_core::smem::ExtSource;
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{exec_program, ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_machine::{execute_blocked, BlockedKernel, MachineConfig, MachineError};
+use polymem_kernels::{matmul, me};
+use polymem_machine::{execute_blocked, warm_plan, BlockedKernel, MachineConfig, MachineError};
+use polymem_poly::count::enumerate_points;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Same access-shape family as `compiled_props`: a 2-D program whose
 /// randomized reads stay inside A's padded extents, with an optional
@@ -268,5 +274,57 @@ fn register_overflow_is_typed_in_both_engines() {
             }
             other => panic!("expected RegisterOverflow (compiled={compiled}), got {other:?}"),
         }
+    }
+}
+
+/// The executor assembles a thread key's level-2 vector
+/// `params ++ ext values` by index (`HierPlan::ext_sources`, resolved
+/// once per launch) from the sub-block's dense `params ++ fixed values`
+/// and the key. At every statement instance of matmul and me on the
+/// gpu, that vector — and the named `HierPlan::ext_params` boundary —
+/// must equal looking every ext name up in the instance itself.
+#[test]
+fn dense_level2_vectors_equal_the_named_lookup_at_every_thread_key() {
+    let me_size = me::MeSize {
+        ni: 8,
+        nj: 8,
+        ws: 4,
+    };
+    let cases = [
+        (matmul::blocked_kernel(4, 4, 4, true), vec![8]),
+        (me::blocked_kernel(4, 4, true), me::params(&me_size)),
+    ];
+    for (kernel, params) in cases {
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        cfg.hierarchy = true;
+        let (sp, _) = warm_plan(&kernel, &params, &cfg, None, None)
+            .unwrap()
+            .expect("staged launch");
+        let h = sp.hier.as_ref().expect("register level");
+        let sources = h.ext_sources(params.len());
+        let mut keys = 0u64;
+        for (si, stmt) in kernel.program.stmts.iter().enumerate() {
+            let dims = stmt.domain.space().dims();
+            let at = |name: &String, p: &[i64]| p[dims.iter().position(|d| d == name).unwrap()];
+            let dom = stmt.domain.substitute_params(&params).unwrap();
+            enumerate_points(&dom, 1 << 20, &mut |p| {
+                let Some(key) = h.thread_key(si, p) else {
+                    return;
+                };
+                let by_name: Vec<i64> = params
+                    .iter()
+                    .copied()
+                    .chain(h.ext_names.iter().map(|n| at(n, p)))
+                    .collect();
+                let fixed: HashMap<String, i64> =
+                    sp.fixed.iter().map(|n| (n.clone(), at(n, p))).collect();
+                let level1 = sp.ext_params(&params, &fixed).unwrap();
+                assert_eq!(ExtSource::assemble(&sources, &level1, &key), by_name);
+                assert_eq!(h.ext_params(&params, &fixed, &key), Some(by_name));
+                keys += 1;
+            })
+            .unwrap();
+        }
+        assert!(keys > 0, "{}: no keyed instance", kernel.program.name);
     }
 }
