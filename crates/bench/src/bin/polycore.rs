@@ -231,6 +231,7 @@ impl KernelResult {
             ("cache_hit_rate", ms(self.stats.hit_rate())),
             ("fm_rows_generated", self.stats.fm_rows_generated.into()),
             ("fm_rows_pruned", self.stats.fm_rows_pruned.into()),
+            ("feasibility_tests", self.stats.feasibility_tests.into()),
             (
                 "runs",
                 self.machines
@@ -442,7 +443,7 @@ fn main() {
     for case in cases(smoke) {
         let r = bench_kernel(&case, reps);
         println!(
-            "{:<9} analyze {:8.2} ms fast / {:8.2} ms naive   cache {}/{} ({:.0}%)  fm {} gen / {} pruned",
+            "{:<9} analyze {:8.2} ms fast / {:8.2} ms naive   cache {}/{} ({:.0}%)  fm {} gen / {} pruned  {} feasibility tests",
             r.name,
             r.analyze_fast_ms,
             r.analyze_naive_ms,
@@ -451,6 +452,7 @@ fn main() {
             100.0 * r.stats.hit_rate(),
             r.stats.fm_rows_generated,
             r.stats.fm_rows_pruned,
+            r.stats.feasibility_tests,
         );
         println!(
             "          core    {:8.2} ms fast / {:8.2} ms naive   compiler-side speedup {:5.2}x",

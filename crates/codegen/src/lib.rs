@@ -21,7 +21,7 @@ pub mod ast;
 pub mod scan;
 
 pub use ast::{Ast, LoopBounds};
-pub use scan::{scan_polyhedron, scan_union};
+pub use scan::{scan_pieces, scan_polyhedron, scan_union};
 
 /// Errors from code generation.
 pub type CodegenError = polymem_poly::PolyError;

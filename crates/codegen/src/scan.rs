@@ -14,7 +14,9 @@
 //! it first decomposes the union into disjoint pieces (polyhedral
 //! difference) and concatenates their nests — this is what gives the
 //! paper's move-in/move-out code its "single load/store per element"
-//! property (§3.1.3) and reproduces the two-nest shape of Fig. 1.
+//! property (§3.1.3) and reproduces the two-nest shape of Fig. 1. A
+//! caller that already holds the disjoint pieces hands them to
+//! [`scan_pieces`], which never decomposes.
 
 use crate::ast::{Ast, LoopBounds};
 use crate::Result;
@@ -92,14 +94,22 @@ fn needs_guard(poly: &Polyhedron) -> bool {
 }
 
 /// Scan a union of polyhedra, visiting every point of the union
-/// exactly once. `tags[k]` labels the leaf generated for the k-th
-/// *disjoint piece*; if `tags` is shorter than the piece list the last
-/// tag is reused (pass a single-element slice for a uniform label).
-///
-/// The generated AST is a [`Ast::Seq`] of one nest per disjoint piece,
-/// mirroring the multiple copy nests of the paper's Fig. 1.
+/// exactly once: [`scan_pieces`] over the union's
+/// [`disjoint_pieces`](PolyUnion::disjoint_pieces) — the only step
+/// here that decomposes anything. `tags[k]` labels the k-th *disjoint
+/// piece*.
 pub fn scan_union(union: &PolyUnion, tags: &[usize]) -> Result<Ast> {
-    let pieces = union.disjoint_pieces()?;
+    scan_pieces(&union.disjoint_pieces()?, tags)
+}
+
+/// Scan polyhedra the caller holds **pairwise disjoint** (a
+/// `disjoint_pieces` / `difference_all` result): one nest per non-empty
+/// piece, concatenated in a [`Ast::Seq`] — the multiple copy nests of
+/// the paper's Fig. 1. Nothing is decomposed or checked here, so a
+/// point two pieces share is visited twice. `tags[k]` labels piece
+/// `k`'s leaf; if `tags` is shorter than `pieces` the last tag is
+/// reused (pass a single-element slice for a uniform label).
+pub fn scan_pieces(pieces: &[Polyhedron], tags: &[usize]) -> Result<Ast> {
     let mut items = Vec::with_capacity(pieces.len());
     for (k, piece) in pieces.iter().enumerate() {
         let tag = *tags.get(k).or(tags.last()).unwrap_or(&0);
@@ -218,6 +228,51 @@ mod tests {
     fn union_scan_of_empty_union() {
         let u = PolyUnion::new();
         assert!(matches!(scan_union(&u, &[0]).unwrap(), Ast::Empty));
+    }
+
+    #[test]
+    fn scan_union_is_scan_pieces_over_the_disjoint_pieces() {
+        let param = |lo: i64, hi_off: i64| {
+            poly(
+                Space::new(["i"], ["N"]),
+                vec![
+                    Constraint::ineq(vec![1, 0, -lo]),
+                    Constraint::ineq(vec![-1, 1, hi_off]),
+                ],
+            )
+        };
+        let empty = Polyhedron::empty(Space::new(["i"], Vec::<String>::new()));
+        for (what, members) in [
+            ("overlapping", vec![interval(0, 6), interval(4, 10)]),
+            ("nested", vec![interval(0, 10), interval(3, 5)]),
+            ("empty", vec![]),
+            ("empty member", vec![empty, interval(2, 3)]),
+            ("parametric", vec![param(0, -1), param(2, 3)]),
+        ] {
+            let u = PolyUnion::from_members(members).unwrap();
+            let pieces = u.disjoint_pieces().unwrap();
+            assert_eq!(
+                format!("{:?}", scan_union(&u, &[1, 2]).unwrap()),
+                format!("{:?}", scan_pieces(&pieces, &[1, 2]).unwrap()),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_pieces_does_not_make_its_input_disjoint() {
+        // The precondition is the caller's: overlapping "pieces" are
+        // scanned as they are, so [4, 6] is visited twice.
+        let ast = scan_pieces(&[interval(0, 6), interval(4, 10)], &[0]).unwrap();
+        let mut visits = std::collections::HashMap::new();
+        ast.for_each_point(&[], &mut |_, p| *visits.entry(p[0]).or_insert(0) += 1);
+        for i in 0..=10 {
+            assert_eq!(
+                visits[&i],
+                if (4..=6).contains(&i) { 2 } else { 1 },
+                "at {i}"
+            );
+        }
     }
 
     #[test]

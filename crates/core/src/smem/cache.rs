@@ -32,7 +32,7 @@
 
 use super::hierarchy::{analyze_hierarchy, HierPlan, HierSpec, MemLevel};
 use super::residency::{plan_residency, ResidencyPlan};
-use super::{analyze_program_timed, PassTimes, Result, SmemConfig, SmemError, SmemPlan};
+use super::{analyze_program_windows, PassTimes, Result, SmemConfig, SmemError, SmemPlan};
 use polymem_ir::{Access, Program};
 use polymem_linalg::IMat;
 use polymem_poly::{AffineMap, Constraint, ConstraintKind, Polyhedron, Space};
@@ -229,9 +229,16 @@ pub fn analyze_symbolic(
     let symbolic = parametrize_dims(program, &names)?;
     let mut cfg = config.clone();
     cfg.sample_params.extend(pairs.iter().map(|p| p.1));
-    let (plan, pass_times) = analyze_program_timed(&symbolic, &cfg)?;
+    let (plan, mut pass_times, windows) = analyze_program_windows(&symbolic, &cfg)?;
     let residency = match &config.residency_dim {
-        Some(dim) if names.iter().any(|n| n == dim) => Some(plan_residency(&symbolic, &plan, dim)?),
+        Some(dim) if names.iter().any(|n| n == dim) => {
+            // The delta / flush nests are movement code: their planning
+            // time goes where the move-in / move-out nests' does.
+            let t0 = Instant::now();
+            let res = plan_residency(&symbolic, &plan, &windows, dim)?;
+            pass_times.movement += t0.elapsed();
+            Some(res)
+        }
         _ => None,
     };
     let kept_dims = program

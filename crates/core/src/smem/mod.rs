@@ -51,7 +51,7 @@ pub use descriptors::{
 pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
 pub use lowering::{lower_rows, prove_flat, row_major_weights, FlatAffine, LoweredRow};
-pub use movement::MovementCode;
+pub use movement::{MovementCode, WindowPieces};
 pub use residency::{plan_residency, ResidencyPlan, RetainPlan};
 pub use reuse::{ReuseDecision, DEFAULT_DELTA};
 pub use tune::{
@@ -207,7 +207,9 @@ pub struct PassTimes {
     pub reuse: Duration,
     /// Algorithm 2 buffer allocation + access rewriting.
     pub alloc: Duration,
-    /// Move-in / move-out loop-nest generation.
+    /// Move-in / move-out loop-nest generation, and — when
+    /// [`analyze_symbolic`] plans residency — the retained / delta /
+    /// flush nests of [`plan_residency`], which are movement code too.
     pub movement: Duration,
     /// Recursive level-2 (register-tile) planning, including its own
     /// nested runs of the passes above.
@@ -246,11 +248,22 @@ pub fn analyze_program_timed(
     program: &Program,
     config: &SmemConfig,
 ) -> Result<(SmemPlan, PassTimes)> {
+    analyze_program_windows(program, config).map(|(plan, times, _)| (plan, times))
+}
+
+/// [`analyze_program_timed`] plus, parallel to `plan.movement`, the
+/// disjoint window pieces the movement pass scanned — the in-memory
+/// by-product [`plan_residency`] builds its deltas from.
+pub fn analyze_program_windows(
+    program: &Program,
+    config: &SmemConfig,
+) -> Result<(SmemPlan, PassTimes, Vec<WindowPieces>)> {
     program.validate()?;
     let context = param_universe(program);
     let mut buffers = Vec::new();
     let mut rewrites = HashMap::new();
     let mut movement = Vec::new();
+    let mut windows = Vec::new();
     let mut decisions = Vec::new();
     let mut times = PassTimes::default();
 
@@ -286,7 +299,9 @@ pub fn analyze_program_timed(
             }
             times.alloc += t0.elapsed();
             let t0 = Instant::now();
-            movement.push(movement::generate_movement(program, &buffer, &members)?);
+            let (code, pieces) = movement::generate_movement(program, &buffer, &members)?;
+            movement.push(code);
+            windows.push(pieces);
             times.movement += t0.elapsed();
             buffers.push(buffer);
         }
@@ -299,6 +314,7 @@ pub fn analyze_program_timed(
             decisions,
         },
         times,
+        windows,
     ))
 }
 

@@ -7,10 +7,12 @@
 //! * **move-out** scans the union of data spaces accessed by *write*
 //!   references and copies `A[y] = L[y − g]`.
 //!
-//! Scanning goes through [`polymem_codegen::scan_union`], which
-//! decomposes overlapping spaces into disjoint pieces, so each element
-//! is loaded/stored exactly once — the paper's single-transfer
-//! property, and precisely the two-nest shape of its Fig. 1 example.
+//! [`generate_movement`] decomposes each of the two unions into
+//! disjoint pieces once and scans those
+//! ([`polymem_codegen::scan_pieces`]), so each element is
+//! loaded/stored exactly once — the paper's single-transfer property,
+//! and precisely the two-nest shape of its Fig. 1 example. The pieces
+//! go on to the residency pass as [`WindowPieces`].
 //!
 //! The module also computes the §3.1.3 upper bounds on moved volume
 //! (`V_in`/`V_out`): the total buffer space needed by the maximal
@@ -20,7 +22,7 @@
 use super::alloc::LocalBuffer;
 use super::dataspace::RefInfo;
 use super::Result;
-use polymem_codegen::{scan_union, Ast};
+use polymem_codegen::{scan_pieces, Ast};
 use polymem_ir::Program;
 use polymem_poly::{PolyUnion, Polyhedron};
 
@@ -74,12 +76,26 @@ impl MovementCode {
     }
 }
 
-/// Generate movement code for a buffer from its member references.
+/// The disjoint pieces of one buffer's read and write windows, as
+/// [`generate_movement`] decomposed them for its two nests. Kept in
+/// memory next to the [`MovementCode`] (never serialised) so that
+/// [`plan_residency`](super::plan_residency) does not decompose the
+/// windows again.
+#[derive(Clone, Debug)]
+pub struct WindowPieces {
+    /// `move_in`'s pieces: the union of `read_spaces`, disjoint.
+    pub read: Vec<Polyhedron>,
+    /// `move_out`'s pieces: the union of `write_spaces`, disjoint.
+    pub write: Vec<Polyhedron>,
+}
+
+/// Generate movement code for a buffer from its member references,
+/// plus the window decomposition its nests scan.
 pub fn generate_movement(
     program: &Program,
     buffer: &LocalBuffer,
     members: &[&RefInfo],
-) -> Result<MovementCode> {
+) -> Result<(MovementCode, WindowPieces)> {
     let _ = program;
     let read_spaces: Vec<Polyhedron> = members
         .iter()
@@ -91,15 +107,18 @@ pub fn generate_movement(
         .filter(|r| r.id.is_write())
         .map(|r| r.data_space.clone())
         .collect();
-    let move_in = scan_union(&PolyUnion::from_members(read_spaces.clone())?, &[0])?;
-    let move_out = scan_union(&PolyUnion::from_members(write_spaces.clone())?, &[0])?;
-    Ok(MovementCode {
+    let pieces = WindowPieces {
+        read: PolyUnion::from_members(read_spaces.clone())?.disjoint_pieces()?,
+        write: PolyUnion::from_members(write_spaces.clone())?.disjoint_pieces()?,
+    };
+    let code = MovementCode {
         buffer: buffer.id,
-        move_in,
-        move_out,
+        move_in: scan_pieces(&pieces.read, &[0])?,
+        move_out: scan_pieces(&pieces.write, &[0])?,
         read_spaces,
         write_spaces,
-    })
+    };
+    Ok((code, pieces))
 }
 
 /// Sum of buffer-space needs over maximal non-overlapping groups of
@@ -245,7 +264,7 @@ mod tests {
         let refs = collect_refs(p, ai).unwrap();
         let members: Vec<&_> = refs.iter().collect();
         let buf = allocate_buffer(p, ai, 0, &members).unwrap();
-        let code = generate_movement(p, &buf, &members).unwrap();
+        let (code, _) = generate_movement(p, &buf, &members).unwrap();
         (buf, code)
     }
 

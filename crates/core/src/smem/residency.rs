@@ -70,9 +70,9 @@
 //! move-out flush; the decomposition stays available for analysis.
 
 use super::alloc::LocalBuffer;
-use super::movement::MovementCode;
+use super::movement::{MovementCode, WindowPieces};
 use super::{BufferId, Result, SmemPlan};
-use polymem_codegen::{scan_union, Ast};
+use polymem_codegen::{scan_pieces, Ast};
 use polymem_ir::Program;
 use polymem_poly::diff::difference_all;
 use polymem_poly::{Constraint, ConstraintKind, PolyUnion, Polyhedron};
@@ -282,16 +282,25 @@ fn flush_delta_legal(
 ///
 /// `program` is the symbolic view the plan was analysed on (its
 /// parameters include the fixed dims); `seq_param` names the innermost
-/// sequential dimension among them. Groups whose retained set is
-/// infeasible (nothing can ever be retained) or whose retention is
-/// illegal get no entry.
+/// sequential dimension among them; `windows[k]` holds the disjoint
+/// pieces `plan.movement[k]`'s nests scan
+/// ([`analyze_program_windows`](super::analyze_program_windows)).
+/// Groups whose retained set is infeasible (nothing can ever be
+/// retained) or whose retention is illegal get no entry.
+///
+/// Every set is decomposed once: the windows by the movement pass,
+/// `retained` here, and delta / flush come out of `difference_all`
+/// disjoint — so the three nests are [`scan_pieces`] over pieces this
+/// function already holds.
 pub fn plan_residency(
     program: &Program,
     plan: &SmemPlan,
+    windows: &[WindowPieces],
     seq_param: &str,
 ) -> Result<ResidencyPlan> {
+    assert_eq!(windows.len(), plan.movement.len(), "one window per group");
     let mut plans = HashMap::new();
-    for mc in &plan.movement {
+    for (mc, window) in plan.movement.iter().zip(windows) {
         if mc.read_spaces.is_empty() {
             continue;
         }
@@ -325,28 +334,26 @@ pub fn plan_residency(
         // Delta: the window minus the whole predecessor window,
         // disjoint by construction (window pieces are disjoint and
         // each shrinks further).
-        let window = PolyUnion::from_members(mc.read_spaces.clone())?;
         let mut delta_pieces = Vec::new();
-        for piece in window.disjoint_pieces()? {
-            delta_pieces.extend(difference_all(&piece, &prev)?);
+        for piece in &window.read {
+            delta_pieces.extend(difference_all(piece, &prev)?);
         }
-        let delta_in = PolyUnion::from_members(delta_pieces.clone())?;
         // Flush delta: move-out window minus the successor's writes.
         let next: Vec<Polyhedron> = mc
             .write_spaces
             .iter()
             .map(|w| shift_seq(w, seq_idx, 1))
             .collect();
-        let out_window = PolyUnion::from_members(mc.write_spaces.clone())?;
         let mut flush_pieces = Vec::new();
-        for piece in out_window.disjoint_pieces()? {
-            flush_pieces.extend(difference_all(&piece, &next)?);
+        for piece in &window.write {
+            flush_pieces.extend(difference_all(piece, &next)?);
         }
-        let flush_delta = PolyUnion::from_members(flush_pieces)?;
         let flush_legal = flush_delta_legal(program, plan, mc, buffer, seq_idx, &delta_pieces)?;
-        let retained_scan = scan_union(&retained, &[0])?;
-        let delta_scan = scan_union(&delta_in, &[0])?;
-        let flush_scan = scan_union(&flush_delta, &[0])?;
+        let retained_scan = scan_pieces(&retained_pieces, &[0])?;
+        let delta_scan = scan_pieces(&delta_pieces, &[0])?;
+        let flush_scan = scan_pieces(&flush_pieces, &[0])?;
+        let delta_in = PolyUnion::from_members(delta_pieces.clone())?;
+        let flush_delta = PolyUnion::from_members(flush_pieces)?;
         let mut atoms = retained_pieces;
         atoms.extend(delta_pieces);
         plans.insert(
@@ -654,13 +661,13 @@ mod tests {
             must_copy_all: true,
             ..SmemConfig::default()
         };
-        let plan = crate::smem::analyze_program(&sym, &cfg).unwrap();
-        let res = plan_residency(&sym, &plan, "iT").unwrap();
+        let (plan, _, windows) = crate::smem::analyze_program_windows(&sym, &cfg).unwrap();
+        let res = plan_residency(&sym, &plan, &windows, "iT").unwrap();
         let rp = res.plans.values().next().expect("chain retains");
         assert!(rp.flush_legal, "fully rewritten chain is flush-legal");
         let mut crippled = plan.clone();
         crippled.rewrites.retain(|id, _| id.is_write());
-        let res = plan_residency(&sym, &crippled, "iT").unwrap();
+        let res = plan_residency(&sym, &crippled, &windows, "iT").unwrap();
         let rp = res
             .plans
             .values()
@@ -733,12 +740,12 @@ mod tests {
             must_copy_all: true,
             ..SmemConfig::default()
         };
-        let plan = crate::smem::analyze_program(&sym, &cfg).unwrap();
-        let res = plan_residency(&sym, &plan, "iT").unwrap();
+        let (plan, _, windows) = crate::smem::analyze_program_windows(&sym, &cfg).unwrap();
+        let res = plan_residency(&sym, &plan, &windows, "iT").unwrap();
         assert!(!res.plans.is_empty(), "in-place stencil retains its halo");
         let mut crippled = plan.clone();
         crippled.rewrites.retain(|id, _| !id.is_write());
-        let res = plan_residency(&sym, &crippled, "iT").unwrap();
+        let res = plan_residency(&sym, &crippled, &windows, "iT").unwrap();
         assert!(res.plans.is_empty(), "bypassing write must deny retention");
     }
 

@@ -37,9 +37,25 @@ pub struct Band {
     pub kinds: Vec<LoopKind>,
     /// The dependences used (for reuse by later phases).
     pub deps: Vec<ProgDep>,
+    /// Whether the space loops come from the pipeline rule (every band
+    /// loop carries a dependence and all but the last were promoted).
+    /// Such loops are parallel only under wavefront synchronisation,
+    /// not communication-free.
+    pub pipelined: bool,
 }
 
 impl Band {
+    /// The communication-free space loops: no dependence is carried by
+    /// them, so their iterations can run as independent blocks of one
+    /// round. Empty for a [`pipelined`](Band::pipelined) band.
+    pub fn parallel_loops(&self) -> Vec<usize> {
+        if self.pipelined {
+            Vec::new()
+        } else {
+            self.space_loops()
+        }
+    }
+
     /// Indices of space loops.
     pub fn space_loops(&self) -> Vec<usize> {
         self.loops
@@ -123,14 +139,20 @@ pub fn find_permutable_band(program: &Program) -> Result<Band> {
 
     // Paper rule: with no communication-free loop in the band, all but
     // the last become space loops (pipeline parallelism).
-    if !kinds.is_empty() && kinds.iter().all(|k| *k == LoopKind::Time) {
+    let pipelined = kinds.len() > 1 && kinds.iter().all(|k| *k == LoopKind::Time);
+    if pipelined {
         let last = kinds.len() - 1;
         for k in kinds.iter_mut().take(last) {
             *k = LoopKind::Space;
         }
     }
 
-    Ok(Band { loops, kinds, deps })
+    Ok(Band {
+        loops,
+        kinds,
+        deps,
+        pipelined,
+    })
 }
 
 /// Largest prefix of the shared loops on which every dependence
@@ -218,6 +240,8 @@ mod tests {
         assert_eq!(band.kinds[0], LoopKind::Space);
         assert_eq!(band.kinds[1], LoopKind::Space);
         assert_eq!(band.space_loops()[..2], [0, 1]);
+        assert!(!band.pipelined);
+        assert_eq!(band.parallel_loops(), band.space_loops());
     }
 
     /// Skewed Jacobi-like: for t, for i: A[t][i] = A[t-1][i-1] +
@@ -286,6 +310,10 @@ mod tests {
         assert_eq!(band.kinds, vec![LoopKind::Space, LoopKind::Time]);
         assert_eq!(band.space_loops(), vec![0]);
         assert_eq!(band.time_loops(), vec![1]);
+        // ...but `t` carries the flow dependence: not a loop whose
+        // iterations may run as independent blocks.
+        assert!(band.pipelined);
+        assert!(band.parallel_loops().is_empty());
     }
 
     #[test]

@@ -192,7 +192,9 @@ pub enum PassKind {
     Reuse,
     /// Compiler: Algorithm 2 allocation + access rewriting.
     Alloc,
-    /// Compiler: movement loop-nest generation.
+    /// Compiler: movement loop-nest generation — the move-in /
+    /// move-out nests and, on a residency launch, the retained /
+    /// delta / flush nests (residency planning is timed here).
     Movement,
     /// Compiler: recursive level-2 (register-tile) planning.
     Hierarchy,
@@ -221,7 +223,8 @@ pub const PASS_KINDS: [PassKind; 10] = [
 ];
 
 impl PassKind {
-    /// Human label for the report table.
+    /// Human label for the report table (`movement` includes
+    /// residency planning; see [`PassKind::Movement`]).
     pub fn label(&self) -> &'static str {
         match self {
             PassKind::Dataspace => "dataspace",

@@ -290,8 +290,11 @@ pub fn generic_candidates(
         return Ok(Vec::new());
     };
     let names = lead.domain.space().dims().to_vec();
+    // Only communication-free loops may span the blocks of one round;
+    // a pipeline-promoted space loop carries a dependence, so such a
+    // band is mapped like an all-time one below.
     let space_names: Vec<String> = band
-        .space_loops()
+        .parallel_loops()
         .iter()
         .map(|&l| names[l].clone())
         .collect();
@@ -673,7 +676,18 @@ pub fn tune(
         .filter(|(_, sim, exact)| sim.is_some() && *exact)
         .min_by_key(|(ri, sim, _)| (sim.unwrap(), *ri))
         .map(|(ri, _, _)| *ri)
-        .ok_or_else(|| MachineError::Tune("no candidate simulated successfully".into()))?;
+        .ok_or_else(|| {
+            let inexact = rows.iter().filter(|r| r.simulated.is_some()).count();
+            let note = rows.iter().map(|r| r.note.as_str()).find(|n| !n.is_empty());
+            MachineError::Tune(format!(
+                "no candidate simulated successfully: {} simulated, {inexact} not bit-exact, \
+                 {} failed{}",
+                frontier.len(),
+                frontier.len() - inexact,
+                note.map(|n| format!("; first note: {n}"))
+                    .unwrap_or_default(),
+            ))
+        })?;
     let winner = rows[winner_row].desc.clone();
     let winner_predicted = rows[winner_row].predicted;
     let winner_cycles = rows[winner_row].simulated.unwrap();

@@ -280,3 +280,58 @@ fn restart_with_warm_store_skips_analysis_and_stays_bit_exact() {
         );
     }
 }
+
+/// The sequential-sub-tile launches carry a residency plan whose three
+/// nests are scanned straight off pieces `plan_residency` holds: the
+/// stored artifact must decode to the same bytes, and the loaded plan
+/// must drive the executor to the counters the fresh one produced.
+#[test]
+fn seq_residency_plan_round_trips_and_executes_identically() {
+    for name in ["jacobi2d", "conv2d", "me"] {
+        for machine in ["gpu", "cell"] {
+            let dir = temp_store(&format!("seq_{name}_{machine}"));
+            let toggles = LaunchToggles {
+                double_buffer: true,
+                hierarchy: false,
+                artifact_dir: Some(dir.to_string_lossy().into_owned()),
+                ..LaunchToggles::default()
+            };
+            let base = polymem_machine::desc::lookup(machine).unwrap().config();
+            let l = launch(name, 8, &base, &toggles, false).expect("built-in");
+            let st = l.seeded_store(42).unwrap();
+            let run = |want: PlanSource| {
+                let mut out = st.clone();
+                let (stats, warmed) = execute_blocked_seeded(
+                    &l.kernel, &l.params, &mut out, &l.config, true, None, None,
+                )
+                .unwrap();
+                let (plan, source) = warmed.expect("the mapping stages");
+                assert_eq!(source, want, "{name}/{machine}");
+                (stats, out, plan)
+            };
+            let (fresh_stats, fresh_out, plan) = run(PlanSource::Fresh);
+            assert!(
+                plan.residency.as_ref().is_some_and(|r| !r.is_empty()),
+                "{name}/{machine}: no residency plan to round-trip"
+            );
+            assert!(fresh_stats.residency_groups > 0, "{name}/{machine}");
+
+            let key = plan_artifact_key(&l.kernel, &l.params, &l.config)
+                .unwrap()
+                .expect("scratchpad launch has a key");
+            let path = ArtifactStore::open(&dir).unwrap().path_for(&key);
+            let bytes = std::fs::read(&path).expect("the fresh run persisted its plan");
+            let decoded = decode_artifact(&bytes).expect("stored artifact decodes");
+            assert!(decoded.validate(&l.kernel.program), "{name}/{machine}");
+            assert_eq!(encode_artifact(&decoded), bytes, "{name}/{machine}");
+
+            let (loaded_stats, loaded_out, _) = run(PlanSource::Artifact);
+            assert_eq!(loaded_stats, fresh_stats, "{name}/{machine}");
+            assert_eq!(
+                loaded_out.data(l.check).unwrap(),
+                fresh_out.data(l.check).unwrap(),
+                "{name}/{machine}"
+            );
+        }
+    }
+}

@@ -234,13 +234,11 @@ fn residency_counters_track_saved_traffic() {
 /// boundary. The `+=` updates commute, keeping the blocked order
 /// bit-exact vs the reference — but a *wrongly* skipped element loses
 /// an update and shows up directly in A.
-#[test]
-fn flush_delta_skips_successor_overwrites() {
+fn flush_case() -> CaseSpec {
     use polymem_core::tiling::transform::{tile_program, TileSpec};
     use polymem_ir::expr::v;
     use polymem_ir::{exec_program, Expr, LinExpr, ProgramBuilder};
 
-    std::env::set_var("POLYMEM_EXEC_CHECK", "1");
     let mut b = ProgramBuilder::new("p", ["M", "N"]);
     b.array("A", &[v("M"), v("N") + 2]);
     b.array("B", &[v("M"), v("N")]);
@@ -283,6 +281,26 @@ fn flush_delta_skips_successor_overwrites() {
         .unwrap();
     let mut reference = base.clone();
     exec_program(&p, &params, &mut reference).unwrap();
+    CaseSpec {
+        kernel,
+        params,
+        base,
+        reference,
+        check: "A",
+        merged_layout: false,
+    }
+}
+
+#[test]
+fn flush_delta_skips_successor_overwrites() {
+    std::env::set_var("POLYMEM_EXEC_CHECK", "1");
+    let CaseSpec {
+        kernel,
+        params,
+        base,
+        reference,
+        ..
+    } = flush_case();
     for machine in [
         MachineConfig::geforce_8800_gtx(),
         MachineConfig::cell_like(),
@@ -343,5 +361,203 @@ fn seq_coupled_dropped_dim_is_not_hoisted() {
         );
         // Every Sad element is written back exactly once: 8x8 sums.
         assert_eq!(stats.moved_out, 64, "writebacks collapsed or duplicated");
+    }
+}
+
+/// `A[s][i] = A[s-1][i] + 1` beside an independent statement, `i`
+/// tiled across blocks and the untiled `s` as the sequential dim:
+/// exec_golden's `carry` mapping (sub-tiles start at `s = 1`).
+fn carry_mapping() -> (BlockedKernel, Vec<i64>) {
+    use polymem_core::tiling::transform::{tile_program, TileSpec};
+    use polymem_ir::expr::v;
+    use polymem_ir::{Expr, LinExpr, ProgramBuilder};
+
+    let mut b = ProgramBuilder::new("d", ["N"]);
+    b.array("A", &[LinExpr::c(4), v("N")]);
+    b.array("B2", &[LinExpr::c(4), v("N")]);
+    b.array("Out", &[LinExpr::c(4), v("N")]);
+    let loops = [
+        ("s", LinExpr::c(1), LinExpr::c(3)),
+        ("i", LinExpr::c(0), v("N") - 1),
+    ];
+    b.stmt("S1")
+        .loops(&loops)
+        .write("A", &[v("s"), v("i")])
+        .read("A", &[v("s") - 1, v("i")])
+        .body(Expr::add(Expr::Read(0), Expr::Const(1)))
+        .done();
+    b.stmt("S2")
+        .loops(&loops)
+        .write("Out", &[v("s"), v("i")])
+        .read("B2", &[v("s"), v("i")])
+        .body(Expr::mul(Expr::Read(0), Expr::Const(2)))
+        .done();
+    let p = b.build().unwrap();
+    let kernel = BlockedKernel {
+        program: tile_program(&p, &TileSpec::new(&[("i", 4)], "T")).unwrap(),
+        round_dims: vec![],
+        block_dims: vec!["iT".into()],
+        seq_dims: vec!["s".into()],
+        thread_dims: vec![],
+        use_scratchpad: true,
+    };
+    (kernel, vec![8])
+}
+
+/// The values the launch's sub-blocks give the plan's fixed dims (in
+/// `fixed` order), read off the statement domains.
+fn sub_blocks(
+    kernel: &BlockedKernel,
+    params: &[i64],
+    fixed: &[String],
+) -> std::collections::BTreeSet<Vec<i64>> {
+    let mut out = std::collections::BTreeSet::new();
+    for s in &kernel.program.stmts {
+        let dims = s.domain.space().dims();
+        let at: Option<Vec<usize>> = fixed
+            .iter()
+            .map(|f| dims.iter().position(|d| d == f))
+            .collect();
+        let Some(at) = at else { continue };
+        let concrete = s.domain.substitute_params(params).unwrap();
+        polymem_poly::count::enumerate_points(&concrete, 1 << 20, &mut |p| {
+            out.insert(at.iter().map(|&d| p[d]).collect());
+        })
+        .unwrap();
+    }
+    out
+}
+
+/// The paper's "exactly once" and Ferry et al.'s irredundancy, on the
+/// sets the residency plan scans for the real kernels: at every
+/// sub-tile with a predecessor (partial boundary tiles included) the
+/// retained and delta nests partition the move-in window with no
+/// element visited twice; the flush delta is part of the move-out
+/// window, and whatever it skips the successor writes.
+#[test]
+fn retained_and_delta_partition_every_real_window() {
+    use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
+    use polymem_core::smem::residency::{
+        for_each_delta_in, for_each_flush_delta, for_each_retained,
+    };
+    use polymem_machine::warm_plan;
+    use std::collections::BTreeSet;
+
+    type Visit<'a> = &'a mut dyn FnMut(&[i64], &[i64]);
+    fn elements(what: &str, scan: impl FnOnce(Visit)) -> BTreeSet<Vec<i64>> {
+        let mut set = BTreeSet::new();
+        scan(&mut |g, _| assert!(set.insert(g.to_vec()), "{what}: {g:?} visited twice"));
+        set
+    }
+
+    let (flush, carry) = (flush_case(), carry_mapping());
+    let (me8, j2d, mm, conv) = (case(0), case(2), case(3), case(4));
+    let cases: Vec<(&str, BlockedKernel, Vec<i64>, bool)> = vec![
+        // The sequential mappings exec_golden pins...
+        (
+            "me 4x2",
+            me::blocked_seq_kernel(4, 2, true),
+            me8.params.clone(),
+            false,
+        ),
+        (
+            "jacobi2d 4x2",
+            jacobi2d::stepwise_seq_kernel(4, 2, true),
+            jacobi2d::params(2, 8),
+            false,
+        ),
+        (
+            "conv2d 4x2",
+            conv2d::blocked_seq_kernel(4, 2, true),
+            conv2d::params(&conv2d::ConvSize { n: 8, k: 3 }),
+            false,
+        ),
+        (
+            "matmul 4x4x2",
+            matmul::blocked_kernel_hoisted(4, 4, 2, true),
+            vec![8],
+            false,
+        ),
+        ("flush", flush.kernel, flush.params, false),
+        ("carry", carry.0, carry.1, false),
+        // ...and this file's, which add single-column sub-tiles, the
+        // merged Fig. 1 layout and conv2d's partial tiles (7 = 2·3 + 1).
+        ("me 8x1", me8.kernel, me8.params, false),
+        (
+            "jacobi2d 4x1 merged",
+            j2d.kernel,
+            j2d.params,
+            j2d.merged_layout,
+        ),
+        ("matmul 4x4x4", mm.kernel, mm.params, false),
+        ("conv2d 3x3", conv.kernel, conv.params, false),
+    ];
+    for (label, kernel, params, merged) in &cases {
+        let mut groups_checked = 0;
+        for machine in [
+            MachineConfig::geforce_8800_gtx(),
+            MachineConfig::cell_like(),
+        ] {
+            let mut cfg = machine;
+            cfg.residency = true;
+            cfg.partition = !merged;
+            let (sp, _) = warm_plan(kernel, params, &cfg, None, None)
+                .unwrap()
+                .expect("the mapping stages");
+            let res = sp.residency.as_ref().expect("residency planned");
+            let seq = sp.fixed.iter().position(|f| *f == res.seq_param).unwrap();
+            let blocks = sub_blocks(kernel, params, &sp.fixed);
+            assert!(!blocks.is_empty(), "{label}: no sub-block found");
+            let ext = |b: &[i64]| [params.as_slice(), b].concat();
+            let neighbour = |b: &[i64], step: i64| {
+                let mut n = b.to_vec();
+                n[seq] += step;
+                blocks.contains(&n).then(|| ext(&n))
+            };
+            for (id, rp) in &res.plans {
+                let buf = &sp.plan.buffers[*id];
+                let mc = sp.plan.movement.iter().find(|m| m.buffer == *id).unwrap();
+                for b in &blocks {
+                    let at = ext(b);
+                    let what = format!("{label} buffer {id} at {b:?}");
+                    if let Some(prev) = neighbour(b, -1) {
+                        let window =
+                            elements(&what, |f| for_each_move_in(mc, buf, &at, f).unwrap());
+                        let retained =
+                            elements(&what, |f| for_each_retained(rp, buf, &at, f).unwrap());
+                        let delta =
+                            elements(&what, |f| for_each_delta_in(rp, buf, &at, f).unwrap());
+                        assert!(retained.is_disjoint(&delta), "{what}: atom overlap");
+                        assert_eq!(&retained | &delta, window, "{what}: not the window");
+                        let before =
+                            elements(&what, |f| for_each_move_in(mc, buf, &prev, f).unwrap());
+                        assert!(
+                            retained.is_subset(&before),
+                            "{what}: retained, never loaded"
+                        );
+                        groups_checked += 1;
+                    }
+                    let out = elements(&what, |f| for_each_move_out(mc, buf, &at, f).unwrap());
+                    let flushed =
+                        elements(&what, |f| for_each_flush_delta(rp, buf, &at, f).unwrap());
+                    assert!(flushed.is_subset(&out), "{what}: flushes outside move-out");
+                    if let Some(next) = neighbour(b, 1) {
+                        let rewritten =
+                            elements(&what, |f| for_each_move_out(mc, buf, &next, f).unwrap());
+                        assert!(
+                            (&out - &flushed).is_subset(&rewritten),
+                            "{what}: skips an element the successor does not write"
+                        );
+                    }
+                }
+            }
+        }
+        // `carry` reads row `s - 1` only: consecutive windows are
+        // disjoint and nothing retains. Every other case must.
+        assert_eq!(
+            groups_checked == 0,
+            *label == "carry",
+            "{label}: {groups_checked} windows checked"
+        );
     }
 }

@@ -18,8 +18,8 @@
 //! constantly.
 //!
 //! The module also owns the polyhedral-core counters (cache hits and
-//! misses, Fourier–Motzkin rows generated and pruned, total wall-clock
-//! spent inside the core's entry points) surfaced through the
+//! misses, Fourier–Motzkin rows generated and pruned, feasibility tests
+//! run, total wall-clock spent inside the core's entry points) surfaced through the
 //! executor's pass profiler and the `polycore` bench, and the
 //! **naive-mode** toggle that reverts the core to its pre-optimization
 //! behaviour (fixed reverse elimination order, no pruning, FM-based
@@ -42,6 +42,7 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static FM_ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
 static FM_ROWS_PRUNED: AtomicU64 = AtomicU64::new(0);
 static CORE_NS: AtomicU64 = AtomicU64::new(0);
+static FEASIBILITY_TESTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Nesting depth of timed core entry points on this thread; only
@@ -97,6 +98,11 @@ pub struct PolyCoreStats {
     /// (projection, emptiness, bounds, enumeration, difference) since
     /// the last reset. Nested calls are counted once.
     pub core_ns: u64,
+    /// Constraint systems handed to a feasibility engine (capped FM,
+    /// simplex or the tightening FM oracle) because the constant / gcd
+    /// verdicts could not settle them — the unit of work behind
+    /// `difference`, which the projection and row counters do not see.
+    pub feasibility_tests: u64,
 }
 
 impl PolyCoreStats {
@@ -124,6 +130,7 @@ pub fn poly_core_stats() -> PolyCoreStats {
         fm_rows_generated: FM_ROWS_GENERATED.load(Ordering::Relaxed),
         fm_rows_pruned: FM_ROWS_PRUNED.load(Ordering::Relaxed),
         core_ns: CORE_NS.load(Ordering::Relaxed),
+        feasibility_tests: FEASIBILITY_TESTS.load(Ordering::Relaxed),
     }
 }
 
@@ -135,6 +142,7 @@ pub fn poly_core_reset() {
     FM_ROWS_GENERATED.store(0, Ordering::Relaxed);
     FM_ROWS_PRUNED.store(0, Ordering::Relaxed);
     CORE_NS.store(0, Ordering::Relaxed);
+    FEASIBILITY_TESTS.store(0, Ordering::Relaxed);
     if let Ok(mut map) = cache().write() {
         map.clear();
     }
@@ -149,6 +157,10 @@ pub(crate) fn count_fm_generated(n: usize) {
 
 pub(crate) fn count_fm_pruned(n: usize) {
     FM_ROWS_PRUNED.fetch_add(n as u64, Ordering::Relaxed);
+}
+
+pub(crate) fn count_feasibility_test() {
+    FEASIBILITY_TESTS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Force the core into (or out of) naive pre-optimization mode.

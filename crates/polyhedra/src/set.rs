@@ -590,6 +590,7 @@ impl Polyhedron {
                 }
             }
         }
+        cache::count_feasibility_test();
         let n_vars = self.n_dims() + self.n_params();
         if !cache::naive_mode() {
             if let Some(feasible) = Self::rows_feasible_fm_capped(rows, n_vars, FM_FEAS_CAP) {

@@ -9,11 +9,12 @@
 
 use polymem::core::smem::tune::{estimate, CostEstimate, MappingDesc};
 use polymem::core::smem::{DmaChannels, TransferDescriptor, TransferList};
-use polymem::ir::ArrayStore;
+use polymem::core::tiling::find_permutable_band;
+use polymem::ir::{init_random_store, random_program, ArrayStore};
 use polymem::kernels::tunespace;
 use polymem::machine::{
-    config_for, cost_constants, execute_blocked, structure_of, tune, warm_plan, DmaEngine,
-    MachineConfig, TuneOptions,
+    config_for, cost_constants, execute_blocked, generic_candidates, structure_of, tile_kernel,
+    tune, warm_plan, DmaEngine, MachineConfig, TuneCandidate, TuneOptions,
 };
 use proptest::prelude::*;
 
@@ -189,6 +190,69 @@ fn pruned_frontier_contains_the_simulated_optimum() {
             );
         }
     }
+}
+
+/// `polymem tune --random 2 --seed 3` used to exit with "no candidate
+/// simulated successfully": generated program 3 has a flow dependence
+/// of distance (1, 1), so its band is all-time and the outer loop is a
+/// space loop only by the pipeline rule. Mapping it onto the blocks of
+/// one round reads values a sibling block has not merged yet.
+#[test]
+fn pipelined_band_tunes_to_a_bit_exact_winner() {
+    let base = MachineConfig::geforce_8800_gtx();
+    let program = random_program(3);
+    let params = vec![16];
+    let band = find_permutable_band(&program).unwrap();
+    assert!(band.pipelined && band.parallel_loops().is_empty());
+    let p = program.clone();
+    let init = move |st: &mut ArrayStore| init_random_store(&p, st, 42);
+    let search = |cands: &[TuneCandidate], label: &str| {
+        let opts = TuneOptions {
+            exhaustive: true,
+            space_label: format!("props:random3:{label}"),
+            ..TuneOptions::default()
+        };
+        tune(&program, &params, &init, cands, &base, &opts)
+    };
+
+    // The derived space never spreads the pipelined loop over blocks,
+    // and every row it simulates is bit-exact.
+    let cands = generic_candidates(&program, &params, &base, &[2, 4, 8, 16]).unwrap();
+    assert!(cands
+        .iter()
+        .all(|c| !c.desc.block_dims.contains(&"iT".into())));
+    let out = search(&cands, "derived").expect("a bit-exact winner");
+    assert!(out.rows.iter().all(|r| r.simulated.is_none() || r.exact));
+    let honest = out.winner.clone();
+
+    // The mapping the parent derived: `i` tiled across blocks. It
+    // simulates cheaper than the honest winner and wrong, so it may
+    // never win — next to an exact row, or alone.
+    let racy_desc = MappingDesc {
+        tiles: vec![("i".into(), 2)],
+        round_dims: vec![],
+        block_dims: vec!["iT".into()],
+        thread_dims: vec!["i".into()],
+        ..honest.clone()
+    };
+    let racy = TuneCandidate {
+        kernel: tile_kernel(&program, &racy_desc).unwrap().unwrap(),
+        desc: racy_desc.clone(),
+        preset: false,
+    };
+    let mut both = vec![racy.clone()];
+    both.extend(cands.iter().filter(|c| c.desc == honest).cloned());
+    let out = search(&both, "both").expect("the exact row wins");
+    assert_eq!(out.winner, honest);
+    let row = out.rows.iter().find(|r| r.desc == racy_desc).unwrap();
+    assert!(!row.exact, "the racy mapping diverges from the reference");
+    assert!(row.simulated.unwrap() < out.winner_cycles);
+    let err = search(&[racy], "racy").expect_err("an inexact row cannot win");
+    assert!(
+        err.to_string()
+            .contains("1 simulated, 1 not bit-exact, 0 failed"),
+        "{err}"
+    );
 }
 
 proptest! {
