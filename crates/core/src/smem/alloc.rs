@@ -35,23 +35,17 @@ impl UnionBound {
     /// Lower bound of the union at concrete parameters
     /// (min over members).
     pub fn eval_lower(&self, params: &[i64]) -> Option<i64> {
-        self.lowers
-            .iter()
-            .map(|b| b.eval_lower(&[], params))
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .min()
+        let mut members = self.lowers.iter().map(|b| b.eval_lower(&[], params));
+        let first = members.next()??;
+        members.try_fold(first, |lo, v| Some(lo.min(v?)))
     }
 
     /// Upper bound of the union at concrete parameters
     /// (max over members).
     pub fn eval_upper(&self, params: &[i64]) -> Option<i64> {
-        self.uppers
-            .iter()
-            .map(|b| b.eval_upper(&[], params))
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .max()
+        let mut members = self.uppers.iter().map(|b| b.eval_upper(&[], params));
+        let first = members.next()??;
+        members.try_fold(first, |hi, v| Some(hi.max(v?)))
     }
 
     /// Extent `ub − lb + 1` at concrete parameters (0 if inverted).
@@ -216,17 +210,21 @@ pub struct LocalBuffer {
 }
 
 impl LocalBuffer {
+    /// The typed error of kept dim `k` having no bound at some
+    /// parameter value.
+    fn unbounded(&self, k: usize) -> SmemError {
+        SmemError::UnboundedBuffer {
+            array: self.array_name.clone(),
+            dim: self.kept_dims[k],
+        }
+    }
+
     /// The offset vector `g = (lb_1, …, lb_n)` at concrete parameters.
     pub fn offsets(&self, params: &[i64]) -> Result<Vec<i64>> {
         self.bounds
             .iter()
             .enumerate()
-            .map(|(k, b)| {
-                b.eval_lower(params).ok_or(SmemError::UnboundedBuffer {
-                    array: self.array_name.clone(),
-                    dim: self.kept_dims[k],
-                })
-            })
+            .map(|(k, b)| b.eval_lower(params).ok_or_else(|| self.unbounded(k)))
             .collect()
     }
 
@@ -235,22 +233,36 @@ impl LocalBuffer {
         self.bounds
             .iter()
             .enumerate()
-            .map(|(k, b)| {
-                b.extent(params).ok_or(SmemError::UnboundedBuffer {
-                    array: self.array_name.clone(),
-                    dim: self.kept_dims[k],
-                })
-            })
+            .map(|(k, b)| b.extent(params).ok_or_else(|| self.unbounded(k)))
             .collect()
+    }
+
+    /// [`offsets`](LocalBuffer::offsets) and
+    /// [`extents`](LocalBuffer::extents) into the caller's storage,
+    /// each bound evaluated once, and the words they span
+    /// ([`extent_words`]): an executor re-shapes the same register
+    /// frames at every thread key, and holds the size against its
+    /// capacity before it allocates anything of it.
+    pub fn shape_into(
+        &self,
+        params: &[i64],
+        offsets: &mut Vec<i64>,
+        extents: &mut Vec<i64>,
+    ) -> Result<u64> {
+        offsets.clear();
+        extents.clear();
+        for (k, b) in self.bounds.iter().enumerate() {
+            let ends = b.eval_lower(params).zip(b.eval_upper(params));
+            let (lo, hi) = ends.ok_or_else(|| self.unbounded(k))?;
+            offsets.push(lo);
+            extents.push(hi.saturating_sub(lo).saturating_add(1).max(0));
+        }
+        Ok(extent_words(extents))
     }
 
     /// Total words of the buffer (`Π extents`) at concrete parameters.
     pub fn size_words(&self, params: &[i64]) -> Result<u64> {
-        let mut total: u64 = 1;
-        for e in self.extents(params)? {
-            total = total.saturating_mul(e.max(0) as u64);
-        }
-        Ok(total)
+        Ok(extent_words(&self.extents(params)?))
     }
 
     /// Declaration text, e.g. `LA[19][10];` (constant extents) or
@@ -294,6 +306,15 @@ impl LocalBuffer {
         s.push(';');
         s
     }
+}
+
+/// Words of a buffer with these extents: their product, checked —
+/// past `u64` it saturates at `u64::MAX`, a size no capacity admits,
+/// never wraps to a small one.
+pub fn extent_words(extents: &[i64]) -> u64 {
+    extents
+        .iter()
+        .fold(1u64, |w, &e| w.saturating_mul(e.max(0) as u64))
 }
 
 /// Allocate the local buffer for a partition of references
@@ -442,6 +463,23 @@ mod tests {
         assert_eq!(buf.offsets(&[10]).unwrap(), vec![0]);
         assert_eq!(buf.extents(&[10]).unwrap(), vec![12]);
         assert_eq!(buf.size_words(&[10]).unwrap(), 12);
+        // The in-place shape is the same three answers, in storage
+        // that held another shape before.
+        let (mut offsets, mut extents) = (vec![9, 9], vec![9]);
+        assert_eq!(
+            buf.shape_into(&[10], &mut offsets, &mut extents).unwrap(),
+            12
+        );
+        assert_eq!((offsets, extents), (vec![0], vec![12]));
+    }
+
+    #[test]
+    fn sizes_saturate_instead_of_wrapping() {
+        assert_eq!(extent_words(&[3, 4, 5]), 60);
+        assert_eq!(extent_words(&[]), 1);
+        // 2^62 · 4 = 2^64: wraps `i64` to 0 and `u64` to 0.
+        assert_eq!(extent_words(&[1 << 62, 4]), u64::MAX);
+        assert_eq!(extent_words(&[i64::MAX, i64::MAX, 0]), 0);
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //! [`analyze_program_timed`]: super::analyze_program_timed
 
 use super::cache::parametrize_dims;
-use super::{analyze_program_timed, BufferId, Result, SmemConfig, SmemError, SmemPlan};
+use super::lowering::{lower_rows_onto, LoweredRow};
+use super::{analyze_program_timed, AccessId, BufferId, Result, SmemConfig, SmemError, SmemPlan};
 use polymem_ir::Program;
 use std::collections::HashMap;
 
@@ -112,13 +113,24 @@ impl ExtSource {
     /// thread key) instance: `level1` is the sub-block's
     /// `params ++ fixed values`, `threads` the key.
     pub fn assemble(sources: &[ExtSource], level1: &[i64], threads: &[i64]) -> Vec<i64> {
-        sources
-            .iter()
-            .map(|s| match *s {
-                ExtSource::Level1(j) => level1[j],
-                ExtSource::Thread(k) => threads[k],
-            })
-            .collect()
+        let mut out = Vec::with_capacity(sources.len());
+        ExtSource::assemble_into(sources, level1, threads, &mut out);
+        out
+    }
+
+    /// [`assemble`](ExtSource::assemble) into `out`'s storage: an
+    /// executor re-keys one vector at every thread-key change.
+    pub fn assemble_into(
+        sources: &[ExtSource],
+        level1: &[i64],
+        threads: &[i64],
+        out: &mut Vec<i64>,
+    ) {
+        out.clear();
+        out.extend(sources.iter().map(|s| match *s {
+            ExtSource::Level1(j) => level1[j],
+            ExtSource::Thread(k) => threads[k],
+        }));
     }
 }
 
@@ -162,6 +174,23 @@ impl HierPlan {
         }
         let sources = self.ext_sources(params.len());
         Some(ExtSource::assemble(&sources, &level1, threads))
+    }
+
+    /// The frame (level-2 buffer id) the access `id` is redirected
+    /// to, with its rewritten map `F'` lowered once over
+    /// `[kept1, params ++ ext values, 1]`: `kept1` are the dims the
+    /// level-1 instance cursor of the statement enumerates (its
+    /// original dim indices — the intra-thread subnest plus the thread
+    /// dims, whose values reach the rows through the parameter vector,
+    /// so their coefficients are 0). `None` for an access no frame
+    /// serves, or when `kept1` misses a dim the map reads. The local
+    /// index is the rows' value minus the frame's offsets `g` at the
+    /// thread key — [`LocalAccess::local_index`](super::LocalAccess)
+    /// without the per-point map application.
+    pub fn frame_rows(&self, id: AccessId, kept1: &[usize]) -> Option<(BufferId, Vec<LoweredRow>)> {
+        let la = self.plan.rewrites.get(&id)?;
+        let rows = lower_rows_onto(&la.map, self.kept_dims.get(id.stmt)?, kept1)?;
+        Some((la.buffer, rows))
     }
 
     /// Project a full-space iteration point of statement `stmt` down
@@ -486,5 +515,23 @@ mod tests {
         let ext = h.ext_params(&[8], &fx, &[2]).unwrap();
         // ext_names sorted: i, iT, jT, kT.
         assert_eq!(ext, vec![8, 2, 0, 0, 0]);
+        // The C frame's rewrite, lowered over the level-1 cursor's
+        // dims (i, j, k): the thread dim i has no column of its own,
+        // it arrives through `ext`.
+        let id = AccessId::write(0);
+        let (frame, rows) = h.frame_rows(id, &[3, 4, 5]).unwrap();
+        assert_eq!(h.plan.buffers[frame].array_name, "C");
+        assert!(rows.iter().all(|r| r.kcoef[0] == 0));
+        let raw: Vec<i64> = rows
+            .iter()
+            .map(|r| r.eval(&[2, 1, 3], &ext).unwrap())
+            .collect();
+        assert_eq!(raw, h.plan.rewrites[&id].map.apply(&[1, 3], &ext).unwrap());
+        // One thread's C frame is a row: only the j subscript is kept.
+        assert_eq!(raw, vec![1]);
+        // A cursor that does not enumerate k cannot carry it; B never
+        // got a frame.
+        assert!(h.frame_rows(AccessId::read(0, 1), &[3, 4]).is_none());
+        assert!(h.frame_rows(AccessId::read(0, 2), &[3, 4, 5]).is_none());
     }
 }

@@ -12,10 +12,9 @@
 //!   constant — exactly the column layout
 //!   [`parametrize_dims`](crate::smem::cache::parametrize_dims)
 //!   produces;
-//! * [`row_major_weights`] — the flattening weights of a row-major
-//!   array;
-//! * [`prove_flat`] — per block, collapse rows × weights into a base
-//!   offset and per-dim strides *and prove them safe*: every row must
+//! * [`prove_flat`] — per block (per thread key for a register
+//!   frame), collapse rows × row-major weights into a base offset and
+//!   per-dim strides *and prove them safe*: every row must
 //!   stay inside its target extent over the enumerated box, and every
 //!   partial sum of the strided walk must stay in `i64`. If any proof
 //!   fails the caller keeps a guarded (checked-per-point) path.
@@ -98,18 +97,32 @@ pub fn lower_rows(map: &AffineMap) -> Vec<LoweredRow> {
         .collect()
 }
 
-/// Row-major flattening weights of an array with the given extents:
-/// `weights[r] = Π extents[r+1..]`. `None` if any extent is negative
-/// or the array size overflows `i64`.
-pub fn row_major_weights(extents: &[i64]) -> Option<Vec<i64>> {
-    if extents.iter().any(|&e| e < 0) {
+/// [`lower_rows`] for a map whose inputs are the dims `from` of a
+/// wider enumeration over the dims `onto` (original dim indices, both
+/// ascending): coefficients land at their dim's position in `onto`,
+/// and the dims of `onto` the map does not read get 0. `None` when the
+/// map reads a dim `onto` does not enumerate.
+///
+/// This is how a register-frame access — affine in the intra-thread
+/// subnest, with the thread dims among its parameters — rides the
+/// level-1 instance cursor, which enumerates the thread dims too.
+pub fn lower_rows_onto(map: &AffineMap, from: &[usize], onto: &[usize]) -> Option<Vec<LoweredRow>> {
+    let at = from
+        .iter()
+        .map(|d| onto.iter().position(|o| o == d))
+        .collect::<Option<Vec<_>>>()?;
+    if at.len() != map.n_in() {
         return None;
     }
-    let mut w = vec![1i64; extents.len()];
-    for r in (0..extents.len().saturating_sub(1)).rev() {
-        w[r] = w[r + 1].checked_mul(extents[r + 1])?;
+    let mut rows = lower_rows(map);
+    for row in &mut rows {
+        let mut kcoef = vec![0i64; onto.len()];
+        for (&k, &c) in at.iter().zip(&row.kcoef) {
+            kcoef[k] = c;
+        }
+        row.kcoef = kcoef;
     }
-    Some(w)
+    Some(rows)
 }
 
 /// A proven strided address stream: the flat offset of the access at
@@ -128,26 +141,26 @@ pub struct FlatAffine {
 /// [`FlatAffine`] for one block.
 ///
 /// * `ext_params` — concrete extended parameter values for the block;
-/// * `extents`/`offsets` — the target storage's per-dim extents and
+/// * `extents`/`offsets` — the target storage's per-dim extents
+///   (flattened row-major: row `r` weighs `Π extents[r+1..]`) and
 ///   origin (`offsets = None` ⇒ all zero, the global-array case);
 /// * `boxes` — inclusive per-dim bounds of the enumerated dims,
 ///   covering every point the block will visit.
 ///
 /// Returns `None` (caller keeps a guarded path) unless it can prove,
 /// for every point in the box: each row lands inside
-/// `[offset_r, offset_r + extent_r)`, and every partial sum of
-/// `base + Σ strides[k]·p[k]` stays in `i64`. Per-row containment is
-/// what makes the flat offset equal the multi-index flattening — the
-/// final sum needs no separate range check.
+/// `[offset_r, offset_r + extent_r)`, every weight and every partial
+/// sum of `base + Σ strides[k]·p[k]` stays in `i64`. Per-row
+/// containment is what makes the flat offset equal the multi-index
+/// flattening — the final sum needs no separate range check.
 pub fn prove_flat(
     rows: &[LoweredRow],
     ext_params: &[i64],
-    weights: &[i64],
     extents: &[i64],
     offsets: Option<&[i64]>,
     boxes: &[(i64, i64)],
 ) -> Option<FlatAffine> {
-    if rows.len() != extents.len() || weights.len() != extents.len() {
+    if rows.len() != extents.len() {
         return None;
     }
     let n_dims = boxes.len();
@@ -161,7 +174,9 @@ pub fn prove_flat(
     }
     let mut base = 0i64;
     let mut strides = vec![0i64; n_dims];
-    for (r, row) in rows.iter().enumerate() {
+    // Innermost row first, so its weight is the running product.
+    let mut w = 1i64;
+    for (r, row) in rows.iter().enumerate().rev() {
         if row.kcoef.len() != n_dims {
             return None;
         }
@@ -172,11 +187,13 @@ pub fn prove_flat(
             return None;
         }
         // Fold this row into the flat base/strides.
-        let w = weights[r];
         let c0 = row.constant_at(ext_params)?.checked_sub(off_r)?;
         base = base.checked_add(w.checked_mul(c0)?)?;
         for (k, &c) in row.kcoef.iter().enumerate() {
             strides[k] = strides[k].checked_add(w.checked_mul(c)?)?;
+        }
+        if r > 0 {
+            w = w.checked_mul(extents[r])?;
         }
     }
     // No-overflow proof for the incremental walk: every partial sum
@@ -206,11 +223,37 @@ mod tests {
 
     #[test]
     fn weights_are_row_major() {
-        assert_eq!(row_major_weights(&[3, 4, 5]).unwrap(), vec![20, 5, 1]);
-        assert_eq!(row_major_weights(&[7]).unwrap(), vec![1]);
-        assert_eq!(row_major_weights(&[]).unwrap(), Vec::<i64>::new());
-        assert!(row_major_weights(&[2, i64::MAX, i64::MAX]).is_none());
-        assert!(row_major_weights(&[2, -1]).is_none());
+        // A[i][j][k] over a 3×4×5 array: strides 20, 5, 1.
+        let rows = [
+            row(&[1, 0, 0], &[], 0),
+            row(&[0, 1, 0], &[], 0),
+            row(&[0, 0, 1], &[], 0),
+        ];
+        let boxes = [(0i64, 2i64), (0, 3), (0, 4)];
+        let fa = prove_flat(&rows, &[], &[3, 4, 5], None, &boxes).unwrap();
+        assert_eq!((fa.base, fa.strides), (0, vec![20, 5, 1]));
+        // An inner-array size past i64 leaves the access guarded, and
+        // so does an extent no row can land inside.
+        let pin = [row(&[0], &[], 0), row(&[0], &[], 0), row(&[0], &[], 0)];
+        assert!(prove_flat(&pin, &[], &[2, i64::MAX, i64::MAX], None, &[(0, 0)]).is_none());
+        assert!(prove_flat(&pin[..2], &[], &[2, -1], None, &[(0, 0)]).is_none());
+    }
+
+    #[test]
+    fn rows_scatter_onto_a_wider_enumeration() {
+        use polymem_poly::Space;
+        // F(j, k) = (j + 2t, k + 1) with t a parameter, riding a cursor
+        // over dims (1: t, 3: j, 4: k): t's column is 0, it enters
+        // through the parameters.
+        let from = Space::new(["j", "k"], ["t"]);
+        let to = Space::new(["a", "b"], ["t"]);
+        let map = AffineMap::from_rows(from, to, &[&[1, 0, 2, 0], &[0, 1, 0, 1]]);
+        let rows = lower_rows_onto(&map, &[3, 4], &[1, 3, 4]).unwrap();
+        assert_eq!(rows[0], row(&[0, 1, 0], &[2], 0));
+        assert_eq!(rows[1], row(&[0, 0, 1], &[0], 1));
+        assert_eq!(rows[0].eval(&[9, 5, 6], &[7]), Some(5 + 14));
+        // A dim the cursor does not enumerate cannot be lowered.
+        assert!(lower_rows_onto(&map, &[3, 4], &[1, 3]).is_none());
     }
 
     #[test]
@@ -218,9 +261,8 @@ mod tests {
         // A[i+1][j+p] over i in 0..3, j in 0..4, extents 5×8, p = 2.
         let rows = [row(&[1, 0], &[0], 1), row(&[0, 1], &[1], 0)];
         let ext = [5i64, 8];
-        let w = row_major_weights(&ext).unwrap();
         let boxes = [(0i64, 3i64), (0i64, 4i64)];
-        let fa = prove_flat(&rows, &[2], &w, &ext, None, &boxes).unwrap();
+        let fa = prove_flat(&rows, &[2], &ext, None, &boxes).unwrap();
         for i in 0..=3 {
             for j in 0..=4 {
                 let flat = fa.base + fa.strides[0] * i + fa.strides[1] * j;
@@ -235,9 +277,8 @@ mod tests {
         // Local buffer with origin g = (2, 3): L[(i) - 2][(j) - 3].
         let rows = [row(&[1, 0], &[], 0), row(&[0, 1], &[], 0)];
         let ext = [4i64, 4];
-        let w = row_major_weights(&ext).unwrap();
         let boxes = [(2i64, 5i64), (3i64, 6i64)];
-        let fa = prove_flat(&rows, &[], &w, &ext, Some(&[2, 3]), &boxes).unwrap();
+        let fa = prove_flat(&rows, &[], &ext, Some(&[2, 3]), &boxes).unwrap();
         assert_eq!(fa.base + fa.strides[0] * 2 + fa.strides[1] * 3, 0);
         assert_eq!(fa.base + fa.strides[0] * 5 + fa.strides[1] * 6, 15);
     }
@@ -246,17 +287,15 @@ mod tests {
     fn out_of_extent_row_fails_the_proof() {
         // A[i+1] over i in 0..4 against extent 4: i = 3 lands at 4.
         let rows = [row(&[1], &[], 1)];
-        let w = row_major_weights(&[4]).unwrap();
-        assert!(prove_flat(&rows, &[], &w, &[4], None, &[(0, 3)]).is_none());
+        assert!(prove_flat(&rows, &[], &[4], None, &[(0, 3)]).is_none());
         // In-extent variant passes.
-        assert!(prove_flat(&rows, &[], &w, &[4], None, &[(0, 2)]).is_some());
+        assert!(prove_flat(&rows, &[], &[4], None, &[(0, 2)]).is_some());
     }
 
     #[test]
     fn overflow_in_any_step_fails_the_proof() {
         let rows = [row(&[i64::MAX / 2], &[], 0)];
-        let w = [1i64];
-        assert!(prove_flat(&rows, &[], &w, &[i64::MAX], None, &[(0, 4)]).is_none());
+        assert!(prove_flat(&rows, &[], &[i64::MAX], None, &[(0, 4)]).is_none());
     }
 
     #[test]
@@ -264,8 +303,7 @@ mod tests {
         // lo > hi: the block visits nothing, so even a wildly
         // out-of-extent row proves (it will never be evaluated).
         let rows = [row(&[1], &[], 1_000_000)];
-        let w = row_major_weights(&[4]).unwrap();
-        let fa = prove_flat(&rows, &[], &w, &[4], None, &[(3, 0)]);
+        let fa = prove_flat(&rows, &[], &[4], None, &[(3, 0)]);
         assert!(fa.is_some());
     }
 }

@@ -50,7 +50,7 @@ pub use descriptors::{
 };
 pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
-pub use lowering::{lower_rows, prove_flat, row_major_weights, FlatAffine, LoweredRow};
+pub use lowering::{lower_rows, lower_rows_onto, prove_flat, FlatAffine, LoweredRow};
 pub use movement::{MovementCode, WindowPieces};
 pub use residency::{plan_residency, ResidencyPlan, RetainPlan};
 pub use reuse::{ReuseDecision, DEFAULT_DELTA};

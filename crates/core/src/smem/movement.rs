@@ -222,15 +222,13 @@ pub fn for_each_scan(
     copy: &mut dyn FnMut(&[i64], &[i64]),
 ) -> Result<()> {
     let g = buffer.offsets(params)?;
+    let mut local = vec![0i64; g.len()];
     ast.for_each_point(params, &mut |_, y| {
         // y is the full global index; the local index keeps the
         // buffer's dims minus offsets.
-        let local: Vec<i64> = buffer
-            .kept_dims
-            .iter()
-            .zip(&g)
-            .map(|(&d, off)| y[d] - off)
-            .collect();
+        for ((l, &d), off) in local.iter_mut().zip(&buffer.kept_dims).zip(&g) {
+            *l = y[d] - off;
+        }
         copy(y, &local);
     });
     Ok(())

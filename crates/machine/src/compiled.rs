@@ -18,13 +18,19 @@
 //!   k-way merge of per-statement lexicographic cursors over the
 //!   shared bound cascade — no materialize + sort.
 //!
-//! Hierarchy (level-2 register-tile) plans execute here too: accesses
-//! the level-2 plan rewrites become *frame* targets, the k-way merge
-//! tracks thread-key change points, and frame fill/flush go through
-//! the exact [`stage_frames`]/[`flush_frames`] protocol the
-//! interpreter uses — so `smem_loads_saved`, `reg_bytes_moved`,
+//! Hierarchy (level-2 register-tile) plans execute here too, and a
+//! register frame is just another lowered target: the level-2 rewrite
+//! `F'(y) − g` lowers once per launch to rows over the same instance
+//! cursor (the thread dims reach it through the level-2 parameter
+//! vector), the k-way merge tracks thread-key change points, and at
+//! each one the frames switch through the exact
+//! [`stage_frames`]/[`flush_frames`] protocol the interpreter uses and
+//! every frame access is re-anchored against the staged frame's
+//! concrete extents and offsets — proven where the proof holds,
+//! guarded otherwise. So `smem_loads_saved`, `reg_bytes_moved`,
 //! `hier_groups` and the typed `RegisterOverflow` check are
-//! bit-identical between engines.
+//! bit-identical between engines, and frame statements batch like any
+//! other.
 //!
 //! With [`MachineConfig::vector_width`] > 1 the inner loop batches up
 //! to that many consecutive innermost-dim instances per dispatch when
@@ -42,15 +48,15 @@
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    budget_error, flush_frames, stage_frames, BlockedKernel, ExecStats, FrameSet, LaunchGrid,
-    LocalStore, StagingFlags,
+    budget_error, flush_frames, stage_frames, BlockedKernel, Buffer, ExecStats, FrameSet,
+    LaunchGrid, LocalStore, StagingFlags,
 };
 use crate::overlay::Overlay;
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::CostConstants;
 use polymem_core::smem::{
-    lower_rows, parametrize_dims, prove_flat, row_major_weights, AccessId, ExtSource, HierPlan,
-    LoweredRow, SmemPlan, SymbolicPlan,
+    lower_rows, parametrize_dims, prove_flat, AccessId, ExtSource, HierPlan, LoweredRow, SmemPlan,
+    SymbolicPlan,
 };
 use polymem_ir::{ArrayStore, BodyCode, IrError, Program, Statement};
 use polymem_poly::bounds::{all_param_bounds, bound_cascade, DimBounds};
@@ -61,8 +67,8 @@ use std::sync::Arc;
 /// The launch record: everything that depends only on the launch,
 /// built before any block worker runs and shared read-only by all of
 /// them. The launch itself (program, parameters, machine), the
-/// hoisted common-prefix depth matrix, global array extents and
-/// row-major weights, the compiled statement bodies — and the launch's
+/// hoisted common-prefix depth matrix, global array extents, the
+/// compiled statement bodies — and the launch's
 /// one *block shape*: every sub-block pins the same dims
 /// (round ∪ block ∪ seq), so the grid that enumerates them, the shared
 /// symbolic plan, the per-statement enumeration layout both engines
@@ -78,9 +84,6 @@ pub(crate) struct LaunchShared<'a> {
     pub common: Vec<Vec<usize>>,
     /// Concrete extents of every global array, in program order.
     pub ext: Vec<Vec<i64>>,
-    /// Row-major flattening weights per array (`None` if the array
-    /// size overflows `i64` — flat addressing then stays guarded).
-    pub weights: Vec<Option<Vec<i64>>>,
     /// Compiled statement bodies; `None` when compiled execution is
     /// off for the launch (the config flag, or a body that failed to
     /// compile to bytecode).
@@ -140,7 +143,6 @@ impl<'a> LaunchShared<'a> {
         for a in &program.arrays {
             ext.push(a.eval_extents(&program.params, params)?);
         }
-        let weights = ext.iter().map(|e| row_major_weights(e)).collect();
         let bodies: Option<Vec<BodyCode>> = config
             .compiled_exec
             .then(|| {
@@ -196,7 +198,6 @@ impl<'a> LaunchShared<'a> {
             config,
             common,
             ext,
-            weights,
             bodies,
             exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
@@ -225,15 +226,14 @@ pub(crate) enum Target {
     Global { array: usize },
     /// Scratchpad buffer of the block's [`LocalStore`].
     Local { buffer: usize },
-    /// Register frame of the level-2 plan: resolved per point through
-    /// the staged [`FrameSet`] (the access id keys
-    /// `HierPlan::plan.rewrites`). Never flat-lowered — frames are
-    /// tiny and re-anchor at every thread-key change.
-    Frame { id: AccessId },
+    /// Register frame (level-2 buffer id) of the staged [`FrameSet`],
+    /// re-anchored at every thread-key change.
+    Frame { buffer: usize },
 }
 
 /// One access of one statement, lowered to rows over
-/// `[kept dims, extended params, 1]`.
+/// `[kept dims, extended params, 1]` — for a frame target the level-2
+/// vector `params ++ ext values` of the staged thread key.
 #[derive(Clone, Debug)]
 pub(crate) struct AccTemplate {
     pub target: Target,
@@ -302,8 +302,8 @@ pub(crate) struct StmtStreams {
     /// The innermost kept dim is a level-2 thread dim — batching along
     /// it would straddle thread-key (frame staging) boundaries.
     pub vary_thread: bool,
-    pub reads: Vec<AccTemplate>,
-    pub write: AccTemplate,
+    /// The reads in statement order, then the write.
+    pub accs: Vec<AccTemplate>,
 }
 
 /// Lower every access of the parametrized program `sym` against the
@@ -332,12 +332,16 @@ fn lower_streams(
         let vary_thread =
             thread_pos.is_some_and(|pos| kept.last().is_some_and(|vd| pos.contains(vd)));
         let lower = |id: AccessId, array: usize, map: &polymem_poly::AffineMap| {
-            if hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
-                // Level-2 frame target: resolved per point against
-                // the staged FrameSet, nothing to flat-lower here.
-                return keyed.then(|| AccTemplate {
-                    target: Target::Frame { id },
-                    rows: Vec::new(),
+            if let Some(h) = hier.filter(|h| h.plan.rewrites.contains_key(&id)) {
+                // Level-2 frame target: `F'` over this cursor's dims
+                // and the level-2 vector (one entry more than the
+                // level-1 one per thread dim).
+                let (buffer, rows) = h.frame_rows(id, kept)?;
+                let n_ext2 = n_ext + h.thread_dims.len();
+                let fits = keyed && rows.iter().all(|r| r.pcoef.len() == n_ext2);
+                return fits.then_some(AccTemplate {
+                    target: Target::Frame { buffer },
+                    rows,
                 });
             }
             let (target, map) = match plan.and_then(|sp| sp.plan.rewrites.get(&id)) {
@@ -349,18 +353,17 @@ fn lower_streams(
                 rows: lower_rows(map),
             })
         };
-        let reads = ss
+        let mut accs = ss
             .reads
             .iter()
             .enumerate()
             .map(|(k, r)| lower(AccessId::read(si, k), r.array, &r.map))
             .collect::<Option<Vec<_>>>()?;
-        let write = lower(AccessId::write(si), ss.write.array, &ss.write.map)?;
+        accs.push(lower(AccessId::write(si), ss.write.array, &ss.write.map)?);
         stmts.push(StmtStreams {
             boxes: all_param_bounds(&ss.domain).ok()?,
             vary_thread,
-            reads,
-            write,
+            accs,
         });
     }
     Some(stmts)
@@ -385,7 +388,37 @@ struct AccInst<'s> {
     addr: Addr<'s>,
 }
 
-impl AccInst<'_> {
+impl<'s> AccInst<'s> {
+    /// Anchor the access `t` against its target's concrete storage: a
+    /// proven stream where [`prove_flat`] holds over `boxes`, the
+    /// guarded rows otherwise (and for a frame while no key is staged).
+    fn anchor(
+        t: &'s AccTemplate,
+        ep: &[i64],
+        launch: &LaunchShared,
+        tiles: &Tiles,
+        boxes: &[(i64, i64)],
+    ) -> AccInst<'s> {
+        let proven = match t.target {
+            Target::Global { array } => prove_flat(&t.rows, ep, &launch.ext[array], None, boxes),
+            tile => tiles
+                .at(tile, ep)
+                .and_then(|(b, ep)| prove_flat(&t.rows, ep, &b.extents, Some(&b.offsets), boxes)),
+        };
+        let addr = match proven {
+            Some(fa) => Addr::Proven {
+                base: fa.base,
+                part: vec![0; fa.strides.len()],
+                strides: fa.strides,
+            },
+            None => Addr::Guarded { rows: &t.rows },
+        };
+        AccInst {
+            target: t.target,
+            addr,
+        }
+    }
+
     /// Recompute the partial sums from depth `from` after a carry.
     /// Proven streams never overflow here (that is what the proof is).
     #[inline]
@@ -412,9 +445,7 @@ impl AccInst<'_> {
         }
     }
 
-    /// Stride of a proven stream along the innermost kept dim; frame
-    /// targets (guarded by construction) report 0 — their lane
-    /// addresses are resolved through the frame index instead.
+    /// Stride of a proven stream along the innermost kept dim.
     #[inline]
     fn vary_stride(&self) -> i64 {
         match &self.addr {
@@ -422,19 +453,80 @@ impl AccInst<'_> {
             Addr::Guarded { .. } => 0,
         }
     }
+
+    /// Flat offset of a proven stream at lane `l` of a batch along the
+    /// innermost kept dim.
+    #[inline]
+    fn lane(&self, l: usize) -> usize {
+        (self.offset() as i64 + self.vary_stride() * l as i64) as usize
+    }
+}
+
+/// The explicitly managed storage a sub-block's compute phase lands
+/// in: its scratchpad (present iff the launch stages) and the register
+/// frames of the current thread key.
+struct Tiles<'a> {
+    local: Option<&'a mut LocalStore>,
+    frames: FrameSet,
+}
+
+impl Tiles<'_> {
+    /// The buffer behind a scratchpad or frame target and the
+    /// parameter vector its rows evaluate under — `ep` for the
+    /// scratchpad, the staged key's level-2 vector for a frame. `None`
+    /// for a frame while no key is staged (and for a global target).
+    fn at<'t>(&'t self, t: Target, ep: &'t [i64]) -> Option<(&'t Buffer, &'t [i64])> {
+        match t {
+            Target::Global { .. } => None,
+            Target::Local { buffer } => Some((&self.local.as_deref()?.bufs[buffer], ep)),
+            Target::Frame { buffer } => {
+                Some((self.frames.frames.bufs.get(buffer)?, &self.frames.pp2))
+            }
+        }
+    }
 }
 
 struct StmtInst<'s> {
-    reads: Vec<AccInst<'s>>,
-    write: AccInst<'s>,
+    /// The reads in statement order, then the write.
+    accs: Vec<AccInst<'s>>,
 }
 
-impl StmtInst<'_> {
+impl<'s> StmtInst<'s> {
+    /// A new thread key's frames are staged: re-anchor the frame
+    /// accesses against their concrete extents and offsets.
+    fn rekey(
+        &mut self,
+        st: &'s StmtStreams,
+        ep: &[i64],
+        launch: &LaunchShared,
+        tiles: &Tiles,
+        boxes: &[(i64, i64)],
+    ) {
+        for (acc, t) in self.accs.iter_mut().zip(&st.accs) {
+            if matches!(t.target, Target::Frame { .. }) {
+                *acc = AccInst::anchor(t, ep, launch, tiles, boxes);
+            }
+        }
+    }
+
+    /// Batch eligibility: every access rides a proven stream.
+    fn proven(&self) -> bool {
+        let proven = |a: &AccInst| matches!(a.addr, Addr::Proven { .. });
+        self.accs.iter().all(proven)
+    }
+
     fn carry(&mut self, point: &[i64], from: usize) {
-        for acc in &mut self.reads {
+        for acc in &mut self.accs {
             acc.carry(point, from);
         }
-        self.write.carry(point, from);
+    }
+
+    fn reads(&self) -> &[AccInst<'s>] {
+        &self.accs[..self.accs.len() - 1]
+    }
+
+    fn write(&self) -> &AccInst<'s> {
+        self.accs.last().expect("a statement writes")
     }
 }
 
@@ -607,15 +699,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// `a` (statement `a_si` at its cursor's point) precedes `b` in
-/// interleaved source order: common-prefix dims first, then statement
-/// index. Distinct statements, so the order is strict.
-fn earlier(a_si: usize, a: &Cursor, b_si: usize, b: &Cursor, common: &[Vec<usize>]) -> bool {
-    earlier_pt(a_si, &a.full, b_si, b, common)
-}
-
-/// [`earlier`] against an explicit full-space point for `a` — the
-/// batcher probes run *endpoints* without moving the cursor.
+/// Statement `a_si` at the full-space point `a_full` precedes `b` (at
+/// its cursor's point) in interleaved source order: common-prefix dims
+/// first, then statement index. Distinct statements, so the order is
+/// strict. The point is explicit because the batcher probes run
+/// *endpoints* without moving the cursor.
 fn earlier_pt(a_si: usize, a_full: &[i64], b_si: usize, b: &Cursor, common: &[Vec<usize>]) -> bool {
     let c = common[a_si][b_si];
     match a_full[..c].cmp(&b.full[..c]) {
@@ -667,33 +755,31 @@ fn guarded_offset(
     Ok(flat as usize)
 }
 
-/// The flat offset of a scratchpad or global access at the cursor's
-/// `point`: a proven stream's current offset, or a guarded evaluation
-/// against the target's extents (`local` is the block's scratchpad,
-/// required for local targets).
+/// The flat offset of an access at the cursor's `point`: a proven
+/// stream's current offset, or a guarded evaluation against the
+/// target's extents.
 #[inline]
 fn flat_offset(
     acc: &AccInst,
     point: &[i64],
     ep: &[i64],
     launch: &LaunchShared,
-    local: Option<&LocalStore>,
+    tiles: &Tiles,
     scratch: &mut Vec<i64>,
 ) -> Result<usize> {
     let Addr::Guarded { rows } = &acc.addr else {
         return Ok(acc.offset());
     };
     match acc.target {
-        Target::Local { buffer } => {
-            let b = &local.expect("local target implies store").bufs[buffer];
-            let name = || format!("local buffer {buffer}");
-            guarded_offset(rows, point, ep, &b.extents, Some(&b.offsets), scratch, name)
-        }
         Target::Global { array } => {
             let name = || launch.program.arrays[array].name.clone();
             guarded_offset(rows, point, ep, &launch.ext[array], None, scratch, name)
         }
-        Target::Frame { .. } => unreachable!("frames resolve through the staged FrameSet"),
+        tile @ (Target::Local { buffer } | Target::Frame { buffer }) => {
+            let (b, ep) = tiles.at(tile, ep).expect("staged before its first access");
+            let name = || format!("local buffer {buffer}");
+            guarded_offset(rows, point, ep, &b.extents, Some(&b.offsets), scratch, name)
+        }
     }
 }
 
@@ -706,27 +792,8 @@ pub(crate) struct CompiledCounts {
     pub n_glob: u64,
 }
 
-/// Level-2 buffer id + frame index of a frame-target access at the
-/// full-space point `full` of statement `si`.
-fn frame_index(
-    id: AccessId,
-    si: usize,
-    full: &[i64],
-    h: &HierPlan,
-    pp2: &[i64],
-) -> Result<(usize, Vec<i64>)> {
-    let la = h
-        .plan
-        .rewrites
-        .get(&id)
-        .expect("frame target from rewrites");
-    let buf = &h.plan.buffers[la.buffer];
-    let proj = h.project_point(si, full);
-    Ok((la.buffer, la.local_index(buf, &proj, pp2)?))
-}
-
-/// Charge the counters for one read of `t` — exactly what the scalar
-/// path (and the interpreter) charges.
+/// Charge the counters for one read of `t` — exactly what the
+/// interpreter charges.
 fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
     match t {
         Target::Local { .. } => {
@@ -742,7 +809,7 @@ fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
 }
 
 /// Charge the counters for one write of `t` (frame writes are silent,
-/// like the interpreter's).
+/// like the interpreter's: they pay at flush).
 fn charge_write(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
     match t {
         Target::Local { .. } => {
@@ -757,54 +824,35 @@ fn charge_write(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
     }
 }
 
-/// Read (and charge) one proven access at lane `l` of a batch. Batch
-/// eligibility guarantees a proven stream, so the lane address is
-/// `offset + l·stride` — frame targets never reach here (they run
-/// scalar).
-fn read_at_lane(
-    acc: &AccInst,
-    l: usize,
-    local: Option<&LocalStore>,
-    overlay: &Overlay,
-    gdatas: &[&[i64]],
-    stats: &mut ExecStats,
-    counts: &mut CompiledCounts,
-) -> i64 {
-    charge_read(acc.target, stats, counts);
-    let off = (acc.offset() as i64 + acc.vary_stride() * l as i64) as usize;
-    match acc.target {
-        Target::Frame { .. } => unreachable!("frame statements are never batched"),
-        Target::Local { buffer } => {
-            local.expect("local target implies store").bufs[buffer].data[off]
-        }
+/// The element at the (proven or checked) flat offset `off` of `t`'s
+/// storage; the block's own buffered writes shadow the global store.
+#[inline]
+fn load_at(t: Target, off: usize, tiles: &Tiles, overlay: &Overlay, gdatas: &[&[i64]]) -> i64 {
+    match t {
         Target::Global { array } => match overlay.get(array, off) {
             Some(v) => v,
             None => gdatas[array][off],
         },
+        Target::Local { buffer } => {
+            let local = tiles.local.as_deref();
+            local.expect("local target implies store").bufs[buffer].data[off]
+        }
+        Target::Frame { buffer } => tiles.frames.frames.bufs[buffer].data[off],
     }
 }
 
-/// Store `value` through the write access at lane `l` of a batch —
-/// storage only, counters are charged separately (reduction batches
-/// charge per lane but store once).
-fn store_at_lane(
-    wacc: &AccInst,
-    l: usize,
-    value: i64,
-    local: &mut Option<&mut LocalStore>,
-    overlay: &mut Overlay,
-) {
-    let off = (wacc.offset() as i64 + wacc.vary_stride() * l as i64) as usize;
-    match wacc.target {
-        Target::Frame { .. } => unreachable!("frame statements are never batched"),
-        Target::Local { buffer } => {
-            local
-                .as_deref_mut()
-                .expect("local target implies store")
-                .bufs[buffer]
-                .data[off] = value;
-        }
+/// Store `value` at flat offset `off` of `t`'s storage — storage only,
+/// counters are charged separately (reduction batches charge per lane
+/// but store once).
+#[inline]
+fn store_at(t: Target, off: usize, value: i64, tiles: &mut Tiles, overlay: &mut Overlay) {
+    let local = tiles.local.as_deref_mut();
+    match t {
         Target::Global { array } => overlay.set(array, off, value),
+        Target::Local { buffer } => {
+            local.expect("local target implies store").bufs[buffer].data[off] = value;
+        }
+        Target::Frame { buffer } => tiles.frames.frames.bufs[buffer].data[off] = value,
     }
 }
 
@@ -822,19 +870,14 @@ fn collides(ro: i64, rs: i64, wo: i64, ws: i64, lanes: usize) -> bool {
 /// proven streams reach here, so the check is pure offset/stride
 /// arithmetic — no charges, no stores.
 fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool {
-    let w = &inst.write;
+    let w = inst.write();
     flags.clear();
-    flags.resize(inst.reads.len(), false);
+    flags.resize(inst.reads().len(), false);
     let (wo, ws) = (w.offset() as i64, w.vary_stride());
-    for (r, acc) in inst.reads.iter().enumerate() {
-        let same_cell = match (w.target, acc.target) {
-            (Target::Global { array: wa }, Target::Global { array }) => array == wa,
-            (Target::Local { buffer: wb }, Target::Local { buffer }) => buffer == wb,
-            // Distinct storage classes never alias (frames are
-            // per-thread copies and never batched anyway).
-            _ => false,
-        };
-        if !same_cell {
+    for (r, acc) in inst.reads().iter().enumerate() {
+        // Only the same array, scratchpad buffer or frame can alias:
+        // distinct storage classes hold distinct copies.
+        if acc.target != w.target {
             continue;
         }
         let (ro, rs) = (acc.offset() as i64, acc.vary_stride());
@@ -858,16 +901,16 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
 /// mirror the interpreter's.
 ///
 /// Hierarchy plans (`plan.hier`) execute here natively: the merge
-/// tracks each keyed statement's thread key and stages/flushes
-/// register frames through the interpreter's own
-/// [`stage_frames`]/[`flush_frames`] at exactly the key-change points
-/// the interpreter would hit, so every counter (and the typed
-/// `RegisterOverflow`) is bit-identical.
-pub(crate) fn run_compiled<'s>(
-    launch: &'s LaunchShared,
+/// tracks each keyed statement's thread key and switches the register
+/// frames through the interpreter's own [`stage_frames`] at exactly
+/// the key-change points the interpreter would hit, so every counter
+/// (and the typed `RegisterOverflow`) is bit-identical; every frame
+/// access is then re-anchored against the frames just staged.
+pub(crate) fn run_compiled(
+    launch: &LaunchShared,
     ep: &[i64],
     store: &ArrayStore,
-    mut local: Option<&mut LocalStore>,
+    local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
 ) -> Result<Option<CompiledCounts>> {
@@ -885,65 +928,32 @@ pub(crate) fn run_compiled<'s>(
             _ => return Ok(None),
         }
     }
-    let hier: Option<&HierPlan> = launch.hier().map(|(_, h)| h);
-    let lweights: Vec<Option<Vec<i64>>> = local
-        .as_deref()
-        .map(|l| {
-            l.bufs
-                .iter()
-                .map(|b| row_major_weights(&b.extents))
-                .collect()
-        })
-        .unwrap_or_default();
+    let thread_pos = |si: usize| {
+        launch
+            .hier()
+            .and_then(|(_, h)| h.stmt_thread_pos[si].as_deref())
+    };
+    let mut tiles = Tiles {
+        local,
+        frames: FrameSet::default(),
+    };
 
     // Instantiate address streams and cursors for every statement —
     // all soft-fallback exits happen in this phase, before any effect.
     let n_stmts = streams.len();
     let mut insts: Vec<StmtInst> = Vec::with_capacity(n_stmts);
     let mut cursors: Vec<Cursor> = Vec::with_capacity(n_stmts);
+    let mut boxes: Vec<Vec<(i64, i64)>> = Vec::with_capacity(n_stmts);
     for (st, layout) in streams.iter().zip(&launch.layouts) {
-        let mut boxes = Vec::with_capacity(st.boxes.len());
-        for b in &st.boxes {
-            match b.eval_range(&[], ep) {
-                Some(r) => boxes.push(r),
-                None => return Ok(None),
-            }
-        }
-        let make = |t: &'s AccTemplate| -> AccInst<'s> {
-            let proven = match t.target {
-                Target::Global { array } => launch.weights[array]
-                    .as_ref()
-                    .and_then(|w| prove_flat(&t.rows, ep, w, &launch.ext[array], None, &boxes)),
-                Target::Local { buffer } => {
-                    let l = local
-                        .as_deref()
-                        .expect("a staged launch passes its scratchpad");
-                    let b = &l.bufs[buffer];
-                    lweights[buffer].as_ref().and_then(|w| {
-                        prove_flat(&t.rows, ep, w, &b.extents, Some(&b.offsets), &boxes)
-                    })
-                }
-                // Frames re-anchor per thread key — always resolved
-                // through the staged FrameSet, never flat-proven.
-                Target::Frame { .. } => None,
-            };
-            let addr = match proven {
-                Some(fa) => Addr::Proven {
-                    base: fa.base,
-                    part: vec![0; fa.strides.len()],
-                    strides: fa.strides,
-                },
-                None => Addr::Guarded { rows: &t.rows },
-            };
-            AccInst {
-                target: t.target,
-                addr,
-            }
+        let at = |b: &DimBounds| b.eval_range(&[], ep);
+        let Some(bx) = st.boxes.iter().map(at).collect::<Option<Vec<_>>>() else {
+            return Ok(None);
         };
+        let anchor = |t| AccInst::anchor(t, ep, launch, &tiles, &bx);
         insts.push(StmtInst {
-            reads: st.reads.iter().map(make).collect(),
-            write: make(&st.write),
+            accs: st.accs.iter().map(anchor).collect(),
         });
+        boxes.push(bx);
         cursors.push(Cursor::new(layout, ep, budget));
     }
     let mut alive = vec![false; n_stmts];
@@ -959,22 +969,6 @@ pub(crate) fn run_compiled<'s>(
             insts[si].carry(&cursors[si].point, 0);
         }
     }
-
-    // Batch eligibility per statement: every access rides a proven
-    // flat address stream. Frame targets are always `Guarded` (they
-    // re-anchor per thread key), so frame-touching statements run
-    // scalar — their per-element cost is a register-file lookup the
-    // model already prices at zero, and resolving frame indices per
-    // lane costs more than lane-parallel evaluation saves.
-    let all_proven: Vec<bool> = insts
-        .iter()
-        .map(|inst| {
-            inst.reads
-                .iter()
-                .chain(std::iter::once(&inst.write))
-                .all(|a| matches!(a.addr, Addr::Proven { .. }))
-        })
-        .collect();
     let vw = config.vector_width.max(1) as usize;
 
     // K-way merge in interleaved source order.
@@ -990,7 +984,6 @@ pub(crate) fn run_compiled<'s>(
     let mut end_full_buf: Vec<i64> = Vec::new();
     let mut fp_buf: Vec<i64> = Vec::new();
     let mut flags_buf: Vec<bool> = Vec::new();
-    let mut cur_frames: Option<FrameSet> = None;
     loop {
         let mut best: Option<usize> = None;
         for si in 0..n_stmts {
@@ -1000,7 +993,7 @@ pub(crate) fn run_compiled<'s>(
             best = Some(match best {
                 None => si,
                 Some(b) => {
-                    if earlier(si, &cursors[si], b, &cursors[b], &launch.common) {
+                    if earlier_pt(si, &cursors[si].full, b, &cursors[b], &launch.common) {
                         si
                     } else {
                         b
@@ -1013,18 +1006,17 @@ pub(crate) fn run_compiled<'s>(
         // sequence of keys (hence the same hier_groups / traffic /
         // RegisterOverflow points) as the interpreter's loop, because
         // the merge emits instances in the identical order.
-        if let Some(h) = hier {
-            if let Some(key) = h.thread_key(si, &cursors[si].full) {
-                if cur_frames.as_ref().map(|fs| fs.key.as_slice()) != Some(key.as_slice()) {
-                    let ls = local
-                        .as_deref_mut()
-                        .expect("a staged launch passes its scratchpad");
-                    if let Some(fs) = cur_frames.take() {
-                        counts.n_smem += flush_frames(launch, &fs, ls, stats)?;
+        if let Some(pos) = thread_pos(si) {
+            let key = pos.iter().map(|&d| cursors[si].full[d]);
+            if !tiles.frames.key.iter().copied().eq(key.clone()) {
+                let ls = tiles.local.as_deref_mut();
+                let ls = ls.expect("a staged launch passes its scratchpad");
+                counts.n_smem += stage_frames(launch, &mut tiles.frames, key, ep, ls, stats)?;
+                for (sj, inst) in insts.iter_mut().enumerate() {
+                    inst.rekey(&streams[sj], ep, launch, &tiles, &boxes[sj]);
+                    if alive[sj] {
+                        inst.carry(&cursors[sj].point, 0);
                     }
-                    let (fs, dn) = stage_frames(launch, key, ep, ls, stats)?;
-                    counts.n_smem += dn;
-                    cur_frames = Some(fs);
                 }
             }
         }
@@ -1035,7 +1027,7 @@ pub(crate) fn run_compiled<'s>(
         // instances, clipped to the run, the domain, the budget, and
         // the source-order frontier of every other alive statement.
         let mut lanes = 1usize;
-        if vw > 1 && n > 0 && all_proven[si] && !st.vary_thread {
+        if vw > 1 && n > 0 && !st.vary_thread && insts[si].proven() {
             let cur = &cursors[si];
             let max_run = (cur.run_remaining() + 1).min(vw as i64).max(1) as usize;
             lanes = max_run.min(cur.budget_headroom().min(usize::MAX as u64) as usize + 1);
@@ -1076,10 +1068,12 @@ pub(crate) fn run_compiled<'s>(
             lanes = 1;
         }
 
+        let inst = &insts[si];
+        let wacc = inst.write();
         if lanes > 1 {
             let vd = layout.kept[n - 1];
             let base_full = &cursors[si].full;
-            let nr = insts[si].reads.len();
+            let nr = inst.reads().len();
             if flags_buf.iter().any(|&f| f) {
                 // Reduction: a read aliases the lane-invariant write
                 // cell. Chain the accumulator serially — scalar
@@ -1091,45 +1085,40 @@ pub(crate) fn run_compiled<'s>(
                 for l in 0..lanes {
                     fp_buf[vd] = base_full[vd] + l as i64;
                     reads_buf.clear();
-                    for (r, acc) in insts[si].reads.iter().enumerate() {
-                        let v = if flags_buf[r] && l > 0 {
-                            charge_read(acc.target, stats, &mut counts);
+                    for (r, acc) in inst.reads().iter().enumerate() {
+                        charge_read(acc.target, stats, &mut counts);
+                        reads_buf.push(if flags_buf[r] && l > 0 {
                             value
                         } else {
-                            read_at_lane(
-                                acc,
-                                l,
-                                local.as_deref(),
-                                overlay,
-                                &gdatas,
-                                stats,
-                                &mut counts,
-                            )
-                        };
-                        reads_buf.push(v);
+                            load_at(acc.target, acc.lane(l), &tiles, overlay, &gdatas)
+                        });
                     }
                     value = bodies[si]
                         .eval(&mut stack, &reads_buf, &fp_buf, params)
                         .map_err(MachineError::Ir)?;
-                    charge_write(insts[si].write.target, stats, &mut counts);
+                    charge_write(wacc.target, stats, &mut counts);
                 }
-                store_at_lane(&insts[si].write, lanes - 1, value, &mut local, overlay);
+                store_at(
+                    wacc.target,
+                    wacc.lane(lanes - 1),
+                    value,
+                    &mut tiles,
+                    overlay,
+                );
             } else {
                 // Streaming: gather slot-major, one lane-parallel body
                 // evaluation, scatter in lane order.
                 batch_reads.clear();
-                for acc in &insts[si].reads {
+                for acc in inst.reads() {
                     for l in 0..lanes {
-                        let v = read_at_lane(
-                            acc,
-                            l,
-                            local.as_deref(),
+                        charge_read(acc.target, stats, &mut counts);
+                        batch_reads.push(load_at(
+                            acc.target,
+                            acc.lane(l),
+                            &tiles,
                             overlay,
                             &gdatas,
-                            stats,
-                            &mut counts,
-                        );
-                        batch_reads.push(v);
+                        ));
                     }
                 }
                 if bodies[si]
@@ -1163,8 +1152,8 @@ pub(crate) fn run_compiled<'s>(
                     }
                 }
                 for (l, &v) in lane_vals.iter().enumerate() {
-                    charge_write(insts[si].write.target, stats, &mut counts);
-                    store_at_lane(&insts[si].write, l, v, &mut local, overlay);
+                    charge_write(wacc.target, stats, &mut counts);
+                    store_at(wacc.target, wacc.lane(l), v, &mut tiles, overlay);
                 }
             }
             stats.instances += lanes as u64;
@@ -1176,53 +1165,17 @@ pub(crate) fn run_compiled<'s>(
         } else {
             let cur = &cursors[si];
             reads_buf.clear();
-            for acc in &insts[si].reads {
+            for acc in inst.reads() {
                 charge_read(acc.target, stats, &mut counts);
-                let v = match acc.target {
-                    Target::Frame { id } => {
-                        let h = hier.expect("frame target implies hier");
-                        let fs = cur_frames.as_ref().expect("keyed statement staged frames");
-                        let (b, fidx) = frame_index(id, si, &cur.full, h, &fs.pp2)?;
-                        fs.frames.get(b, &fidx)?
-                    }
-                    Target::Local { buffer } => {
-                        let l = local.as_deref();
-                        let off = flat_offset(acc, &cur.point, ep, launch, l, &mut idx)?;
-                        l.expect("local target implies store").bufs[buffer].data[off]
-                    }
-                    Target::Global { array } => {
-                        let off = flat_offset(acc, &cur.point, ep, launch, None, &mut idx)?;
-                        match overlay.get(array, off) {
-                            Some(v) => v,
-                            None => gdatas[array][off],
-                        }
-                    }
-                };
-                reads_buf.push(v);
+                let off = flat_offset(acc, &cur.point, ep, launch, &tiles, &mut idx)?;
+                reads_buf.push(load_at(acc.target, off, &tiles, overlay, &gdatas));
             }
             let value = bodies[si]
                 .eval(&mut stack, &reads_buf, &cur.full, params)
                 .map_err(MachineError::Ir)?;
-            let wacc = &insts[si].write;
             charge_write(wacc.target, stats, &mut counts);
-            match wacc.target {
-                Target::Frame { id } => {
-                    let h = hier.expect("frame target implies hier");
-                    let fs = cur_frames.as_mut().expect("keyed statement staged frames");
-                    let (b, fidx) = frame_index(id, si, &cur.full, h, &fs.pp2)?;
-                    // Frame writes are silent — they pay at flush.
-                    fs.frames.set(b, &fidx, value)?;
-                }
-                Target::Local { buffer } => {
-                    let l = local.as_deref_mut().expect("local target implies store");
-                    let off = flat_offset(wacc, &cur.point, ep, launch, Some(l), &mut idx)?;
-                    l.bufs[buffer].data[off] = value;
-                }
-                Target::Global { array } => {
-                    let off = flat_offset(wacc, &cur.point, ep, launch, None, &mut idx)?;
-                    overlay.set(array, off, value);
-                }
-            }
+            let off = flat_offset(wacc, &cur.point, ep, launch, &tiles, &mut idx)?;
+            store_at(wacc.target, off, value, &mut tiles, overlay);
             stats.instances += 1;
             counts.n_inst += 1;
         }
@@ -1233,9 +1186,8 @@ pub(crate) fn run_compiled<'s>(
     }
     // The trailing frame set flushes after the last instance, exactly
     // like the interpreter's final flush.
-    if let Some(fs) = cur_frames.take() {
-        let ls = local.expect("a staged launch passes its scratchpad");
-        counts.n_smem += flush_frames(launch, &fs, ls, stats)?;
+    if let Some(ls) = tiles.local {
+        counts.n_smem += flush_frames(launch, &tiles.frames, ls, stats)?;
     }
     Ok(Some(counts))
 }

@@ -27,6 +27,7 @@ use crate::json::{counters_json, Json};
 use crate::overlay::{flatten, Overlay};
 use crate::trace::{PassKind, PassProfiler};
 use crate::{MachineError, Result};
+use polymem_core::smem::alloc::extent_words;
 use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
 use polymem_core::smem::residency::{for_each_delta_in, for_each_flush_delta, for_each_retained};
 use polymem_core::smem::{
@@ -40,7 +41,8 @@ use polymem_poly::bounds::{bound_cascade, DimBounds};
 use polymem_poly::count::enumerate_with_cascade;
 use polymem_poly::{Constraint, PolyError, Polyhedron};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A tiled program mapped onto the two-level machine.
@@ -709,8 +711,9 @@ fn warm(
 
 /// Execute a mapped kernel functionally.
 ///
-/// `parallel` runs each round's blocks on up to `config.n_outer`
-/// worker threads; results are bit-identical to sequential execution.
+/// `parallel` runs each round's blocks on a pool of
+/// `min(config.n_outer, host cores, blocks)` worker threads; results
+/// are bit-identical to sequential execution.
 pub fn execute_blocked(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -796,47 +799,65 @@ pub fn execute_blocked_seeded(
         };
 
         let results: Vec<(Overlay, ExecStats)> = if parallel && blocks.len() > 1 {
-            let workers = config.n_outer.max(1) as usize;
-            let mut out: Vec<Option<(Overlay, ExecStats)>> = vec![None; blocks.len()];
-            let err = std::sync::Mutex::new(None::<MachineError>);
-            std::thread::scope(|scope| {
-                let chunk = blocks.len().div_ceil(workers);
-                for (ci, (bchunk, ochunk)) in
-                    blocks.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-                {
-                    let err = &err;
-                    let run_block = &run_block;
-                    scope.spawn(move || {
-                        for (k, (b, o)) in bchunk.iter().zip(ochunk.iter_mut()).enumerate() {
-                            let block = ci * chunk + k;
-                            // A panicking worker (a compiler/executor bug,
-                            // or an injected fault) must surface as a typed
-                            // error, not abort the whole process.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if fault_block == Some(block) {
-                                        panic!("injected fault in block worker {block}");
-                                    }
-                                    run_block(b, block as u64)
-                                }));
-                            match outcome {
-                                Ok(Ok(r)) => *o = Some(r),
-                                Ok(Err(e)) => {
-                                    err.lock().unwrap().get_or_insert(e);
-                                    return;
-                                }
-                                Err(_) => {
-                                    err.lock()
-                                        .unwrap()
-                                        .get_or_insert(MachineError::WorkerPanicked { block });
-                                    return;
-                                }
-                            }
+            // A host-sized pool: one worker per core this process may
+            // use, never more than the machine has outer units or the
+            // round has blocks, each claiming the next block index
+            // from one shared counter (it publishes nothing: blocks
+            // are read-only and results come back through `join`).
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let workers = host.min(config.n_outer.max(1) as usize).min(blocks.len());
+            let claim = AtomicUsize::new(0);
+            let failed = Mutex::new(None::<(usize, MachineError)>);
+            let work = || {
+                let mut done = Vec::new();
+                loop {
+                    let block = claim.fetch_add(1, Ordering::Relaxed);
+                    let Some(coords) = blocks.get(block) else {
+                        break;
+                    };
+                    // A panicking worker (a compiler/executor bug, or
+                    // an injected fault) must surface as a typed
+                    // error, not abort the whole process.
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if fault_block == Some(block) {
+                            panic!("injected fault in block worker {block}");
                         }
-                    });
+                        run_block(coords, block as u64)
+                    }));
+                    let e = match outcome {
+                        Ok(Ok(r)) => {
+                            done.push((block, r));
+                            continue;
+                        }
+                        Ok(Err(e)) => e,
+                        Err(_) => MachineError::WorkerPanicked { block },
+                    };
+                    // Nobody claims past a failure. Indices are claimed
+                    // in order, so every earlier block still runs to
+                    // its end: the lowest failing index is the error
+                    // sequential execution stops at.
+                    claim.store(blocks.len(), Ordering::Relaxed);
+                    let mut first = failed.lock().expect("no worker panics under the lock");
+                    if first.as_ref().is_none_or(|(b, _)| block < *b) {
+                        *first = Some((block, e));
+                    }
+                    break;
+                }
+                done
+            };
+            let mut out: Vec<Option<(Overlay, ExecStats)>> = vec![None; blocks.len()];
+            std::thread::scope(|scope| {
+                let pool: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                for worker in pool {
+                    for (block, r) in worker.join().expect("workers catch their panics") {
+                        out[block] = Some(r);
+                    }
                 }
             });
-            if let Some(e) = err.into_inner().unwrap() {
+            if let Some((_, e)) = failed
+                .into_inner()
+                .expect("no worker panics under the lock")
+            {
                 return Err(e);
             }
             out.into_iter()
@@ -911,7 +932,7 @@ pub(crate) fn budget_error(e: polymem_poly::PolyError) -> MachineError {
 /// One buffer's storage: row-major `data` over `extents`, holding the
 /// global elements from `offsets` on. Scratchpad buffers, register
 /// frames and parked (§4.2) copies are all this.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Buffer {
     pub(crate) data: Vec<i64>,
     pub(crate) extents: Vec<i64>,
@@ -919,29 +940,14 @@ pub(crate) struct Buffer {
 }
 
 impl Buffer {
-    /// Zeroed storage for `b` at the extended params `ep`.
-    fn alloc(b: &LocalBuffer, ep: &[i64]) -> Result<Buffer> {
-        let extents = b.extents(ep)?;
-        let size: i64 = extents.iter().product::<i64>().max(0);
-        Ok(Buffer {
-            data: vec![0i64; size as usize],
-            offsets: b.offsets(ep)?,
-            extents,
-        })
-    }
-
-    /// Row-major position of the local index `idx`; `None` outside
-    /// the extents.
-    fn flat(&self, idx: &[i64]) -> Option<usize> {
-        flatten(idx, &self.extents)
-    }
-
+    /// The element at the local index `idx`; `None` outside the
+    /// extents.
     fn get(&self, idx: &[i64]) -> Option<i64> {
-        self.flat(idx).map(|f| self.data[f])
+        flatten(idx, &self.extents).map(|f| self.data[f])
     }
 
     fn set(&mut self, idx: &[i64], v: i64) -> Option<()> {
-        self.flat(idx).map(|f| self.data[f] = v)
+        flatten(idx, &self.extents).map(|f| self.data[f] = v)
     }
 }
 
@@ -955,22 +961,34 @@ fn out_of_bounds(array: String, idx: &[i64]) -> MachineError {
 
 /// Local scratchpad storage for one block (or the register frames of
 /// one thread key), indexed by buffer id.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct LocalStore {
     pub(crate) bufs: Vec<Buffer>,
 }
 
 impl LocalStore {
-    /// Storage for every buffer of `plan` at the extended params `ep`,
-    /// plus the total words.
-    fn alloc(plan: &SmemPlan, ep: &[i64]) -> Result<(LocalStore, u64)> {
-        let bufs = plan
-            .buffers
-            .iter()
-            .map(|b| Buffer::alloc(b, ep))
-            .collect::<Result<Vec<_>>>()?;
-        let words = bufs.iter().map(|b| b.data.len() as u64).sum();
-        Ok((LocalStore { bufs }, words))
+    /// Take the shape — extents and offsets, no storage — of every
+    /// buffer of `plan` at the extended params `ep`, in this store's
+    /// own vectors, and return the total words. The caller holds that
+    /// size against its capacity *before* [`zero`](LocalStore::zero)
+    /// allocates it: a shape a level cannot hold ends in that level's
+    /// typed overflow error with nothing of its size allocated.
+    fn reshape(&mut self, plan: &SmemPlan, ep: &[i64]) -> Result<u64> {
+        self.bufs.resize_with(plan.buffers.len(), Buffer::default);
+        let mut words = 0u64;
+        for (buf, b) in self.bufs.iter_mut().zip(&plan.buffers) {
+            words = words.saturating_add(b.shape_into(ep, &mut buf.offsets, &mut buf.extents)?);
+        }
+        Ok(words)
+    }
+
+    /// Zeroed storage for the current shape, reusing what this store
+    /// already owns (nothing of a previous shape's values survives).
+    fn zero(&mut self) {
+        for buf in &mut self.bufs {
+            buf.data.clear();
+            buf.data.resize(extent_words(&buf.extents) as usize, 0);
+        }
     }
 
     pub(crate) fn get(&self, buf: usize, idx: &[i64]) -> Result<i64> {
@@ -1254,6 +1272,8 @@ impl StagingFlags {
 /// per-movement-entry staging progress (with overlap on, entries of
 /// two live sub-tiles interleave).
 struct Staging {
+    /// Shaped by [`Block::prepare_sub_block`]; storage comes once the
+    /// footprint passed its capacity check.
     local: LocalStore,
     words: u64,
     /// Per movement entry: functional move-in already performed.
@@ -1335,15 +1355,17 @@ impl<'a> Block<'a> {
     }
 
     /// Evaluate the launch shape at the sub-block at grid coordinates
-    /// `coords` and allocate its local buffers. Footprint checks are
-    /// the caller's job (one footprint must be resident without
-    /// overlap, two with it).
+    /// `coords`: its parameter vector and the shape of its local
+    /// buffers. Footprint checks (one footprint must be resident
+    /// without overlap, two with it) and, after them, the storage
+    /// ([`LocalStore::zero`]) are the caller's job.
     fn prepare_sub_block(&mut self, coords: &[i64]) -> Result<SubBlock> {
         let pparams = self.launch.grid.pparams(coords);
         let staging = match self.launch.plan.as_deref() {
             Some(sp) => {
                 self.stats.plan_cache_hits += 1;
-                let (local, words) = LocalStore::alloc(&sp.plan, &pparams)?;
+                let mut local = LocalStore::default();
+                let words = local.reshape(&sp.plan, &pparams)?;
                 self.stats.max_smem_words = self.stats.max_smem_words.max(words);
                 Some(Staging {
                     local,
@@ -1453,10 +1475,10 @@ impl<'a> Block<'a> {
         // included.
         let mut retained = 0u64;
         if let Some((rp, prev)) = resident {
-            let origin = &prev.bufs[bi].offsets;
+            let (origin, mut at) = (&prev.bufs[bi].offsets, Vec::new());
             retained = copy_elements(
                 |f| for_each_retained(rp, buf, pparams, f),
-                |g, l| local.set(bi, l, prev.get(bi, &level1_index(buf, origin, g))?),
+                |g, l| local.set(bi, l, prev.get(bi, level1_index(buf, origin, g, &mut at))?),
             )?;
         }
         // Fetch what crosses the bus: the delta atoms, or the whole window.
@@ -1669,6 +1691,15 @@ fn hoist_shortcut_hits(launch: &LaunchShared, cur: &SubBlock, next: &SubBlock, m
     launch.flags.hoists[mi] && c.extents == n.extents && c.offsets == n.offsets
 }
 
+/// `(requested, available)` bytes when a footprint of `words` does not
+/// fit the scratchpad. `smem_bytes == 0` is no limit — for every size
+/// that exists: a word count that saturated is past any scratchpad.
+fn scratchpad_overflow(words: u64, config: &MachineConfig) -> Option<(u64, u64)> {
+    let requested = words.saturating_mul(config.word_bytes);
+    let limited = config.smem_bytes > 0 || words == u64::MAX;
+    (limited && requested > config.smem_bytes).then_some((requested, config.smem_bytes))
+}
+
 /// Execute the thread block at grid coordinates `coords`: the single
 /// sub-tile driver. Every schedule is this loop — per sub-tile `t`:
 /// stage what is left of `t`, prepare `t+1` (and, when overlap is
@@ -1711,10 +1742,6 @@ fn execute_one_block(
     // them); an unstaged or seq-less block is one sub-tile spanning it.
     let seqs = launch.grid.scan(2, coords)?;
     let n_move = launch.plan.as_deref().map(|sp| sp.plan.movement.len());
-    let overflows = |words: u64| {
-        (config.smem_bytes > 0 && words * config.word_bytes > config.smem_bytes)
-            .then_some((words * config.word_bytes, config.smem_bytes))
-    };
     let overlap = flags.overlap && seqs.len() > 1;
     // The lexicographic predecessor, kept alive past its move-out:
     // its scratchpad holds the newest value of every element (flushing
@@ -1728,11 +1755,17 @@ fn execute_one_block(
     let mut out_done = 0u64;
     for t in 0..seqs.len() {
         let cur_words = cur.staging.as_ref().map_or(0, |st| st.words);
-        if let Some((requested, available)) = overflows(cur_words) {
+        if let Some((requested, available)) = scratchpad_overflow(cur_words, config) {
             return Err(MachineError::ScratchpadOverflow {
                 requested,
                 available,
             });
+        }
+        // The footprint fits: only now does it get storage (under
+        // overlap every later sub-tile got its own below, when two
+        // footprints fitted, and may hold prefetched data by now).
+        if let Some(st) = cur.staging.as_mut().filter(|_| t == 0 || !overlap) {
+            st.local.zero();
         }
         // Stage whatever prefetching left of `t` (everything, when
         // overlap is off or `t` is the first sub-tile): the stale
@@ -1767,13 +1800,15 @@ fn execute_one_block(
         // start no earlier than `out_done`; and two footprints must be
         // resident at once.
         if let (true, Some(nx), Some(n_move)) = (overlap, next.as_mut(), n_move) {
-            let words = cur_words + nx.staging.as_ref().map_or(0, |st| st.words);
-            if let Some((requested, available)) = overflows(words) {
+            let st = nx.staging.as_mut().expect("staged");
+            let both = cur_words.saturating_add(st.words);
+            if let Some((requested, available)) = scratchpad_overflow(both, config) {
                 return Err(MachineError::DoubleBufferOverflow {
                     requested,
                     available,
                 });
             }
+            st.local.zero();
             let t0 = Instant::now();
             for mi in 0..n_move {
                 // Only read-only, dependence-free buffers the hoist
@@ -1836,13 +1871,17 @@ fn execute_one_block(
 }
 
 /// Register frames staged for one inner process (thread key) during a
-/// sub-block's compute phase. Shared by both engines: the interpreter
-/// and the compiled engine stage, serve and flush frames through the
-/// same functions, which is what keeps `smem_loads_saved`,
+/// sub-block's compute phase; one set serves every key of the phase,
+/// re-shaped and refilled in place. Shared by both engines: the
+/// interpreter and the compiled engine stage, serve and flush frames
+/// through the same functions, which is what keeps `smem_loads_saved`,
 /// `reg_bytes_moved`, `hier_groups` and the typed overflow check
 /// bit-identical between them.
+#[derive(Default)]
 pub(crate) struct FrameSet {
-    /// The thread-dim values the frames are staged for.
+    /// The thread-dim values the frames are staged for; empty while
+    /// nothing is staged (a register level has at least one thread
+    /// dim, so no key is).
     pub(crate) key: Vec<i64>,
     /// `params ++ ext values` at this key — the parameter vector every
     /// level-2 affine structure evaluates under.
@@ -1852,73 +1891,85 @@ pub(crate) struct FrameSet {
 }
 
 /// The local index of global array element `g` in buffer `buf1`
-/// (whose concrete offsets are `offsets1`): a level-1 buffer backing a
-/// register frame, or the predecessor's window residency re-bases
-/// from.
-fn level1_index(buf1: &LocalBuffer, offsets1: &[i64], g: &[i64]) -> Vec<i64> {
-    buf1.kept_dims
-        .iter()
-        .zip(offsets1)
-        .map(|(&d, &o)| g[d] - o)
-        .collect()
+/// (whose concrete offsets are `offsets1`), written into `idx`: a
+/// level-1 buffer backing a register frame, or the predecessor's
+/// window residency re-bases from.
+fn level1_index<'i>(
+    buf1: &LocalBuffer,
+    offsets1: &[i64],
+    g: &[i64],
+    idx: &'i mut Vec<i64>,
+) -> &'i [i64] {
+    idx.clear();
+    idx.extend(buf1.kept_dims.iter().zip(offsets1).map(|(&d, &o)| g[d] - o));
+    idx
 }
 
-/// Stage every register frame for one thread key of the sub-block at
-/// `pparams` (smem → reg move-in): allocate the frames at the key's
-/// concrete extents, enforce the register-file capacity at runtime
-/// (the plan-time gate only checked the representative block — frames
-/// can grow past it, e.g. on triangular domains), then run the level-2
-/// movement code against the backing level-1 buffers. Returns the
-/// staged set plus the scratchpad reads to charge the cycle model.
+/// Switch `fs` to the thread key `key` of the sub-block at `pparams`:
+/// flush the key it holds, then stage every register frame for the new
+/// one (smem → reg move-in) — shape the frames at the key's concrete
+/// extents, enforce the register-file capacity (the plan-time gate
+/// only checked the representative block — frames can grow past it,
+/// e.g. on triangular domains) before anything of that size is
+/// allocated, then run the level-2 movement code against the backing
+/// level-1 buffers. Returns the scratchpad accesses to charge the
+/// cycle model.
 pub(crate) fn stage_frames(
     launch: &LaunchShared,
-    key: Vec<i64>,
+    fs: &mut FrameSet,
+    key: impl Iterator<Item = i64>,
     pparams: &[i64],
-    local: &LocalStore,
+    local: &mut LocalStore,
     stats: &mut ExecStats,
-) -> Result<(FrameSet, u64)> {
+) -> Result<u64> {
+    let flushed = flush_frames(launch, fs, local, stats)?;
     let (plan1, h) = launch.hier().expect("frames stage under a level-2 plan");
-    let pp2 = ExtSource::assemble(&launch.hier_ext, pparams, &key);
-    let (mut frames, words) = LocalStore::alloc(&h.plan, &pp2)?;
+    fs.key.clear();
+    fs.key.extend(key);
+    ExtSource::assemble_into(&launch.hier_ext, pparams, &fs.key, &mut fs.pp2);
+    let words = fs.frames.reshape(&h.plan, &fs.pp2)?;
     if words > h.regs_per_inner {
         return Err(MachineError::RegisterOverflow {
             requested: words,
             available: h.regs_per_inner,
         });
     }
-    let mut n_smem = 0u64;
+    fs.frames.zero();
+    let (mut n_smem, mut idx1) = (0u64, Vec::new());
     for mc in &h.plan.movement {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
         let origin = &local.bufs[buf1.id].offsets;
+        let frames = &mut fs.frames;
         n_smem += copy_elements(
-            |f| for_each_move_in(mc, &h.plan.buffers[mc.buffer], &pp2, f),
+            |f| for_each_move_in(mc, &h.plan.buffers[mc.buffer], &fs.pp2, f),
             |g, l| {
-                frames.set(
-                    mc.buffer,
-                    l,
-                    local.get(buf1.id, &level1_index(buf1, origin, g))?,
-                )
+                let at = level1_index(buf1, origin, g, &mut idx1);
+                frames.set(mc.buffer, l, local.get(buf1.id, at)?)
             },
         )?;
     }
     stats.smem_reads += n_smem;
     stats.reg_bytes_moved += n_smem * launch.config.word_bytes;
     stats.hier_groups += 1;
-    Ok((FrameSet { key, pp2, frames }, n_smem))
+    Ok(flushed + n_smem)
 }
 
-/// Flush written register frames back to their level-1 buffers
-/// (reg → smem move-out) before the thread key changes or the compute
-/// phase ends. Read-only frames are dropped for free. Returns the
-/// scratchpad writes to charge the cycle model.
+/// Flush the written register frames of the key `fs` holds (none: a
+/// no-op) back to their level-1 buffers (reg → smem move-out) before
+/// the thread key changes or the compute phase ends. Read-only frames
+/// are dropped for free. Returns the scratchpad writes to charge the
+/// cycle model.
 pub(crate) fn flush_frames(
     launch: &LaunchShared,
     fs: &FrameSet,
     local: &mut LocalStore,
     stats: &mut ExecStats,
 ) -> Result<u64> {
+    if fs.key.is_empty() {
+        return Ok(0);
+    }
     let (plan1, h) = launch.hier().expect("frames flush under a level-2 plan");
-    let mut n_smem = 0u64;
+    let (mut n_smem, mut idx1) = (0u64, Vec::new());
     for mc in h
         .plan
         .movement
@@ -1926,15 +1977,11 @@ pub(crate) fn flush_frames(
         .filter(|mc| !mc.write_spaces.is_empty())
     {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
-        let origin = local.bufs[buf1.id].offsets.clone();
         n_smem += copy_elements(
             |f| for_each_move_out(mc, &h.plan.buffers[mc.buffer], &fs.pp2, f),
             |g, l| {
-                local.set(
-                    buf1.id,
-                    &level1_index(buf1, &origin, g),
-                    fs.frames.get(mc.buffer, l)?,
-                )
+                let at = level1_index(buf1, &local.bufs[buf1.id].offsets, g, &mut idx1);
+                local.set(buf1.id, at, fs.frames.get(mc.buffer, l)?)
             },
         )?;
     }
@@ -1974,7 +2021,7 @@ fn interpreted_compute(
     let (program, params) = (launch.program, launch.params);
     let source = launch.plan.as_deref();
     let hier: Option<&HierPlan> = source.and_then(|sp| sp.hier.as_ref());
-    let mut cur_frames: Option<FrameSet> = None;
+    let mut frames = FrameSet::default();
 
     let mut instances: Vec<(usize, Vec<i64>)> = Vec::new();
     for (si, l) in launch.layouts.iter().enumerate() {
@@ -2011,32 +2058,25 @@ fn interpreted_compute(
         // have no key and never touch frames (the thread-complete
         // gate dropped any group they could alias).
         if let Some(h) = hier {
-            if let Some(key) = h.thread_key(*si, point) {
-                if cur_frames.as_ref().map(|fs| &fs.key) != Some(&key) {
-                    let ls = local.as_deref_mut().expect("hier implies local store");
-                    if let Some(fs) = cur_frames.take() {
-                        n_smem += flush_frames(launch, &fs, ls, stats)?;
-                    }
-                    let (fs, dn) = stage_frames(launch, key, pparams, ls, stats)?;
-                    n_smem += dn;
-                    cur_frames = Some(fs);
-                }
+            if let Some(key) = h.thread_key(*si, point).filter(|key| *key != frames.key) {
+                let ls = local.as_deref_mut().expect("hier implies local store");
+                n_smem += stage_frames(launch, &mut frames, key.into_iter(), pparams, ls, stats)?;
             }
         }
+        // Frames serve accesses only once a key is staged.
+        let framed = hier.filter(|_| !frames.key.is_empty());
         let mut reads = Vec::with_capacity(stmt.reads.len());
         for (k, r) in stmt.reads.iter().enumerate() {
             let id = AccessId::read(*si, k);
             let mut staged = None;
             // Level-2 hit: serve the read from the register frame at
             // near-zero cost (no smem access in the cycle model).
-            if let (Some(h), Some(fs)) = (hier, cur_frames.as_ref()) {
-                if let Some(la) = h.plan.rewrites.get(&id) {
-                    let buf = &h.plan.buffers[la.buffer];
-                    let proj = h.project_point(*si, point);
-                    let idx = la.local_index(buf, &proj, &fs.pp2)?;
-                    stats.smem_loads_saved += 1;
-                    staged = Some(fs.frames.get(la.buffer, &idx)?);
-                }
+            if let Some((h, la)) = framed.and_then(|h| Some((h, h.plan.rewrites.get(&id)?))) {
+                let buf = &h.plan.buffers[la.buffer];
+                let proj = h.project_point(*si, point);
+                let idx = la.local_index(buf, &proj, &frames.pp2)?;
+                stats.smem_loads_saved += 1;
+                staged = Some(frames.frames.get(la.buffer, &idx)?);
             }
             if staged.is_none() {
                 if let Some(sp) = source {
@@ -2072,14 +2112,12 @@ fn interpreted_compute(
         let mut staged = false;
         // Level-2 hit: the write lands in the register frame and
         // reaches scratchpad once, at the next flush.
-        if let (Some(h), Some(fs)) = (hier, cur_frames.as_mut()) {
-            if let Some(la) = h.plan.rewrites.get(&wid) {
-                let buf = &h.plan.buffers[la.buffer];
-                let proj = h.project_point(*si, point);
-                let idx = la.local_index(buf, &proj, &fs.pp2)?;
-                fs.frames.set(la.buffer, &idx, value)?;
-                staged = true;
-            }
+        if let Some((h, la)) = framed.and_then(|h| Some((h, h.plan.rewrites.get(&wid)?))) {
+            let buf = &h.plan.buffers[la.buffer];
+            let proj = h.project_point(*si, point);
+            let idx = la.local_index(buf, &proj, &frames.pp2)?;
+            frames.frames.set(la.buffer, &idx, value)?;
+            staged = true;
         }
         if !staged {
             if let Some(sp) = source {
@@ -2109,9 +2147,8 @@ fn interpreted_compute(
     }
     // Final flush: the last thread key's written frames must reach
     // scratchpad before the sub-block's move-out runs.
-    if let Some(fs) = cur_frames.take() {
-        let ls = local.expect("hier implies local store");
-        n_smem += flush_frames(launch, &fs, ls, stats)?;
+    if let Some(ls) = local {
+        n_smem += flush_frames(launch, &frames, ls, stats)?;
     }
     Ok((n_inst, n_smem, n_glob))
 }
@@ -2544,12 +2581,10 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
-    #[test]
-    fn register_overflow_is_typed() {
-        // Triangular domain: the T frame holds row i's first i+1
-        // elements, so it grows past the representative (i = 0) size.
-        // The plan-time gate passes; the runtime check must trip with
-        // the typed error once a thread value no longer fits.
+    /// `Out[i][j] = T[i][j] + T[i][j]` over `j ≤ i`, one row per inner
+    /// process: the T frame holds row i's first i+1 elements, so it
+    /// changes extents with every thread key.
+    fn triangular_kernel() -> (Program, BlockedKernel) {
         let mut b = ProgramBuilder::new("tri", ["N"]);
         b.array("T", &[v("N"), v("N")]);
         b.array("Out", &[v("N"), v("N")]);
@@ -2572,6 +2607,16 @@ mod tests {
             thread_dims: vec!["i".into()],
             use_scratchpad: true,
         };
+        (p, k)
+    }
+
+    #[test]
+    fn register_overflow_is_typed() {
+        // A merged group's footprint outgrows the representative
+        // (i = 0) thread. The plan-time gate passes; the runtime
+        // check must trip with a typed error at the first thread
+        // value whose frames exceed the register file.
+        let (p, k) = triangular_kernel();
         let run = |regs: u64| {
             let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
             st.fill_with("T", |ix| ix[0] * 10 + ix[1]).unwrap();
@@ -2591,6 +2636,63 @@ mod tests {
             }
             other => panic!("expected RegisterOverflow, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_reused_frame_set_equals_a_fresh_one() {
+        let (_, k) = triangular_kernel();
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        cfg.hierarchy = true;
+        let params = [8i64];
+        let grid = launch_grid(&k, &params, &cfg, &k.program.stmts[0]).unwrap();
+        let rep = grid.representative(&k, &cfg);
+        let (sp, _) = warm(&k, &params, &cfg, &rep, None, None).unwrap();
+        let launch = LaunchShared::new(&k, &params, &cfg, grid, Some(sp.clone())).unwrap();
+        let mut local = LocalStore::default();
+        local.reshape(&sp.plan, &params).unwrap();
+        local.zero();
+        for buf in &mut local.bufs {
+            for (at, word) in buf.data.iter_mut().enumerate() {
+                *word = 100 + at as i64;
+            }
+        }
+        let stats = &mut ExecStats::default();
+        let stage = |fs: &mut FrameSet, key: i64, local: &mut LocalStore, stats: &mut _| {
+            stage_frames(&launch, fs, [key].into_iter(), &params, local, stats).unwrap()
+        };
+        // The 8-word row, scribbled over, then the 3-word row in the
+        // same storage: nothing of the larger frame survives.
+        let mut reused = FrameSet::default();
+        assert_eq!(stage(&mut reused, 7, &mut local, stats), 8);
+        for frame in &mut reused.frames.bufs {
+            frame.data.fill(-1);
+        }
+        assert_eq!(stage(&mut reused, 2, &mut local, stats), 3);
+        let mut fresh = FrameSet::default();
+        stage(&mut fresh, 2, &mut local, stats);
+        assert_eq!(reused.frames, fresh.frames);
+        assert_eq!((&reused.key, &reused.pp2), (&fresh.key, &fresh.pp2));
+        let row2 = &local.bufs[sp.hier.as_ref().unwrap().backing[0]].data[16..19];
+        assert_eq!(reused.frames.bufs[0].data, row2);
+    }
+
+    #[test]
+    fn sizes_are_checked_before_they_are_compared() {
+        // 2^62 · 4 wraps `i64` to 0: such a buffer used to be sized at
+        // zero words, pass every capacity check and come out mis-sized.
+        let words = extent_words(&[1 << 62, 4]);
+        assert_eq!(words, u64::MAX);
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        let available = cfg.smem_bytes;
+        assert_eq!(
+            scratchpad_overflow(words, &cfg),
+            Some((u64::MAX, available))
+        );
+        assert_eq!(scratchpad_overflow(available / cfg.word_bytes, &cfg), None);
+        // "No limit" admits every size that exists, not this one.
+        cfg.smem_bytes = 0;
+        assert_eq!(scratchpad_overflow(words, &cfg), Some((u64::MAX, 0)));
+        assert_eq!(scratchpad_overflow(1 << 40, &cfg), None);
     }
 
     #[test]

@@ -13,13 +13,24 @@
 //! `RegisterOverflow` surfaces identically from both engines, and
 //! another that the index map a launch assembles level-2 parameter
 //! vectors through agrees with a by-name lookup at every thread key.
+//!
+//! The compiled engine serves a frame access from an address stream
+//! lowered once per launch and re-anchored per thread key; the last
+//! group pins that *the stream is the index*: on the built-ins on
+//! every registered machine, on the randomised programs and on a
+//! triangular domain, proven or guarded, it lands where the
+//! interpreter's `LocalAccess::local_index` lands at every instance.
 
-use polymem_core::smem::ExtSource;
+use polymem_core::smem::{parametrize_dims, prove_flat, ExtSource};
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{exec_program, ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
+use polymem_kernels::builtins::{launch, BUILTINS};
 use polymem_kernels::{matmul, me};
-use polymem_machine::{execute_blocked, warm_plan, BlockedKernel, MachineConfig, MachineError};
+use polymem_machine::{
+    desc, execute_blocked, warm_plan, BlockedKernel, LaunchToggles, MachineConfig, MachineError,
+};
+use polymem_poly::bounds::all_param_bounds;
 use polymem_poly::count::enumerate_points;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -219,23 +230,166 @@ proptest! {
         prop_assert_eq!(s_compiled.fallback.total(), 0);
         prop_assert_eq!(s_compiled.compiled_blocks > 0, true);
         prop_assert_eq!(s_interp.compiled_blocks, 0);
+        // And the frame streams it rode are the interpreter's indices.
+        frame_streams_are_the_index(&k, &[n], &cfg);
     }
 }
 
+/// Row-major position of `idx` in a buffer of `extents`.
+fn flatten(idx: &[i64], extents: &[i64]) -> i64 {
+    assert_eq!(idx.len(), extents.len());
+    idx.iter().zip(extents).fold(0, |flat, (&i, &e)| {
+        assert!((0..e).contains(&i), "{idx:?} outside {extents:?}");
+        flat * e + i
+    })
+}
+
+/// At every statement instance of the launch, each frame access's
+/// lowered rows — evaluated the guarded way, and through the proven
+/// stream wherever `prove_flat` holds at that thread key — give the
+/// flat position of `LocalAccess::local_index` in the frame staged for
+/// the key. These are the functions (and the arguments) the compiled
+/// engine re-anchors with. Returns how many `(instance, access)` pairs
+/// rode a proven stream and how many a guarded one; `(0, 0)` when the
+/// launch plans no register level.
+fn frame_streams_are_the_index(
+    kernel: &BlockedKernel,
+    params: &[i64],
+    cfg: &MachineConfig,
+) -> (u64, u64) {
+    let Some((sp, _)) = warm_plan(kernel, params, cfg, None, None).unwrap() else {
+        return (0, 0);
+    };
+    let Some(h) = sp.hier.as_ref() else {
+        return (0, 0);
+    };
+    let sym = parametrize_dims(&kernel.program, &sp.fixed).unwrap();
+    let sources = h.ext_sources(params.len());
+    let (mut proven, mut guarded) = (0u64, 0u64);
+    for (si, stmt) in kernel.program.stmts.iter().enumerate() {
+        let kept1 = &sp.kept_dims[si];
+        let lowered: Vec<_> = h
+            .plan
+            .rewrites
+            .iter()
+            .filter(|(id, _)| id.stmt == si)
+            .map(|(id, la)| (la, h.frame_rows(*id, kept1).expect("frame access lowers")))
+            .collect();
+        let boxes = all_param_bounds(&sym.stmts[si].domain).unwrap();
+        let dims = stmt.domain.space().dims();
+        let dom = stmt.domain.substitute_params(params).unwrap();
+        enumerate_points(&dom, 1 << 20, &mut |p| {
+            let Some(key) = h.thread_key(si, p) else {
+                assert!(lowered.is_empty(), "an unkeyed statement reads frames");
+                return;
+            };
+            let at = |name: &String| p[dims.iter().position(|d| d == name).unwrap()];
+            let fixed: HashMap<String, i64> = sp.fixed.iter().map(|n| (n.clone(), at(n))).collect();
+            let level1 = sp.ext_params(params, &fixed).unwrap();
+            let pp2 = ExtSource::assemble(&sources, &level1, &key);
+            let point1: Vec<i64> = kept1.iter().map(|&d| p[d]).collect();
+            let boxes: Vec<(i64, i64)> = boxes
+                .iter()
+                .map(|b| b.eval_range(&[], &level1).expect("bounded box"))
+                .collect();
+            for (la, (buffer, rows)) in &lowered {
+                assert_eq!(*buffer, la.buffer);
+                let frame = &h.plan.buffers[la.buffer];
+                let (extents, offsets) =
+                    (frame.extents(&pp2).unwrap(), frame.offsets(&pp2).unwrap());
+                let index = la
+                    .local_index(frame, &h.project_point(si, p), &pp2)
+                    .unwrap();
+                let want = flatten(&index, &extents);
+                let rel: Vec<i64> = rows
+                    .iter()
+                    .zip(&offsets)
+                    .map(|(row, o)| row.eval(&point1, &pp2).unwrap() - o)
+                    .collect();
+                assert_eq!(rel, index, "guarded rows at {p:?}");
+                match prove_flat(rows, &pp2, &extents, Some(&offsets), &boxes) {
+                    Some(fa) => {
+                        let strided = fa.strides.iter().zip(&point1).map(|(s, x)| s * x);
+                        assert_eq!(
+                            fa.base + strided.sum::<i64>(),
+                            want,
+                            "proven stream at {p:?}"
+                        );
+                        proven += 1;
+                    }
+                    None => guarded += 1,
+                }
+            }
+        })
+        .unwrap();
+    }
+    (proven, guarded)
+}
+
+/// The five built-ins on every registered machine: wherever the launch
+/// plans a register level the streams are the index *and proven* (so
+/// frame statements batch), and every `ExecStats` counter — not only
+/// `modeled_cycles` — is the interpreter's at every vector width.
 #[test]
-fn register_overflow_is_typed_in_both_engines() {
-    // Triangular domain: the T frame holds row i's first i+1 elements,
-    // so a merged group's footprint outgrows the representative
-    // (i = 0) thread. The plan-time gate passes; both engines must
-    // trip the identical typed runtime check at the same thread value.
+fn builtin_frame_streams_are_proven_and_width_blind() {
+    let mut register_launches = 0;
+    for machine in desc::NAMES {
+        let base = desc::lookup(machine).expect("registered").config();
+        for b in &BUILTINS {
+            let width = |vector_width, compiled_exec| {
+                let toggles = LaunchToggles {
+                    vector_width,
+                    compiled_exec,
+                    ..LaunchToggles::default()
+                };
+                let l = launch(b.name, 16, &base, &toggles, false).expect("built-in");
+                let mut st = l.seeded_store(7).unwrap();
+                let stats = execute_blocked(&l.kernel, &l.params, &mut st, &l.config, false)
+                    .unwrap_or_else(|e| panic!("{}/{machine}: {e}", b.name));
+                (l, stats)
+            };
+            let (l, interpreted) = width(None, false);
+            let (proven, guarded) = frame_streams_are_the_index(&l.kernel, &l.params, &l.config);
+            assert_eq!(
+                guarded, 0,
+                "{}/{machine}: a rectangular tile's frames prove",
+                b.name
+            );
+            assert_eq!(
+                proven > 0,
+                interpreted.hier_groups > 0,
+                "{}/{machine}",
+                b.name
+            );
+            register_launches += u32::from(proven > 0);
+            for vw in [1, 2, 4, 8] {
+                let (_, compiled) = width(Some(vw), true);
+                assert_eq!(compiled, interpreted, "{}/{machine} at width {vw}", b.name);
+                assert_eq!(compiled.fallback.total(), 0, "{}/{machine}", b.name);
+            }
+        }
+    }
+    assert!(
+        register_launches >= 6,
+        "only {register_launches} launches plan a register level"
+    );
+}
+
+/// `Out[i][j] = T[i][j] + T[i][j]` over the rows of a triangle, one
+/// row per inner process: `j` runs over `[0, i]` (`grow`: the T frame
+/// gains a word per key) or `[i, N − 1]` (it loses one, and its origin
+/// moves).
+fn triangle(grow: bool) -> (Program, BlockedKernel) {
+    let (lo, hi) = if grow {
+        (LinExpr::c(0), v("i"))
+    } else {
+        (v("i"), v("N") - 1)
+    };
     let mut b = ProgramBuilder::new("tri", ["N"]);
     b.array("T", &[v("N"), v("N")]);
     b.array("Out", &[v("N"), v("N")]);
     b.stmt("S")
-        .loops(&[
-            ("i", LinExpr::c(0), v("N") - 1),
-            ("j", LinExpr::c(0), v("i")),
-        ])
+        .loops(&[("i", LinExpr::c(0), v("N") - 1), ("j", lo, hi)])
         .write("Out", &[v("i"), v("j")])
         .read("T", &[v("i"), v("j")])
         .read("T", &[v("i"), v("j")])
@@ -250,6 +404,54 @@ fn register_overflow_is_typed_in_both_engines() {
         thread_dims: vec!["i".into()],
         use_scratchpad: true,
     };
+    (p, k)
+}
+
+/// Frames that change extents between keys stay exact: where the
+/// context-free box of `j` over-approximates the row the key owns the
+/// stream falls back to guarded (every key but the full-length row),
+/// and one frame set re-shaped in place — growing or shrinking —
+/// serves every key with nothing of the previous key's values in it.
+#[test]
+fn triangular_frames_stay_exact_and_fall_back_to_guarded() {
+    for grow in [true, false] {
+        let (p, k) = triangle(grow);
+        let mut cfg = MachineConfig::geforce_8800_gtx();
+        cfg.hierarchy = true;
+        cfg.regs_per_inner = 64;
+        let (proven, guarded) = frame_streams_are_the_index(&k, &[8], &cfg);
+        // Two reads per instance; only the 8-word row proves.
+        assert_eq!((proven, guarded), (2 * 8, 2 * 28), "grow={grow}");
+
+        let fresh = || {
+            let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
+            st.fill_with("T", |ix| ix[0] * 10 + ix[1] + 1).unwrap();
+            st
+        };
+        let mut reference = fresh();
+        exec_program(&p, &[8], &mut reference).unwrap();
+        let mut stats = Vec::new();
+        for (compiled, vw) in [(false, 1), (true, 1), (true, 4)] {
+            cfg.compiled_exec = compiled;
+            cfg.vector_width = vw;
+            let mut st = fresh();
+            stats.push(execute_blocked(&k, &[8], &mut st, &cfg, false).unwrap());
+            assert_eq!(st.data("Out").unwrap(), reference.data("Out").unwrap());
+        }
+        assert_eq!(stats[0].hier_groups, 8, "one frame set per row");
+        assert_eq!(stats[0].smem_loads_saved, 2 * 36);
+        assert_eq!(stats[1], stats[0], "grow={grow}");
+        assert_eq!(stats[2], stats[0], "grow={grow}");
+    }
+}
+
+#[test]
+fn register_overflow_is_typed_in_both_engines() {
+    // Triangular domain: the T frame holds row i's first i+1 elements,
+    // so a merged group's footprint outgrows the representative
+    // (i = 0) thread. The plan-time gate passes; both engines must
+    // trip the identical typed runtime check at the same thread value.
+    let (p, k) = triangle(true);
     let run = |regs: u64, compiled: bool| {
         let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
         st.fill_with("T", |ix| ix[0] * 10 + ix[1]).unwrap();
