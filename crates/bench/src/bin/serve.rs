@@ -16,6 +16,9 @@
 //!   latency must cut the cold compiler-inclusive latency by ≥ 5× on
 //!   ME and Jacobi-2D (reported always, gated outside `--smoke`);
 //!   sustained throughput is measured over the whole phase;
+//! * **transport** — warm `ping` round trips on the client's clock:
+//!   the median must stay under 5 ms in both modes (`ping_p50_ms`; a
+//!   reply that waits for a delayed ACK reads >= 40 ms);
 //! * **restart phase** — a protocol `shutdown`, then a brand-new
 //!   daemon on the same store directory: the first request must hit
 //!   the on-disk artifact (`plan_source: "artifact"`) with zero
@@ -39,6 +42,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 
 const MACHINES: [&str; 2] = ["gpu", "cell"];
+/// Timed warm pings, and the bound on their median round trip.
+const PINGS: usize = 21;
+const PING_GATE_MS: f64 = 5.0;
 
 /// One line-delimited JSON connection to the daemon.
 struct Client {
@@ -325,6 +331,27 @@ fn main() {
         failures.push("warm phase produced no LRU hits".into());
     }
 
+    // Transport gate on the client's clock: a warm ping round trip.
+    let ping_p50_ms = {
+        let mut c = Client::connect(addr);
+        c.request(&command("ping"));
+        let mut ms: Vec<f64> = (0..PINGS)
+            .map(|_| {
+                let t0 = Instant::now();
+                c.request(&command("ping"));
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[PINGS / 2]
+    };
+    println!("  warm ping round trip p50 {ping_p50_ms:.3} ms (gate < {PING_GATE_MS} ms)");
+    if ping_p50_ms >= PING_GATE_MS {
+        failures.push(format!(
+            "warm ping p50 {ping_p50_ms:.3} ms >= {PING_GATE_MS} ms"
+        ));
+    }
+
     // Latency gate: a warm hit must cut the compiler-inclusive
     // latency >= 5x on the paper's two headline kernels (GPU model).
     let target = 5.0;
@@ -426,6 +453,7 @@ fn main() {
         ("size", size.into()),
         ("cases", cases.into()),
         ("throughput_rps", Json::fixed(throughput, 1)),
+        ("ping_p50_ms", Json::fixed(ping_p50_ms, 3)),
         ("warm_hit_ratio", Json::fixed(warm_hit_ratio, 4)),
         (
             "restart",

@@ -41,10 +41,17 @@
 //! in-process `execute_blocked` of the same launch), `plan_source`
 //! (`seeded` | `artifact` | `fresh` | `none`), wall-clock `elapsed_ns`
 //! and the §3 `analysis_ns` actually spent compiling (zero on seed and
-//! artifact hits).
+//! artifact hits). `stats` adds the per-phase ledger (`phases`, see
+//! [`crate::ledger`]).
+//!
+//! Each reply line leaves in one write on a `TCP_NODELAY` socket: a
+//! reply split across writes would park its tail behind Nagle until
+//! the client's delayed ACK (~40 ms on Linux). Clients should likewise
+//! send each request line in one write.
 //!
 //! [`ArtifactStore`]: polymem_core::smem::ArtifactStore
 
+use crate::ledger::{Laps, Ledger, Phase};
 use crate::lru::PlanLru;
 use crate::workload;
 use crate::Json;
@@ -52,7 +59,7 @@ use polymem_kernels::builtins::{launch, Launch};
 use polymem_machine::{
     execute_blocked_seeded, plan_artifact_key, warm_plan, LaunchToggles, PassProfiler, PlanSource,
 };
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -60,7 +67,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Reject request lines longer than this (a hostile client must not
-/// grow the line buffer without bound).
+/// grow the line buffer without bound): the read stops one byte past
+/// it, answers a usage error and closes the connection.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration.
@@ -140,6 +148,21 @@ struct Shared {
     stop: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
+    ledger: Ledger,
+    addr: SocketAddr,
+    threads: usize,
+}
+
+impl Shared {
+    /// Stop the daemon: raise `stop`, then wake every worker parked in
+    /// `accept()` with one connection each (a worker serving a
+    /// connection notices `stop` at its next read timeout).
+    fn stop_and_wake(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for _ in 0..self.threads {
+            let _ = TcpStream::connect(self.addr);
+        }
+    }
 }
 
 /// The daemon. [`Server::start`] binds, spawns the workers and
@@ -149,7 +172,6 @@ pub struct Server;
 
 /// A running daemon: resolved address plus the join/shutdown handle.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -159,6 +181,7 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         let listener = Arc::new(TcpListener::bind(&cfg.addr)?);
         let addr = listener.local_addr()?;
+        let threads = cfg.threads.max(1);
         let shared = Arc::new(Shared {
             lru: PlanLru::new(cfg.lru_capacity),
             gate: LaunchGate::new(cfg.launch_slots),
@@ -166,8 +189,10 @@ impl Server {
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            ledger: Ledger::new(),
+            addr,
+            threads,
         });
-        let threads = cfg.threads.max(1);
         let workers = (0..threads)
             .map(|_| {
                 let listener = listener.clone();
@@ -182,7 +207,7 @@ impl Server {
                                 if shared.stop.load(Ordering::SeqCst) {
                                     break;
                                 }
-                                let _ = serve_connection(stream, &shared, addr);
+                                let _ = serve_connection(stream, &shared);
                             }
                             // Transient accept errors (EMFILE, aborted
                             // handshakes) must not kill the worker.
@@ -196,18 +221,14 @@ impl Server {
                 })
             })
             .collect();
-        Ok(ServerHandle {
-            addr,
-            shared,
-            workers,
-        })
+        Ok(ServerHandle { shared, workers })
     }
 }
 
 impl ServerHandle {
     /// The resolved bind address (useful with port `0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Stop accepting, wake the workers and join them.
@@ -224,11 +245,7 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Each blocked accept() needs one wake-up connection.
-        for _ in 0..self.workers.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
+        self.shared.stop_and_wake();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -247,14 +264,17 @@ impl Drop for ServerHandle {
 /// until EOF, a shutdown request, or daemon stop. Reads use a short
 /// timeout so a worker parked on an idle connection notices `stop`
 /// (otherwise [`ServerHandle::shutdown`] would join it forever);
-/// `read_until` keeps partially received bytes across timeouts.
-fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io::Result<()> {
+/// `read_until` keeps partially received bytes across timeouts, and
+/// reads at most one byte past [`MAX_LINE_BYTES`] of a line.
+fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     let mut raw: Vec<u8> = Vec::new();
     loop {
-        match reader.read_until(b'\n', &mut raw) {
+        let room = (MAX_LINE_BYTES + 1 - raw.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut raw) {
             Ok(0) => return Ok(()),
             Ok(_) => {}
             Err(e)
@@ -263,7 +283,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io:
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if shared.stop.load(Ordering::SeqCst) || raw.len() > MAX_LINE_BYTES {
+                if shared.stop.load(Ordering::SeqCst) {
                     return Ok(());
                 }
                 continue;
@@ -271,25 +291,31 @@ fn serve_connection(stream: TcpStream, shared: &Shared, addr: SocketAddr) -> io:
             Err(e) => return Err(e),
         }
         if raw.len() > MAX_LINE_BYTES {
-            return Ok(());
+            shared.requests.fetch_add(1, Ordering::Relaxed);
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            let mut wire = err(
+                "usage",
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            );
+            wire.push('\n');
+            return out.write_all(wire.as_bytes());
         }
+        let mut laps = Laps::start();
         let line = String::from_utf8_lossy(&raw).trim().to_string();
         if line.is_empty() {
             raw.clear();
             continue;
         }
         shared.requests.fetch_add(1, Ordering::Relaxed);
-        let (resp, shutdown) = handle_line(&line, shared);
+        let (mut wire, shutdown) = handle_line(&line, shared, &mut laps);
         raw.clear();
-        out.write_all(resp.as_bytes())?;
-        out.write_all(b"\n")?;
-        out.flush()?;
+        wire.push('\n');
+        let sent = out.write_all(wire.as_bytes());
+        laps.lap(Phase::Write);
+        laps.commit(&shared.ledger);
+        sent?;
         if shutdown {
-            shared.stop.store(true, Ordering::SeqCst);
-            // Wake sibling workers parked in accept().
-            for _ in 0..8 {
-                let _ = TcpStream::connect(addr);
-            }
+            shared.stop_and_wake();
             return Ok(());
         }
     }
@@ -360,14 +386,34 @@ impl Request {
 }
 
 /// Parse and dispatch one request line. Returns the response line and
-/// whether the daemon should shut down.
-fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
-    let Some(v) = Json::parse(line) else {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-        return (err("usage", "request is not valid JSON"), false);
+/// whether the daemon should shut down; `laps` closes every phase up
+/// to `reply`.
+fn handle_line(line: &str, shared: &Shared, laps: &mut Laps) -> (String, bool) {
+    let v = Json::parse(line);
+    let cmd = v
+        .as_ref()
+        .map(|v| v.get("cmd").and_then(Json::as_str).unwrap_or(""));
+    let req = match (&v, cmd) {
+        (Some(v), Some("run" | "analyze")) => Some(Request::from(v, &shared.artifact_dir)),
+        _ => None,
     };
-    let cmd = v.get("cmd").and_then(Json::as_str).unwrap_or("");
-    let resp = match cmd {
+    laps.lap(Phase::Parse);
+    let resp = match (cmd, &req) {
+        (None, _) => {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            err("usage", "request is not valid JSON")
+        }
+        (Some("run"), Some(req)) => handle_run(req, shared, laps),
+        (Some("analyze"), Some(req)) => handle_analyze(req, shared, laps),
+        (Some(cmd), _) => handle_command(cmd, shared),
+    };
+    laps.lap(Phase::Reply);
+    (resp, cmd == Some("shutdown"))
+}
+
+/// The commands that launch nothing.
+fn handle_command(cmd: &str, shared: &Shared) -> String {
+    match cmd {
         "ping" => obj(vec![
             ("ok", true.into()),
             ("pong", true.into()),
@@ -388,23 +434,19 @@ fn handle_line(line: &str, shared: &Shared) -> (String, bool) {
                 ("lru_resident", s.resident.into()),
                 ("generation", s.generation.into()),
                 ("artifact_dir", shared.artifact_dir.clone().into()),
+                ("phases", shared.ledger.to_json()),
             ])
         }
         "invalidate" => {
             let g = shared.lru.invalidate();
             obj(vec![("ok", true.into()), ("generation", g.into())])
         }
-        "shutdown" => {
-            return (obj(vec![("ok", true.into())]), true);
-        }
-        "run" => handle_run(&Request::from(&v, &shared.artifact_dir), shared),
-        "analyze" => handle_analyze(&Request::from(&v, &shared.artifact_dir), shared),
+        "shutdown" => obj(vec![("ok", true.into())]),
         other => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             err("usage", &format!("unknown cmd `{other}`"))
         }
-    };
-    (resp, false)
+    }
 }
 
 /// Resolve a request's launch and content address, plus the
@@ -455,25 +497,26 @@ fn prepare(
     Ok((l, key_hex, seed, mapping))
 }
 
-fn handle_run(req: &Request, shared: &Shared) -> String {
-    let (w, key_hex, seed, mapping) = match prepare(req, shared) {
+fn handle_run(req: &Request, shared: &Shared, laps: &mut Laps) -> String {
+    let prepared = prepare(req, shared).and_then(|(w, key_hex, seed, mapping)| {
+        let st = w
+            .seeded_store(42)
+            .map_err(|e| err("compile", &e.to_string()))?;
+        Ok((w, key_hex, seed, mapping, st))
+    });
+    laps.lap(Phase::Resolve);
+    let (w, key_hex, seed, mapping, mut st) = match prepared {
         Ok(p) => p,
         Err(resp) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             return resp;
         }
     };
-    let mut st = match w.seeded_store(42) {
-        Ok(s) => s,
-        Err(e) => {
-            shared.errors.fetch_add(1, Ordering::Relaxed);
-            return err("compile", &e.to_string());
-        }
-    };
     let profiler = PassProfiler::new();
     let t0 = Instant::now();
     let outcome = {
         let _slot = shared.gate.acquire();
+        laps.lap(Phase::Gate);
         execute_blocked_seeded(
             &w.kernel,
             &w.params,
@@ -485,6 +528,7 @@ fn handle_run(req: &Request, shared: &Shared) -> String {
         )
     };
     let elapsed = t0.elapsed();
+    laps.lap(Phase::Execute);
     let (stats, warmed) = match outcome {
         Ok(r) => r,
         Err(e) => {
@@ -532,8 +576,10 @@ fn handle_run(req: &Request, shared: &Shared) -> String {
     obj(fields)
 }
 
-fn handle_analyze(req: &Request, shared: &Shared) -> String {
-    let (w, key_hex, seed, mapping) = match prepare(req, shared) {
+fn handle_analyze(req: &Request, shared: &Shared, laps: &mut Laps) -> String {
+    let prepared = prepare(req, shared);
+    laps.lap(Phase::Resolve);
+    let (w, key_hex, seed, mapping) = match prepared {
         Ok(p) => p,
         Err(resp) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -542,20 +588,22 @@ fn handle_analyze(req: &Request, shared: &Shared) -> String {
     };
     let profiler = PassProfiler::new();
     let t0 = Instant::now();
-    let warmed = match warm_plan(
+    let warmed = warm_plan(
         &w.kernel,
         &w.params,
         &w.config,
         Some(&profiler),
         seed.as_ref(),
-    ) {
+    );
+    let elapsed = t0.elapsed();
+    laps.lap(Phase::Execute);
+    let warmed = match warmed {
         Ok(r) => r,
         Err(e) => {
             shared.errors.fetch_add(1, Ordering::Relaxed);
             return err("compile", &e.to_string());
         }
     };
-    let elapsed = t0.elapsed();
     let source = warmed.as_ref().map(|(_, s)| *s);
     if let (Some(kh), Some((sp, _))) = (&key_hex, &warmed) {
         shared.lru.insert(kh.clone(), sp.clone());
@@ -589,10 +637,9 @@ mod tests {
         (BufReader::new(stream.try_clone().unwrap()), stream)
     }
 
+    /// One request line, sent in one write.
     fn request(reader: &mut BufReader<TcpStream>, out: &mut TcpStream, line: &str) -> Json {
-        out.write_all(line.as_bytes()).unwrap();
-        out.write_all(b"\n").unwrap();
-        out.flush().unwrap();
+        out.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         Json::parse(resp.trim()).expect("response is JSON")
@@ -622,6 +669,138 @@ mod tests {
         let stats = request(&mut r, &mut w, r#"{"cmd":"stats"}"#);
         assert!(stats.get("requests").unwrap().as_i64().unwrap() >= 3);
         h.shutdown();
+    }
+
+    /// A reply split across two writes waits for the client's delayed
+    /// ACK (>= 40 ms on Linux) before its tail leaves; one write on a
+    /// no-delay socket answers a ping in well under a millisecond.
+    #[test]
+    fn replies_do_not_wait_for_a_delayed_ack() {
+        let h = start_local();
+        let (mut r, mut w) = client(h.addr());
+        w.set_nodelay(true).unwrap();
+        let mut ms: Vec<f64> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let pong = request(&mut r, &mut w, r#"{"cmd":"ping"}"#);
+                assert_eq!(pong.get("pong").unwrap().as_bool(), Some(true));
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        assert!(ms[10] < 10.0, "median ping round trip {:.3} ms", ms[10]);
+        h.shutdown();
+    }
+
+    #[test]
+    fn ledger_phases_count_what_they_reach_and_sum_to_the_request() {
+        let h = start_local();
+        let (mut r, mut w) = client(h.addr());
+        let run = r#"{"cmd":"run","kernel":"me","machine":"gpu","size":8}"#;
+        let analyze = r#"{"cmd":"analyze","kernel":"matmul","machine":"cell","size":8}"#;
+        let mix = [
+            run,
+            "{nope",
+            analyze,
+            r#"{"cmd":"ping"}"#,
+            run,
+            analyze,
+            run,
+        ];
+        for line in mix {
+            request(&mut r, &mut w, line);
+        }
+        let stats = request(&mut r, &mut w, r#"{"cmd":"stats"}"#);
+        let phases = stats.get("phases").expect("stats reports the ledger");
+        let field = |phase: &str, k: &str| match phases.get(phase).and_then(|p| p.get(k)) {
+            Some(Json::Num(x)) => *x,
+            other => panic!("{phase}.{k}: {other:?}"),
+        };
+        // `stats` itself is committed after its reply is built.
+        let (all, runs, launches) = (mix.len() as f64, 3.0, 5.0);
+        for (phase, want) in [
+            ("parse", all),
+            ("resolve", launches),
+            ("gate", runs),
+            ("execute", launches),
+            ("reply", all),
+            ("write", all),
+            ("request", all),
+        ] {
+            assert_eq!(field(phase, "count"), want, "{phase} count");
+            assert!(field(phase, "p50_us") <= field(phase, "p99_us"), "{phase}");
+        }
+        let summed: f64 = ["parse", "resolve", "gate", "execute", "reply", "write"]
+            .iter()
+            .map(|p| field(p, "total_ms"))
+            .sum();
+        let request_ms = field("request", "total_ms");
+        assert!(request_ms > 0.0);
+        assert!(
+            (summed / request_ms - 1.0).abs() <= 0.05,
+            "phases sum to {summed} ms, requests took {request_ms} ms"
+        );
+        h.shutdown();
+    }
+
+    /// A line longer than `MAX_LINE_BYTES` is refused as soon as that
+    /// many bytes have arrived, not after the client stops sending.
+    #[test]
+    fn an_over_long_line_is_refused_while_bytes_still_arrive() {
+        let h = start_local();
+        let (mut r, w) = client(h.addr());
+        r.get_ref()
+            .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        let flood = std::thread::spawn(move || {
+            let mut w = w;
+            let chunk = vec![b'x'; 64 << 10];
+            // 8 MiB, no newline; the daemon hangs up part-way.
+            for _ in 0..128 {
+                if w.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut resp = String::new();
+        let _ = r.read_line(&mut resp);
+        let reply = Json::parse(resp.trim()).unwrap_or(Json::Null);
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{resp:?}"
+        );
+        assert_eq!(reply.get("class").and_then(Json::as_str), Some("usage"));
+        assert_eq!(
+            reply.get("error").and_then(Json::as_str),
+            Some("request line exceeds 1048576 bytes")
+        );
+        flood.join().unwrap();
+        h.shutdown();
+    }
+
+    #[test]
+    fn shutdown_request_wakes_every_worker() {
+        let h = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 32,
+            artifact_dir: None,
+            lru_capacity: 8,
+            launch_slots: 2,
+        })
+        .unwrap();
+        let (mut r, mut w) = client(h.addr());
+        let bye = request(&mut r, &mut w, r#"{"cmd":"shutdown"}"#);
+        assert_eq!(bye.get("ok").unwrap().as_bool(), Some(true));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            h.join();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok(),
+            "a worker is still parked in accept() after `shutdown`"
+        );
     }
 
     #[test]
