@@ -27,6 +27,7 @@
 //! ```
 
 use polymem_bench::harness::{conclude, smoke_mode};
+use polymem_core::smem::tune::MappingDesc;
 use polymem_ir::{exec_program, ArrayStore};
 use polymem_kernels::tunespace;
 use polymem_machine::{desc, execute_blocked, tune, ExecStats, Json, MachineConfig, TuneOptions};
@@ -70,11 +71,8 @@ impl RunRow {
 struct TuneRow {
     kernel: &'static str,
     machine: &'static str,
-    winner: String,
-    /// Divergence comparison key: scheme + tiles + dim placement +
-    /// staging toggles, with machine-fixed properties (vector width)
-    /// stripped so only genuine tuner decisions count.
-    winner_key: String,
+    /// The winning mapping, compared across machines by gate 4.
+    winner: MappingDesc,
     winner_cycles: u64,
     simulated: usize,
     total: usize,
@@ -85,7 +83,7 @@ impl TuneRow {
         Json::obj([
             ("kernel", self.kernel.into()),
             ("machine", self.machine.into()),
-            ("winner", self.winner.as_str().into()),
+            ("winner", self.winner.label().into()),
             ("winner_cycles", self.winner_cycles.into()),
             ("simulated", self.simulated.into()),
             ("candidates", self.total.into()),
@@ -131,13 +129,10 @@ fn tune_machine(name: &'static str, mlabel: &'static str, size: i64, dir: &str) 
     };
     let out = tune(&program, &params, &init, &cands, &cfg, &opts)
         .unwrap_or_else(|e| panic!("tune {name} on {mlabel}: {e}"));
-    let mut key = out.winner.clone();
-    key.vector_width = 1;
     TuneRow {
         kernel: name,
         machine: mlabel,
-        winner: out.winner.label(),
-        winner_key: key.to_line(),
+        winner: out.winner,
         winner_cycles: out.winner_cycles,
         simulated: out.simulated,
         total: out.total,
@@ -191,7 +186,12 @@ fn main() {
             let t = tune_machine(name, mlabel, size, &dir_s);
             println!(
                 "tune {:<9} [{:<7}] winner {:<40} {:>12} cycles  ({}/{} simulated)",
-                t.kernel, t.machine, t.winner, t.winner_cycles, t.simulated, t.total,
+                t.kernel,
+                t.machine,
+                t.winner.label(),
+                t.winner_cycles,
+                t.simulated,
+                t.total,
             );
             tunes.push(t);
         }
@@ -248,16 +248,15 @@ fn main() {
 
     // Gate 4: the spatial machine's tuned winner differs from the
     // GPU's on at least two kernels.
-    let winner_key = |machine: &str, kernel: &str| {
+    let winner = |machine: &str, kernel: &str| {
         tunes
             .iter()
             .find(|t| t.machine == machine && t.kernel == kernel)
-            .map(|t| t.winner_key.clone())
-            .unwrap_or_default()
+            .map(|t| &t.winner)
     };
     let mut spatial_divergent = 0usize;
     for &name in &KERNELS {
-        if winner_key("spatial", name) != winner_key("gpu", name) {
+        if winner("spatial", name) != winner("gpu", name) {
             spatial_divergent += 1;
         }
     }

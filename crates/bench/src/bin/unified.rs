@@ -1,5 +1,5 @@
 //! Unified engine harness: compiled execution × register-tile
-//! hierarchy, plus the vector-width ablation.
+//! hierarchy.
 //!
 //! Before this harness existed the two tentpoles did not compose: a
 //! hierarchy plan made `machine::compiled` decline the block and the
@@ -28,12 +28,8 @@
 //!   paper's recursion argument centres on), unified modeled time is
 //!   no worse than the better of the two single-tentpole modes.
 //!
-//! A second sweep ablates [`MachineConfig::vector_width`] over
-//! 1/2/4/8 in unified mode on the GPU model: modeled cycles must be
-//! bit-identical at every width (batching is a pure execution
-//! strategy), wall times are reported for the record. All gated
-//! quantities are deterministic counters, so the gates hold on noisy
-//! CI runners; wall clock is informational only.
+//! All gated quantities are deterministic counters, so the gates hold
+//! on noisy CI runners; wall clock is informational only.
 //!
 //! ```sh
 //! cargo run --release -p polymem-bench --bin unified            # full
@@ -62,22 +58,8 @@ const MODES: [Mode; 3] = [
     }),
 ];
 
-/// The vector-width ablation: each width, on a machine already in
-/// unified mode.
-const WIDTHS: [Mode; 4] = [
-    ("w1", |c| c.vector_width = 1),
-    ("w2", |c| c.vector_width = 2),
-    ("w4", |c| c.vector_width = 4),
-    ("w8", |c| c.vector_width = 8),
-];
-
 fn smem_traffic(s: &ExecStats) -> u64 {
     s.smem_reads + s.smem_writes
-}
-
-/// Best-of-3 compute-phase time, milliseconds.
-fn ms(s: &ExecStats) -> f64 {
-    s.compute_ns as f64 / 1e6
 }
 
 fn main() {
@@ -157,32 +139,6 @@ fn main() {
         ]));
     }
 
-    println!();
-    let mut ablations = Vec::new();
-    let mut unified_gpu = machines[0].clone();
-    (MODES[0].1)(&mut unified_gpu.1);
-    for cell in sweep(&cases, &[unified_gpu], &WIDTHS, 3) {
-        let pts: Vec<String> = WIDTHS
-            .iter()
-            .zip(&cell.stats)
-            .map(|((w, _), s)| format!("{w} {:7.3} ms", ms(s)))
-            .collect();
-        println!("{:<9} [gpu ] ablation: {}", cell.kernel, pts.join("  "));
-        // Batching is a pure execution strategy: modeled cycles must be
-        // bit-identical at every vector width.
-        let c0 = cell.stats[0].modeled_cycles;
-        if cell.stats.iter().any(|s| s.modeled_cycles != c0) {
-            failures.push(format!(
-                "{}: modeled cycles vary across vector widths",
-                cell.kernel
-            ));
-        }
-        ablations.push(cell.to_json([]));
-    }
-
-    let body = Json::obj([
-        ("runs", runs.into()),
-        ("vector_width_ablation", ablations.into()),
-    ]);
+    let body = Json::obj([("runs", runs.into())]);
     conclude("unified", smoke, body, &failures);
 }

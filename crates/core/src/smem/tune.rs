@@ -13,19 +13,19 @@
 //! term through the very same [`DmaChannels`] model), with **no
 //! simulation**.
 //!
-//! Two mapping knobs are deliberately *absent* from the predicted
-//! cycles: `vector_width` and the compiled-vs-interpreted engine
-//! toggle. Both change wall-clock only; the executor's modeled-cycle
-//! counters (`n_inst`, `n_smem`, `n_glob`) are engine-identical by
-//! construction (the `POLYMEM_EXEC_CHECK` oracle asserts it), so a
-//! faithful estimator must not price them.
+//! One execution knob is deliberately *absent* from the predicted
+//! cycles: the compiled-vs-interpreted engine toggle. It changes
+//! wall-clock only; the executor's modeled-cycle counters (`n_inst`,
+//! `n_smem`, `n_glob`) are engine-identical by construction (the
+//! `POLYMEM_EXEC_CHECK` oracle asserts it), so a faithful estimator
+//! must not price it.
 //!
 //! The module also defines the persistent *tune artifact*: the ranked
 //! candidate table plus the winning [`MappingDesc`], stored next to
 //! the plan artifacts under a key derived from the program, the
-//! machine salt and the candidate-space description, so later runs
-//! (`polymem run --tuned`, `polymem serve`) load the best mapping with
-//! zero search cost.
+//! machine salt, the [`CostConstants`] and the candidate-space
+//! description, so later runs (`polymem run --tuned`, `polymem serve`)
+//! load the best mapping with zero search cost.
 
 use super::artifact::{
     atomic_write, fnv1a, hash_program, schema_hash, ArtifactKey, KeyHasher, FNV_OFFSET, FNV_PRIME,
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Version stamp of the tune key derivation and artifact codec.
-pub const TUNE_FORMAT_VERSION: u64 = 1;
+pub const TUNE_FORMAT_VERSION: u64 = 2;
 
 /// A machine-independent description of one candidate mapping: enough
 /// to reconstruct the [`BlockedKernel`] (tiling + dim split) and the
@@ -77,9 +77,6 @@ pub struct MappingDesc {
     pub hierarchy: bool,
     /// Enable inter-sub-tile residency (delta transfers).
     pub residency: bool,
-    /// SIMD lanes of the compiled engine (wall-clock only; never
-    /// priced by [`estimate`]).
-    pub vector_width: u64,
 }
 
 fn join_list(v: &[String]) -> String {
@@ -96,7 +93,7 @@ fn split_list(s: &str) -> Vec<String> {
 
 impl MappingDesc {
     /// Compact human-readable label, e.g.
-    /// `tile[i=4,j=8] blk[iT] seq[jT] thr[i] spad db res vw8`.
+    /// `tile[i=4,j=8] blk[iT] seq[jT] thr[i] spad db res`.
     pub fn label(&self) -> String {
         let tiles: Vec<String> = self.tiles.iter().map(|(n, t)| format!("{n}={t}")).collect();
         let mut s = format!("{}[{}]", self.scheme, tiles.join(","));
@@ -124,35 +121,7 @@ impl MappingDesc {
         if self.residency {
             s.push_str(" res");
         }
-        s.push_str(&format!(" vw{}", self.vector_width));
         s
-    }
-
-    /// Fold the full description into an artifact key hasher.
-    pub fn hash_into(&self, h: &mut KeyHasher) {
-        h.str(&self.scheme);
-        h.u64(self.tiles.len() as u64);
-        for (n, t) in &self.tiles {
-            h.str(n);
-            h.i64(*t);
-        }
-        for dims in [
-            &self.round_dims,
-            &self.block_dims,
-            &self.seq_dims,
-            &self.thread_dims,
-        ] {
-            h.u64(dims.len() as u64);
-            for d in dims.iter() {
-                h.str(d);
-            }
-        }
-        let bits = (self.use_scratchpad as u64)
-            | (self.double_buffer as u64) << 1
-            | (self.hierarchy as u64) << 2
-            | (self.residency as u64) << 3;
-        h.u64(bits);
-        h.u64(self.vector_width);
     }
 
     /// Single-line serialisation for the tune artifact (inverse of
@@ -161,7 +130,7 @@ impl MappingDesc {
     pub fn to_line(&self) -> String {
         let tiles: Vec<String> = self.tiles.iter().map(|(n, t)| format!("{n}={t}")).collect();
         format!(
-            "scheme={};tiles={};round={};block={};seq={};thread={};spad={};db={};hier={};res={};vw={}",
+            "scheme={};tiles={};round={};block={};seq={};thread={};spad={};db={};hier={};res={}",
             self.scheme,
             tiles.join(","),
             join_list(&self.round_dims),
@@ -172,7 +141,6 @@ impl MappingDesc {
             self.double_buffer as u8,
             self.hierarchy as u8,
             self.residency as u8,
-            self.vector_width,
         )
     }
 
@@ -204,7 +172,6 @@ impl MappingDesc {
             double_buffer: flag("db")?,
             hierarchy: flag("hier")?,
             residency: flag("res")?,
-            vector_width: fields.get("vw")?.parse().ok()?,
         })
     }
 }
@@ -212,7 +179,7 @@ impl MappingDesc {
 /// The machine's performance constants, mirrored from the simulator's
 /// config so the estimator can live machine-independently in `core`.
 /// Every term corresponds one-to-one to a field the executor reads.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CostConstants {
     /// Cycles per statement instance.
     pub cycles_per_op: f64,
@@ -607,10 +574,39 @@ pub fn estimate(
 }
 
 /// The content-addressed key a tune artifact is stored under:
-/// program × params × machine salt × candidate-space description.
-/// Any change to the space (new candidates, new toggles) changes the
-/// key, so stale winners can never shadow a wider search.
-pub fn tune_key(program: &Program, params: &[i64], salt: &[u64], space: &str) -> ArtifactKey {
+/// program × params × machine salt × cost constants × candidate-space
+/// description. Any change to the space (new candidates, new toggles)
+/// changes the key, so stale winners can never shadow a wider search.
+/// The plan salt leaves pricing out, because a plan does not depend on
+/// it; a winner does, so every constant of `cc` is hashed here too
+/// (floats by their bits).
+pub fn tune_key(
+    program: &Program,
+    params: &[i64],
+    salt: &[u64],
+    cc: &CostConstants,
+    space: &str,
+) -> ArtifactKey {
+    // Destructured, so a new constant cannot be left out of the key.
+    let CostConstants {
+        cycles_per_op,
+        smem_latency,
+        global_latency,
+        global_overlap,
+        word_bytes,
+        smem_bytes,
+        device_sync_base,
+        device_sync_per_block,
+        dma_channels,
+        dma_setup_cycles,
+        dma_bytes_per_cycle,
+        n_outer,
+        max_blocks_per_outer,
+        count_budget,
+        mesh_rows,
+        mesh_cols,
+        hop_cycles,
+    } = *cc;
     let mut h = KeyHasher::new();
     h.u64(TUNE_FORMAT_VERSION);
     h.u64(schema_hash());
@@ -621,6 +617,30 @@ pub fn tune_key(program: &Program, params: &[i64], salt: &[u64], space: &str) ->
     }
     h.u64(salt.len() as u64);
     for &w in salt {
+        h.u64(w);
+    }
+    let words = [
+        word_bytes,
+        smem_bytes,
+        dma_channels,
+        n_outer,
+        max_blocks_per_outer,
+        count_budget,
+        mesh_rows,
+        mesh_cols,
+    ];
+    let prices = [
+        cycles_per_op,
+        smem_latency,
+        global_latency,
+        global_overlap,
+        device_sync_base,
+        device_sync_per_block,
+        dma_setup_cycles,
+        dma_bytes_per_cycle,
+        hop_cycles,
+    ];
+    for w in words.into_iter().chain(prices.map(f64::to_bits)) {
         h.u64(w);
     }
     h.str(space);
@@ -797,7 +817,6 @@ mod tests {
             double_buffer: true,
             hierarchy: false,
             residency: true,
-            vector_width: 8,
         }
     }
 
@@ -808,18 +827,6 @@ mod tests {
         assert_eq!(MappingDesc::parse_line(&line), Some(d.clone()));
         assert!(d.label().contains("blk[iT]"));
         assert!(d.label().contains("db"));
-    }
-
-    #[test]
-    fn desc_hash_distinguishes_toggles() {
-        let d = desc();
-        let mut h1 = KeyHasher::new();
-        d.hash_into(&mut h1);
-        let mut d2 = d.clone();
-        d2.residency = false;
-        let mut h2 = KeyHasher::new();
-        d2.hash_into(&mut h2);
-        assert_ne!(h1.finish(), h2.finish());
     }
 
     #[test]
@@ -885,11 +892,12 @@ mod tests {
                 .done();
             b.build().unwrap()
         };
-        let k1 = tune_key(&p, &[8], &[1, 2], "a|b");
-        let k2 = tune_key(&p, &[8], &[1, 2], "a|b|c");
-        let k3 = tune_key(&p, &[16], &[1, 2], "a|b");
+        let cc = CostConstants::default();
+        let k1 = tune_key(&p, &[8], &[1, 2], &cc, "a|b");
+        let k2 = tune_key(&p, &[8], &[1, 2], &cc, "a|b|c");
+        let k3 = tune_key(&p, &[16], &[1, 2], &cc, "a|b");
         assert_ne!(k1, k2);
         assert_ne!(k1, k3);
-        assert_eq!(k1, tune_key(&p, &[8], &[1, 2], "a|b"));
+        assert_eq!(k1, tune_key(&p, &[8], &[1, 2], &cc, "a|b"));
     }
 }

@@ -166,7 +166,6 @@ impl Builtin {
             double_buffer: config.double_buffer,
             hierarchy: config.hierarchy,
             residency: config.residency,
-            vector_width: config.vector_width,
         }
     }
 }

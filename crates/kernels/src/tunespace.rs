@@ -4,7 +4,7 @@
 //! Each kernel gets an explicit table of [`TuneCandidate`]s: tile-size
 //! menus crossed with the mapping shapes its constructors support
 //! (all-blocked, sequential-sub-tile, hoisted), plus toggle variants
-//! (double buffering, residency, hierarchy, vector width) — with the
+//! (double buffering, residency, hierarchy) — with the
 //! CLI's canonical preset mapping pinned (`preset = true`) so the
 //! tuned winner is ≤ the hand-picked mapping by construction.
 //!
@@ -182,25 +182,14 @@ pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<T
                 push(variant(b, &tiles, shape, base), false);
             }
         }
-        // Unstaged baseline and (on the 2-D kernels) a vector-width
-        // variant: wall-clock knobs that never change modeled cycles,
-        // kept in the space so the artifact records them.
+        // Unstaged baseline.
         push(
             MappingDesc {
                 use_scratchpad: false,
-                ..canonical.clone()
+                ..canonical
             },
             false,
         );
-        if name != "matmul" {
-            push(
-                MappingDesc {
-                    vector_width: (base.vector_width / 2).max(1),
-                    ..canonical
-                },
-                false,
-            );
-        }
     }
     Some(out)
 }

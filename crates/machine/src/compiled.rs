@@ -32,13 +32,13 @@
 //! bit-identical between engines, and frame statements batch like any
 //! other.
 //!
-//! With [`MachineConfig::vector_width`] > 1 the inner loop batches up
-//! to that many consecutive innermost-dim instances per dispatch when
-//! every address stream is proven: streaming statements evaluate all
-//! lanes through [`polymem_ir::BodyCode::eval_lanes`], accumulator
-//! statements (a read aliasing the lane-invariant write cell) chain
-//! serially in scalar association order, and anything else bails to
-//! the scalar path. Batching never changes arrays or counters.
+//! The inner loop batches up to [`LANES`] consecutive innermost-dim
+//! instances per dispatch when every address stream is proven:
+//! streaming statements evaluate all lanes through
+//! [`polymem_ir::BodyCode::eval_lanes`], accumulator statements (a read
+//! aliasing the lane-invariant write cell) chain serially in scalar
+//! association order, and anything else bails to the scalar path.
+//! Batching never changes arrays or counters.
 //!
 //! Accesses whose in-bounds / no-overflow proof fails degrade to a
 //! *guarded* stream (checked per point, typed errors), and any shape
@@ -856,6 +856,9 @@ fn store_at(t: Target, off: usize, value: i64, tiles: &mut Tiles, overlay: &mut 
     }
 }
 
+/// Most instances one inner-loop dispatch batches: the gpu's SIMD width.
+pub(crate) const LANES: usize = 8;
+
 /// Some read lane would observe some earlier write lane's cell:
 /// `ro + rs·l == wo + ws·m` for any `m < l`. Brute force — lanes ≤ 8.
 fn collides(ro: i64, rs: i64, wo: i64, ws: i64, lanes: usize) -> bool {
@@ -969,7 +972,6 @@ pub(crate) fn run_compiled(
             insts[si].carry(&cursors[si].point, 0);
         }
     }
-    let vw = config.vector_width.max(1) as usize;
 
     // K-way merge in interleaved source order.
     let gdatas: Vec<&[i64]> = sids.iter().map(|&id| store.data_by_id(id)).collect();
@@ -1023,13 +1025,13 @@ pub(crate) fn run_compiled(
         let (st, layout) = (&streams[si], &launch.layouts[si]);
         let n = layout.cascade.len();
 
-        // Probe for a batch: up to `vw` consecutive innermost-dim
+        // Probe for a batch: up to `LANES` consecutive innermost-dim
         // instances, clipped to the run, the domain, the budget, and
         // the source-order frontier of every other alive statement.
         let mut lanes = 1usize;
-        if vw > 1 && n > 0 && !st.vary_thread && insts[si].proven() {
+        if n > 0 && !st.vary_thread && insts[si].proven() {
             let cur = &cursors[si];
-            let max_run = (cur.run_remaining() + 1).min(vw as i64).max(1) as usize;
+            let max_run = (cur.run_remaining() + 1).min(LANES as i64).max(1) as usize;
             lanes = max_run.min(cur.budget_headroom().min(usize::MAX as u64) as usize + 1);
             if lanes > 1 {
                 probe_buf.clear();

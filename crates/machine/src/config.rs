@@ -130,15 +130,6 @@ pub struct MachineConfig {
     /// same movement code as the interpreter, so counters stay
     /// bit-identical between the two.
     pub hierarchy: bool,
-    /// Lane count of the compiled engine's batched inner loop. `1` is
-    /// the scalar path; wider values evaluate up to this many
-    /// consecutive innermost-dim instances per bytecode dispatch over
-    /// proven strided address streams (streaming statements go through
-    /// lane-parallel `BodyCode::eval_lanes`, reductions through a
-    /// serial accumulator chain that preserves scalar association
-    /// order). Functionally invisible: arrays and every deterministic
-    /// counter are bit-identical at any width.
-    pub vector_width: u64,
     /// Keep scratchpad buffers warm across the sub-tile (`seq_dims`)
     /// loop: the residency pass decomposes each group's move-in window
     /// against its lexicographic predecessor and only the *delta*
@@ -322,15 +313,6 @@ mod tests {
         // PIM has a (tiny) row buffer but computes in place: nothing
         // is staged, so nothing stays resident.
         assert!(!MachineConfig::pim_banked().residency);
-    }
-
-    #[test]
-    fn vector_width_matches_inner_simd() {
-        // Lane counts mirror each preset's SIMD: 8-wide GPU inner
-        // units, 128-bit (4×32) SPE vectors, scalar host baseline.
-        assert_eq!(MachineConfig::geforce_8800_gtx().vector_width, 8);
-        assert_eq!(MachineConfig::cell_like().vector_width, 4);
-        assert_eq!(MachineConfig::host_cpu().vector_width, 1);
     }
 
     #[test]

@@ -71,8 +71,6 @@ pub struct MachineDesc {
     pub clock_ghz: f64,
     /// Cycles per arithmetic op on an inner unit.
     pub cycles_per_op: f64,
-    /// Compiled-engine SIMD lane count.
-    pub vector_width: u64,
     /// Outstanding global accesses one outer unit overlaps.
     pub global_overlap: f64,
     /// Hardware cap on blocks resident per outer unit.
@@ -140,7 +138,6 @@ impl MachineDesc {
             compiled_exec: true,
             regs_per_inner: regs.map_or(0, |l| l.capacity_bytes / self.word_bytes.max(1)),
             hierarchy: false,
-            vector_width: self.vector_width,
             residency: smem_bytes > 0 && !caps.in_place_compute,
             partition: true,
             artifact_dir: None,
@@ -160,7 +157,6 @@ impl MachineDesc {
         let _ = writeln!(s, "word_bytes = {}", self.word_bytes);
         let _ = writeln!(s, "clock_ghz = {}", self.clock_ghz);
         let _ = writeln!(s, "cycles_per_op = {}", self.cycles_per_op);
-        let _ = writeln!(s, "vector_width = {}", self.vector_width);
         let _ = writeln!(s, "global_overlap = {}", self.global_overlap);
         let _ = writeln!(s, "max_blocks_per_outer = {}", self.max_blocks_per_outer);
         let _ = writeln!(s, "\n[sync]");
@@ -290,7 +286,6 @@ impl MachineDesc {
             word_bytes: get_u64(&mut compute, "compute", "word_bytes")?,
             clock_ghz: get_f64(&mut compute, "compute", "clock_ghz")?,
             cycles_per_op: get_f64(&mut compute, "compute", "cycles_per_op")?,
-            vector_width: get_u64(&mut compute, "compute", "vector_width")?,
             global_overlap: get_f64(&mut compute, "compute", "global_overlap")?,
             max_blocks_per_outer: get_u64(&mut compute, "compute", "max_blocks_per_outer")?,
             sync_cycles: get_f64(&mut sync, "sync", "sync_cycles")?,
@@ -418,7 +413,6 @@ pub fn gpu() -> MachineDesc {
         word_bytes: 4,
         clock_ghz: 1.35,
         cycles_per_op: 1.0,
-        vector_width: 8,
         global_overlap: 32.0,
         max_blocks_per_outer: 8,
         sync_cycles: 20.0,
@@ -451,7 +445,6 @@ pub fn cell() -> MachineDesc {
         word_bytes: 4,
         clock_ghz: 3.2,
         cycles_per_op: 1.0,
-        vector_width: 4,
         global_overlap: 4.0,
         max_blocks_per_outer: 1,
         sync_cycles: 100.0,
@@ -486,7 +479,6 @@ pub fn host() -> MachineDesc {
         word_bytes: 4,
         clock_ghz: 2.13,
         cycles_per_op: 1.0,
-        vector_width: 1,
         global_overlap: 1.0,
         max_blocks_per_outer: 1,
         sync_cycles: 0.0,
@@ -527,7 +519,6 @@ pub fn pim() -> MachineDesc {
         word_bytes: 4,
         clock_ghz: 0.3,
         cycles_per_op: 4.0,
-        vector_width: 1,
         global_overlap: 1.0,
         max_blocks_per_outer: 1,
         sync_cycles: 10.0,
@@ -568,7 +559,6 @@ pub fn spatial() -> MachineDesc {
         word_bytes: 4,
         clock_ghz: 1.0,
         cycles_per_op: 1.0,
-        vector_width: 1,
         global_overlap: 2.0,
         max_blocks_per_outer: 1,
         sync_cycles: 5.0,
@@ -645,6 +635,15 @@ mod tests {
         assert!(MachineDesc::from_str(&text)
             .unwrap_err()
             .contains("warp_sise"));
+        // An older file that still sets the compiled engine's lane
+        // count: an engine constant, not a property of the machine.
+        let old = gpu()
+            .to_toml()
+            .replace("[compute]\n", "[compute]\nvector_width = 8\n");
+        assert_eq!(
+            MachineDesc::from_str(&old).unwrap_err(),
+            "machine file: unknown key `vector_width` in [compute]"
+        );
         let bad = "name = \"x\"\n[turbo]\n";
         assert!(MachineDesc::from_str(bad).unwrap_err().contains("turbo"));
     }

@@ -345,9 +345,9 @@ pub type WarmedPlan = (Arc<SymbolicPlan>, PlanSource);
 /// Mapping-relevant machine-model fields folded into the plan
 /// artifact key: everything that changes which symbolic plan a launch
 /// computes or consumes. Performance-only knobs (latencies, clocks,
-/// DMA shape) deliberately stay out, so retuning the cost model never
-/// invalidates compiled plans.
-pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
+/// DMA shape) and the engine choice stay out, so neither retuning the
+/// cost model nor switching engines invalidates compiled plans.
+pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 8] {
     [
         // Capability bits replace the old machine-kind discriminant:
         // each flag changes what the §3 pipeline decides, so each gets
@@ -359,14 +359,9 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 11] {
             | (config.caps.hardware_cache as u64) << 3,
         config.smem_bytes,
         config.word_bytes,
-        // Held the retired `plan_cache` knob (always on); kept so no
-        // plan or tune key moves.
-        1,
         config.double_buffer as u64,
-        config.compiled_exec as u64,
         config.regs_per_inner,
         config.hierarchy as u64,
-        config.vector_width,
         config.residency as u64,
         config.partition as u64,
     ]

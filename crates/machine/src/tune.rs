@@ -11,9 +11,10 @@
 //! compared bit-exactly against the reference interpreter.
 //!
 //! The winner is persisted as a [`TuneArtifact`] in the plan artifact
-//! store under [`tune_key`] (program × params × machine salt ×
-//! candidate-space description), so a warm re-run — and `polymem run
-//! --tuned` / `polymem serve` — loads it with zero simulations.
+//! store under [`tune_key`] (program × params × machine salt × cost
+//! constants × candidate-space description), so a warm re-run — and
+//! `polymem run --tuned` / `polymem serve` — loads it with zero
+//! simulations, and a machine that only prices differently re-searches.
 //!
 //! [`generic_candidates`] derives a candidate space for *arbitrary*
 //! affine programs (`.poly` files, fuzzed programs) from the
@@ -122,7 +123,6 @@ pub fn config_for(desc: &MappingDesc, base: &MachineConfig) -> MachineConfig {
     cfg.double_buffer = desc.double_buffer;
     cfg.hierarchy = desc.hierarchy;
     cfg.residency = desc.residency;
-    cfg.vector_width = desc.vector_width.max(1);
     cfg
 }
 
@@ -140,9 +140,6 @@ pub struct LaunchToggles {
     /// Keep overlapping windows resident across sub-tiles (only where
     /// the machine derives residency at all).
     pub residency: bool,
-    /// Override the machine's SIMD batch width (already validated
-    /// `>= 1` where it entered the program).
-    pub vector_width: Option<u64>,
     /// Persist compiled plans (and tune winners) here.
     pub artifact_dir: Option<String>,
 }
@@ -154,7 +151,6 @@ impl Default for LaunchToggles {
             compiled_exec: true,
             hierarchy: true,
             residency: true,
-            vector_width: None,
             artifact_dir: None,
         }
     }
@@ -167,7 +163,6 @@ pub fn launch_config(toggles: &LaunchToggles, base: &MachineConfig) -> MachineCo
     cfg.compiled_exec = toggles.compiled_exec;
     cfg.hierarchy = toggles.hierarchy;
     cfg.residency = base.residency && toggles.residency;
-    cfg.vector_width = toggles.vector_width.unwrap_or(base.vector_width);
     cfg.artifact_dir = toggles.artifact_dir.clone();
     cfg
 }
@@ -338,7 +333,6 @@ pub fn generic_candidates(
         double_buffer: false,
         hierarchy: false,
         residency: false,
-        vector_width: base.vector_width,
     };
     let mut out: Vec<TuneCandidate> = Vec::new();
     if tile_dims.is_empty() {
@@ -385,7 +379,6 @@ pub fn generic_candidates(
             double_buffer: false,
             hierarchy: false,
             residency: false,
-            vector_width: base.vector_width,
         };
         // All tile dims across blocks.
         push_desc(program, &mut out, base_desc.clone())?;
@@ -535,7 +528,13 @@ pub fn tune(
             space.push('*');
         }
     }
-    let key = tune_key(program, params, &machine_salt(base), &space);
+    let key = tune_key(
+        program,
+        params,
+        &machine_salt(base),
+        &cost_constants(base),
+        &space,
+    );
     let art_dir = base.artifact_dir.clone();
     if !opts.force {
         if let Some(dir) = &art_dir {

@@ -7,7 +7,7 @@
 //! global-memory traffic and flop counts must not change.
 //!
 //! The second proptest pins the unified engine: on the same hierarchy
-//! plans, compiled execution (at every vector width) must agree with
+//! plans, compiled execution must agree with
 //! the interpreter counter for counter and must actually *run*
 //! compiled — zero silent fallbacks. A directed test checks the typed
 //! `RegisterOverflow` surfaces identically from both engines, and
@@ -183,8 +183,8 @@ proptest! {
 
     /// The compiled engine owns hierarchy plans: same arrays, same
     /// counters (including `smem_loads_saved` / `reg_bytes_moved` /
-    /// `hier_groups`) as the interpreter, at every vector width, with
-    /// zero interpreter fallbacks — the silent-drop bug stays fixed.
+    /// `hier_groups`) as the interpreter, with zero interpreter
+    /// fallbacks — the silent-drop bug stays fixed.
     #[test]
     fn compiled_matches_interpreter_on_hierarchy_plans(
         n in 6i64..=11,
@@ -195,7 +195,6 @@ proptest! {
         shape in 0u8..=2,
         body_sel in 0u8..=5,
         machine in 0u8..=1,
-        vw in 0u8..=3,
         c in (0i64..=2, 0i64..=2, 0i64..=1, 0i64..=2),
     ) {
         let p = random_program(shape, body_sel, c);
@@ -207,7 +206,6 @@ proptest! {
         };
         cfg.hierarchy = true;
         cfg.regs_per_inner = 4096;
-        cfg.vector_width = 1 << vw; // ablate 1, 2, 4, 8
 
         let mut reference = fresh_store(&p, n);
         exec_program(&p, &[n], &mut reference).unwrap();
@@ -329,16 +327,15 @@ fn frame_streams_are_the_index(
 /// The five built-ins on every registered machine: wherever the launch
 /// plans a register level the streams are the index *and proven* (so
 /// frame statements batch), and every `ExecStats` counter — not only
-/// `modeled_cycles` — is the interpreter's at every vector width.
+/// `modeled_cycles` — is the interpreter's.
 #[test]
-fn builtin_frame_streams_are_proven_and_width_blind() {
+fn builtin_frame_streams_are_proven_and_engine_blind() {
     let mut register_launches = 0;
     for machine in desc::NAMES {
         let base = desc::lookup(machine).expect("registered").config();
         for b in &BUILTINS {
-            let width = |vector_width, compiled_exec| {
+            let run = |compiled_exec| {
                 let toggles = LaunchToggles {
-                    vector_width,
                     compiled_exec,
                     ..LaunchToggles::default()
                 };
@@ -348,7 +345,7 @@ fn builtin_frame_streams_are_proven_and_width_blind() {
                     .unwrap_or_else(|e| panic!("{}/{machine}: {e}", b.name));
                 (l, stats)
             };
-            let (l, interpreted) = width(None, false);
+            let (l, interpreted) = run(false);
             let (proven, guarded) = frame_streams_are_the_index(&l.kernel, &l.params, &l.config);
             assert_eq!(
                 guarded, 0,
@@ -362,11 +359,9 @@ fn builtin_frame_streams_are_proven_and_width_blind() {
                 b.name
             );
             register_launches += u32::from(proven > 0);
-            for vw in [1, 2, 4, 8] {
-                let (_, compiled) = width(Some(vw), true);
-                assert_eq!(compiled, interpreted, "{}/{machine} at width {vw}", b.name);
-                assert_eq!(compiled.fallback.total(), 0, "{}/{machine}", b.name);
-            }
+            let (_, compiled) = run(true);
+            assert_eq!(compiled, interpreted, "{}/{machine}", b.name);
+            assert_eq!(compiled.fallback.total(), 0, "{}/{machine}", b.name);
         }
     }
     assert!(
@@ -431,9 +426,8 @@ fn triangular_frames_stay_exact_and_fall_back_to_guarded() {
         let mut reference = fresh();
         exec_program(&p, &[8], &mut reference).unwrap();
         let mut stats = Vec::new();
-        for (compiled, vw) in [(false, 1), (true, 1), (true, 4)] {
+        for compiled in [false, true] {
             cfg.compiled_exec = compiled;
-            cfg.vector_width = vw;
             let mut st = fresh();
             stats.push(execute_blocked(&k, &[8], &mut st, &cfg, false).unwrap());
             assert_eq!(st.data("Out").unwrap(), reference.data("Out").unwrap());
@@ -441,7 +435,6 @@ fn triangular_frames_stay_exact_and_fall_back_to_guarded() {
         assert_eq!(stats[0].hier_groups, 8, "one frame set per row");
         assert_eq!(stats[0].smem_loads_saved, 2 * 36);
         assert_eq!(stats[1], stats[0], "grow={grow}");
-        assert_eq!(stats[2], stats[0], "grow={grow}");
     }
 }
 

@@ -140,7 +140,6 @@ fn plan_keys_differ_when_any_mapping_relevant_field_differs() {
         ("hardware_cache", Box::new(|d| d.caps.hardware_cache = true)),
         ("placement_cost", Box::new(|d| d.caps.placement_cost = true)),
         ("word_bytes", Box::new(|d| d.word_bytes = 8)),
-        ("vector_width", Box::new(|d| d.vector_width *= 2)),
         (
             "register file size",
             Box::new(|d| {
@@ -181,6 +180,17 @@ fn plan_keys_differ_when_any_mapping_relevant_field_differs() {
         key_of(&d),
         base_key,
         "cycle pricing is not mapping-relevant"
+    );
+
+    // Nor is the engine: both run the same plan.
+    let (kernel, params, _) = staged_workload("matmul", 8);
+    let mut cfg = base.config();
+    cfg.compiled_exec = false;
+    let interpreted = plan_artifact_key(&kernel, &params, &cfg).expect("key");
+    assert_eq!(
+        interpreted.expect("staged kernel has a key").to_string(),
+        base_key,
+        "the engine choice is not mapping-relevant"
     );
 }
 

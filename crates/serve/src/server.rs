@@ -28,12 +28,12 @@
 //! ```
 //!
 //! Optional request fields: `double_buffer`, `hierarchy`, `residency`
-//! (booleans; defaults false/true/true like the CLI), `vector_width`,
-//! and `tuned` (boolean): resolve the autotuned mapping for the
-//! kernel from the tune artifact store (`polymem tune` writes it;
-//! zero search cost when warm, a fresh pruned search otherwise) and
-//! execute that instead of the preset — the response's `mapping`
-//! field reports which mapping ran.
+//! (booleans; defaults false/true/true like the CLI), and `tuned`
+//! (boolean): resolve the autotuned mapping for the kernel from the
+//! tune artifact store (`polymem tune` writes it; zero search cost
+//! when warm, a fresh pruned search otherwise) and execute that
+//! instead of the preset — the response's `mapping` field reports
+//! which mapping ran. Any other field is ignored.
 //! Responses always carry `"ok"`; failures add `"error"` and a
 //! `"class"` (`usage` | `compile` | `runtime`) mirroring the CLI's
 //! exit-code taxonomy. `run` responses carry the result `checksum`
@@ -371,12 +371,6 @@ impl Request {
                 double_buffer: b("double_buffer", defaults.double_buffer),
                 hierarchy: b("hierarchy", defaults.hierarchy),
                 residency: b("residency", defaults.residency),
-                // Anything but a positive integer keeps the machine's.
-                vector_width: v
-                    .get("vector_width")
-                    .and_then(Json::as_i64)
-                    .and_then(|w| u64::try_from(w).ok())
-                    .filter(|&w| w >= 1),
                 artifact_dir: artifact_dir.clone(),
                 ..defaults
             },

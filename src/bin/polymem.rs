@@ -82,7 +82,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--no-compiled-exec",
             "--no-hierarchy",
             "--no-residency",
-            "--vector-width",
             "--artifact-dir",
             "--tuned",
         ],
@@ -109,7 +108,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--no-compiled-exec",
             "--no-hierarchy",
             "--no-residency",
-            "--vector-width",
             "--artifact-dir",
         ],
         "serve" => &[
@@ -127,7 +125,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
 const VALUED: &[&str] = &[
     "--size",
     "--params",
-    "--vector-width",
     "--artifact-dir",
     "--addr",
     "--threads",
@@ -257,15 +254,14 @@ impl Cli {
     /// The execution flags every simulating subcommand shares —
     /// `analyze --json`, `key` and `run` must describe, address and
     /// execute the *same* launch.
-    fn toggles(&self) -> Result<LaunchToggles, String> {
-        Ok(LaunchToggles {
+    fn toggles(&self) -> LaunchToggles {
+        LaunchToggles {
             double_buffer: self.has("--double-buffer"),
             compiled_exec: !self.has("--no-compiled-exec"),
             hierarchy: !self.has("--no-hierarchy"),
             residency: !self.has("--no-residency"),
-            vector_width: self.positive("--vector-width")?,
             artifact_dir: self.value("--artifact-dir").map(str::to_string),
-        })
+        }
     }
 }
 
@@ -382,8 +378,7 @@ fn usage(msg: &str) -> ExitCode {
          and the channel timeline appear under --profile).\n\
          `run` uses the compiled block execution engine by default —\n\
          including on register-tile (hierarchy) plans; --no-compiled-exec\n\
-         selects the per-point interpreter instead, --vector-width N\n\
-         sets the compiled engine's batched lane count (1 = scalar).\n\
+         selects the per-point interpreter instead.\n\
          `run` stages per-inner-process register tiles when the mapping\n\
          distributes thread dims; --no-hierarchy keeps all staging in\n\
          the scratchpad. Across sequential sub-tiles `run` keeps each\n\
@@ -567,7 +562,6 @@ fn analyze_json(cli: &Cli, name: &str, program: &Program, params: &[i64]) -> Exi
                 ("compiled_exec", config.compiled_exec.into()),
                 ("hierarchy", config.hierarchy.into()),
                 ("residency", config.residency.into()),
-                ("vector_width", config.vector_width.into()),
             ]),
         ),
     ];
@@ -693,10 +687,8 @@ fn emit(cli: &Cli) -> ExitCode {
 /// asked for persistence should hear about before anything runs. `Err`
 /// carries the exit already taken.
 fn launch_inputs(cli: &Cli) -> Result<(MachineConfig, LaunchToggles), ExitCode> {
-    let parsed = cli
-        .machine()
-        .and_then(|(base, _)| Ok((base, cli.toggles()?)));
-    let (base, toggles) = parsed.map_err(|m| usage(&m))?;
+    let (base, _) = cli.machine().map_err(|m| usage(&m))?;
+    let toggles = cli.toggles();
     if let Some(dir) = &toggles.artifact_dir {
         ArtifactStore::open(dir).map_err(|e| runtime_error(&format!("artifact dir {dir}: {e}")))?;
     }

@@ -8,7 +8,8 @@
 //! and the mapping-relevant machine toggles, so any drift in "what a
 //! built-in launch is" moves a key. 5 kernels × {flat,
 //! `--double-buffer`} × {gpu, cell}; `launch_keys_golden.txt` must
-//! stay untouched by a refactor.
+//! stay untouched by a refactor, and is re-recorded only when the
+//! machine salt itself changes (it holds what changes the plan).
 //!
 //! Since the collapse the same file also pins the in-process resolver
 //! and the tuner's preset row: `tunespace::build` of the pinned preset

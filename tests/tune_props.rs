@@ -7,7 +7,7 @@
 //! is monotone — a mapping with strictly less reuse never gets charged
 //! fewer global bytes.
 
-use polymem::core::smem::tune::{estimate, CostEstimate, MappingDesc};
+use polymem::core::smem::tune::{estimate, tune_key, CostConstants, CostEstimate, MappingDesc};
 use polymem::core::smem::{DmaChannels, TransferDescriptor, TransferList};
 use polymem::core::tiling::find_permutable_band;
 use polymem::ir::{init_random_store, random_program, ArrayStore};
@@ -42,13 +42,7 @@ fn price(name: &str, desc: &MappingDesc, base: &MachineConfig, size: i64) -> Cos
     .expect("estimate")
 }
 
-fn square_desc(
-    ti: i64,
-    tj: i64,
-    seq_last: bool,
-    residency: bool,
-    base: &MachineConfig,
-) -> MappingDesc {
+fn square_desc(ti: i64, tj: i64, seq_last: bool, residency: bool) -> MappingDesc {
     let (block_dims, seq_dims) = if seq_last {
         (vec!["iT".into()], vec!["jT".into()])
     } else {
@@ -65,7 +59,6 @@ fn square_desc(
         double_buffer: false,
         hierarchy: false,
         residency,
-        vector_width: base.vector_width,
     }
 }
 
@@ -78,7 +71,7 @@ fn estimator_traffic_is_monotone_in_tile_reuse() {
     for name in ["conv2d", "me"] {
         let mut prev: Option<(i64, u64)> = None;
         for t in [2i64, 4, 8] {
-            let e = price(name, &square_desc(t, t, false, true, &base), &base, 16);
+            let e = price(name, &square_desc(t, t, false, true), &base, 16);
             if let Some((pt, pb)) = prev {
                 assert!(
                     pb >= e.global_bytes,
@@ -100,8 +93,8 @@ fn estimator_traffic_is_monotone_in_tile_reuse() {
 fn estimator_charges_no_residency_at_least_as_much() {
     let base = MachineConfig::geforce_8800_gtx();
     for name in ["conv2d", "me"] {
-        let with = price(name, &square_desc(4, 4, true, true, &base), &base, 16);
-        let without = price(name, &square_desc(4, 4, true, false, &base), &base, 16);
+        let with = price(name, &square_desc(4, 4, true, true), &base, 16);
+        let without = price(name, &square_desc(4, 4, true, false), &base, 16);
         assert!(
             without.global_bytes >= with.global_bytes,
             "{name}: no-residency predicted {} B < residency's {} B",
@@ -116,7 +109,7 @@ fn estimator_charges_no_residency_at_least_as_much() {
 #[test]
 fn estimator_charges_unstaged_at_least_as_many_global_accesses() {
     let base = MachineConfig::geforce_8800_gtx();
-    let staged = square_desc(4, 4, false, true, &base);
+    let staged = square_desc(4, 4, false, true);
     let unstaged = MappingDesc {
         use_scratchpad: false,
         ..staged.clone()
@@ -190,6 +183,75 @@ fn pruned_frontier_contains_the_simulated_optimum() {
             );
         }
     }
+}
+
+/// Two machines that differ only in pricing share every plan key, but
+/// not a tune winner: tuning B into the store A was tuned into must
+/// search again and find what a search on B alone finds.
+#[test]
+fn tune_artifacts_are_keyed_by_the_cost_model() {
+    let a = MachineConfig::geforce_8800_gtx();
+    let mut b = a.clone();
+    b.global_latency *= 10.0;
+    b.dma_setup_cycles *= 100.0;
+    let root = std::env::temp_dir().join(format!("polymem_tune_pricing_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let run = |machine: &MachineConfig, store: &str| {
+        let mut base = machine.clone();
+        base.artifact_dir = Some(root.join(store).to_string_lossy().into_owned());
+        let cands = tunespace::candidates("matmul", &base, true).expect("space");
+        let (program, params, _) = tunespace::workload("matmul", 8).expect("workload");
+        let init = |st: &mut ArrayStore| tunespace::init_store("matmul", st, 42);
+        let opts = TuneOptions {
+            space_label: "props:pricing".into(),
+            ..TuneOptions::default()
+        };
+        tune(&program, &params, &init, &cands, &base, &opts).expect("tune")
+    };
+    let on_a = run(&a, "shared");
+    let on_b = run(&b, "shared");
+    let b_alone = run(&b, "fresh");
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(on_a.plan_source, "search");
+    assert_eq!(on_b.plan_source, "search", "B was answered with A's winner");
+    assert_eq!(on_b.winner_cycles, b_alone.winner_cycles);
+    assert_ne!(on_b.winner_cycles, on_a.winner_cycles);
+    assert_ne!(on_b.key, on_a.key);
+}
+
+/// Every constant the estimator and the executor price with is part of
+/// the tune key.
+#[test]
+fn every_priced_constant_moves_the_tune_key() {
+    let (program, params, _) = tunespace::workload("matmul", 8).expect("workload");
+    let base = cost_constants(&MachineConfig::spatial_mesh());
+    let key = |cc: &CostConstants| tune_key(&program, &params, &[], cc, "space");
+    type Mutation = (&'static str, fn(&mut CostConstants));
+    let mutations: [Mutation; 17] = [
+        ("cycles_per_op", |c| c.cycles_per_op += 1.0),
+        ("smem_latency", |c| c.smem_latency += 1.0),
+        ("global_latency", |c| c.global_latency += 1.0),
+        ("global_overlap", |c| c.global_overlap += 1.0),
+        ("word_bytes", |c| c.word_bytes += 1),
+        ("smem_bytes", |c| c.smem_bytes += 1),
+        ("device_sync_base", |c| c.device_sync_base += 1.0),
+        ("device_sync_per_block", |c| c.device_sync_per_block += 1.0),
+        ("dma_channels", |c| c.dma_channels += 1),
+        ("dma_setup_cycles", |c| c.dma_setup_cycles += 1.0),
+        ("dma_bytes_per_cycle", |c| c.dma_bytes_per_cycle += 1.0),
+        ("n_outer", |c| c.n_outer += 1),
+        ("max_blocks_per_outer", |c| c.max_blocks_per_outer += 1),
+        ("count_budget", |c| c.count_budget += 1),
+        ("mesh_rows", |c| c.mesh_rows += 1),
+        ("mesh_cols", |c| c.mesh_cols += 1),
+        ("hop_cycles", |c| c.hop_cycles += 1.0),
+    ];
+    for (label, mutate) in mutations {
+        let mut cc = base.clone();
+        mutate(&mut cc);
+        assert_ne!(key(&cc), key(&base), "{label} does not move the tune key");
+    }
+    assert_eq!(key(&base.clone()), key(&base));
 }
 
 /// `polymem tune --random 2 --seed 3` used to exit with "no candidate
@@ -346,7 +408,6 @@ proptest! {
             double_buffer: false,
             hierarchy: false,
             residency: false,
-            vector_width: cfg.vector_width,
         };
         let kernel = tunespace::build("matmul", &desc).expect("desc rebuilds");
         let (program, params, _) = tunespace::workload("matmul", 8).expect("workload");
