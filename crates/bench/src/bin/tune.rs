@@ -217,7 +217,7 @@ fn main() {
                 all_exact: cold.rows.iter().all(|r| r.simulated.is_none() || r.exact),
                 warm_source: warm.plan_source,
                 warm_simulated: warm.simulated,
-                warm_same_winner: warm.winner.to_line() == cold.winner.to_line()
+                warm_same_winner: warm.winner == cold.winner
                     && warm.winner_cycles == cold.winner_cycles,
             };
             println!(

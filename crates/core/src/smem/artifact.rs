@@ -28,72 +28,75 @@
 //!   mapping-relevant [`MachineConfig`] fields here, so a GPU plan is
 //!   never served to a Cell-like launch.
 //!
-//! # Artifact contents and load validation
+//! # Artifact contents and what a load checks
 //!
-//! A [`PlanArtifact`] carries the full two-level [`SymbolicPlan`]
-//! (buffers, rewrites, movement ASTs, register level, residency
-//! plans) plus three derived streams: the per-statement **bytecode**
-//! instruction streams, the **lowered address rows** of every
-//! rewritten access, and representative **DMA descriptor lists** per
-//! movement group. Loads are validated in layers, and any failure
-//! makes [`ArtifactStore::load`] return `None` so the caller falls
-//! back to a fresh compile — a corrupt or stale artifact can cost a
-//! recompile, never incorrect execution:
+//! A [`PlanArtifact`] is the key and the full two-level
+//! [`SymbolicPlan`] (buffers, rewrites, movement ASTs, register level,
+//! residency plans) — §3's result for one block shape, and nothing
+//! derived from it. Plan files and tune files (`super::tune`) share one
+//! envelope ([`seal`] / [`open`]) and one `Enc` / `Dec` codec. A load
+//! runs three layers, and any failure makes [`ArtifactStore::load`]
+//! return `None`, so the caller compiles fresh:
 //!
-//! 1. envelope: magic, [`FORMAT_VERSION`], [`SCHEMA_HASH`] (a hash of
-//!    the codec layout descriptor, bumped whenever any encoded type
-//!    changes shape), payload checksum, and key equality;
-//! 2. structural decode: every length is bounds-checked against the
-//!    remaining payload, every polyhedron/map is rebuilt through the
-//!    same validating constructors the passes use, and bytecode
-//!    streams must re-pass [`BodyCode::from_ops`]'s stack-discipline
-//!    and slot-range proof;
-//! 3. re-proof against the program: the bytecode, lowered rows and
-//!    descriptor lists are *recomputed* from the decoded plan and the
-//!    live program and must match the stored streams bit-for-bit
-//!    ([`PlanArtifact::validate`]) — so an artifact built from a
-//!    different program version (stale content under a colliding or
-//!    hand-edited key) is rejected rather than trusted.
+//! 1. envelope: magic, version, [`schema_hash`] (a hash of the codec
+//!    layout descriptor, edited whenever any encoded type changes
+//!    shape), payload length and checksum. The checksum catches
+//!    accidental corruption; the key, checked by the store, catches
+//!    staleness, since it hashes the program and everything else the
+//!    plan depends on.
+//! 2. decode: every length is bounds-checked against the remaining
+//!    payload and every polyhedron / map is rebuilt through the same
+//!    validating constructors the passes use.
+//! 3. fit (`plan_fits`): every index and arity the executor trusts —
+//!    array indices and ranks, statement and access ids, buffer ids,
+//!    kept dims, the parameter count at each level — is in range for
+//!    the program. This makes loads total: any bytes end in `Some` or
+//!    `None`, in time linear in the payload.
+//!
+//! None of the layers re-derives the plan. A plan that fits its
+//! program but is not the one §3 would compute (a hand-edited loop
+//! bound under a valid checksum) still runs.
 
 use super::cache::SymbolicPlan;
 use super::dataspace::AccessId;
-use super::descriptors::{transfer_list, Direction, TransferList};
 use super::hierarchy::{HierPlan, HierSpec};
-use super::lowering::{lower_rows, LoweredRow};
 use super::movement::MovementCode;
 use super::residency::{ResidencyPlan, RetainPlan};
 use super::reuse::ReuseDecision;
-use super::{LocalBuffer, SmemConfig, SmemPlan};
+use super::{LocalBuffer, SmemConfig, SmemError, SmemPlan};
 use polymem_codegen::ast::{Ast, LoopBounds};
-use polymem_ir::{BodyCode, ByteOp, Expr, LinExpr, Program};
+use polymem_ir::{Expr, LinExpr, Program};
 use polymem_linalg::{IMat, IVec};
 use polymem_poly::bounds::{AffineForm, BoundList};
-use polymem_poly::{AffineMap, Constraint, ConstraintKind, PolyUnion, Polyhedron, Space};
+use polymem_poly::{
+    AffineMap, Constraint, ConstraintKind, PolyError, PolyUnion, Polyhedron, Space,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-/// On-disk format version; bump on any envelope change.
+/// Plan-file version; bump on any envelope change.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// File magic: "polymem plan artifact".
+/// Plan-file magic: "polymem plan artifact".
 pub const MAGIC: [u8; 4] = *b"PMPA";
 
-/// Layout descriptor of every type the codec serializes. The schema
-/// hash stored in each artifact is the FNV of this string, so editing
-/// any encoder (and this descriptor with it) invalidates old files
-/// even within the same [`FORMAT_VERSION`].
+/// Layout descriptor of every type the codec serializes, plan and tune
+/// payloads alike. The schema hash stored in each envelope is the FNV
+/// of this string, so editing any encoder (and this descriptor with it)
+/// invalidates old files even within the same version.
 const SCHEMA: &str = "v1:ivec,imat,space,constraint(kind,coeffs),poly,union,map,\
      affform(coeffs,div),boundlist,ast(seq,loop,guard,leaf,empty),\
      accessid,localaccess,droppeddim,unionbound,localbuffer,\
      reusedecision,movement(in,out,rspaces,wspaces),smemplan,\
      passtimes:nanos6,hier(plan,ext,threads,kept,stpos,backing,regs),\
      retain(buffer,atoms,retained,delta,flushdelta,scans3,legal),\
-     residency,symbolic(plan,fixed,kept,times,hier,residency),\
-     byteop,loweredrow,transferlist,artifact(key,plan,bodies,lowered,\
-     tparams,transfers)";
+     residency,symbolic(plan,fixed,kept,times,hier,residency),artifact(key,plan),\
+     mapping(scheme,tiles,round,block,seq,thread,spad,db,hier,res),\
+     tunerow(mapping,predicted,simulated,exact,preset,note),\
+     tune(winner,predicted,cycles,rows)";
 
 /// Schema hash baked into every artifact (see [`SCHEMA`]).
 pub fn schema_hash() -> u64 {
@@ -106,17 +109,17 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_HI: u64 = 0x6c62_272e_07bb_0142;
 /// The standard 64-bit FNV prime.
 pub const FNV_PRIME: u64 = 0x0100_0000_01b3;
-/// The multiplier of everything this module persists (plan keys, the
-/// schema hash, envelope checksums). It is one hex digit longer than
-/// [`FNV_PRIME`] and frozen: every stored artifact's name, the golden
-/// launch keys and the daemon's `ping` schema are values of it.
+/// The multiplier of everything this module persists (plan and tune
+/// keys, the schema hash, envelope checksums). It is one hex digit
+/// longer than [`FNV_PRIME`] and frozen: every stored artifact's name,
+/// the golden launch keys and the daemon's `ping` schema are values of
+/// it.
 const KEY_PRIME: u64 = 0x1000_0000_01b3;
 
 /// Fold `bytes` into the 64-bit FNV-1a state `h` with multiplier
 /// `prime`. The one FNV loop in the tree: artifact keys and envelope
-/// checksums ([`KEY_PRIME`]), the tune artifact's checksum and the
-/// serve protocol's result fingerprint ([`FNV_PRIME`]) all hash
-/// through it.
+/// checksums ([`KEY_PRIME`]) and the serve protocol's result
+/// fingerprint ([`FNV_PRIME`]) all hash through it.
 pub fn fnv1a(mut h: u64, prime: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
@@ -403,17 +406,17 @@ pub fn plan_key(
 // ---------------------------------------------------------------------------
 
 /// Decode failure (any structural violation). Carries no detail: the
-/// only recovery is a fresh compile, and the store treats every
-/// corrupt artifact identically.
+/// only recovery is a fresh compile (or search), and the loaders treat
+/// every corrupt artifact identically.
 #[derive(Debug)]
-struct Corrupt;
+pub(super) struct Corrupt;
 
-type DResult<T> = std::result::Result<T, Corrupt>;
+pub(super) type DResult<T> = std::result::Result<T, Corrupt>;
 
-/// Append-only encoder.
+/// Append-only encoder: the one writer of both artifact kinds.
 #[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+pub(super) struct Enc {
+    pub(super) buf: Vec<u8>,
 }
 
 impl Enc {
@@ -423,26 +426,26 @@ impl Enc {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn u64(&mut self, v: u64) {
+    pub(super) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn i64(&mut self, v: i64) {
+    pub(super) fn i64(&mut self, v: i64) {
         self.u64(v as u64);
     }
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
-    fn boolean(&mut self, v: bool) {
+    pub(super) fn boolean(&mut self, v: bool) {
         self.u8(v as u8);
     }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
-    fn str(&mut self, s: &str) {
+    pub(super) fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Enc, &T)) {
+    pub(super) fn opt<T>(&mut self, v: &Option<T>, f: impl FnOnce(&mut Enc, &T)) {
         match v {
             Some(x) => {
                 self.u8(1);
@@ -451,7 +454,7 @@ impl Enc {
             None => self.u8(0),
         }
     }
-    fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Enc, &T)) {
+    pub(super) fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Enc, &T)) {
         self.usize(items.len());
         for it in items {
             f(self, it);
@@ -459,11 +462,12 @@ impl Enc {
     }
 }
 
-/// Bounds-checked cursor over an encoded payload. Every read
-/// validates against the remaining bytes; a `Vec` length prefix may
-/// never exceed the remaining payload (each element costs ≥ 1 byte),
-/// so a corrupt length cannot trigger an outsized allocation.
-struct Dec<'a> {
+/// Bounds-checked cursor over an encoded payload: the one reader of
+/// both artifact kinds. Every read validates against the remaining
+/// bytes; a `Vec` length prefix may never exceed the remaining payload
+/// (each element costs ≥ 1 byte), so a corrupt length cannot trigger
+/// an outsized allocation.
+pub(super) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -489,17 +493,17 @@ impl<'a> Dec<'a> {
     fn u32(&mut self) -> DResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
-    fn u64(&mut self) -> DResult<u64> {
+    pub(super) fn u64(&mut self) -> DResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn i64(&mut self) -> DResult<i64> {
+    pub(super) fn i64(&mut self) -> DResult<i64> {
         Ok(self.u64()? as i64)
     }
     fn usize(&mut self) -> DResult<usize> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| Corrupt)
     }
-    fn boolean(&mut self) -> DResult<bool> {
+    pub(super) fn boolean(&mut self) -> DResult<bool> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -516,19 +520,25 @@ impl<'a> Dec<'a> {
         }
         Ok(n)
     }
-    fn str(&mut self) -> DResult<String> {
+    pub(super) fn str(&mut self) -> DResult<String> {
         let n = self.len()?;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| Corrupt)
     }
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Dec<'a>) -> DResult<T>) -> DResult<Option<T>> {
+    pub(super) fn opt<T>(
+        &mut self,
+        f: impl FnOnce(&mut Dec<'a>) -> DResult<T>,
+    ) -> DResult<Option<T>> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(f(self)?)),
             _ => Err(Corrupt),
         }
     }
-    fn seq<T>(&mut self, mut f: impl FnMut(&mut Dec<'a>) -> DResult<T>) -> DResult<Vec<T>> {
+    pub(super) fn seq<T>(
+        &mut self,
+        mut f: impl FnMut(&mut Dec<'a>) -> DResult<T>,
+    ) -> DResult<Vec<T>> {
         let n = self.len()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -544,8 +554,15 @@ fn put_ivec(e: &mut Enc, v: &IVec) {
     e.seq(&v.0, |e, &x| e.i64(x));
 }
 
+/// `i64::MIN` never occurs in a plan, and is the one coefficient the
+/// polyhedral core cannot negate: refusing it here keeps a corrupt row
+/// from overflowing inside `Polyhedron::new`'s normalisation.
 fn get_ivec(d: &mut Dec) -> DResult<IVec> {
-    Ok(IVec(d.seq(|d| d.i64())?))
+    let v = d.seq(|d| match d.i64()? {
+        i64::MIN => Err(Corrupt),
+        x => Ok(x),
+    })?;
+    Ok(IVec(v))
 }
 
 fn put_imat(e: &mut Enc, m: &IMat) {
@@ -655,7 +672,7 @@ fn put_affform(e: &mut Enc, f: &AffineForm) {
 fn get_affform(d: &mut Dec) -> DResult<AffineForm> {
     let coeffs = get_ivec(d)?;
     let div = d.i64()?;
-    if div == 0 {
+    if div <= 0 {
         return Err(Corrupt);
     }
     Ok(AffineForm { coeffs, div })
@@ -989,109 +1006,186 @@ fn get_symbolic(d: &mut Dec) -> DResult<SymbolicPlan> {
     })
 }
 
-// --- derived streams ---
+// ---------------------------------------------------------------------------
+// The envelope
+// ---------------------------------------------------------------------------
 
-fn put_byteop(e: &mut Enc, op: &ByteOp) {
-    match op {
-        ByteOp::Read(i) => {
-            e.u8(0);
-            e.u32(*i);
-        }
-        ByteOp::Iter(i) => {
-            e.u8(1);
-            e.u32(*i);
-        }
-        ByteOp::Param(i) => {
-            e.u8(2);
-            e.u32(*i);
-        }
-        ByteOp::Const(c) => {
-            e.u8(3);
-            e.i64(*c);
-        }
-        ByteOp::Add => e.u8(4),
-        ByteOp::Sub => e.u8(5),
-        ByteOp::Mul => e.u8(6),
-        ByteOp::CheckDiv => e.u8(7),
-        ByteOp::Div => e.u8(8),
-        ByteOp::Min => e.u8(9),
-        ByteOp::Max => e.u8(10),
-        ByteOp::Abs => e.u8(11),
+/// Wrap `payload` in the envelope every artifact file shares: `magic`
+/// (which kind of file), `version`, [`schema_hash`], the key, the
+/// payload length, the payload and its checksum. [`open`] is the
+/// inverse.
+pub fn seal(magic: [u8; 4], version: u32, key: ArtifactKey, payload: &[u8]) -> Vec<u8> {
+    let mut e = Enc::default();
+    e.buf.extend_from_slice(&magic);
+    e.u32(version);
+    e.u64(schema_hash());
+    e.u64(key.lo);
+    e.u64(key.hi);
+    e.usize(payload.len());
+    e.buf.extend_from_slice(payload);
+    e.u64(fnv1a(FNV_OFFSET, KEY_PRIME, payload));
+    e.buf
+}
+
+/// The key and payload of a [`seal`]ed file. `None` unless the magic,
+/// version and schema hash are this build's, the length and checksum
+/// match the payload, and nothing trails the checksum.
+pub fn open(bytes: &[u8], magic: [u8; 4], version: u32) -> Option<(ArtifactKey, &[u8])> {
+    let mut d = Dec::new(bytes);
+    if d.take(4).ok()? != magic || d.u32().ok()? != version || d.u64().ok()? != schema_hash() {
+        return None;
     }
+    let key = ArtifactKey {
+        lo: d.u64().ok()?,
+        hi: d.u64().ok()?,
+    };
+    let n = d.len().ok()?;
+    let payload = d.take(n).ok()?;
+    let sum = d.u64().ok()?;
+    (sum == fnv1a(FNV_OFFSET, KEY_PRIME, payload) && d.remaining() == 0).then_some((key, payload))
 }
 
-fn get_byteop(d: &mut Dec) -> DResult<ByteOp> {
-    Ok(match d.u8()? {
-        0 => ByteOp::Read(d.u32()?),
-        1 => ByteOp::Iter(d.u32()?),
-        2 => ByteOp::Param(d.u32()?),
-        3 => ByteOp::Const(d.i64()?),
-        4 => ByteOp::Add,
-        5 => ByteOp::Sub,
-        6 => ByteOp::Mul,
-        7 => ByteOp::CheckDiv,
-        8 => ByteOp::Div,
-        9 => ByteOp::Min,
-        10 => ByteOp::Max,
-        11 => ByteOp::Abs,
-        _ => return Err(Corrupt),
-    })
+/// Decode a whole payload with `get`; `None` if it fails or leaves
+/// bytes over.
+pub(super) fn decode_all<T>(payload: &[u8], get: impl FnOnce(&mut Dec) -> DResult<T>) -> Option<T> {
+    let mut d = Dec::new(payload);
+    let v = get(&mut d).ok()?;
+    (d.remaining() == 0).then_some(v)
 }
 
-fn put_lowered_row(e: &mut Enc, r: &LoweredRow) {
-    e.seq(&r.kcoef, |e, &v| e.i64(v));
-    e.seq(&r.pcoef, |e, &v| e.i64(v));
-    e.i64(r.konst);
-}
+// ---------------------------------------------------------------------------
+// The fit check
+// ---------------------------------------------------------------------------
 
-fn get_lowered_row(d: &mut Dec) -> DResult<LoweredRow> {
-    Ok(LoweredRow {
-        kcoef: d.seq(|d| d.i64())?,
-        pcoef: d.seq(|d| d.i64())?,
-        konst: d.i64()?,
-    })
-}
-
-fn put_transfer_list(e: &mut Enc, t: &TransferList) {
-    e.seq(&t.descriptors, |e, td| {
-        e.i64(td.global_base);
-        e.i64(td.local_base);
-        e.i64(td.elem_count);
-        e.i64(td.stride);
-        e.i64(td.n_rows);
-        e.i64(td.global_row_stride);
-        e.i64(td.local_stride);
-        e.i64(td.local_row_stride);
-    });
-    e.u64(t.elements);
-}
-
-fn get_transfer_list(d: &mut Dec) -> DResult<TransferList> {
-    use super::descriptors::TransferDescriptor;
-    Ok(TransferList {
-        descriptors: d.seq(|d| {
-            Ok(TransferDescriptor {
-                global_base: d.i64()?,
-                local_base: d.i64()?,
-                elem_count: d.i64()?,
-                stride: d.i64()?,
-                n_rows: d.i64()?,
-                global_row_stride: d.i64()?,
-                local_stride: d.i64()?,
-                local_row_stride: d.i64()?,
+/// Whether a decoded plan fits `program`: every index the executor
+/// follows is in range, and every arity it trusts matches. That covers
+/// array indices and ranks, statement and access ids, buffer ids, kept
+/// dims, and the parameter count of every affine structure at its level
+/// (`params ++ fixed` at the scratchpad, `params ++ ext_names` at the
+/// register level). One pass, linear in the plan's size. It says
+/// nothing about *what* the plan computes; see the module docs.
+fn plan_fits(sp: &SymbolicPlan, program: &Program) -> bool {
+    let np = program.params.len();
+    let n1 = np + sp.fixed.len();
+    let stmts_fit = |kept: &[Vec<usize>]| {
+        kept.len() == program.stmts.len()
+            && (kept.iter().zip(&program.stmts)).all(|(k, s)| k.iter().all(|&d| d < s.depth()))
+    };
+    let residency_fits = sp.residency.as_ref().is_none_or(|r| {
+        r.plans.iter().all(|(&id, rp)| {
+            sp.plan.buffers.get(id).is_some_and(|b| {
+                let rank = b.n_array_dims;
+                let unions = [&rp.retained, &rp.delta_in, &rp.flush_delta];
+                let scans = [&rp.retained_scan, &rp.delta_scan, &rp.flush_scan];
+                rp.buffer == id
+                    && polys_fit(&rp.atoms, rank, n1)
+                    && unions.iter().all(|u| polys_fit(u.members(), rank, n1))
+                    && scans.iter().all(|a| ast_fits(a, 0, n1, rank))
             })
-        })?,
-        elements: d.u64()?,
-    })
+        })
+    });
+    let hier_fits = sp.hier.as_ref().is_none_or(|h| {
+        let threads = h.thread_dims.len();
+        let level1 = h.ext_names.iter().filter(|n| !h.thread_dims.contains(n));
+        let thread_pos_fits = h.stmt_thread_pos.len() == program.stmts.len()
+            && (h.stmt_thread_pos.iter().zip(&program.stmts)).all(|(pos, s)| {
+                pos.as_ref()
+                    .is_none_or(|p| p.len() == threads && p.iter().all(|&d| d < s.depth()))
+            });
+        let backing_fits = h.backing.len() == h.plan.buffers.len()
+            && (h.backing.iter().zip(&h.plan.buffers))
+                .all(|(&b1, b2)| (sp.plan.buffers.get(b1)).is_some_and(|b1| b1.array == b2.array));
+        h.ext_names.len() == sp.fixed.len() + threads
+            && level1.eq(&sp.fixed)
+            && stmts_fit(&h.kept_dims)
+            && thread_pos_fits
+            && backing_fits
+            && smem_plan_fits(&h.plan, program, np + h.ext_names.len(), &h.kept_dims)
+    });
+    stmts_fit(&sp.kept_dims)
+        && smem_plan_fits(&sp.plan, program, n1, &sp.kept_dims)
+        && residency_fits
+        && hier_fits
+}
+
+/// [`plan_fits`] for one level's plan, whose affine structures take `np`
+/// parameters and whose statements keep the dims `kept`.
+fn smem_plan_fits(plan: &SmemPlan, program: &Program, np: usize, kept: &[Vec<usize>]) -> bool {
+    let buffers_fit = plan.buffers.iter().enumerate().all(|(i, b)| {
+        let rank = b.n_array_dims;
+        let mut bound_lists = (b.bounds.iter()).flat_map(|u| u.lowers.iter().chain(&u.uppers));
+        b.id == i
+            && (program.arrays.get(b.array)).is_some_and(|a| a.extents.len() == rank)
+            && b.kept_dims.len() == b.bounds.len()
+            && b.kept_dims.iter().all(|&d| d < rank)
+            && (b.dropped.iter())
+                .all(|dd| dd.dim < rank && dd.expr.coeffs.len() == b.kept_dims.len() + np + 1)
+            && bound_lists.all(|l| forms_fit(l, np + 1))
+            && polys_fit(&b.data_spaces, rank, np)
+    });
+    let rewrites_fit = plan.rewrites.iter().all(|(id, la)| {
+        let Some(s) = program.stmts.get(id.stmt) else {
+            return false;
+        };
+        let access = match id.read_idx {
+            None => Some(&s.write),
+            Some(k) => s.reads.get(k),
+        };
+        let (Some(access), Some(b)) = (access, plan.buffers.get(la.buffer)) else {
+            return false;
+        };
+        let m = la.map.in_space();
+        access.array == b.array
+            && la.map.n_out() == b.kept_dims.len()
+            && m.n_dims() == kept[id.stmt].len()
+            && m.n_params() == np
+    });
+    let movement_fits = plan.movement.iter().all(|mc| {
+        plan.buffers.get(mc.buffer).is_some_and(|b| {
+            let rank = b.n_array_dims;
+            ast_fits(&mc.move_in, 0, np, rank)
+                && ast_fits(&mc.move_out, 0, np, rank)
+                && polys_fit(&mc.read_spaces, rank, np)
+                && polys_fit(&mc.write_spaces, rank, np)
+        })
+    });
+    buffers_fit && rewrites_fit && movement_fits
+}
+
+/// Every term of `b` spans `width` columns.
+fn forms_fit(b: &BoundList, width: usize) -> bool {
+    b.terms.iter().all(|t| t.coeffs.len() == width)
+}
+
+/// Every polyhedron lives in `dims` dims over `np` parameters.
+fn polys_fit(ps: &[Polyhedron], dims: usize, np: usize) -> bool {
+    (ps.iter()).all(|p| p.space().n_dims() == dims && p.space().n_params() == np)
+}
+
+/// A scan nest over `np` parameters, entered `depth` loops deep, whose
+/// every leaf visits a full `rank`-dim array index.
+fn ast_fits(a: &Ast, depth: usize, np: usize, rank: usize) -> bool {
+    let width = depth + np + 1;
+    match a {
+        Ast::Seq(items) => items.iter().all(|a| ast_fits(a, depth, np, rank)),
+        Ast::Loop { bounds, body, .. } => {
+            forms_fit(&bounds.lower, width)
+                && forms_fit(&bounds.upper, width)
+                && ast_fits(body, depth + 1, np, rank)
+        }
+        Ast::Guard { conds, body } => {
+            conds.iter().all(|c| c.coeffs.len() == width) && ast_fits(body, depth, np, rank)
+        }
+        Ast::Leaf { .. } => depth == rank,
+        Ast::Empty => true,
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The artifact
 // ---------------------------------------------------------------------------
 
-/// One serialized compile result: the symbolic plan plus the derived
-/// streams the compiled execution engine consumes, all revalidated on
-/// load (see the module docs).
+/// One serialized compile result: the symbolic plan under its key.
 #[derive(Clone, Debug)]
 pub struct PlanArtifact {
     /// Content address this artifact was compiled under.
@@ -1099,196 +1193,48 @@ pub struct PlanArtifact {
     /// The full two-level symbolic plan (scratchpad + register +
     /// residency).
     pub plan: SymbolicPlan,
-    /// Per-statement bytecode instruction streams of the program
-    /// bodies, in statement order.
-    pub bodies: Vec<Vec<ByteOp>>,
-    /// Lowered address rows of every rewritten (scratchpad-level)
-    /// access, sorted by access id.
-    pub lowered: Vec<(AccessId, Vec<LoweredRow>)>,
-    /// Extended parameter vector (program params ++ representative
-    /// fixed values) the descriptor lists below were generated at;
-    /// empty when no representative was available.
-    pub transfer_params: Vec<i64>,
-    /// Representative move-in DMA descriptor lists, one per movement
-    /// group (empty list where generation failed, e.g. unbounded
-    /// scans).
-    pub transfers: Vec<TransferList>,
 }
 
 impl PlanArtifact {
-    /// Assemble an artifact from a freshly analysed plan. `ext` is
-    /// the plan's extended parameter vector (program params then the
-    /// representative fixed values, in `plan.fixed` order); pass an
-    /// empty slice to skip descriptor generation.
+    /// Assemble an artifact from a freshly analysed plan of `program`.
+    /// A plan that does not fit the program (`plan_fits`) is an error,
+    /// so no file a load would refuse is ever written. `ext` (the
+    /// plan's extended parameter vector) is unused: the benchmark crate
+    /// still passes it, and the parameter goes when that crate next
+    /// changes.
     pub fn build(
         program: &Program,
         plan: &SymbolicPlan,
         key: ArtifactKey,
-        ext: &[i64],
+        _ext: &[i64],
     ) -> super::Result<PlanArtifact> {
-        let mut bodies = Vec::with_capacity(program.stmts.len());
-        for s in &program.stmts {
-            let code = BodyCode::compile(&s.body, s.reads.len(), s.depth(), program.params.len())?;
-            bodies.push(code.ops().to_vec());
+        if !plan_fits(plan, program) {
+            return Err(SmemError::Poly(PolyError::SpaceMismatch {
+                op: "a plan that does not fit its program",
+            }));
         }
-        let mut ids: Vec<&AccessId> = plan.plan.rewrites.keys().collect();
-        ids.sort_by_key(|id| (id.stmt, id.read_idx.is_some(), id.read_idx));
-        let lowered = ids
-            .into_iter()
-            .map(|id| (*id, lower_rows(&plan.plan.rewrites[id].map)))
-            .collect();
-        let ok_ext = ext.len() == program.params.len() + plan.fixed.len();
-        let transfers = plan
-            .plan
-            .movement
-            .iter()
-            .map(|mc| {
-                if !ok_ext {
-                    return empty_list();
-                }
-                let buffer = &plan.plan.buffers[mc.buffer];
-                let aext = program.arrays[buffer.array]
-                    .eval_extents(&program.params, &ext[..program.params.len()]);
-                match aext {
-                    Ok(aext) => transfer_list(mc, buffer, Direction::In, &aext, ext)
-                        .unwrap_or_else(|_| empty_list()),
-                    Err(_) => empty_list(),
-                }
-            })
-            .collect();
         Ok(PlanArtifact {
             key,
             plan: plan.clone(),
-            bodies,
-            lowered,
-            transfer_params: if ok_ext { ext.to_vec() } else { Vec::new() },
-            transfers,
         })
     }
-
-    /// Re-prove the derived streams against the live program: the
-    /// bytecode, lowered rows and descriptor lists are recomputed
-    /// from the decoded plan and must match the stored bytes exactly.
-    /// `false` means the artifact is stale (or the key collided) and
-    /// must be recompiled.
-    pub fn validate(&self, program: &Program) -> bool {
-        let Ok(fresh) = PlanArtifact::build(program, &self.plan, self.key, &self.transfer_params)
-        else {
-            return false;
-        };
-        // Stored bytecode must also stand on its own: `from_ops`
-        // re-proves stack discipline and slot ranges even though the
-        // equality check below would catch today's compiler output.
-        for (ops, s) in self.bodies.iter().zip(&program.stmts) {
-            if BodyCode::from_ops(ops.clone(), s.reads.len(), s.depth(), program.params.len())
-                .is_err()
-            {
-                return false;
-            }
-        }
-        let enc = |a: &PlanArtifact| {
-            let mut e = Enc::default();
-            e.seq(&a.bodies, |e, ops| e.seq(ops, put_byteop));
-            e.usize(a.lowered.len());
-            for (id, rows) in &a.lowered {
-                put_access_id(&mut e, id);
-                e.seq(rows, put_lowered_row);
-            }
-            e.seq(&a.transfer_params, |e, &p| e.i64(p));
-            e.seq(&a.transfers, put_transfer_list);
-            e.buf
-        };
-        enc(self) == enc(&fresh)
-    }
 }
 
-fn empty_list() -> TransferList {
-    TransferList {
-        descriptors: Vec::new(),
-        elements: 0,
-    }
-}
-
-/// Serialize an artifact to its on-disk byte representation
-/// (envelope + payload + checksum).
+/// Serialize an artifact to its on-disk bytes.
 pub fn encode_artifact(a: &PlanArtifact) -> Vec<u8> {
     let mut p = Enc::default();
     put_symbolic(&mut p, &a.plan);
-    p.seq(&a.bodies, |e, ops| e.seq(ops, put_byteop));
-    p.usize(a.lowered.len());
-    for (id, rows) in &a.lowered {
-        put_access_id(&mut p, id);
-        p.seq(rows, put_lowered_row);
-    }
-    p.seq(&a.transfer_params, |e, &v| e.i64(v));
-    p.seq(&a.transfers, put_transfer_list);
-    let payload = p.buf;
-
-    let mut e = Enc::default();
-    e.buf.extend_from_slice(&MAGIC);
-    e.u32(FORMAT_VERSION);
-    e.u64(schema_hash());
-    e.u64(a.key.lo);
-    e.u64(a.key.hi);
-    e.usize(payload.len());
-    e.buf.extend_from_slice(&payload);
-    e.u64(fnv1a(FNV_OFFSET, KEY_PRIME, &payload));
-    e.buf
+    seal(MAGIC, FORMAT_VERSION, a.key, &p.buf)
 }
 
-/// Decode an on-disk artifact. `None` on any envelope or structural
-/// violation (wrong magic/version/schema, bad checksum, truncated or
-/// corrupt payload) — never a panic, never partial data.
-pub fn decode_artifact(bytes: &[u8]) -> Option<PlanArtifact> {
-    decode_inner(bytes).ok()
-}
-
-fn decode_inner(bytes: &[u8]) -> DResult<PlanArtifact> {
-    let mut d = Dec::new(bytes);
-    if d.take(4)? != MAGIC {
-        return Err(Corrupt);
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return Err(Corrupt);
-    }
-    if d.u64()? != schema_hash() {
-        return Err(Corrupt);
-    }
-    let key = ArtifactKey {
-        lo: d.u64()?,
-        hi: d.u64()?,
-    };
-    let plen = d.len()?;
-    let payload = d.take(plen)?;
-    if d.u64()? != fnv1a(FNV_OFFSET, KEY_PRIME, payload) {
-        return Err(Corrupt);
-    }
-    if d.remaining() != 0 {
-        return Err(Corrupt);
-    }
-    let mut p = Dec::new(payload);
-    let plan = get_symbolic(&mut p)?;
-    let bodies = p.seq(|d| d.seq(get_byteop))?;
-    let n = p.len()?;
-    let mut lowered = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = get_access_id(&mut p)?;
-        let rows = p.seq(get_lowered_row)?;
-        lowered.push((id, rows));
-    }
-    let transfer_params = p.seq(|d| d.i64())?;
-    let transfers = p.seq(get_transfer_list)?;
-    if p.remaining() != 0 {
-        return Err(Corrupt);
-    }
-    Ok(PlanArtifact {
-        key,
-        plan,
-        bodies,
-        lowered,
-        transfer_params,
-        transfers,
-    })
+/// Decode on-disk bytes into an artifact whose plan fits `program`:
+/// the envelope, decode and fit layers of the module docs, and what
+/// [`ArtifactStore::load`] runs after reading the file. `None` on any
+/// violation — never a panic, never partial data.
+pub fn decode_artifact(bytes: &[u8], program: &Program) -> Option<PlanArtifact> {
+    let (key, payload) = open(bytes, MAGIC, FORMAT_VERSION)?;
+    let plan = decode_all(payload, get_symbolic)?;
+    plan_fits(&plan, program).then_some(PlanArtifact { key, plan })
 }
 
 // ---------------------------------------------------------------------------
@@ -1298,8 +1244,8 @@ fn decode_inner(bytes: &[u8]) -> DResult<PlanArtifact> {
 /// A directory of content-addressed plan artifacts, one file per key
 /// (`<key>.plan`). Writes are atomic (temp file + rename), so
 /// concurrent daemons sharing a store directory can only ever observe
-/// complete artifacts; loads validate everything and fall back to
-/// `None` on any mismatch.
+/// complete artifacts; loads check envelope, decode and fit and fall
+/// back to `None` on any mismatch.
 #[derive(Clone, Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
@@ -1323,17 +1269,12 @@ impl ArtifactStore {
         self.dir.join(format!("{key}.plan"))
     }
 
-    /// Load and fully validate the artifact at `key`: envelope and
-    /// structural checks, key equality, and the derived-stream
-    /// re-proof against `program`. Any failure (including a missing
+    /// Load the artifact at `key` through [`decode_artifact`] and check
+    /// that it was stored under `key`. Any failure (including a missing
     /// file) returns `None` — the caller compiles fresh.
     pub fn load(&self, key: &ArtifactKey, program: &Program) -> Option<PlanArtifact> {
         let bytes = std::fs::read(self.path_for(key)).ok()?;
-        let artifact = decode_artifact(&bytes)?;
-        if artifact.key != *key || !artifact.validate(program) {
-            return None;
-        }
-        Some(artifact)
+        decode_artifact(&bytes, program).filter(|a| a.key == *key)
     }
 
     /// Persist an artifact under its own key, atomically.
@@ -1418,11 +1359,10 @@ mod tests {
         let key = plan_key(&program, &cfg(), &[("iT".into(), 0)], None, &[1, 2]);
         let art = PlanArtifact::build(&program, &sp, key, &[16, 0]).unwrap();
         let bytes = encode_artifact(&art);
-        let back = decode_artifact(&bytes).expect("decodes");
+        let back = decode_artifact(&bytes, &program).expect("decodes and fits");
         // Decoded artifacts re-encode to the same bytes (canonical
-        // form is a fixpoint) and survive the full re-proof.
+        // form is a fixpoint).
         assert_eq!(encode_artifact(&back), bytes);
-        assert!(back.validate(&program));
         assert_eq!(back.key, key);
         assert_eq!(back.plan.fixed, sp.fixed);
     }
@@ -1471,30 +1411,34 @@ mod tests {
         let key = plan_key(&program, &cfg(), &[("iT".into(), 0)], None, &[]);
         let art = PlanArtifact::build(&program, &sp, key, &[16, 0]).unwrap();
         let bytes = encode_artifact(&art);
-        // Version mismatch.
-        let mut v = bytes.clone();
-        v[4] ^= 0xff;
-        assert!(decode_artifact(&v).is_none());
-        // Schema mismatch.
-        let mut s = bytes.clone();
-        s[8] ^= 0xff;
-        assert!(decode_artifact(&s).is_none());
+        let decode = |b: &[u8]| decode_artifact(b, &program);
+        // Magic, version and schema mismatches.
+        for at in [0, 4, 8] {
+            let mut v = bytes.clone();
+            v[at] ^= 0xff;
+            assert!(decode(&v).is_none(), "byte {at}");
+        }
         // Truncation at every prefix length stays a clean None.
         for cut in [0, 3, 4, 12, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_artifact(&bytes[..cut]).is_none(), "cut {cut}");
+            assert!(decode(&bytes[..cut]).is_none(), "cut {cut}");
         }
         // Payload bit-flip breaks the checksum.
         let mut c = bytes.clone();
         let mid = 40 + (bytes.len() - 48) / 2;
         c[mid] ^= 0x01;
-        assert!(decode_artifact(&c).is_none());
-        // A *stale* artifact — valid bytes, different program — fails
-        // the derived-stream re-proof instead of being trusted.
+        assert!(decode(&c).is_none());
+        // A plan that does not fit the program — its buffers name an
+        // array the program lacks — is refused at the fit layer, and
+        // `build` will not write one.
+        let mut fewer = tiled_program();
+        fewer.arrays.truncate(1);
+        assert!(decode_artifact(&bytes, &fewer).is_none());
+        assert!(PlanArtifact::build(&fewer, &sp, key, &[]).is_err());
+        // The same program with a different body fits: the key, not
+        // the load, is what tells the two programs apart.
         let mut other = tiled_program();
         other.stmts[0].body = Expr::Sub(Box::new(Expr::Read(0)), Box::new(Expr::Read(1)));
-        let art2 = decode_artifact(&bytes).unwrap();
-        assert!(art2.validate(&program));
-        assert!(!art2.validate(&other));
+        assert!(decode_artifact(&bytes, &other).is_some());
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! transaction per word. Real explicitly-managed-memory targets batch:
 //! the Cell's MFC takes *DMA lists* (each entry a contiguous chunk at
 //! a global address), and GPUs coalesce a half-warp's loads into one
-//! wide transaction. This pass scans a buffer's move-in/move-out union
-//! in **exactly the enumeration order** of
-//! [`for_each_move_in`](super::movement::for_each_move_in) /
-//! [`for_each_move_out`](super::movement::for_each_move_out) and fuses
+//! wide transaction. This pass scans one movement or residency nest of
+//! a buffer in **exactly the enumeration order** of
+//! [`for_each_scan`](super::movement::for_each_scan) and fuses
 //! maximal constant-stride runs into [`TransferDescriptor`]s —
 //! `(global_base, local_base, elem_count, stride, n_rows)` plus the
 //! row strides — so each descriptor is one strided bulk transfer and
@@ -17,8 +16,9 @@
 //! per-element loops: each element exactly once, no gaps, no overlaps.
 
 use super::alloc::LocalBuffer;
-use super::movement::{for_each_move_in, for_each_move_out, MovementCode};
-use super::{BufferId, Result};
+use super::movement::for_each_scan;
+use super::Result;
+use polymem_codegen::ast::Ast;
 
 /// One strided bulk transfer: `n_rows` rows of `elem_count` elements.
 ///
@@ -175,40 +175,6 @@ impl DmaChannels {
     }
 }
 
-/// Move-in and move-out DMA lists for one buffer.
-#[derive(Clone, Debug)]
-pub struct TransferPlan {
-    /// The buffer the lists serve.
-    pub buffer: BufferId,
-    /// Global array index.
-    pub array: usize,
-    /// Global → local list (read data spaces).
-    pub move_in: TransferList,
-    /// Local → global list (write data spaces).
-    pub move_out: TransferList,
-}
-
-impl TransferPlan {
-    /// Total elements moved by both directions.
-    pub fn elements(&self) -> u64 {
-        self.move_in.elements + self.move_out.elements
-    }
-
-    /// Total descriptors across both directions.
-    pub fn descriptors(&self) -> u64 {
-        (self.move_in.descriptors.len() + self.move_out.descriptors.len()) as u64
-    }
-}
-
-/// Which movement direction to descriptorise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Global → local (the move-in nest).
-    In,
-    /// Local → global (the move-out nest).
-    Out,
-}
-
 /// Row-major flat offset of a multi-dimensional index.
 pub fn flatten_index(idx: &[i64], extents: &[i64]) -> i64 {
     let mut off = 0i64;
@@ -218,96 +184,36 @@ pub fn flatten_index(idx: &[i64], extents: &[i64]) -> i64 {
     off
 }
 
-/// Build the DMA list for one direction of a buffer's movement code.
+/// Build the DMA list of one scan nest over a buffer: a movement
+/// entry's `move_in` / `move_out`, or a residency plan's `delta_scan` /
+/// `flush_scan`. The list follows
+/// [`for_each_scan`](super::movement::for_each_scan)'s order exactly.
 ///
 /// `array_extents` are the concrete extents of the global array (its
 /// declaration evaluated at the *program* parameters); `params` is the
-/// parameter vector `code`/`buffer` are affine in (the extended
+/// parameter vector `scan`/`buffer` are affine in (the extended
 /// `params ++ fixed` vector for symbolic plans). Global indices are
 /// flattened row-major over the array extents, local indices row-major
 /// over the buffer extents — matching the executor's `LocalStore`
-/// layout — then maximal constant-stride runs are fused.
+/// layout — then maximal constant-stride runs are fused. A residency
+/// delta list covers only the elements that still cross the global
+/// bus; retained atoms are re-based by a scratchpad-local copy and
+/// never appear.
 pub fn transfer_list(
-    code: &MovementCode,
-    buffer: &LocalBuffer,
-    dir: Direction,
-    array_extents: &[i64],
-    params: &[i64],
-) -> Result<TransferList> {
-    let buf_extents = buffer.extents(params)?;
-    let mut pairs: Vec<(i64, i64)> = Vec::new();
-    let mut push = |g: &[i64], l: &[i64]| {
-        pairs.push((
-            flatten_index(g, array_extents),
-            flatten_index(l, &buf_extents),
-        ));
-    };
-    match dir {
-        Direction::In => for_each_move_in(code, buffer, params, &mut push)?,
-        Direction::Out => for_each_move_out(code, buffer, params, &mut push)?,
-    }
-    Ok(coalesce(&pairs))
-}
-
-/// Build the DMA list for a residency delta: the scan order of
-/// [`for_each_delta_in`](super::residency::for_each_delta_in) fused
-/// into strided descriptors exactly like [`transfer_list`]. The list
-/// covers only the elements that still cross the global bus; retained
-/// atoms are re-based by a scratchpad-local copy and never appear.
-pub fn delta_transfer_list(
-    rp: &super::residency::RetainPlan,
+    scan: &Ast,
     buffer: &LocalBuffer,
     array_extents: &[i64],
     params: &[i64],
 ) -> Result<TransferList> {
     let buf_extents = buffer.extents(params)?;
     let mut pairs: Vec<(i64, i64)> = Vec::new();
-    super::residency::for_each_delta_in(rp, buffer, params, &mut |g, l| {
+    for_each_scan(scan, buffer, params, &mut |g, l| {
         pairs.push((
             flatten_index(g, array_extents),
             flatten_index(l, &buf_extents),
         ));
     })?;
     Ok(coalesce(&pairs))
-}
-
-/// Build the DMA list for a residency flush delta: the scan order of
-/// [`for_each_flush_delta`](super::residency::for_each_flush_delta)
-/// fused into strided descriptors exactly like [`transfer_list`]. The
-/// list covers only the move-out elements the successor sub-tile does
-/// not overwrite; valid to issue in place of the full move-out list
-/// only when [`RetainPlan::flush_legal`](super::residency::RetainPlan)
-/// holds.
-pub fn flush_transfer_list(
-    rp: &super::residency::RetainPlan,
-    buffer: &LocalBuffer,
-    array_extents: &[i64],
-    params: &[i64],
-) -> Result<TransferList> {
-    let buf_extents = buffer.extents(params)?;
-    let mut pairs: Vec<(i64, i64)> = Vec::new();
-    super::residency::for_each_flush_delta(rp, buffer, params, &mut |g, l| {
-        pairs.push((
-            flatten_index(g, array_extents),
-            flatten_index(l, &buf_extents),
-        ));
-    })?;
-    Ok(coalesce(&pairs))
-}
-
-/// Build both directions for a buffer ([`transfer_list`] twice).
-pub fn build_transfers(
-    code: &MovementCode,
-    buffer: &LocalBuffer,
-    array_extents: &[i64],
-    params: &[i64],
-) -> Result<TransferPlan> {
-    Ok(TransferPlan {
-        buffer: code.buffer,
-        array: buffer.array,
-        move_in: transfer_list(code, buffer, Direction::In, array_extents, params)?,
-        move_out: transfer_list(code, buffer, Direction::Out, array_extents, params)?,
-    })
 }
 
 /// A maximal constant-delta run of consecutive scan elements.
@@ -395,7 +301,7 @@ mod tests {
     use super::*;
     use crate::smem::alloc::allocate_buffer;
     use crate::smem::dataspace::collect_refs;
-    use crate::smem::movement::generate_movement;
+    use crate::smem::movement::{generate_movement, MovementCode};
     use polymem_ir::expr::v;
     use polymem_ir::{Expr, LinExpr, Program, ProgramBuilder};
 
@@ -410,25 +316,16 @@ mod tests {
 
     /// Expand the list back into pairs and compare against the raw
     /// movement enumeration — order included.
-    fn assert_exact_cover(
-        code: &MovementCode,
-        buf: &LocalBuffer,
-        dir: Direction,
-        ext: &[i64],
-        params: &[i64],
-    ) {
-        let list = transfer_list(code, buf, dir, ext, params).unwrap();
+    fn assert_exact_cover(scan: &Ast, buf: &LocalBuffer, ext: &[i64], params: &[i64]) {
+        let list = transfer_list(scan, buf, ext, params).unwrap();
         let mut expanded = Vec::new();
         list.for_each(&mut |g, l| expanded.push((g, l)));
         let bext = buf.extents(params).unwrap();
         let mut raw = Vec::new();
-        let mut push = |g: &[i64], l: &[i64]| {
+        for_each_scan(scan, buf, params, &mut |g, l| {
             raw.push((flatten_index(g, ext), flatten_index(l, &bext)));
-        };
-        match dir {
-            Direction::In => for_each_move_in(code, buf, params, &mut push).unwrap(),
-            Direction::Out => for_each_move_out(code, buf, params, &mut push).unwrap(),
-        }
+        })
+        .unwrap();
         assert_eq!(expanded, raw);
         assert_eq!(list.elements, raw.len() as u64);
         assert_eq!(
@@ -453,12 +350,12 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code, _) = setup(&p, "A");
-        let list = transfer_list(&code, &buf, Direction::In, &[11], &[10]).unwrap();
+        let list = transfer_list(&code.move_in, &buf, &[11], &[10]).unwrap();
         assert_eq!(list.descriptors.len(), 1);
         let d = &list.descriptors[0];
         assert_eq!((d.elem_count, d.n_rows), (11, 1));
         assert!(d.contiguous());
-        assert_exact_cover(&code, &buf, Direction::In, &[11], &[10]);
+        assert_exact_cover(&code.move_in, &buf, &[11], &[10]);
     }
 
     /// A 2-D tile of a wider array becomes one descriptor with
@@ -479,7 +376,7 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code, _) = setup(&p, "A");
-        let list = transfer_list(&code, &buf, Direction::In, &[20, 30], &[]).unwrap();
+        let list = transfer_list(&code.move_in, &buf, &[20, 30], &[]).unwrap();
         assert_eq!(list.descriptors.len(), 1);
         let d = &list.descriptors[0];
         assert_eq!((d.elem_count, d.n_rows), (5, 4));
@@ -489,7 +386,7 @@ mod tests {
         assert_eq!(d.local_base, 0);
         assert!(d.contiguous());
         assert_eq!(list.elements, 20);
-        assert_exact_cover(&code, &buf, Direction::In, &[20, 30], &[]);
+        assert_exact_cover(&code.move_in, &buf, &[20, 30], &[]);
     }
 
     /// Strided global access (`A[2i]`): the descriptor records the
@@ -507,12 +404,12 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code, _) = setup(&p, "A");
-        let list = transfer_list(&code, &buf, Direction::In, &[40], &[]).unwrap();
+        let list = transfer_list(&code.move_in, &buf, &[40], &[]).unwrap();
         // Whether the data space keeps the stride (exact image) or is
         // relaxed to its hull (rational projection), the scan is a
         // single constant-stride run → exactly one descriptor.
         assert_eq!(list.descriptors.len(), 1);
-        assert_exact_cover(&code, &buf, Direction::In, &[40], &[]);
+        assert_exact_cover(&code.move_in, &buf, &[40], &[]);
     }
 
     /// Move-out lists cover the write spaces.
@@ -529,12 +426,12 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code, _) = setup(&p, "A");
-        let plan = build_transfers(&code, &buf, &[11], &[10]).unwrap();
-        assert_eq!(plan.move_out.elements, 10);
-        assert_eq!(plan.move_in.elements, 11);
-        assert_eq!(plan.elements(), 21);
-        assert!(plan.descriptors() >= 2);
-        assert_exact_cover(&code, &buf, Direction::Out, &[11], &[10]);
+        let move_in = transfer_list(&code.move_in, &buf, &[11], &[10]).unwrap();
+        let move_out = transfer_list(&code.move_out, &buf, &[11], &[10]).unwrap();
+        assert_eq!(move_out.elements, 10);
+        assert_eq!(move_in.elements, 11);
+        assert!(move_in.descriptors.len() + move_out.descriptors.len() >= 2);
+        assert_exact_cover(&code.move_out, &buf, &[11], &[10]);
     }
 
     /// The coalescer itself: scattered singletons with a constant gap

@@ -44,10 +44,7 @@ pub use cache::{
     parametrize_domain, SymbolicPlan,
 };
 pub use dataspace::{AccessId, RefInfo};
-pub use descriptors::{
-    build_transfers, delta_transfer_list, flush_transfer_list, transfer_list, Direction,
-    DmaChannels, TransferDescriptor, TransferList, TransferPlan,
-};
+pub use descriptors::{transfer_list, DmaChannels, TransferDescriptor, TransferList};
 pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
 pub use lowering::{lower_rows, lower_rows_onto, prove_flat, FlatAffine, LoweredRow};

@@ -23,16 +23,17 @@
 //! The module also defines the persistent *tune artifact*: the ranked
 //! candidate table plus the winning [`MappingDesc`], stored next to
 //! the plan artifacts under a key derived from the program, the
-//! machine salt, the [`CostConstants`] and the candidate-space
-//! description, so later runs (`polymem run --tuned`, `polymem serve`)
-//! load the best mapping with zero search cost.
+//! machine salt, the [`CostConstants`] and the encoded candidate space,
+//! so later runs (`polymem run --tuned`, `polymem serve`) load the best
+//! mapping with zero search cost. Its file is the plan artifact's
+//! envelope ([`seal`] / [`open`]) around a payload written with the
+//! same codec.
 
 use super::artifact::{
-    atomic_write, fnv1a, hash_program, schema_hash, ArtifactKey, KeyHasher, FNV_OFFSET, FNV_PRIME,
+    atomic_write, decode_all, hash_program, open, schema_hash, seal, ArtifactKey, DResult, Dec,
+    Enc, KeyHasher,
 };
-use super::descriptors::{
-    delta_transfer_list, flush_transfer_list, transfer_list, Direction, DmaChannels, TransferList,
-};
+use super::descriptors::{transfer_list, DmaChannels, TransferList};
 use super::{AccessId, Result, SmemError, SymbolicPlan};
 use crate::tiling::transform::fix_dims;
 use polymem_ir::Program;
@@ -40,8 +41,11 @@ use polymem_poly::count::{count_points, enumerate_points};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// Version stamp of the tune key derivation and artifact codec.
-pub const TUNE_FORMAT_VERSION: u64 = 2;
+/// Version of the tune-file envelope and of the tune key derivation.
+pub const TUNE_FORMAT_VERSION: u32 = 3;
+
+/// Tune-file magic: "polymem tune artifact".
+pub const TUNE_MAGIC: [u8; 4] = *b"PMTA";
 
 /// A machine-independent description of one candidate mapping: enough
 /// to reconstruct the [`BlockedKernel`] (tiling + dim split) and the
@@ -79,18 +83,6 @@ pub struct MappingDesc {
     pub residency: bool,
 }
 
-fn join_list(v: &[String]) -> String {
-    v.join(",")
-}
-
-fn split_list(s: &str) -> Vec<String> {
-    if s.is_empty() {
-        Vec::new()
-    } else {
-        s.split(',').map(|x| x.to_string()).collect()
-    }
-}
-
 impl MappingDesc {
     /// Compact human-readable label, e.g.
     /// `tile[i=4,j=8] blk[iT] seq[jT] thr[i] spad db res`.
@@ -98,16 +90,16 @@ impl MappingDesc {
         let tiles: Vec<String> = self.tiles.iter().map(|(n, t)| format!("{n}={t}")).collect();
         let mut s = format!("{}[{}]", self.scheme, tiles.join(","));
         if !self.round_dims.is_empty() {
-            s.push_str(&format!(" rnd[{}]", join_list(&self.round_dims)));
+            s.push_str(&format!(" rnd[{}]", self.round_dims.join(",")));
         }
         if !self.block_dims.is_empty() {
-            s.push_str(&format!(" blk[{}]", join_list(&self.block_dims)));
+            s.push_str(&format!(" blk[{}]", self.block_dims.join(",")));
         }
         if !self.seq_dims.is_empty() {
-            s.push_str(&format!(" seq[{}]", join_list(&self.seq_dims)));
+            s.push_str(&format!(" seq[{}]", self.seq_dims.join(",")));
         }
         if !self.thread_dims.is_empty() {
-            s.push_str(&format!(" thr[{}]", join_list(&self.thread_dims)));
+            s.push_str(&format!(" thr[{}]", self.thread_dims.join(",")));
         }
         if self.use_scratchpad {
             s.push_str(" spad");
@@ -123,57 +115,39 @@ impl MappingDesc {
         }
         s
     }
+}
 
-    /// Single-line serialisation for the tune artifact (inverse of
-    /// [`MappingDesc::parse_line`]). Loop names are identifiers, so
-    /// the `;`/`,`/`=` separators are unambiguous.
-    pub fn to_line(&self) -> String {
-        let tiles: Vec<String> = self.tiles.iter().map(|(n, t)| format!("{n}={t}")).collect();
-        format!(
-            "scheme={};tiles={};round={};block={};seq={};thread={};spad={};db={};hier={};res={}",
-            self.scheme,
-            tiles.join(","),
-            join_list(&self.round_dims),
-            join_list(&self.block_dims),
-            join_list(&self.seq_dims),
-            join_list(&self.thread_dims),
-            self.use_scratchpad as u8,
-            self.double_buffer as u8,
-            self.hierarchy as u8,
-            self.residency as u8,
-        )
+fn put_mapping(e: &mut Enc, m: &MappingDesc) {
+    e.str(&m.scheme);
+    e.seq(&m.tiles, |e, (name, t)| {
+        e.str(name);
+        e.i64(*t);
+    });
+    for dims in [&m.round_dims, &m.block_dims, &m.seq_dims, &m.thread_dims] {
+        e.seq(dims, |e, d| e.str(d));
     }
+    for flag in [m.use_scratchpad, m.double_buffer, m.hierarchy, m.residency] {
+        e.boolean(flag);
+    }
+}
 
-    /// Parse a [`MappingDesc::to_line`] string; `None` on any
-    /// malformed field.
-    pub fn parse_line(line: &str) -> Option<MappingDesc> {
-        let mut fields: HashMap<&str, &str> = HashMap::new();
-        for part in line.split(';') {
-            let (k, v) = part.split_once('=')?;
-            fields.insert(k, v);
-        }
-        let tiles_raw = *fields.get("tiles")?;
-        let mut tiles = Vec::new();
-        if !tiles_raw.is_empty() {
-            for t in tiles_raw.split(',') {
-                let (n, v) = t.split_once('=')?;
-                tiles.push((n.to_string(), v.parse().ok()?));
-            }
-        }
-        let flag = |k: &str| -> Option<bool> { Some(*fields.get(k)? == "1") };
-        Some(MappingDesc {
-            scheme: fields.get("scheme")?.to_string(),
-            tiles,
-            round_dims: split_list(fields.get("round")?),
-            block_dims: split_list(fields.get("block")?),
-            seq_dims: split_list(fields.get("seq")?),
-            thread_dims: split_list(fields.get("thread")?),
-            use_scratchpad: flag("spad")?,
-            double_buffer: flag("db")?,
-            hierarchy: flag("hier")?,
-            residency: flag("res")?,
-        })
-    }
+fn get_names(d: &mut Dec) -> DResult<Vec<String>> {
+    d.seq(|d| d.str())
+}
+
+fn get_mapping(d: &mut Dec) -> DResult<MappingDesc> {
+    Ok(MappingDesc {
+        scheme: d.str()?,
+        tiles: d.seq(|d| Ok((d.str()?, d.i64()?)))?,
+        round_dims: get_names(d)?,
+        block_dims: get_names(d)?,
+        seq_dims: get_names(d)?,
+        thread_dims: get_names(d)?,
+        use_scratchpad: d.boolean()?,
+        double_buffer: d.boolean()?,
+        hierarchy: d.boolean()?,
+        residency: d.boolean()?,
+    })
 }
 
 /// The machine's performance constants, mirrored from the simulator's
@@ -459,14 +433,14 @@ pub fn estimate(
             let aext = program.arrays[buf.array]
                 .eval_extents(&program.params, params)
                 .map_err(SmemError::Ir)?;
-            let move_in = transfer_list(mc, buf, Direction::In, &aext, &ext)?;
-            let move_out = transfer_list(mc, buf, Direction::Out, &aext, &ext)?;
+            let move_in = transfer_list(&mc.move_in, buf, &aext, &ext)?;
+            let move_out = transfer_list(&mc.move_out, buf, &aext, &ext)?;
             let rp = sp.residency.as_ref().and_then(|r| r.plans.get(&mc.buffer));
             let (delta_in, flush_out) = match (rp, &ext_mid) {
                 (Some(rp), Some(em)) => (
-                    Some(delta_transfer_list(rp, buf, &aext, em)?),
+                    Some(transfer_list(&rp.delta_scan, buf, &aext, em)?),
                     rp.flush_legal
-                        .then(|| flush_transfer_list(rp, buf, &aext, em))
+                        .then(|| transfer_list(&rp.flush_scan, buf, &aext, em))
                         .transpose()?,
                 ),
                 _ => (None, None),
@@ -574,18 +548,20 @@ pub fn estimate(
 }
 
 /// The content-addressed key a tune artifact is stored under:
-/// program × params × machine salt × cost constants × candidate-space
-/// description. Any change to the space (new candidates, new toggles)
-/// changes the key, so stale winners can never shadow a wider search.
-/// The plan salt leaves pricing out, because a plan does not depend on
-/// it; a winner does, so every constant of `cc` is hashed here too
-/// (floats by their bits).
-pub fn tune_key(
+/// program × params × machine salt × cost constants × candidate space.
+/// The space is the search's own `label` plus every candidate
+/// `(mapping, preset)`, hashed in its tune-file encoding. Any change to
+/// the space (new candidates, new toggles) changes the key, so stale
+/// winners can never shadow a wider search. The plan salt leaves
+/// pricing out, because a plan does not depend on it; a winner does,
+/// so every constant of `cc` is hashed here too (floats by their bits).
+pub fn tune_key<'a>(
     program: &Program,
     params: &[i64],
     salt: &[u64],
     cc: &CostConstants,
-    space: &str,
+    label: &str,
+    candidates: impl IntoIterator<Item = (&'a MappingDesc, bool)>,
 ) -> ArtifactKey {
     // Destructured, so a new constant cannot be left out of the key.
     let CostConstants {
@@ -608,7 +584,7 @@ pub fn tune_key(
         hop_cycles,
     } = *cc;
     let mut h = KeyHasher::new();
-    h.u64(TUNE_FORMAT_VERSION);
+    h.u64(TUNE_FORMAT_VERSION as u64);
     h.u64(schema_hash());
     hash_program(&mut h, program);
     h.u64(params.len() as u64);
@@ -643,7 +619,13 @@ pub fn tune_key(
     for w in words.into_iter().chain(prices.map(f64::to_bits)) {
         h.u64(w);
     }
-    h.str(space);
+    h.str(label);
+    let mut space = Enc::default();
+    for (mapping, preset) in candidates {
+        put_mapping(&mut space, mapping);
+        space.boolean(preset);
+    }
+    h.bytes(&space.buf);
     h.finish()
 }
 
@@ -680,124 +662,66 @@ pub struct TuneArtifact {
     pub rows: Vec<TuneRow>,
 }
 
-fn escape_note(s: &str) -> String {
-    let cleaned: String = s
-        .chars()
-        .map(|c| if c.is_whitespace() { '_' } else { c })
-        .collect();
-    if cleaned.is_empty() {
-        "-".to_string()
-    } else {
-        cleaned
-    }
-}
-
 impl TuneArtifact {
     /// File name under the artifact directory.
     pub fn path_for(dir: &Path, key: &ArtifactKey) -> PathBuf {
         dir.join(format!("{key}.tune"))
     }
 
-    fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str(&format!(
-            "polymem-tune v{TUNE_FORMAT_VERSION} {}\n",
-            self.key
-        ));
-        body.push_str(&format!("winner {}\n", self.winner.to_line()));
-        body.push_str(&format!(
-            "winner_cycles {} {}\n",
-            self.winner_predicted, self.winner_cycles
-        ));
-        for r in &self.rows {
-            let sim = r
-                .simulated
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "-".to_string());
-            body.push_str(&format!(
-                "row {} {} {} {} {} {}\n",
-                r.predicted,
-                sim,
-                r.exact as u8,
-                r.preset as u8,
-                escape_note(&r.note),
-                r.desc.to_line(),
-            ));
-        }
-        let sum = fnv1a(FNV_OFFSET, FNV_PRIME, body.as_bytes());
-        body.push_str(&format!("checksum {sum:016x}\n"));
-        body
+    /// The on-disk bytes: the shared envelope around the winner and the
+    /// ranked table.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::default();
+        put_mapping(&mut e, &self.winner);
+        e.u64(self.winner_predicted);
+        e.u64(self.winner_cycles);
+        e.seq(&self.rows, |e, r| {
+            put_mapping(e, &r.desc);
+            e.u64(r.predicted);
+            e.opt(&r.simulated, |e, &c| e.u64(c));
+            e.boolean(r.exact);
+            e.boolean(r.preset);
+            e.str(&r.note);
+        });
+        seal(TUNE_MAGIC, TUNE_FORMAT_VERSION, self.key, &e.buf)
+    }
+
+    /// Decode on-disk bytes (what [`TuneArtifact::load`] runs after
+    /// reading the file); `None` on any envelope or decode failure.
+    pub fn decode(bytes: &[u8]) -> Option<TuneArtifact> {
+        let (key, payload) = open(bytes, TUNE_MAGIC, TUNE_FORMAT_VERSION)?;
+        decode_all(payload, |d| {
+            Ok(TuneArtifact {
+                key,
+                winner: get_mapping(d)?,
+                winner_predicted: d.u64()?,
+                winner_cycles: d.u64()?,
+                rows: d.seq(|d| {
+                    Ok(TuneRow {
+                        desc: get_mapping(d)?,
+                        predicted: d.u64()?,
+                        simulated: d.opt(|d| d.u64())?,
+                        exact: d.boolean()?,
+                        preset: d.boolean()?,
+                        note: d.str()?,
+                    })
+                })?,
+            })
+        })
     }
 
     /// Atomically persist under `dir` (temp file + rename, like the
     /// plan artifact store). Returns the final path.
     pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        atomic_write(dir, &format!("{}.tune", self.key), self.encode().as_bytes())
+        atomic_write(dir, &format!("{}.tune", self.key), &self.encode())
     }
 
-    /// Load and validate (checksum + key match); `None` on any
-    /// mismatch or parse failure — callers then re-run the search.
+    /// Load the artifact stored under `key`; `None` on any mismatch or
+    /// decode failure — callers then re-run the search.
     pub fn load(dir: &Path, key: &ArtifactKey) -> Option<TuneArtifact> {
-        let text = std::fs::read_to_string(TuneArtifact::path_for(dir, key)).ok()?;
-        let (body, sum_line) = text.rsplit_once("checksum ")?;
-        let sum = u64::from_str_radix(sum_line.trim(), 16).ok()?;
-        if fnv1a(FNV_OFFSET, FNV_PRIME, body.as_bytes()) != sum {
-            return None;
-        }
-        let mut lines = body.lines();
-        let header = lines.next()?;
-        let mut hp = header.split_whitespace();
-        if hp.next()? != "polymem-tune" || hp.next()? != format!("v{TUNE_FORMAT_VERSION}") {
-            return None;
-        }
-        if hp.next()? != format!("{key}") {
-            return None;
-        }
-        let winner_line = lines.next()?.strip_prefix("winner ")?;
-        let winner = MappingDesc::parse_line(winner_line)?;
-        let wc = lines.next()?.strip_prefix("winner_cycles ")?;
-        let mut wcp = wc.split_whitespace();
-        let winner_predicted = wcp.next()?.parse().ok()?;
-        let winner_cycles = wcp.next()?.parse().ok()?;
-        let mut rows = Vec::new();
-        for line in lines {
-            let Some(rest) = line.strip_prefix("row ") else {
-                continue;
-            };
-            let mut it = rest.splitn(6, ' ');
-            let predicted = it.next()?.parse().ok()?;
-            let sim_raw = it.next()?;
-            let simulated = if sim_raw == "-" {
-                None
-            } else {
-                Some(sim_raw.parse().ok()?)
-            };
-            let exact = it.next()? == "1";
-            let preset = it.next()? == "1";
-            let note_raw = it.next()?;
-            let note = if note_raw == "-" {
-                String::new()
-            } else {
-                note_raw.to_string()
-            };
-            let desc = MappingDesc::parse_line(it.next()?)?;
-            rows.push(TuneRow {
-                desc,
-                predicted,
-                simulated,
-                exact,
-                preset,
-                note,
-            });
-        }
-        Some(TuneArtifact {
-            key: *key,
-            winner,
-            winner_predicted,
-            winner_cycles,
-            rows,
-        })
+        let bytes = std::fs::read(TuneArtifact::path_for(dir, key)).ok()?;
+        TuneArtifact::decode(&bytes).filter(|a| a.key == *key)
     }
 }
 
@@ -821,10 +745,8 @@ mod tests {
     }
 
     #[test]
-    fn desc_line_round_trips() {
+    fn desc_label_names_the_mapping() {
         let d = desc();
-        let line = d.to_line();
-        assert_eq!(MappingDesc::parse_line(&line), Some(d.clone()));
         assert!(d.label().contains("blk[iT]"));
         assert!(d.label().contains("db"));
     }
@@ -869,12 +791,23 @@ mod tests {
         assert_eq!(back.rows[1].simulated, None);
         assert!(back.rows[1].preset);
         assert!(back.rows[1].note.contains("overflow"));
-        // A corrupted byte fails the checksum.
+        assert_eq!(back.encode(), art.encode(), "decode∘encode is the identity");
+        // A corrupted payload byte fails the checksum; a plan file is
+        // not a tune file.
         let path = TuneArtifact::path_for(&dir, &key);
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[20] ^= 0x40;
+        bytes[44] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(TuneArtifact::load(&dir, &key).is_none());
+        let bytes = art.encode();
+        let (_, payload) = open(&bytes, TUNE_MAGIC, TUNE_FORMAT_VERSION).unwrap();
+        let as_plan = seal(
+            super::super::artifact::MAGIC,
+            TUNE_FORMAT_VERSION,
+            key,
+            payload,
+        );
+        assert!(TuneArtifact::decode(&as_plan).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -893,11 +826,20 @@ mod tests {
             b.build().unwrap()
         };
         let cc = CostConstants::default();
-        let k1 = tune_key(&p, &[8], &[1, 2], &cc, "a|b");
-        let k2 = tune_key(&p, &[8], &[1, 2], &cc, "a|b|c");
-        let k3 = tune_key(&p, &[16], &[1, 2], &cc, "a|b");
-        assert_ne!(k1, k2);
-        assert_ne!(k1, k3);
-        assert_eq!(k1, tune_key(&p, &[8], &[1, 2], &cc, "a|b"));
+        let (a, mut b) = (desc(), desc());
+        b.tiles[0].1 = 2;
+        let key = |params: &[i64], space: &[(&MappingDesc, bool)]| {
+            tune_key(&p, params, &[1, 2], &cc, "s", space.iter().copied())
+        };
+        let k1 = key(&[8], &[(&a, false), (&b, false)]);
+        assert_eq!(k1, key(&[8], &[(&a, false), (&b, false)]));
+        assert_ne!(k1, key(&[8], &[(&a, false), (&b, false), (&a, false)]));
+        assert_ne!(k1, key(&[8], &[(&a, true), (&b, false)]), "the preset mark");
+        assert_ne!(
+            k1,
+            key(&[8], &[(&b, false), (&a, false)]),
+            "candidate order"
+        );
+        assert_ne!(k1, key(&[16], &[(&a, false), (&b, false)]));
     }
 }

@@ -79,74 +79,6 @@ impl BodyCode {
         Ok(code)
     }
 
-    /// Reconstruct a body from a raw instruction stream (e.g. one
-    /// deserialized from a plan artifact). The stream is validated the
-    /// same way [`BodyCode::compile`] builds it: slot indices are
-    /// preflighted against the statement's shape, every operator must
-    /// find its operands on the stack, `CheckDiv` needs a divisor to
-    /// inspect, and exactly one value must remain at the end. The
-    /// high-water mark is recomputed here rather than trusted from the
-    /// wire, so a decoded body can never over- or under-reserve its
-    /// evaluation stack nor index out of its slot arrays.
-    pub fn from_ops(
-        ops: Vec<ByteOp>,
-        n_reads: usize,
-        n_iters: usize,
-        n_params: usize,
-    ) -> Result<Self> {
-        let mut depth = 0usize;
-        let mut max_stack = 0usize;
-        for op in &ops {
-            match op {
-                ByteOp::Read(i) => {
-                    if *i as usize >= n_reads {
-                        return Err(IrError::Arithmetic("read index out of range"));
-                    }
-                    depth += 1;
-                    max_stack = max_stack.max(depth);
-                }
-                ByteOp::Iter(i) => {
-                    if *i as usize >= n_iters {
-                        return Err(IrError::Arithmetic("iterator index out of range"));
-                    }
-                    depth += 1;
-                    max_stack = max_stack.max(depth);
-                }
-                ByteOp::Param(i) => {
-                    if *i as usize >= n_params {
-                        return Err(IrError::Arithmetic("param index out of range"));
-                    }
-                    depth += 1;
-                    max_stack = max_stack.max(depth);
-                }
-                ByteOp::Const(_) => {
-                    depth += 1;
-                    max_stack = max_stack.max(depth);
-                }
-                ByteOp::Add
-                | ByteOp::Sub
-                | ByteOp::Mul
-                | ByteOp::Div
-                | ByteOp::Min
-                | ByteOp::Max => {
-                    if depth < 2 {
-                        return Err(IrError::Arithmetic("bytecode stack underflow"));
-                    }
-                    depth -= 1;
-                }
-                ByteOp::CheckDiv | ByteOp::Abs => {
-                    if depth < 1 {
-                        return Err(IrError::Arithmetic("bytecode stack underflow"));
-                    }
-                }
-            }
-        }
-        if depth != 1 {
-            return Err(IrError::Arithmetic("bytecode leaves wrong stack depth"));
-        }
-        Ok(BodyCode { ops, max_stack })
-    }
-
     fn push(&mut self, op: ByteOp, depth: &mut usize) {
         self.ops.push(op);
         match op {
@@ -219,11 +151,6 @@ impl BodyCode {
     /// should reserve this much once to avoid growth in the loop.
     pub fn max_stack(&self) -> usize {
         self.max_stack
-    }
-
-    /// The instruction sequence (for inspection/tests).
-    pub fn ops(&self) -> &[ByteOp] {
-        &self.ops
     }
 
     /// Evaluate against filled slots. `stack` is caller-provided
@@ -541,47 +468,6 @@ mod tests {
         code.eval_lanes(&mut stack, &ok, 3, &[], None, &[], &mut out)
             .unwrap();
         assert_eq!(out, vec![4, 9, 2]);
-    }
-
-    #[test]
-    fn from_ops_round_trips_compiled_bodies() {
-        let e = sample();
-        let code = BodyCode::compile(&e, 2, 2, 1).unwrap();
-        let rebuilt = BodyCode::from_ops(code.ops().to_vec(), 2, 2, 1).unwrap();
-        assert_eq!(rebuilt, code);
-        assert_eq!(rebuilt.max_stack(), code.max_stack());
-    }
-
-    #[test]
-    fn from_ops_rejects_malformed_streams() {
-        // Operator with no operands.
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::Add], 0, 0, 0).unwrap_err()),
-            "bytecode stack underflow"
-        );
-        // CheckDiv on an empty stack.
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::CheckDiv], 0, 0, 0).unwrap_err()),
-            "bytecode stack underflow"
-        );
-        // Two values left on the stack.
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::Const(1), ByteOp::Const(2)], 0, 0, 0).unwrap_err()),
-            "bytecode leaves wrong stack depth"
-        );
-        // Slot out of range for the statement shape.
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::Read(3)], 2, 0, 0).unwrap_err()),
-            "read index out of range"
-        );
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::Iter(0)], 0, 0, 0).unwrap_err()),
-            "iterator index out of range"
-        );
-        assert_eq!(
-            msg(BodyCode::from_ops(vec![ByteOp::Param(9)], 0, 0, 1).unwrap_err()),
-            "param index out of range"
-        );
     }
 
     #[test]

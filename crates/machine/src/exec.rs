@@ -31,10 +31,9 @@ use polymem_core::smem::alloc::extent_words;
 use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
 use polymem_core::smem::residency::{for_each_delta_in, for_each_flush_delta, for_each_retained};
 use polymem_core::smem::{
-    analyze_symbolic_hier, check_parametrizable, delta_transfer_list, flush_transfer_list,
-    parametrize_domain, plan_key, transfer_list, AccessId, ArtifactKey, ArtifactStore, Direction,
-    ExtSource, HierPlan, HierSpec, LocalBuffer, MovementCode, PlanArtifact, ResidencyPlan,
-    RetainPlan, SmemConfig, SmemPlan, SymbolicPlan, TransferList,
+    analyze_symbolic_hier, check_parametrizable, parametrize_domain, plan_key, transfer_list,
+    AccessId, ArtifactKey, ArtifactStore, ExtSource, HierPlan, HierSpec, LocalBuffer, MovementCode,
+    PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemPlan, SymbolicPlan, TransferList,
 };
 use polymem_ir::{ArrayStore, Program, Statement};
 use polymem_poly::bounds::{bound_cascade, DimBounds};
@@ -331,8 +330,8 @@ pub enum PlanSource {
     /// The caller-provided in-memory seed (a compile service's warm
     /// cache) matched this launch's shape and was reused as-is.
     Seeded,
-    /// Loaded — and re-proved against the program — from the
-    /// content-addressed artifact store.
+    /// Loaded from the content-addressed artifact store (envelope,
+    /// decode and fit checked against the program).
     Artifact,
     /// Freshly analysed by the §3 pipeline this launch.
     Fresh,
@@ -651,9 +650,9 @@ pub fn warm_plan(
 /// 1. a caller-provided in-memory `seed` whose fixed names match
 ///    this shape (a compile service's warm cache);
 /// 2. the content-addressed artifact store in
-///    `config.artifact_dir` — loads are fully re-proved against the
-///    program, so a corrupt or stale file silently degrades to the
-///    next source;
+///    `config.artifact_dir` — a load checks the envelope, the decode
+///    and the plan's fit to the program, so a corrupt or stale file
+///    silently degrades to the next source;
 /// 3. a fresh `analyze_symbolic_hier` run. Only this source
 ///    absorbs §3 pass times into the profiler (the others skipped
 ///    the passes) and, when a store is configured, persists the
@@ -1391,7 +1390,7 @@ impl<'a> Block<'a> {
         )?;
         self.stats.global_writes += n;
         self.stats.moved_out += n;
-        let list = || transfer_list(p.mc, p.buffer, Direction::Out, ext, &p.pparams);
+        let list = || transfer_list(&p.mc.move_out, p.buffer, ext, &p.pparams);
         let tag = self.clock.issue(self.clock.now, list)?;
         self.clock.wait(&tag);
         Ok(())
@@ -1494,11 +1493,11 @@ impl<'a> Block<'a> {
                 self.stats.retained_elems += retained;
                 self.stats.delta_elems += fetched;
                 self.stats.residency_groups += 1;
-                let list = || delta_transfer_list(rp, buf, ext, pparams);
+                let list = || transfer_list(&rp.delta_scan, buf, ext, pparams);
                 self.clock.issue_delta(earliest, retained, list)?
             }
             None => {
-                let list = || transfer_list(mc, buf, Direction::In, ext, pparams);
+                let list = || transfer_list(&mc.move_in, buf, ext, pparams);
                 self.clock.issue(earliest, list)?
             }
         }))
@@ -1560,11 +1559,11 @@ impl<'a> Block<'a> {
         Ok(Some(match flush {
             Some(rp) => {
                 self.stats.flushed_delta_elems += n;
-                let list = || flush_transfer_list(rp, buf, aext, &sb.pparams);
+                let list = || transfer_list(&rp.flush_scan, buf, aext, &sb.pparams);
                 self.clock.issue(now, list)?
             }
             None => {
-                let list = || transfer_list(mc, buf, Direction::Out, aext, &sb.pparams);
+                let list = || transfer_list(&mc.move_out, buf, aext, &sb.pparams);
                 self.clock.issue(now, list)?
             }
         }))

@@ -513,27 +513,21 @@ pub fn tune(
     if candidates.is_empty() {
         return Err(MachineError::Tune("empty candidate space".into()));
     }
-    // The space description keys the artifact: any change to the
-    // candidate set or the pruning shape re-searches.
-    let mut space = format!(
+    // The space keys the artifact: any change to the candidate set or
+    // the pruning shape re-searches.
+    let label = format!(
         "{};k={};ex={}",
         opts.space_label,
         if opts.exhaustive { 0 } else { opts.top_k },
         opts.exhaustive as u8
     );
-    for c in candidates {
-        space.push('|');
-        space.push_str(&c.desc.to_line());
-        if c.preset {
-            space.push('*');
-        }
-    }
     let key = tune_key(
         program,
         params,
         &machine_salt(base),
         &cost_constants(base),
-        &space,
+        &label,
+        candidates.iter().map(|c| (&c.desc, c.preset)),
     );
     let art_dir = base.artifact_dir.clone();
     if !opts.force {

@@ -1,10 +1,12 @@
 //! Properties of the content-addressed plan-artifact store, driven
 //! through the real kernels: the binary codec must round-trip every
 //! plan the executor produces (5 kernels × GPU/Cell × hierarchy
-//! on/off), loads must survive re-proof against the live program, and
-//! every corruption class — wrong version, wrong schema, truncation,
-//! payload bit-flips, checksum damage, key damage — must fall back to
-//! `None`, never panic, never partial data.
+//! on/off), every such plan must fit the live program, and every
+//! corruption class — wrong version, wrong schema, truncation, payload
+//! bit-flips, checksum damage, key damage, a resealed payload that
+//! decodes to a plan naming what the program lacks — must fall back to
+//! `None`, never panic, never hang, never partial data. The same holds
+//! for tune artifacts, which share the envelope and the codec.
 //!
 //! The restart test is the PR's headline property: a process with a
 //! cold plan cache but a warm store skips the §3 passes entirely
@@ -12,8 +14,9 @@
 //! profiler) and still executes bit-exactly.
 
 use polymem_core::smem::artifact::{
-    decode_artifact, encode_artifact, ArtifactStore, FORMAT_VERSION,
+    decode_artifact, encode_artifact, open, seal, ArtifactStore, FORMAT_VERSION, MAGIC,
 };
+use polymem_core::smem::tune::{TuneArtifact, TuneRow, TUNE_FORMAT_VERSION, TUNE_MAGIC};
 use polymem_ir::{exec_program, ArrayStore};
 use polymem_kernels::builtins::{launch, Builtin};
 use polymem_kernels::tunespace;
@@ -22,6 +25,7 @@ use polymem_machine::{
     MachineConfig, PassProfiler, PlanSource,
 };
 use proptest::prelude::*;
+use std::panic::AssertUnwindSafe;
 
 /// The kernels whose canonical mapping stages through the scratchpad
 /// and therefore produces a plan artifact. `jacobi`'s overlapped
@@ -99,8 +103,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// serialize → deserialize ≡ identity, across every kernel ×
-    /// machine × hierarchy combination: the decoded artifact re-proves
-    /// against the live program and re-encodes to the identical bytes.
+    /// machine × hierarchy combination: the decoded artifact fits the
+    /// live program and re-encodes to the identical bytes.
     #[test]
     fn artifact_round_trips_bit_exactly(
         k in 0usize..4,
@@ -111,13 +115,12 @@ proptest! {
         let tag = format!("rt_{name}_{cell}_{hierarchy}");
         let (bytes, kernel, key, _dir) =
             warmed_bytes(name, cell == 1, hierarchy == 1, &tag);
-        let decoded = decode_artifact(&bytes).expect("stored artifact decodes");
+        let decoded = decode_artifact(&bytes, &kernel.program).expect("stored artifact fits");
         prop_assert_eq!(decoded.key, key);
-        prop_assert!(decoded.validate(&kernel.program), "{} re-proof", name);
         let reencoded = encode_artifact(&decoded);
         prop_assert_eq!(&reencoded, &bytes, "{}: encode∘decode is the identity", name);
         // Idempotent through a second cycle, too.
-        let twice = encode_artifact(&decode_artifact(&reencoded).unwrap());
+        let twice = encode_artifact(&decode_artifact(&reencoded, &kernel.program).unwrap());
         prop_assert_eq!(&twice, &bytes);
     }
 }
@@ -132,7 +135,7 @@ fn version_mismatch_is_rejected() {
     );
     bytes[4] = bytes[4].wrapping_add(1);
     assert!(
-        decode_artifact(&bytes).is_none(),
+        decode_artifact(&bytes, &kernel.program).is_none(),
         "future format version must not decode"
     );
     // And through the store: overwrite the file, load falls back.
@@ -143,25 +146,26 @@ fn version_mismatch_is_rejected() {
 
 #[test]
 fn schema_mismatch_is_rejected() {
-    let (mut bytes, ..) = warmed_bytes("me", false, true, "schema");
+    let (mut bytes, kernel, ..) = warmed_bytes("me", false, true, "schema");
     // schema_hash u64 le at [8..16].
     bytes[8] ^= 0xff;
-    assert!(decode_artifact(&bytes).is_none());
+    assert!(decode_artifact(&bytes, &kernel.program).is_none());
 }
 
 #[test]
 fn truncated_artifacts_are_rejected() {
     let (bytes, kernel, key, dir) = warmed_bytes("jacobi2d", false, true, "trunc");
+    let decode = |b: &[u8]| decode_artifact(b, &kernel.program);
     for cut in [bytes.len() - 1, bytes.len() / 2, 16, 4, 0] {
         assert!(
-            decode_artifact(&bytes[..cut]).is_none(),
+            decode(&bytes[..cut]).is_none(),
             "truncation to {cut} bytes must not decode"
         );
     }
     // Trailing garbage is corruption too, not ignorable padding.
     let mut padded = bytes.clone();
     padded.push(0);
-    assert!(decode_artifact(&padded).is_none());
+    assert!(decode(&padded).is_none());
     let store = ArtifactStore::open(&dir).unwrap();
     std::fs::write(store.path_for(&key), &bytes[..bytes.len() / 2]).unwrap();
     assert!(store.load(&key, &kernel.program).is_none());
@@ -169,7 +173,7 @@ fn truncated_artifacts_are_rejected() {
 
 #[test]
 fn payload_and_checksum_corruption_are_rejected() {
-    let (bytes, ..) = warmed_bytes("matmul", false, false, "corrupt");
+    let (bytes, kernel, ..) = warmed_bytes("matmul", false, false, "corrupt");
     // One flipped payload byte (anywhere after the 40-byte header)
     // breaks the FNV checksum; a flipped checksum byte mismatches
     // the intact payload.
@@ -178,7 +182,7 @@ fn payload_and_checksum_corruption_are_rejected() {
         let mut b = bytes.clone();
         b[pos] ^= 0x01;
         assert!(
-            decode_artifact(&b).is_none(),
+            decode_artifact(&b, &kernel.program).is_none(),
             "flip at byte {pos} must not decode"
         );
     }
@@ -321,8 +325,7 @@ fn seq_residency_plan_round_trips_and_executes_identically() {
                 .expect("scratchpad launch has a key");
             let path = ArtifactStore::open(&dir).unwrap().path_for(&key);
             let bytes = std::fs::read(&path).expect("the fresh run persisted its plan");
-            let decoded = decode_artifact(&bytes).expect("stored artifact decodes");
-            assert!(decoded.validate(&l.kernel.program), "{name}/{machine}");
+            let decoded = decode_artifact(&bytes, &l.kernel.program).expect("stored plan fits");
             assert_eq!(encode_artifact(&decoded), bytes, "{name}/{machine}");
 
             let (loaded_stats, loaded_out, _) = run(PlanSource::Artifact);
@@ -334,4 +337,160 @@ fn seq_residency_plan_round_trips_and_executes_identically() {
             );
         }
     }
+}
+
+/// A load always returns. A resealed artifact (valid envelope, valid
+/// checksum) whose plan names an array the program lacks is refused by
+/// the fit check instead of indexing past the program's arrays.
+#[test]
+fn a_plan_naming_a_missing_array_does_not_load() {
+    let (bytes, kernel, key, dir) = warmed_bytes("matmul", false, false, "crafted");
+    let mut art = decode_artifact(&bytes, &kernel.program).expect("stored plan fits");
+    art.plan.plan.buffers[0].array = 99;
+    let store = ArtifactStore::open(&dir).unwrap();
+    std::fs::write(store.path_for(&key), encode_artifact(&art)).unwrap();
+    assert!(store.load(&key, &kernel.program).is_none());
+}
+
+/// splitmix64: the deterministic stream the mutation fuzz draws from.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Feed `cases` resealed mutants of `bytes` through `decode`: each
+/// mutant changes 1–3 payload bytes and recomputes the checksum, so it
+/// gets past the envelope. Every case must return (no panic) within
+/// `DEADLINE`; a case that hangs fails the test after `HANG`. Returns
+/// how many mutants decoded.
+fn fuzz_resealed(
+    bytes: &[u8],
+    (magic, version): ([u8; 4], u32),
+    seed: u64,
+    cases: usize,
+    decode: impl Fn(&[u8]) -> bool + Send + 'static,
+) -> usize {
+    const DEADLINE: std::time::Duration = std::time::Duration::from_millis(100);
+    const HANG: std::time::Duration = std::time::Duration::from_secs(10);
+    let (key, payload) = open(bytes, magic, version).expect("the seed artifact opens");
+    let payload = payload.to_vec();
+    let (tx, rx) = std::sync::mpsc::channel();
+    // Joined once every verdict is in; a hung case is reported without
+    // waiting for it.
+    let worker = std::thread::spawn(move || {
+        let mut rng = seed;
+        for case in 0..cases {
+            let mut p = payload.clone();
+            for _ in 0..=splitmix64(&mut rng) % 3 {
+                let r = splitmix64(&mut rng);
+                let at = (r % p.len() as u64) as usize;
+                p[at] ^= 1 + (r >> 56) as u8 % 255;
+            }
+            let mutant = seal(magic, version, key, &p);
+            let t0 = std::time::Instant::now();
+            let verdict = std::panic::catch_unwind(AssertUnwindSafe(|| decode(&mutant)));
+            if tx.send((case, verdict.ok(), t0.elapsed())).is_err() {
+                return;
+            }
+        }
+    });
+    let mut decoded = 0;
+    for _ in 0..cases {
+        let (case, verdict, took) = rx
+            .recv_timeout(HANG)
+            .unwrap_or_else(|_| panic!("seed {seed:#x}: a mutant hung past {HANG:?}"));
+        let ok = verdict.unwrap_or_else(|| panic!("seed {seed:#x}: mutant {case} panicked"));
+        assert!(
+            took < DEADLINE,
+            "seed {seed:#x}: mutant {case} took {took:?}"
+        );
+        decoded += ok as usize;
+    }
+    worker.join().expect("the fuzz worker returns");
+    decoded
+}
+
+const FUZZ_CASES: usize = 10_000;
+
+/// Loads are total over resealed mutants of a plan artifact with a
+/// register level and a residency plan: every mutant decodes to a
+/// plan that fits or to `None`, each within the deadline.
+#[test]
+fn resealed_plan_mutants_load_or_refuse_within_the_deadline() {
+    let dir = temp_store("fuzz_plan");
+    let toggles = LaunchToggles {
+        double_buffer: true,
+        hierarchy: true,
+        artifact_dir: Some(dir.to_string_lossy().into_owned()),
+        ..LaunchToggles::default()
+    };
+    let l = launch(
+        "matmul",
+        4,
+        &MachineConfig::geforce_8800_gtx(),
+        &toggles,
+        false,
+    )
+    .unwrap();
+    let (sp, _) = warm_plan(&l.kernel, &l.params, &l.config, None, None)
+        .unwrap()
+        .expect("the mapping stages");
+    assert!(sp.hier.is_some() && sp.residency.as_ref().is_some_and(|r| !r.is_empty()));
+    let key = plan_artifact_key(&l.kernel, &l.params, &l.config)
+        .unwrap()
+        .unwrap();
+    let bytes = std::fs::read(ArtifactStore::open(&dir).unwrap().path_for(&key)).unwrap();
+    let program = l.kernel.program.clone();
+    let decoded = fuzz_resealed(
+        &bytes,
+        (MAGIC, FORMAT_VERSION),
+        0x5eed_0001,
+        FUZZ_CASES,
+        move |b| decode_artifact(b, &program).is_some(),
+    );
+    eprintln!(
+        "plan: {decoded} of {FUZZ_CASES} resealed mutants of {} bytes load",
+        bytes.len()
+    );
+}
+
+/// The same over a tune artifact whose rows are a real candidate
+/// space.
+#[test]
+fn resealed_tune_mutants_load_or_refuse_within_the_deadline() {
+    let gpu = MachineConfig::geforce_8800_gtx();
+    let cands = tunespace::candidates("matmul", &gpu, true).expect("space");
+    let rows: Vec<TuneRow> = (cands.iter().enumerate())
+        .map(|(i, c)| TuneRow {
+            desc: c.desc.clone(),
+            predicted: 1000 + i as u64,
+            simulated: (i % 3 == 0).then_some(900 + i as u64),
+            exact: true,
+            preset: c.preset,
+            note: if i % 5 == 0 {
+                "infeasible: needs 1 B".into()
+            } else {
+                String::new()
+            },
+        })
+        .collect();
+    let art = TuneArtifact {
+        key: polymem_core::smem::ArtifactKey { lo: 1, hi: 2 },
+        winner: rows[0].desc.clone(),
+        winner_predicted: 1000,
+        winner_cycles: 900,
+        rows,
+    };
+    let bytes = art.encode();
+    let version = (TUNE_MAGIC, TUNE_FORMAT_VERSION);
+    let decoded = fuzz_resealed(&bytes, version, 0x5eed_0002, FUZZ_CASES, |b| {
+        TuneArtifact::decode(b).is_some()
+    });
+    eprintln!(
+        "tune: {decoded} of {FUZZ_CASES} resealed mutants of {} bytes load",
+        bytes.len()
+    );
 }

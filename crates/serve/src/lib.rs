@@ -7,8 +7,9 @@
 //!   seeded straight into launches (`PlanSource::Seeded`), evicted
 //!   least-recently-used, invalidated by generation;
 //! - **on disk** — the content-addressed artifact store
-//!   (`polymem_core::smem::artifact`), which survives restarts and is
-//!   fully re-proved on load (`PlanSource::Artifact`).
+//!   (`polymem_core::smem::artifact`), which survives restarts; a load
+//!   checks the envelope, the decode and the plan's fit to the program
+//!   (`PlanSource::Artifact`).
 //!
 //! The daemon itself ([`Server`]) is std-only: a `TcpListener` shared
 //! by a small thread pool, speaking line-delimited JSON ([`Json`]),

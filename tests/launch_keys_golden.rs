@@ -9,7 +9,10 @@
 //! built-in launch is" moves a key. 5 kernels × {flat,
 //! `--double-buffer`} × {gpu, cell}; `launch_keys_golden.txt` must
 //! stay untouched by a refactor, and is re-recorded only when the
-//! machine salt itself changes (it holds what changes the plan).
+//! machine salt itself changes (it holds what changes the plan) or
+//! when the artifact schema changes (every key hashes `schema_hash()`,
+//! so a new codec layout moves every key at once, and the `none` lines
+//! stay `none`).
 //!
 //! Since the collapse the same file also pins the in-process resolver
 //! and the tuner's preset row: `tunespace::build` of the pinned preset

@@ -142,7 +142,7 @@ mod end_to_end {
         let warm = tune(&p, &params, &init, &cands, &base, &opts).unwrap();
         assert_eq!(warm.plan_source, "artifact");
         assert_eq!(warm.simulated, 0);
-        assert_eq!(warm.winner.to_line(), cold.winner.to_line());
+        assert_eq!(warm.winner, cold.winner);
         assert_eq!(warm.winner_cycles, cold.winner_cycles);
         let _ = std::fs::remove_dir_all(&dir);
     }

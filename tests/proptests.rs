@@ -241,7 +241,7 @@ proptest! {
         // order, as the per-element move-in/move-out nests it replaces
         // — descriptors change the granularity of movement, never its
         // contents.
-        use polymem::core::smem::descriptors::{transfer_list, flatten_index, Direction};
+        use polymem::core::smem::descriptors::{transfer_list, flatten_index};
         let mut b = ProgramBuilder::new("p", ["N"]);
         b.array("A", &[v("N") + 8, v("N") + 8]);
         b.array("Out", &[v("N"), v("N")]);
@@ -268,28 +268,25 @@ proptest! {
             },
         )
         .unwrap();
-        use polymem::core::smem::movement::{for_each_move_in, for_each_move_out};
+        use polymem::core::smem::movement::for_each_scan;
         prop_assert!(!plan.movement.is_empty(), "nothing staged — vacuous test");
         for mc in &plan.movement {
             let buf = &plan.buffers[mc.buffer];
             let arr_ext = t.arrays[buf.array].eval_extents(&t.params, &[n]).unwrap();
             let buf_ext = buf.extents(&[n]).unwrap();
-            for dir in [Direction::In, Direction::Out] {
+            for (dir, scan) in [("in", &mc.move_in), ("out", &mc.move_out)] {
                 let mut reference: Vec<(i64, i64)> = Vec::new();
-                let mut push = |g: &[i64], l: &[i64]| {
+                for_each_scan(scan, buf, &[n], &mut |g, l| {
                     reference.push((
                         flatten_index(g, &arr_ext),
                         flatten_index(l, &buf_ext),
                     ));
-                };
-                match dir {
-                    Direction::In => for_each_move_in(mc, buf, &[n], &mut push).unwrap(),
-                    Direction::Out => for_each_move_out(mc, buf, &[n], &mut push).unwrap(),
-                }
-                let list = transfer_list(mc, buf, dir, &arr_ext, &[n]).unwrap();
+                })
+                .unwrap();
+                let list = transfer_list(scan, buf, &arr_ext, &[n]).unwrap();
                 let mut got: Vec<(i64, i64)> = Vec::new();
                 list.for_each(&mut |g, l| got.push((g, l)));
-                prop_assert_eq!(&got, &reference, "direction {:?}", dir);
+                prop_assert_eq!(&got, &reference, "direction {}", dir);
                 prop_assert_eq!(list.elements, reference.len() as u64);
                 // Coalescing must never *increase* the operation count.
                 prop_assert!(list.descriptors.len() as u64 <= list.elements.max(1));

@@ -225,7 +225,7 @@ fn tune_artifacts_are_keyed_by_the_cost_model() {
 fn every_priced_constant_moves_the_tune_key() {
     let (program, params, _) = tunespace::workload("matmul", 8).expect("workload");
     let base = cost_constants(&MachineConfig::spatial_mesh());
-    let key = |cc: &CostConstants| tune_key(&program, &params, &[], cc, "space");
+    let key = |cc: &CostConstants| tune_key(&program, &params, &[], cc, "space", []);
     type Mutation = (&'static str, fn(&mut CostConstants));
     let mutations: [Mutation; 17] = [
         ("cycles_per_op", |c| c.cycles_per_op += 1.0),
