@@ -382,7 +382,7 @@ mod tests {
                 let mut set = BTreeSet::new();
                 for mc in &plan.movement {
                     let buf = &plan.buffers[mc.buffer];
-                    crate::smem::movement::for_each_move_in(mc, buf, params, &mut |g, _| {
+                    crate::smem::movement::for_each_scan(&mc.move_in, buf, params, &mut |g, _| {
                         set.insert((buf.array, g.to_vec()));
                     })
                     .unwrap();
@@ -425,7 +425,7 @@ mod tests {
                 let mut set = BTreeSet::new();
                 for mc in &plan.movement {
                     let buf = &plan.buffers[mc.buffer];
-                    crate::smem::movement::for_each_move_in(mc, buf, params, &mut |g, _| {
+                    crate::smem::movement::for_each_scan(&mc.move_in, buf, params, &mut |g, _| {
                         set.insert((buf.array, g.to_vec()));
                     })
                     .unwrap();

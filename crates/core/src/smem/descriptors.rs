@@ -1,23 +1,19 @@
 //! §3 movement loops → Cell-style DMA lists (strided transfer
 //! descriptors).
 //!
-//! The executor replays [`movement`](super::movement) copy nests
-//! element by element, which models a machine issuing one bus
-//! transaction per word. Real explicitly-managed-memory targets batch:
-//! the Cell's MFC takes *DMA lists* (each entry a contiguous chunk at
-//! a global address), and GPUs coalesce a half-warp's loads into one
-//! wide transaction. This pass scans one movement or residency nest of
-//! a buffer in **exactly the enumeration order** of
-//! [`for_each_scan`](super::movement::for_each_scan) and fuses
-//! maximal constant-stride runs into [`TransferDescriptor`]s —
-//! `(global_base, local_base, elem_count, stride, n_rows)` plus the
-//! row strides — so each descriptor is one strided bulk transfer and
-//! the whole [`TransferList`] covers the same element multiset as the
-//! per-element loops: each element exactly once, no gaps, no overlaps.
+//! The Cell's MFC takes *DMA lists* (each entry a contiguous chunk at a
+//! global address); GPUs coalesce a half-warp's loads into one wide
+//! transaction. This pass scans one movement or residency nest of a
+//! buffer once, in [`for_each_scan`](super::movement::for_each_scan)'s
+//! order, bounds-checks every element per dimension, and fuses maximal
+//! constant-stride runs into [`TransferDescriptor`]s. The
+//! [`TransferList`] covers each scanned element exactly once. The
+//! executor's level-1 copy replays it and its clock prices it, so what
+//! was priced is what moved.
 
 use super::alloc::LocalBuffer;
 use super::movement::for_each_scan;
-use super::Result;
+use super::{Result, SmemError};
 use polymem_codegen::ast::Ast;
 
 /// One strided bulk transfer: `n_rows` rows of `elem_count` elements.
@@ -60,25 +56,6 @@ impl TransferDescriptor {
     pub fn bytes(&self, word_bytes: u64) -> u64 {
         self.elements() * word_bytes
     }
-
-    /// Whether every row is contiguous on both sides (the pure
-    /// Cell-DMA-list entry shape).
-    pub fn contiguous(&self) -> bool {
-        self.stride == 1 && self.local_stride == 1
-    }
-
-    /// Replay the transfer as `(global_flat, local_flat)` pairs, in
-    /// issue order.
-    pub fn for_each(&self, f: &mut dyn FnMut(i64, i64)) {
-        for r in 0..self.n_rows {
-            for e in 0..self.elem_count {
-                f(
-                    self.global_base + r * self.global_row_stride + e * self.stride,
-                    self.local_base + r * self.local_row_stride + e * self.local_stride,
-                );
-            }
-        }
-    }
 }
 
 /// The DMA list for one direction of one buffer.
@@ -92,15 +69,17 @@ pub struct TransferList {
 }
 
 impl TransferList {
-    /// No descriptors at all.
-    pub fn is_empty(&self) -> bool {
-        self.descriptors.is_empty()
-    }
-
-    /// Replay every descriptor, in order.
-    pub fn for_each(&self, f: &mut dyn FnMut(i64, i64)) {
+    /// Replay every element as its `(global_flat, local_flat)` pair, in
+    /// issue order (the scan order the list was built in).
+    pub fn for_each(&self, mut f: impl FnMut(i64, i64)) {
         for d in &self.descriptors {
-            d.for_each(f);
+            for r in 0..d.n_rows {
+                let g = d.global_base + r * d.global_row_stride;
+                let l = d.local_base + r * d.local_row_stride;
+                for e in 0..d.elem_count {
+                    f(g + e * d.stride, l + e * d.local_stride);
+                }
+            }
         }
     }
 }
@@ -175,13 +154,22 @@ impl DmaChannels {
     }
 }
 
-/// Row-major flat offset of a multi-dimensional index.
-pub fn flatten_index(idx: &[i64], extents: &[i64]) -> i64 {
-    let mut off = 0i64;
-    for (&i, &e) in idx.iter().zip(extents) {
-        off = off * e.max(1) + i;
+/// Row-major flat offset of `index` in an array of `extents`; `None`
+/// if the rank differs or any coordinate lies outside `[0, extent)`.
+/// A flat offset alone cannot tell `A[i][N]` from `A[i+1][0]`, so the
+/// check is per dimension.
+pub fn flatten(index: &[i64], extents: &[i64]) -> Option<usize> {
+    if index.len() != extents.len() {
+        return None;
     }
-    off
+    let mut off = 0i64;
+    for (&i, &e) in index.iter().zip(extents) {
+        if i < 0 || i >= e {
+            return None;
+        }
+        off = off * e + i;
+    }
+    Some(off as usize)
 }
 
 /// Build the DMA list of one scan nest over a buffer: a movement
@@ -195,7 +183,9 @@ pub fn flatten_index(idx: &[i64], extents: &[i64]) -> i64 {
 /// `params ++ fixed` vector for symbolic plans). Global indices are
 /// flattened row-major over the array extents, local indices row-major
 /// over the buffer extents — matching the executor's `LocalStore`
-/// layout — then maximal constant-stride runs are fused. A residency
+/// layout — then maximal constant-stride runs are fused. The first
+/// element in scan order outside the array, or else outside the
+/// buffer, is [`SmemError::ScanOutOfBounds`]. A residency
 /// delta list covers only the elements that still cross the global
 /// bus; retained atoms are re-based by a scratchpad-local copy and
 /// never appear.
@@ -206,14 +196,20 @@ pub fn transfer_list(
     params: &[i64],
 ) -> Result<TransferList> {
     let buf_extents = buffer.extents(params)?;
-    let mut pairs: Vec<(i64, i64)> = Vec::new();
+    let (mut pairs, mut outside) = (Vec::new(), None);
     for_each_scan(scan, buffer, params, &mut |g, l| {
-        pairs.push((
-            flatten_index(g, array_extents),
-            flatten_index(l, &buf_extents),
-        ));
+        let flat = (flatten(g, array_extents), flatten(l, &buf_extents));
+        match flat {
+            _ if outside.is_some() => {}
+            (Some(g), Some(l)) => pairs.push((g as i64, l as i64)),
+            (None, _) => outside = Some((false, g.to_vec())),
+            (_, None) => outside = Some((true, l.to_vec())),
+        }
     })?;
-    Ok(coalesce(&pairs))
+    match outside {
+        Some((local, index)) => Err(SmemError::ScanOutOfBounds { local, index }),
+        None => Ok(coalesce(&pairs)),
+    }
 }
 
 /// A maximal constant-delta run of consecutive scan elements.
@@ -323,7 +319,10 @@ mod tests {
         let bext = buf.extents(params).unwrap();
         let mut raw = Vec::new();
         for_each_scan(scan, buf, params, &mut |g, l| {
-            raw.push((flatten_index(g, ext), flatten_index(l, &bext)));
+            raw.push((
+                flatten(g, ext).unwrap() as i64,
+                flatten(l, &bext).unwrap() as i64,
+            ));
         })
         .unwrap();
         assert_eq!(expanded, raw);
@@ -354,8 +353,16 @@ mod tests {
         assert_eq!(list.descriptors.len(), 1);
         let d = &list.descriptors[0];
         assert_eq!((d.elem_count, d.n_rows), (11, 1));
-        assert!(d.contiguous());
+        assert_eq!((d.stride, d.local_stride), (1, 1));
         assert_exact_cover(&code.move_in, &buf, &[11], &[10]);
+        // Against an array one element short, the window's last element
+        // is the first one outside it.
+        let short = transfer_list(&code.move_in, &buf, &[10], &[10]);
+        let outside = SmemError::ScanOutOfBounds {
+            local: false,
+            index: vec![10],
+        };
+        assert_eq!(short, Err(outside));
     }
 
     /// A 2-D tile of a wider array becomes one descriptor with
@@ -384,7 +391,7 @@ mod tests {
         assert_eq!(d.local_row_stride, 5);
         assert_eq!(d.global_base, 4 * 30 + 10);
         assert_eq!(d.local_base, 0);
-        assert!(d.contiguous());
+        assert_eq!((d.stride, d.local_stride), (1, 1));
         assert_eq!(list.elements, 20);
         assert_exact_cover(&code.move_in, &buf, &[20, 30], &[]);
     }
@@ -452,7 +459,7 @@ mod tests {
         assert_eq!(expanded, pairs);
         // Empty input.
         let list = coalesce(&[]);
-        assert!(list.is_empty());
+        assert!(list.descriptors.is_empty());
         assert_eq!(list.elements, 0);
     }
 }

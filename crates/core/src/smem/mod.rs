@@ -44,7 +44,7 @@ pub use cache::{
     parametrize_domain, SymbolicPlan,
 };
 pub use dataspace::{AccessId, RefInfo};
-pub use descriptors::{transfer_list, DmaChannels, TransferDescriptor, TransferList};
+pub use descriptors::{flatten, transfer_list, DmaChannels, TransferDescriptor, TransferList};
 pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
 pub use lowering::{lower_rows, lower_rows_onto, prove_flat, FlatAffine, LoweredRow};
@@ -82,6 +82,15 @@ pub enum SmemError {
     /// Sample parameter values were required (for volume estimation)
     /// but not supplied.
     MissingSampleParams,
+    /// A movement scan reached an element outside its global array
+    /// (`local == false`) or outside its local buffer: the first such
+    /// multi-index in scan order.
+    ScanOutOfBounds {
+        /// The local index failed, not the global one.
+        local: bool,
+        /// The failing multi-index.
+        index: Vec<i64>,
+    },
 }
 
 impl fmt::Display for SmemError {
@@ -94,6 +103,14 @@ impl fmt::Display for SmemError {
             }
             SmemError::MissingSampleParams => {
                 write!(f, "sample parameter values required for volume estimation")
+            }
+            SmemError::ScanOutOfBounds { local, index } => {
+                let space = if *local {
+                    "local buffer"
+                } else {
+                    "global array"
+                };
+                write!(f, "movement element {index:?} outside its {space}")
             }
         }
     }

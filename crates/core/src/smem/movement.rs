@@ -190,31 +190,10 @@ fn volume_bound(
     Ok(total)
 }
 
-/// Execute move-in against raw storage: calls
-/// `copy(global_index, local_index)` once per transferred element.
-pub fn for_each_move_in(
-    code: &MovementCode,
-    buffer: &LocalBuffer,
-    params: &[i64],
-    copy: &mut dyn FnMut(&[i64], &[i64]),
-) -> Result<()> {
-    for_each_scan(&code.move_in, buffer, params, copy)
-}
-
-/// Execute move-out: `copy(global_index, local_index)` per element.
-pub fn for_each_move_out(
-    code: &MovementCode,
-    buffer: &LocalBuffer,
-    params: &[i64],
-    copy: &mut dyn FnMut(&[i64], &[i64]),
-) -> Result<()> {
-    for_each_scan(&code.move_out, buffer, params, copy)
-}
-
-/// Execute an arbitrary scan nest against a buffer's layout:
-/// `copy(global_index, local_index)` once per scanned element. The
-/// shared core of move-in/move-out and of the residency pass's
-/// retained/delta region walks.
+/// Walk a scan nest against a buffer's layout:
+/// `copy(global_index, local_index)` once per scanned element. Any of
+/// a movement entry's nests (`move_in`, `move_out`) or a residency
+/// plan's (`retained_scan`, `delta_scan`, `flush_scan`).
 pub fn for_each_scan(
     ast: &Ast,
     buffer: &LocalBuffer,
@@ -273,7 +252,7 @@ mod tests {
         // Reads cover [0, N] = 11 elements at N = 10, each moved once.
         assert_eq!(code.move_in_count(&[10]), 11);
         let mut seen = HashSet::new();
-        for_each_move_in(&code, &buf, &[10], &mut |g, l| {
+        for_each_scan(&code.move_in, &buf, &[10], &mut |g, l| {
             assert!(seen.insert(g.to_vec()), "duplicate transfer of {g:?}");
             assert_eq!(l[0], g[0]); // offset 0 here
         })
@@ -312,7 +291,7 @@ mod tests {
         let p = b.build().unwrap();
         let (buf, code) = setup(&p, "A");
         let mut pairs = Vec::new();
-        for_each_move_in(&code, &buf, &[0], &mut |g, l| {
+        for_each_scan(&code.move_in, &buf, &[0], &mut |g, l| {
             pairs.push((g[0], l[0]));
         })
         .unwrap();

@@ -21,12 +21,11 @@
 //!
 //! Together the atoms partition the window exactly (each element in
 //! exactly one atom), so `retained ∪ delta` covers precisely the
-//! elements [`for_each_move_in`](super::movement::for_each_move_in)
-//! would have transferred, each exactly once — the irredundant
-//! decomposition. The symbolic predecessor window is obtained by the
-//! parametric lex-successor substitution `s → s − 1`, which on a
-//! constraint row only shifts the constant column by the seq-param
-//! coefficient.
+//! elements the entry's `move_in` scan would have transferred, each
+//! exactly once — the irredundant decomposition. The symbolic
+//! predecessor window is obtained by the parametric lex-successor
+//! substitution `s → s − 1`, which on a constraint row only shifts the
+//! constant column by the seq-param coefficient.
 //!
 //! **Retention legality.** A retained element is served from a copy
 //! loaded one sub-tile ago, so it must provably equal global memory at
@@ -377,46 +376,11 @@ pub fn plan_residency(
     })
 }
 
-/// Enumerate the retained set at concrete extended parameters as
-/// `(global_index, local_index)` pairs, exactly once per element (the
-/// movement-code calling convention of
-/// [`for_each_move_in`](super::movement::for_each_move_in)).
-pub fn for_each_retained(
-    rp: &RetainPlan,
-    buffer: &LocalBuffer,
-    params: &[i64],
-    copy: &mut dyn FnMut(&[i64], &[i64]),
-) -> Result<()> {
-    super::movement::for_each_scan(&rp.retained_scan, buffer, params, copy)
-}
-
-/// Enumerate the delta set at concrete extended parameters (the
-/// elements that still cross the global bus).
-pub fn for_each_delta_in(
-    rp: &RetainPlan,
-    buffer: &LocalBuffer,
-    params: &[i64],
-    copy: &mut dyn FnMut(&[i64], &[i64]),
-) -> Result<()> {
-    super::movement::for_each_scan(&rp.delta_scan, buffer, params, copy)
-}
-
-/// Enumerate the flush-delta set at concrete extended parameters (the
-/// move-out elements the successor sub-tile does not overwrite).
-pub fn for_each_flush_delta(
-    rp: &RetainPlan,
-    buffer: &LocalBuffer,
-    params: &[i64],
-    copy: &mut dyn FnMut(&[i64], &[i64]),
-) -> Result<()> {
-    super::movement::for_each_scan(&rp.flush_scan, buffer, params, copy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::smem::cache::analyze_symbolic;
-    use crate::smem::movement::for_each_move_in;
+    use crate::smem::movement::for_each_scan;
     use crate::smem::SmemConfig;
     use crate::tiling::transform::{tile_program, TileSpec};
     use polymem_ir::expr::v;
@@ -482,9 +446,10 @@ mod tests {
         let rp = res.plans.get(&mc.buffer).expect("A group retains");
         for bt in 1..3 {
             let ext: Vec<i64> = params.iter().copied().chain([bt]).collect();
-            let window = collect_region(|f| for_each_move_in(mc, buf, &ext, f).unwrap());
-            let retained = collect_region(|f| for_each_retained(rp, buf, &ext, f).unwrap());
-            let delta = collect_region(|f| for_each_delta_in(rp, buf, &ext, f).unwrap());
+            let window = collect_region(|f| for_each_scan(&mc.move_in, buf, &ext, f).unwrap());
+            let retained =
+                collect_region(|f| for_each_scan(&rp.retained_scan, buf, &ext, f).unwrap());
+            let delta = collect_region(|f| for_each_scan(&rp.delta_scan, buf, &ext, f).unwrap());
             // Disjoint and exactly covering.
             assert!(retained.is_disjoint(&delta), "tile {bt}");
             let union: BTreeSet<Vec<i64>> = retained.union(&delta).cloned().collect();
@@ -493,7 +458,7 @@ mod tests {
             assert_eq!(retained.len(), 2, "tile {bt}");
             // Every retained element sits in the predecessor window.
             let prev_ext: Vec<i64> = params.iter().copied().chain([bt - 1]).collect();
-            let prev = collect_region(|f| for_each_move_in(mc, buf, &prev_ext, f).unwrap());
+            let prev = collect_region(|f| for_each_scan(&mc.move_in, buf, &prev_ext, f).unwrap());
             assert!(retained.is_subset(&prev), "tile {bt}");
         }
     }
@@ -513,7 +478,7 @@ mod tests {
             .unwrap();
         let rp = &res.plans[&mc.buffer];
         let ext: Vec<i64> = params.iter().copied().chain([1]).collect();
-        let window = collect_region(|f| for_each_move_in(mc, buf, &ext, f).unwrap());
+        let window = collect_region(|f| for_each_scan(&mc.move_in, buf, &ext, f).unwrap());
         for g in &window {
             let n = rp.atoms.iter().filter(|p| p.contains(g, &ext)).count();
             assert_eq!(n, 1, "element {g:?} lies in {n} atoms");
@@ -574,7 +539,7 @@ mod tests {
         assert!(rp.flush_legal, "in-place update chain is flush-legal");
         // The scan nest enumerates exactly the same set.
         let buf = &sp.plan.buffers[mc.buffer];
-        let scanned = collect_region(|f| for_each_flush_delta(rp, buf, &ext, f).unwrap());
+        let scanned = collect_region(|f| for_each_scan(&rp.flush_scan, buf, &ext, f).unwrap());
         assert_eq!(scanned, want);
     }
 

@@ -24,16 +24,16 @@ use crate::compiled::{run_compiled, LaunchShared};
 use crate::config::MachineConfig;
 use crate::dma::{DmaEngine, DmaStats, DmaTag};
 use crate::json::{counters_json, Json};
-use crate::overlay::{flatten, Overlay};
+use crate::overlay::{unflatten, Overlay};
 use crate::trace::{PassKind, PassProfiler};
 use crate::{MachineError, Result};
 use polymem_core::smem::alloc::extent_words;
-use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
-use polymem_core::smem::residency::{for_each_delta_in, for_each_flush_delta, for_each_retained};
+use polymem_core::smem::movement::for_each_scan;
 use polymem_core::smem::{
-    analyze_symbolic_hier, check_parametrizable, parametrize_domain, plan_key, transfer_list,
-    AccessId, ArtifactKey, ArtifactStore, ExtSource, HierPlan, HierSpec, LocalBuffer, MovementCode,
-    PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemPlan, SymbolicPlan, TransferList,
+    analyze_symbolic_hier, check_parametrizable, flatten, parametrize_domain, plan_key,
+    transfer_list, AccessId, ArtifactKey, ArtifactStore, ExtSource, HierPlan, HierSpec,
+    LocalBuffer, MovementCode, PlanArtifact, ResidencyPlan, RetainPlan, SmemConfig, SmemError,
+    SmemPlan, SymbolicPlan, TransferList,
 };
 use polymem_ir::{ArrayStore, Program, Statement};
 use polymem_poly::bounds::{bound_cascade, DimBounds};
@@ -933,18 +933,6 @@ pub(crate) struct Buffer {
     pub(crate) offsets: Vec<i64>,
 }
 
-impl Buffer {
-    /// The element at the local index `idx`; `None` outside the
-    /// extents.
-    fn get(&self, idx: &[i64]) -> Option<i64> {
-        flatten(idx, &self.extents).map(|f| self.data[f])
-    }
-
-    fn set(&mut self, idx: &[i64], v: i64) -> Option<()> {
-        flatten(idx, &self.extents).map(|f| self.data[f] = v)
-    }
-}
-
 /// The typed error of an index outside the buffer called `array`.
 fn out_of_bounds(array: String, idx: &[i64]) -> MachineError {
     MachineError::Ir(polymem_ir::IrError::OutOfBounds {
@@ -985,22 +973,28 @@ impl LocalStore {
         }
     }
 
+    /// The flat offset of the local index `idx` in buffer `buf`.
+    fn at(&self, buf: usize, idx: &[i64]) -> Result<usize> {
+        let at = flatten(idx, &self.bufs[buf].extents);
+        at.ok_or_else(|| out_of_bounds(format!("local buffer {buf}"), idx))
+    }
+
     pub(crate) fn get(&self, buf: usize, idx: &[i64]) -> Result<i64> {
-        let v = self.bufs[buf].get(idx);
-        v.ok_or_else(|| out_of_bounds(format!("local buffer {buf}"), idx))
+        Ok(self.bufs[buf].data[self.at(buf, idx)?])
     }
 
     pub(crate) fn set(&mut self, buf: usize, idx: &[i64], v: i64) -> Result<()> {
-        let done = self.bufs[buf].set(idx, v);
-        done.ok_or_else(|| out_of_bounds(format!("local buffer {buf}"), idx))
+        let at = self.at(buf, idx)?;
+        self.bufs[buf].data[at] = v;
+        Ok(())
     }
 }
 
-/// Walk one movement nest (`scan` hands every `(global index, local
-/// index)` pair to its callback) and copy each element through `copy`.
-/// The walkers cannot stop early, so after the first failed copy the
-/// remaining pairs are skipped and that error is returned; otherwise
-/// the number of elements copied.
+/// Walk a register frame's or the residency re-base's nest (`scan`
+/// hands every `(global index, local index)` pair to its callback) and
+/// copy each element through `copy`. The walkers cannot stop early, so
+/// after the first failed copy the remaining pairs are skipped and that
+/// error is returned; otherwise the number of elements copied.
 fn copy_elements(
     scan: impl FnOnce(&mut dyn FnMut(&[i64], &[i64])) -> polymem_core::smem::Result<()>,
     mut copy: impl FnMut(&[i64], &[i64]) -> Result<()>,
@@ -1014,6 +1008,24 @@ fn copy_elements(
         }
     })?;
     err.map_or(Ok(n), Err)
+}
+
+/// The DMA list of one level-1 movement scan over `buf` at `pparams`:
+/// the one list its copy executes and its clock prices. An element
+/// outside the array is the array's typed out-of-bounds error; one
+/// outside the buffer is that of the buffer `label` names.
+fn movement_list(
+    scan: &polymem_codegen::ast::Ast,
+    buf: &LocalBuffer,
+    ext: &[i64],
+    pparams: &[i64],
+    label: impl FnOnce() -> String,
+) -> Result<TransferList> {
+    transfer_list(scan, buf, ext, pparams).map_err(|e| match e {
+        SmemError::ScanOutOfBounds { local: true, index } => out_of_bounds(label(), &index),
+        SmemError::ScanOutOfBounds { index, .. } => out_of_bounds(buf.array_name.clone(), &index),
+        e => e.into(),
+    })
 }
 
 /// A buffer kept alive across a block's sequential sub-tiles because
@@ -1081,8 +1093,8 @@ struct BlockClock<'a> {
     now: u64,
     dma: DmaEngine,
     /// DMA modeling enabled (`dma_channels > 0`). When off, movement
-    /// costs nothing in modeled time (the pre-DMA behaviour) and no
-    /// descriptors are built.
+    /// costs nothing in modeled time; lists, built for the copy, are
+    /// never issued.
     dma_on: bool,
     config: &'a MachineConfig,
 }
@@ -1097,21 +1109,15 @@ impl<'a> BlockClock<'a> {
         }
     }
 
-    /// Build one transfer's DMA list and queue it; the transfer starts
-    /// no earlier than `earliest` (buffer-reuse dependence on an
-    /// earlier sub-tile's move-out).
-    fn issue(
-        &mut self,
-        earliest: u64,
-        list: impl FnOnce() -> polymem_core::smem::Result<TransferList>,
-    ) -> Result<DmaTag> {
+    /// Queue one transfer's DMA list; the transfer starts no earlier
+    /// than `earliest` (buffer-reuse dependence on an earlier sub-tile's
+    /// move-out).
+    fn issue(&mut self, earliest: u64, list: &TransferList) -> DmaTag {
         if !self.dma_on {
-            return Ok(DmaTag::immediate(self.now));
+            return DmaTag::immediate(self.now);
         }
-        let word_bytes = self.config.word_bytes;
-        Ok(self
-            .dma
-            .issue_list(&list()?, word_bytes, self.now, earliest))
+        self.dma
+            .issue_list(list, self.config.word_bytes, self.now, earliest)
     }
 
     /// Queue the DMA list for a residency delta — the only elements
@@ -1122,14 +1128,9 @@ impl<'a> BlockClock<'a> {
     /// (the retained bytes leave the 1×-rate payload and come back as
     /// a 4×-rate local copy), in both the synchronous and the
     /// double-buffered schedule.
-    fn issue_delta(
-        &mut self,
-        earliest: u64,
-        retained: u64,
-        list: impl FnOnce() -> polymem_core::smem::Result<TransferList>,
-    ) -> Result<DmaTag> {
+    fn issue_delta(&mut self, earliest: u64, retained: u64, list: &TransferList) -> DmaTag {
         let start = earliest.max(self.now);
-        let mut tag = self.issue(start, list)?;
+        let mut tag = self.issue(start, list);
         // Re-basing the retained atoms is a scratchpad-local copy at 4x
         // the global DMA rate; it proceeds concurrently with the
         // incoming delta (the two touch disjoint buffer regions), so
@@ -1139,7 +1140,7 @@ impl<'a> BlockClock<'a> {
             let rebase = (bytes / (self.config.dma_bytes_per_cycle * 4.0)).ceil() as u64;
             tag.done = tag.done.max(start + rebase);
         }
-        Ok(tag)
+        tag
     }
 
     /// Advance the clock to the tag's completion, recording stalls.
@@ -1377,23 +1378,45 @@ impl<'a> Block<'a> {
     /// global memory, once, at the end of the block. The transfer is
     /// modeled as a synchronous DMA list.
     fn writeback_persistent(&mut self, p: &Persistent) -> Result<()> {
-        let (array, name) = (p.buffer.array, &p.buffer.array_name);
-        let ext = &self.launch.ext[array];
-        let overlay = &mut self.overlay;
-        let n = copy_elements(
-            |f| for_each_move_out(p.mc, p.buffer, &p.pparams, f),
-            |g, l| {
-                let v = p.buf.get(l);
-                let v = v.ok_or_else(|| out_of_bounds(format!("persistent L{name}"), l))?;
-                Ok(overlay.set_idx(array, name, g, ext, v)?)
-            },
-        )?;
-        self.stats.global_writes += n;
-        self.stats.moved_out += n;
-        let list = || transfer_list(&p.mc.move_out, p.buffer, ext, &p.pparams);
-        let tag = self.clock.issue(self.clock.now, list)?;
+        let (buf, label) = (p.buffer, || format!("persistent L{}", p.buffer.array_name));
+        let ext = &self.launch.ext[buf.array];
+        let list = movement_list(&p.mc.move_out, buf, ext, &p.pparams, label)?;
+        self.spill(buf.array, &list, &p.buf.data);
+        let tag = self.clock.issue(self.clock.now, &list);
         self.clock.wait(&tag);
         Ok(())
+    }
+
+    /// Execute a move-in list into `dst`: each element from the
+    /// block's buffered writes if it has one, else from the store's
+    /// slice of the array, resolved once per list. A flat offset past a
+    /// foreign store's slice is the array's typed out-of-bounds error.
+    fn fetch(&mut self, array: usize, list: &TransferList, dst: &mut [i64]) -> Result<()> {
+        self.stats.global_reads += list.elements;
+        self.stats.moved_in += list.elements;
+        if list.elements == 0 {
+            return Ok(());
+        }
+        let name = &self.launch.program.arrays[array].name;
+        let (src, overlay, mut past) = (self.store.data(name)?, &self.overlay, None);
+        list.for_each(|g, l| {
+            let (g, l) = (g as usize, l as usize);
+            match overlay.get(array, g).or_else(|| src.get(g).copied()) {
+                Some(v) => dst[l] = v,
+                None => past = past.or(Some(g)),
+            }
+        });
+        let index = |off| unflatten(off, &self.launch.ext[array]);
+        past.map_or(Ok(()), |off| Err(out_of_bounds(name.clone(), &index(off))))
+    }
+
+    /// Execute a move-out list from `src` into the block's buffered
+    /// writes.
+    fn spill(&mut self, array: usize, list: &TransferList, src: &[i64]) {
+        let overlay = &mut self.overlay;
+        list.for_each(|g, l| overlay.set(array, g as usize, src[l as usize]));
+        self.stats.global_writes += list.elements;
+        self.stats.moved_out += list.elements;
     }
 
     /// Stage one movement entry's move-in (global → local): the one place
@@ -1471,35 +1494,22 @@ impl<'a> Block<'a> {
         if let Some((rp, prev)) = resident {
             let (origin, mut at) = (&prev.bufs[bi].offsets, Vec::new());
             retained = copy_elements(
-                |f| for_each_retained(rp, buf, pparams, f),
+                |f| for_each_scan(&rp.retained_scan, buf, pparams, f),
                 |g, l| local.set(bi, l, prev.get(bi, level1_index(buf, origin, g, &mut at))?),
             )?;
         }
         // Fetch what crosses the bus: the delta atoms, or the whole window.
-        let name = &launch.program.arrays[buf.array].name;
+        let scan = resident.map_or(&mc.move_in, |(rp, _)| &rp.delta_scan);
         let ext = &launch.ext[buf.array];
-        let (store, overlay) = (self.store, &self.overlay);
-        let fetched = copy_elements(
-            |f| match resident {
-                Some((rp, _)) => for_each_delta_in(rp, buf, pparams, f),
-                None => for_each_move_in(mc, buf, pparams, f),
-            },
-            |g, l| local.set(bi, l, read_global(store, overlay, buf.array, name, g, ext)?),
-        )?;
-        self.stats.global_reads += fetched;
-        self.stats.moved_in += fetched;
-        Ok(Some(match resident {
-            Some((rp, _)) => {
-                self.stats.retained_elems += retained;
-                self.stats.delta_elems += fetched;
-                self.stats.residency_groups += 1;
-                let list = || transfer_list(&rp.delta_scan, buf, ext, pparams);
-                self.clock.issue_delta(earliest, retained, list)?
-            }
-            None => {
-                let list = || transfer_list(&mc.move_in, buf, ext, pparams);
-                self.clock.issue(earliest, list)?
-            }
+        let list = movement_list(scan, buf, ext, pparams, || format!("local buffer {bi}"))?;
+        self.fetch(buf.array, &list, &mut local.bufs[bi].data)?;
+        Ok(Some(if resident.is_some() {
+            self.stats.retained_elems += retained;
+            self.stats.delta_elems += list.elements;
+            self.stats.residency_groups += 1;
+            self.clock.issue_delta(earliest, retained, &list)
+        } else {
+            self.clock.issue(earliest, &list)
         }))
     }
 
@@ -1523,7 +1533,7 @@ impl<'a> Block<'a> {
         let launch = self.launch;
         let plan = self.plan();
         let mc = &plan.movement[mi];
-        let buf = &plan.buffers[mc.buffer];
+        let (bi, buf) = (mc.buffer, &plan.buffers[mc.buffer]);
         let local = &sb.staging.as_ref().expect("staged").local;
         if launch.flags.hoists[mi] {
             let dirty = !mc.write_spaces.is_empty()
@@ -1532,41 +1542,23 @@ impl<'a> Block<'a> {
                 buffer: buf,
                 mc,
                 pparams: sb.pparams.clone(),
-                buf: local.bufs[mc.buffer].clone(),
+                buf: local.bufs[bi].clone(),
                 dirty,
             };
             self.persistent.insert(buf.array, parked);
             return Ok(None);
         }
-        let flush = flush_delta_plan(launch, mc.buffer, &sb.pparams, next);
-        let aext = &launch.ext[buf.array];
-        let overlay = &mut self.overlay;
-        let n = copy_elements(
-            |f| match flush {
-                Some(rp) => for_each_flush_delta(rp, buf, &sb.pparams, f),
-                None => for_each_move_out(mc, buf, &sb.pparams, f),
-            },
-            |g, l| {
-                let v = local.get(mc.buffer, l)?;
-                Ok(overlay.set_idx(buf.array, &buf.array_name, g, aext, v)?)
-            },
-        )?;
-        self.stats.global_writes += n;
-        self.stats.moved_out += n;
+        let flush = flush_delta_plan(launch, bi, &sb.pparams, next);
+        let scan = flush.map_or(&mc.move_out, |rp| &rp.flush_scan);
+        let ext = &launch.ext[buf.array];
+        let list = movement_list(scan, buf, ext, &sb.pparams, || format!("local buffer {bi}"))?;
+        self.spill(buf.array, &list, &local.bufs[bi].data);
+        if flush.is_some() {
+            self.stats.flushed_delta_elems += list.elements;
+        }
         // The flush delta is a subset of the full list, so its tag
         // never completes later than the flush it replaces.
-        let now = self.clock.now;
-        Ok(Some(match flush {
-            Some(rp) => {
-                self.stats.flushed_delta_elems += n;
-                let list = || transfer_list(&rp.flush_scan, buf, aext, &sb.pparams);
-                self.clock.issue(now, list)?
-            }
-            None => {
-                let list = || transfer_list(&mc.move_out, buf, aext, &sb.pparams);
-                self.clock.issue(now, list)?
-            }
-        }))
+        Ok(Some(self.clock.issue(self.clock.now, &list)))
     }
 
     /// Execute the sub-block's statement instances in interleaved source
@@ -1935,7 +1927,7 @@ pub(crate) fn stage_frames(
         let origin = &local.bufs[buf1.id].offsets;
         let frames = &mut fs.frames;
         n_smem += copy_elements(
-            |f| for_each_move_in(mc, &h.plan.buffers[mc.buffer], &fs.pp2, f),
+            |f| for_each_scan(&mc.move_in, &h.plan.buffers[mc.buffer], &fs.pp2, f),
             |g, l| {
                 let at = level1_index(buf1, origin, g, &mut idx1);
                 frames.set(mc.buffer, l, local.get(buf1.id, at)?)
@@ -1972,7 +1964,7 @@ pub(crate) fn flush_frames(
     {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
         n_smem += copy_elements(
-            |f| for_each_move_out(mc, &h.plan.buffers[mc.buffer], &fs.pp2, f),
+            |f| for_each_scan(&mc.move_out, &h.plan.buffers[mc.buffer], &fs.pp2, f),
             |g, l| {
                 let at = level1_index(buf1, &local.bufs[buf1.id].offsets, g, &mut idx1);
                 local.set(buf1.id, at, fs.frames.get(mc.buffer, l)?)

@@ -12,27 +12,12 @@
 //! enters the overlay, so out-of-bounds writes surface as typed
 //! [`IrError::OutOfBounds`] at the writing block, not at merge time.
 
+use polymem_core::smem::flatten;
 use polymem_ir::{ArrayStore, IrError, Program};
 use std::collections::HashMap;
 
-/// Flatten a row-major multi-index against `extents`. `None` if the
-/// rank mismatches or any coordinate is out of range.
-pub(crate) fn flatten(index: &[i64], extents: &[i64]) -> Option<usize> {
-    if index.len() != extents.len() {
-        return None;
-    }
-    let mut off: i64 = 0;
-    for (&i, &e) in index.iter().zip(extents) {
-        if i < 0 || i >= e {
-            return None;
-        }
-        off = off * e + i;
-    }
-    Some(off as usize)
-}
-
 /// Reconstruct the multi-index of a flat offset (error paths only).
-fn unflatten(mut off: usize, extents: &[i64]) -> Vec<i64> {
+pub(crate) fn unflatten(mut off: usize, extents: &[i64]) -> Vec<i64> {
     let mut idx = vec![0i64; extents.len()];
     for d in (0..extents.len()).rev() {
         let e = extents[d].max(1) as usize;

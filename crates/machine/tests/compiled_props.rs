@@ -2,9 +2,10 @@
 //! agree with the per-point interpreter — same array contents, same
 //! deterministic counters — across random affine accesses, random
 //! statement bodies, random block shapes, scratchpad staging on/off
-//! and double buffering on/off. Plus a directed check that an
+//! and double buffering on/off. Plus directed checks that an
 //! out-of-bounds access on the compiled engine's guarded addressing
-//! path surfaces as the same typed error the interpreter raises.
+//! path surfaces as the same typed error the interpreter raises, and
+//! that staged movement checks every index per dimension.
 
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
@@ -175,5 +176,57 @@ fn guarded_fallback_reports_typed_out_of_bounds() {
             assert_eq!(index, vec![8]);
         }
         other => panic!("expected a typed out-of-bounds error, got {other:?}"),
+    }
+}
+
+/// `C[i][j] = A[i][j + 1]` (read) or `C[i][j + 1] = A[i][j]` (write)
+/// over `0 <= i, j <= N - 1` with `A, C: [N][N]`, tiled 4x4 on the
+/// must-stage cell: the element `[i][N]` of the staged array has a flat
+/// offset inside the array (it is `[i + 1][0]`'s), so only a
+/// per-dimension check catches it. The read fails in move-in, the write
+/// in move-out, both at `[0][8]`: the index the per-element copy
+/// reported before level-1 copies executed DMA lists.
+fn staged_edge_overrun(write: bool) -> Result<(), MachineError> {
+    let mut b = ProgramBuilder::new("edge", ["N"]);
+    b.array("A", &[v("N"), v("N")]);
+    b.array("C", &[v("N"), v("N")]);
+    let (w, r) = if write {
+        ([v("i"), v("j") + 1], [v("i"), v("j")])
+    } else {
+        ([v("i"), v("j")], [v("i"), v("j") + 1])
+    };
+    b.stmt("S")
+        .loops(&[
+            ("i", LinExpr::c(0), v("N") - 1),
+            ("j", LinExpr::c(0), v("N") - 1),
+        ])
+        .write("C", &w)
+        .read("A", &r)
+        .body(Expr::Read(0))
+        .done();
+    let p = b.build().unwrap();
+    let t = tile_program(&p, &TileSpec::new(&[("i", 4), ("j", 4)], "T")).unwrap();
+    let k = BlockedKernel {
+        program: t,
+        round_dims: vec![],
+        block_dims: vec!["iT".into(), "jT".into()],
+        seq_dims: vec![],
+        thread_dims: vec![],
+        use_scratchpad: true,
+    };
+    let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
+    st.fill_with("A", |ix| ix[0] * 100 + ix[1]).unwrap();
+    execute_blocked(&k, &[8], &mut st, &MachineConfig::cell_like(), false).map(|_| ())
+}
+
+#[test]
+fn staged_movement_keeps_per_dimension_bounds_checks() {
+    for (write, array) in [(false, "A"), (true, "C")] {
+        match staged_edge_overrun(write) {
+            Err(MachineError::Ir(IrError::OutOfBounds { array: a, index })) => {
+                assert_eq!((a.as_str(), index), (array, vec![0, 8]), "write={write}");
+            }
+            other => panic!("write={write}: expected a typed out-of-bounds error, got {other:?}"),
+        }
     }
 }

@@ -13,7 +13,9 @@
 //! updates, so residency flush deltas engage) and `carry` (a
 //! seq-carried flow dependence that pins one group synchronous under
 //! double buffering). A schedule refactor must leave
-//! `exec_golden.txt` untouched.
+//! `exec_golden.txt` untouched. On every line whose machine has DMA
+//! channels, the elements the DMA model priced are exactly the
+//! elements moved in and out.
 
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
@@ -327,6 +329,14 @@ fn line(label: &str, c: &Case, cfg: &MachineConfig) -> String {
         c.reference.data(c.check).unwrap(),
         "{label}: output vs reference"
     );
+    // Every element that crossed the global bus was priced exactly once.
+    if cfg.dma_channels > 0 {
+        assert_eq!(
+            stats.dma.elements,
+            stats.moved_in + stats.moved_out,
+            "{label}: DMA-priced elements vs moved elements"
+        );
+    }
     format!(
         "{label}: {}",
         fingerprint(&stats, checksum(st.data(c.check).unwrap()))

@@ -168,6 +168,11 @@ proptest! {
             spec.reference.data(spec.check).unwrap(),
             "residency-on output diverged from the reference"
         );
+        // Every moved element is priced exactly once, either way.
+        for stats in [&off_stats, &on_stats] {
+            prop_assert!(cfg.dma_channels > 0, "both machines model DMA");
+            prop_assert_eq!(stats.dma.elements, stats.moved_in + stats.moved_out);
+        }
         prop_assert_eq!(off_stats.residency_groups, 0);
         prop_assert_eq!(off_stats.retained_elems, 0);
         prop_assert_eq!(off_stats.delta_elems, 0);
@@ -436,10 +441,7 @@ fn sub_blocks(
 /// window, and whatever it skips the successor writes.
 #[test]
 fn retained_and_delta_partition_every_real_window() {
-    use polymem_core::smem::movement::{for_each_move_in, for_each_move_out};
-    use polymem_core::smem::residency::{
-        for_each_delta_in, for_each_flush_delta, for_each_retained,
-    };
+    use polymem_core::smem::movement::for_each_scan;
     use polymem_machine::warm_plan;
     use std::collections::BTreeSet;
 
@@ -522,28 +524,34 @@ fn retained_and_delta_partition_every_real_window() {
                     let what = format!("{label} buffer {id} at {b:?}");
                     if let Some(prev) = neighbour(b, -1) {
                         let window =
-                            elements(&what, |f| for_each_move_in(mc, buf, &at, f).unwrap());
-                        let retained =
-                            elements(&what, |f| for_each_retained(rp, buf, &at, f).unwrap());
-                        let delta =
-                            elements(&what, |f| for_each_delta_in(rp, buf, &at, f).unwrap());
+                            elements(&what, |f| for_each_scan(&mc.move_in, buf, &at, f).unwrap());
+                        let retained = elements(&what, |f| {
+                            for_each_scan(&rp.retained_scan, buf, &at, f).unwrap()
+                        });
+                        let delta = elements(&what, |f| {
+                            for_each_scan(&rp.delta_scan, buf, &at, f).unwrap()
+                        });
                         assert!(retained.is_disjoint(&delta), "{what}: atom overlap");
                         assert_eq!(&retained | &delta, window, "{what}: not the window");
-                        let before =
-                            elements(&what, |f| for_each_move_in(mc, buf, &prev, f).unwrap());
+                        let before = elements(&what, |f| {
+                            for_each_scan(&mc.move_in, buf, &prev, f).unwrap()
+                        });
                         assert!(
                             retained.is_subset(&before),
                             "{what}: retained, never loaded"
                         );
                         groups_checked += 1;
                     }
-                    let out = elements(&what, |f| for_each_move_out(mc, buf, &at, f).unwrap());
-                    let flushed =
-                        elements(&what, |f| for_each_flush_delta(rp, buf, &at, f).unwrap());
+                    let out =
+                        elements(&what, |f| for_each_scan(&mc.move_out, buf, &at, f).unwrap());
+                    let flushed = elements(&what, |f| {
+                        for_each_scan(&rp.flush_scan, buf, &at, f).unwrap()
+                    });
                     assert!(flushed.is_subset(&out), "{what}: flushes outside move-out");
                     if let Some(next) = neighbour(b, 1) {
-                        let rewritten =
-                            elements(&what, |f| for_each_move_out(mc, buf, &next, f).unwrap());
+                        let rewritten = elements(&what, |f| {
+                            for_each_scan(&mc.move_out, buf, &next, f).unwrap()
+                        });
                         assert!(
                             (&out - &flushed).is_subset(&rewritten),
                             "{what}: skips an element the successor does not write"

@@ -19,7 +19,7 @@
 //! access functions, the exact transfer sets, and end-to-end execution
 //! equivalence through the machine executor.
 
-use polymem::core::smem::movement::{for_each_move_in, for_each_move_out};
+use polymem::core::smem::movement::for_each_scan;
 use polymem::core::smem::{analyze_program, AccessId, SmemConfig};
 use polymem::ir::expr::v;
 use polymem::ir::{exec_program, ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
@@ -123,7 +123,7 @@ fn movement_sets_match_the_papers_copy_loops() {
     // elements) plus {(i, j) : 20<=i<=28, max(i-13,11)<=j<=min(15,i-9)}
     // (25 elements), each element exactly once.
     let mut seen = HashSet::new();
-    for_each_move_in(mc_a, la, &[], &mut |g, l| {
+    for_each_scan(&mc_a.move_in, la, &[], &mut |g, l| {
         assert!(seen.insert((g[0], g[1])), "duplicate transfer {g:?}");
         assert_eq!(l[0], g[0] - 10);
         assert_eq!(l[1], g[1] - 11);
@@ -148,7 +148,7 @@ fn movement_sets_match_the_papers_copy_loops() {
 
     // Move-out A: the written region [10,14]×[11,15].
     let mut seen = HashSet::new();
-    for_each_move_out(mc_a, la, &[], &mut |g, _| {
+    for_each_scan(&mc_a.move_out, la, &[], &mut |g, _| {
         seen.insert((g[0], g[1]));
     })
     .unwrap();
@@ -160,7 +160,7 @@ fn movement_sets_match_the_papers_copy_loops() {
 
     // Move-in B: [20,28]×[11,20]; move-out B: [10,14]×[21,34].
     let mut seen = HashSet::new();
-    for_each_move_in(mc_b, lb, &[], &mut |g, _| {
+    for_each_scan(&mc_b.move_in, lb, &[], &mut |g, _| {
         seen.insert((g[0], g[1]));
     })
     .unwrap();
@@ -171,7 +171,7 @@ fn movement_sets_match_the_papers_copy_loops() {
     assert_eq!(mc_b.move_in_count(&[]), 90);
 
     let mut seen = HashSet::new();
-    for_each_move_out(mc_b, lb, &[], &mut |g, _| {
+    for_each_scan(&mc_b.move_out, lb, &[], &mut |g, _| {
         seen.insert((g[0], g[1]));
     })
     .unwrap();

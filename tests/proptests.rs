@@ -167,7 +167,7 @@ proptest! {
         // must equal a fresh per-block analysis — same buffer shapes,
         // same move-in element sets — including the boundary tile.
         use polymem::core::smem::analyze_symbolic;
-        use polymem::core::smem::movement::for_each_move_in;
+        use polymem::core::smem::movement::for_each_scan;
         use polymem::core::tiling::transform::fix_dims;
         use std::collections::{BTreeSet, HashMap};
         let mut b = ProgramBuilder::new("p", ["N"]);
@@ -216,7 +216,7 @@ proptest! {
                 let mut set: BTreeSet<(usize, Vec<i64>)> = BTreeSet::new();
                 for mc in &plan.movement {
                     let buf = &plan.buffers[mc.buffer];
-                    for_each_move_in(mc, buf, prm, &mut |g, _| {
+                    for_each_scan(&mc.move_in, buf, prm, &mut |g, _| {
                         set.insert((buf.array, g.to_vec()));
                     })
                     .unwrap();
@@ -241,7 +241,7 @@ proptest! {
         // order, as the per-element move-in/move-out nests it replaces
         // — descriptors change the granularity of movement, never its
         // contents.
-        use polymem::core::smem::descriptors::{transfer_list, flatten_index};
+        use polymem::core::smem::descriptors::{flatten, transfer_list};
         let mut b = ProgramBuilder::new("p", ["N"]);
         b.array("A", &[v("N") + 8, v("N") + 8]);
         b.array("Out", &[v("N"), v("N")]);
@@ -277,10 +277,8 @@ proptest! {
             for (dir, scan) in [("in", &mc.move_in), ("out", &mc.move_out)] {
                 let mut reference: Vec<(i64, i64)> = Vec::new();
                 for_each_scan(scan, buf, &[n], &mut |g, l| {
-                    reference.push((
-                        flatten_index(g, &arr_ext),
-                        flatten_index(l, &buf_ext),
-                    ));
+                    let (g, l) = (flatten(g, &arr_ext).unwrap(), flatten(l, &buf_ext).unwrap());
+                    reference.push((g as i64, l as i64));
                 })
                 .unwrap();
                 let list = transfer_list(scan, buf, &arr_ext, &[n]).unwrap();
