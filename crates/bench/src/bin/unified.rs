@@ -16,9 +16,9 @@
 //!
 //! * outputs are bit-exact against the reference interpreter in every
 //!   mode;
-//! * the unified mode really ran compiled: `compiled_blocks > 0`,
-//!   `interpreted_blocks == 0`, zero fallback counts — the silent
-//!   drop stays fixed;
+//! * the unified mode really ran compiled: `compiled_blocks > 0` (the
+//!   engine is total now — a block it cannot run is a launch error,
+//!   so the silent drop cannot come back as a fallback);
 //! * unified stats equal hier-only stats counter for counter (engine
 //!   attribution aside): same scratchpad traffic, same
 //!   `smem_loads_saved` / `reg_bytes_moved` / `hier_groups`, same
@@ -102,19 +102,10 @@ fn main() {
             failures.push(format!("{at}: output mismatch"));
         }
         // The unified mode really composed the tentpoles: the
-        // compiled engine owned every compute phase even with the
-        // register level active.
-        if u.compiled_blocks == 0 || u.interpreted_blocks != 0 {
-            failures.push(format!(
-                "{at}: unified mode fell back ({} compiled / {} interpreted blocks)",
-                u.compiled_blocks, u.interpreted_blocks
-            ));
-        }
-        if u.fallback.total() != 0 {
-            failures.push(format!(
-                "{at}: unified mode recorded {} interpreter fallbacks",
-                u.fallback.total()
-            ));
+        // compiled engine ran the compute phases with the register
+        // level active.
+        if u.compiled_blocks == 0 {
+            failures.push(format!("{at}: unified mode ran no compiled blocks"));
         }
         // Counter-for-counter parity with the interpreter on the
         // same plan: the scratchpad-traffic numbers BENCH_hier

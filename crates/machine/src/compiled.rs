@@ -41,15 +41,16 @@
 //! Batching never changes arrays or counters.
 //!
 //! Accesses whose in-bounds / no-overflow proof fails degrade to a
-//! *guarded* stream (checked per point, typed errors), and any shape
-//! that cannot be compiled at all falls back to the interpreter, which
-//! stays authoritative (`POLYMEM_EXEC_CHECK=1` cross-checks every
-//! block against it).
+//! *guarded* stream (checked per point, typed errors). The engine is
+//! total: a shape that does not lower is a typed launch error, never a
+//! block handed to the interpreter. The interpreter runs only with
+//! [`MachineConfig::compiled_exec`] off, as the oracle
+//! (`POLYMEM_EXEC_CHECK=1` cross-checks every block against it).
 
 use crate::config::MachineConfig;
 use crate::exec::{
-    budget_error, flush_frames, stage_frames, BlockedKernel, Buffer, ExecStats, FrameSet,
-    LaunchGrid, LocalStore, StagingFlags,
+    budget_error, flush_frames, shape_error, stage_frames, BlockedKernel, Buffer, ExecStats,
+    FrameSet, LaunchGrid, LocalStore, StagingFlags,
 };
 use crate::overlay::Overlay;
 use crate::{MachineError, Result};
@@ -58,6 +59,7 @@ use polymem_core::smem::{
     lower_rows, parametrize_dims, prove_flat, AccessId, ExtSource, HierPlan, LoweredRow, SmemPlan,
     SymbolicPlan,
 };
+use polymem_ir::exec::resolve_array_ids;
 use polymem_ir::{ArrayStore, BodyCode, IrError, Program, Statement};
 use polymem_poly::bounds::{all_param_bounds, bound_cascade, DimBounds};
 use polymem_poly::{PolyError, Polyhedron};
@@ -67,12 +69,12 @@ use std::sync::Arc;
 /// The launch record: everything that depends only on the launch,
 /// built before any block worker runs and shared read-only by all of
 /// them. The launch itself (program, parameters, machine), the
-/// hoisted common-prefix depth matrix, global array extents, the
-/// compiled statement bodies — and the launch's
+/// hoisted common-prefix depth matrix, global array extents and the
+/// store ids they were checked against — and the launch's
 /// one *block shape*: every sub-block pins the same dims
 /// (round ∪ block ∪ seq), so the grid that enumerates them, the shared
 /// symbolic plan, the per-statement enumeration layout both engines
-/// walk, the compiled address streams on top of it and the
+/// walk, the compiled statement code on top of it and the
 /// per-movement-entry staging flags are all derived here once. A
 /// sub-block contributes only its coordinate vector
 /// ([`LaunchGrid::pparams`]).
@@ -84,10 +86,10 @@ pub(crate) struct LaunchShared<'a> {
     pub common: Vec<Vec<usize>>,
     /// Concrete extents of every global array, in program order.
     pub ext: Vec<Vec<i64>>,
-    /// Compiled statement bodies; `None` when compiled execution is
-    /// off for the launch (the config flag, or a body that failed to
-    /// compile to bytecode).
-    pub bodies: Option<Vec<BodyCode>>,
+    /// The store id of every global array, in program order, resolved
+    /// once per launch from a store that holds each at exactly `ext`:
+    /// every flat offset the launch computes is valid against it.
+    pub(crate) sids: Vec<usize>,
     /// `POLYMEM_EXEC_CHECK=1`: run the interpreter as an oracle beside
     /// every compiled block and panic on divergence.
     pub exec_check: bool,
@@ -113,23 +115,25 @@ pub(crate) struct LaunchShared<'a> {
     /// (`enumerate_with_cascade` + sort) and the compiled engine
     /// ([`Cursor`]) alike.
     pub layouts: Vec<StmtLayout>,
-    /// The lowered accesses of every statement; `None` when compiled
-    /// execution is off or the shape does not lower (unbounded proof
-    /// boxes, or a plan/dim-layout mismatch).
-    pub streams: Option<Vec<StmtStreams>>,
+    /// The compiled engine's code for every statement; `None` exactly
+    /// when [`MachineConfig::compiled_exec`] is off.
+    pub(crate) code: Option<Vec<StmtCode>>,
 }
 
 impl<'a> LaunchShared<'a> {
     /// Derive the launch state for the block shape `grid` pins, staged
-    /// through `plan` if the mapping stages. A shape that cannot be
-    /// parametrized or scanned, or a plan analysed for another shape,
-    /// is a typed error.
+    /// through `plan` if the mapping stages, against `store`. A store
+    /// missing a program array, or holding one at other extents than
+    /// the program's at `params`, is a typed error; so is a shape that
+    /// cannot be parametrized, scanned or (engine on) compiled, and a
+    /// plan analysed for another shape.
     pub fn new(
         kernel: &'a BlockedKernel,
         params: &'a [i64],
         config: &'a MachineConfig,
         grid: LaunchGrid,
         plan: Option<Arc<SymbolicPlan>>,
+        store: &ArrayStore,
     ) -> Result<LaunchShared<'a>> {
         let program = &kernel.program;
         let n = program.stmts.len();
@@ -139,28 +143,19 @@ impl<'a> LaunchShared<'a> {
                 *c = program.common_depth(a, b);
             }
         }
+        let sids = resolve_array_ids(program, store)?;
         let mut ext = Vec::with_capacity(program.arrays.len());
-        for a in &program.arrays {
-            ext.push(a.eval_extents(&program.params, params)?);
+        for (a, &id) in program.arrays.iter().zip(&sids) {
+            let want = a.eval_extents(&program.params, params)?;
+            if store.extents_by_id(id) != want.as_slice() {
+                return Err(MachineError::StoreMismatch {
+                    array: a.name.clone(),
+                    expected: want,
+                    found: store.extents_by_id(id).to_vec(),
+                });
+            }
+            ext.push(want);
         }
-        let bodies: Option<Vec<BodyCode>> = config
-            .compiled_exec
-            .then(|| {
-                program
-                    .stmts
-                    .iter()
-                    .map(|s| {
-                        BodyCode::compile(
-                            &s.body,
-                            s.reads.len(),
-                            s.domain.space().dims().len(),
-                            params.len(),
-                        )
-                        .ok()
-                    })
-                    .collect()
-            })
-            .flatten();
         let fixed = &grid.fixed;
         let sym = parametrize_dims(program, fixed)?;
         let layouts = program
@@ -169,9 +164,9 @@ impl<'a> LaunchShared<'a> {
             .zip(&sym.stmts)
             .map(|(orig, ss)| StmtLayout::build(orig, ss, fixed, program.params.len()))
             .collect::<polymem_poly::Result<Vec<_>>>()?;
-        let streams = bodies
-            .as_ref()
-            .and_then(|_| lower_streams(&sym, &layouts, plan.as_deref()));
+        let code = (config.compiled_exec)
+            .then(|| lower_code(program, &sym, &layouts, plan.as_deref()))
+            .transpose()?;
         let sp = plan.as_deref();
         let residency = sp.and_then(|sp| sp.residency.as_ref());
         let residency_at = residency
@@ -184,9 +179,9 @@ impl<'a> LaunchShared<'a> {
                 // position: its non-thread names must be this shape's.
                 let level1 = h.ext_names.iter().filter(|n| !h.thread_dims.contains(n));
                 if !level1.eq(fixed) {
-                    return Err(MachineError::Poly(PolyError::SpaceMismatch {
-                        op: "a register-level plan analysed for another launch shape",
-                    }));
+                    return Err(shape_error(
+                        "a register-level plan analysed for another launch shape",
+                    ));
                 }
                 h.ext_sources(params.len())
             }
@@ -198,7 +193,7 @@ impl<'a> LaunchShared<'a> {
             config,
             common,
             ext,
-            bodies,
+            sids,
             exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
             flags: StagingFlags::new(kernel, config, sp.map(|sp| &sp.plan))?,
@@ -207,7 +202,7 @@ impl<'a> LaunchShared<'a> {
             grid,
             plan,
             layouts,
-            streams,
+            code,
         })
     }
 
@@ -295,8 +290,10 @@ impl StmtLayout {
     }
 }
 
-/// The lowered accesses of one statement, over its [`StmtLayout`].
-pub(crate) struct StmtStreams {
+/// One statement compiled over its [`StmtLayout`]: the bytecode body
+/// and the lowered accesses.
+pub(crate) struct StmtCode {
+    pub body: BodyCode,
     /// Context-free parametric bounds of each kept dim (the proof box).
     pub boxes: Vec<DimBounds>,
     /// The innermost kept dim is a level-2 thread dim — batching along
@@ -306,24 +303,29 @@ pub(crate) struct StmtStreams {
     pub accs: Vec<AccTemplate>,
 }
 
-/// Lower every access of the parametrized program `sym` against the
-/// shape's layouts and (if the mapping stages) its shared plan.
-fn lower_streams(
+/// Compile every statement of `program` for the launch shape: its body
+/// to bytecode, and every access of its parametrized twin in `sym` to
+/// rows over the shape's layouts and (if the mapping stages) its shared
+/// plan. A validated program and a plan analysed for this shape always
+/// compile; anything else is a typed error naming what disagrees.
+fn lower_code(
+    program: &Program,
     sym: &Program,
     layouts: &[StmtLayout],
     plan: Option<&SymbolicPlan>,
-) -> Option<Vec<StmtStreams>> {
+) -> Result<Vec<StmtCode>> {
     let hier = plan.and_then(|sp| sp.hier.as_ref());
     let n_ext = sym.params.len();
     let mut stmts = Vec::with_capacity(sym.stmts.len());
-    for (si, (ss, layout)) in sym.stmts.iter().zip(layouts).enumerate() {
+    let shapes = program.stmts.iter().zip(&sym.stmts).zip(layouts);
+    for (si, ((orig, ss), layout)) in shapes.enumerate() {
         let kept = &layout.kept;
-        if let Some(sp) = plan {
-            // The plan's projection must agree with our dim layout,
-            // or local-access rows would read the wrong cursor dims.
-            if sp.kept_dims.get(si) != Some(kept) {
-                return None;
-            }
+        // The plan's projection must agree with our dim layout, or
+        // local-access rows would read the wrong cursor dims.
+        if plan.is_some_and(|sp| sp.kept_dims.get(si) != Some(kept)) {
+            return Err(shape_error(
+                "a plan projected onto other dims than the launch shape keeps",
+            ));
         }
         let thread_pos = hier.and_then(|h| h.stmt_thread_pos.get(si)?.as_ref());
         // Frame-redirected accesses need a thread key at every
@@ -336,10 +338,12 @@ fn lower_streams(
                 // Level-2 frame target: `F'` over this cursor's dims
                 // and the level-2 vector (one entry more than the
                 // level-1 one per thread dim).
-                let (buffer, rows) = h.frame_rows(id, kept)?;
                 let n_ext2 = n_ext + h.thread_dims.len();
-                let fits = keyed && rows.iter().all(|r| r.pcoef.len() == n_ext2);
-                return fits.then_some(AccTemplate {
+                let fits = |rows: &[LoweredRow]| rows.iter().all(|r| r.pcoef.len() == n_ext2);
+                let (buffer, rows) = (h.frame_rows(id, kept))
+                    .filter(|(_, rows)| keyed && fits(rows))
+                    .ok_or_else(|| shape_error("a frame rewrite that does not lower here"))?;
+                return Ok(AccTemplate {
                     target: Target::Frame { buffer },
                     rows,
                 });
@@ -348,7 +352,12 @@ fn lower_streams(
                 Some(la) => (Target::Local { buffer: la.buffer }, &la.map),
                 None => (Target::Global { array }, map),
             };
-            (map.n_in() == kept.len() && map.in_space().n_params() == n_ext).then(|| AccTemplate {
+            if map.n_in() != kept.len() || map.in_space().n_params() != n_ext {
+                return Err(shape_error(
+                    "an access map of another arity than the launch shape",
+                ));
+            }
+            Ok(AccTemplate {
                 target,
                 rows: lower_rows(map),
             })
@@ -358,15 +367,17 @@ fn lower_streams(
             .iter()
             .enumerate()
             .map(|(k, r)| lower(AccessId::read(si, k), r.array, &r.map))
-            .collect::<Option<Vec<_>>>()?;
+            .collect::<Result<Vec<_>>>()?;
         accs.push(lower(AccessId::write(si), ss.write.array, &ss.write.map)?);
-        stmts.push(StmtStreams {
-            boxes: all_param_bounds(&ss.domain).ok()?,
+        let dims = orig.domain.space().dims().len();
+        stmts.push(StmtCode {
+            body: BodyCode::compile(&orig.body, orig.reads.len(), dims, program.params.len())?,
+            boxes: all_param_bounds(&ss.domain)?,
             vary_thread,
             accs,
         });
     }
-    Some(stmts)
+    Ok(stmts)
 }
 
 /// A per-block address stream: proven (incremental partial sums, no
@@ -496,7 +507,7 @@ impl<'s> StmtInst<'s> {
     /// accesses against their concrete extents and offsets.
     fn rekey(
         &mut self,
-        st: &'s StmtStreams,
+        st: &'s StmtCode,
         ep: &[i64],
         launch: &LaunchShared,
         tiles: &Tiles,
@@ -893,15 +904,12 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
     true
 }
 
-/// Run one sub-block's compute phase through the compiled engine, at
-/// the sub-block's extended params `ep`; `local` is its staged
-/// scratchpad (present iff the launch has a plan).
-///
-/// Returns `Ok(None)` — *before any effect* — when this block cannot
-/// take the compiled path (engine off or shape not lowered for the
-/// launch, unbounded boxes, foreign store); the caller then runs the
-/// interpreter. After the first instance executes, errors are hard and
-/// mirror the interpreter's.
+/// Run one sub-block's compute phase through the compiled engine
+/// (`code`, the launch's), at the sub-block's extended params `ep`;
+/// `local` is its staged scratchpad (present iff the launch has a
+/// plan). Every error is the one the interpreter raises at the same
+/// instance: an unbounded proof box or enumeration past the budget
+/// through [`budget_error`], like its enumeration.
 ///
 /// Hierarchy plans (`plan.hier`) execute here natively: the merge
 /// tracks each keyed statement's thread key and switches the register
@@ -911,26 +919,14 @@ fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool 
 /// access is then re-anchored against the frames just staged.
 pub(crate) fn run_compiled(
     launch: &LaunchShared,
+    code: &[StmtCode],
     ep: &[i64],
     store: &ArrayStore,
     local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-) -> Result<Option<CompiledCounts>> {
-    let (program, params, config) = (launch.program, launch.params, launch.config);
-    let budget = config.enum_budget;
-    let (Some(bodies), Some(streams)) = (launch.bodies.as_ref(), launch.streams.as_ref()) else {
-        return Ok(None);
-    };
-    // Resolve store ids once and insist the store agrees with the
-    // launch extents (flat offsets are only valid against them).
-    let mut sids = Vec::with_capacity(program.arrays.len());
-    for (a, decl) in program.arrays.iter().enumerate() {
-        match store.id_of(&decl.name) {
-            Some(id) if store.extents_by_id(id) == launch.ext[a].as_slice() => sids.push(id),
-            _ => return Ok(None),
-        }
-    }
+) -> Result<CompiledCounts> {
+    let (params, budget) = (launch.params, launch.config.enum_budget);
     let thread_pos = |si: usize| {
         launch
             .hier()
@@ -941,17 +937,15 @@ pub(crate) fn run_compiled(
         frames: FrameSet::default(),
     };
 
-    // Instantiate address streams and cursors for every statement —
-    // all soft-fallback exits happen in this phase, before any effect.
-    let n_stmts = streams.len();
+    // Instantiate address streams and cursors for every statement.
+    let n_stmts = code.len();
     let mut insts: Vec<StmtInst> = Vec::with_capacity(n_stmts);
     let mut cursors: Vec<Cursor> = Vec::with_capacity(n_stmts);
     let mut boxes: Vec<Vec<(i64, i64)>> = Vec::with_capacity(n_stmts);
-    for (st, layout) in streams.iter().zip(&launch.layouts) {
+    for (st, layout) in code.iter().zip(&launch.layouts) {
         let at = |b: &DimBounds| b.eval_range(&[], ep);
-        let Some(bx) = st.boxes.iter().map(at).collect::<Option<Vec<_>>>() else {
-            return Ok(None);
-        };
+        let bx = st.boxes.iter().map(at).collect::<Option<Vec<_>>>();
+        let bx = bx.ok_or(PolyError::Unbounded).map_err(budget_error)?;
         let anchor = |t| AccInst::anchor(t, ep, launch, &tiles, &bx);
         insts.push(StmtInst {
             accs: st.accs.iter().map(anchor).collect(),
@@ -961,20 +955,14 @@ pub(crate) fn run_compiled(
     }
     let mut alive = vec![false; n_stmts];
     for si in 0..n_stmts {
-        match cursors[si].first() {
-            Ok(a) => alive[si] = a,
-            // Init-phase trouble (unbounded cascade, zero budget):
-            // nothing has run yet, so the interpreter can still own
-            // this block.
-            Err(_) => return Ok(None),
-        }
+        alive[si] = cursors[si].first().map_err(budget_error)?;
         if alive[si] {
             insts[si].carry(&cursors[si].point, 0);
         }
     }
 
     // K-way merge in interleaved source order.
-    let gdatas: Vec<&[i64]> = sids.iter().map(|&id| store.data_by_id(id)).collect();
+    let gdatas: Vec<&[i64]> = launch.sids.iter().map(|&id| store.data_by_id(id)).collect();
     let mut counts = CompiledCounts::default();
     let mut reads_buf: Vec<i64> = Vec::new();
     let mut batch_reads: Vec<i64> = Vec::new();
@@ -1015,14 +1003,14 @@ pub(crate) fn run_compiled(
                 let ls = ls.expect("a staged launch passes its scratchpad");
                 counts.n_smem += stage_frames(launch, &mut tiles.frames, key, ep, ls, stats)?;
                 for (sj, inst) in insts.iter_mut().enumerate() {
-                    inst.rekey(&streams[sj], ep, launch, &tiles, &boxes[sj]);
+                    inst.rekey(&code[sj], ep, launch, &tiles, &boxes[sj]);
                     if alive[sj] {
                         inst.carry(&cursors[sj].point, 0);
                     }
                 }
             }
         }
-        let (st, layout) = (&streams[si], &launch.layouts[si]);
+        let (st, layout) = (&code[si], &launch.layouts[si]);
         let n = layout.cascade.len();
 
         // Probe for a batch: up to `LANES` consecutive innermost-dim
@@ -1095,7 +1083,8 @@ pub(crate) fn run_compiled(
                             load_at(acc.target, acc.lane(l), &tiles, overlay, &gdatas)
                         });
                     }
-                    value = bodies[si]
+                    value = st
+                        .body
                         .eval(&mut stack, &reads_buf, &fp_buf, params)
                         .map_err(MachineError::Ir)?;
                     charge_write(wacc.target, stats, &mut counts);
@@ -1123,7 +1112,8 @@ pub(crate) fn run_compiled(
                         ));
                     }
                 }
-                if bodies[si]
+                if st
+                    .body
                     .eval_lanes(
                         &mut stack,
                         &batch_reads,
@@ -1147,7 +1137,7 @@ pub(crate) fn run_compiled(
                             reads_buf.push(batch_reads[r * lanes + l]);
                         }
                         lane_vals.push(
-                            bodies[si]
+                            st.body
                                 .eval(&mut stack, &reads_buf, &fp_buf, params)
                                 .map_err(MachineError::Ir)?,
                         );
@@ -1172,7 +1162,8 @@ pub(crate) fn run_compiled(
                 let off = flat_offset(acc, &cur.point, ep, launch, &tiles, &mut idx)?;
                 reads_buf.push(load_at(acc.target, off, &tiles, overlay, &gdatas));
             }
-            let value = bodies[si]
+            let value = st
+                .body
                 .eval(&mut stack, &reads_buf, &cur.full, params)
                 .map_err(MachineError::Ir)?;
             charge_write(wacc.target, stats, &mut counts);
@@ -1191,7 +1182,7 @@ pub(crate) fn run_compiled(
     if let Some(ls) = tiles.local {
         counts.n_smem += flush_frames(launch, &tiles.frames, ls, stats)?;
     }
-    Ok(Some(counts))
+    Ok(counts)
 }
 
 #[cfg(test)]

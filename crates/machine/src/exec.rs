@@ -24,7 +24,7 @@ use crate::compiled::{run_compiled, LaunchShared};
 use crate::config::MachineConfig;
 use crate::dma::{DmaEngine, DmaStats, DmaTag};
 use crate::json::{counters_json, Json};
-use crate::overlay::{unflatten, Overlay};
+use crate::overlay::Overlay;
 use crate::trace::{PassKind, PassProfiler};
 use crate::{MachineError, Result};
 use polymem_core::smem::alloc::extent_words;
@@ -150,9 +150,10 @@ pub struct ExecStats {
     /// comparing stats across engines is that everything *else*
     /// matches.
     pub compiled_blocks: u64,
-    /// Sub-block compute phases that ran on the per-point interpreter.
+    /// Sub-block compute phases that ran on the per-point interpreter
+    /// (only with [`MachineConfig::compiled_exec`] off).
     pub interpreted_blocks: u64,
-    /// Why interpreted phases fell back (one count per phase).
+    /// Why interpreted phases ran (one count per phase).
     pub fallback: FallbackStats,
     /// DMA transfer-engine counters ([`crate::dma`]).
     pub dma: DmaStats,
@@ -164,44 +165,24 @@ pub struct ExecStats {
     pub compute_ns: u64,
 }
 
-/// Reasons a sub-block compute phase used the interpreter instead of
-/// the compiled engine. Before these counters existed, the default
-/// CLI path (hierarchy on) silently interpreted every block while
-/// reporting compute time as if the compiled engine were on.
+/// Why sub-block compute phases ran on the interpreter. The compiled
+/// engine is total (a shape it cannot run is a typed launch error), so
+/// the one reason left is the engine switched off.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FallbackStats {
-    /// Compiled execution was off for the launch: the config flag, or
-    /// a body that failed to compile to bytecode.
+    /// [`MachineConfig::compiled_exec`] was off for the launch.
     pub engine_off: u64,
-    /// The launch's block shape failed to lower (unbounded proof
-    /// boxes, or a plan/dim-layout mismatch).
-    pub shape_uncompiled: u64,
-    /// The compiled engine declined at run time, before any effect
-    /// (foreign store, unbounded proof box or cascade).
-    pub runtime_decline: u64,
 }
 
 impl FallbackStats {
-    /// Total interpreted-phase fallbacks.
+    /// Total interpreted phases.
     pub fn total(&self) -> u64 {
-        self.engine_off + self.shape_uncompiled + self.runtime_decline
+        self.engine_off
     }
 
     /// Every counter under its field name.
     pub fn to_json(&self) -> Json {
-        Json::obj(counters_json!(
-            FallbackStats {
-                engine_off,
-                shape_uncompiled,
-                runtime_decline,
-            } = self
-        ))
-    }
-
-    fn absorb(&mut self, o: &FallbackStats) {
-        self.engine_off += o.engine_off;
-        self.shape_uncompiled += o.shape_uncompiled;
-        self.runtime_decline += o.runtime_decline;
+        Json::obj(counters_json!(FallbackStats { engine_off } = self))
     }
 }
 
@@ -240,7 +221,7 @@ impl Eq for ExecStats {}
 /// envelope the bench harnesses wrap around it. Bump it whenever a
 /// counter is renamed, removed or changes meaning (adding one is
 /// compatible).
-pub const STATS_SCHEMA: u64 = 2;
+pub const STATS_SCHEMA: u64 = 3;
 
 impl ExecStats {
     /// The one place a counter is named in output: `schema`, then every
@@ -317,7 +298,7 @@ impl ExecStats {
         self.residency_groups += o.residency_groups;
         self.compiled_blocks += o.compiled_blocks;
         self.interpreted_blocks += o.interpreted_blocks;
-        self.fallback.absorb(&o.fallback);
+        self.fallback.engine_off += o.fallback.engine_off;
         self.dma.absorb(&o.dma);
         self.compute_ns += o.compute_ns;
     }
@@ -371,7 +352,7 @@ pub(crate) fn machine_salt(config: &MachineConfig) -> [u64; 8] {
 /// spec, if any.
 pub type Representative = (Vec<(String, i64)>, Option<HierSpec>);
 
-fn shape_error(op: &'static str) -> MachineError {
+pub(crate) fn shape_error(op: &'static str) -> MachineError {
     MachineError::Poly(PolyError::SpaceMismatch { op })
 }
 
@@ -719,8 +700,9 @@ pub fn execute_blocked(
 }
 
 /// [`execute_blocked`] with an optional pass-level profiler: compiler
-/// passes (§3 pipeline) and executor phases (move-in, compute,
-/// move-out, barrier) accumulate real wall-clock time into it.
+/// passes (§3 pipeline) accumulate wall-clock time into it, executor
+/// phases (move-in, compute, move-out, barrier) their time summed over
+/// block workers.
 pub fn execute_blocked_profiled(
     kernel: &BlockedKernel,
     params: &[i64],
@@ -780,8 +762,10 @@ pub fn execute_blocked_seeded(
     } else {
         None
     };
+    // The one store check: every array at exactly the launch's extents,
+    // so no flat offset computed past this point needs one.
     let plan = warmed.as_ref().map(|(sp, _)| sp.clone());
-    let launch = &LaunchShared::new(kernel, params, config, grid, plan)?;
+    let launch = &LaunchShared::new(kernel, params, config, grid, plan, store)?;
 
     for round in launch.grid.scan(0, params)? {
         let blocks = launch.grid.scan(1, &round)?;
@@ -871,7 +855,7 @@ pub fn execute_blocked_seeded(
         let mut round_max_cycles = 0u64;
         let mut round_max_words = 0u64;
         for (overlay, bstats) in &results {
-            overlay.merge_into(program, store)?;
+            overlay.merge_into(&launch.sids, store);
             round_max_cycles = round_max_cycles.max(bstats.block_cycles);
             round_max_words = round_max_words.max(bstats.max_smem_words);
             stats.absorb(bstats);
@@ -1389,25 +1373,16 @@ impl<'a> Block<'a> {
 
     /// Execute a move-in list into `dst`: each element from the
     /// block's buffered writes if it has one, else from the store's
-    /// slice of the array, resolved once per list. A flat offset past a
-    /// foreign store's slice is the array's typed out-of-bounds error.
-    fn fetch(&mut self, array: usize, list: &TransferList, dst: &mut [i64]) -> Result<()> {
+    /// slice of the array (checked at the launch's extents).
+    fn fetch(&mut self, array: usize, list: &TransferList, dst: &mut [i64]) {
         self.stats.global_reads += list.elements;
         self.stats.moved_in += list.elements;
-        if list.elements == 0 {
-            return Ok(());
-        }
-        let name = &self.launch.program.arrays[array].name;
-        let (src, overlay, mut past) = (self.store.data(name)?, &self.overlay, None);
+        let src = self.store.data_by_id(self.launch.sids[array]);
+        let overlay = &self.overlay;
         list.for_each(|g, l| {
-            let (g, l) = (g as usize, l as usize);
-            match overlay.get(array, g).or_else(|| src.get(g).copied()) {
-                Some(v) => dst[l] = v,
-                None => past = past.or(Some(g)),
-            }
+            let g = g as usize;
+            dst[l as usize] = overlay.get(array, g).unwrap_or_else(|| src[g]);
         });
-        let index = |off| unflatten(off, &self.launch.ext[array]);
-        past.map_or(Ok(()), |off| Err(out_of_bounds(name.clone(), &index(off))))
     }
 
     /// Execute a move-out list from `src` into the block's buffered
@@ -1502,7 +1477,7 @@ impl<'a> Block<'a> {
         let scan = resident.map_or(&mc.move_in, |(rp, _)| &rp.delta_scan);
         let ext = &launch.ext[buf.array];
         let list = movement_list(scan, buf, ext, pparams, || format!("local buffer {bi}"))?;
-        self.fetch(buf.array, &list, &mut local.bufs[bi].data)?;
+        self.fetch(buf.array, &list, &mut local.bufs[bi].data);
         Ok(Some(if resident.is_some() {
             self.stats.retained_elems += retained;
             self.stats.delta_elems += list.elements;
@@ -1564,25 +1539,22 @@ impl<'a> Block<'a> {
     /// Execute the sub-block's statement instances in interleaved source
     /// order, then charge the modeled compute cycles to the block clock.
     ///
-    /// Dispatch: when the launch compiled (bytecode bodies + the lowered
-    /// streams of its block shape), the compiled engine runs the
+    /// Dispatch is on the engine switch alone: with
+    /// [`MachineConfig::compiled_exec`] on, the compiled engine runs the
     /// instances — including hierarchy (level-2) plans, whose register
     /// frames it stages through the same [`stage_frames`]/[`flush_frames`]
-    /// protocol as the interpreter; otherwise — engine off, shape lowering
-    /// failure, or a per-block proof obstacle — the interpreter does, with
-    /// identical semantics and counters. Which engine ran, and why a
-    /// fallback happened, lands in [`ExecStats::compiled_blocks`] /
-    /// [`ExecStats::interpreted_blocks`] / [`ExecStats::fallback`].
+    /// protocol as the interpreter; with it off, the interpreter does,
+    /// with identical semantics and counters. Which engine ran lands in
+    /// [`ExecStats::compiled_blocks`] / [`ExecStats::interpreted_blocks`].
     /// `POLYMEM_EXEC_CHECK=1` runs the interpreter as an oracle on cloned
     /// state beside every compiled block (outside the timed window) and
     /// panics on divergence.
     fn compute_sub_block(&mut self, sb: &mut SubBlock) -> Result<()> {
         let (launch, store) = (self.launch, self.store);
-        let compiled = launch.bodies.is_some() && launch.streams.is_some();
 
         // Oracle pass (check mode only): the interpreter runs first on
         // cloned state, outside the timed window.
-        let oracle = if compiled && launch.exec_check {
+        let oracle = if launch.code.is_some() && launch.exec_check {
             let mut ov = self.overlay.clone();
             let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
             let mut sc = ExecStats::default();
@@ -1595,29 +1567,16 @@ impl<'a> Block<'a> {
 
         let t0 = Instant::now();
         let (overlay, stats) = (&mut self.overlay, &mut self.stats);
-        let mut local = sb.staging.as_mut().map(|st| &mut st.local);
-        let counts = match run_compiled(
-            launch,
-            &sb.pparams,
-            store,
-            local.as_deref_mut(),
-            overlay,
-            stats,
-        )? {
-            Some(c) => {
+        let local = sb.staging.as_mut().map(|st| &mut st.local);
+        let counts = match &launch.code {
+            Some(code) => {
                 stats.compiled_blocks += 1;
+                let c = run_compiled(launch, code, &sb.pparams, store, local, overlay, stats)?;
                 (c.n_inst, c.n_smem, c.n_glob)
             }
             None => {
                 stats.interpreted_blocks += 1;
-                // Fallback attribution, one count per interpreted phase.
-                if launch.bodies.is_none() {
-                    stats.fallback.engine_off += 1;
-                } else if launch.streams.is_none() {
-                    stats.fallback.shape_uncompiled += 1;
-                } else {
-                    stats.fallback.runtime_decline += 1;
-                }
+                stats.fallback.engine_off += 1;
                 interpreted_compute(launch, &sb.pparams, store, local, overlay, stats)?
             }
         };
@@ -2417,11 +2376,7 @@ mod tests {
             residency_groups: x + 34,
             compiled_blocks: x + 26,
             interpreted_blocks: x + 27,
-            fallback: FallbackStats {
-                engine_off: x + 28,
-                shape_uncompiled: x + 30,
-                runtime_decline: x + 31,
-            },
+            fallback: FallbackStats { engine_off: x + 28 },
             compute_ns: x + 22,
             dma: DmaStats {
                 descriptors: x + 16,
@@ -2468,9 +2423,7 @@ mod tests {
         assert_eq!(a.compiled_blocks, 153);
         assert_eq!(a.interpreted_blocks, 155);
         assert_eq!(a.fallback.engine_off, 157);
-        assert_eq!(a.fallback.shape_uncompiled, 161);
-        assert_eq!(a.fallback.runtime_decline, 163);
-        assert_eq!(a.fallback.total(), 157 + 161 + 163);
+        assert_eq!(a.fallback.total(), 157);
     }
 
     /// Square matmul C[i][j] += A[i][k] * B[k][j] with i and j tiled,
@@ -2633,7 +2586,8 @@ mod tests {
         let grid = launch_grid(&k, &params, &cfg, &k.program.stmts[0]).unwrap();
         let rep = grid.representative(&k, &cfg);
         let (sp, _) = warm(&k, &params, &cfg, &rep, None, None).unwrap();
-        let launch = LaunchShared::new(&k, &params, &cfg, grid, Some(sp.clone())).unwrap();
+        let store = ArrayStore::for_program(&k.program, &params).unwrap();
+        let launch = LaunchShared::new(&k, &params, &cfg, grid, Some(sp.clone()), &store).unwrap();
         let mut local = LocalStore::default();
         local.reshape(&sp.plan, &params).unwrap();
         local.zero();
@@ -3226,7 +3180,9 @@ mod tests {
                 let grid = launch_grid(k, params, &cfg, lead).unwrap();
                 let rep = grid.representative(k, &cfg);
                 let (sp, _) = warm(k, params, &cfg, &rep, None, None).unwrap();
-                let launch = LaunchShared::new(k, params, &cfg, grid, Some(sp.clone())).unwrap();
+                let store = ArrayStore::for_program(&k.program, params).unwrap();
+                let plan = Some(sp.clone());
+                let launch = LaunchShared::new(k, params, &cfg, grid, plan, &store).unwrap();
                 let (plan, flags) = (&sp.plan, &launch.flags);
                 assert_eq!(flags.overlap, db, "{name}");
                 for (mi, mc) in plan.movement.iter().enumerate() {

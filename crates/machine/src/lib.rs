@@ -97,6 +97,18 @@ pub enum MachineError {
         /// ([`MachineConfig::regs_per_inner`]).
         available: u64,
     },
+    /// The store a launch was handed holds a program array at other
+    /// extents than the program declares at the launch's parameters
+    /// (a store built for other parameter values): every flat offset
+    /// the launch computes would address the wrong element.
+    StoreMismatch {
+        /// The array whose extents disagree.
+        array: String,
+        /// Its extents at the launch's parameters.
+        expected: Vec<i64>,
+        /// Its extents in the store.
+        found: Vec<i64>,
+    },
     /// Enumerating rounds/blocks/instances exceeded the configured
     /// point budget ([`MachineConfig::enum_budget`]).
     EnumerationBudget {
@@ -144,6 +156,14 @@ impl fmt::Display for MachineError {
                 f,
                 "register overflow: inner process needs {requested} words, \
                  register file has {available}"
+            ),
+            MachineError::StoreMismatch {
+                array,
+                expected,
+                found,
+            } => write!(
+                f,
+                "store holds `{array}` at extents {found:?}, the launch needs {expected:?}"
             ),
             MachineError::EnumerationBudget { budget } => {
                 write!(f, "enumeration budget exhausted: more than {budget} points")

@@ -13,19 +13,8 @@
 //! [`IrError::OutOfBounds`] at the writing block, not at merge time.
 
 use polymem_core::smem::flatten;
-use polymem_ir::{ArrayStore, IrError, Program};
+use polymem_ir::{ArrayStore, IrError};
 use std::collections::HashMap;
-
-/// Reconstruct the multi-index of a flat offset (error paths only).
-pub(crate) fn unflatten(mut off: usize, extents: &[i64]) -> Vec<i64> {
-    let mut idx = vec![0i64; extents.len()];
-    for d in (0..extents.len()).rev() {
-        let e = extents[d].max(1) as usize;
-        idx[d] = (off % e) as i64;
-        off /= e;
-    }
-    idx
-}
 
 /// Buffered global writes of one block (or one round worker), keyed
 /// `[array id][flat offset]`.
@@ -84,17 +73,17 @@ impl Overlay {
 
     /// Write every buffered value into `store`, array by array in
     /// program order, offsets ascending, coalesced into maximal
-    /// contiguous runs so each run costs one slice borrow.
-    pub fn merge_into(&self, program: &Program, store: &mut ArrayStore) -> Result<(), IrError> {
-        for (a, writes) in self.arrays.iter().enumerate() {
+    /// contiguous runs so each run costs one slice borrow. `sids` maps
+    /// each array to its store id, in a store checked to hold every
+    /// array at the extents the offsets were validated against.
+    pub fn merge_into(&self, sids: &[usize], store: &mut ArrayStore) {
+        for (writes, &id) in self.arrays.iter().zip(sids) {
             if writes.is_empty() {
                 continue;
             }
-            let name = &program.arrays[a].name;
             let mut offs: Vec<usize> = writes.keys().copied().collect();
             offs.sort_unstable();
-            let extents = store.extents(name)?.to_vec();
-            let data = store.data_mut(name)?;
+            let data = store.data_mut_by_id(id);
             let mut run = 0;
             while run < offs.len() {
                 let start = offs[run];
@@ -102,17 +91,7 @@ impl Overlay {
                 while end < offs.len() && offs[end] == offs[end - 1] + 1 {
                     end += 1;
                 }
-                let last = offs[end - 1];
-                if last >= data.len() {
-                    // The store disagrees with the program's extents
-                    // (caller passed a foreign store): surface the
-                    // same typed error the old per-element merge did.
-                    return Err(IrError::OutOfBounds {
-                        array: name.clone(),
-                        index: unflatten(last, &extents),
-                    });
-                }
-                let seg = &mut data[start..=last];
+                let seg = &mut data[start..=offs[end - 1]];
                 for (i, off) in offs[run..end].iter().enumerate() {
                     debug_assert_eq!(start + i, *off);
                     seg[i] = writes[off];
@@ -120,7 +99,6 @@ impl Overlay {
                 run = end;
             }
         }
-        Ok(())
     }
 }
 
@@ -129,6 +107,7 @@ mod tests {
     use super::*;
     use polymem_ir::builder::ProgramBuilder;
     use polymem_ir::expr::{v, Expr, LinExpr};
+    use polymem_ir::Program;
 
     fn sample_program() -> Program {
         let mut b = ProgramBuilder::new("p", ["N"]);
@@ -155,7 +134,7 @@ mod tests {
         ov.set_idx(0, "A", &[3, 2], &ext_a, 99).unwrap();
         ov.set_idx(1, "B", &[0], &[4], 7).unwrap();
         assert_eq!(ov.len(), 6);
-        ov.merge_into(&p, &mut store).unwrap();
+        ov.merge_into(&[0, 1], &mut store);
         assert_eq!(store.data("A").unwrap()[4..8], [10, 11, 12, 13]);
         assert_eq!(store.get("A", &[3, 2]).unwrap(), 99);
         assert_eq!(store.get("B", &[0]).unwrap(), 7);

@@ -179,9 +179,11 @@ impl Timeline {
     }
 }
 
-/// A pass or phase whose real (host) wall-clock time the executor
-/// profiler accounts: the five §3 compiler passes plus the four
-/// functional-executor phases.
+/// A pass or phase whose host time [`PassProfiler`] accounts: the §3
+/// compiler passes, which run on one thread (their totals are
+/// wall-clock), plus the four functional-executor phases, which every
+/// block worker times on its own (their totals are CPU time summed over
+/// workers and can exceed the launch's wall-clock).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PassKind {
     /// Compiler: data-space computation (`F·I` images).
@@ -254,9 +256,10 @@ impl PassKind {
     }
 }
 
-/// Thread-safe accumulator of real wall-clock time per pass/phase.
-/// Block workers record into it concurrently; [`PassProfiler::report`]
-/// snapshots the totals.
+/// Thread-safe accumulator of host time per pass/phase: each record is
+/// one occurrence's elapsed time. Block workers record into it
+/// concurrently, so an executor phase's total is a sum over workers
+/// (see [`PassKind`]); [`PassProfiler::report`] snapshots the totals.
 #[derive(Debug, Default)]
 pub struct PassProfiler {
     ns: [AtomicU64; PASS_KINDS.len()],
@@ -314,7 +317,8 @@ impl PassProfiler {
 pub struct PassRow {
     /// Which pass/phase.
     pub kind: PassKind,
-    /// Accumulated wall-clock time.
+    /// Accumulated time: wall-clock for a compiler pass, summed over
+    /// block workers for an executor phase.
     pub total: Duration,
     /// Number of recorded occurrences.
     pub count: u64,
@@ -347,15 +351,15 @@ impl PassReport {
     }
 
     /// Render as a two-section text table (skipping never-hit rows),
-    /// followed by the polyhedral-core counters when any were hit.
+    /// each section headed by its total and its clock — compiler passes
+    /// in wall time, executor phases in CPU time summed over block
+    /// workers — with every row's share of its own section, followed by
+    /// the polyhedral-core counters when any were hit.
     pub fn render(&self) -> String {
-        let grand = (self.compiler_total() + self.executor_total()).as_secs_f64();
-        let mut out = String::from("pass profile (host wall-clock)\n");
-        let mut section = |title: &str, compiler: bool, total: Duration| {
-            out.push_str(&format!(
-                "  {title:<22} {:>10.3} ms\n",
-                total.as_secs_f64() * 1e3
-            ));
+        let mut out = String::from("pass profile (host clock)\n");
+        let mut section = |title: &str, clock: &str, compiler: bool, total: Duration| {
+            let total = total.as_secs_f64();
+            out.push_str(&format!("  {title:<22} {:>10.3} ms {clock}\n", total * 1e3));
             for r in self
                 .rows
                 .iter()
@@ -369,12 +373,13 @@ impl PassReport {
                     r.kind.label(),
                     r.total.as_secs_f64() * 1e3,
                     r.count,
-                    100.0 * r.total.as_secs_f64() / grand.max(1e-12),
+                    100.0 * r.total.as_secs_f64() / total.max(1e-12),
                 ));
             }
         };
-        section("compiler (§3 passes)", true, self.compiler_total());
-        section("executor phases", false, self.executor_total());
+        section("compiler (§3 passes)", "wall", true, self.compiler_total());
+        let cpu = "cpu, summed over block workers";
+        section("executor phases", cpu, false, self.executor_total());
         let poly = polymem_poly::poly_core_stats();
         if poly != polymem_poly::PolyCoreStats::default() {
             out.push_str(&format!(
@@ -558,7 +563,8 @@ mod tests {
     fn report_table_renders_aligned_snapshot() {
         // Fixed recorded durations -> a fully deterministic table.
         // This is a snapshot of the expected rendering; the ms column
-        // of every row lines up with the section headers' (col 24).
+        // of every row lines up with the section headers' (col 24), and
+        // each row's share is of its own section (the two clocks differ).
         let p = PassProfiler::new();
         p.absorb_pass_times(&PassTimes {
             dataspace: Duration::from_micros(1500),
@@ -572,17 +578,17 @@ mod tests {
         p.record(PassKind::Barrier, Duration::from_micros(2000));
         let text = p.report().render();
         let expected = "\
-pass profile (host wall-clock)
-  compiler (§3 passes)       10.000 ms
-    dataspace                 1.500 ms  x1        ( 7.5%)
-    partition                 0.500 ms  x1        ( 2.5%)
-    reuse                     1.000 ms  x1        ( 5.0%)
-    alloc                     2.000 ms  x1        (10.0%)
-    movement                  3.000 ms  x1        (15.0%)
-    hierarchy                 2.000 ms  x1        (10.0%)
-  executor phases            10.000 ms
-    compute                   8.000 ms  x1        (40.0%)
-    barrier                   2.000 ms  x1        (10.0%)
+pass profile (host clock)
+  compiler (§3 passes)       10.000 ms wall
+    dataspace                 1.500 ms  x1        (15.0%)
+    partition                 0.500 ms  x1        ( 5.0%)
+    reuse                     1.000 ms  x1        (10.0%)
+    alloc                     2.000 ms  x1        (20.0%)
+    movement                  3.000 ms  x1        (30.0%)
+    hierarchy                 2.000 ms  x1        (20.0%)
+  executor phases            10.000 ms cpu, summed over block workers
+    compute                   8.000 ms  x1        (80.0%)
+    barrier                   2.000 ms  x1        (20.0%)
 ";
         // The polyhedral-core counter footer depends on global state
         // other tests touch; compare everything before it.

@@ -133,8 +133,6 @@ pub fn config_for(desc: &MappingDesc, base: &MachineConfig) -> MachineConfig {
 pub struct LaunchToggles {
     /// Run the sequential-sub-tile mapping and overlap its DMA.
     pub double_buffer: bool,
-    /// Execute block compute phases on the compiled engine.
-    pub compiled_exec: bool,
     /// Stage per-inner-process register tiles.
     pub hierarchy: bool,
     /// Keep overlapping windows resident across sub-tiles (only where
@@ -148,7 +146,6 @@ impl Default for LaunchToggles {
     fn default() -> Self {
         LaunchToggles {
             double_buffer: false,
-            compiled_exec: true,
             hierarchy: true,
             residency: true,
             artifact_dir: None,
@@ -160,7 +157,6 @@ impl Default for LaunchToggles {
 pub fn launch_config(toggles: &LaunchToggles, base: &MachineConfig) -> MachineConfig {
     let mut cfg = base.clone();
     cfg.double_buffer = toggles.double_buffer;
-    cfg.compiled_exec = toggles.compiled_exec;
     cfg.hierarchy = toggles.hierarchy;
     cfg.residency = base.residency && toggles.residency;
     cfg.artifact_dir = toggles.artifact_dir.clone();

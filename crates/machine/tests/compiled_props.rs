@@ -4,8 +4,9 @@
 //! statement bodies, random block shapes, scratchpad staging on/off
 //! and double buffering on/off. Plus directed checks that an
 //! out-of-bounds access on the compiled engine's guarded addressing
-//! path surfaces as the same typed error the interpreter raises, and
-//! that staged movement checks every index per dimension.
+//! path surfaces as the same typed error the interpreter raises, that
+//! staged movement checks every index per dimension, and that a launch
+//! refuses a store built for other parameter values.
 
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
@@ -177,6 +178,78 @@ fn guarded_fallback_reports_typed_out_of_bounds() {
         }
         other => panic!("expected a typed out-of-bounds error, got {other:?}"),
     }
+}
+
+/// A store whose arrays have other extents than the program declares at
+/// the launch's parameters is refused before anything runs, with the
+/// typed error naming the array: `C[i][j] = A[i][j] + 1` in 2x2 tiles,
+/// launched at `N = 4` on stores built for `N = 8` and `N = 2`, on both
+/// engines, staged and unstaged, on gpu and cell. Before the launch
+/// checked its store, all 8 configurations of the `N = 8` store returned
+/// `Ok` with `C` at the wrong elements: offsets computed for 4x4 arrays
+/// landed in 8x8 slices, so `C[0..16]` came out
+/// `[1, 2, 3, 4, 101, 102, 103, 104, …]` where the reference has
+/// `[1, 2, 3, 4, 0, 0, 0, 0, 101, …]` (and on staged cell the move-in
+/// read the wrong `A` elements too).
+#[test]
+fn a_store_built_for_other_params_is_refused() {
+    let mut b = ProgramBuilder::new("plus1", ["N"]);
+    b.array("A", &[v("N"), v("N")]);
+    b.array("C", &[v("N"), v("N")]);
+    b.stmt("S")
+        .loops(&[
+            ("i", LinExpr::c(0), v("N") - 1),
+            ("j", LinExpr::c(0), v("N") - 1),
+        ])
+        .write("C", &[v("i"), v("j")])
+        .read("A", &[v("i"), v("j")])
+        .body(Expr::add(Expr::Read(0), Expr::Const(1)))
+        .done();
+    let p = b.build().unwrap();
+    let t = tile_program(&p, &TileSpec::new(&[("i", 2), ("j", 2)], "T")).unwrap();
+    let mut cases = 0;
+    for built_for in [8i64, 2] {
+        for use_scratchpad in [false, true] {
+            for compiled_exec in [false, true] {
+                for mut cfg in [
+                    MachineConfig::geforce_8800_gtx(),
+                    MachineConfig::cell_like(),
+                ] {
+                    cfg.compiled_exec = compiled_exec;
+                    let k = BlockedKernel {
+                        program: t.clone(),
+                        round_dims: vec![],
+                        block_dims: vec!["iT".into(), "jT".into()],
+                        seq_dims: vec![],
+                        thread_dims: vec![],
+                        use_scratchpad,
+                    };
+                    let mut st = ArrayStore::for_program(&p, &[built_for]).unwrap();
+                    st.fill_with("A", |ix| ix[0] * 100 + ix[1]).unwrap();
+                    let at = format!(
+                        "N = {built_for} store, staged {use_scratchpad}, \
+                         compiled {compiled_exec}, must-stage {}",
+                        cfg.caps.must_stage
+                    );
+                    match execute_blocked(&k, &[4], &mut st, &cfg, false) {
+                        Err(MachineError::StoreMismatch {
+                            array,
+                            expected,
+                            found,
+                        }) => assert_eq!(
+                            (array.as_str(), expected, found),
+                            ("A", vec![4, 4], vec![built_for; 2]),
+                            "{at}"
+                        ),
+                        other => panic!("{at}: expected the store to be refused, got {other:?}"),
+                    }
+                    assert!(st.data("C").unwrap().iter().all(|&c| c == 0), "{at}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 16);
 }
 
 /// `C[i][j] = A[i][j + 1]` (read) or `C[i][j + 1] = A[i][j]` (write)

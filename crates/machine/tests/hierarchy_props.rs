@@ -335,11 +335,9 @@ fn builtin_frame_streams_are_proven_and_engine_blind() {
         let base = desc::lookup(machine).expect("registered").config();
         for b in &BUILTINS {
             let run = |compiled_exec| {
-                let toggles = LaunchToggles {
-                    compiled_exec,
-                    ..LaunchToggles::default()
-                };
-                let l = launch(b.name, 16, &base, &toggles, false).expect("built-in");
+                let mut l =
+                    launch(b.name, 16, &base, &LaunchToggles::default(), false).expect("built-in");
+                l.config.compiled_exec = compiled_exec;
                 let mut st = l.seeded_store(7).unwrap();
                 let stats = execute_blocked(&l.kernel, &l.params, &mut st, &l.config, false)
                     .unwrap_or_else(|e| panic!("{}/{machine}: {e}", b.name));

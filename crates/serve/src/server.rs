@@ -372,7 +372,6 @@ impl Request {
                 hierarchy: b("hierarchy", defaults.hierarchy),
                 residency: b("residency", defaults.residency),
                 artifact_dir: artifact_dir.clone(),
-                ..defaults
             },
             tuned: b("tuned", false),
         }

@@ -67,7 +67,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--machine",
             "--machine-file",
             "--double-buffer",
-            "--no-compiled-exec",
             "--no-hierarchy",
             "--no-residency",
             "--artifact-dir",
@@ -79,7 +78,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--machine",
             "--machine-file",
             "--double-buffer",
-            "--no-compiled-exec",
             "--no-hierarchy",
             "--no-residency",
             "--artifact-dir",
@@ -105,7 +103,6 @@ fn allowed_flags(cmd: &str) -> &'static [&'static str] {
             "--machine",
             "--machine-file",
             "--double-buffer",
-            "--no-compiled-exec",
             "--no-hierarchy",
             "--no-residency",
             "--artifact-dir",
@@ -221,13 +218,6 @@ impl Cli {
             .collect()
     }
 
-    /// `--profile`, or `POLYMEM_PROFILE=1` in the environment: print
-    /// the pass-level wall-clock profile.
-    fn profile(&self) -> bool {
-        self.has("--profile")
-            || std::env::var("POLYMEM_PROFILE").is_ok_and(|v| v != "0" && !v.is_empty())
-    }
-
     /// The base machine, pristine: `--machine-file PATH` loads a TOML
     /// description, `--machine NAME` looks up the registry (any
     /// registered name or alias, not a hardcoded list), default `gpu`.
@@ -257,7 +247,6 @@ impl Cli {
     fn toggles(&self) -> LaunchToggles {
         LaunchToggles {
             double_buffer: self.has("--double-buffer"),
-            compiled_exec: !self.has("--no-compiled-exec"),
             hierarchy: !self.has("--no-hierarchy"),
             residency: !self.has("--no-residency"),
             artifact_dir: self.value("--artifact-dir").map(str::to_string),
@@ -370,15 +359,14 @@ fn usage(msg: &str) -> ExitCode {
          declarative TOML machine description; see DESIGN.md for the\n\
          schema). Unknown machine names are a usage error.\n\
          \n\
-         `analyze` and `run` accept --profile (or POLYMEM_PROFILE=1) to\n\
-         print a pass-level wall-clock profile; `run` also reports plan\n\
-         cache hit/miss counters and which engine executed each block,\n\
-         and accepts --double-buffer to map one tile dimension\n\
-         sequentially and overlap its DMA with compute (DMA statistics\n\
-         and the channel timeline appear under --profile).\n\
-         `run` uses the compiled block execution engine by default —\n\
-         including on register-tile (hierarchy) plans; --no-compiled-exec\n\
-         selects the per-point interpreter instead.\n\
+         `analyze` and `run` accept --profile to print a pass-level\n\
+         profile: compiler passes in wall time, executor phases in CPU\n\
+         time summed over block workers; `run` also reports plan cache\n\
+         hit/miss counters and accepts --double-buffer to map one tile\n\
+         dimension sequentially and overlap its DMA with compute (DMA\n\
+         statistics and the channel timeline appear under --profile).\n\
+         `run` executes every block on the compiled engine — including\n\
+         on register-tile (hierarchy) plans.\n\
          `run` stages per-inner-process register tiles when the mapping\n\
          distributes thread dims; --no-hierarchy keeps all staging in\n\
          the scratchpad. Across sequential sub-tiles `run` keeps each\n\
@@ -559,7 +547,6 @@ fn analyze_json(cli: &Cli, name: &str, program: &Program, params: &[i64]) -> Exi
             "config",
             Json::obj([
                 ("double_buffer", config.double_buffer.into()),
-                ("compiled_exec", config.compiled_exec.into()),
                 ("hierarchy", config.hierarchy.into()),
                 ("residency", config.residency.into()),
             ]),
@@ -654,7 +641,7 @@ fn analyze(cli: &Cli) -> ExitCode {
             mc.move_out_count(&params)
         );
     }
-    if cli.profile() {
+    if cli.has("--profile") {
         println!("\n== Pass profile ==");
         let pr = PassProfiler::new();
         pr.absorb_pass_times(&times);
@@ -747,7 +734,7 @@ fn run(cli: &Cli) -> ExitCode {
     if let Err(e) = exec_program(&l.program, params, &mut reference) {
         return runtime_error(&format!("reference run failed: {e}"));
     }
-    let profiler = cli.profile().then(PassProfiler::new);
+    let profiler = cli.has("--profile").then(PassProfiler::new);
     let stats =
         match execute_blocked_profiled(kernel, params, &mut st, gpu, true, profiler.as_ref()) {
             Ok(s) => s,
@@ -794,29 +781,17 @@ fn run(cli: &Cli) -> ExitCode {
             stats.hier_groups, stats.smem_loads_saved, stats.reg_bytes_moved
         );
     }
-    // Which engine actually executed, from the per-block tallies —
-    // not inferred from the config, so silent fallbacks are visible.
-    let engine = if stats.interpreted_blocks == 0 && stats.compiled_blocks > 0 {
-        "compiled engine".to_string()
-    } else if stats.compiled_blocks == 0 {
-        "interpreted".to_string()
+    // A launch runs on one engine: the interpreter only with the
+    // machine's compiled engine off.
+    let engine = if stats.interpreted_blocks == 0 {
+        "compiled engine"
     } else {
-        format!(
-            "mixed: {} compiled / {} interpreted blocks",
-            stats.compiled_blocks, stats.interpreted_blocks
-        )
+        "interpreted"
     };
     println!(
         "  compute phase {:.3} ms cpu (summed over block workers) ({engine})",
         stats.compute_ns as f64 / 1e6
     );
-    if stats.interpreted_blocks > 0 {
-        let f = &stats.fallback;
-        println!(
-            "  interpreter fallbacks: {} engine-off, {} shape-uncompiled, {} runtime-decline",
-            f.engine_off, f.shape_uncompiled, f.runtime_decline
-        );
-    }
     if stats.dma.descriptors > 0 {
         println!(
             "  dma: {} descriptors, {} bytes ({:.1} B/desc), overlap fraction {:.2}, prefetched/forced-sync groups {}/{}",

@@ -210,6 +210,25 @@ fn executor_enumeration_budget_is_configurable_and_typed() {
         Err(MachineError::EnumerationBudget { budget }) => assert_eq!(budget, 3),
         other => panic!("expected budget exhaustion, got {other:?}"),
     }
+    // A budget the 2x2 block grid fits but no block's 144 instances
+    // do: the block's own enumeration runs out, with the same typed
+    // error whichever engine enumerates it.
+    for compiled_exec in [true, false] {
+        cfg.enum_budget = 16;
+        cfg.compiled_exec = compiled_exec;
+        match execute_blocked(
+            &me::blocked_kernel(4, 4, false),
+            &me::params(&size),
+            &mut st,
+            &cfg,
+            false,
+        ) {
+            Err(MachineError::EnumerationBudget { budget }) => assert_eq!(budget, 16),
+            other => {
+                panic!("compiled_exec={compiled_exec}: expected budget exhaustion, got {other:?}")
+            }
+        }
+    }
     // The default budget is generous and the same run succeeds.
     cfg.enum_budget = polymem::machine::config::DEFAULT_ENUM_BUDGET;
     execute_blocked(
