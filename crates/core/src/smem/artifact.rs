@@ -192,6 +192,14 @@ impl KeyHasher {
         self.bytes(s.as_bytes())
     }
 
+    /// A sequence, length-prefixed, each item through `item`.
+    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut KeyHasher, &T)) {
+        self.u64(items.len() as u64);
+        for x in items {
+            item(self, x);
+        }
+    }
+
     /// The finished key.
     pub fn finish(&self) -> ArtifactKey {
         ArtifactKey {
@@ -212,14 +220,8 @@ fn hash_linexpr(h: &mut KeyHasher, e: &LinExpr) {
 }
 
 fn hash_space(h: &mut KeyHasher, s: &Space) {
-    h.u64(s.dims().len() as u64);
-    for d in s.dims() {
-        h.str(d);
-    }
-    h.u64(s.params().len() as u64);
-    for p in s.params() {
-        h.str(p);
-    }
+    h.seq(s.dims(), |h, d| h.str(d));
+    h.seq(s.params(), |h, p| h.str(p));
 }
 
 fn hash_poly(h: &mut KeyHasher, p: &Polyhedron) {
@@ -230,10 +232,7 @@ fn hash_poly(h: &mut KeyHasher, p: &Polyhedron) {
             ConstraintKind::Ineq => 0,
             ConstraintKind::Eq => 1,
         });
-        h.u64(c.coeffs.0.len() as u64);
-        for &v in &c.coeffs.0 {
-            h.i64(v);
-        }
+        h.seq(&c.coeffs.0, |h, &v| h.i64(v));
     }
 }
 
@@ -310,17 +309,11 @@ fn hash_expr(h: &mut KeyHasher, e: &Expr) {
 /// constraint systems, extended over the whole IR.
 pub fn hash_program(h: &mut KeyHasher, program: &Program) {
     h.str(&program.name);
-    h.u64(program.params.len() as u64);
-    for p in &program.params {
-        h.str(p);
-    }
+    h.seq(&program.params, |h, p| h.str(p));
     h.u64(program.arrays.len() as u64);
     for a in &program.arrays {
         h.str(&a.name);
-        h.u64(a.extents.len() as u64);
-        for e in &a.extents {
-            hash_linexpr(h, e);
-        }
+        h.seq(&a.extents, hash_linexpr);
     }
     h.u64(program.stmts.len() as u64);
     for s in &program.stmts {
@@ -356,10 +349,7 @@ pub fn plan_key(
     h.u64(cfg.delta.to_bits());
     h.u64(cfg.must_copy_all as u64);
     h.u64(cfg.staging_pays as u64);
-    h.u64(cfg.sample_params.len() as u64);
-    for &p in &cfg.sample_params {
-        h.i64(p);
-    }
+    h.seq(&cfg.sample_params, |h, &p| h.i64(p));
     h.u64(cfg.count_budget);
     h.u64(cfg.partition as u64);
     match &cfg.residency_dim {
@@ -381,10 +371,7 @@ pub fn plan_key(
     match hier {
         Some(spec) => {
             h.u64(1);
-            h.u64(spec.thread_dims.len() as u64);
-            for d in &spec.thread_dims {
-                h.str(d);
-            }
+            h.seq(&spec.thread_dims, |h, d| h.str(d));
             h.u64(spec.thread_reps.len() as u64);
             for (d, v) in &spec.thread_reps {
                 h.str(d);
@@ -394,10 +381,7 @@ pub fn plan_key(
         }
         None => h.u64(0),
     }
-    h.u64(salt.len() as u64);
-    for &w in salt {
-        h.u64(w);
-    }
+    h.seq(salt, |h, &w| h.u64(w));
     h.finish()
 }
 

@@ -84,14 +84,19 @@ impl TransferList {
     }
 }
 
+/// What [`DmaChannels::issue_list`] hands each descriptor to, with its
+/// `(channel, cost, completion cycle)`.
+pub type DescriptorObserver<'o> = &'o mut dyn FnMut(&TransferDescriptor, (usize, u64, u64));
+
 /// The DMA channel cost model, written once: `n` channels, each a
 /// busy-until clock. A descriptor goes to the least-busy channel
 /// (deterministic tie-break on index), starts no earlier than
 /// `earliest` nor before that channel is free, and occupies it for
 /// `round(setup + ceil(bytes / bytes_per_cycle)).max(1) + route`
-/// cycles. The simulator's DMA engine wraps this with tags, stalls and
-/// statistics; the tune estimator prices transfer lists with it
-/// directly — so predicted and simulated DMA time cannot drift.
+/// cycles. The simulator's block clock issues through it, keeping tags,
+/// stalls and statistics through the list observer; the tune estimator
+/// prices transfer lists with it directly — so predicted and simulated
+/// DMA time cannot drift.
 #[derive(Clone, Debug)]
 pub struct DmaChannels {
     busy_until: Vec<u64>,
@@ -140,11 +145,23 @@ impl DmaChannels {
         (ch, cost, done)
     }
 
-    /// Queue a whole list; returns the completion cycle of its last
-    /// descriptor (`earliest` for an empty list).
-    pub fn issue_list(&mut self, list: &TransferList, word_bytes: u64, earliest: u64) -> u64 {
+    /// Queue a whole list — the one descriptor loop — handing each
+    /// descriptor to `observe`, if given, with what
+    /// [`issue`](DmaChannels::issue) returned for it. Returns the
+    /// completion cycle of its last descriptor (`earliest` when empty).
+    pub fn issue_list(
+        &mut self,
+        list: &TransferList,
+        word_bytes: u64,
+        earliest: u64,
+        mut observe: Option<DescriptorObserver>,
+    ) -> u64 {
         list.descriptors.iter().fold(earliest, |last, d| {
-            last.max(self.issue(d.bytes(word_bytes), earliest).2)
+            let issued = self.issue(d.bytes(word_bytes), earliest);
+            if let Some(f) = observe.as_mut() {
+                f(d, issued);
+            }
+            last.max(issued.2)
         })
     }
 

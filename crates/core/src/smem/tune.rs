@@ -343,23 +343,17 @@ pub fn estimate(
             continue;
         }
         n_inst += c;
-        for k in 0..stmt.reads.len() {
-            let id = AccessId::read(si, k);
+        let reads = (0..stmt.reads.len()).map(|k| AccessId::read(si, k));
+        for id in reads.chain([AccessId::write(si)]) {
             if hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
-                // Register-frame hit: no smem access in the cycle model.
+                // Register-frame hit: no smem access in the cycle model
+                // (a frame write reaches scratchpad at flush, priced
+                // below).
             } else if sp.is_some_and(|s| s.plan.rewrites.contains_key(&id)) {
                 n_smem += c;
             } else {
                 n_glob += c;
             }
-        }
-        let wid = AccessId::write(si);
-        if hier.is_some_and(|h| h.plan.rewrites.contains_key(&wid)) {
-            // Frame write: reaches scratchpad at flush, priced below.
-        } else if sp.is_some_and(|s| s.plan.rewrites.contains_key(&wid)) {
-            n_smem += c;
-        } else {
-            n_glob += c;
         }
     }
 
@@ -390,9 +384,7 @@ pub fn estimate(
             let mut first: Option<Vec<i64>> = None;
             let mut count = 0u64;
             enumerate_points(&proj, cc.count_budget, &mut |p| {
-                if first.is_none() {
-                    first = Some(p.to_vec());
-                }
+                first.get_or_insert_with(|| p.to_vec());
                 count += 1;
             })
             .map_err(SmemError::Poly)?;
@@ -402,14 +394,13 @@ pub fn estimate(
             }
         }
         if let (Some(tvals), true) = (thread_rep, n_keys > 0) {
-            let fixed_pairs: HashMap<String, i64> = fixed.clone();
             let ext2 = h
-                .ext_params(params, &fixed_pairs, &tvals)
+                .ext_params(params, fixed, &tvals)
                 .ok_or_else(|| shape_err("level-2 ext params"))?;
-            let mut per_key = 0u64;
-            for mc in &h.plan.movement {
-                per_key += mc.move_in_count(&ext2) + mc.move_out_count(&ext2);
-            }
+            let moves = h.plan.movement.iter();
+            let per_key: u64 = moves
+                .map(|mc| mc.move_in_count(&ext2) + mc.move_out_count(&ext2))
+                .sum();
             n_smem = n_smem.saturating_add(n_keys.saturating_mul(per_key));
         }
     }
@@ -470,7 +461,7 @@ pub fn estimate(
     let mut issue = |list: &TransferList, at: u64| {
         descriptors += list.descriptors.len() as u64;
         moved_elems += list.elements;
-        dma.issue_list(list, cc.word_bytes, at)
+        dma.issue_list(list, cc.word_bytes, at, None)
     };
     let mut now = 0u64;
     if structure.double_buffer && seqs > 1 && !groups.is_empty() {
@@ -587,14 +578,8 @@ pub fn tune_key<'a>(
     h.u64(TUNE_FORMAT_VERSION as u64);
     h.u64(schema_hash());
     hash_program(&mut h, program);
-    h.u64(params.len() as u64);
-    for &p in params {
-        h.i64(p);
-    }
-    h.u64(salt.len() as u64);
-    for &w in salt {
-        h.u64(w);
-    }
+    h.seq(params, |h, &p| h.i64(p));
+    h.seq(salt, |h, &w| h.u64(w));
     let words = [
         word_bytes,
         smem_bytes,

@@ -59,6 +59,7 @@ pub fn build(name: &str, desc: &MappingDesc) -> Option<BlockedKernel> {
 /// One `"tile"`-scheme variation of a kernel's canonical mapping:
 /// whether the last tile loop runs sequentially inside the block, and
 /// the movement toggles.
+#[derive(PartialEq)]
 struct Shape {
     seq_last: bool,
     double_buffer: bool,
@@ -102,26 +103,26 @@ fn product(menus: &[&[i64]]) -> Vec<Vec<i64>> {
 pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<TuneCandidate>> {
     let b = Builtin::named(name)?;
     let sizes: &[i64] = if smoke { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    let flat = Shape {
-        seq_last: false,
-        double_buffer: false,
-        residency: true,
-    };
-    let shape = |double_buffer, residency| Shape {
-        seq_last: true,
+    // Residency folds like a launch's toggle: only where the machine
+    // derives it (on a machine without it, `res` variants would be
+    // twins of their plain ones).
+    let shape = |seq_last, double_buffer, residency: bool| Shape {
+        seq_last,
         double_buffer,
-        residency,
+        residency: residency && base.residency,
     };
-    let shapes = if smoke {
-        vec![flat, shape(true, true)]
+    let flat = shape(false, false, true);
+    let mut shapes = if smoke {
+        vec![flat, shape(true, true, true)]
     } else {
         vec![
             flat,
-            shape(false, true),
-            shape(true, true),
-            shape(true, false),
+            shape(true, false, true),
+            shape(true, true, true),
+            shape(true, true, false),
         ]
     };
+    shapes.dedup();
     let mut out: Vec<TuneCandidate> = Vec::new();
     let mut push = |desc: MappingDesc, preset: bool| {
         if let Some(kernel) = build(name, &desc) {

@@ -1,6 +1,6 @@
 //! Compiled block execution: bytecode bodies + strided address streams.
 //!
-//! The interpreter in [`crate::exec`] walks every statement instance
+//! The interpreter in [`crate::oracle`] walks every statement instance
 //! through `Expr::eval` and `AffineMap::apply`, allocating index
 //! vectors and hashing multi-index overlay keys per point. This module
 //! lowers everything that is invariant across a block *shape* — the
@@ -44,175 +44,19 @@
 //! *guarded* stream (checked per point, typed errors). The engine is
 //! total: a shape that does not lower is a typed launch error, never a
 //! block handed to the interpreter. The interpreter runs only with
-//! [`MachineConfig::compiled_exec`] off, as the oracle
+//! [`MachineConfig::compiled_exec`](crate::MachineConfig::compiled_exec) off, as the oracle
 //! (`POLYMEM_EXEC_CHECK=1` cross-checks every block against it).
 
-use crate::config::MachineConfig;
-use crate::exec::{
-    budget_error, flush_frames, shape_error, stage_frames, BlockedKernel, Buffer, ExecStats,
-    FrameSet, LaunchGrid, LocalStore, StagingFlags,
-};
+use crate::block::{flush_frames, stage_frames, Buffer, FrameSet, LocalStore, PhaseCounts};
+use crate::exec::{budget_error, shape_error, LaunchShared, StmtLayout};
 use crate::overlay::Overlay;
+use crate::stats::ExecStats;
 use crate::{MachineError, Result};
-use polymem_core::smem::tune::CostConstants;
-use polymem_core::smem::{
-    lower_rows, parametrize_dims, prove_flat, AccessId, ExtSource, HierPlan, LoweredRow, SmemPlan,
-    SymbolicPlan,
-};
-use polymem_ir::exec::resolve_array_ids;
-use polymem_ir::{ArrayStore, BodyCode, IrError, Program, Statement};
-use polymem_poly::bounds::{all_param_bounds, bound_cascade, DimBounds};
-use polymem_poly::{PolyError, Polyhedron};
+use polymem_core::smem::{lower_rows, prove_flat, AccessId, LoweredRow, SymbolicPlan};
+use polymem_ir::{ArrayStore, BodyCode, IrError, Program};
+use polymem_poly::bounds::{all_param_bounds, DimBounds};
+use polymem_poly::PolyError;
 use std::cmp::Ordering;
-use std::sync::Arc;
-
-/// The launch record: everything that depends only on the launch,
-/// built before any block worker runs and shared read-only by all of
-/// them. The launch itself (program, parameters, machine), the
-/// hoisted common-prefix depth matrix, global array extents and the
-/// store ids they were checked against — and the launch's
-/// one *block shape*: every sub-block pins the same dims
-/// (round ∪ block ∪ seq), so the grid that enumerates them, the shared
-/// symbolic plan, the per-statement enumeration layout both engines
-/// walk, the compiled statement code on top of it and the
-/// per-movement-entry staging flags are all derived here once. A
-/// sub-block contributes only its coordinate vector
-/// ([`LaunchGrid::pparams`]).
-pub(crate) struct LaunchShared<'a> {
-    pub(crate) program: &'a Program,
-    pub(crate) params: &'a [i64],
-    pub(crate) config: &'a MachineConfig,
-    /// `common[a][b]` = shared loop-dim prefix of statements `a`, `b`.
-    pub common: Vec<Vec<usize>>,
-    /// Concrete extents of every global array, in program order.
-    pub ext: Vec<Vec<i64>>,
-    /// The store id of every global array, in program order, resolved
-    /// once per launch from a store that holds each at exactly `ext`:
-    /// every flat offset the launch computes is valid against it.
-    pub(crate) sids: Vec<usize>,
-    /// `POLYMEM_EXEC_CHECK=1`: run the interpreter as an oracle beside
-    /// every compiled block and panic on divergence.
-    pub exec_check: bool,
-    /// The cycle model's constants: the formulas the launch charges
-    /// compute phases and rounds with are the estimator's.
-    pub cost: CostConstants,
-    /// Rounds, blocks and sub-tiles, and the block shape they pin
-    /// (`grid.fixed`, sorted: the order the values extend the params).
-    pub(crate) grid: LaunchGrid,
-    /// The shared symbolic scratchpad plan every staged sub-block
-    /// evaluates; `None` when the mapping stages nothing.
-    pub plan: Option<Arc<SymbolicPlan>>,
-    /// Hoisting and prefetch legality per movement entry of `plan`.
-    pub(crate) flags: StagingFlags,
-    /// Index of the residency seq dim in a sub-block's
-    /// `params ++ fixed values`, when the plan retains anything.
-    pub(crate) residency_at: Option<usize>,
-    /// Where each entry of a level-2 `params ++ ext values` vector
-    /// comes from (sub-block vector or thread key); empty without a
-    /// register level. Lives here, not in the serialised plan.
-    pub(crate) hier_ext: Vec<ExtSource>,
-    /// Per-statement enumeration layout, read by the interpreter
-    /// (`enumerate_with_cascade` + sort) and the compiled engine
-    /// ([`Cursor`]) alike.
-    pub layouts: Vec<StmtLayout>,
-    /// The compiled engine's code for every statement; `None` exactly
-    /// when [`MachineConfig::compiled_exec`] is off.
-    pub(crate) code: Option<Vec<StmtCode>>,
-}
-
-impl<'a> LaunchShared<'a> {
-    /// Derive the launch state for the block shape `grid` pins, staged
-    /// through `plan` if the mapping stages, against `store`. A store
-    /// missing a program array, or holding one at other extents than
-    /// the program's at `params`, is a typed error; so is a shape that
-    /// cannot be parametrized, scanned or (engine on) compiled, and a
-    /// plan analysed for another shape.
-    pub fn new(
-        kernel: &'a BlockedKernel,
-        params: &'a [i64],
-        config: &'a MachineConfig,
-        grid: LaunchGrid,
-        plan: Option<Arc<SymbolicPlan>>,
-        store: &ArrayStore,
-    ) -> Result<LaunchShared<'a>> {
-        let program = &kernel.program;
-        let n = program.stmts.len();
-        let mut common = vec![vec![0usize; n]; n];
-        for (a, row) in common.iter_mut().enumerate() {
-            for (b, c) in row.iter_mut().enumerate() {
-                *c = program.common_depth(a, b);
-            }
-        }
-        let sids = resolve_array_ids(program, store)?;
-        let mut ext = Vec::with_capacity(program.arrays.len());
-        for (a, &id) in program.arrays.iter().zip(&sids) {
-            let want = a.eval_extents(&program.params, params)?;
-            if store.extents_by_id(id) != want.as_slice() {
-                return Err(MachineError::StoreMismatch {
-                    array: a.name.clone(),
-                    expected: want,
-                    found: store.extents_by_id(id).to_vec(),
-                });
-            }
-            ext.push(want);
-        }
-        let fixed = &grid.fixed;
-        let sym = parametrize_dims(program, fixed)?;
-        let layouts = program
-            .stmts
-            .iter()
-            .zip(&sym.stmts)
-            .map(|(orig, ss)| StmtLayout::build(orig, ss, fixed, program.params.len()))
-            .collect::<polymem_poly::Result<Vec<_>>>()?;
-        let code = (config.compiled_exec)
-            .then(|| lower_code(program, &sym, &layouts, plan.as_deref()))
-            .transpose()?;
-        let sp = plan.as_deref();
-        let residency = sp.and_then(|sp| sp.residency.as_ref());
-        let residency_at = residency
-            .filter(|res| !res.plans.is_empty())
-            .and_then(|res| fixed.iter().position(|n| *n == res.seq_param))
-            .map(|i| params.len() + i);
-        let hier_ext = match sp.and_then(|sp| sp.hier.as_ref()) {
-            Some(h) => {
-                // The level-2 vector indexes the sub-block's by
-                // position: its non-thread names must be this shape's.
-                let level1 = h.ext_names.iter().filter(|n| !h.thread_dims.contains(n));
-                if !level1.eq(fixed) {
-                    return Err(shape_error(
-                        "a register-level plan analysed for another launch shape",
-                    ));
-                }
-                h.ext_sources(params.len())
-            }
-            None => Vec::new(),
-        };
-        Ok(LaunchShared {
-            program,
-            params,
-            config,
-            common,
-            ext,
-            sids,
-            exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
-            cost: crate::tune::cost_constants(config),
-            flags: StagingFlags::new(kernel, config, sp.map(|sp| &sp.plan))?,
-            residency_at,
-            hier_ext,
-            grid,
-            plan,
-            layouts,
-            code,
-        })
-    }
-
-    /// The level-1 plan and the register-level plan riding on it, when
-    /// the launch has a register level.
-    pub(crate) fn hier(&self) -> Option<(&SmemPlan, &HierPlan)> {
-        let sp = self.plan.as_deref()?;
-        Some((&sp.plan, sp.hier.as_ref()?))
-    }
-}
 
 /// Where a lowered access lands.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,61 +79,6 @@ pub(crate) struct AccTemplate {
     pub rows: Vec<LoweredRow>,
 }
 
-/// Everything shape-invariant about one statement's iteration space:
-/// the parametrized domain, its bound cascade and the kept/fixed dim
-/// layout. Enumerating a concrete sub-block is bound *evaluation* at
-/// its extended params — no per-block Fourier–Motzkin.
-pub(crate) struct StmtLayout {
-    /// Statement domain with the fixed dims turned into parameters.
-    pub domain: Polyhedron,
-    pub cascade: Vec<DimBounds>,
-    /// Original dim index of each kept dim, in order.
-    pub kept: Vec<usize>,
-    /// `(original dim index, index into the extended params)` of each
-    /// fixed dim this statement iterates.
-    pub fixed_pos: Vec<(usize, usize)>,
-    /// Dim count of the original (full-space) statement domain.
-    pub n_full: usize,
-}
-
-impl StmtLayout {
-    fn build(
-        orig: &Statement,
-        sym: &Statement,
-        fixed: &[String],
-        n_params: usize,
-    ) -> polymem_poly::Result<StmtLayout> {
-        let dims = orig.domain.space().dims();
-        let (mut kept, mut fixed_pos) = (Vec::new(), Vec::new());
-        for (i, d) in dims.iter().enumerate() {
-            match fixed.iter().position(|n| n == d) {
-                Some(fi) => fixed_pos.push((i, n_params + fi)),
-                None => kept.push(i),
-            }
-        }
-        Ok(StmtLayout {
-            cascade: bound_cascade(&sym.domain)?,
-            domain: sym.domain.clone(),
-            kept,
-            fixed_pos,
-            n_full: dims.len(),
-        })
-    }
-
-    /// The full-space point of the kept-dim point `p` in the sub-block
-    /// at extended params `ep`.
-    pub fn full_point(&self, p: &[i64], ep: &[i64]) -> Vec<i64> {
-        let mut full = vec![0i64; self.n_full];
-        for (&d, &v) in self.kept.iter().zip(p) {
-            full[d] = v;
-        }
-        for &(d, e) in &self.fixed_pos {
-            full[d] = ep[e];
-        }
-        full
-    }
-}
-
 /// One statement compiled over its [`StmtLayout`]: the bytecode body
 /// and the lowered accesses.
 pub(crate) struct StmtCode {
@@ -308,7 +97,7 @@ pub(crate) struct StmtCode {
 /// rows over the shape's layouts and (if the mapping stages) its shared
 /// plan. A validated program and a plan analysed for this shape always
 /// compile; anything else is a typed error naming what disagrees.
-fn lower_code(
+pub(crate) fn lower_code(
     program: &Program,
     sym: &Program,
     layouts: &[StmtLayout],
@@ -794,18 +583,9 @@ fn flat_offset(
     }
 }
 
-/// Instance/traffic counts of one compiled compute phase, for the
-/// cycle model (identical to the interpreter's tallies).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct CompiledCounts {
-    pub n_inst: u64,
-    pub n_smem: u64,
-    pub n_glob: u64,
-}
-
 /// Charge the counters for one read of `t` — exactly what the
 /// interpreter charges.
-fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
+fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut PhaseCounts) {
     match t {
         Target::Local { .. } => {
             stats.smem_reads += 1;
@@ -821,7 +601,7 @@ fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
 
 /// Charge the counters for one write of `t` (frame writes are silent,
 /// like the interpreter's: they pay at flush).
-fn charge_write(t: Target, stats: &mut ExecStats, counts: &mut CompiledCounts) {
+fn charge_write(t: Target, stats: &mut ExecStats, counts: &mut PhaseCounts) {
     match t {
         Target::Local { .. } => {
             stats.smem_writes += 1;
@@ -925,7 +705,7 @@ pub(crate) fn run_compiled(
     local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-) -> Result<CompiledCounts> {
+) -> Result<PhaseCounts> {
     let (params, budget) = (launch.params, launch.config.enum_budget);
     let thread_pos = |si: usize| {
         launch
@@ -963,7 +743,7 @@ pub(crate) fn run_compiled(
 
     // K-way merge in interleaved source order.
     let gdatas: Vec<&[i64]> = launch.sids.iter().map(|&id| store.data_by_id(id)).collect();
-    let mut counts = CompiledCounts::default();
+    let mut counts = PhaseCounts::default();
     let mut reads_buf: Vec<i64> = Vec::new();
     let mut batch_reads: Vec<i64> = Vec::new();
     let mut lane_vals: Vec<i64> = Vec::new();

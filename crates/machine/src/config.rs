@@ -113,8 +113,10 @@ pub struct MachineConfig {
     /// Run block compute phases through the compiled execution engine
     /// (bytecode bodies + strided address streams, compiled once per
     /// block shape) instead of the per-point interpreter. Results are
-    /// bit-identical; the interpreter stays available as a fallback
-    /// and as the `POLYMEM_EXEC_CHECK=1` oracle.
+    /// bit-identical. The engine never hands a block to the
+    /// interpreter: a shape it cannot compile is a typed launch error.
+    /// The interpreter runs only with this off, or as the
+    /// `POLYMEM_EXEC_CHECK=1` oracle beside every compiled block.
     pub compiled_exec: bool,
     /// Register-file words available per inner process for the
     /// recursive level-2 plan's frames (register tiles). Frames whose

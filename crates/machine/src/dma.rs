@@ -1,23 +1,24 @@
-//! Tagged-channel DMA engine with a setup-latency + bandwidth cost
-//! model.
+//! The block clock: modeled cycles plus the block's DMA channels.
 //!
-//! Each outer unit owns [`MachineConfig::dma_channels`] channels.
-//! Issuing a [`TransferDescriptor`] picks the least-busy channel and
-//! charges `dma_setup_cycles + ceil(bytes / dma_bytes_per_cycle)`
-//! cycles on it; the returned [`DmaTag`] records the completion cycle,
-//! and [`DmaEngine::wait`] advances the caller's clock (accumulating
-//! stall cycles) only if the transfer has not already finished in the
-//! shadow of compute. Synchronous staging issues and waits back to
-//! back, so every busy cycle is a stall; the double-buffered executor
-//! issues ahead and most busy cycles are hidden — the difference is
-//! the [`DmaStats::overlap_fraction`].
+//! Each outer unit owns [`MachineConfig::dma_channels`] channels, the
+//! shared [`DmaChannels`] cost model: issuing a [`TransferDescriptor`]
+//! picks the least-busy channel and charges `dma_setup_cycles +
+//! ceil(bytes / dma_bytes_per_cycle)` (+ the block's NoC route) cycles
+//! on it. The block clock issues whole transfer lists through that one
+//! descriptor loop, recording [`DmaStats`] as it goes; the returned
+//! [`DmaTag`] records the completion cycle, and waiting on it advances
+//! the clock (accumulating stall cycles) only if the transfer has not
+//! already finished in the shadow of compute. Synchronous staging
+//! issues and waits back to back, so every busy cycle is a stall; the
+//! double-buffered executor issues ahead and most busy cycles are
+//! hidden — the difference is the [`DmaStats::overlap_fraction`].
 //!
 //! Everything here is deterministic simulated time (integer cycles),
 //! so stats survive the executor's sequential-vs-parallel equality
 //! test.
 
 use crate::config::MachineConfig;
-use crate::json::{counters_json, Json};
+use crate::json::{counters, Json};
 use polymem_core::smem::{DmaChannels, TransferDescriptor, TransferList};
 
 /// Number of log2 buckets in the bytes-per-descriptor histogram
@@ -25,9 +26,9 @@ use polymem_core::smem::{DmaChannels, TransferDescriptor, TransferList};
 /// the last bucket absorbs everything larger).
 pub const DMA_HIST_BUCKETS: usize = 16;
 
-/// Observability block for the DMA engine, absorbed across blocks
-/// into [`ExecStats`](crate::ExecStats).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Observability block for a block's DMA channels, absorbed across
+/// blocks into [`ExecStats`](crate::ExecStats).
+#[derive(Clone, Debug, Default)]
 pub struct DmaStats {
     /// Descriptors issued.
     pub descriptors: u64,
@@ -43,6 +44,15 @@ pub struct DmaStats {
     /// ([`DMA_HIST_BUCKETS`] of them).
     pub bytes_hist: Vec<u64>,
 }
+
+counters!(DmaStats {
+    descriptors,
+    elements,
+    bytes,
+    channel_busy_cycles,
+    stall_cycles,
+    bytes_hist,
+});
 
 impl DmaStats {
     /// Total busy cycles across all channels.
@@ -73,48 +83,13 @@ impl DmaStats {
     /// Every counter under its field name, plus the two ratios derived
     /// from them that reports quote.
     pub fn to_json(&self) -> Json {
-        let mut fields = counters_json!(
-            DmaStats {
-                descriptors,
-                elements,
-                bytes,
-                channel_busy_cycles,
-                stall_cycles,
-                bytes_hist,
-            } = self
-        );
+        let mut fields = self.counters();
         fields.push((
             "mean_descriptor_bytes",
             Json::fixed(self.mean_descriptor_bytes(), 2),
         ));
         fields.push(("overlap_fraction", Json::fixed(self.overlap_fraction(), 4)));
         Json::obj(fields)
-    }
-
-    /// Accumulate another engine's stats (used by
-    /// `ExecStats::absorb` when merging per-block results).
-    pub fn absorb(&mut self, o: &DmaStats) {
-        self.descriptors += o.descriptors;
-        self.elements += o.elements;
-        self.bytes += o.bytes;
-        if self.channel_busy_cycles.len() < o.channel_busy_cycles.len() {
-            self.channel_busy_cycles
-                .resize(o.channel_busy_cycles.len(), 0);
-        }
-        for (a, b) in self
-            .channel_busy_cycles
-            .iter_mut()
-            .zip(&o.channel_busy_cycles)
-        {
-            *a += b;
-        }
-        self.stall_cycles += o.stall_cycles;
-        if self.bytes_hist.len() < o.bytes_hist.len() {
-            self.bytes_hist.resize(o.bytes_hist.len(), 0);
-        }
-        for (a, b) in self.bytes_hist.iter_mut().zip(&o.bytes_hist) {
-            *a += b;
-        }
     }
 
     /// One-line human-readable summary for `--profile`.
@@ -163,109 +138,124 @@ impl DmaTag {
     }
 }
 
-/// Per-block DMA engine: the shared [`DmaChannels`] cost model plus
-/// tags, stall accounting and observability counters.
-#[derive(Clone, Debug)]
-pub struct DmaEngine {
+/// Per-block simulated clock: `now` advances with modeled compute
+/// cycles and with waits on the block's DMA channels, whose in-flight
+/// transfers and counters it owns. Everything is deterministic integer
+/// arithmetic, so block stats are identical between sequential and
+/// parallel execution.
+pub(crate) struct BlockClock<'a> {
+    pub(crate) now: u64,
     channels: DmaChannels,
-    /// Accumulated observability counters.
-    pub stats: DmaStats,
+    stats: DmaStats,
+    /// DMA modeling enabled (`dma_channels > 0`). When off, movement
+    /// costs nothing in modeled time; lists, built for the copy, are
+    /// never issued.
+    dma_on: bool,
+    config: &'a MachineConfig,
 }
 
-impl DmaEngine {
-    /// Build an engine from the machine description (at least one
-    /// channel, even if the config says 0 — issuing is then simply
-    /// never attempted by the executor).
-    pub fn new(config: &MachineConfig) -> DmaEngine {
-        DmaEngine::with_route(config, 0)
-    }
-
-    /// Build an engine whose descriptors each pay `route_cycles` of
-    /// NoC routing (a spatial block's placement-determined hop cost:
-    /// the issuing block's placement fixes the hop count for the whole
-    /// block; 0 on machines without placement-priced movement).
-    pub fn with_route(config: &MachineConfig, route_cycles: u64) -> DmaEngine {
+impl<'a> BlockClock<'a> {
+    /// A clock at cycle 0 over idle channels (at least one, even when
+    /// the config says 0 and nothing is ever issued), each descriptor
+    /// paying `route_cycles` of NoC routing (the block's
+    /// placement-determined hop cost; 0 on machines without
+    /// placement-priced movement).
+    pub(crate) fn new(config: &'a MachineConfig, route_cycles: u64) -> BlockClock<'a> {
         let channels = DmaChannels::new(
             config.dma_channels,
             config.dma_setup_cycles,
             config.dma_bytes_per_cycle,
             route_cycles,
         );
-        DmaEngine {
+        BlockClock {
+            now: 0,
             stats: DmaStats {
                 channel_busy_cycles: vec![0; channels.count()],
                 bytes_hist: vec![0; DMA_HIST_BUCKETS],
                 ..DmaStats::default()
             },
             channels,
+            dma_on: config.dma_channels > 0,
+            config,
         }
     }
 
-    /// Queue one descriptor. The transfer starts no earlier than
-    /// `max(now, earliest)` and no earlier than the chosen channel is
-    /// free; the least-busy channel wins (deterministic tie-break on
-    /// index).
-    pub fn issue(
-        &mut self,
-        d: &TransferDescriptor,
-        word_bytes: u64,
-        now: u64,
-        earliest: u64,
-    ) -> DmaTag {
-        let bytes = d.bytes(word_bytes);
-        let (ch, cost, done) = self.channels.issue(bytes, now.max(earliest));
-        self.stats.descriptors += 1;
-        self.stats.elements += d.elements();
-        self.stats.bytes += bytes;
-        self.stats.channel_busy_cycles[ch] += cost;
-        let bucket = (64 - bytes.max(1).leading_zeros() as usize - 1).min(DMA_HIST_BUCKETS - 1);
-        self.stats.bytes_hist[bucket] += 1;
-        DmaTag { channel: ch, done }
-    }
-
-    /// Queue a whole transfer list; the returned tag completes when
-    /// the last descriptor does.
-    pub fn issue_list(
-        &mut self,
-        list: &TransferList,
-        word_bytes: u64,
-        now: u64,
-        earliest: u64,
-    ) -> DmaTag {
-        let mut last = DmaTag::immediate(now);
-        for d in &list.descriptors {
-            let t = self.issue(d, word_bytes, now, earliest);
-            if t.done > last.done {
-                last = t;
+    /// Queue one transfer's DMA list; the transfer starts no earlier
+    /// than `earliest` (buffer-reuse dependence on an earlier sub-tile's
+    /// move-out) nor before `now`. The tag completes with the list's
+    /// last descriptor — at `now` for an empty list or with DMA off.
+    pub(crate) fn issue(&mut self, earliest: u64, list: &TransferList) -> DmaTag {
+        let mut tag = DmaTag::immediate(self.now);
+        if !self.dma_on {
+            return tag;
+        }
+        // The tag is the descriptor that completes last (the first such).
+        let (word_bytes, stats) = (self.config.word_bytes, &mut self.stats);
+        let mut record = |d: &TransferDescriptor, (ch, cost, done): (usize, u64, u64)| {
+            let bytes = d.bytes(word_bytes);
+            stats.descriptors += 1;
+            stats.elements += d.elements();
+            stats.bytes += bytes;
+            stats.channel_busy_cycles[ch] += cost;
+            stats.bytes_hist[(bytes.max(1).ilog2() as usize).min(DMA_HIST_BUCKETS - 1)] += 1;
+            if done > tag.done {
+                tag = DmaTag { channel: ch, done };
             }
-        }
-        last
-    }
-
-    /// Block until the tag completes: returns the new clock value and
-    /// accumulates any stall cycles.
-    pub fn wait(&mut self, tag: &DmaTag, now: u64) -> u64 {
-        if tag.done > now {
-            self.stats.stall_cycles += tag.done - now;
-            tag.done
-        } else {
-            now
-        }
-    }
-
-    /// Block until every channel is idle (end-of-block fence).
-    pub fn drain(&mut self, now: u64) -> u64 {
-        let tag = DmaTag {
-            channel: 0,
-            done: self.channels.idle_at(),
         };
-        self.wait(&tag, now)
+        let start = self.now.max(earliest);
+        self.channels
+            .issue_list(list, word_bytes, start, Some(&mut record));
+        tag
+    }
+
+    /// Queue the DMA list for a residency delta — the only elements
+    /// that cross the bus. The local re-base rides the same channel
+    /// first: retained atoms move scratchpad-to-scratchpad at 4× the
+    /// global DMA rate, delaying the delta's start. The tag therefore
+    /// always completes no later than the full transfer it replaces
+    /// (the retained bytes leave the 1×-rate payload and come back as
+    /// a 4×-rate local copy), in both the synchronous and the
+    /// double-buffered schedule.
+    pub(crate) fn issue_delta(
+        &mut self,
+        earliest: u64,
+        retained: u64,
+        list: &TransferList,
+    ) -> DmaTag {
+        let start = earliest.max(self.now);
+        let mut tag = self.issue(start, list);
+        // Re-basing the retained atoms is a scratchpad-local copy at 4x
+        // the global DMA rate; it proceeds concurrently with the
+        // incoming delta (the two touch disjoint buffer regions), so
+        // the group is ready at the max of the two, never the sum.
+        if self.dma_on {
+            let bytes = (retained * self.config.word_bytes) as f64;
+            let rebase = (bytes / (self.config.dma_bytes_per_cycle * 4.0)).ceil() as u64;
+            tag.done = tag.done.max(start + rebase);
+        }
+        tag
+    }
+
+    /// Advance the clock to the tag's completion, recording stalls.
+    pub(crate) fn wait(&mut self, tag: &DmaTag) {
+        if tag.done > self.now {
+            self.stats.stall_cycles += tag.done - self.now;
+            self.now = tag.done;
+        }
+    }
+
+    /// The end-of-block fence: wait until every channel is idle, then
+    /// hand back the block's modeled cycles and DMA counters.
+    pub(crate) fn finish(mut self) -> (u64, DmaStats) {
+        self.wait(&DmaTag::immediate(self.channels.idle_at()));
+        (self.now, self.stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn desc(elems: i64) -> TransferDescriptor {
         TransferDescriptor {
@@ -280,108 +270,179 @@ mod tests {
         }
     }
 
-    fn engine(channels: u64, setup: f64, bpc: f64) -> DmaEngine {
+    fn list(descriptors: Vec<TransferDescriptor>) -> TransferList {
+        let elements = descriptors.iter().map(|d| d.elements()).sum();
+        TransferList {
+            descriptors,
+            elements,
+        }
+    }
+
+    fn machine(channels: u64, setup: f64, bpc: f64) -> MachineConfig {
         let mut cfg = MachineConfig::geforce_8800_gtx();
         cfg.dma_channels = channels;
         cfg.dma_setup_cycles = setup;
         cfg.dma_bytes_per_cycle = bpc;
-        DmaEngine::new(&cfg)
+        cfg.word_bytes = 4;
+        cfg
     }
 
     #[test]
     fn issue_charges_setup_plus_bandwidth() {
-        let mut e = engine(1, 100.0, 4.0);
+        let cfg = machine(1, 100.0, 4.0);
+        let mut c = BlockClock::new(&cfg, 0);
         // 8 elements × 4 B = 32 B → 8 transfer cycles + 100 setup.
-        let tag = e.issue(&desc(8), 4, 0, 0);
+        let tag = c.issue(0, &list(vec![desc(8)]));
         assert_eq!(tag.done, 108);
-        assert_eq!(e.stats.descriptors, 1);
-        assert_eq!(e.stats.elements, 8);
-        assert_eq!(e.stats.bytes, 32);
-        assert_eq!(e.stats.total_busy_cycles(), 108);
+        let (_, stats) = c.finish();
+        assert_eq!(stats.descriptors, 1);
+        assert_eq!(stats.elements, 8);
+        assert_eq!(stats.bytes, 32);
+        assert_eq!(stats.total_busy_cycles(), 108);
         // 32 B lands in the 2^5 bucket.
-        assert_eq!(e.stats.bytes_hist[5], 1);
+        assert_eq!(stats.bytes_hist[5], 1);
     }
 
     #[test]
     fn route_cycles_are_charged_per_descriptor() {
-        let mut cfg = MachineConfig::geforce_8800_gtx();
-        cfg.dma_channels = 1;
-        cfg.dma_setup_cycles = 100.0;
-        cfg.dma_bytes_per_cycle = 4.0;
-        let mut e = DmaEngine::with_route(&cfg, 7);
-        let t0 = e.issue(&desc(8), 4, 0, 0); // 100 + 8 + 7 per hop term
-        assert_eq!(t0.done, 115);
-        let t1 = e.issue(&desc(8), 4, 0, 0); // queues behind, pays again
-        assert_eq!(t1.done, 230);
+        let cfg = machine(1, 100.0, 4.0);
+        let mut c = BlockClock::new(&cfg, 7);
+        // 100 + 8 + 7 per descriptor; the second queues behind the first.
+        assert_eq!(c.issue(0, &list(vec![desc(8)])).done, 115);
+        assert_eq!(c.issue(0, &list(vec![desc(8)])).done, 230);
     }
 
     #[test]
     fn channels_round_robin_by_load() {
-        let mut e = engine(2, 10.0, 4.0);
-        let t0 = e.issue(&desc(4), 4, 0, 0); // ch 0, done 14
-        let t1 = e.issue(&desc(4), 4, 0, 0); // ch 1, done 14
+        let cfg = machine(2, 10.0, 4.0);
+        let mut c = BlockClock::new(&cfg, 0);
+        let t0 = c.issue(0, &list(vec![desc(4)])); // ch 0, done 14
+        let t1 = c.issue(0, &list(vec![desc(4)])); // ch 1, done 14
         assert_ne!(t0.channel, t1.channel);
         // Third transfer queues behind whichever frees first.
-        let t2 = e.issue(&desc(4), 4, 0, 0);
-        assert_eq!(t2.done, 28);
+        assert_eq!(c.issue(0, &list(vec![desc(4)])).done, 28);
     }
 
     #[test]
     fn sync_wait_accumulates_stalls_async_hides_them() {
+        let cfg = machine(1, 50.0, 4.0);
         // Synchronous: issue, wait immediately → all busy is stalled.
-        let mut e = engine(1, 50.0, 4.0);
-        let tag = e.issue(&desc(4), 4, 0, 0);
-        let now = e.wait(&tag, 0);
-        assert_eq!(now, tag.done);
-        assert_eq!(e.stats.stall_cycles, e.stats.total_busy_cycles());
-        assert_eq!(e.stats.overlap_fraction(), 0.0);
+        let mut c = BlockClock::new(&cfg, 0);
+        let tag = c.issue(0, &list(vec![desc(4)]));
+        c.wait(&tag);
+        assert_eq!(c.now, tag.done);
+        let (_, stats) = c.finish();
+        assert_eq!(stats.stall_cycles, stats.total_busy_cycles());
+        assert_eq!(stats.overlap_fraction(), 0.0);
         // Asynchronous: compute long enough to hide the transfer.
-        let mut e = engine(1, 50.0, 4.0);
-        let tag = e.issue(&desc(4), 4, 0, 0);
-        let now = e.wait(&tag, 1000); // clock already past completion
+        let mut c = BlockClock::new(&cfg, 0);
+        let tag = c.issue(0, &list(vec![desc(4)]));
+        c.now = 1000; // clock already past completion
+        c.wait(&tag);
+        let (now, stats) = c.finish();
         assert_eq!(now, 1000);
-        assert_eq!(e.stats.stall_cycles, 0);
-        assert_eq!(e.stats.overlap_fraction(), 1.0);
+        assert_eq!(stats.stall_cycles, 0);
+        assert_eq!(stats.overlap_fraction(), 1.0);
     }
 
     #[test]
-    fn issue_list_returns_last_completion_and_drain_fences() {
-        let mut e = engine(2, 10.0, 4.0);
-        let list = TransferList {
-            descriptors: vec![desc(4), desc(4), desc(4)],
-            elements: 12,
-        };
-        let tag = e.issue_list(&list, 4, 0, 0);
+    fn a_list_completes_with_its_last_descriptor_and_finish_fences() {
+        let cfg = machine(2, 10.0, 4.0);
+        let mut c = BlockClock::new(&cfg, 0);
+        let tag = c.issue(0, &list(vec![desc(4), desc(4), desc(4)]));
         assert_eq!(tag.done, 28); // two channels, third queues behind
-        let now = e.drain(0);
-        assert_eq!(now, 28);
-        let now = e.drain(now);
-        assert_eq!(now, 28); // idempotent once idle
+        assert_eq!(c.now, 0);
+        assert_eq!(c.finish().0, 28);
+    }
+
+    #[test]
+    fn nothing_is_issued_without_channels() {
+        let cfg = machine(0, 10.0, 4.0);
+        let mut c = BlockClock::new(&cfg, 0);
+        c.now = 5;
+        assert_eq!(c.issue(0, &list(vec![desc(4)])), DmaTag::immediate(5));
+        let (now, stats) = c.finish();
+        assert_eq!(now, 5);
+        assert_eq!(stats.descriptors, 0);
+        assert_eq!(stats.channel_busy_cycles, vec![0]);
     }
 
     #[test]
     fn absorb_merges_all_fields() {
-        let mut e1 = engine(2, 10.0, 4.0);
-        e1.issue(&desc(4), 4, 0, 0);
-        let mut e2 = engine(2, 10.0, 4.0);
-        let t = e2.issue(&desc(100), 4, 0, 0);
-        e2.wait(&t, 0);
+        let cfg = machine(2, 10.0, 4.0);
+        let mut c1 = BlockClock::new(&cfg, 0);
+        c1.issue(0, &list(vec![desc(4)]));
+        let mut c2 = BlockClock::new(&cfg, 0);
+        let t = c2.issue(0, &list(vec![desc(100)]));
+        c2.wait(&t);
+        let (s1, s2) = (c1.finish().1, c2.finish().1);
         let mut total = DmaStats::default();
-        total.absorb(&e1.stats);
-        total.absorb(&e2.stats);
+        total.absorb(&s1);
+        total.absorb(&s2);
         assert_eq!(total.descriptors, 2);
         assert_eq!(total.elements, 104);
         assert_eq!(total.bytes, 416);
         assert_eq!(
             total.total_busy_cycles(),
-            e1.stats.total_busy_cycles() + e2.stats.total_busy_cycles()
+            s1.total_busy_cycles() + s2.total_busy_cycles()
         );
-        assert_eq!(total.stall_cycles, e2.stats.stall_cycles);
+        assert_eq!(total.stall_cycles, s1.stall_cycles + s2.stall_cycles);
         assert_eq!(
             total.bytes_hist.iter().sum::<u64>(),
             2,
             "every descriptor lands in exactly one histogram bucket"
         );
         assert!(total.render().contains("descriptors"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// "Predicted == simulated whenever counts agree", for the DMA
+        /// term: over arbitrary transfer lists, issue times, channel
+        /// counts and setup / bandwidth / route values, the completion
+        /// cycle the estimator computes with [`DmaChannels`] is the
+        /// `done` of the tag the block clock hands back — and with no
+        /// channels the clock charges nothing.
+        #[test]
+        fn estimator_dma_completion_equals_the_clock(
+            issues in prop::collection::vec(
+                (0u64..500, prop::collection::vec((1i64..200, 1i64..6), 0..6)),
+                1..6,
+            ),
+            channels in 0u64..9,
+            setup in 0.0f64..400.0,
+            bytes_per_cycle in 0.25f64..32.0,
+            route in 0u64..2000,
+            word_bytes in 1u64..9,
+        ) {
+            let mut cfg = machine(channels, setup, bytes_per_cycle);
+            cfg.word_bytes = word_bytes;
+            let mut clock = BlockClock::new(&cfg, route);
+            let mut model = DmaChannels::new(channels, setup, bytes_per_cycle, route);
+            for (gap, rows) in &issues {
+                clock.now += gap;
+                let descriptors: Vec<TransferDescriptor> = rows
+                    .iter()
+                    .map(|&(elem_count, n_rows)| TransferDescriptor {
+                        global_base: 0,
+                        local_base: 0,
+                        elem_count,
+                        stride: 1,
+                        n_rows,
+                        global_row_stride: elem_count,
+                        local_stride: 1,
+                        local_row_stride: elem_count,
+                    })
+                    .collect();
+                let list = list(descriptors);
+                let predicted = model.issue_list(&list, word_bytes, clock.now, None);
+                let simulated = clock.issue(clock.now, &list).done;
+                prop_assert_eq!(simulated, if channels == 0 { clock.now } else { predicted });
+            }
+            let now = clock.now;
+            let drained = if channels == 0 { now } else { model.idle_at().max(now) };
+            prop_assert_eq!(clock.finish().0, drained);
+        }
     }
 }

@@ -406,37 +406,91 @@ impl Parser<'_> {
     }
 }
 
-/// A counter's JSON form; the stats structs' own `to_json` methods
-/// nest through the same name.
-pub(crate) trait CounterJson {
-    fn to_json(&self) -> Json;
+/// One field of a stats struct: its JSON form and its merge. A stats
+/// struct is a counter too (through [`counters!`]), so nested stats
+/// recurse.
+pub(crate) trait Counter {
+    fn json(&self) -> Json;
+    fn absorb(&mut self, o: &Self);
 }
 
-impl CounterJson for u64 {
-    fn to_json(&self) -> Json {
+impl Counter for u64 {
+    fn json(&self) -> Json {
         (*self).into()
     }
-}
 
-impl CounterJson for Vec<u64> {
-    fn to_json(&self) -> Json {
-        self.clone().into()
+    fn absorb(&mut self, o: &u64) {
+        *self += o;
     }
 }
 
-/// `[("<field>", <value>), …]` over the named fields of a stats
-/// struct, each under its own name. The pattern is exhaustive, so a
-/// counter added to the struct without being reported here does not
-/// compile.
-macro_rules! counters_json {
-    ($ty:ident { $($f:ident),* $(,)? } = $s:expr) => {{
-        #[allow(unused_imports)]
-        use $crate::json::CounterJson as _;
-        let $ty { $($f),* } = $s;
-        vec![$((stringify!($f), $f.to_json())),*]
-    }};
+impl Counter for Vec<u64> {
+    fn json(&self) -> Json {
+        self.clone().into()
+    }
+
+    fn absorb(&mut self, o: &Vec<u64>) {
+        self.resize(self.len().max(o.len()), 0);
+        for (a, b) in self.iter_mut().zip(o) {
+            *a += b;
+        }
+    }
 }
-pub(crate) use counters_json;
+
+/// The one field list of a stats struct, and what is derived from it.
+/// The pattern is exhaustive: a field added to the struct without being
+/// listed does not compile.
+///
+/// * `counters()`: every field under its own name, in list order.
+/// * `absorb`, the merge of per-block stats: every field sums through
+///   its type's [`Counter::absorb`] (`u64` adds, `Vec<u64>` adds
+///   element-wise, nested stats recurse), except that a field marked
+///   `max` keeps the larger value.
+/// * Equality compares every field except those marked `uncompared`:
+///   what depends on which engine ran or on the host's clock, not on
+///   the modeled machine.
+macro_rules! counters {
+    (@absorb $f:ident, $o:expr, max) => { *$f = (*$f).max(*$o) };
+    (@absorb $f:ident, $o:expr $(, $rule:ident)?) => { $crate::json::Counter::absorb($f, $o) };
+    (@eq $f:ident, $o:expr, uncompared) => {{ let _ = ($f, $o); true }};
+    (@eq $f:ident, $o:expr $(, $rule:ident)?) => { $f == $o };
+    ($ty:ident { $($f:ident $(: $rule:ident)?),* $(,)? }) => {
+        impl $ty {
+            fn counters(&self) -> Vec<(&'static str, $crate::Json)> {
+                use $crate::json::Counter as _;
+                let $ty { $($f),* } = self;
+                vec![$((stringify!($f), $f.json())),*]
+            }
+
+            /// Merge another stats block into this one: every counter
+            /// sums, except that peaks keep the larger value.
+            pub fn absorb(&mut self, o: &$ty) {
+                let $ty { $($f),* } = self;
+                $($crate::json::counters!(@absorb $f, &o.$f $(, $rule)?);)*
+            }
+        }
+
+        impl $crate::json::Counter for $ty {
+            fn json(&self) -> $crate::Json {
+                self.to_json()
+            }
+
+            fn absorb(&mut self, o: &$ty) {
+                <$ty>::absorb(self, o)
+            }
+        }
+
+        impl PartialEq for $ty {
+            fn eq(&self, o: &$ty) -> bool {
+                let $ty { $($f),* } = self;
+                true $(&& $crate::json::counters!(@eq $f, &o.$f $(, $rule)?))*
+            }
+        }
+
+        impl Eq for $ty {}
+    };
+}
+pub(crate) use counters;
 
 #[cfg(test)]
 mod tests {

@@ -29,27 +29,31 @@
 //! gaps, tile-size optima, thread-block sweet spots), which are driven
 //! by the ratios this model captures explicitly.
 
+mod block;
 mod compiled;
 pub mod config;
 pub mod desc;
 pub mod dma;
 pub mod exec;
+mod grid;
 mod json;
+mod oracle;
 mod overlay;
 pub mod profile;
+mod stats;
 pub mod trace;
 pub mod tune;
 
 pub use config::{Capabilities, MachineConfig, MeshDesc};
 pub use desc::{MachineDesc, MemLevel};
-pub use dma::{DmaEngine, DmaStats, DmaTag};
+pub use dma::{DmaStats, DmaTag};
 pub use exec::{
     execute_blocked, execute_blocked_profiled, execute_blocked_seeded, launch_representative,
-    plan_artifact_key, warm_plan, BlockedKernel, ExecStats, FallbackStats, PlanSource, WarmedPlan,
-    STATS_SCHEMA,
+    plan_artifact_key, warm_plan, BlockedKernel, PlanSource, WarmedPlan,
 };
 pub use json::Json;
 pub use profile::{KernelProfile, TimeBreakdown};
+pub use stats::{ExecStats, FallbackStats, STATS_SCHEMA};
 pub use trace::{PassKind, PassProfiler, PassReport, Phase, Timeline};
 pub use tune::{
     config_for, cost_constants, generic_candidates, launch_config, structure_of, tile_kernel, tune,

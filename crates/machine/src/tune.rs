@@ -24,11 +24,10 @@
 //! an outermost time loop as device-sync rounds when no space loop
 //! exists.
 
+use crate::block::seq_redundant_arrays;
 use crate::config::MachineConfig;
-use crate::exec::{
-    execute_blocked_seeded, machine_salt, seq_redundant_arrays, warm_plan, BlockedKernel,
-    LaunchGrid,
-};
+use crate::exec::{execute_blocked_seeded, machine_salt, warm_plan, BlockedKernel};
+use crate::grid::LaunchGrid;
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::{
     estimate, tune_key, CostConstants, CostEstimate, MappingDesc, Structure, TuneArtifact, TuneRow,
@@ -117,13 +116,16 @@ pub struct TuneOutcome {
     pub sim_ns: Vec<Option<u128>>,
 }
 
-/// Machine toggles a [`MappingDesc`] overrides on the base config.
+/// Machine toggles a [`MappingDesc`] overrides on the base config,
+/// folded like a launch's ([`launch_config`]).
 pub fn config_for(desc: &MappingDesc, base: &MachineConfig) -> MachineConfig {
-    let mut cfg = base.clone();
-    cfg.double_buffer = desc.double_buffer;
-    cfg.hierarchy = desc.hierarchy;
-    cfg.residency = desc.residency;
-    cfg
+    let toggles = LaunchToggles {
+        double_buffer: desc.double_buffer,
+        hierarchy: desc.hierarchy,
+        residency: desc.residency,
+        artifact_dir: base.artifact_dir.clone(),
+    };
+    launch_config(&toggles, base)
 }
 
 /// The per-launch policy switches of a built-in launch: what
@@ -153,7 +155,9 @@ impl Default for LaunchToggles {
     }
 }
 
-/// Fold launch toggles over a machine's pristine configuration.
+/// Fold launch toggles over a machine's pristine configuration: the
+/// switches replace the machine's, except that residency stays off
+/// where the machine does not derive it.
 pub fn launch_config(toggles: &LaunchToggles, base: &MachineConfig) -> MachineConfig {
     let mut cfg = base.clone();
     cfg.double_buffer = toggles.double_buffer;

@@ -8,15 +8,15 @@
 //! fewer global bytes.
 
 use polymem::core::smem::tune::{estimate, tune_key, CostConstants, CostEstimate, MappingDesc};
-use polymem::core::smem::{DmaChannels, TransferDescriptor, TransferList};
 use polymem::core::tiling::find_permutable_band;
 use polymem::ir::{init_random_store, random_program, ArrayStore};
-use polymem::kernels::tunespace;
+use polymem::kernels::{builtins, tunespace};
 use polymem::machine::{
-    config_for, cost_constants, execute_blocked, generic_candidates, structure_of, tile_kernel,
-    tune, warm_plan, DmaEngine, MachineConfig, TuneCandidate, TuneOptions,
+    config_for, cost_constants, desc, execute_blocked, generic_candidates, structure_of,
+    tile_kernel, tune, warm_plan, LaunchToggles, MachineConfig, TuneCandidate, TuneOptions,
 };
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Price one mapping of a built-in kernel with the analytic estimator
 /// (no simulation).
@@ -254,6 +254,43 @@ fn every_priced_constant_moves_the_tune_key() {
     assert_eq!(key(&base.clone()), key(&base));
 }
 
+/// Residency folds one way everywhere: a machine that does not derive
+/// it (host: no scratchpad to keep warm; pim: it computes in place)
+/// gets no `res` candidates — they would be twins of the plain ones —
+/// and a tuned launch there retains nothing, like an untuned one. The
+/// machines that derive it keep both variants.
+#[test]
+fn tuned_launches_fold_residency_like_untuned_ones() {
+    let kernels = ["me", "jacobi", "jacobi2d", "matmul", "conv2d"];
+    for machine in ["host", "pim", "gpu", "cell"] {
+        let base = desc::lookup(machine).unwrap().config();
+        for kernel in kernels {
+            for smoke in [false, true] {
+                let space = tunespace::candidates(kernel, &base, smoke).unwrap();
+                // The pinned preset may repeat a searched row; no
+                // searched row repeats another.
+                let searched = space.iter().filter(|c| !c.preset);
+                let labels: Vec<String> = searched.map(|c| c.desc.label()).collect();
+                let distinct: HashSet<&String> = labels.iter().collect();
+                assert_eq!(distinct.len(), labels.len(), "{machine} {kernel}: twins");
+                let labels = space.iter().map(|c| c.desc.label());
+                let res = labels.filter(|l| l.split(' ').any(|w| w == "res"));
+                let plain_only = kernel == "jacobi" || (smoke && kernel != "me");
+                match (base.residency, res.count()) {
+                    (false, n) => assert_eq!(n, 0, "{machine} {kernel}"),
+                    (true, n) => assert!(n > 0 || plain_only, "{machine} {kernel}"),
+                }
+            }
+        }
+    }
+    let host = desc::lookup("host").unwrap().config();
+    let l = builtins::launch("me", 16, &host, &LaunchToggles::default(), true).unwrap();
+    assert!(!l.config.residency && !l.mapping.residency);
+    let mut store = l.seeded_store(42).unwrap();
+    let stats = execute_blocked(&l.kernel, &l.params, &mut store, &l.config, false).unwrap();
+    assert_eq!(stats.residency_groups, 0);
+}
+
 /// `polymem tune --random 2 --seed 3` used to exit with "no candidate
 /// simulated successfully": generated program 3 has a flow dependence
 /// of distance (1, 1), so its band is all-time and the outer loop is a
@@ -315,58 +352,6 @@ fn pipelined_band_tunes_to_a_bit_exact_winner() {
             .contains("1 simulated, 1 not bit-exact, 0 failed"),
         "{err}"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// "Predicted == simulated whenever counts agree", for the DMA
-    /// term: over arbitrary transfer lists, issue times, channel
-    /// counts and setup / bandwidth / route values, the completion
-    /// cycle the estimator computes with [`DmaChannels`] is the `done`
-    /// of the tag the simulator's [`DmaEngine`] hands back.
-    #[test]
-    fn estimator_dma_completion_equals_the_engine(
-        issues in prop::collection::vec(
-            (0u64..500, prop::collection::vec((1i64..200, 1i64..6), 0..6)),
-            1..6,
-        ),
-        channels in 0u64..9,
-        setup in 0.0f64..400.0,
-        bytes_per_cycle in 0.25f64..32.0,
-        route in 0u64..2000,
-        word_bytes in 1u64..9,
-    ) {
-        let mut cfg = MachineConfig::geforce_8800_gtx();
-        cfg.dma_channels = channels;
-        cfg.dma_setup_cycles = setup;
-        cfg.dma_bytes_per_cycle = bytes_per_cycle;
-        let mut engine = DmaEngine::with_route(&cfg, route);
-        let mut model = DmaChannels::new(channels, setup, bytes_per_cycle, route);
-        let mut now = 0u64;
-        for (gap, rows) in &issues {
-            now += gap;
-            let descriptors: Vec<TransferDescriptor> = rows
-                .iter()
-                .map(|&(elem_count, n_rows)| TransferDescriptor {
-                    global_base: 0,
-                    local_base: 0,
-                    elem_count,
-                    stride: 1,
-                    n_rows,
-                    global_row_stride: elem_count,
-                    local_stride: 1,
-                    local_row_stride: elem_count,
-                })
-                .collect();
-            let elements = descriptors.iter().map(|d| d.elements()).sum();
-            let list = TransferList { descriptors, elements };
-            let predicted = model.issue_list(&list, word_bytes, now);
-            let simulated = engine.issue_list(&list, word_bytes, now, now).done;
-            prop_assert_eq!(predicted, simulated);
-        }
-        prop_assert_eq!(model.idle_at(), engine.drain(0));
-    }
 }
 
 proptest! {
