@@ -142,7 +142,7 @@ pub fn check_parametrizable<'a>(
 ) -> Result<()> {
     match names.into_iter().find(|n| params.contains(n)) {
         Some(n) => Err(SmemError::Ir(polymem_ir::IrError::UnknownName(format!(
-            "fixed dim `{n}` collides with a program parameter"
+            "fixed dim `{n}` clashes with a program parameter"
         )))),
         None => Ok(()),
     }

@@ -241,7 +241,7 @@ pub fn analyze_hierarchy(
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
         return Err(SmemError::Ir(polymem_ir::IrError::UnknownName(
-            "thread dim collides with a fixed dim".into(),
+            "thread dim clashes with a fixed dim".into(),
         )));
     }
     let ext_names: Vec<String> = pairs.iter().map(|p| p.0.clone()).collect();

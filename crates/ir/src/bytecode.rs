@@ -224,108 +224,6 @@ impl BodyCode {
         debug_assert_eq!(stack.len(), 1);
         Ok(stack.pop().expect("bytecode stack"))
     }
-
-    /// Evaluate `lanes` consecutive instances in one pass, structure-
-    /// of-arrays over the stack: every stack slot holds `lanes`
-    /// values, operators sweep each op across all lanes before the
-    /// next op runs. Lane `l` sees `reads[r * lanes + l]` for read
-    /// slot `r`, iterator `vary` at `iter[vary] + l`, and every other
-    /// slot exactly as [`BodyCode::eval`] would. Results land in
-    /// `out` (cleared first), one value per lane, identical to `lanes`
-    /// scalar evaluations.
-    ///
-    /// On checked-arithmetic failure the batch aborts with *an* error,
-    /// but op-major order means it may not be the error the first
-    /// failing lane would report under scalar order — callers needing
-    /// exact scalar error semantics re-run the lanes serially through
-    /// [`BodyCode::eval`] on any `Err` (the compiled engine does; the
-    /// batch has no side effects to undo).
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_lanes(
-        &self,
-        stack: &mut Vec<i64>,
-        reads: &[i64],
-        lanes: usize,
-        iter: &[i64],
-        vary: Option<usize>,
-        params: &[i64],
-        out: &mut Vec<i64>,
-    ) -> Result<()> {
-        debug_assert!(lanes >= 1);
-        debug_assert_eq!(reads.len() % lanes.max(1), 0);
-        stack.clear();
-        stack.reserve(self.max_stack * lanes);
-        /// Pop the top lane slot, apply `f` lane-wise onto the slot
-        /// below it.
-        macro_rules! binop {
-            ($f:expr) => {{
-                let n = stack.len();
-                let (a, b) = stack[n - 2 * lanes..].split_at_mut(lanes);
-                for (x, &y) in a.iter_mut().zip(b.iter()) {
-                    *x = $f(*x, y)?;
-                }
-                stack.truncate(n - lanes);
-            }};
-        }
-        for op in &self.ops {
-            match *op {
-                ByteOp::Read(i) => {
-                    let i = i as usize;
-                    stack.extend_from_slice(&reads[i * lanes..(i + 1) * lanes]);
-                }
-                ByteOp::Iter(i) => {
-                    let i = i as usize;
-                    let v = iter[i];
-                    if vary == Some(i) {
-                        stack.extend((0..lanes as i64).map(|l| v + l));
-                    } else {
-                        stack.extend(std::iter::repeat_n(v, lanes));
-                    }
-                }
-                ByteOp::Param(i) => {
-                    stack.extend(std::iter::repeat_n(params[i as usize], lanes));
-                }
-                ByteOp::Const(c) => stack.extend(std::iter::repeat_n(c, lanes)),
-                ByteOp::Add => binop!(|a: i64, b: i64| a
-                    .checked_add(b)
-                    .ok_or(IrError::Arithmetic("overflow in add"))),
-                ByteOp::Sub => binop!(|a: i64, b: i64| a
-                    .checked_sub(b)
-                    .ok_or(IrError::Arithmetic("overflow in sub"))),
-                ByteOp::Mul => binop!(|a: i64, b: i64| a
-                    .checked_mul(b)
-                    .ok_or(IrError::Arithmetic("overflow in mul"))),
-                ByteOp::CheckDiv => {
-                    let n = stack.len();
-                    if stack[n - lanes..].contains(&0) {
-                        return Err(IrError::Arithmetic("division by zero"));
-                    }
-                }
-                ByteOp::Div => {
-                    // Dividend is the top slot, divisor below; the
-                    // divisor slot receives `a / b` like scalar `Div`.
-                    let n = stack.len();
-                    let (b, a) = stack[n - 2 * lanes..].split_at_mut(lanes);
-                    for (d, &x) in b.iter_mut().zip(a.iter()) {
-                        *d = x / *d;
-                    }
-                    stack.truncate(n - lanes);
-                }
-                ByteOp::Min => binop!(|a: i64, b: i64| Ok::<i64, IrError>(a.min(b))),
-                ByteOp::Max => binop!(|a: i64, b: i64| Ok::<i64, IrError>(a.max(b))),
-                ByteOp::Abs => {
-                    let n = stack.len();
-                    for x in &mut stack[n - lanes..] {
-                        *x = x.abs();
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(stack.len(), lanes);
-        out.clear();
-        out.extend_from_slice(stack);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -425,49 +323,6 @@ mod tests {
             let err = BodyCode::compile(&e, 2, 1, 0).unwrap_err();
             assert_eq!(msg(err), want);
         }
-    }
-
-    #[test]
-    fn eval_lanes_matches_scalar_eval() {
-        let e = sample();
-        let code = BodyCode::compile(&e, 2, 2, 1).unwrap();
-        let (mut stack, mut out) = (Vec::new(), Vec::new());
-        let lanes = 4usize;
-        // reads laid out slot-major: r0 lanes then r1 lanes.
-        let reads = [3, 4, 5, 6, -2, 0, 7, 1];
-        let iter = [2i64, 9];
-        let params = [5i64];
-        code.eval_lanes(&mut stack, &reads, lanes, &iter, Some(1), &params, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), lanes);
-        for l in 0..lanes {
-            let rl = [reads[l], reads[lanes + l]];
-            let il = [iter[0], iter[1] + l as i64];
-            let want = code.eval(&mut stack, &rl, &il, &params).unwrap();
-            assert_eq!(out[l], want, "lane {l}");
-        }
-        // No varying iterator: every lane sees the base point.
-        code.eval_lanes(&mut stack, &reads, lanes, &iter, None, &params, &mut out)
-            .unwrap();
-        let want = code.eval(&mut stack, &[reads[0], reads[lanes]], &iter, &params);
-        assert_eq!(out[0], want.unwrap());
-    }
-
-    #[test]
-    fn eval_lanes_aborts_batch_on_any_lane_error() {
-        // r0 / r1 with a zero divisor in lane 2 only.
-        let e = Expr::Div(b(Expr::Read(0)), b(Expr::Read(1)));
-        let code = BodyCode::compile(&e, 2, 0, 0).unwrap();
-        let (mut stack, mut out) = (Vec::new(), Vec::new());
-        let reads = [8, 9, 10, 2, 0, 5];
-        let err = code
-            .eval_lanes(&mut stack, &reads, 3, &[], None, &[], &mut out)
-            .unwrap_err();
-        assert_eq!(msg(err), "division by zero");
-        let ok = [8, 9, 10, 2, 1, 5];
-        code.eval_lanes(&mut stack, &ok, 3, &[], None, &[], &mut out)
-            .unwrap();
-        assert_eq!(out, vec![4, 9, 2]);
     }
 
     #[test]

@@ -47,6 +47,22 @@ pub enum IrError {
     UnknownArray(String),
     /// Reference to an unknown dimension/parameter name.
     UnknownName(String),
+    /// Malformed `.poly` source text.
+    Parse {
+        /// 1-based source line.
+        line: usize,
+        /// What the parser expected or rejected.
+        msg: String,
+    },
+    /// A name declared twice where it must be unique: a parameter, an
+    /// array, a statement, or a loop iterator within one statement.
+    Duplicate {
+        /// Which namespace: `"parameter"`, `"array"`, `"statement"` or
+        /// `"iterator"`.
+        kind: &'static str,
+        /// The repeated name.
+        name: String,
+    },
     /// An array access evaluated outside the array's extents.
     OutOfBounds {
         /// Array being accessed.
@@ -71,6 +87,8 @@ impl fmt::Display for IrError {
             IrError::Poly(e) => write!(f, "polyhedral error: {e}"),
             IrError::UnknownArray(a) => write!(f, "unknown array `{a}`"),
             IrError::UnknownName(n) => write!(f, "unknown name `{n}`"),
+            IrError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
+            IrError::Duplicate { kind, name } => write!(f, "duplicate {kind} `{name}`"),
             IrError::OutOfBounds { array, index } => {
                 write!(f, "access to `{array}` out of bounds at {index:?}")
             }

@@ -37,7 +37,10 @@ pub fn parse_program(src: &str) -> Result<Program> {
 }
 
 fn err(line: usize, msg: impl Into<String>) -> IrError {
-    IrError::UnknownName(format!("parse error at line {line}: {}", msg.into()))
+    IrError::Parse {
+        line,
+        msg: msg.into(),
+    }
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -596,5 +599,61 @@ S2: for i = 0 .. N - 1, k = 0 .. N - 1 {
         assert!(e.to_string().contains("parse error"), "{e}");
         let e = parse_program("program p(N)\narray A\n").unwrap_err();
         assert!(e.to_string().contains("extent"), "{e}");
+    }
+
+    #[test]
+    fn malformed_and_duplicate_declarations_are_typed_errors() {
+        let stmt = |name: &str, loops: &str| format!("{name}: for {loops} {{\n  A[i] = 1\n}}\n");
+        let one = "i = 0 .. N - 1";
+        let cases = [
+            (
+                format!(
+                    "program p(N)\narray A[N]\n{}",
+                    stmt("S", "i = 0 .. 99999999999999999999")
+                ),
+                IrError::Parse {
+                    line: 3,
+                    msg: "integer literal overflow".into(),
+                },
+            ),
+            (
+                format!("program p(N, N)\narray A[N]\n{}", stmt("S", one)),
+                IrError::Duplicate {
+                    kind: "parameter",
+                    name: "N".into(),
+                },
+            ),
+            (
+                format!("program p(N)\narray A[N]\narray A[N]\n{}", stmt("S", one)),
+                IrError::Duplicate {
+                    kind: "array",
+                    name: "A".into(),
+                },
+            ),
+            (
+                format!(
+                    "program p(N)\narray A[N]\n{}{}",
+                    stmt("S1", one),
+                    stmt("S1", one)
+                ),
+                IrError::Duplicate {
+                    kind: "statement",
+                    name: "S1".into(),
+                },
+            ),
+            (
+                format!(
+                    "program p(N)\narray A[N]\n{}",
+                    stmt("S", "i = 0 .. N - 1, i = 0 .. N - 1")
+                ),
+                IrError::Duplicate {
+                    kind: "iterator",
+                    name: "i".into(),
+                },
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(parse_program(&src).unwrap_err(), want, "{src}");
+        }
     }
 }

@@ -143,11 +143,16 @@ impl Program {
         a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
     }
 
-    /// Validate internal consistency: access maps match their
-    /// statement's domain space and their array's rank; read indices
-    /// used by bodies exist.
+    /// Validate internal consistency: parameter, array and statement
+    /// names are unique, and so are each statement's loop iterators;
+    /// access maps match their statement's domain space and their
+    /// array's rank.
     pub fn validate(&self) -> Result<()> {
+        unique("parameter", self.params.iter())?;
+        unique("array", self.arrays.iter().map(|a| &a.name))?;
+        unique("statement", self.stmts.iter().map(|s| &s.name))?;
         for s in &self.stmts {
+            unique("iterator", s.iter_names().iter())?;
             let check = |acc: &Access| -> Result<()> {
                 let arr = self
                     .arrays
@@ -290,6 +295,20 @@ impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_pseudo_c())
     }
+}
+
+/// The first name `names` repeats, as a typed [`IrError::Duplicate`].
+fn unique<'a>(kind: &'static str, names: impl Iterator<Item = &'a String>) -> Result<()> {
+    let mut seen = std::collections::HashSet::new();
+    for name in names {
+        if !seen.insert(name) {
+            return Err(IrError::Duplicate {
+                kind,
+                name: name.clone(),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

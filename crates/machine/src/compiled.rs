@@ -29,16 +29,17 @@
 //! concrete extents and offsets — proven where the proof holds,
 //! guarded otherwise. So `smem_loads_saved`, `reg_bytes_moved`,
 //! `hier_groups` and the typed `RegisterOverflow` check are
-//! bit-identical between engines, and frame statements batch like any
-//! other.
+//! bit-identical between engines.
 //!
-//! The inner loop batches up to [`LANES`] consecutive innermost-dim
-//! instances per dispatch when every address stream is proven:
-//! streaming statements evaluate all lanes through
-//! [`polymem_ir::BodyCode::eval_lanes`], accumulator statements (a read
-//! aliasing the lane-invariant write cell) chain serially in scalar
-//! association order, and anything else bails to the scalar path.
-//! Batching never changes arrays or counters.
+//! Every instance runs through one scalar body: reads, bytecode
+//! evaluation, write. What runs save is the search: once the merge picks
+//! a statement, a probe sizes a *run* — up to [`LANES`] consecutive
+//! innermost-dim instances that lie in the domain, fit the enumeration
+//! budget, precede every other statement's next instance in source
+//! order and keep the thread key — and the cursor steps through it
+//! without re-scanning the merge or re-seeking the bound cascade. A run
+//! is scalar order by construction, so it never changes arrays,
+//! counters or errors.
 //!
 //! Accesses whose in-bounds / no-overflow proof fails degrade to a
 //! *guarded* stream (checked per point, typed errors). The engine is
@@ -85,8 +86,8 @@ pub(crate) struct StmtCode {
     pub body: BodyCode,
     /// Context-free parametric bounds of each kept dim (the proof box).
     pub boxes: Vec<DimBounds>,
-    /// The innermost kept dim is a level-2 thread dim — batching along
-    /// it would straddle thread-key (frame staging) boundaries.
+    /// The innermost kept dim is a level-2 thread dim — a run along it
+    /// would straddle thread-key (frame staging) boundaries.
     pub vary_thread: bool,
     /// The reads in statement order, then the write.
     pub accs: Vec<AccTemplate>,
@@ -244,22 +245,6 @@ impl<'s> AccInst<'s> {
             Addr::Guarded { .. } => unreachable!("offset() on guarded stream"),
         }
     }
-
-    /// Stride of a proven stream along the innermost kept dim.
-    #[inline]
-    fn vary_stride(&self) -> i64 {
-        match &self.addr {
-            Addr::Proven { strides, .. } => *strides.last().unwrap_or(&0),
-            Addr::Guarded { .. } => 0,
-        }
-    }
-
-    /// Flat offset of a proven stream at lane `l` of a batch along the
-    /// innermost kept dim.
-    #[inline]
-    fn lane(&self, l: usize) -> usize {
-        (self.offset() as i64 + self.vary_stride() * l as i64) as usize
-    }
 }
 
 /// The explicitly managed storage a sub-block's compute phase lands
@@ -307,12 +292,6 @@ impl<'s> StmtInst<'s> {
                 *acc = AccInst::anchor(t, ep, launch, tiles, boxes);
             }
         }
-    }
-
-    /// Batch eligibility: every access rides a proven stream.
-    fn proven(&self) -> bool {
-        let proven = |a: &AccInst| matches!(a.addr, Addr::Proven { .. });
-        self.accs.iter().all(proven)
     }
 
     fn carry(&mut self, point: &[i64], from: usize) {
@@ -502,8 +481,8 @@ impl<'a> Cursor<'a> {
 /// Statement `a_si` at the full-space point `a_full` precedes `b` (at
 /// its cursor's point) in interleaved source order: common-prefix dims
 /// first, then statement index. Distinct statements, so the order is
-/// strict. The point is explicit because the batcher probes run
-/// *endpoints* without moving the cursor.
+/// strict. The point is explicit because the run probe asks about a
+/// run's *last* point without moving the cursor.
 fn earlier_pt(a_si: usize, a_full: &[i64], b_si: usize, b: &Cursor, common: &[Vec<usize>]) -> bool {
     let c = common[a_si][b_si];
     match a_full[..c].cmp(&b.full[..c]) {
@@ -633,8 +612,7 @@ fn load_at(t: Target, off: usize, tiles: &Tiles, overlay: &Overlay, gdatas: &[&[
 }
 
 /// Store `value` at flat offset `off` of `t`'s storage — storage only,
-/// counters are charged separately (reduction batches charge per lane
-/// but store once).
+/// counters are charged separately.
 #[inline]
 fn store_at(t: Target, off: usize, value: i64, tiles: &mut Tiles, overlay: &mut Overlay) {
     let local = tiles.local.as_deref_mut();
@@ -647,42 +625,9 @@ fn store_at(t: Target, off: usize, value: i64, tiles: &mut Tiles, overlay: &mut 
     }
 }
 
-/// Most instances one inner-loop dispatch batches: the gpu's SIMD width.
+/// Most instances one run covers: the cap on how far the probe looks
+/// ahead along the innermost dim before the merge scans again.
 pub(crate) const LANES: usize = 8;
-
-/// Some read lane would observe some earlier write lane's cell:
-/// `ro + rs·l == wo + ws·m` for any `m < l`. Brute force — lanes ≤ 8.
-fn collides(ro: i64, rs: i64, wo: i64, ws: i64, lanes: usize) -> bool {
-    (1..lanes as i64).any(|l| (0..l).any(|m| ro + rs * l == wo + ws * m))
-}
-
-/// Classify a candidate batch of `lanes` instances of `inst` against
-/// its own write. Returns `false` on an unresolvable read-after-write
-/// conflict (bail to scalar); on `true`, `flags[r]` marks accumulator
-/// reads (read cell == lane-invariant write cell) whose lanes > 0
-/// forward the previous lane's value instead of re-reading. Only
-/// proven streams reach here, so the check is pure offset/stride
-/// arithmetic — no charges, no stores.
-fn classify_batch(inst: &StmtInst, lanes: usize, flags: &mut Vec<bool>) -> bool {
-    let w = inst.write();
-    flags.clear();
-    flags.resize(inst.reads().len(), false);
-    let (wo, ws) = (w.offset() as i64, w.vary_stride());
-    for (r, acc) in inst.reads().iter().enumerate() {
-        // Only the same array, scratchpad buffer or frame can alias:
-        // distinct storage classes hold distinct copies.
-        if acc.target != w.target {
-            continue;
-        }
-        let (ro, rs) = (acc.offset() as i64, acc.vary_stride());
-        if rs == 0 && ws == 0 && ro == wo {
-            flags[r] = true;
-        } else if collides(ro, rs, wo, ws, lanes) {
-            return false;
-        }
-    }
-    true
-}
 
 /// Run one sub-block's compute phase through the compiled engine
 /// (`code`, the launch's), at the sub-block's extended params `ep`;
@@ -744,16 +689,12 @@ pub(crate) fn run_compiled(
     // K-way merge in interleaved source order.
     let gdatas: Vec<&[i64]> = launch.sids.iter().map(|&id| store.data_by_id(id)).collect();
     let mut counts = PhaseCounts::default();
+    // Scratch reused across instances so the hot loop never allocates.
     let mut reads_buf: Vec<i64> = Vec::new();
-    let mut batch_reads: Vec<i64> = Vec::new();
-    let mut lane_vals: Vec<i64> = Vec::new();
     let mut stack: Vec<i64> = Vec::new();
     let mut idx: Vec<i64> = Vec::new();
-    // Scratch reused across batches so the hot loop never allocates.
     let mut probe_buf: Vec<i64> = Vec::new();
     let mut end_full_buf: Vec<i64> = Vec::new();
-    let mut fp_buf: Vec<i64> = Vec::new();
-    let mut flags_buf: Vec<bool> = Vec::new();
     loop {
         let mut best: Option<usize> = None;
         for si in 0..n_stmts {
@@ -793,11 +734,12 @@ pub(crate) fn run_compiled(
         let (st, layout) = (&code[si], &launch.layouts[si]);
         let n = layout.cascade.len();
 
-        // Probe for a batch: up to `LANES` consecutive innermost-dim
-        // instances, clipped to the run, the domain, the budget, and
-        // the source-order frontier of every other alive statement.
+        // Probe for a run: up to `LANES` consecutive innermost-dim
+        // instances, clipped to the cursor's innermost range, the
+        // domain, the budget, and the source-order frontier of every
+        // other alive statement; no run crosses a thread-key change.
         let mut lanes = 1usize;
-        if n > 0 && !st.vary_thread && insts[si].proven() {
+        if n > 0 && !st.vary_thread {
             let cur = &cursors[si];
             let max_run = (cur.run_remaining() + 1).min(LANES as i64).max(1) as usize;
             lanes = max_run.min(cur.budget_headroom().min(usize::MAX as u64) as usize + 1);
@@ -833,109 +775,14 @@ pub(crate) fn run_compiled(
                 }
             }
         }
-        // Read-after-write conflict across lanes: scalar.
-        if lanes > 1 && !classify_batch(&insts[si], lanes, &mut flags_buf) {
-            lanes = 1;
-        }
-
-        let inst = &insts[si];
-        let wacc = inst.write();
-        if lanes > 1 {
-            let vd = layout.kept[n - 1];
-            let base_full = &cursors[si].full;
-            let nr = inst.reads().len();
-            if flags_buf.iter().any(|&f| f) {
-                // Reduction: a read aliases the lane-invariant write
-                // cell. Chain the accumulator serially — scalar
-                // association order, scalar charges — while skipping
-                // the merge scan and cursor seek per lane.
-                fp_buf.clear();
-                fp_buf.extend_from_slice(base_full);
-                let mut value = 0i64;
-                for l in 0..lanes {
-                    fp_buf[vd] = base_full[vd] + l as i64;
-                    reads_buf.clear();
-                    for (r, acc) in inst.reads().iter().enumerate() {
-                        charge_read(acc.target, stats, &mut counts);
-                        reads_buf.push(if flags_buf[r] && l > 0 {
-                            value
-                        } else {
-                            load_at(acc.target, acc.lane(l), &tiles, overlay, &gdatas)
-                        });
-                    }
-                    value = st
-                        .body
-                        .eval(&mut stack, &reads_buf, &fp_buf, params)
-                        .map_err(MachineError::Ir)?;
-                    charge_write(wacc.target, stats, &mut counts);
-                }
-                store_at(
-                    wacc.target,
-                    wacc.lane(lanes - 1),
-                    value,
-                    &mut tiles,
-                    overlay,
-                );
-            } else {
-                // Streaming: gather slot-major, one lane-parallel body
-                // evaluation, scatter in lane order.
-                batch_reads.clear();
-                for acc in inst.reads() {
-                    for l in 0..lanes {
-                        charge_read(acc.target, stats, &mut counts);
-                        batch_reads.push(load_at(
-                            acc.target,
-                            acc.lane(l),
-                            &tiles,
-                            overlay,
-                            &gdatas,
-                        ));
-                    }
-                }
-                if st
-                    .body
-                    .eval_lanes(
-                        &mut stack,
-                        &batch_reads,
-                        lanes,
-                        base_full,
-                        Some(vd),
-                        params,
-                        &mut lane_vals,
-                    )
-                    .is_err()
-                {
-                    // Some lane faults. Re-run serially so the error
-                    // surfaced is the one scalar order reports first.
-                    lane_vals.clear();
-                    fp_buf.clear();
-                    fp_buf.extend_from_slice(base_full);
-                    for l in 0..lanes {
-                        fp_buf[vd] = base_full[vd] + l as i64;
-                        reads_buf.clear();
-                        for r in 0..nr {
-                            reads_buf.push(batch_reads[r * lanes + l]);
-                        }
-                        lane_vals.push(
-                            st.body
-                                .eval(&mut stack, &reads_buf, &fp_buf, params)
-                                .map_err(MachineError::Ir)?,
-                        );
-                    }
-                }
-                for (l, &v) in lane_vals.iter().enumerate() {
-                    charge_write(wacc.target, stats, &mut counts);
-                    store_at(wacc.target, wacc.lane(l), v, &mut tiles, overlay);
-                }
+        // Every instance of the run goes through the one scalar body,
+        // in scalar order.
+        for lane in 0..lanes {
+            if lane > 0 {
+                cursors[si].advance_run(1).map_err(budget_error)?;
+                insts[si].carry(&cursors[si].point, n - 1);
             }
-            stats.instances += lanes as u64;
-            counts.n_inst += lanes as u64;
-            cursors[si]
-                .advance_run(lanes as i64 - 1)
-                .map_err(budget_error)?;
-            insts[si].carry(&cursors[si].point, n - 1);
-        } else {
-            let cur = &cursors[si];
+            let (inst, cur) = (&insts[si], &cursors[si]);
             reads_buf.clear();
             for acc in inst.reads() {
                 charge_read(acc.target, stats, &mut counts);
@@ -946,6 +793,7 @@ pub(crate) fn run_compiled(
                 .body
                 .eval(&mut stack, &reads_buf, &cur.full, params)
                 .map_err(MachineError::Ir)?;
+            let wacc = inst.write();
             charge_write(wacc.target, stats, &mut counts);
             let off = flat_offset(wacc, &cur.point, ep, launch, &tiles, &mut idx)?;
             store_at(wacc.target, off, value, &mut tiles, overlay);

@@ -67,9 +67,6 @@ pub struct TuneOptions {
     pub reps: u32,
     /// Simulate every feasible candidate (disables pruning).
     pub exhaustive: bool,
-    /// Worker threads for the simulation pool (0 = one per candidate,
-    /// capped at 8).
-    pub workers: usize,
     /// Ignore a warm tune artifact and re-search.
     pub force: bool,
     /// Human-readable tag folded into the tune key together with the
@@ -83,7 +80,6 @@ impl Default for TuneOptions {
             top_k: 4,
             reps: 1,
             exhaustive: false,
-            workers: 0,
             force: false,
             space_label: String::new(),
         }
@@ -611,13 +607,8 @@ pub fn tune(
     // plan seed per worker carried across its candidates).
     let results: Vec<Mutex<Option<SimResult>>> = priced.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
-    let n_workers = if opts.workers == 0 {
-        frontier.len().clamp(1, 8)
-    } else {
-        opts.workers.min(frontier.len().max(1))
-    };
     std::thread::scope(|scope| {
-        for _ in 0..n_workers {
+        for _ in 0..frontier.len().clamp(1, 8) {
             scope.spawn(|| loop {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&pi) = frontier.get(k) else { break };

@@ -14,20 +14,23 @@ use polymem_ir::{exec_program, ArrayStore, Expr, IrError, LinExpr, Program, Prog
 use polymem_machine::{execute_blocked, BlockedKernel, MachineConfig, MachineError};
 use proptest::prelude::*;
 
-/// A 2-D two-statement program with randomized affine reads and
-/// bodies. All access shapes keep indices inside A's padded extents
-/// for i, j in [0, N-1].
+/// A 2-D program of one to two statements with randomized affine reads
+/// and bodies. All access shapes keep indices inside A's padded extents
+/// for i, j in [0, N-1]. Shape 3 makes the one statement a row
+/// recurrence: it writes `B[i][j + 1]` and reads `B[i][j]`, the cell its
+/// previous innermost instance wrote.
 fn random_program(shape: u8, body_sel: u8, c: (i64, i64, i64, i64)) -> Program {
     let (c0, c1, swap, c3) = c;
     let mut b = ProgramBuilder::new("rnd", ["N"]);
     b.array("A", &[v("N") + 4, v("N") + 4]);
     b.array("C", &[v("N"), v("N")]);
+    b.array("B", &[v("N"), v("N") + 1]);
     let r1 = if swap == 1 {
         [v("j") + c3, v("i")]
     } else {
         [v("i") + c3, v("j") + c1]
     };
-    let body = match body_sel {
+    let mut body = match body_sel {
         0 => Expr::add(Expr::Read(0), Expr::Read(1)),
         1 => Expr::mul(Expr::Read(0), Expr::Read(1)),
         2 => Expr::add(Expr::mul(Expr::Read(0), Expr::Const(3)), Expr::Iter(0)),
@@ -35,17 +38,26 @@ fn random_program(shape: u8, body_sel: u8, c: (i64, i64, i64, i64)) -> Program {
         4 => Expr::add(Expr::div(Expr::Read(0), Expr::Const(3)), Expr::Read(1)),
         _ => Expr::sub(Expr::mul(Expr::Read(1), Expr::Param(0)), Expr::Read(0)),
     };
-    b.stmt("S1")
+    let (warr, w) = if shape == 3 {
+        ("B", [v("i"), v("j") + 1])
+    } else {
+        ("C", [v("i"), v("j")])
+    };
+    let mut s1 = b
+        .stmt("S1")
         .loops(&[
             ("i", LinExpr::c(0), v("N") - 1),
             ("j", LinExpr::c(0), v("N") - 1),
         ])
-        .write("C", &[v("i"), v("j")])
+        .write(warr, &w)
         .read("A", &[v("i") + c0, v("j") + c1])
-        .read("A", &[r1[0].clone(), r1[1].clone()])
-        .body(body)
-        .done();
-    if shape >= 1 {
+        .read("A", &[r1[0].clone(), r1[1].clone()]);
+    if shape == 3 {
+        s1 = s1.read("B", &[v("i"), v("j")]);
+        body = Expr::add(body, Expr::Read(2));
+    }
+    s1.body(body).done();
+    if shape == 1 || shape == 2 {
         // A second statement reading the first one's output array, so
         // interleaved source order across statements matters.
         b.stmt("S2")
@@ -104,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Compiled and interpreted execution are indistinguishable:
-    /// identical final arrays (both equal to the reference
+    /// identical final arrays (every one equal to the reference
     /// interpreter's) and identical deterministic counters.
     #[test]
     fn compiled_execution_is_bit_exact(
@@ -112,11 +124,14 @@ proptest! {
         ti in 2u32..=4,
         tj in 2u32..=4,
         mode in 0u8..=3,
-        shape in 0u8..=2,
+        shape in 0u8..=3,
         body_sel in 0u8..=5,
         c in (0i64..=2, 0i64..=2, 0i64..=1, 0i64..=2),
     ) {
         let p = random_program(shape, body_sel, c);
+        // The row recurrence carries a dependence along `j`: only the
+        // mappings that run `jT` sequentially inside a block keep it.
+        let mode = if shape == 3 { 2 + mode % 2 } else { mode };
         let k = kernel_for(&p, ti, tj, mode);
         let mut cfg = if mode >= 2 {
             MachineConfig::cell_like()
@@ -136,8 +151,11 @@ proptest! {
         cfg.compiled_exec = true;
         let s_compiled = execute_blocked(&k, &[n], &mut compiled, &cfg, false).unwrap();
 
-        prop_assert_eq!(compiled.data("C").unwrap(), reference.data("C").unwrap());
-        prop_assert_eq!(interp.data("C").unwrap(), reference.data("C").unwrap());
+        for a in &p.arrays {
+            let want = reference.data(&a.name).unwrap();
+            prop_assert_eq!(compiled.data(&a.name).unwrap(), want, "array {}", &a.name);
+            prop_assert_eq!(interp.data(&a.name).unwrap(), want, "array {}", &a.name);
+        }
         // `ExecStats` equality covers every deterministic counter and
         // ignores wall-clock compute time.
         prop_assert_eq!(s_compiled, s_interp);
@@ -177,6 +195,47 @@ fn guarded_fallback_reports_typed_out_of_bounds() {
             assert_eq!(index, vec![8]);
         }
         other => panic!("expected a typed out-of-bounds error, got {other:?}"),
+    }
+}
+
+/// `C[i][j] = A[i][j] / (j - 3)` divides by zero at `j = 3` in every
+/// row, mid-way through a run of the innermost dim: both engines stop
+/// with the same typed arithmetic error, staged or not.
+#[test]
+fn a_faulting_body_is_the_same_typed_error_on_both_engines() {
+    let mut b = ProgramBuilder::new("div", ["N"]);
+    b.array("A", &[v("N"), v("N")]);
+    b.array("C", &[v("N"), v("N")]);
+    b.stmt("S")
+        .loops(&[
+            ("i", LinExpr::c(0), v("N") - 1),
+            ("j", LinExpr::c(0), v("N") - 1),
+        ])
+        .write("C", &[v("i"), v("j")])
+        .read("A", &[v("i"), v("j")])
+        .body(Expr::div(
+            Expr::Read(0),
+            Expr::sub(Expr::Iter(1), Expr::Const(3)),
+        ))
+        .done();
+    let p = b.build().unwrap();
+    for mode in 0..=3 {
+        let k = kernel_for(&p, 4, 8, mode);
+        let mut cfg = if mode >= 2 {
+            MachineConfig::cell_like()
+        } else {
+            MachineConfig::geforce_8800_gtx()
+        };
+        for compiled_exec in [false, true] {
+            cfg.compiled_exec = compiled_exec;
+            let mut st = fresh_store(&p, 8);
+            match execute_blocked(&k, &[8], &mut st, &cfg, false) {
+                Err(MachineError::Ir(e)) => {
+                    assert_eq!(e, IrError::Arithmetic("division by zero"), "mode {mode}")
+                }
+                other => panic!("mode {mode}, compiled {compiled_exec}: got {other:?}"),
+            }
+        }
     }
 }
 

@@ -325,8 +325,8 @@ fn frame_streams_are_the_index(
 }
 
 /// The five built-ins on every registered machine: wherever the launch
-/// plans a register level the streams are the index *and proven* (so
-/// frame statements batch), and every `ExecStats` counter — not only
+/// plans a register level the streams are the index *and proven* (no
+/// frame access pays a guarded evaluation), and every `ExecStats` counter — not only
 /// `modeled_cycles` — is the interpreter's.
 #[test]
 fn builtin_frame_streams_are_proven_and_engine_blind() {

@@ -131,7 +131,8 @@ fn plan_keys_differ_when_any_mapping_relevant_field_differs() {
     assert_eq!(base_key, key_of(&base));
     assert_eq!(base_key, key_of(&base.clone()));
 
-    let mutations: Vec<(&str, Box<dyn Fn(&mut MachineDesc)>)> = vec![
+    type Mutation = (&'static str, Box<dyn Fn(&mut MachineDesc)>);
+    let mutations: Vec<Mutation> = vec![
         ("must_stage", Box::new(|d| d.caps.must_stage = true)),
         (
             "in_place_compute",

@@ -857,7 +857,6 @@ fn tune_options(cli: &Cli, label: String) -> Result<TuneOptions, String> {
         exhaustive: cli.has("--exhaustive"),
         force: cli.has("--force"),
         space_label: label,
-        ..defaults
     })
 }
 
