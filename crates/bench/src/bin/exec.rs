@@ -7,10 +7,10 @@
 //!
 //! * verifies outputs are bit-exact against the reference interpreter
 //!   and between the two engines, and that every deterministic
-//!   counter matches (`ExecStats` equality ignores only wall-clock
-//!   compute time);
-//! * measures the compute-phase wall time (`ExecStats::compute_ns`,
-//!   best of three runs) in both modes;
+//!   counter matches (`ExecStats` equality ignores only engine
+//!   attribution);
+//! * measures the compute-phase CPU time (the pass profiler's
+//!   `compute` row, best of three runs) in both modes;
 //! * in full mode, asserts the compiled engine speeds up the compute
 //!   phase by at least 5x on matmul and jacobi2d, the two kernels
 //!   whose compute phases dominate; smoke mode (CI) reports the
@@ -35,7 +35,7 @@ use polymem_machine::{Json, MachineConfig};
 /// Compute-phase speedup: interpreted over compiled best-of-three
 /// compute time.
 fn speedup(c: &Cell) -> f64 {
-    c.stats[0].compute_ns as f64 / c.stats[1].compute_ns.max(1) as f64
+    c.compute[0].as_secs_f64() / c.compute[1].as_secs_f64().max(1e-9)
 }
 
 fn main() {
@@ -64,14 +64,14 @@ fn main() {
         let (interp, compiled) = (&c.stats[0], &c.stats[1]);
         // `ExecStats` equality compares every deterministic counter
         // (instances, memory traffic, plan-cache hits, modeled cycles,
-        // DMA) and ignores wall-clock compute time.
+        // DMA) and ignores which engine ran.
         let stats_equal = interp == compiled;
         println!(
             "{:<9} [{:<4}] compute {:>12} -> {:>12} ns ({:6.2}x)  instances {:>8}  bit-exact: {}  stats: {}",
             c.kernel,
             c.machine,
-            interp.compute_ns,
-            compiled.compute_ns,
+            c.compute[0].as_nanos(),
+            c.compute[1].as_nanos(),
             speedup(&c),
             compiled.instances,
             if c.bit_exact { "yes" } else { "NO" },

@@ -17,8 +17,10 @@ use polymem_ir::{exec_program, ArrayStore, Program};
 use polymem_kernels::builtins::Builtin;
 use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
 use polymem_machine::{
-    execute_blocked, BlockedKernel, ExecStats, Json, MachineConfig, STATS_SCHEMA,
+    execute_blocked_profiled, BlockedKernel, ExecStats, Json, MachineConfig, PassKind,
+    PassProfiler, STATS_SCHEMA,
 };
+use std::time::Duration;
 
 /// One benchable kernel: a program, its blocked mapping, concrete
 /// parameters, an initialized input store and the output array to
@@ -75,8 +77,11 @@ pub struct Cell {
     /// The machine's element size, for byte-denominated ratios.
     pub word_bytes: u64,
     /// Per mode, in mode-table order: the stats of the run with the
-    /// least compute time — so `compute_ns` is the best-of-N figure.
+    /// least compute time.
     pub stats: Vec<ExecStats>,
+    /// Per mode: that run's compute time, the profiler's `compute` row
+    /// (CPU time summed over block workers) — the best-of-N figure.
+    pub compute: Vec<Duration>,
     /// Every mode's checked output equals the reference interpreter's.
     pub bit_exact: bool,
     labels: Vec<&'static str>,
@@ -116,27 +121,36 @@ pub fn sweep<'a, F: Fn(&mut MachineConfig)>(
         let reference = case.reference_output();
         machines.iter().map(move |(machine, base)| {
             let mut bit_exact = true;
-            let stats = modes
+            let (compute, stats) = modes
                 .iter()
                 .map(|(_, apply)| {
                     let mut config = base.clone();
                     apply(&mut config);
-                    let (_, (stats, store)) = best_of(reps, || {
+                    let (_, (t, stats, store)) = best_of(reps, || {
                         let mut store = case.base.clone();
-                        let stats =
-                            execute_blocked(&case.kernel, &case.params, &mut store, &config, false)
-                                .expect("execution succeeds");
-                        (stats.compute_ns as f64, (stats, store))
+                        let profiler = PassProfiler::new();
+                        let stats = execute_blocked_profiled(
+                            &case.kernel,
+                            &case.params,
+                            &mut store,
+                            &config,
+                            false,
+                            Some(&profiler),
+                        )
+                        .expect("execution succeeds");
+                        let t = profiler.total(PassKind::Compute);
+                        (t.as_secs_f64(), (t, stats, store))
                     });
                     bit_exact &= store.data(case.check).expect("output") == reference;
-                    stats
+                    (t, stats)
                 })
-                .collect();
+                .unzip();
             Cell {
                 kernel: case.name,
                 machine,
                 word_bytes: base.word_bytes,
                 stats,
+                compute,
                 bit_exact,
                 labels: modes.iter().map(|(label, _)| *label).collect(),
             }

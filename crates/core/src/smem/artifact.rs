@@ -75,7 +75,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Plan-file version; bump on any envelope change.
 pub const FORMAT_VERSION: u32 = 1;
@@ -91,9 +90,9 @@ const SCHEMA: &str = "v1:ivec,imat,space,constraint(kind,coeffs),poly,union,map,
      affform(coeffs,div),boundlist,ast(seq,loop,guard,leaf,empty),\
      accessid,localaccess,droppeddim,unionbound,localbuffer,\
      reusedecision,movement(in,out,rspaces,wspaces),smemplan,\
-     passtimes:nanos6,hier(plan,ext,threads,kept,stpos,backing,regs),\
+     hier(plan,ext,threads,kept,stpos,backing,regs),\
      retain(buffer,atoms,retained,delta,flushdelta,scans3,legal),\
-     residency,symbolic(plan,fixed,kept,times,hier,residency),artifact(key,plan),\
+     residency,symbolic(plan,fixed,kept,hier,residency),artifact(key,plan),\
      mapping(scheme,tiles,round,block,seq,thread,spad,db,hier,res),\
      tunerow(mapping,predicted,simulated,exact,preset,note),\
      tune(winner,predicted,cycles,rows)";
@@ -869,14 +868,6 @@ fn get_smem_plan(d: &mut Dec) -> DResult<SmemPlan> {
     })
 }
 
-fn put_duration(e: &mut Enc, t: &Duration) {
-    e.u64(t.as_nanos().min(u64::MAX as u128) as u64);
-}
-
-fn get_duration(d: &mut Dec) -> DResult<Duration> {
-    Ok(Duration::from_nanos(d.u64()?))
-}
-
 fn put_hier(e: &mut Enc, h: &HierPlan) {
     put_smem_plan(e, &h.plan);
     e.seq(&h.ext_names, |e, s| e.str(s));
@@ -956,12 +947,6 @@ fn put_symbolic(e: &mut Enc, sp: &SymbolicPlan) {
     put_smem_plan(e, &sp.plan);
     e.seq(&sp.fixed, |e, s| e.str(s));
     e.seq(&sp.kept_dims, |e, ks| e.seq(ks, |e, &k| e.usize(k)));
-    put_duration(e, &sp.pass_times.dataspace);
-    put_duration(e, &sp.pass_times.partition);
-    put_duration(e, &sp.pass_times.reuse);
-    put_duration(e, &sp.pass_times.alloc);
-    put_duration(e, &sp.pass_times.movement);
-    put_duration(e, &sp.pass_times.hierarchy);
     e.opt(&sp.hier, put_hier);
     e.opt(&sp.residency, put_residency);
 }
@@ -970,21 +955,12 @@ fn get_symbolic(d: &mut Dec) -> DResult<SymbolicPlan> {
     let plan = get_smem_plan(d)?;
     let fixed = d.seq(|d| d.str())?;
     let kept_dims = d.seq(|d| d.seq(|d| d.usize()))?;
-    let pass_times = super::PassTimes {
-        dataspace: get_duration(d)?,
-        partition: get_duration(d)?,
-        reuse: get_duration(d)?,
-        alloc: get_duration(d)?,
-        movement: get_duration(d)?,
-        hierarchy: get_duration(d)?,
-    };
     let hier = d.opt(get_hier)?;
     let residency = d.opt(get_residency)?;
     Ok(SymbolicPlan {
         plan,
         fixed,
         kept_dims,
-        pass_times,
         hier,
         residency,
     })
@@ -1324,7 +1300,9 @@ mod tests {
             residency_dim: Some("iT".into()),
             ..SmemConfig::default()
         };
-        analyze_symbolic_hier(program, &[("iT".into(), 0)], &cfg, None).unwrap()
+        analyze_symbolic_hier(program, &[("iT".into(), 0)], &cfg, None)
+            .unwrap()
+            .0
     }
 
     fn cfg() -> SmemConfig {

@@ -52,8 +52,6 @@ pub struct SymbolicPlan {
     /// Per original statement: indices of the dims that remain
     /// iteration dims in the symbolic view (in original order).
     pub kept_dims: Vec<Vec<usize>>,
-    /// Compiler-pass wall-clock times of the one symbolic analysis.
-    pub pass_times: PassTimes,
     /// The recursive level-2 (register-tile) plan, when the mapping
     /// declares thread dims and at least one frame survives the gates.
     pub hier: Option<HierPlan>,
@@ -223,20 +221,36 @@ pub fn analyze_symbolic(
     fixed: &[(String, i64)],
     config: &SmemConfig,
 ) -> Result<SymbolicPlan> {
+    analyze_symbolic_hier(program, fixed, config, None).map(|(sp, _)| sp)
+}
+
+/// [`analyze_symbolic`] plus the recursive register-tile level: when
+/// `spec` is given, the §3 pipeline is re-run over the intra-thread
+/// subnest against the level-1 buffers and the surviving frames are
+/// attached as [`SymbolicPlan::hier`]. Also returns the wall-clock
+/// time of every pass, the second level's as the `hierarchy` pass.
+/// The times are the caller's: the plan holds only what the passes
+/// decided, so two analyses of one launch are equal.
+pub fn analyze_symbolic_hier(
+    program: &Program,
+    fixed: &[(String, i64)],
+    config: &SmemConfig,
+    spec: Option<&HierSpec>,
+) -> Result<(SymbolicPlan, PassTimes)> {
     let mut pairs = fixed.to_vec();
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     let names: Vec<String> = pairs.iter().map(|p| p.0.clone()).collect();
     let symbolic = parametrize_dims(program, &names)?;
     let mut cfg = config.clone();
     cfg.sample_params.extend(pairs.iter().map(|p| p.1));
-    let (plan, mut pass_times, windows) = analyze_program_windows(&symbolic, &cfg)?;
+    let (plan, mut times, windows) = analyze_program_windows(&symbolic, &cfg)?;
     let residency = match &config.residency_dim {
         Some(dim) if names.iter().any(|n| n == dim) => {
             // The delta / flush nests are movement code: their planning
             // time goes where the move-in / move-out nests' does.
             let t0 = Instant::now();
             let res = plan_residency(&symbolic, &plan, &windows, dim)?;
-            pass_times.movement += t0.elapsed();
+            times.movement += t0.elapsed();
             Some(res)
         }
         _ => None,
@@ -251,34 +265,23 @@ pub fn analyze_symbolic(
                 .collect()
         })
         .collect();
-    Ok(SymbolicPlan {
+    let hier = match spec {
+        Some(spec) => {
+            let t0 = Instant::now();
+            let hier = analyze_hierarchy(program, fixed, spec, &plan, config)?;
+            times.hierarchy = t0.elapsed();
+            hier
+        }
+        None => None,
+    };
+    let sp = SymbolicPlan {
         plan,
         fixed: names,
         kept_dims,
-        pass_times,
-        hier: None,
+        hier,
         residency,
-    })
-}
-
-/// [`analyze_symbolic`] plus the recursive register-tile level: when
-/// `spec` is given, the §3 pipeline is re-run over the intra-thread
-/// subnest against the level-1 buffers and the surviving frames are
-/// attached as [`SymbolicPlan::hier`]. The time spent in the second
-/// level is recorded as the `hierarchy` pass.
-pub fn analyze_symbolic_hier(
-    program: &Program,
-    fixed: &[(String, i64)],
-    config: &SmemConfig,
-    spec: Option<&HierSpec>,
-) -> Result<SymbolicPlan> {
-    let mut sp = analyze_symbolic(program, fixed, config)?;
-    if let Some(spec) = spec {
-        let t0 = Instant::now();
-        sp.hier = analyze_hierarchy(program, fixed, spec, &sp.plan, config)?;
-        sp.pass_times.hierarchy = t0.elapsed();
-    }
-    Ok(sp)
+    };
+    Ok((sp, times))
 }
 
 #[cfg(test)]

@@ -323,7 +323,7 @@ mod tests {
         let refs = collect_refs(p, ai).unwrap();
         let members: Vec<&_> = refs.iter().collect();
         let buf = allocate_buffer(p, ai, 0, &members).unwrap();
-        let (code, _) = generate_movement(p, &buf, &members).unwrap();
+        let (code, _) = generate_movement(&buf, &members).unwrap();
         (buf, code, Vec::new())
     }
 

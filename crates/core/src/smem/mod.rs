@@ -230,23 +230,6 @@ pub struct PassTimes {
     pub hierarchy: Duration,
 }
 
-impl PassTimes {
-    /// Total time across all passes.
-    pub fn total(&self) -> Duration {
-        self.dataspace + self.partition + self.reuse + self.alloc + self.movement + self.hierarchy
-    }
-
-    /// Accumulate another run's times into this one.
-    pub fn absorb(&mut self, o: &PassTimes) {
-        self.dataspace += o.dataspace;
-        self.partition += o.partition;
-        self.reuse += o.reuse;
-        self.alloc += o.alloc;
-        self.movement += o.movement;
-        self.hierarchy += o.hierarchy;
-    }
-}
-
 /// Run the full §3 pipeline over a program block.
 ///
 /// `config.sample_params` must be supplied if any array needs the
@@ -313,7 +296,7 @@ pub fn analyze_program_windows(
             }
             times.alloc += t0.elapsed();
             let t0 = Instant::now();
-            let (code, pieces) = movement::generate_movement(program, &buffer, &members)?;
+            let (code, pieces) = movement::generate_movement(&buffer, &members)?;
             movement.push(code);
             windows.push(pieces);
             times.movement += t0.elapsed();

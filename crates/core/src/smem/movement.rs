@@ -23,7 +23,6 @@ use super::alloc::LocalBuffer;
 use super::dataspace::RefInfo;
 use super::Result;
 use polymem_codegen::{scan_pieces, Ast};
-use polymem_ir::Program;
 use polymem_poly::{PolyUnion, Polyhedron};
 
 /// Generated movement code and volume bounds for one buffer.
@@ -56,23 +55,13 @@ impl MovementCode {
     /// §3.1.3 upper bound on the volume moved in: total buffer space
     /// of the maximal non-overlapping sub-partitions of the read data
     /// spaces.
-    pub fn vin_bound(
-        &self,
-        program: &Program,
-        buffer: &LocalBuffer,
-        params: &[i64],
-    ) -> Result<u64> {
-        volume_bound(program, buffer, &self.read_spaces, params)
+    pub fn vin_bound(&self, buffer: &LocalBuffer, params: &[i64]) -> Result<u64> {
+        volume_bound(buffer, &self.read_spaces, params)
     }
 
     /// §3.1.3 upper bound on the volume moved out (write data spaces).
-    pub fn vout_bound(
-        &self,
-        program: &Program,
-        buffer: &LocalBuffer,
-        params: &[i64],
-    ) -> Result<u64> {
-        volume_bound(program, buffer, &self.write_spaces, params)
+    pub fn vout_bound(&self, buffer: &LocalBuffer, params: &[i64]) -> Result<u64> {
+        volume_bound(buffer, &self.write_spaces, params)
     }
 }
 
@@ -92,11 +81,9 @@ pub struct WindowPieces {
 /// Generate movement code for a buffer from its member references,
 /// plus the window decomposition its nests scan.
 pub fn generate_movement(
-    program: &Program,
     buffer: &LocalBuffer,
     members: &[&RefInfo],
 ) -> Result<(MovementCode, WindowPieces)> {
-    let _ = program;
     let read_spaces: Vec<Polyhedron> = members
         .iter()
         .filter(|r| !r.id.is_write())
@@ -123,12 +110,7 @@ pub fn generate_movement(
 
 /// Sum of buffer-space needs over maximal non-overlapping groups of
 /// `spaces` (the paper's V_in/V_out estimation).
-fn volume_bound(
-    program: &Program,
-    buffer: &LocalBuffer,
-    spaces: &[Polyhedron],
-    params: &[i64],
-) -> Result<u64> {
+fn volume_bound(buffer: &LocalBuffer, spaces: &[Polyhedron], params: &[i64]) -> Result<u64> {
     if spaces.is_empty() {
         return Ok(0);
     }
@@ -162,10 +144,8 @@ fn volume_bound(
             .filter(|&k| group_of[k] == g)
             .map(|k| spaces[k].clone())
             .collect();
-        // Fake RefInfos are not needed: size the group directly via
-        // per-dim union bounds over the buffer's kept dims.
-        let fake: Vec<RefInfo> = Vec::new();
-        let _ = &fake;
+        // Size the group directly via per-dim union bounds over the
+        // buffer's kept dims.
         let mut size: u64 = 1;
         for &d in &buffer.kept_dims {
             let mut lo = i64::MAX;
@@ -186,7 +166,6 @@ fn volume_bound(
         }
         total = total.saturating_add(size);
     }
-    let _ = program;
     Ok(total)
 }
 
@@ -241,7 +220,7 @@ mod tests {
         let refs = collect_refs(p, ai).unwrap();
         let members: Vec<&_> = refs.iter().collect();
         let buf = allocate_buffer(p, ai, 0, &members).unwrap();
-        let (code, _) = generate_movement(p, &buf, &members).unwrap();
+        let (code, _) = generate_movement(&buf, &members).unwrap();
         (buf, code)
     }
 
@@ -272,8 +251,8 @@ mod tests {
         let p = stencil();
         let (buf, code) = setup(&p, "A");
         // One overlapping read group: box [0, N] = N+1 words.
-        assert_eq!(code.vin_bound(&p, &buf, &[10]).unwrap(), 11);
-        assert_eq!(code.vout_bound(&p, &buf, &[10]).unwrap(), 10);
+        assert_eq!(code.vin_bound(&buf, &[10]).unwrap(), 11);
+        assert_eq!(code.vout_bound(&buf, &[10]).unwrap(), 10);
     }
 
     #[test]
@@ -315,7 +294,7 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code) = setup(&p, "A");
-        assert_eq!(code.vin_bound(&p, &buf, &[10]).unwrap(), 20);
+        assert_eq!(code.vin_bound(&buf, &[10]).unwrap(), 20);
         // While the single buffer spans the hull (30 words):
         assert_eq!(buf.size_words(&[10]).unwrap(), 30);
     }

@@ -24,7 +24,7 @@
 //! permutable (validated in tests against the reference interpreter).
 
 use polymem_ir::{Access, Program, Statement};
-use polymem_poly::{Constraint, Polyhedron, Space};
+use polymem_poly::{Constraint, Polyhedron};
 use std::collections::HashMap;
 
 /// One level of tiling: which loops (by name) and with what sizes.
@@ -143,14 +143,6 @@ pub fn tile_program(program: &Program, spec: &TileSpec) -> polymem_ir::Result<Pr
     Ok(out)
 }
 
-/// Convenience: the tile-iterator names a spec introduces.
-pub fn tile_iter_names(spec: &TileSpec) -> Vec<String> {
-    spec.tiles
-        .iter()
-        .map(|(n, _)| format!("{n}{}", spec.suffix))
-        .collect()
-}
-
 /// Interchange loops of every statement that has all the named loops:
 /// the statement's nest is reordered so the named loops appear in the
 /// given order at their (sorted) original positions; unnamed loops
@@ -236,11 +228,6 @@ pub fn project_onto_named(
         .filter_map(|n| domain.space().find_dim(n))
         .collect();
     domain.project_onto(&keep)
-}
-
-/// The space of a (possibly tiled) domain, for reference.
-pub fn domain_space(domain: &Polyhedron) -> &Space {
-    domain.space()
 }
 
 #[cfg(test)]

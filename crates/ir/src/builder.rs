@@ -138,7 +138,7 @@ pub struct StatementBuilder<'a> {
     program: &'a mut ProgramBuilder,
     name: String,
     loops: Vec<(String, LinExpr, LinExpr)>,
-    extra: Vec<(LinExpr, LinExpr, bool)>, // (a, b, is_eq): a <= b or a == b
+    extra: Vec<(LinExpr, LinExpr)>, // (lo, hi): lo <= hi
     write: Option<(String, Vec<LinExpr>)>,
     reads: Vec<(String, Vec<LinExpr>)>,
     body: Expr,
@@ -156,13 +156,7 @@ impl<'a> StatementBuilder<'a> {
 
     /// Add an extra affine guard `lo <= hi`.
     pub fn guard_le(mut self, lo: LinExpr, hi: LinExpr) -> Self {
-        self.extra.push((lo, hi, false));
-        self
-    }
-
-    /// Add an extra affine guard `a == b`.
-    pub fn guard_eq(mut self, a: LinExpr, b: LinExpr) -> Self {
-        self.extra.push((a, b, true));
+        self.extra.push((lo, hi));
         self
     }
 
@@ -204,12 +198,8 @@ impl<'a> StatementBuilder<'a> {
         for (n, lb, ub) in &self.loops {
             db.bound(n, lb.clone(), ub.clone())?;
         }
-        for (a, b, is_eq) in &self.extra {
-            if *is_eq {
-                db.eq(a.clone(), b.clone())?;
-            } else {
-                db.le(a.clone(), b.clone())?;
-            }
+        for (lo, hi) in &self.extra {
+            db.le(lo.clone(), hi.clone())?;
         }
         let domain = db.build();
         let in_space = domain.space().clone();

@@ -57,11 +57,26 @@ impl ArrayStore {
                     index: extents.clone(),
                 });
             }
-            let size: i64 = extents.iter().product();
+            // A size the host cannot hold is a typed error, not an
+            // abort: the product may overflow, the allocation may fail.
+            let size = extents
+                .iter()
+                .try_fold(1i64, |n, &e| n.checked_mul(e))
+                .and_then(|n| usize::try_from(n).ok());
+            let mut data = Vec::new();
+            match size {
+                Some(n) if data.try_reserve_exact(n).is_ok() => data.resize(n, 0),
+                _ => {
+                    return Err(IrError::TooLarge {
+                        array: a.name.clone(),
+                        extents,
+                    })
+                }
+            }
             store.index.insert(a.name.clone(), store.entries.len());
             store.entries.push(ArrayEntry {
                 name: a.name.clone(),
-                data: vec![0i64; size as usize],
+                data,
                 extents,
             });
         }
@@ -86,14 +101,6 @@ impl ArrayStore {
     /// declaration order), or `None` if unknown.
     pub fn id_of(&self, array: &str) -> Option<usize> {
         self.index.get(array).copied()
-    }
-
-    /// Name of the array with dense id `id`.
-    ///
-    /// # Panics
-    /// If `id` is out of range.
-    pub fn name_of(&self, id: usize) -> &str {
-        &self.entries[id].name
     }
 
     /// Read one element (row-major).
@@ -187,13 +194,6 @@ impl ArrayStore {
             }
         }
         Ok(())
-    }
-
-    /// Names of all arrays.
-    pub fn array_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.entries.iter().map(|e| e.name.as_str()).collect();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -338,6 +338,22 @@ mod tests {
         assert!(st.get("A", &[-1, 0]).is_err());
         assert!(st.get("B", &[0]).is_err());
         assert_eq!(st.extents("A").unwrap(), &[3, 4]);
+    }
+
+    #[test]
+    fn a_store_too_large_for_the_host_is_a_typed_error() {
+        let mut b = ProgramBuilder::new("p", ["N"]);
+        b.array("A", &[v("N"), v("N")]);
+        let p = b.build().unwrap();
+        // 2^62 elements overflow the byte count; 2^64 the element count.
+        for n in [1i64 << 31, 1 << 32] {
+            match ArrayStore::for_program(&p, &[n]) {
+                Err(IrError::TooLarge { array, extents }) => {
+                    assert_eq!((array.as_str(), extents), ("A", vec![n, n]));
+                }
+                other => panic!("N = {n}: {other:?}"),
+            }
+        }
     }
 
     #[test]

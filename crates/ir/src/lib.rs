@@ -72,6 +72,14 @@ pub enum IrError {
     },
     /// Statement body arithmetic failed (division by zero / overflow).
     Arithmetic(&'static str),
+    /// An array whose element count overflows or cannot be allocated
+    /// on the host.
+    TooLarge {
+        /// The array.
+        array: String,
+        /// Its extents at the requested parameters.
+        extents: Vec<i64>,
+    },
     /// Mismatched parameter count when executing.
     BadParams {
         /// Expected count.
@@ -93,6 +101,12 @@ impl fmt::Display for IrError {
                 write!(f, "access to `{array}` out of bounds at {index:?}")
             }
             IrError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
+            IrError::TooLarge { array, extents } => {
+                write!(
+                    f,
+                    "array `{array}` of extents {extents:?} exceeds host memory"
+                )
+            }
             IrError::BadParams { expected, got } => {
                 write!(f, "expected {expected} parameter values, got {got}")
             }

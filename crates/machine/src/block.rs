@@ -387,9 +387,14 @@ impl<'a> Block<'a> {
         &self.launch.plan.as_deref().expect("staged launch").plan
     }
 
-    fn record(&self, kind: PassKind, since: Instant) {
-        if let Some(pr) = self.profiler {
-            pr.record(kind, since.elapsed());
+    /// The host clock, read only when a profiler will record it.
+    fn now(&self) -> Option<Instant> {
+        self.profiler.map(|_| Instant::now())
+    }
+
+    fn record(&self, kind: PassKind, since: Option<Instant>) {
+        if let (Some(pr), Some(t0)) = (self.profiler, since) {
+            pr.record(kind, t0.elapsed());
         }
     }
 
@@ -636,7 +641,7 @@ impl<'a> Block<'a> {
             None
         };
 
-        let t0 = Instant::now();
+        let t0 = self.now();
         let (overlay, stats) = (&mut self.overlay, &mut self.stats);
         let local = sb.staging.as_mut().map(|st| &mut st.local);
         let counts = match &launch.code {
@@ -651,7 +656,6 @@ impl<'a> Block<'a> {
             }
         };
         self.record(PassKind::Compute, t0);
-        self.stats.compute_ns += t0.elapsed().as_nanos() as u64;
 
         if let Some((ov, loc, charged, oc, before)) = oracle {
             let mut deltas = tally(&self.stats);
@@ -770,7 +774,7 @@ pub(crate) fn execute_one_block(
         // observe `t−1`'s writes, so they run after its move-out and
         // their transfers start no earlier than `out_done`.
         if let Some(n_move) = n_move {
-            let t0 = Instant::now();
+            let t0 = b.now();
             for mi in 0..n_move {
                 if cur.staging.as_ref().expect("staged").staged[mi] {
                     continue;
@@ -805,7 +809,7 @@ pub(crate) fn execute_one_block(
                 });
             }
             st.local.zero();
-            let t0 = Instant::now();
+            let t0 = b.now();
             for mi in 0..n_move {
                 // Only read-only, dependence-free buffers the hoist
                 // shortcut cannot satisfy prefetch: a written buffer's
@@ -840,7 +844,7 @@ pub(crate) fn execute_one_block(
         // `t+1`'s compute; without, each tag is waited on at issue.
         out_done = b.clock.now;
         if let Some(n_move) = n_move {
-            let t0 = Instant::now();
+            let t0 = b.now();
             let next_at = next.as_ref().map(|nx| nx.pparams.as_slice());
             for mi in 0..n_move {
                 if let Some(tag) = b.move_out_buffer(&cur, mi, next_at)? {

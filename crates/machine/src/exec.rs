@@ -238,9 +238,9 @@ pub(crate) fn warm(
         return Ok((Arc::new(art.plan), PlanSource::Artifact));
     }
     let cfg = smem_config(params, config, kernel);
-    let sp = analyze_symbolic_hier(program, pairs, &cfg, hier.as_ref())?;
+    let (sp, times) = analyze_symbolic_hier(program, pairs, &cfg, hier.as_ref())?;
     if let Some(pr) = profiler {
-        pr.absorb_pass_times(&sp.pass_times);
+        pr.absorb_pass_times(&times);
     }
     if let Some((s, k)) = &store {
         let mut ext = cfg.sample_params;
@@ -419,7 +419,7 @@ pub fn execute_blocked_seeded(
 
         // Merge overlays deterministically, in block order (the
         // device-wide barrier: writes become visible between rounds).
-        let t0 = Instant::now();
+        let t0 = profiler.map(|_| Instant::now());
         let mut round_max_cycles = 0u64;
         let mut round_max_words = 0u64;
         for (overlay, bstats) in &results {
@@ -428,7 +428,7 @@ pub fn execute_blocked_seeded(
             round_max_words = round_max_words.max(bstats.max_smem_words);
             stats.absorb(bstats);
         }
-        if let Some(pr) = profiler {
+        if let (Some(pr), Some(t0)) = (profiler, t0) {
             pr.record(PassKind::Barrier, t0.elapsed());
         }
         // Device time for this round: the slowest block, times the

@@ -37,6 +37,7 @@ pub mod dma;
 pub mod exec;
 mod grid;
 mod json;
+mod ledger;
 mod oracle;
 mod overlay;
 pub mod profile;
@@ -52,6 +53,7 @@ pub use exec::{
     plan_artifact_key, warm_plan, BlockedKernel, PlanSource, WarmedPlan,
 };
 pub use json::Json;
+pub use ledger::{Laps, Ledger, Rows};
 pub use profile::{KernelProfile, TimeBreakdown};
 pub use stats::{ExecStats, FallbackStats, STATS_SCHEMA};
 pub use trace::{PassKind, PassProfiler, PassReport, Phase, Timeline};

@@ -8,12 +8,13 @@ use crate::json::{counters, Json};
 
 /// Counters collected by the functional executor.
 ///
-/// Equality compares every counter the modeled machine determines; it
-/// ignores engine attribution (`compiled_blocks`, `interpreted_blocks`,
-/// `fallback`) and the host CPU time `compute_ns` — the whole point of
-/// comparing stats across engines and schedules is that everything
-/// *else* matches (the parallel-determinism tests assert stats
-/// equality).
+/// Every field is a count the launch determines: no host time is kept
+/// here (a [`PassProfiler`](crate::PassProfiler) records it). Equality
+/// compares every counter the modeled machine determines; it ignores
+/// engine attribution (`compiled_blocks`, `interpreted_blocks`,
+/// `fallback`) — the whole point of comparing stats across engines and
+/// schedules is that everything *else* matches (the
+/// parallel-determinism tests assert stats equality).
 #[derive(Clone, Debug, Default)]
 pub struct ExecStats {
     /// Thread blocks executed.
@@ -90,12 +91,6 @@ pub struct ExecStats {
     pub fallback: FallbackStats,
     /// DMA transfer-engine counters ([`crate::dma`]).
     pub dma: DmaStats,
-    /// Host CPU nanoseconds spent in block compute phases (compiled or
-    /// interpreted): each block's elapsed time, summed over blocks by
-    /// [`absorb`](ExecStats::absorb). Blocks run on parallel workers,
-    /// so this is a sum over workers and can exceed the launch's
-    /// wall-clock time.
-    pub compute_ns: u64,
 }
 
 // The merge is per-block stats into the launch's: `max_smem_words` is
@@ -131,14 +126,13 @@ counters!(ExecStats {
     interpreted_blocks: uncompared,
     fallback: uncompared,
     dma,
-    compute_ns: uncompared,
 });
 
 /// Version of the [`ExecStats::to_json`] document and of the report
 /// envelope the bench harnesses wrap around it. Bump it whenever a
 /// counter is renamed, removed or changes meaning (adding one is
 /// compatible).
-pub const STATS_SCHEMA: u64 = 3;
+pub const STATS_SCHEMA: u64 = 4;
 
 impl ExecStats {
     /// The one place a counter is named in output: `schema`, then every
@@ -211,7 +205,6 @@ mod tests {
             compiled_blocks: x + 26,
             interpreted_blocks: x + 27,
             fallback: FallbackStats { engine_off: x + 28 },
-            compute_ns: x + 22,
             dma: DmaStats {
                 descriptors: x + 16,
                 elements: x + 17,
@@ -254,7 +247,6 @@ mod tests {
             compiled_blocks: x + 26,
             interpreted_blocks: x + 27,
             fallback: FallbackStats { engine_off: x + 28 },
-            compute_ns: x + 22,
             dma: DmaStats {
                 descriptors: x + 16,
                 elements: x + 17,
@@ -289,7 +281,6 @@ mod tests {
         assert_eq!(a.dma.channel_busy_cycles, vec![101, 139]);
         assert_eq!(a.dma.stall_cycles, 141);
         assert_eq!(a.dma.bytes_hist, vec![143]);
-        assert_eq!(a.compute_ns, 145); // CPU time sums across workers
         assert_eq!(a.smem_loads_saved, 147);
         assert_eq!(a.reg_bytes_moved, 149);
         assert_eq!(a.hier_groups, 151);
@@ -304,9 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_exactly_engine_attribution_and_host_time() {
+    fn equality_ignores_exactly_engine_attribution() {
         type Bump = fn(&mut ExecStats);
-        let bumps: [(&str, bool, Bump); 33] = [
+        let bumps: [(&str, bool, Bump); 32] = [
             ("blocks", true, |s| s.blocks += 1),
             ("instances", true, |s| s.instances += 1),
             ("global_reads", true, |s| s.global_reads += 1),
@@ -341,7 +332,6 @@ mod tests {
             }),
             ("dma.stall_cycles", true, |s| s.dma.stall_cycles += 1),
             ("dma.bytes_hist", true, |s| s.dma.bytes_hist[0] += 1),
-            ("compute_ns", false, |s| s.compute_ns += 1),
         ];
         // Every reported counter is perturbed once: the top-level
         // fields, with `dma`'s own counters in place of `dma`.

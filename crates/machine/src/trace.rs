@@ -9,10 +9,10 @@
 //! Figs. 7/8.
 
 use crate::config::MachineConfig;
+use crate::ledger::{Ledger, Rows};
 use crate::profile::KernelProfile;
 use crate::Result;
 use polymem_core::smem::PassTimes;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// One segment of simulated time.
@@ -224,10 +224,16 @@ pub const PASS_KINDS: [PassKind; 10] = [
     PassKind::Barrier,
 ];
 
-impl PassKind {
-    /// Human label for the report table (`movement` includes
-    /// residency planning; see [`PassKind::Movement`]).
-    pub fn label(&self) -> &'static str {
+impl Rows for PassKind {
+    const ALL: &'static [PassKind] = &PASS_KINDS;
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The report table's label (`movement` includes residency
+    /// planning; see [`PassKind::Movement`]).
+    fn name(self) -> &'static str {
         match self {
             PassKind::Dataspace => "dataspace",
             PassKind::Partition => "partition",
@@ -241,7 +247,9 @@ impl PassKind {
             PassKind::Barrier => "barrier",
         }
     }
+}
 
+impl PassKind {
     /// Whether this is a §3 compiler pass (vs an executor phase).
     pub fn is_compiler(&self) -> bool {
         matches!(
@@ -256,33 +264,13 @@ impl PassKind {
     }
 }
 
-/// Thread-safe accumulator of host time per pass/phase: each record is
-/// one occurrence's elapsed time. Block workers record into it
+/// The host-time ledger over [`PassKind`] rows: each record is one
+/// occurrence's elapsed time. Block workers record into it
 /// concurrently, so an executor phase's total is a sum over workers
-/// (see [`PassKind`]); [`PassProfiler::report`] snapshots the totals.
-#[derive(Debug, Default)]
-pub struct PassProfiler {
-    ns: [AtomicU64; PASS_KINDS.len()],
-    count: [AtomicU64; PASS_KINDS.len()],
-}
+/// (see [`PassKind`]); [`report`](Ledger::report) snapshots the totals.
+pub type PassProfiler = Ledger<PassKind>;
 
-impl PassProfiler {
-    /// Fresh, all-zero profiler.
-    pub fn new() -> PassProfiler {
-        PassProfiler::default()
-    }
-
-    fn slot(kind: PassKind) -> usize {
-        PASS_KINDS.iter().position(|&k| k == kind).unwrap()
-    }
-
-    /// Record one timed occurrence of a pass.
-    pub fn record(&self, kind: PassKind, elapsed: Duration) {
-        let i = Self::slot(kind);
-        self.ns[i].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.count[i].fetch_add(1, Ordering::Relaxed);
-    }
-
+impl Ledger<PassKind> {
     /// Fold one `analyze_program_timed` run's per-pass times in (one
     /// occurrence per compiler pass).
     pub fn absorb_pass_times(&self, t: &PassTimes) {
@@ -301,11 +289,10 @@ impl PassProfiler {
         PassReport {
             rows: PASS_KINDS
                 .iter()
-                .enumerate()
-                .map(|(i, &kind)| PassRow {
+                .map(|&kind| PassRow {
                     kind,
-                    total: Duration::from_nanos(self.ns[i].load(Ordering::Relaxed)),
-                    count: self.count[i].load(Ordering::Relaxed),
+                    total: self.total(kind),
+                    count: self.count(kind),
                 })
                 .collect(),
         }
@@ -370,7 +357,7 @@ impl PassReport {
                 }
                 out.push_str(&format!(
                     "    {:<20} {:>10.3} ms  x{:<8} ({:>4.1}%)\n",
-                    r.kind.label(),
+                    r.kind.name(),
                     r.total.as_secs_f64() * 1e3,
                     r.count,
                     100.0 * r.total.as_secs_f64() / total.max(1e-12),
@@ -613,27 +600,5 @@ pass profile (host clock)
         });
         let text = p.report().render();
         assert!(!text.contains("hierarchy"), "{text}");
-    }
-
-    #[test]
-    fn profiler_is_shareable_across_threads() {
-        let p = PassProfiler::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        p.record(PassKind::Compute, Duration::from_nanos(10));
-                    }
-                });
-            }
-        });
-        let r = p.report();
-        let compute = r
-            .rows
-            .iter()
-            .find(|row| row.kind == PassKind::Compute)
-            .unwrap();
-        assert_eq!(compute.count, 400);
-        assert_eq!(compute.total, Duration::from_nanos(4000));
     }
 }

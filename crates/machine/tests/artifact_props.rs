@@ -125,6 +125,34 @@ proptest! {
     }
 }
 
+/// A plan file is a pure function of its key: two independent fresh
+/// compiles of one launch (`analyze_symbolic_hier` on matmul at size 16
+/// on gpu, register level on), each persisted into its own store, write
+/// byte-identical files.
+#[test]
+fn a_plan_file_is_a_pure_function_of_its_key() {
+    let (kernel, params, _) = workload("matmul", 16);
+    let files: Vec<Vec<u8>> = ["pure_a", "pure_b"]
+        .iter()
+        .map(|tag| {
+            let dir = temp_store(tag);
+            let cfg = config(false, true, &dir);
+            let (sp, src) = warm_plan(&kernel, &params, &cfg, None, None)
+                .expect("analysis succeeds")
+                .expect("matmul stages");
+            assert_eq!(src, PlanSource::Fresh, "each store starts cold");
+            assert!(sp.hier.is_some(), "the register level planned frames");
+            let key = plan_artifact_key(&kernel, &params, &cfg).unwrap().unwrap();
+            let path = ArtifactStore::open(&dir).unwrap().path_for(&key);
+            std::fs::read(path).expect("warm_plan persisted the artifact")
+        })
+        .collect();
+    assert!(
+        files[0] == files[1],
+        "two compiles of one launch wrote different bytes"
+    );
+}
+
 #[test]
 fn version_mismatch_is_rejected() {
     let (mut bytes, kernel, key, dir) = warmed_bytes("me", false, true, "ver");

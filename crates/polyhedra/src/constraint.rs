@@ -110,11 +110,6 @@ impl Constraint {
         self.coeffs[..n_dims].iter().all(|&c| c == 0)
     }
 
-    /// True iff all coefficients (including constant) are zero.
-    pub fn is_trivial(&self) -> bool {
-        self.coeffs.is_zero()
-    }
-
     /// For a constraint whose variable and parameter coefficients are
     /// all zero: is it satisfiable? (`None` if it still has variables.)
     pub fn constant_verdict(&self) -> Option<bool> {

@@ -763,15 +763,6 @@ impl Polyhedron {
         }
     }
 
-    /// Rename the space (shape must match).
-    pub fn with_space(&self, space: Space) -> Polyhedron {
-        assert!(self.space.same_shape(&space));
-        Polyhedron {
-            space,
-            constraints: self.constraints.clone(),
-        }
-    }
-
     /// The lexicographically smallest integer point of a
     /// non-parametric bounded polytope, or `None` if empty.
     pub fn sample_point(&self) -> Result<Option<Vec<i64>>> {

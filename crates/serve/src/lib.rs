@@ -17,7 +17,6 @@
 //! through a counting gate. `polymem serve` starts it from the CLI;
 //! the `serve` bench drives it with a multi-tenant load generator.
 
-mod ledger;
 mod lru;
 mod server;
 pub mod workload;

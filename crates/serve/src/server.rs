@@ -41,8 +41,9 @@
 //! in-process `execute_blocked` of the same launch), `plan_source`
 //! (`seeded` | `artifact` | `fresh` | `none`), wall-clock `elapsed_ns`
 //! and the §3 `analysis_ns` actually spent compiling (zero on seed and
-//! artifact hits). `stats` adds the per-phase ledger (`phases`, see
-//! [`crate::ledger`]).
+//! artifact hits). `stats` adds the per-phase ledger (`phases`: per
+//! [`Phase`], the count, total, p50 and p99 of a
+//! [`Ledger`](polymem_machine::Ledger)).
 //!
 //! Each reply line leaves in one write on a `TCP_NODELAY` socket: a
 //! reply split across writes would park its tail behind Nagle until
@@ -51,13 +52,13 @@
 //!
 //! [`ArtifactStore`]: polymem_core::smem::ArtifactStore
 
-use crate::ledger::{Laps, Ledger, Phase};
 use crate::lru::PlanLru;
 use crate::workload;
 use crate::Json;
 use polymem_kernels::builtins::{launch, Launch};
 use polymem_machine::{
-    execute_blocked_seeded, plan_artifact_key, warm_plan, LaunchToggles, PassProfiler, PlanSource,
+    execute_blocked_seeded, plan_artifact_key, warm_plan, Laps, LaunchToggles, Ledger,
+    PassProfiler, PlanSource, Rows,
 };
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -140,6 +141,58 @@ impl Drop for GateGuard<'_> {
     }
 }
 
+/// The phases of one request, in the order a request passes them;
+/// `Request` is the whole interval, from the moment its line is
+/// complete until its reply's write returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Request JSON and, for `run` / `analyze`, the launch request.
+    Parse,
+    /// Machine lookup, `launch()`, the plan key, the warm-cache probe
+    /// and a `run`'s seeded input store.
+    Resolve,
+    /// Waiting for a launch slot (`run` only: `analyze` takes none).
+    Gate,
+    /// `execute_blocked_seeded` / `warm_plan`.
+    Execute,
+    /// Everything after execution up to the reply string: cache
+    /// insert, checksum, serialisation (the whole answer for the
+    /// commands that do not launch).
+    Reply,
+    /// The one socket write of the reply line.
+    Write,
+    /// Line complete to write returned.
+    Request,
+}
+
+impl Rows for Phase {
+    const ALL: &'static [Phase] = &[
+        Phase::Parse,
+        Phase::Resolve,
+        Phase::Gate,
+        Phase::Execute,
+        Phase::Reply,
+        Phase::Write,
+        Phase::Request,
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Parse => "parse",
+            Phase::Resolve => "resolve",
+            Phase::Gate => "gate",
+            Phase::Execute => "execute",
+            Phase::Reply => "reply",
+            Phase::Write => "write",
+            Phase::Request => "request",
+        }
+    }
+}
+
 /// State shared by all worker threads.
 struct Shared {
     lru: PlanLru,
@@ -148,7 +201,7 @@ struct Shared {
     stop: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
-    ledger: Ledger,
+    ledger: Ledger<Phase>,
     addr: SocketAddr,
     threads: usize,
 }
@@ -312,7 +365,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         wire.push('\n');
         let sent = out.write_all(wire.as_bytes());
         laps.lap(Phase::Write);
-        laps.commit(&shared.ledger);
+        laps.commit(&shared.ledger, Phase::Request);
         sent?;
         if shutdown {
             shared.stop_and_wake();
@@ -381,7 +434,7 @@ impl Request {
 /// Parse and dispatch one request line. Returns the response line and
 /// whether the daemon should shut down; `laps` closes every phase up
 /// to `reply`.
-fn handle_line(line: &str, shared: &Shared, laps: &mut Laps) -> (String, bool) {
+fn handle_line(line: &str, shared: &Shared, laps: &mut Laps<Phase>) -> (String, bool) {
     let v = Json::parse(line);
     let cmd = v
         .as_ref()
@@ -490,7 +543,7 @@ fn prepare(
     Ok((l, key_hex, seed, mapping))
 }
 
-fn handle_run(req: &Request, shared: &Shared, laps: &mut Laps) -> String {
+fn handle_run(req: &Request, shared: &Shared, laps: &mut Laps<Phase>) -> String {
     let prepared = prepare(req, shared).and_then(|(w, key_hex, seed, mapping)| {
         let st = w
             .seeded_store(42)
@@ -569,7 +622,7 @@ fn handle_run(req: &Request, shared: &Shared, laps: &mut Laps) -> String {
     obj(fields)
 }
 
-fn handle_analyze(req: &Request, shared: &Shared, laps: &mut Laps) -> String {
+fn handle_analyze(req: &Request, shared: &Shared, laps: &mut Laps<Phase>) -> String {
     let prepared = prepare(req, shared);
     laps.lap(Phase::Resolve);
     let (w, key_hex, seed, mapping) = match prepared {

@@ -22,7 +22,7 @@ use polymem::kernels::builtins::{launch, Builtin, Launch, BUILTINS};
 use polymem::kernels::{jacobi, me, tunespace};
 use polymem::machine::{
     execute_blocked_profiled, generic_candidates, launch_config, launch_representative,
-    plan_artifact_key, tune, warm_plan, Json, LaunchToggles, MachineConfig, PassProfiler,
+    plan_artifact_key, tune, warm_plan, Json, LaunchToggles, MachineConfig, PassKind, PassProfiler,
     TuneOptions, TuneOutcome,
 };
 use polymem::serve::{ServeConfig, Server};
@@ -734,12 +734,12 @@ fn run(cli: &Cli) -> ExitCode {
     if let Err(e) = exec_program(&l.program, params, &mut reference) {
         return runtime_error(&format!("reference run failed: {e}"));
     }
-    let profiler = cli.has("--profile").then(PassProfiler::new);
-    let stats =
-        match execute_blocked_profiled(kernel, params, &mut st, gpu, true, profiler.as_ref()) {
-            Ok(s) => s,
-            Err(e) => return runtime_error(&format!("simulation failed: {e}")),
-        };
+    let profiler = PassProfiler::new();
+    let stats = match execute_blocked_profiled(kernel, params, &mut st, gpu, true, Some(&profiler))
+    {
+        Ok(s) => s,
+        Err(e) => return runtime_error(&format!("simulation failed: {e}")),
+    };
     let ok = st.data(check).expect("array") == reference.data(check).expect("array");
     println!(
         "{name} (size {size}): {}",
@@ -790,7 +790,7 @@ fn run(cli: &Cli) -> ExitCode {
     };
     println!(
         "  compute phase {:.3} ms cpu (summed over block workers) ({engine})",
-        stats.compute_ns as f64 / 1e6
+        profiler.total(PassKind::Compute).as_secs_f64() * 1e3
     );
     if stats.dma.descriptors > 0 {
         println!(
@@ -803,8 +803,8 @@ fn run(cli: &Cli) -> ExitCode {
             stats.sync_groups,
         );
     }
-    if let Some(pr) = &profiler {
-        print!("{}", pr.report().render());
+    if cli.has("--profile") {
+        print!("{}", profiler.report().render());
         if stats.dma.total_busy_cycles() > 0 {
             println!("DMA channel timeline (hidden vs exposed):");
             print!(

@@ -119,6 +119,16 @@ fn unbuildable_sizes_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn sizes_too_large_for_the_host_are_typed_errors_not_aborts() {
+    // A 2^31 x 2^31 matrix overflows the allocation's byte count: the
+    // store is refused where `vec!` used to panic with exit 101.
+    let (_, stderr, code) = polymem_code(&["run", "matmul", "--size", "2147483648"], &[]);
+    assert_eq!(code, 3, "{stderr}");
+    assert!(stderr.contains("no store for size 2147483648"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn compile_errors_exit_with_code_3() {
     let dir = std::env::temp_dir().join("polymem_cli_compile_err");
     std::fs::create_dir_all(&dir).unwrap();

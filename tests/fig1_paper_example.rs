@@ -187,8 +187,8 @@ fn volume_bounds_cover_transfers() {
     let p = fig1_program();
     let plan = analyze_program(&p, &fig1_config()).unwrap();
     for (buf, mc) in plan.buffers.iter().zip(&plan.movement) {
-        let vin = mc.vin_bound(&p, buf, &[]).unwrap();
-        let vout = mc.vout_bound(&p, buf, &[]).unwrap();
+        let vin = mc.vin_bound(buf, &[]).unwrap();
+        let vout = mc.vout_bound(buf, &[]).unwrap();
         assert!(vin >= mc.move_in_count(&[]), "{}: {vin}", buf.array_name);
         assert!(vout >= mc.move_out_count(&[]), "{}: {vout}", buf.array_name);
     }
