@@ -13,8 +13,9 @@ use polymem_poly::{poly_core_reset, poly_core_stats};
 /// `feasibility_tests` of the four plans below when every union is
 /// decomposed once. Re-scanning residency's already-disjoint delta /
 /// flush pieces through `scan_union`, as the parent of this guard
-/// did, costs 24022.
-const RECORDED: u64 = 4774;
+/// did, costs 24022. Without the opposite-row pre-check, which settles
+/// a system before it is counted, the count is 4774.
+const RECORDED: u64 = 1338;
 
 /// One fresh (cold-core) plan of the jacobi2d and conv2d
 /// sequential-sub-tile launches with residency, on gpu and cell.

@@ -99,9 +99,12 @@ pub struct PolyCoreStats {
     /// the last reset. Nested calls are counted once.
     pub core_ns: u64,
     /// Constraint systems handed to a feasibility engine (capped FM,
-    /// simplex or the tightening FM oracle) because the constant / gcd
-    /// verdicts could not settle them — the unit of work behind
-    /// `difference`, which the projection and row counters do not see.
+    /// simplex or the tightening FM oracle) because the cheap verdicts
+    /// could not settle them: constant rows, the equality gcd test and
+    /// the opposite-row pre-check (two inequalities with opposite
+    /// variable parts whose constants sum below zero). This is the unit
+    /// of work behind `difference`, which the projection and row
+    /// counters do not see.
     pub feasibility_tests: u64,
 }
 

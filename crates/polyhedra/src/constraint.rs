@@ -124,26 +124,55 @@ impl Constraint {
         })
     }
 
-    /// Evaluate the row at concrete dim values `x` and param values `q`.
-    pub fn eval(&self, x: &[i64], q: &[i64]) -> i64 {
+    /// Evaluate the row at concrete dim values `x` and param values `q`;
+    /// `None` when a step overflows `i64`.
+    pub fn eval(&self, x: &[i64], q: &[i64]) -> Option<i64> {
         let n = self.coeffs.len();
         debug_assert_eq!(x.len() + q.len() + 1, n);
-        let mut acc: i128 = self.coeffs[n - 1] as i128;
-        for (c, v) in self.coeffs[..x.len()].iter().zip(x) {
-            acc += (*c as i128) * (*v as i128);
+        let (cx, cq) = self.coeffs[..n - 1].split_at(x.len());
+        let mut acc = self.coeffs[n - 1];
+        for (cs, vs) in [(cx, x), (cq, q)] {
+            for (c, v) in cs.iter().zip(vs) {
+                acc = acc.checked_add(c.checked_mul(*v)?)?;
+            }
         }
-        for (c, v) in self.coeffs[x.len()..n - 1].iter().zip(q) {
-            acc += (*c as i128) * (*v as i128);
-        }
-        acc as i64
+        Some(acc)
     }
 
-    /// True iff point `(x, q)` satisfies the constraint.
+    /// The sign of the row's exact value at `(x, q)`, for points where
+    /// [`Constraint::eval`] overflows. The value is `wraps · 2^128 + low`:
+    /// each product fits in `i128`, and `wraps` counts the signed `i128`
+    /// overflows of the running sum, so no term is lost.
+    fn exact_sign(&self, x: &[i64], q: &[i64]) -> i64 {
+        let n = self.coeffs.len();
+        let (cx, cq) = self.coeffs[..n - 1].split_at(x.len());
+        let mut low = self.coeffs[n - 1] as i128;
+        let mut wraps = 0i64;
+        for (cs, vs) in [(cx, x), (cq, q)] {
+            for (c, v) in cs.iter().zip(vs) {
+                let p = (*c as i128) * (*v as i128);
+                let (sum, wrapped) = low.overflowing_add(p);
+                wraps += wrapped as i64 * p.signum() as i64;
+                low = sum;
+            }
+        }
+        if wraps != 0 {
+            wraps.signum()
+        } else {
+            low.signum() as i64
+        }
+    }
+
+    /// True iff point `(x, q)` satisfies the constraint, decided on the
+    /// exact value of the row.
     pub fn satisfied(&self, x: &[i64], q: &[i64]) -> bool {
-        let v = self.eval(x, q);
+        let sign = match self.eval(x, q) {
+            Some(v) => v.signum(),
+            None => self.exact_sign(x, q),
+        };
         match self.kind {
-            ConstraintKind::Ineq => v >= 0,
-            ConstraintKind::Eq => v == 0,
+            ConstraintKind::Ineq => sign >= 0,
+            ConstraintKind::Eq => sign == 0,
         }
     }
 
@@ -261,12 +290,37 @@ mod tests {
     fn evaluation_and_satisfaction() {
         // x - y + N - 2 >= 0 over dims (x, y), param N.
         let c = Constraint::ineq(vec![1, -1, 1, -2]);
-        assert_eq!(c.eval(&[5, 1], &[0]), 2);
+        assert_eq!(c.eval(&[5, 1], &[0]), Some(2));
         assert!(c.satisfied(&[5, 1], &[0]));
         assert!(!c.satisfied(&[0, 5], &[1]));
         let e = Constraint::eq(vec![1, -1, 0, 0]);
         assert!(e.satisfied(&[3, 3], &[7]));
         assert!(!e.satisfied(&[3, 4], &[7]));
+    }
+
+    #[test]
+    fn satisfaction_is_decided_on_the_exact_sum() {
+        // 2^62·x + y − 2^62 >= 0 at (4, 0) is 3·2^62: positive, but
+        // past i64, where a truncated sum reads −2^62.
+        let big = 1i64 << 62;
+        let c = Constraint::ineq(vec![big, 1, -big]);
+        assert!(c.satisfied(&[4, 0], &[]));
+        assert_eq!(c.eval(&[4, 0], &[]), None);
+        assert!(!c.satisfied(&[-4, 0], &[]));
+        assert_eq!(c.eval(&[1, 5], &[]), Some(5));
+        // Sums past i128 itself: four products of about ±2^126 (rows
+        // built raw, since normalising would divide the coefficients).
+        let (m, x) = (i64::MIN, i64::MAX);
+        let raw = |coeffs: Vec<i64>, kind| Constraint {
+            coeffs: coeffs.into(),
+            kind,
+        };
+        let wide = raw(vec![m, m, m, m, 0], ConstraintKind::Ineq);
+        assert!(wide.satisfied(&[m, m, m, m], &[]));
+        assert!(!wide.satisfied(&[x, x, x, x], &[]));
+        let e = raw(vec![m, m, 0], ConstraintKind::Eq);
+        assert!(!e.satisfied(&[m, m], &[]));
+        assert_eq!(e.eval(&[m, m], &[]), None);
     }
 
     #[test]

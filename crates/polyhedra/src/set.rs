@@ -15,10 +15,13 @@
 //! every step (via `simplify`), and fires a *bounded exact prune* —
 //! simplex-backed redundancy probes — whenever the row count grows past
 //! a threshold. Results are memoized in the content-addressed
-//! [`crate::cache`]. Emptiness ([`Polyhedron::is_empty`]) runs a
-//! rational phase-1 simplex ([`crate::simplex`]) instead of eliminating
-//! every variable; the FM path survives as the overflow fallback and as
-//! the `POLYMEM_POLY_CHECK=1` cross-check oracle. Setting naive mode
+//! [`crate::cache`]. Emptiness ([`Polyhedron::is_empty`]) settles most
+//! systems with cheap verdicts (constant rows, equality gcd, two
+//! opposite inequalities), runs the rest through a capped rational FM
+//! kernel in a reused flat per-thread buffer, and escalates blown-up
+//! systems to a rational phase-1 simplex ([`crate::simplex`]); the
+//! tightening FM path survives as the overflow fallback and as the
+//! `POLYMEM_POLY_CHECK=1` cross-check oracle. Setting naive mode
 //! ([`crate::cache::set_naive_mode`] or `POLYMEM_POLY_NAIVE=1`) reverts
 //! all of this to the pre-optimization behaviour for benchmarking.
 
@@ -406,164 +409,24 @@ impl Polyhedron {
     /// but *no* integer tightening, so the verdict is exactly rational
     /// (in)feasibility, interchangeable with the phase-1 simplex
     /// verdict. Returns `None` when an intermediate system grows past
-    /// `cap` rows or an exact product overflows; the caller escalates
-    /// to simplex. On the small sparse systems the pipeline asks about
-    /// most, this is an order of magnitude cheaper than a tableau
-    /// solve.
+    /// `cap` rows or an exact product overflows `i128`; the caller
+    /// escalates to simplex. The kernel runs in `i64` first and reruns
+    /// from the start in `i128` when an `i64` step overflows; both are
+    /// exact, so the rerun changes no verdict.
     fn rows_feasible_fm_capped(rows: &[&Constraint], n_vars: usize, cap: usize) -> Option<bool> {
-        if rows.len() > cap {
-            return None;
-        }
-        fn gcd128(a: i128, b: i128) -> i128 {
-            let (mut a, mut b) = (a.abs(), b.abs());
-            while b != 0 {
-                let t = a % b;
-                a = b;
-                b = t;
-            }
-            a
-        }
-        // Row = (is_eq, var coeffs .. constant), mirroring `Constraint`.
-        let mut sys: Vec<(bool, Vec<i128>)> = rows
-            .iter()
-            .map(|c| {
-                let r = (0..n_vars)
-                    .map(|i| c.coeff(i) as i128)
-                    .chain(std::iter::once(c.constant() as i128))
-                    .collect();
-                (c.kind == ConstraintKind::Eq, r)
-            })
-            .collect();
-        // Combine `a_mult * tgt + b_mult * src` into a fresh row,
-        // gcd-reduced (rationally exact for both kinds since the
-        // constant participates in the reduction).
-        let combine =
-            |tgt: &[i128], src: &[i128], a_mult: i128, b_mult: i128| -> Option<Vec<i128>> {
-                let mut out = Vec::with_capacity(tgt.len());
-                let mut g: i128 = 0;
-                for (t, s) in tgt.iter().zip(src) {
-                    let v = a_mult
-                        .checked_mul(*t)?
-                        .checked_add(b_mult.checked_mul(*s)?)?;
-                    g = gcd128(g, v);
-                    out.push(v);
-                }
-                if g > 1 {
-                    for v in &mut out {
-                        *v /= g;
-                    }
-                }
-                Some(out)
-            };
-        loop {
-            // Constant-row verdicts; satisfied rows are dropped.
-            let mut i = 0;
-            while i < sys.len() {
-                let (eq, r) = &sys[i];
-                if r[..n_vars].iter().all(|&a| a == 0) {
-                    let c = r[n_vars];
-                    if (*eq && c != 0) || (!*eq && c < 0) {
-                        return Some(false);
-                    }
-                    sys.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            // Cheapest variable still present: equality pivots are
-            // free, otherwise the FM pairing product (as in
-            // `eliminate_dims`).
-            let mut best = usize::MAX;
-            let mut best_cost = u64::MAX;
-            for v in 0..n_vars {
-                let (mut lo, mut up) = (0u64, 0u64);
-                let mut present = false;
-                let mut has_eq = false;
-                for (eq, r) in &sys {
-                    if r[v] == 0 {
-                        continue;
-                    }
-                    present = true;
-                    if *eq {
-                        has_eq = true;
-                        break;
-                    }
-                    if r[v] > 0 {
-                        lo += 1;
-                    } else {
-                        up += 1;
-                    }
-                }
-                if !present {
-                    continue;
-                }
-                let cost = if has_eq { 0 } else { lo * up };
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = v;
-                }
-            }
-            if best == usize::MAX {
-                // Every remaining row was a satisfied constant: feasible.
-                return Some(true);
-            }
-            let v = best;
-            // Eliminate `v`: substitute through an equality pivot when
-            // one exists, otherwise pair lower against upper bounds.
-            let pivot = sys
-                .iter()
-                .position(|(eq, r)| *eq && r[v] != 0)
-                .map(|i| sys.swap_remove(i));
-            if let Some((_, e)) = pivot {
-                let a = e[v];
-                for row in sys.iter_mut() {
-                    let b = row.1[v];
-                    if b == 0 {
-                        continue;
-                    }
-                    let g = gcd128(a, b);
-                    // |a/g| * row - sign(a/g) * (b/g) * e zeroes column v
-                    // with a positive multiplier on the inequality row.
-                    let ca = (a / g).abs();
-                    let cb = -(b / g) * (a / g).signum();
-                    row.1 = combine(&row.1, &e, ca, cb)?;
-                }
-            } else {
-                let (mut lows, mut ups, mut rest) = (Vec::new(), Vec::new(), Vec::new());
-                for row in sys.drain(..) {
-                    match row.1[v].signum() {
-                        1 => lows.push(row.1),
-                        -1 => ups.push(row.1),
-                        _ => rest.push(row),
-                    }
-                }
-                if !lows.is_empty() && !ups.is_empty() {
-                    if lows.len() * ups.len() + rest.len() > cap {
-                        return None;
-                    }
-                    for l in &lows {
-                        for u in &ups {
-                            let a = l[v];
-                            let b = u[v]; // < 0
-                            let g = gcd128(a, b);
-                            rest.push((false, combine(l, u, (-b) / g, a / g)?));
-                        }
-                    }
-                }
-                sys = rest;
-            }
-            if sys.len() > cap {
-                return None;
-            }
+        match fm_kernel::<i64>(rows, n_vars, cap) {
+            Some(verdict) => verdict,
+            None => fm_kernel::<i128>(rows, n_vars, cap).flatten(),
         }
     }
 
     /// Rational emptiness of a constraint system over this
     /// polyhedron's variables: cheap verdicts (constant rows, the
-    /// integer gcd shortcut on equalities), then capped rational
-    /// Fourier–Motzkin, escalating to phase-1 simplex when the system
-    /// blows up; full integer-tightening FM is the naive-mode path and
-    /// overflow fallback.
+    /// integer gcd shortcut on equalities, and outside naive mode two
+    /// opposite inequalities whose constants sum below zero), then
+    /// capped rational Fourier–Motzkin, escalating to phase-1 simplex
+    /// when the system blows up; full integer-tightening FM is the
+    /// naive-mode path and overflow fallback.
     pub(crate) fn rows_empty(&self, rows: &[Constraint]) -> Result<bool> {
         let refs: Vec<&Constraint> = rows.iter().collect();
         self.rows_empty_refs(&refs)
@@ -590,55 +453,49 @@ impl Polyhedron {
                 }
             }
         }
-        cache::count_feasibility_test();
         let n_vars = self.n_dims() + self.n_params();
+        if !cache::naive_mode() && opposite_rows_empty(rows) {
+            self.check_empty_verdict(rows, true, "the opposite-row pre-check")?;
+            return Ok(true);
+        }
+        cache::count_feasibility_test();
         if !cache::naive_mode() {
             if let Some(feasible) = Self::rows_feasible_fm_capped(rows, n_vars, FM_FEAS_CAP) {
-                let empty = !feasible;
-                if cache::cross_check() {
-                    // Rational emptiness implies FM emptiness (the
-                    // naive path additionally integer-tightens, so it
-                    // proves at least as much).
-                    let owned: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
-                    let fm = self.rows_empty_fm(&owned)?;
-                    assert!(
-                        !empty || fm,
-                        "unsound: rational FM claims empty but tightened FM \
-                         finds the system satisfiable ({} rows over {} vars)",
-                        rows.len(),
-                        n_vars
-                    );
-                }
-                return Ok(empty);
+                self.check_empty_verdict(rows, !feasible, "rational FM")?;
+                return Ok(!feasible);
             }
             // Escalation: the system grew past the FM cap (or
             // overflowed); hand it to the phase-1 simplex, which does
             // bounded-size pivoting regardless of density.
             let owned: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
             if let Ok(feasible) = simplex::feasible(&owned, n_vars) {
-                let empty = !feasible;
-                if cache::cross_check() {
-                    // One-directional invariant: rational emptiness
-                    // must imply FM emptiness. The converse can fail
-                    // legitimately — FM integer-tightens constants at
-                    // every elimination, so it proves *integer*
-                    // emptiness of some rationally-feasible systems
-                    // (see the `simplex` module docs).
-                    let fm = self.rows_empty_fm(&owned)?;
-                    assert!(
-                        !empty || fm,
-                        "unsound: simplex claims empty but FM finds the \
-                         system satisfiable ({} rows over {} vars)",
-                        rows.len(),
-                        n_vars
-                    );
-                }
-                return Ok(empty);
+                self.check_empty_verdict(rows, !feasible, "simplex")?;
+                return Ok(!feasible);
             }
             // Overflow in the exact tableau: fall through to FM.
         }
         let owned: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
         self.rows_empty_fm(&owned)
+    }
+
+    /// Under `POLYMEM_POLY_CHECK=1`, confirm a rational-empty verdict of
+    /// `engine` with the tightening FM oracle; disagreement panics. The
+    /// invariant is one-directional: rational emptiness must imply FM
+    /// emptiness, but FM integer-tightens constants at every
+    /// elimination, so it legitimately proves *integer* emptiness of
+    /// some rationally-feasible systems (see the `simplex` module docs).
+    fn check_empty_verdict(&self, rows: &[&Constraint], empty: bool, engine: &str) -> Result<()> {
+        if empty && cache::cross_check() {
+            let owned: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
+            assert!(
+                self.rows_empty_fm(&owned)?,
+                "unsound: {engine} claims empty but tightened FM finds the \
+                 system satisfiable ({} rows over {} vars)",
+                rows.len(),
+                self.n_dims() + self.n_params()
+            );
+        }
+        Ok(())
     }
 
     /// The pre-optimization emptiness oracle: eliminate every dim *and*
@@ -890,6 +747,311 @@ fn drop_col(c: &Constraint, dim: usize) -> Constraint {
     }
 }
 
+/// Two inequalities with exactly opposite variable parts whose constants
+/// sum below zero (`e + a >= 0` and `-e + b >= 0` with `a + b < 0`)
+/// admit no rational point. Pairs are tried from the last row back: a
+/// difference piece appends its one negated row last, and that row is
+/// usually half of the pair.
+fn opposite_rows_empty(rows: &[&Constraint]) -> bool {
+    let ineq = |c: &Constraint| c.kind == ConstraintKind::Ineq;
+    rows.iter().enumerate().rev().any(|(i, p)| {
+        let n = p.len() - 1;
+        ineq(p)
+            && rows[..i].iter().any(|q| {
+                ineq(q)
+                    && (p.constant() as i128) + (q.constant() as i128) < 0
+                    && p.coeffs[..n]
+                        .iter()
+                        .zip(&q.coeffs[..n])
+                        .all(|(&a, &b)| (a as i128) + (b as i128) == 0)
+            })
+    })
+}
+
+/// The exact integer type the rational FM kernel runs in, with the
+/// per-thread scratch buffers it reuses across calls.
+trait FmInt: Copy + Ord + std::ops::Div<Output = Self> + std::ops::Rem<Output = Self> {
+    const ZERO: Self;
+    const ONE: Self;
+    fn widen(v: i64) -> Self;
+    fn checked_mul(self, o: Self) -> Option<Self>;
+    fn checked_add(self, o: Self) -> Option<Self>;
+    fn checked_neg(self) -> Option<Self>;
+    fn with_scratch<R>(f: impl FnOnce(&mut FmScratch<Self>) -> R) -> R;
+}
+
+macro_rules! fm_int {
+    ($t:ty) => {
+        impl FmInt for $t {
+            const ZERO: $t = 0;
+            const ONE: $t = 1;
+            fn widen(v: i64) -> $t {
+                <$t>::from(v)
+            }
+            fn checked_mul(self, o: $t) -> Option<$t> {
+                <$t>::checked_mul(self, o)
+            }
+            fn checked_add(self, o: $t) -> Option<$t> {
+                <$t>::checked_add(self, o)
+            }
+            fn checked_neg(self) -> Option<$t> {
+                <$t>::checked_neg(self)
+            }
+            fn with_scratch<R>(f: impl FnOnce(&mut FmScratch<$t>) -> R) -> R {
+                thread_local! {
+                    static SCRATCH: std::cell::RefCell<FmScratch<$t>> =
+                        const { std::cell::RefCell::new(FmScratch::new()) };
+                }
+                SCRATCH.with(|s| f(&mut s.borrow_mut()))
+            }
+        }
+    };
+}
+fm_int!(i64);
+fm_int!(i128);
+
+fn fm_abs<T: FmInt>(a: T) -> Option<T> {
+    if a < T::ZERO {
+        a.checked_neg()
+    } else {
+        Some(a)
+    }
+}
+
+fn fm_gcd<T: FmInt>(a: T, b: T) -> Option<T> {
+    let (mut a, mut b) = (fm_abs(a)?, fm_abs(b)?);
+    while b != T::ZERO {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    Some(a)
+}
+
+/// Divide a row by the gcd of all its entries, the constant included
+/// (rationally exact for both kinds).
+fn fm_reduce<T: FmInt>(row: &mut [T]) -> Option<()> {
+    let mut g = T::ZERO;
+    for &v in row.iter() {
+        g = fm_gcd(g, v)?;
+    }
+    if g > T::ONE {
+        for v in row {
+            *v = *v / g;
+        }
+    }
+    Some(())
+}
+
+/// The system under elimination, flat: row `i` is
+/// `rows[i * (n_vars + 1)..][..n_vars + 1]` (constant last) and is an
+/// equality iff `eqs[i]`. `held` holds the rows one step reads while it
+/// rewrites `rows`: the equality pivot, or the lower then upper bounds
+/// of an FM pairing.
+struct FmScratch<T> {
+    rows: Vec<T>,
+    eqs: Vec<bool>,
+    held: Vec<T>,
+}
+
+impl<T: FmInt> FmScratch<T> {
+    const fn new() -> Self {
+        FmScratch {
+            rows: Vec::new(),
+            eqs: Vec::new(),
+            held: Vec::new(),
+        }
+    }
+
+    fn swap_remove(&mut self, i: usize, w: usize) {
+        let last = self.eqs.len() - 1;
+        self.rows.copy_within(last * w..(last + 1) * w, i * w);
+        self.rows.truncate(last * w);
+        self.eqs.swap_remove(i);
+    }
+
+    /// Drop satisfied constant rows; `false` when a constant row is
+    /// violated.
+    fn settle_constant_rows(&mut self, n_vars: usize) -> bool {
+        let w = n_vars + 1;
+        let mut i = 0;
+        while i < self.eqs.len() {
+            let r = &self.rows[i * w..(i + 1) * w];
+            if r[..n_vars].iter().any(|&a| a != T::ZERO) {
+                i += 1;
+                continue;
+            }
+            let c = r[n_vars];
+            if (self.eqs[i] && c != T::ZERO) || (!self.eqs[i] && c < T::ZERO) {
+                return false;
+            }
+            self.swap_remove(i, w);
+        }
+        true
+    }
+
+    /// Cheapest variable still present: equality pivots are free,
+    /// otherwise the FM pairing product (as in `eliminate_dims`).
+    fn pick_var(&self, n_vars: usize) -> Option<usize> {
+        let w = n_vars + 1;
+        let mut best = None;
+        let mut best_cost = u64::MAX;
+        for v in 0..n_vars {
+            let (mut lo, mut up) = (0u64, 0u64);
+            let mut present = false;
+            let mut has_eq = false;
+            for (r, &eq) in self.rows.chunks_exact(w).zip(&self.eqs) {
+                if r[v] == T::ZERO {
+                    continue;
+                }
+                present = true;
+                if eq {
+                    has_eq = true;
+                    break;
+                }
+                if r[v] > T::ZERO {
+                    lo += 1;
+                } else {
+                    up += 1;
+                }
+            }
+            let cost = if has_eq { 0 } else { lo * up };
+            if present && cost < best_cost {
+                best_cost = cost;
+                best = Some(v);
+            }
+        }
+        best
+    }
+
+    /// Substitute variable `v` away through the equality row `p`:
+    /// `|a/g|·row − sign(a/g)·(b/g)·e` zeroes column `v` with a
+    /// positive multiplier on every inequality row.
+    fn substitute(&mut self, p: usize, v: usize, w: usize) -> Option<()> {
+        self.held.clear();
+        self.held.extend_from_slice(&self.rows[p * w..(p + 1) * w]);
+        self.swap_remove(p, w);
+        let e = &self.held;
+        let a = e[v];
+        for row in self.rows.chunks_exact_mut(w) {
+            let b = row[v];
+            if b == T::ZERO {
+                continue;
+            }
+            let g = fm_gcd(a, b)?;
+            let ca = fm_abs(a / g)?;
+            let cb = if a < T::ZERO {
+                b / g
+            } else {
+                (b / g).checked_neg()?
+            };
+            for (t, &s) in row.iter_mut().zip(e) {
+                *t = ca.checked_mul(*t)?.checked_add(cb.checked_mul(s)?)?;
+            }
+            fm_reduce(row)?;
+        }
+        Some(())
+    }
+
+    /// Pair every lower bound on `v` with every upper bound; rows
+    /// without `v` keep their order and the pairs follow them.
+    /// `Some(false)` when the result would pass `cap` rows.
+    fn pair_bounds(&mut self, v: usize, w: usize, cap: usize) -> Option<bool> {
+        self.held.clear();
+        let mut lows = 0;
+        for r in self.rows.chunks_exact(w).filter(|r| r[v] > T::ZERO) {
+            self.held.extend_from_slice(r);
+            lows += 1;
+        }
+        let mut ups = 0;
+        for r in self.rows.chunks_exact(w).filter(|r| r[v] < T::ZERO) {
+            self.held.extend_from_slice(r);
+            ups += 1;
+        }
+        let mut kept = 0;
+        for i in 0..self.eqs.len() {
+            if self.rows[i * w + v] == T::ZERO {
+                self.rows.copy_within(i * w..(i + 1) * w, kept * w);
+                self.eqs[kept] = self.eqs[i];
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept * w);
+        self.eqs.truncate(kept);
+        if lows == 0 || ups == 0 {
+            return Some(true);
+        }
+        if lows * ups + kept > cap {
+            return Some(false);
+        }
+        let (lower, upper) = self.held.split_at(lows * w);
+        for l in lower.chunks_exact(w) {
+            for u in upper.chunks_exact(w) {
+                let (a, b) = (l[v], u[v]); // b < 0
+                let g = fm_gcd(a, b)?;
+                let (ma, mb) = (b.checked_neg()? / g, a / g);
+                let start = self.rows.len();
+                for (&x, &y) in l.iter().zip(u) {
+                    self.rows
+                        .push(ma.checked_mul(x)?.checked_add(mb.checked_mul(y)?)?);
+                }
+                fm_reduce(&mut self.rows[start..])?;
+                self.eqs.push(false);
+            }
+        }
+        Some(true)
+    }
+
+    /// The elimination loop of [`fm_kernel`], on this scratch.
+    fn feasible(
+        &mut self,
+        rows: &[&Constraint],
+        n_vars: usize,
+        cap: usize,
+    ) -> Option<Option<bool>> {
+        let w = n_vars + 1;
+        self.rows.clear();
+        self.eqs.clear();
+        for c in rows {
+            self.rows
+                .extend(c.coeffs[..n_vars].iter().map(|&a| T::widen(a)));
+            self.rows.push(T::widen(c.constant()));
+            self.eqs.push(c.kind == ConstraintKind::Eq);
+        }
+        loop {
+            if !self.settle_constant_rows(n_vars) {
+                return Some(Some(false));
+            }
+            let Some(v) = self.pick_var(n_vars) else {
+                // Every remaining row was a satisfied constant.
+                return Some(Some(true));
+            };
+            let pivot =
+                (0..self.eqs.len()).find(|&i| self.eqs[i] && self.rows[i * w + v] != T::ZERO);
+            match pivot {
+                Some(p) => self.substitute(p, v, w)?,
+                None if !self.pair_bounds(v, w, cap)? => return Some(None),
+                None => {}
+            }
+            if self.eqs.len() > cap {
+                return Some(None);
+            }
+        }
+    }
+}
+
+/// Capped rational Fourier–Motzkin feasibility of `rows` over `n_vars`
+/// variables in the exact type `T`, in the calling thread's reused flat
+/// scratch buffer (no allocation once it has grown). `None` when a step
+/// overflows `T`; `Some(None)` when the system passes `cap` rows;
+/// otherwise `Some(Some(feasible))`.
+fn fm_kernel<T: FmInt>(rows: &[&Constraint], n_vars: usize, cap: usize) -> Option<Option<bool>> {
+    if rows.len() > cap {
+        return Some(None);
+    }
+    T::with_scratch(|s| s.feasible(rows, n_vars, cap))
+}
+
 impl fmt::Debug for Polyhedron {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:?} : {{", self.space)?;
@@ -899,6 +1061,9 @@ impl fmt::Debug for Polyhedron {
         write!(f, "}}")
     }
 }
+
+#[cfg(test)]
+mod fm_props;
 
 #[cfg(test)]
 mod tests {
