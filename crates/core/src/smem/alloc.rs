@@ -6,8 +6,10 @@
 //! size `Π (ub_k − lb_k + 1)`, preserving the dimension order of the
 //! global array. Dimensions that do not appear in the convex union
 //! polytope (they are affine functions of the others, e.g. the second
-//! subscript of `A[i][i]`) are dropped from the buffer and recorded as
-//! rows of the paper's `H` matrix.
+//! subscript of `A[i][i]`) are dropped from the buffer. Only the kept
+//! dims are recorded: the rewritten accesses and the movement nests
+//! address the buffer through them, so the paper's `H` rows (a dropped
+//! dim's value over the kept ones) have no reader and are not stored.
 //!
 //! polymem represents each bound as a [`UnionBound`]: the union's
 //! lower bound is the *min* over members of each member's (max-of-
@@ -20,7 +22,7 @@ use super::dataspace::RefInfo;
 use super::{BufferId, Result, SmemError};
 use polymem_ir::Program;
 use polymem_poly::bounds::{dim_bounds, AffineForm, BoundList};
-use polymem_poly::ConstraintKind;
+use polymem_poly::{Constraint, ConstraintKind, Polyhedron};
 
 /// A per-dimension bound of a union of data spaces.
 #[derive(Clone, Debug)]
@@ -175,17 +177,6 @@ fn symbolic_extent(b: &UnionBound) -> Option<AffineForm> {
     })
 }
 
-/// A dimension of the global array omitted from the local buffer: its
-/// value is an affine function of the kept dimensions and parameters
-/// (one row of the paper's `H` matrix).
-#[derive(Clone, Debug)]
-pub struct DroppedDim {
-    /// Index of the dropped dimension in the global array.
-    pub dim: usize,
-    /// Its value over `[kept dims..., params..., 1]` (in kept order).
-    pub expr: AffineForm,
-}
-
 /// A local scratchpad buffer allocated for one partition of data
 /// spaces of one array (the paper's `L_i`).
 #[derive(Clone, Debug)]
@@ -200,13 +191,10 @@ pub struct LocalBuffer {
     pub n_array_dims: usize,
     /// Global-array dims present in the buffer, ascending (`n ≤ m`),
     /// preserving the global dimension order as the paper requires.
+    /// The others are affine functions of these and the parameters.
     pub kept_dims: Vec<usize>,
-    /// Dims expressed as affine functions of kept dims (`H` rows).
-    pub dropped: Vec<DroppedDim>,
     /// Per-kept-dim bounds of the convex union (defines size + offset).
     pub bounds: Vec<UnionBound>,
-    /// The member data spaces this buffer covers (full array dims).
-    pub data_spaces: Vec<polymem_poly::Polyhedron>,
 }
 
 impl LocalBuffer {
@@ -327,20 +315,18 @@ pub fn allocate_buffer(
 ) -> Result<LocalBuffer> {
     let arr = &program.arrays[array_idx];
     let m = arr.rank();
-    let data_spaces: Vec<polymem_poly::Polyhedron> =
-        members.iter().map(|r| r.data_space.clone()).collect();
+    let spaces: Vec<&Polyhedron> = members.iter().map(|r| &r.data_space).collect();
 
     // Dims of the convex union fixed by equalities shared across all
-    // members become H-matrix rows (dropped from the buffer).
-    let dropped = find_dropped_dims(&data_spaces, m);
-    let dropped_idx: Vec<usize> = dropped.iter().map(|d| d.dim).collect();
-    let kept_dims: Vec<usize> = (0..m).filter(|d| !dropped_idx.contains(d)).collect();
+    // members are dropped from the buffer.
+    let dropped = find_dropped_dims(&spaces, m);
+    let kept_dims: Vec<usize> = (0..m).filter(|d| !dropped.contains(d)).collect();
 
     let mut bounds = Vec::with_capacity(kept_dims.len());
     for &d in &kept_dims {
-        let mut lowers = Vec::with_capacity(data_spaces.len());
-        let mut uppers = Vec::with_capacity(data_spaces.len());
-        for ds in &data_spaces {
+        let mut lowers = Vec::with_capacity(spaces.len());
+        let mut uppers = Vec::with_capacity(spaces.len());
+        for ds in &spaces {
             let b = dim_bounds(ds, d, 0)?;
             if b.lower.is_unbounded() || b.upper.is_unbounded() {
                 return Err(SmemError::UnboundedBuffer {
@@ -360,71 +346,43 @@ pub fn allocate_buffer(
         array_name: arr.name.clone(),
         n_array_dims: m,
         kept_dims,
-        dropped,
         bounds,
-        data_spaces,
     })
 }
 
 /// Find dims expressible as affine functions of the *other* dims via
 /// equalities present in every member data space. Greedy, highest
 /// dim first (keeps lower dims — the global order — in the buffer).
-fn find_dropped_dims(data_spaces: &[polymem_poly::Polyhedron], m: usize) -> Vec<DroppedDim> {
-    if data_spaces.is_empty() || m == 0 {
+fn find_dropped_dims(spaces: &[&Polyhedron], m: usize) -> Vec<usize> {
+    let Some((first, rest)) = spaces.split_first() else {
         return Vec::new();
-    }
+    };
     // Equalities common to all members (compared as normalised rows).
-    let first = &data_spaces[0];
-    let mut common: Vec<&polymem_poly::Constraint> = first
+    let mut common: Vec<&Constraint> = first
         .constraints()
         .iter()
         .filter(|c| c.kind == ConstraintKind::Eq)
         .collect();
-    for ds in &data_spaces[1..] {
+    for ds in rest {
         common.retain(|c| {
             ds.constraints()
                 .iter()
                 .any(|d| d.kind == ConstraintKind::Eq && d.coeffs == c.coeffs)
         });
     }
-    let n_params = first.n_params();
-    // Greedy selection pass: pick (dim, equality) pairs such that each
-    // equality solves one dim with |coeff| = 1 and never references a
-    // previously dropped dim.
-    let mut picks: Vec<(usize, &polymem_poly::Constraint)> = Vec::new();
+    // Pick dims such that each equality solves one dim with |coeff| = 1
+    // and never references a previously dropped dim.
+    let mut dropped: Vec<usize> = Vec::new();
     for c in common {
-        let is_dropped = |j: usize| picks.iter().any(|(d, _)| *d == j);
         let candidate = (0..m)
             .rev()
-            .find(|&j| c.coeff(j).abs() == 1 && !is_dropped(j));
+            .find(|&j| c.coeff(j).abs() == 1 && !dropped.contains(&j));
         let Some(j) = candidate else { continue };
-        if (0..m).any(|k| k != j && c.coeff(k) != 0 && is_dropped(k)) {
+        if (0..m).any(|k| k != j && c.coeff(k) != 0 && dropped.contains(&k)) {
             continue;
         }
-        picks.push((j, c));
+        dropped.push(j);
     }
-    // Layout pass: express each dropped dim over [kept dims, params, 1].
-    let dropped_idx: Vec<usize> = picks.iter().map(|(d, _)| *d).collect();
-    let kept: Vec<usize> = (0..m).filter(|d| !dropped_idx.contains(d)).collect();
-    let mut dropped: Vec<DroppedDim> = picks
-        .into_iter()
-        .map(|(j, c)| {
-            // c: a_j·x_j + rest = 0  =>  x_j = -rest / a_j  (a_j = ±1).
-            let s = -c.coeff(j);
-            let mut coeffs: Vec<i64> = kept.iter().map(|&k| s * c.coeff(k)).collect();
-            for k in 0..=n_params {
-                coeffs.push(s * c.coeff(m + k));
-            }
-            DroppedDim {
-                dim: j,
-                expr: AffineForm {
-                    coeffs: coeffs.into(),
-                    div: 1,
-                },
-            }
-        })
-        .collect();
-    dropped.sort_by_key(|d| d.dim);
     dropped
 }
 
@@ -459,7 +417,6 @@ mod tests {
         let p = b.build().unwrap();
         let buf = alloc_for(&p, "A");
         assert_eq!(buf.kept_dims, vec![0]);
-        assert!(buf.dropped.is_empty());
         assert_eq!(buf.offsets(&[10]).unwrap(), vec![0]);
         assert_eq!(buf.extents(&[10]).unwrap(), vec![12]);
         assert_eq!(buf.size_words(&[10]).unwrap(), 12);
@@ -515,11 +472,8 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let buf = alloc_for(&p, "D");
+        // Dim 1 equals dim 0 on the diagonal, so only dim 0 is kept.
         assert_eq!(buf.kept_dims, vec![0]);
-        assert_eq!(buf.dropped.len(), 1);
-        assert_eq!(buf.dropped[0].dim, 1);
-        // Dropped dim 1 equals kept dim 0: coeffs [1, 0(param N), 0(const)].
-        assert_eq!(buf.dropped[0].expr.coeffs.0, vec![1, 0, 0]);
         assert_eq!(buf.size_words(&[8]).unwrap(), 8);
     }
 

@@ -10,33 +10,42 @@
 //!
 //! # Key derivation
 //!
-//! [`plan_key`] hashes, with a 128-bit FNV-1a pair (two independent
-//! lanes with distinct offset bases):
+//! A key is the hash of a canonical encoding, written by the same
+//! `Enc` codec that writes the files: [`plan_key`] encodes its inputs
+//! into one buffer and takes a 128-bit FNV-1a pair over it (two lanes
+//! with distinct offset bases). The inputs are
 //!
-//! * the **canonical program IR**: parameter names, array declarations
-//!   (extent [`LinExpr`]s in `BTreeMap` coefficient order), and every
-//!   statement's domain (space names plus constraint rows as
-//!   `(kind, coefficients)` — the same canonical-content discipline
-//!   the polyhedral memoizer keys with), access matrices and body
-//!   expression trees;
-//! * the **analysis configuration** ([`SmemConfig`]): δ, copy-all,
-//!   sample parameters, count budget, partitioning, residency dim,
-//!   plus the optional register-level [`HierSpec`];
+//! * the **program IR** (`put_program`): name, parameter names, array
+//!   declarations (extent [`LinExpr`]s in `BTreeMap` coefficient
+//!   order), and every statement's domain (space names plus constraint
+//!   rows, the same canonical-content discipline the polyhedral
+//!   memoizer keys with), accesses and body expression tree;
+//! * the **analysis configuration** ([`SmemConfig`], every field) and
+//!   the optional register-level [`HierSpec`] (every field);
 //! * the **block-shape parametrization**: the sorted
 //!   `(fixed dim, representative value)` pairs of the symbolic view;
 //! * caller-supplied **salt words** — the machine layer folds in its
 //!   mapping-relevant [`MachineConfig`] fields here, so a GPU plan is
-//!   never served to a Cell-like launch.
+//!   never served to a Cell-like launch;
+//! * the format version and [`schema_hash`], so a new codec layout
+//!   moves every key at once.
+//!
+//! Tune keys (`super::tune::tune_key`) hash their inputs the same way.
+//! Every variable-size field is length-prefixed, so adjacent fields
+//! never alias.
 //!
 //! # Artifact contents and what a load checks
 //!
-//! A [`PlanArtifact`] is the key and the full two-level
-//! [`SymbolicPlan`] (buffers, rewrites, movement ASTs, register level,
-//! residency plans) — §3's result for one block shape, and nothing
-//! derived from it. Plan files and tune files (`super::tune`) share one
-//! envelope ([`seal`] / [`open`]) and one `Enc` / `Dec` codec. A load
-//! runs three layers, and any failure makes [`ArtifactStore::load`]
-//! return `None`, so the caller compiles fresh:
+//! A [`PlanArtifact`] is the key and the two-level [`SymbolicPlan`] —
+//! §3's result for one block shape — holding only what the executors
+//! and the estimator read: buffers (kept dims and bounds), access
+//! rewrites, movement nests with their read/write spaces, the register
+//! level, and the residency scans. Nothing derived from it, and none of
+//! the intermediate sets the passes built it from, is stored. Plan
+//! files and tune files (`super::tune`) share one envelope ([`seal`] /
+//! [`open`]) and one `Enc` / `Dec` codec. A load runs three layers,
+//! and any failure makes [`ArtifactStore::load`] return `None`, so the
+//! caller compiles fresh:
 //!
 //! 1. envelope: magic, version, [`schema_hash`] (a hash of the codec
 //!    layout descriptor, edited whenever any encoded type changes
@@ -65,12 +74,10 @@ use super::residency::{ResidencyPlan, RetainPlan};
 use super::reuse::ReuseDecision;
 use super::{LocalBuffer, SmemConfig, SmemError, SmemPlan};
 use polymem_codegen::ast::{Ast, LoopBounds};
-use polymem_ir::{Expr, LinExpr, Program};
+use polymem_ir::{Access, Expr, LinExpr, Program};
 use polymem_linalg::{IMat, IVec};
 use polymem_poly::bounds::{AffineForm, BoundList};
-use polymem_poly::{
-    AffineMap, Constraint, ConstraintKind, PolyError, PolyUnion, Polyhedron, Space,
-};
+use polymem_poly::{AffineMap, Constraint, ConstraintKind, PolyError, Polyhedron, Space};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write as _};
@@ -86,12 +93,13 @@ pub const MAGIC: [u8; 4] = *b"PMPA";
 /// payloads alike. The schema hash stored in each envelope is the FNV
 /// of this string, so editing any encoder (and this descriptor with it)
 /// invalidates old files even within the same version.
-const SCHEMA: &str = "v1:ivec,imat,space,constraint(kind,coeffs),poly,union,map,\
+const SCHEMA: &str = "v2:ivec,imat,space,constraint(kind,coeffs),poly,map,\
      affform(coeffs,div),boundlist,ast(seq,loop,guard,leaf,empty),\
-     accessid,localaccess,droppeddim,unionbound,localbuffer,\
+     linexpr,expr,access,program(name,params,arrays,stmts),\
+     accessid,localaccess,unionbound,localbuffer(kept,bounds),\
      reusedecision,movement(in,out,rspaces,wspaces),smemplan,\
      hier(plan,ext,threads,kept,stpos,backing,regs),\
-     retain(buffer,atoms,retained,delta,flushdelta,scans3,legal),\
+     retain(buffer,scans3,legal),\
      residency,symbolic(plan,fixed,kept,hier,residency),artifact(key,plan),\
      mapping(scheme,tiles,round,block,seq,thread,spad,db,hier,res),\
      tunerow(mapping,predicted,simulated,exact,preset,note),\
@@ -142,197 +150,11 @@ impl fmt::Display for ArtifactKey {
     }
 }
 
-/// Incremental two-lane FNV-1a hasher used for key derivation. The
-/// write methods length-prefix variable-size inputs, so adjacent
-/// fields can never alias (`"ab","c"` hashes differently from
-/// `"a","bc"`).
-#[derive(Clone, Debug)]
-pub struct KeyHasher {
-    lo: u64,
-    hi: u64,
-}
-
-impl Default for KeyHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KeyHasher {
-    /// A fresh hasher at the FNV offset bases.
-    pub fn new() -> KeyHasher {
-        KeyHasher {
-            lo: FNV_OFFSET,
-            hi: FNV_OFFSET_HI,
-        }
-    }
-
-    /// Raw bytes, length-prefixed.
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.u64(b.len() as u64);
-        self.lo = fnv1a(self.lo, KEY_PRIME, b);
-        self.hi = fnv1a(self.hi, KEY_PRIME, b);
-    }
-
-    /// One word, no prefix.
-    pub fn u64(&mut self, v: u64) {
-        let b = v.to_le_bytes();
-        self.lo = fnv1a(self.lo, KEY_PRIME, &b);
-        self.hi = fnv1a(self.hi, KEY_PRIME, &b);
-    }
-
-    /// One signed word.
-    pub fn i64(&mut self, v: i64) {
-        self.u64(v as u64)
-    }
-
-    /// A string, length-prefixed.
-    pub fn str(&mut self, s: &str) {
-        self.bytes(s.as_bytes())
-    }
-
-    /// A sequence, length-prefixed, each item through `item`.
-    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&mut KeyHasher, &T)) {
-        self.u64(items.len() as u64);
-        for x in items {
-            item(self, x);
-        }
-    }
-
-    /// The finished key.
-    pub fn finish(&self) -> ArtifactKey {
-        ArtifactKey {
-            lo: self.lo,
-            hi: self.hi,
-        }
-    }
-}
-
-fn hash_linexpr(h: &mut KeyHasher, e: &LinExpr) {
-    // BTreeMap iteration order is deterministic by key.
-    h.u64(e.coeffs.len() as u64);
-    for (name, c) in &e.coeffs {
-        h.str(name);
-        h.i64(*c);
-    }
-    h.i64(e.constant);
-}
-
-fn hash_space(h: &mut KeyHasher, s: &Space) {
-    h.seq(s.dims(), |h, d| h.str(d));
-    h.seq(s.params(), |h, p| h.str(p));
-}
-
-fn hash_poly(h: &mut KeyHasher, p: &Polyhedron) {
-    hash_space(h, p.space());
-    h.u64(p.constraints().len() as u64);
-    for c in p.constraints() {
-        h.u64(match c.kind {
-            ConstraintKind::Ineq => 0,
-            ConstraintKind::Eq => 1,
-        });
-        h.seq(&c.coeffs.0, |h, &v| h.i64(v));
-    }
-}
-
-fn hash_map(h: &mut KeyHasher, m: &AffineMap) {
-    hash_space(h, m.in_space());
-    hash_space(h, m.out_space());
-    let mat = m.matrix();
-    h.u64(mat.rows() as u64);
-    h.u64(mat.cols() as u64);
-    for r in 0..mat.rows() {
-        for &v in mat.row(r) {
-            h.i64(v);
-        }
-    }
-}
-
-fn hash_expr(h: &mut KeyHasher, e: &Expr) {
-    match e {
-        Expr::Read(i) => {
-            h.u64(0);
-            h.u64(*i as u64);
-        }
-        Expr::Iter(i) => {
-            h.u64(1);
-            h.u64(*i as u64);
-        }
-        Expr::Param(i) => {
-            h.u64(2);
-            h.u64(*i as u64);
-        }
-        Expr::Const(c) => {
-            h.u64(3);
-            h.i64(*c);
-        }
-        Expr::Add(a, b) => {
-            h.u64(4);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Sub(a, b) => {
-            h.u64(5);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Mul(a, b) => {
-            h.u64(6);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Div(a, b) => {
-            h.u64(7);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Min(a, b) => {
-            h.u64(8);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Max(a, b) => {
-            h.u64(9);
-            hash_expr(h, a);
-            hash_expr(h, b);
-        }
-        Expr::Abs(a) => {
-            h.u64(10);
-            hash_expr(h, a);
-        }
-    }
-}
-
-/// Fold a program's canonical form into `h` — the same
-/// content-not-identity discipline the polyhedral memoizer uses for
-/// constraint systems, extended over the whole IR.
-pub fn hash_program(h: &mut KeyHasher, program: &Program) {
-    h.str(&program.name);
-    h.seq(&program.params, |h, p| h.str(p));
-    h.u64(program.arrays.len() as u64);
-    for a in &program.arrays {
-        h.str(&a.name);
-        h.seq(&a.extents, hash_linexpr);
-    }
-    h.u64(program.stmts.len() as u64);
-    for s in &program.stmts {
-        h.str(&s.name);
-        hash_poly(h, &s.domain);
-        h.u64(s.write.array as u64);
-        hash_map(h, &s.write.map);
-        h.u64(s.reads.len() as u64);
-        for r in &s.reads {
-            h.u64(r.array as u64);
-            hash_map(h, &r.map);
-        }
-        hash_expr(h, &s.body);
-    }
-}
-
 /// The stable content address of the symbolic plan produced by
-/// `analyze_symbolic_hier(program, pairs, cfg, hier)`. `salt` is for
-/// the caller's own mapping-relevant knobs (machine model fields);
-/// same inputs ⇒ same key, across processes and machines.
+/// `analyze_symbolic_hier(program, pairs, cfg, hier)`: the key of its
+/// inputs' canonical encoding (`Enc::key`). `salt` is for the
+/// caller's own mapping-relevant knobs (machine model fields); same
+/// inputs ⇒ same key, across processes and machines.
 pub fn plan_key(
     program: &Program,
     cfg: &SmemConfig,
@@ -340,48 +162,49 @@ pub fn plan_key(
     hier: Option<&HierSpec>,
     salt: &[u64],
 ) -> ArtifactKey {
-    let mut h = KeyHasher::new();
-    h.u64(FORMAT_VERSION as u64);
-    h.u64(schema_hash());
-    hash_program(&mut h, program);
-    // Analysis configuration.
-    h.u64(cfg.delta.to_bits());
-    h.u64(cfg.must_copy_all as u64);
-    h.u64(cfg.staging_pays as u64);
-    h.seq(&cfg.sample_params, |h, &p| h.i64(p));
-    h.u64(cfg.count_budget);
-    h.u64(cfg.partition as u64);
-    match &cfg.residency_dim {
-        Some(d) => {
-            h.u64(1);
-            h.str(d);
-        }
-        None => h.u64(0),
-    }
+    // Destructured, so a new field cannot be left out of the key.
+    let SmemConfig {
+        delta,
+        must_copy_all,
+        staging_pays,
+        sample_params,
+        count_budget,
+        partition,
+        residency_dim,
+    } = cfg;
+    let mut e = Enc::default();
+    e.u32(FORMAT_VERSION);
+    e.u64(schema_hash());
+    put_program(&mut e, program);
+    e.f64(*delta);
+    e.boolean(*must_copy_all);
+    e.boolean(*staging_pays);
+    e.seq(sample_params, |e, &p| e.i64(p));
+    e.u64(*count_budget);
+    e.boolean(*partition);
+    e.opt(residency_dim, |e, d| e.str(d));
     // Block-shape parametrization, order-independent.
     let mut sorted: Vec<&(String, i64)> = pairs.iter().collect();
     sorted.sort();
-    h.u64(sorted.len() as u64);
-    for (name, v) in sorted {
-        h.str(name);
-        h.i64(*v);
-    }
-    // Register level.
-    match hier {
-        Some(spec) => {
-            h.u64(1);
-            h.seq(&spec.thread_dims, |h, d| h.str(d));
-            h.u64(spec.thread_reps.len() as u64);
-            for (d, v) in &spec.thread_reps {
-                h.str(d);
-                h.i64(*v);
-            }
-            h.u64(spec.regs_per_inner);
-        }
-        None => h.u64(0),
-    }
-    h.seq(salt, |h, &w| h.u64(w));
-    h.finish()
+    e.seq(&sorted, |e, (name, v)| {
+        e.str(name);
+        e.i64(*v);
+    });
+    e.opt(&hier, |e, spec| {
+        let HierSpec {
+            thread_dims,
+            thread_reps,
+            regs_per_inner,
+        } = spec;
+        e.seq(thread_dims, |e, d| e.str(d));
+        e.seq(thread_reps, |e, (d, v)| {
+            e.str(d);
+            e.i64(*v);
+        });
+        e.u64(*regs_per_inner);
+    });
+    e.seq(salt, |e, &w| e.u64(w));
+    e.key()
 }
 
 // ---------------------------------------------------------------------------
@@ -406,7 +229,7 @@ impl Enc {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    fn u32(&mut self, v: u32) {
+    pub(super) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     pub(super) fn u64(&mut self, v: u64) {
@@ -441,6 +264,14 @@ impl Enc {
         self.usize(items.len());
         for it in items {
             f(self, it);
+        }
+    }
+    /// The content address of the bytes written so far: two FNV-1a
+    /// lanes with distinct offset bases over the one buffer.
+    pub(super) fn key(&self) -> ArtifactKey {
+        ArtifactKey {
+            lo: fnv1a(FNV_OFFSET, KEY_PRIME, &self.buf),
+            hi: fnv1a(FNV_OFFSET_HI, KEY_PRIME, &self.buf),
         }
     }
 }
@@ -618,15 +449,6 @@ fn get_poly(d: &mut Dec) -> DResult<Polyhedron> {
     Ok(Polyhedron::new(space, cs))
 }
 
-fn put_union(e: &mut Enc, u: &PolyUnion) {
-    e.seq(u.members(), put_poly);
-}
-
-fn get_union(d: &mut Dec) -> DResult<PolyUnion> {
-    let members = d.seq(get_poly)?;
-    PolyUnion::from_members(members).map_err(|_| Corrupt)
-}
-
 fn put_affmap(e: &mut Enc, m: &AffineMap) {
     put_space(e, m.in_space());
     put_space(e, m.out_space());
@@ -669,6 +491,78 @@ fn get_boundlist(d: &mut Dec) -> DResult<BoundList> {
     Ok(BoundList {
         terms: d.seq(get_affform)?,
     })
+}
+
+// --- program IR (key input only: never decoded) ---
+
+fn put_linexpr(e: &mut Enc, l: &LinExpr) {
+    // BTreeMap iteration order is deterministic by key.
+    e.usize(l.coeffs.len());
+    for (name, &c) in &l.coeffs {
+        e.str(name);
+        e.i64(c);
+    }
+    e.i64(l.constant);
+}
+
+fn put_expr(e: &mut Enc, x: &Expr) {
+    let pair = |e: &mut Enc, tag: u8, a: &Expr, b: &Expr| {
+        e.u8(tag);
+        put_expr(e, a);
+        put_expr(e, b);
+    };
+    match x {
+        Expr::Read(i) => {
+            e.u8(0);
+            e.usize(*i);
+        }
+        Expr::Iter(i) => {
+            e.u8(1);
+            e.usize(*i);
+        }
+        Expr::Param(i) => {
+            e.u8(2);
+            e.usize(*i);
+        }
+        Expr::Const(c) => {
+            e.u8(3);
+            e.i64(*c);
+        }
+        Expr::Add(a, b) => pair(e, 4, a, b),
+        Expr::Sub(a, b) => pair(e, 5, a, b),
+        Expr::Mul(a, b) => pair(e, 6, a, b),
+        Expr::Div(a, b) => pair(e, 7, a, b),
+        Expr::Min(a, b) => pair(e, 8, a, b),
+        Expr::Max(a, b) => pair(e, 9, a, b),
+        Expr::Abs(a) => {
+            e.u8(10);
+            put_expr(e, a);
+        }
+    }
+}
+
+fn put_access(e: &mut Enc, a: &Access) {
+    e.usize(a.array);
+    put_affmap(e, &a.map);
+}
+
+/// A program's canonical form — the same content-not-identity
+/// discipline the polyhedral memoizer keys constraint systems with,
+/// over the whole IR: every name, extent, domain, access and body.
+pub(super) fn put_program(e: &mut Enc, p: &Program) {
+    e.str(&p.name);
+    e.seq(&p.params, |e, s| e.str(s));
+    e.seq(&p.arrays, |e, a| {
+        e.str(&a.name);
+        e.seq(&a.extents, put_linexpr);
+    });
+    e.seq(&p.stmts, |e, s| {
+        e.str(&s.name);
+        put_poly(e, &s.domain);
+        put_access(e, &s.write);
+        e.seq(&s.reads, put_access);
+        put_expr(e, &s.body);
+    });
 }
 
 // --- generated loop ASTs ---
@@ -750,38 +644,26 @@ fn put_buffer(e: &mut Enc, b: &LocalBuffer) {
     e.str(&b.array_name);
     e.usize(b.n_array_dims);
     e.seq(&b.kept_dims, |e, &k| e.usize(k));
-    e.seq(&b.dropped, |e, dd| {
-        e.usize(dd.dim);
-        put_affform(e, &dd.expr);
-    });
     e.seq(&b.bounds, |e, ub| {
         e.seq(&ub.lowers, put_boundlist);
         e.seq(&ub.uppers, put_boundlist);
     });
-    e.seq(&b.data_spaces, put_poly);
 }
 
 fn get_buffer(d: &mut Dec) -> DResult<LocalBuffer> {
-    use super::alloc::{DroppedDim, UnionBound};
+    use super::alloc::UnionBound;
     Ok(LocalBuffer {
         id: d.usize()?,
         array: d.usize()?,
         array_name: d.str()?,
         n_array_dims: d.usize()?,
         kept_dims: d.seq(|d| d.usize())?,
-        dropped: d.seq(|d| {
-            Ok(DroppedDim {
-                dim: d.usize()?,
-                expr: get_affform(d)?,
-            })
-        })?,
         bounds: d.seq(|d| {
             Ok(UnionBound {
                 lowers: d.seq(get_boundlist)?,
                 uppers: d.seq(get_boundlist)?,
             })
         })?,
-        data_spaces: d.seq(get_poly)?,
     })
 }
 
@@ -894,10 +776,6 @@ fn get_hier(d: &mut Dec) -> DResult<HierPlan> {
 
 fn put_retain(e: &mut Enc, r: &RetainPlan) {
     e.usize(r.buffer);
-    e.seq(&r.atoms, put_poly);
-    put_union(e, &r.retained);
-    put_union(e, &r.delta_in);
-    put_union(e, &r.flush_delta);
     put_ast(e, &r.retained_scan);
     put_ast(e, &r.delta_scan);
     put_ast(e, &r.flush_scan);
@@ -907,10 +785,6 @@ fn put_retain(e: &mut Enc, r: &RetainPlan) {
 fn get_retain(d: &mut Dec) -> DResult<RetainPlan> {
     Ok(RetainPlan {
         buffer: d.usize()?,
-        atoms: d.seq(get_poly)?,
-        retained: get_union(d)?,
-        delta_in: get_union(d)?,
-        flush_delta: get_union(d)?,
         retained_scan: get_ast(d, 0)?,
         delta_scan: get_ast(d, 0)?,
         flush_scan: get_ast(d, 0)?,
@@ -1034,13 +908,8 @@ fn plan_fits(sp: &SymbolicPlan, program: &Program) -> bool {
     let residency_fits = sp.residency.as_ref().is_none_or(|r| {
         r.plans.iter().all(|(&id, rp)| {
             sp.plan.buffers.get(id).is_some_and(|b| {
-                let rank = b.n_array_dims;
-                let unions = [&rp.retained, &rp.delta_in, &rp.flush_delta];
                 let scans = [&rp.retained_scan, &rp.delta_scan, &rp.flush_scan];
-                rp.buffer == id
-                    && polys_fit(&rp.atoms, rank, n1)
-                    && unions.iter().all(|u| polys_fit(u.members(), rank, n1))
-                    && scans.iter().all(|a| ast_fits(a, 0, n1, rank))
+                rp.buffer == id && scans.iter().all(|a| ast_fits(a, 0, n1, b.n_array_dims))
             })
         })
     });
@@ -1078,10 +947,7 @@ fn smem_plan_fits(plan: &SmemPlan, program: &Program, np: usize, kept: &[Vec<usi
             && (program.arrays.get(b.array)).is_some_and(|a| a.extents.len() == rank)
             && b.kept_dims.len() == b.bounds.len()
             && b.kept_dims.iter().all(|&d| d < rank)
-            && (b.dropped.iter())
-                .all(|dd| dd.dim < rank && dd.expr.coeffs.len() == b.kept_dims.len() + np + 1)
             && bound_lists.all(|l| forms_fit(l, np + 1))
-            && polys_fit(&b.data_spaces, rank, np)
     });
     let rewrites_fit = plan.rewrites.iter().all(|(id, la)| {
         let Some(s) = program.stmts.get(id.stmt) else {
@@ -1407,21 +1273,75 @@ mod tests {
     fn keys_are_stable_and_sensitive() {
         let program = tiled_program();
         let pairs = [("iT".to_string(), 0i64)];
-        let k1 = plan_key(&program, &cfg(), &pairs, None, &[7]);
-        let k2 = plan_key(&program, &cfg(), &pairs, None, &[7]);
-        assert_eq!(k1, k2, "same inputs, same key");
-        // Each input dimension moves the key.
-        assert_ne!(k1, plan_key(&program, &cfg(), &pairs, None, &[8]));
-        let mut c2 = cfg();
-        c2.sample_params = vec![32];
-        assert_ne!(k1, plan_key(&program, &c2, &pairs, None, &[7]));
-        assert_ne!(
+        let hier = HierSpec {
+            thread_dims: vec!["i".into()],
+            thread_reps: vec![("i".into(), 0)],
+            regs_per_inner: 16,
+        };
+        let key = |p: &Program, c: &SmemConfig, h: &HierSpec| plan_key(p, c, &pairs, Some(h), &[7]);
+        let k1 = key(&program, &cfg(), &hier);
+        assert_eq!(k1, key(&program, &cfg(), &hier), "same inputs, same key");
+        // One mutation of each input at a time; every one must give a
+        // key of its own.
+        let mut keys = vec![
             k1,
-            plan_key(&program, &cfg(), &[("iT".into(), 1)], None, &[7])
-        );
-        let mut p2 = tiled_program();
-        p2.stmts[0].body = Expr::Read(0);
-        assert_ne!(k1, plan_key(&p2, &cfg(), &pairs, None, &[7]));
+            plan_key(&program, &cfg(), &pairs, Some(&hier), &[8]),
+            plan_key(&program, &cfg(), &[("iT".into(), 1)], Some(&hier), &[7]),
+            plan_key(&program, &cfg(), &pairs, None, &[7]),
+        ];
+        let programs: [fn(&mut Program); 7] = [
+            |p| p.name.push('2'),
+            |p| p.params[0] = "M".into(),
+            |p| p.arrays[0].extents[0].constant += 1,
+            |p| {
+                let d = &p.stmts[0].domain;
+                let mut cs = d.constraints().to_vec();
+                let c = d.space().const_col();
+                cs[0].coeffs.0[c] += 1;
+                p.stmts[0].domain = Polyhedron::new(d.space().clone(), cs);
+            },
+            |p| {
+                let m = &p.stmts[0].write.map;
+                let mut mat = m.matrix().clone();
+                let c = mat.cols() - 1;
+                mat[(0, c)] += 1;
+                let (i, o) = (m.in_space().clone(), m.out_space().clone());
+                p.stmts[0].write.map = AffineMap::new(i, o, mat);
+            },
+            |p| p.stmts[0].reads[1].array = 0,
+            |p| p.stmts[0].body = Expr::Sub(Box::new(Expr::Read(0)), Box::new(Expr::Read(1))),
+        ];
+        for mutate in programs {
+            let mut p = tiled_program();
+            mutate(&mut p);
+            keys.push(key(&p, &cfg(), &hier));
+        }
+        let configs: [fn(&mut SmemConfig); 7] = [
+            |c| c.delta += 0.1,
+            |c| c.must_copy_all ^= true,
+            |c| c.staging_pays ^= true,
+            |c| c.sample_params = vec![32],
+            |c| c.count_budget += 1,
+            |c| c.partition ^= true,
+            |c| c.residency_dim = None,
+        ];
+        for mutate in configs {
+            let mut c = cfg();
+            mutate(&mut c);
+            keys.push(key(&program, &c, &hier));
+        }
+        let hiers: [fn(&mut HierSpec); 3] = [
+            |h| h.thread_dims = vec!["iT".into()],
+            |h| h.thread_reps[0].1 = 1,
+            |h| h.regs_per_inner += 1,
+        ];
+        for mutate in hiers {
+            let mut h = hier.clone();
+            mutate(&mut h);
+            keys.push(key(&program, &cfg(), &h));
+        }
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "{keys:?}");
         // Pair order is canonicalized away.
         let two = [("a".to_string(), 1i64), ("b".to_string(), 2i64)];
         let rev = [two[1].clone(), two[0].clone()];

@@ -195,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn data_spaces_are_images() {
+    fn a_data_space_is_the_access_image() {
         let p = matvec();
         let x = p.array_index("X").unwrap();
         let refs = collect_refs(&p, x).unwrap();

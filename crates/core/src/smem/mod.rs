@@ -37,7 +37,7 @@ pub mod tune;
 pub use access::LocalAccess;
 pub use alloc::{LocalBuffer, UnionBound};
 pub use artifact::{
-    decode_artifact, encode_artifact, plan_key, ArtifactKey, ArtifactStore, KeyHasher, PlanArtifact,
+    decode_artifact, encode_artifact, plan_key, ArtifactKey, ArtifactStore, PlanArtifact,
 };
 pub use cache::{
     analyze_symbolic, analyze_symbolic_hier, check_parametrizable, ext_params, parametrize_dims,

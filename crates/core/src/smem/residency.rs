@@ -66,7 +66,11 @@
 //!   any seq distance (same relaxation).
 //!
 //! When `flush_legal` is false the executors fall back to the full
-//! move-out flush; the decomposition stays available for analysis.
+//! move-out flush.
+//!
+//! A [`RetainPlan`] keeps no sets beside its three scan nests: the
+//! scans are the decomposition, built from the disjoint pieces this
+//! pass computes, and they are all that runs or is stored of it.
 
 use super::alloc::LocalBuffer;
 use super::movement::{MovementCode, WindowPieces};
@@ -77,34 +81,22 @@ use polymem_poly::diff::difference_all;
 use polymem_poly::{Constraint, ConstraintKind, PolyUnion, Polyhedron};
 use std::collections::HashMap;
 
-/// The residency decomposition for one buffer: retained / delta /
-/// flush-delta sets, all parametric in the same extended parameter
-/// vector as the owning [`SymbolicPlan`](super::SymbolicPlan).
+/// The residency decomposition for one buffer, as the three scan
+/// nests the executors run: each is parametric in the same extended
+/// parameter vector as the owning [`SymbolicPlan`](super::SymbolicPlan)
+/// and visits its set's elements exactly once.
 #[derive(Clone, Debug)]
 pub struct RetainPlan {
     /// The buffer this plan serves.
     pub buffer: BufferId,
-    /// The atomic usage sets: pairwise-disjoint polyhedra partitioning
-    /// the move-in window of instance `s` into retained atoms
-    /// (intersections with the predecessor window) followed by delta
-    /// atoms (the remainder).
-    pub atoms: Vec<Polyhedron>,
-    /// `W(s) ∩ W(s-1)`: elements already resident from the
-    /// predecessor (raw pairwise intersections; may overlap).
-    pub retained: PolyUnion,
-    /// `W(s) \ W(s-1)`: elements that must still be transferred
-    /// (disjoint pieces).
-    pub delta_in: PolyUnion,
-    /// `move_out(s) \ writes(s+1)`: flushed elements the successor
-    /// does not overwrite (disjoint pieces).
-    pub flush_delta: PolyUnion,
-    /// Scan nest over the retained set (each element exactly once), in
-    /// the same form as the movement ASTs.
+    /// Scan nest over the retained set `W(s) ∩ W(s-1)`: elements
+    /// already resident from the predecessor.
     pub retained_scan: Ast,
-    /// Scan nest over the delta set.
+    /// Scan nest over the delta set `W(s) \ W(s-1)`: elements that
+    /// must still be transferred.
     pub delta_scan: Ast,
-    /// Scan nest over the flush-delta set (move-out elements the
-    /// successor does not overwrite).
+    /// Scan nest over the flush delta `move_out(s) \ writes(s+1)`:
+    /// move-out elements the successor does not overwrite.
     pub flush_scan: Ast,
     /// Whether flushing only the flush delta is provably unobservable
     /// (see the module docs for the exact conditions). Executors fall
@@ -328,8 +320,7 @@ pub fn plan_residency(
         if retained_members.is_empty() {
             continue;
         }
-        let retained = PolyUnion::from_members(retained_members)?;
-        let retained_pieces = retained.disjoint_pieces()?;
+        let retained_pieces = PolyUnion::from_members(retained_members)?.disjoint_pieces()?;
         // Delta: the window minus the whole predecessor window,
         // disjoint by construction (window pieces are disjoint and
         // each shrinks further).
@@ -351,18 +342,10 @@ pub fn plan_residency(
         let retained_scan = scan_pieces(&retained_pieces, &[0])?;
         let delta_scan = scan_pieces(&delta_pieces, &[0])?;
         let flush_scan = scan_pieces(&flush_pieces, &[0])?;
-        let delta_in = PolyUnion::from_members(delta_pieces.clone())?;
-        let flush_delta = PolyUnion::from_members(flush_pieces)?;
-        let mut atoms = retained_pieces;
-        atoms.extend(delta_pieces);
         plans.insert(
             mc.buffer,
             RetainPlan {
                 buffer: mc.buffer,
-                atoms,
-                retained,
-                delta_in,
-                flush_delta,
                 retained_scan,
                 delta_scan,
                 flush_scan,
@@ -464,28 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn atoms_are_disjoint_and_cover_the_window() {
-        let t = tiled_window();
-        let (sp, params) = symbolic_with_residency(&t);
-        let res = sp.residency.as_ref().unwrap();
-        let a = t.array_index("A").unwrap();
-        let (mc, buf) = sp
-            .plan
-            .movement
-            .iter()
-            .map(|mc| (mc, &sp.plan.buffers[mc.buffer]))
-            .find(|(_, b)| b.array == a)
-            .unwrap();
-        let rp = &res.plans[&mc.buffer];
-        let ext: Vec<i64> = params.iter().copied().chain([1]).collect();
-        let window = collect_region(|f| for_each_scan(&mc.move_in, buf, &ext, f).unwrap());
-        for g in &window {
-            let n = rp.atoms.iter().filter(|p| p.contains(g, &ext)).count();
-            assert_eq!(n, 1, "element {g:?} lies in {n} atoms");
-        }
-    }
-
-    #[test]
     fn flush_delta_excludes_successor_overwrites() {
         // Two in-place updates, A[i] and A[i+2], i-tiles of 4: tile t
         // writes [4t, 4t+5] and tile t+1 writes [4t+4, 4t+9], so the
@@ -524,23 +485,13 @@ mod tests {
             .unwrap();
         let rp = res.plans.get(&mc.buffer).expect("in-place group retains");
         let ext = [12i64, 1];
-        let mut flushed = std::collections::BTreeSet::new();
-        for piece in rp.flush_delta.members() {
-            let conc = piece.substitute_params(&ext).unwrap();
-            polymem_poly::count::enumerate_points(&conc, 1 << 16, &mut |g| {
-                flushed.insert(g.to_vec());
-            })
-            .unwrap();
-        }
         let want: BTreeSet<Vec<i64>> = (4..8).map(|i| vec![i]).collect();
-        assert_eq!(flushed, want);
-        // Every skipped element is overwritten by the successor and
-        // nothing reads it from global in between: legal to act on.
-        assert!(rp.flush_legal, "in-place update chain is flush-legal");
-        // The scan nest enumerates exactly the same set.
         let buf = &sp.plan.buffers[mc.buffer];
         let scanned = collect_region(|f| for_each_scan(&rp.flush_scan, buf, &ext, f).unwrap());
         assert_eq!(scanned, want);
+        // Every skipped element is overwritten by the successor and
+        // nothing reads it from global in between: legal to act on.
+        assert!(rp.flush_legal, "in-place update chain is flush-legal");
     }
 
     #[test]

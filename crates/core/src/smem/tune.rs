@@ -30,8 +30,7 @@
 //! same codec.
 
 use super::artifact::{
-    atomic_write, decode_all, hash_program, open, schema_hash, seal, ArtifactKey, DResult, Dec,
-    Enc, KeyHasher,
+    atomic_write, decode_all, open, put_program, schema_hash, seal, ArtifactKey, DResult, Dec, Enc,
 };
 use super::descriptors::{transfer_list, DmaChannels, TransferList};
 use super::{AccessId, Result, SmemError, SymbolicPlan};
@@ -541,7 +540,8 @@ pub fn estimate(
 /// The content-addressed key a tune artifact is stored under:
 /// program × params × machine salt × cost constants × candidate space.
 /// The space is the search's own `label` plus every candidate
-/// `(mapping, preset)`, hashed in its tune-file encoding. Any change to
+/// `(mapping, preset)` in its tune-file encoding, and the key hashes
+/// the one encoding of all of it, as `plan_key` does. Any change to
 /// the space (new candidates, new toggles) changes the key, so stale
 /// winners can never shadow a wider search. The plan salt leaves
 /// pricing out, because a plan does not depend on it; a winner does,
@@ -574,12 +574,12 @@ pub fn tune_key<'a>(
         mesh_cols,
         hop_cycles,
     } = *cc;
-    let mut h = KeyHasher::new();
-    h.u64(TUNE_FORMAT_VERSION as u64);
-    h.u64(schema_hash());
-    hash_program(&mut h, program);
-    h.seq(params, |h, &p| h.i64(p));
-    h.seq(salt, |h, &w| h.u64(w));
+    let mut e = Enc::default();
+    e.u32(TUNE_FORMAT_VERSION);
+    e.u64(schema_hash());
+    put_program(&mut e, program);
+    e.seq(params, |e, &p| e.i64(p));
+    e.seq(salt, |e, &w| e.u64(w));
     let words = [
         word_bytes,
         smem_bytes,
@@ -602,16 +602,15 @@ pub fn tune_key<'a>(
         hop_cycles,
     ];
     for w in words.into_iter().chain(prices.map(f64::to_bits)) {
-        h.u64(w);
+        e.u64(w);
     }
-    h.str(label);
-    let mut space = Enc::default();
+    e.str(label);
+    // The space runs to the end of the encoding, so it needs no length.
     for (mapping, preset) in candidates {
-        put_mapping(&mut space, mapping);
-        space.boolean(preset);
+        put_mapping(&mut e, mapping);
+        e.boolean(preset);
     }
-    h.bytes(&space.buf);
-    h.finish()
+    e.key()
 }
 
 /// One ranked candidate in a tune artifact.

@@ -373,14 +373,8 @@ impl<'a> Cursor<'a> {
         }
         self.changed = n;
         match self.bump_below(n) {
-            Some(d) => {
-                if self.seek(d)? {
-                    Ok(Some(self.changed))
-                } else {
-                    Ok(None)
-                }
-            }
-            None => Ok(None),
+            Some(d) if self.seek(d)? => Ok(Some(self.changed)),
+            _ => Ok(None),
         }
     }
 

@@ -466,11 +466,9 @@ pub(crate) fn smem_config(
 
 /// Map point-budget exhaustion to its typed machine error; everything
 /// else stays a polyhedral error.
-pub(crate) fn budget_error(e: polymem_poly::PolyError) -> MachineError {
+pub(crate) fn budget_error(e: PolyError) -> MachineError {
     match e {
-        polymem_poly::PolyError::TooManyPoints { budget } => {
-            MachineError::EnumerationBudget { budget }
-        }
+        PolyError::TooManyPoints { budget } => MachineError::EnumerationBudget { budget },
         other => MachineError::Poly(other),
     }
 }
@@ -546,12 +544,9 @@ impl<'a> LaunchShared<'a> {
     ) -> Result<LaunchShared<'a>> {
         let program = &kernel.program;
         let n = program.stmts.len();
-        let mut common = vec![vec![0usize; n]; n];
-        for (a, row) in common.iter_mut().enumerate() {
-            for (b, c) in row.iter_mut().enumerate() {
-                *c = program.common_depth(a, b);
-            }
-        }
+        let common = (0..n)
+            .map(|a| (0..n).map(|b| program.common_depth(a, b)).collect())
+            .collect();
         let sids = resolve_array_ids(program, store)?;
         let mut ext = Vec::with_capacity(program.arrays.len());
         for (a, &id) in program.arrays.iter().zip(&sids) {

@@ -9,6 +9,7 @@ use polymem_ir::Statement;
 use polymem_poly::bounds::{bound_cascade, DimBounds};
 use polymem_poly::count::enumerate_with_cascade;
 use polymem_poly::Polyhedron;
+use std::ops::ControlFlow;
 
 /// One tier of the launch grid: the lead statement's shadow on the
 /// tier's dims, parametric in the program parameters and the dims of
@@ -23,10 +24,16 @@ struct Tier {
 }
 
 impl Tier {
-    fn values(&self, outer: &[i64], budget: u64) -> Result<Vec<Vec<i64>>> {
+    /// The first `limit` values under `outer`, in lexicographic order.
+    fn values(&self, outer: &[i64], budget: u64, limit: usize) -> Result<Vec<Vec<i64>>> {
         let mut out = Vec::new();
         enumerate_with_cascade(&self.shadow, &self.cascade, outer, budget, &mut |p| {
-            out.push(p.to_vec())
+            out.push(p.to_vec());
+            if out.len() < limit {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
         })
         .map_err(budget_error)?;
         Ok(out)
@@ -121,7 +128,7 @@ impl LaunchGrid {
             // The projection keeps domain order, whatever order the
             // level listed its dims in.
             let here = tier.shadow.space().dims().to_vec();
-            let v0 = tier.values(&grid.first, budget)?.into_iter().next();
+            let v0 = tier.values(&grid.first, budget, 1)?.pop();
             if thread {
                 grid.thread_reps = v0.map(|v| here.into_iter().zip(v).collect());
                 continue;
@@ -154,7 +161,7 @@ impl LaunchGrid {
         let Some(tier) = self.tiers.get(k).and_then(Option::as_ref) else {
             return Ok(vec![outer.to_vec()]);
         };
-        let vals = tier.values(outer, self.budget)?;
+        let vals = tier.values(outer, self.budget, usize::MAX)?;
         if vals.is_empty() == tier.pinned {
             return Err(shape_error(
                 "evaluating the launch shape at a sub-block that fixes different dims",

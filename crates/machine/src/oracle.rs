@@ -11,6 +11,7 @@ use crate::Result;
 use polymem_core::smem::{flatten, AccessId, HierPlan};
 use polymem_ir::ArrayStore;
 use polymem_poly::count::enumerate_with_cascade;
+use std::ops::ControlFlow;
 
 /// The reference per-point interpreter for one sub-block's compute
 /// phase: enumerate every statement's instances through the launch's
@@ -51,7 +52,10 @@ pub(crate) fn interpreted_compute(
             &l.cascade,
             pparams,
             launch.config.enum_budget,
-            &mut |p| instances.push((si, l.full_point(p, pparams))),
+            &mut |p| {
+                instances.push((si, l.full_point(p, pparams)));
+                ControlFlow::Continue(())
+            },
         )
         .map_err(budget_error)?;
     }

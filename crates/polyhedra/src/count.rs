@@ -17,6 +17,7 @@
 use crate::bounds::{bound_cascade, dim_bounds, DimBounds};
 use crate::set::Polyhedron;
 use crate::{PolyError, Result};
+use std::ops::ControlFlow;
 
 /// Exact number of integer points in a non-parametric polytope.
 pub fn count_points(poly: &Polyhedron, budget: u64) -> Result<u64> {
@@ -42,7 +43,10 @@ pub fn enumerate_points(
     // Bound cascade: bounds of dim j in the context of dims 0..j,
     // derived incrementally from the suffix projections.
     let cascade: Vec<DimBounds> = bound_cascade(poly)?;
-    enumerate_with_cascade(poly, &cascade, &[], budget, visit)
+    enumerate_with_cascade(poly, &cascade, &[], budget, &mut |p| {
+        visit(p);
+        ControlFlow::Continue(())
+    })
 }
 
 /// Visit every integer point of a *parametric* polytope at the given
@@ -52,13 +56,15 @@ pub fn enumerate_points(
 /// depends only on the symbolic polyhedron, a caller enumerating the
 /// same shape at many parameter vectors — e.g. the blocked executor
 /// visiting every block of a tiled domain — derives it once and pays
-/// only bound evaluation per instance.
+/// only bound evaluation per instance. `visit` ends the scan early by
+/// answering [`ControlFlow::Break`]: a caller after the first few
+/// points pays for those and no others.
 pub fn enumerate_with_cascade(
     poly: &Polyhedron,
     cascade: &[DimBounds],
     qvals: &[i64],
     budget: u64,
-    visit: &mut dyn FnMut(&[i64]),
+    visit: &mut dyn FnMut(&[i64]) -> ControlFlow<()>,
 ) -> Result<()> {
     let _timer = crate::cache::CoreTimer::enter();
     if qvals.len() != poly.n_params() || cascade.len() != poly.n_dims() {
@@ -69,7 +75,7 @@ pub fn enumerate_with_cascade(
     if cascade.is_empty() {
         // Zero-dimensional set: the single (empty) point, if any.
         if poly.contains(&[], qvals) {
-            visit(&[]);
+            let _ = visit(&[]);
         }
         return Ok(());
     }
@@ -85,6 +91,7 @@ pub fn enumerate_with_cascade(
         &mut visited,
         visit,
     )
+    .map(|_| ())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -96,8 +103,8 @@ fn scan(
     point: &mut Vec<i64>,
     budget: u64,
     visited: &mut u64,
-    visit: &mut dyn FnMut(&[i64]),
-) -> Result<()> {
+    visit: &mut dyn FnMut(&[i64]) -> ControlFlow<()>,
+) -> Result<ControlFlow<()>> {
     let n = cascade.len();
     let ctx = point[..depth].to_vec();
     let Some((lo, hi)) = cascade[depth].eval_range(&ctx, qvals) else {
@@ -105,7 +112,7 @@ fn scan(
         if cascade[depth].lower.is_unbounded() || cascade[depth].upper.is_unbounded() {
             return Err(PolyError::Unbounded);
         }
-        return Ok(()); // empty range here
+        return Ok(ControlFlow::Continue(())); // empty range here
     };
     for v in lo..=hi {
         point[depth] = v;
@@ -118,22 +125,26 @@ fn scan(
                 if *visited > budget {
                     return Err(PolyError::TooManyPoints { budget });
                 }
-                visit(point);
+                if visit(point).is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
             }
-        } else {
-            scan(
-                poly,
-                cascade,
-                qvals,
-                depth + 1,
-                point,
-                budget,
-                visited,
-                visit,
-            )?;
+        } else if scan(
+            poly,
+            cascade,
+            qvals,
+            depth + 1,
+            point,
+            budget,
+            visited,
+            visit,
+        )?
+        .is_break()
+        {
+            return Ok(ControlFlow::Break(()));
         }
     }
-    Ok(())
+    Ok(ControlFlow::Continue(()))
 }
 
 /// A fast upper bound on the number of integer points: the product of
@@ -238,6 +249,21 @@ mod tests {
             ],
         );
         assert_eq!(count_points(&p, 100).unwrap(), 2);
+    }
+
+    #[test]
+    fn a_visitor_can_stop_the_scan() {
+        // The first point comes back under a budget of one: the scan
+        // ends before it reaches a second.
+        let t = triangle_n(10);
+        let cascade = bound_cascade(&t).unwrap();
+        let mut seen = Vec::new();
+        enumerate_with_cascade(&t, &cascade, &[], 1, &mut |p| {
+            seen.push(p.to_vec());
+            ControlFlow::Break(())
+        })
+        .unwrap();
+        assert_eq!(seen, [vec![0, 0]]);
     }
 
     #[test]

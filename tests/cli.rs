@@ -221,6 +221,18 @@ fn key_is_stable_across_processes() {
 }
 
 #[test]
+fn key_of_a_huge_size_reads_one_grid_point() {
+    // A key needs the first point of each launch tier, not the tier:
+    // a 2^18-square matmul in 4 x 4 tiles has 2^32 blocks, which the
+    // grid used to list in full before it read the first.
+    let (stdout, stderr, code) = polymem_code(&["key", "matmul", "--size", "262144"], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    let digest = stdout.trim();
+    assert_eq!(digest.len(), 32, "{digest}");
+    assert!(digest.chars().all(|c| c.is_ascii_hexdigit()), "{digest}");
+}
+
+#[test]
 fn tune_ranks_candidates_and_run_tuned_reuses_the_artifact() {
     let dir = std::env::temp_dir().join("polymem_cli_tune");
     let _ = std::fs::remove_dir_all(&dir);

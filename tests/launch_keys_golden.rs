@@ -10,9 +10,11 @@
 //! `--double-buffer`} × {gpu, cell}; `launch_keys_golden.txt` must
 //! stay untouched by a refactor, and is re-recorded only when the
 //! machine salt itself changes (it holds what changes the plan) or
-//! when the artifact schema changes (every key hashes `schema_hash()`,
-//! so a new codec layout moves every key at once, and the `none` lines
-//! stay `none`).
+//! when the codec changes: a key is the hash of the codec's encoding
+//! of its inputs, `schema_hash()` included, so editing the layout
+//! descriptor or any encoder a key writes moves every key at once. A
+//! re-record moves every key line and no `none` line (a launch that
+//! stages nothing has no key).
 //!
 //! Since the collapse the same file also pins the in-process resolver
 //! and the tuner's preset row: `tunespace::build` of the pinned preset
