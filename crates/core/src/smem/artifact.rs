@@ -39,8 +39,9 @@
 //! A [`PlanArtifact`] is the key and the two-level [`SymbolicPlan`] —
 //! §3's result for one block shape — holding only what the executors
 //! and the estimator read: buffers (kept dims and bounds), access
-//! rewrites, movement nests with their read/write spaces, the register
-//! level, and the residency scans. Nothing derived from it, and none of
+//! rewrites, the movement nests, the register level, and the residency
+//! scans. It holds no polyhedra: the data spaces the passes planned
+//! from stay in memory. Nothing derived from it, and none of
 //! the intermediate sets the passes built it from, is stored. Plan
 //! files and tune files (`super::tune`) share one envelope ([`seal`] /
 //! [`open`]) and one `Enc` / `Dec` codec. A load runs three layers,
@@ -54,8 +55,9 @@
 //!    staleness, since it hashes the program and everything else the
 //!    plan depends on.
 //! 2. decode: every length is bounds-checked against the remaining
-//!    payload and every polyhedron / map is rebuilt through the same
-//!    validating constructors the passes use.
+//!    payload, and every map, bound and scan nest is rebuilt through
+//!    the same validating constructors the passes use. No polyhedron
+//!    is parsed: only the keys encode any.
 //! 3. fit (`plan_fits`): every index and arity the executor trusts —
 //!    array indices and ranks, statement and access ids, buffer ids,
 //!    kept dims, the parameter count at each level — is in range for
@@ -93,13 +95,13 @@ pub const MAGIC: [u8; 4] = *b"PMPA";
 /// payloads alike. The schema hash stored in each envelope is the FNV
 /// of this string, so editing any encoder (and this descriptor with it)
 /// invalidates old files even within the same version.
-const SCHEMA: &str = "v2:ivec,imat,space,constraint(kind,coeffs),poly,map,\
+const SCHEMA: &str = "v3:ivec,imat,space,constraint(kind,coeffs),poly,map,\
      affform(coeffs,div),boundlist,ast(seq,loop,guard,leaf,empty),\
      linexpr,expr,access,program(name,params,arrays,stmts),\
      accessid,localaccess,unionbound,localbuffer(kept,bounds),\
-     reusedecision,movement(in,out,rspaces,wspaces),smemplan,\
+     reusedecision,movement(in,out),smemplan,\
      hier(plan,ext,threads,kept,stpos,backing,regs),\
-     retain(buffer,scans3,legal),\
+     retain(scans3,legal),\
      residency,symbolic(plan,fixed,kept,hier,residency),artifact(key,plan),\
      mapping(scheme,tiles,round,block,seq,thread,spad,db,hier,res),\
      tunerow(mapping,predicted,simulated,exact,preset,note),\
@@ -368,9 +370,9 @@ fn put_ivec(e: &mut Enc, v: &IVec) {
     e.seq(&v.0, |e, &x| e.i64(x));
 }
 
-/// `i64::MIN` never occurs in a plan, and is the one coefficient the
-/// polyhedral core cannot negate: refusing it here keeps a corrupt row
-/// from overflowing inside `Polyhedron::new`'s normalisation.
+/// `i64::MIN` never occurs in a plan, and is the one coefficient that
+/// cannot be negated: refusing it here keeps it out of the bound and
+/// guard arithmetic a loaded plan runs.
 fn get_ivec(d: &mut Dec) -> DResult<IVec> {
     let v = d.seq(|d| match d.i64()? {
         i64::MIN => Err(Corrupt),
@@ -435,18 +437,6 @@ fn get_constraint(d: &mut Dec) -> DResult<Constraint> {
 fn put_poly(e: &mut Enc, p: &Polyhedron) {
     put_space(e, p.space());
     e.seq(p.constraints(), put_constraint);
-}
-
-fn get_poly(d: &mut Dec) -> DResult<Polyhedron> {
-    let space = get_space(d)?;
-    let cs = d.seq(get_constraint)?;
-    // `Polyhedron::new` asserts row width; re-check here so a corrupt
-    // file degrades to a decode failure instead of a panic.
-    let width = space.n_cols();
-    if cs.iter().any(|c| c.coeffs.0.len() != width) {
-        return Err(Corrupt);
-    }
-    Ok(Polyhedron::new(space, cs))
 }
 
 fn put_affmap(e: &mut Enc, m: &AffineMap) {
@@ -671,8 +661,6 @@ fn put_movement(e: &mut Enc, m: &MovementCode) {
     e.usize(m.buffer);
     put_ast(e, &m.move_in);
     put_ast(e, &m.move_out);
-    e.seq(&m.read_spaces, put_poly);
-    e.seq(&m.write_spaces, put_poly);
 }
 
 fn get_movement(d: &mut Dec) -> DResult<MovementCode> {
@@ -680,8 +668,6 @@ fn get_movement(d: &mut Dec) -> DResult<MovementCode> {
         buffer: d.usize()?,
         move_in: get_ast(d, 0)?,
         move_out: get_ast(d, 0)?,
-        read_spaces: d.seq(get_poly)?,
-        write_spaces: d.seq(get_poly)?,
     })
 }
 
@@ -775,7 +761,6 @@ fn get_hier(d: &mut Dec) -> DResult<HierPlan> {
 }
 
 fn put_retain(e: &mut Enc, r: &RetainPlan) {
-    e.usize(r.buffer);
     put_ast(e, &r.retained_scan);
     put_ast(e, &r.delta_scan);
     put_ast(e, &r.flush_scan);
@@ -784,7 +769,6 @@ fn put_retain(e: &mut Enc, r: &RetainPlan) {
 
 fn get_retain(d: &mut Dec) -> DResult<RetainPlan> {
     Ok(RetainPlan {
-        buffer: d.usize()?,
         retained_scan: get_ast(d, 0)?,
         delta_scan: get_ast(d, 0)?,
         flush_scan: get_ast(d, 0)?,
@@ -909,7 +893,7 @@ fn plan_fits(sp: &SymbolicPlan, program: &Program) -> bool {
         r.plans.iter().all(|(&id, rp)| {
             sp.plan.buffers.get(id).is_some_and(|b| {
                 let scans = [&rp.retained_scan, &rp.delta_scan, &rp.flush_scan];
-                rp.buffer == id && scans.iter().all(|a| ast_fits(a, 0, n1, b.n_array_dims))
+                scans.iter().all(|a| ast_fits(a, 0, n1, b.n_array_dims))
             })
         })
     });
@@ -969,10 +953,7 @@ fn smem_plan_fits(plan: &SmemPlan, program: &Program, np: usize, kept: &[Vec<usi
     let movement_fits = plan.movement.iter().all(|mc| {
         plan.buffers.get(mc.buffer).is_some_and(|b| {
             let rank = b.n_array_dims;
-            ast_fits(&mc.move_in, 0, np, rank)
-                && ast_fits(&mc.move_out, 0, np, rank)
-                && polys_fit(&mc.read_spaces, rank, np)
-                && polys_fit(&mc.write_spaces, rank, np)
+            ast_fits(&mc.move_in, 0, np, rank) && ast_fits(&mc.move_out, 0, np, rank)
         })
     });
     buffers_fit && rewrites_fit && movement_fits
@@ -981,11 +962,6 @@ fn smem_plan_fits(plan: &SmemPlan, program: &Program, np: usize, kept: &[Vec<usi
 /// Every term of `b` spans `width` columns.
 fn forms_fit(b: &BoundList, width: usize) -> bool {
     b.terms.iter().all(|t| t.coeffs.len() == width)
-}
-
-/// Every polyhedron lives in `dims` dims over `np` parameters.
-fn polys_fit(ps: &[Polyhedron], dims: usize, np: usize) -> bool {
-    (ps.iter()).all(|p| p.space().n_dims() == dims && p.space().n_params() == np)
 }
 
 /// A scan nest over `np` parameters, entered `depth` loops deep, whose

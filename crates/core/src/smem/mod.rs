@@ -11,8 +11,7 @@
 //!    the parametric per-dimension bounds of the group's convex union;
 //! 5. [`access`] — rewrite each reference to `L[F'(y) − g]`;
 //! 6. [`movement`] — emit move-in (read spaces) and move-out (write
-//!    spaces) loop nests with the single-transfer property, plus
-//!    volume upper bounds;
+//!    spaces) loop nests with the single-transfer property;
 //! 7. [`liveness`] — (§3.1.4 extension) shrink copy sets using
 //!    dependence information.
 //!
@@ -198,6 +197,27 @@ pub struct SmemPlan {
 }
 
 impl SmemPlan {
+    /// Whether `buffer` is ever written: some write access is rewritten
+    /// into it. Every member reference of a group is rewritten, and the
+    /// register level keeps the rewrites of every frame it keeps, so
+    /// this says exactly whether the group has a write member, i.e.
+    /// whether its move-out nest scans any write data space.
+    pub fn is_written(&self, buffer: BufferId) -> bool {
+        (self.rewrites.iter()).any(|(id, la)| la.buffer == buffer && id.is_write())
+    }
+
+    /// Whether `buffer`'s staging hoists past the seq loop (§4.2): its
+    /// array is one of `seq_independent` (none of its accesses depend
+    /// on the seq dims) *and* materialises as exactly one buffer. With
+    /// separate read and write buffers, parking by array would keep
+    /// only the last-parked buffer and lose the other's writes. The one
+    /// rule the executor stages by and the estimator prices by.
+    pub fn hoists(&self, buffer: BufferId, seq_independent: &[usize]) -> bool {
+        let array = self.buffers[buffer].array;
+        seq_independent.contains(&array)
+            && self.buffers.iter().filter(|b| b.array == array).count() == 1
+    }
+
     /// Total local-memory words needed by all buffers at concrete
     /// parameter values.
     pub fn total_buffer_words(&self, params: &[i64]) -> Result<u64> {
@@ -248,9 +268,10 @@ pub fn analyze_program_timed(
     analyze_program_windows(program, config).map(|(plan, times, _)| (plan, times))
 }
 
-/// [`analyze_program_timed`] plus, parallel to `plan.movement`, the
-/// disjoint window pieces the movement pass scanned — the in-memory
-/// by-product [`plan_residency`] builds its deltas from.
+/// [`analyze_program_timed`] plus, parallel to `plan.movement`, each
+/// group's data spaces and the disjoint window pieces the movement
+/// pass scanned — the in-memory by-product [`plan_residency`] plans
+/// from.
 pub fn analyze_program_windows(
     program: &Program,
     config: &SmemConfig,

@@ -11,13 +11,10 @@
 //! disjoint pieces once and scans those
 //! ([`polymem_codegen::scan_pieces`]), so each element is
 //! loaded/stored exactly once — the paper's single-transfer property,
-//! and precisely the two-nest shape of its Fig. 1 example. The pieces
-//! go on to the residency pass as [`WindowPieces`].
-//!
-//! The module also computes the §3.1.3 upper bounds on moved volume
-//! (`V_in`/`V_out`): the total buffer space needed by the maximal
-//! non-overlapping sub-partitions of the read (resp. write) data
-//! spaces.
+//! and precisely the two-nest shape of its Fig. 1 example. The two
+//! nests are all a [`MovementCode`] holds: the data spaces and pieces
+//! they were built from go on to the residency pass in memory, as
+//! [`WindowPieces`], and never into a plan file.
 
 use super::alloc::LocalBuffer;
 use super::dataspace::RefInfo;
@@ -25,7 +22,7 @@ use super::Result;
 use polymem_codegen::{scan_pieces, Ast};
 use polymem_poly::{PolyUnion, Polyhedron};
 
-/// Generated movement code and volume bounds for one buffer.
+/// Generated movement code for one buffer: its two scan nests.
 #[derive(Clone, Debug)]
 pub struct MovementCode {
     /// The buffer this code serves.
@@ -34,10 +31,6 @@ pub struct MovementCode {
     pub move_in: Ast,
     /// Loop nest copying local → global (scans write data spaces).
     pub move_out: Ast,
-    /// Data spaces of the read references (full array dims).
-    pub read_spaces: Vec<Polyhedron>,
-    /// Data spaces of the write references.
-    pub write_spaces: Vec<Polyhedron>,
 }
 
 impl MovementCode {
@@ -51,27 +44,19 @@ impl MovementCode {
     pub fn move_out_count(&self, params: &[i64]) -> u64 {
         self.move_out.count_visits(params)
     }
-
-    /// §3.1.3 upper bound on the volume moved in: total buffer space
-    /// of the maximal non-overlapping sub-partitions of the read data
-    /// spaces.
-    pub fn vin_bound(&self, buffer: &LocalBuffer, params: &[i64]) -> Result<u64> {
-        volume_bound(buffer, &self.read_spaces, params)
-    }
-
-    /// §3.1.3 upper bound on the volume moved out (write data spaces).
-    pub fn vout_bound(&self, buffer: &LocalBuffer, params: &[i64]) -> Result<u64> {
-        volume_bound(buffer, &self.write_spaces, params)
-    }
 }
 
-/// The disjoint pieces of one buffer's read and write windows, as
-/// [`generate_movement`] decomposed them for its two nests. Kept in
-/// memory next to the [`MovementCode`] (never serialised) so that
-/// [`plan_residency`](super::plan_residency) does not decompose the
-/// windows again.
+/// One buffer's read and write windows: its member data spaces and the
+/// disjoint pieces [`generate_movement`] decomposed their unions into
+/// for its two nests. Kept in memory next to the [`MovementCode`]
+/// (never serialised): [`plan_residency`](super::plan_residency) reads
+/// the spaces and does not decompose the windows again.
 #[derive(Clone, Debug)]
 pub struct WindowPieces {
+    /// Data spaces of the read references (full array dims).
+    pub read_spaces: Vec<Polyhedron>,
+    /// Data spaces of the write references.
+    pub write_spaces: Vec<Polyhedron>,
     /// `move_in`'s pieces: the union of `read_spaces`, disjoint.
     pub read: Vec<Polyhedron>,
     /// `move_out`'s pieces: the union of `write_spaces`, disjoint.
@@ -79,94 +64,32 @@ pub struct WindowPieces {
 }
 
 /// Generate movement code for a buffer from its member references,
-/// plus the window decomposition its nests scan.
+/// plus the windows its nests scan.
 pub fn generate_movement(
     buffer: &LocalBuffer,
     members: &[&RefInfo],
 ) -> Result<(MovementCode, WindowPieces)> {
-    let read_spaces: Vec<Polyhedron> = members
-        .iter()
-        .filter(|r| !r.id.is_write())
-        .map(|r| r.data_space.clone())
-        .collect();
-    let write_spaces: Vec<Polyhedron> = members
-        .iter()
-        .filter(|r| r.id.is_write())
-        .map(|r| r.data_space.clone())
-        .collect();
-    let pieces = WindowPieces {
-        read: PolyUnion::from_members(read_spaces.clone())?.disjoint_pieces()?,
-        write: PolyUnion::from_members(write_spaces.clone())?.disjoint_pieces()?,
+    let spaces = |write: bool| -> Vec<Polyhedron> {
+        (members.iter())
+            .filter(|r| r.id.is_write() == write)
+            .map(|r| r.data_space.clone())
+            .collect()
     };
+    let (read_spaces, write_spaces) = (spaces(false), spaces(true));
+    let read = PolyUnion::from_members(read_spaces.clone())?.disjoint_pieces()?;
+    let write = PolyUnion::from_members(write_spaces.clone())?.disjoint_pieces()?;
     let code = MovementCode {
         buffer: buffer.id,
-        move_in: scan_pieces(&pieces.read, &[0])?,
-        move_out: scan_pieces(&pieces.write, &[0])?,
+        move_in: scan_pieces(&read, &[0])?,
+        move_out: scan_pieces(&write, &[0])?,
+    };
+    let window = WindowPieces {
         read_spaces,
         write_spaces,
+        read,
+        write,
     };
-    Ok((code, pieces))
-}
-
-/// Sum of buffer-space needs over maximal non-overlapping groups of
-/// `spaces` (the paper's V_in/V_out estimation).
-fn volume_bound(buffer: &LocalBuffer, spaces: &[Polyhedron], params: &[i64]) -> Result<u64> {
-    if spaces.is_empty() {
-        return Ok(0);
-    }
-    // Group by overlap, then apply Algorithm 2's sizing per group.
-    let n = spaces.len();
-    let mut group_of: Vec<usize> = (0..n).collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let inter = spaces[i].intersect(&spaces[j])?;
-            let concrete = inter.substitute_params(params)?;
-            if !concrete.is_empty()? {
-                let (gi, gj) = (group_of[i], group_of[j]);
-                if gi != gj {
-                    for g in &mut group_of {
-                        if *g == gj {
-                            *g = gi;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let mut total = 0u64;
-    let mut seen: Vec<usize> = Vec::new();
-    for g in 0..n {
-        if group_of[g] != g || seen.contains(&g) {
-            continue;
-        }
-        seen.push(g);
-        let members: Vec<Polyhedron> = (0..n)
-            .filter(|&k| group_of[k] == g)
-            .map(|k| spaces[k].clone())
-            .collect();
-        // Size the group directly via per-dim union bounds over the
-        // buffer's kept dims.
-        let mut size: u64 = 1;
-        for &d in &buffer.kept_dims {
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for m in &members {
-                let b = polymem_poly::bounds::dim_bounds(m, d, 0)?;
-                let Some((l, h)) = b.eval_range(&[], params) else {
-                    continue;
-                };
-                lo = lo.min(l);
-                hi = hi.max(h);
-            }
-            if hi < lo {
-                size = 0;
-                break;
-            }
-            size = size.saturating_mul((hi - lo + 1) as u64);
-        }
-        total = total.saturating_add(size);
-    }
-    Ok(total)
+    Ok((code, window))
 }
 
 /// Walk a scan nest against a buffer's layout:
@@ -247,15 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn volume_bounds_match_box_sizes() {
-        let p = stencil();
-        let (buf, code) = setup(&p, "A");
-        // One overlapping read group: box [0, N] = N+1 words.
-        assert_eq!(code.vin_bound(&buf, &[10]).unwrap(), 11);
-        assert_eq!(code.vout_bound(&buf, &[10]).unwrap(), 10);
-    }
-
-    #[test]
     fn local_indices_respect_offsets() {
         // for i in [5, 9]: Out[i-5] = A[i]; buffer offset 5.
         let mut b = ProgramBuilder::new("p", ["N"]);
@@ -279,9 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_read_groups_counted_separately_in_vin() {
+    fn disjoint_read_groups_move_only_their_elements() {
         // Reads A[i] over [0, N-1] and A[i + 2N] over [2N, 3N-1]:
-        // Vin = N + N, not the 3N-wide hull.
+        // N + N elements move in, not the 3N-wide hull.
         let mut b = ProgramBuilder::new("p", ["N"]);
         b.array("A", &[v("N") * 3]);
         b.array("Out", &[v("N")]);
@@ -294,7 +208,7 @@ mod tests {
             .done();
         let p = b.build().unwrap();
         let (buf, code) = setup(&p, "A");
-        assert_eq!(code.vin_bound(&buf, &[10]).unwrap(), 20);
+        assert_eq!(code.move_in_count(&[10]), 20);
         // While the single buffer spans the hull (30 words):
         assert_eq!(buf.size_words(&[10]).unwrap(), 30);
     }

@@ -68,12 +68,15 @@
 //! When `flush_legal` is false the executors fall back to the full
 //! move-out flush.
 //!
-//! A [`RetainPlan`] keeps no sets beside its three scan nests: the
+//! Every set this pass tests — a group's read and write data spaces,
+//! and the other groups' — comes from the [`WindowPieces`] the movement
+//! pass hands it in memory; the plan holds no data spaces. A
+//! [`RetainPlan`] keeps no sets beside its three scan nests either: the
 //! scans are the decomposition, built from the disjoint pieces this
-//! pass computes, and they are all that runs or is stored of it.
+//! pass computes, and they are all that runs or is stored of it. The
+//! buffer a plan serves is its key in [`ResidencyPlan::plans`].
 
-use super::alloc::LocalBuffer;
-use super::movement::{MovementCode, WindowPieces};
+use super::movement::WindowPieces;
 use super::{BufferId, Result, SmemPlan};
 use polymem_codegen::{scan_pieces, Ast};
 use polymem_ir::Program;
@@ -87,8 +90,6 @@ use std::collections::HashMap;
 /// and visits its set's elements exactly once.
 #[derive(Clone, Debug)]
 pub struct RetainPlan {
-    /// The buffer this plan serves.
-    pub buffer: BufferId,
     /// Scan nest over the retained set `W(s) ∩ W(s-1)`: elements
     /// already resident from the predecessor.
     pub retained_scan: Ast,
@@ -159,27 +160,46 @@ fn relax_seq(poly: &Polyhedron, param_idx: usize) -> Polyhedron {
     Polyhedron::new(poly.space().clone(), rows)
 }
 
-/// Whether retaining `mc`'s window across sub-tiles is legal: no write
-/// to the array can reach global memory behind the retained copy's
-/// back. See the module docs for the exact conditions.
+/// The array group `g` of `plan` stages.
+fn group_array(plan: &SmemPlan, g: usize) -> usize {
+    plan.buffers[plan.movement[g].buffer].array
+}
+
+/// The windows of the groups other than group `g` that stage group
+/// `g`'s array.
+fn other_windows<'a>(
+    plan: &'a SmemPlan,
+    windows: &'a [WindowPieces],
+    g: usize,
+) -> impl Iterator<Item = &'a WindowPieces> {
+    let array = group_array(plan, g);
+    (windows.iter().enumerate())
+        .filter(move |&(j, _)| j != g && group_array(plan, j) == array)
+        .map(|(_, w)| w)
+}
+
+/// Whether retaining group `g`'s window across sub-tiles is legal: no
+/// write to the array can reach global memory behind the retained
+/// copy's back. See the module docs for the exact conditions.
 fn retention_legal(
     program: &Program,
     plan: &SmemPlan,
-    mc: &MovementCode,
-    buffer: &LocalBuffer,
+    windows: &[WindowPieces],
+    g: usize,
     seq_idx: usize,
 ) -> Result<bool> {
+    let window = &windows[g];
     // (a) An unrewritten write updates global memory directly; the
     // retained copy goes stale only if that write's data space can
     // touch the retained window at some seq distance. Writes to
     // disjoint regions (e.g. a stencil's next time plane) are
     // harmless.
-    for r in super::dataspace::collect_refs(program, buffer.array)? {
+    for r in super::dataspace::collect_refs(program, group_array(plan, g))? {
         if !r.id.is_write() || plan.rewrites.contains_key(&r.id) {
             continue;
         }
         let wr = relax_seq(&r.data_space, seq_idx);
-        for rd in &mc.read_spaces {
+        for rd in &window.read_spaces {
             if !relax_seq(rd, seq_idx).intersect(&wr)?.is_empty()? {
                 return Ok(false);
             }
@@ -189,13 +209,10 @@ fn retention_legal(
     // array reaches global memory at that buffer's move-out without
     // updating this buffer's retained copy. Deny retention if any
     // such write space can touch this window at any seq distance.
-    for other in &plan.movement {
-        if other.buffer == mc.buffer || plan.buffers[other.buffer].array != buffer.array {
-            continue;
-        }
+    for other in other_windows(plan, windows, g) {
         for w in &other.write_spaces {
             let wr = relax_seq(w, seq_idx);
-            for r in &mc.read_spaces {
+            for r in &window.read_spaces {
                 if !relax_seq(r, seq_idx).intersect(&wr)?.is_empty()? {
                     return Ok(false);
                 }
@@ -205,7 +222,7 @@ fn retention_legal(
     Ok(true)
 }
 
-/// Whether flushing only the flush delta of `mc` is unobservable. The
+/// Whether flushing only group `g`'s flush delta is unobservable. The
 /// *skip set* `K = move_out(s) ∩ writes(s+1)` holds the elements a
 /// delta flush leaves pending in the scratchpad; each is rewritten by
 /// the successor's flush (or a later one), so only an intervening
@@ -214,14 +231,15 @@ fn retention_legal(
 fn flush_delta_legal(
     program: &Program,
     plan: &SmemPlan,
-    mc: &MovementCode,
-    buffer: &LocalBuffer,
+    windows: &[WindowPieces],
+    g: usize,
     seq_idx: usize,
     delta_pieces: &[Polyhedron],
 ) -> Result<bool> {
+    let writes = &windows[g].write_spaces;
     let mut skip = Vec::new();
-    for w in &mc.write_spaces {
-        for succ in &mc.write_spaces {
+    for w in writes {
+        for succ in writes {
             let k = w.intersect(&shift_seq(succ, seq_idx, 1))?;
             if !k.is_empty()? {
                 skip.push(k);
@@ -243,10 +261,7 @@ fn flush_delta_legal(
         let kr = relax_seq(k, seq_idx);
         // (2) Reads staged through other buffers of the same array, at
         // any seq distance.
-        for other in &plan.movement {
-            if other.buffer == mc.buffer || plan.buffers[other.buffer].array != buffer.array {
-                continue;
-            }
+        for other in other_windows(plan, windows, g) {
             for r in &other.read_spaces {
                 if !relax_seq(r, seq_idx).intersect(&kr)?.is_empty()? {
                     return Ok(false);
@@ -254,7 +269,7 @@ fn flush_delta_legal(
             }
         }
         // (3) Unrewritten reads of the array touch global directly.
-        for r in super::dataspace::collect_refs(program, buffer.array)? {
+        for r in super::dataspace::collect_refs(program, group_array(plan, g))? {
             if r.id.is_write() || plan.rewrites.contains_key(&r.id) {
                 continue;
             }
@@ -273,8 +288,8 @@ fn flush_delta_legal(
 ///
 /// `program` is the symbolic view the plan was analysed on (its
 /// parameters include the fixed dims); `seq_param` names the innermost
-/// sequential dimension among them; `windows[k]` holds the disjoint
-/// pieces `plan.movement[k]`'s nests scan
+/// sequential dimension among them; `windows[k]` holds the data spaces
+/// and disjoint pieces `plan.movement[k]`'s nests scan
 /// ([`analyze_program_windows`](super::analyze_program_windows)).
 /// Groups whose retained set is infeasible (nothing can ever be
 /// retained) or whose retention is illegal get no entry.
@@ -291,25 +306,22 @@ pub fn plan_residency(
 ) -> Result<ResidencyPlan> {
     assert_eq!(windows.len(), plan.movement.len(), "one window per group");
     let mut plans = HashMap::new();
-    for (mc, window) in plan.movement.iter().zip(windows) {
-        if mc.read_spaces.is_empty() {
-            continue;
-        }
-        let buffer = &plan.buffers[mc.buffer];
-        let Some(seq_idx) = mc.read_spaces[0].space().find_param(seq_param) else {
+    for (g, (mc, window)) in plan.movement.iter().zip(windows).enumerate() {
+        let Some(first) = window.read_spaces.first() else {
             continue;
         };
-        if !retention_legal(program, plan, mc, buffer, seq_idx)? {
+        let Some(seq_idx) = first.space().find_param(seq_param) else {
+            continue;
+        };
+        if !retention_legal(program, plan, windows, g, seq_idx)? {
             continue;
         }
-        let prev: Vec<Polyhedron> = mc
-            .read_spaces
-            .iter()
+        let prev: Vec<Polyhedron> = (window.read_spaces.iter())
             .map(|r| shift_seq(r, seq_idx, -1))
             .collect();
         // Retained: every pairwise window/predecessor intersection.
         let mut retained_members = Vec::new();
-        for r in &mc.read_spaces {
+        for r in &window.read_spaces {
             for p in &prev {
                 let inter = r.intersect(p)?;
                 if !inter.is_empty()? {
@@ -329,23 +341,20 @@ pub fn plan_residency(
             delta_pieces.extend(difference_all(piece, &prev)?);
         }
         // Flush delta: move-out window minus the successor's writes.
-        let next: Vec<Polyhedron> = mc
-            .write_spaces
-            .iter()
+        let next: Vec<Polyhedron> = (window.write_spaces.iter())
             .map(|w| shift_seq(w, seq_idx, 1))
             .collect();
         let mut flush_pieces = Vec::new();
         for piece in &window.write {
             flush_pieces.extend(difference_all(piece, &next)?);
         }
-        let flush_legal = flush_delta_legal(program, plan, mc, buffer, seq_idx, &delta_pieces)?;
+        let flush_legal = flush_delta_legal(program, plan, windows, g, seq_idx, &delta_pieces)?;
         let retained_scan = scan_pieces(&retained_pieces, &[0])?;
         let delta_scan = scan_pieces(&delta_pieces, &[0])?;
         let flush_scan = scan_pieces(&flush_pieces, &[0])?;
         plans.insert(
             mc.buffer,
             RetainPlan {
-                buffer: mc.buffer,
                 retained_scan,
                 delta_scan,
                 flush_scan,
@@ -540,7 +549,7 @@ mod tests {
             .plan
             .movement
             .iter()
-            .find(|mc| sp.plan.buffers[mc.buffer].array == a && !mc.read_spaces.is_empty())
+            .find(|mc| sp.plan.buffers[mc.buffer].array == a && mc.move_in_count(&[12, 1]) > 0)
             .unwrap();
         let rp = res.plans.get(&mc.buffer).expect("sliding read retains");
         assert!(
@@ -624,7 +633,7 @@ mod tests {
         let res = sp.residency.as_ref().expect("residency ran");
         let a = t.array_index("A").unwrap();
         for mc in &sp.plan.movement {
-            if sp.plan.buffers[mc.buffer].array == a && !mc.read_spaces.is_empty() {
+            if sp.plan.buffers[mc.buffer].array == a && mc.move_in_count(&[12, 1]) > 0 {
                 assert!(
                     !res.plans.contains_key(&mc.buffer),
                     "stale cross-buffer retention must be denied"

@@ -262,9 +262,11 @@ pub struct Structure {
     /// (present only when `seqs > 1`); evaluation point for the
     /// residency delta/flush sets.
     pub rep_mid: Option<HashMap<String, i64>>,
-    /// Arrays whose staging hoists past the seq loop (moved in once,
-    /// written back once per block).
-    pub hoisted_arrays: Vec<usize>,
+    /// Arrays none of whose accesses depend on the seq dims, ascending.
+    /// A group of one of them hoists past the seq loop (moved in once,
+    /// written back once per block) iff
+    /// [`SmemPlan::hoists`](super::SmemPlan::hoists) says so.
+    pub seq_independent_arrays: Vec<usize>,
     /// Whether the candidate double-buffers sub-tile DMA.
     pub double_buffer: bool,
 }
@@ -436,7 +438,7 @@ pub fn estimate(
                 _ => (None, None),
             };
             groups.push(GroupLists {
-                hoisted: structure.hoisted_arrays.contains(&buf.array),
+                hoisted: sp.plan.hoists(mc.buffer, &structure.seq_independent_arrays),
                 move_in,
                 move_out,
                 delta_in,

@@ -15,7 +15,7 @@ use polymem_core::smem::alloc::extent_words;
 use polymem_core::smem::movement::for_each_scan;
 use polymem_core::smem::{
     flatten, transfer_list, AccessId, ExtSource, LocalBuffer, MovementCode, ResidencyPlan,
-    RetainPlan, SmemError, SmemPlan, TransferList,
+    RetainPlan, SmemError, SmemPlan, SymbolicPlan, TransferList,
 };
 use polymem_ir::ArrayStore;
 use polymem_poly::Constraint;
@@ -151,7 +151,7 @@ struct Persistent<'a> {
 /// case matters because the buffer planner may drop such a dim as an
 /// H-matrix row, leaving the kept-dim shape identical across
 /// sub-tiles — hoisting would then alias distinct footprints.
-pub(crate) fn seq_redundant_arrays(kernel: &BlockedKernel) -> HashSet<usize> {
+pub(crate) fn seq_redundant_arrays(kernel: &BlockedKernel) -> Vec<usize> {
     let program = &kernel.program;
     (0..program.arrays.len())
         .filter(|&a| {
@@ -241,33 +241,43 @@ fn overlap_poisoned_reads(kernel: &BlockedKernel) -> Result<HashSet<AccessId>> {
 
 /// What staging needs to know about each movement entry of the
 /// launch's plan, decided once per launch: whether double buffering
-/// can engage at all, and per entry whether its array hoists (§4.2)
-/// and whether a prefetch of it could read stale data.
+/// can engage at all, and [`EntryFlags`] per entry.
 #[derive(Default)]
 pub(crate) struct StagingFlags {
     /// The mapping stages sequential sub-tiles with double buffering
     /// on: a block with more than one sub-tile prefetches.
     pub(crate) overlap: bool,
-    /// §4.2 hoisting applies: none of the array's accesses depend on
-    /// the seq dims *and* the array materialises as exactly one buffer
-    /// (with separate read and write buffers, parking by array would
-    /// keep only the last-parked buffer and lose the other's writes).
-    pub(crate) hoists: Vec<bool>,
+    /// Per movement entry of the plan.
+    pub(crate) entries: Vec<EntryFlags>,
+    /// Per register-level entry: its frame is written
+    /// ([`SmemPlan::is_written`]), so [`flush_frames`] writes it back.
+    pub(crate) frames_written: Vec<bool>,
+}
+
+/// One movement entry's staging flags.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct EntryFlags {
+    /// §4.2 hoisting applies ([`SmemPlan::hoists`]).
+    pub(crate) hoists: bool,
     /// A read reached by a seq-carried flow dependence is rewritten
     /// into the entry's buffer: its group must stage synchronously.
-    pub(crate) poisoned: Vec<bool>,
+    pub(crate) poisoned: bool,
+    /// The entry's buffer is written ([`SmemPlan::is_written`]).
+    pub(crate) written: bool,
 }
 
 impl StagingFlags {
     pub(crate) fn new(
         kernel: &BlockedKernel,
         config: &MachineConfig,
-        plan: Option<&SmemPlan>,
+        sp: Option<&SymbolicPlan>,
     ) -> Result<StagingFlags> {
-        let Some(plan) = plan else {
+        let Some(sp) = sp else {
             return Ok(StagingFlags::default());
         };
-        let (mut hoistable, mut stale) = (HashSet::new(), HashSet::new());
+        let written = |p: &SmemPlan| p.movement.iter().map(|m| p.is_written(m.buffer)).collect();
+        let plan = &sp.plan;
+        let (mut hoistable, mut stale) = (Vec::new(), HashSet::new());
         let overlap = config.double_buffer && !kernel.seq_dims.is_empty();
         if !kernel.seq_dims.is_empty() {
             hoistable = seq_redundant_arrays(kernel);
@@ -279,20 +289,16 @@ impl StagingFlags {
         if overlap {
             stale = overlap_poisoned_reads(kernel)?;
         }
-        let one_buffer = |a: usize| plan.buffers.iter().filter(|b| b.array == a).count() == 1;
-        let entries = plan.movement.iter().map(|mc| {
-            let array = plan.buffers[mc.buffer].array;
-            let poisoned = plan
-                .rewrites
-                .iter()
-                .any(|(id, la)| la.buffer == mc.buffer && stale.contains(id));
-            (hoistable.contains(&array) && one_buffer(array), poisoned)
+        let entries = plan.movement.iter().map(|mc| EntryFlags {
+            hoists: plan.hoists(mc.buffer, &hoistable),
+            poisoned: (plan.rewrites.iter())
+                .any(|(id, la)| la.buffer == mc.buffer && stale.contains(id)),
+            written: plan.is_written(mc.buffer),
         });
-        let (hoists, poisoned) = entries.unzip();
         Ok(StagingFlags {
             overlap,
-            hoists,
-            poisoned,
+            entries: entries.collect(),
+            frames_written: sp.hier.as_ref().map_or_else(Vec::new, |h| written(&h.plan)),
         })
     }
 }
@@ -494,7 +500,7 @@ impl<'a> Block<'a> {
         let pparams = &sb.pparams;
         let Staging { local, staged, .. } = sb.staging.as_mut().expect("staged");
         staged[mi] = true;
-        let hoists = launch.flags.hoists[mi];
+        let hoists = launch.flags.entries[mi].hoists;
         let parked_fits = hoists
             && self.persistent.get(&buf.array).is_some_and(|p| {
                 p.buf.extents == local.bufs[bi].extents && p.buf.offsets == local.bufs[bi].offsets
@@ -575,8 +581,8 @@ impl<'a> Block<'a> {
         let mc = &plan.movement[mi];
         let (bi, buf) = (mc.buffer, &plan.buffers[mc.buffer]);
         let local = &sb.staging.as_ref().expect("staged").local;
-        if launch.flags.hoists[mi] {
-            let dirty = !mc.write_spaces.is_empty()
+        if launch.flags.entries[mi].hoists {
+            let dirty = launch.flags.entries[mi].written
                 || self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
             let parked = Persistent {
                 buffer: buf,
@@ -688,7 +694,7 @@ fn hoist_shortcut_hits(launch: &LaunchShared, cur: &SubBlock, next: &SubBlock, m
     };
     let bi = sp.plan.movement[mi].buffer;
     let (c, n) = (&c.local.bufs[bi], &n.local.bufs[bi]);
-    launch.flags.hoists[mi] && c.extents == n.extents && c.offsets == n.offsets
+    launch.flags.entries[mi].hoists && c.extents == n.extents && c.offsets == n.offsets
 }
 
 /// `(requested, available)` bytes when a footprint of `words` does not
@@ -783,7 +789,7 @@ pub(crate) fn execute_one_block(
                     continue;
                 };
                 b.clock.wait(&tag);
-                if t > 0 && overlap && !flags.hoists[mi] && flags.poisoned[mi] {
+                if t > 0 && overlap && !flags.entries[mi].hoists && flags.entries[mi].poisoned {
                     b.stats.sync_groups += 1;
                 }
             }
@@ -818,10 +824,8 @@ pub(crate) fn execute_one_block(
                 // does not cover). Read-only and retention-legal also
                 // means `cur`'s pre-compute contents already hold the
                 // retained values residency re-bases from.
-                if !b.plan().movement[mi].write_spaces.is_empty()
-                    || flags.poisoned[mi]
-                    || hoist_shortcut_hits(launch, &cur, nx, mi)
-                {
+                let f = flags.entries[mi];
+                if f.written || f.poisoned || hoist_shortcut_hits(launch, &cur, nx, mi) {
                     continue;
                 }
                 if let Some(tag) = b.stage_entry(nx, mi, Some(&cur), true, out_done)? {
@@ -968,12 +972,8 @@ pub(crate) fn flush_frames(
     }
     let (plan1, h) = launch.hier().expect("frames flush under a level-2 plan");
     let (mut n_smem, mut idx1) = (0u64, Vec::new());
-    for mc in h
-        .plan
-        .movement
-        .iter()
-        .filter(|mc| !mc.write_spaces.is_empty())
-    {
+    let written = &launch.flags.frames_written;
+    for (mc, _) in (h.plan.movement.iter().zip(written)).filter(|(_, &w)| w) {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
         n_smem += copy_elements(
             |f| for_each_scan(&mc.move_out, &h.plan.buffers[mc.buffer], &fs.pp2, f),
@@ -1329,7 +1329,7 @@ mod tests {
     /// The parent's per-call predicate behind every hoisting decision:
     /// §4.2 hoisting applies only when the array materialises as
     /// exactly one buffer in the plan.
-    fn plan_hoists(plan: &SmemPlan, array: usize, hoistable: &HashSet<usize>) -> bool {
+    fn plan_hoists(plan: &SmemPlan, array: usize, hoistable: &[usize]) -> bool {
         hoistable.contains(&array) && plan.buffers.iter().filter(|b| b.array == array).count() == 1
     }
 
@@ -1380,8 +1380,9 @@ mod tests {
                     let array = plan.buffers[mc.buffer].array;
                     let hoists = plan_hoists(plan, array, &hoistable);
                     let poisoned = db && buffer_poisoned(plan, mi, &stale);
-                    assert_eq!(flags.hoists[mi], hoists, "{name} db={db} entry {mi}");
-                    assert_eq!(flags.poisoned[mi], poisoned, "{name} db={db} entry {mi}");
+                    let f = flags.entries[mi];
+                    assert_eq!(f.hoists, hoists, "{name} db={db} entry {mi}");
+                    assert_eq!(f.poisoned, poisoned, "{name} db={db} entry {mi}");
                     entries += 1;
                     hoisting += hoists as u32;
                     pinned += poisoned as u32;

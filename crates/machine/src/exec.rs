@@ -600,7 +600,7 @@ impl<'a> LaunchShared<'a> {
             sids,
             exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
-            flags: StagingFlags::new(kernel, config, sp.map(|sp| &sp.plan))?,
+            flags: StagingFlags::new(kernel, config, sp)?,
             residency_at,
             hier_ext,
             grid,

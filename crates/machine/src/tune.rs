@@ -203,7 +203,7 @@ pub fn structure_of(
         seqs: 1,
         rep_first: HashMap::new(),
         rep_mid: None,
-        hoisted_arrays: Vec::new(),
+        seq_independent_arrays: Vec::new(),
         double_buffer: config.double_buffer,
     };
     let Some(lead) = kernel.program.stmts.first() else {
@@ -228,9 +228,7 @@ pub fn structure_of(
     // so the mid point carries s1's values.
     st.rep_mid = seqs.get(1).map(|s1| named(s1));
     if !kernel.seq_dims.is_empty() && kernel.use_scratchpad {
-        let mut h: Vec<usize> = seq_redundant_arrays(kernel).into_iter().collect();
-        h.sort_unstable();
-        st.hoisted_arrays = h;
+        st.seq_independent_arrays = seq_redundant_arrays(kernel);
     }
     Ok(st)
 }

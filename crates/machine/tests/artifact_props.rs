@@ -6,7 +6,8 @@
 //! bit-flips, checksum damage, key damage, a resealed payload that
 //! decodes to a plan naming what the program lacks — must fall back to
 //! `None`, never panic, never hang, never partial data. The same holds
-//! for tune artifacts, which share the envelope and the codec.
+//! for tune artifacts, which share the envelope and the codec. A count
+//! guard holds the plan files' total size to a recorded figure.
 //!
 //! The restart test is the PR's headline property: a process with a
 //! cold plan cache but a warm store skips the §3 passes entirely
@@ -14,7 +15,8 @@
 //! profiler) and still executes bit-exactly.
 
 use polymem_core::smem::artifact::{
-    decode_artifact, encode_artifact, open, seal, ArtifactStore, FORMAT_VERSION, MAGIC,
+    decode_artifact, encode_artifact, open, seal, ArtifactStore, PlanArtifact, FORMAT_VERSION,
+    MAGIC,
 };
 use polymem_core::smem::tune::{TuneArtifact, TuneRow, TUNE_FORMAT_VERSION, TUNE_MAGIC};
 use polymem_ir::{exec_program, ArrayStore};
@@ -378,6 +380,50 @@ fn a_plan_naming_a_missing_array_does_not_load() {
     let store = ArtifactStore::open(&dir).unwrap();
     std::fs::write(store.path_for(&key), encode_artifact(&art)).unwrap();
     assert!(store.load(&key, &kernel.program).is_none());
+}
+
+/// The summed size of the 32 plan files [`plan_files_stay_within_the_recorded_bytes`]
+/// encodes. Lower it when a plan file sheds bytes; raising it needs a
+/// consumer for every byte added.
+const PROBE_PLAN_BYTES: usize = 716_701;
+
+/// A count guard on what a plan file holds: the 32 plans of
+/// {me, jacobi2d, matmul, conv2d} × {gpu, cell} × double buffering
+/// {off, on} × register level {off, on} at size 16, compiled fresh and
+/// encoded without a store, sum to at most [`PROBE_PLAN_BYTES`], and
+/// each decodes back against its program. Data no consumer reads
+/// cannot come back unnoticed.
+#[test]
+fn plan_files_stay_within_the_recorded_bytes() {
+    let mut total = 0;
+    for name in PLANNED {
+        for machine in ["gpu", "cell"] {
+            let base = polymem_machine::desc::lookup(machine).unwrap().config();
+            for (double_buffer, hierarchy) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let toggles = LaunchToggles {
+                    double_buffer,
+                    hierarchy,
+                    ..LaunchToggles::default()
+                };
+                let l = launch(name, 16, &base, &toggles, false).expect("built-in");
+                let (sp, _) = warm_plan(&l.kernel, &l.params, &l.config, None, None)
+                    .unwrap()
+                    .expect("the mapping stages");
+                let key = plan_artifact_key(&l.kernel, &l.params, &l.config)
+                    .unwrap()
+                    .unwrap();
+                let art = PlanArtifact::build(&l.kernel.program, &sp, key, &l.params).unwrap();
+                let bytes = encode_artifact(&art);
+                let at = format!("{name}/{machine} db={double_buffer} hier={hierarchy}");
+                assert!(decode_artifact(&bytes, &l.kernel.program).is_some(), "{at}");
+                total += bytes.len();
+            }
+        }
+    }
+    eprintln!("32 plan files: {total} bytes (recorded {PROBE_PLAN_BYTES})");
+    assert!(total <= PROBE_PLAN_BYTES, "plan files grew: {total} bytes");
 }
 
 /// splitmix64: the deterministic stream the mutation fuzz draws from.

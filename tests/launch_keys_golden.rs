@@ -14,7 +14,8 @@
 //! of its inputs, `schema_hash()` included, so editing the layout
 //! descriptor or any encoder a key writes moves every key at once. A
 //! re-record moves every key line and no `none` line (a launch that
-//! stages nothing has no key).
+//! stages nothing has no key). The last re-record came with the `v3`
+//! layout, when movement entries stopped storing their data spaces.
 //!
 //! Since the collapse the same file also pins the in-process resolver
 //! and the tuner's preset row: `tunespace::build` of the pinned preset

@@ -9,7 +9,8 @@
 
 use polymem::core::smem::tune::{estimate, tune_key, CostConstants, CostEstimate, MappingDesc};
 use polymem::core::tiling::find_permutable_band;
-use polymem::ir::{init_random_store, random_program, ArrayStore};
+use polymem::ir::expr::v;
+use polymem::ir::{init_random_store, random_program, ArrayStore, Expr, LinExpr, ProgramBuilder};
 use polymem::kernels::{builtins, tunespace};
 use polymem::machine::{
     config_for, cost_constants, desc, execute_blocked, generic_candidates, structure_of,
@@ -352,6 +353,56 @@ fn pipelined_band_tunes_to_a_bit_exact_winner() {
             .contains("1 simulated, 1 not bit-exact, 0 failed"),
         "{err}"
     );
+}
+
+/// The estimator hoists exactly the groups the executor hoists: an
+/// array none of whose accesses depend on the seq dims, but which
+/// materialises as two buffers, stages per sub-tile in both.
+/// `B[i] = B[i + N] + A[i][j]`: B's read and write windows are disjoint
+/// (two buffers) and neither moves with `j`. With `i` tiled across
+/// blocks and `j` sequential, residency off, every list the estimator
+/// prices is one the executor issues, so the predicted launch cycles
+/// are the simulated ones.
+#[test]
+fn a_seq_independent_array_with_two_buffers_is_priced_unhoisted() {
+    let mut b = ProgramBuilder::new("two_buffers", ["N", "M"]);
+    b.array("A", &[v("N"), v("M")]);
+    b.array("B", &[v("N") * 2]);
+    b.stmt("S")
+        .loops(&[
+            ("i", LinExpr::c(0), v("N") - 1),
+            ("j", LinExpr::c(0), v("M") - 1),
+        ])
+        .write("B", &[v("i")])
+        .read("B", &[v("i") + v("N")])
+        .read("A", &[v("i"), v("j")])
+        .body(Expr::add(Expr::Read(0), Expr::Read(1)))
+        .done();
+    let program = b.build().unwrap();
+    let params = [8, 16];
+    let mapping = square_desc(4, 4, true, false);
+    let kernel = tile_kernel(&program, &mapping).unwrap().unwrap();
+    for machine in ["gpu", "cell"] {
+        let cfg = config_for(&mapping, &desc::lookup(machine).unwrap().config());
+        let sp = warm_plan(&kernel, &params, &cfg, None, None)
+            .unwrap()
+            .map(|(sp, _)| sp);
+        let b_buffers = sp.as_ref().unwrap().plan.buffers.iter();
+        assert_eq!(b_buffers.filter(|b| b.array_name == "B").count(), 2);
+        let st = structure_of(&kernel, &params, &cfg).unwrap();
+        let est = estimate(
+            &kernel.program,
+            sp.as_deref(),
+            &params,
+            &st,
+            &cost_constants(&cfg),
+        )
+        .unwrap();
+        let mut store = ArrayStore::for_program(&kernel.program, &params).unwrap();
+        init_random_store(&kernel.program, &mut store, 42);
+        let stats = execute_blocked(&kernel, &params, &mut store, &cfg, false).unwrap();
+        assert_eq!(est.predicted_cycles, stats.modeled_cycles, "{machine}");
+    }
 }
 
 proptest! {
