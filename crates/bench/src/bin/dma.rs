@@ -28,7 +28,8 @@
 //! noisy CI runners too.
 
 use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::tunespace::jacobi_stepwise;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, me};
 use polymem_machine::{ExecStats, Json, MachineConfig};
 
 fn cases(smoke: bool) -> Vec<Case> {
@@ -47,36 +48,19 @@ fn cases(smoke: bool) -> Vec<Case> {
         k: 3,
     };
     vec![
-        Case::builtin(
-            "me",
-            me::params(&me_size),
-            7,
-            me::blocked_seq_kernel(4, 4, true),
-        ),
-        Case::builtin(
-            "jacobi",
-            jacobi::params(&jacobi_size),
-            8,
-            jacobi::stepwise_kernel(16, true),
-        ),
-        Case::builtin(
-            "jacobi2d",
-            jacobi2d::params(2, pick(8, 16)),
-            9,
-            jacobi2d::stepwise_seq_kernel(4, pick(4, 8), true),
-        ),
-        Case::builtin(
-            "matmul",
-            vec![pick(8, 16)],
-            10,
-            matmul::blocked_kernel_hoisted(4, 4, 4, true),
-        ),
-        Case::builtin(
-            "conv2d",
-            conv2d::params(&conv_size),
-            11,
-            conv2d::blocked_seq_kernel(3, pick(3, 5), true),
-        ),
+        Case::builtin("me", me::params(&me_size), 7, |b| b.tiled(&[4, 4], true)),
+        Case::builtin("jacobi", jacobi::params(&jacobi_size), 8, |_| {
+            jacobi_stepwise(16)
+        }),
+        Case::builtin("jacobi2d", jacobi2d::params(2, pick(8, 16)), 9, |b| {
+            b.tiled(&[4, pick(4, 8)], true)
+        }),
+        Case::builtin("matmul", vec![pick(8, 16)], 10, |b| {
+            b.tiled(&[4, 4, 4], true)
+        }),
+        Case::builtin("conv2d", conv2d::params(&conv_size), 11, |b| {
+            b.tiled(&[3, pick(3, 5)], true)
+        }),
     ]
 }
 

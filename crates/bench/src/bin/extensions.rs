@@ -26,7 +26,7 @@
 
 use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
 use polymem_bench::{Figure, Series};
-use polymem_kernels::{conv2d, jacobi, matmul, me};
+use polymem_kernels::{conv2d, jacobi, me};
 use polymem_machine::{Json, MachineConfig, Timeline};
 
 struct SweepRow {
@@ -133,7 +133,7 @@ fn main() {
 
     // Extension 2: the same staged matmul on both machine presets.
     let n = if smoke { 8 } else { 16 };
-    let case = Case::builtin("matmul", vec![n], 1, matmul::blocked_kernel(4, 4, 8, true));
+    let case = Case::builtin("matmul", vec![n], 1, |b| b.tiled(&[4, 4, 8], false));
     let machines = [
         ("gpu", MachineConfig::geforce_8800_gtx()),
         ("cell", MachineConfig::cell_like()),

@@ -35,7 +35,8 @@ use polymem_bench::harness::{best_of, conclude, smoke_mode, Case};
 use polymem_core::smem::{analyze_program_timed, PassTimes, SmemConfig};
 use polymem_core::tiling::transform::{fix_dims, project_onto_named};
 use polymem_ir::ArrayStore;
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::tunespace::jacobi_stepwise;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, me};
 use polymem_machine::{execute_blocked, Json, MachineConfig};
 use polymem_poly::cache::{poly_core_reset, poly_core_stats, set_naive_mode, PolyCoreStats};
 use polymem_poly::count::{count_points, enumerate_points};
@@ -59,36 +60,19 @@ fn cases(smoke: bool) -> Vec<Case> {
         k: 3,
     };
     vec![
-        Case::builtin(
-            "me",
-            me::params(&me_size),
-            7,
-            me::blocked_kernel(2, 2, true),
-        ),
-        Case::builtin(
-            "jacobi",
-            jacobi::params(&jacobi_size),
-            8,
-            jacobi::stepwise_kernel(2, true),
-        ),
-        Case::builtin(
-            "jacobi2d",
-            jacobi2d::params(2, pick(8, 16)),
-            9,
-            jacobi2d::stepwise_kernel(4, 4, true),
-        ),
-        Case::builtin(
-            "matmul",
-            vec![pick(8, 16)],
-            10,
-            matmul::blocked_kernel(4, 4, 4, true),
-        ),
-        Case::builtin(
-            "conv2d",
-            conv2d::params(&conv_size),
-            11,
-            conv2d::blocked_kernel(3, 3, true),
-        ),
+        Case::builtin("me", me::params(&me_size), 7, |b| b.tiled(&[2, 2], false)),
+        Case::builtin("jacobi", jacobi::params(&jacobi_size), 8, |_| {
+            jacobi_stepwise(2)
+        }),
+        Case::builtin("jacobi2d", jacobi2d::params(2, pick(8, 16)), 9, |b| {
+            b.tiled(&[4, 4], false)
+        }),
+        Case::builtin("matmul", vec![pick(8, 16)], 10, |b| {
+            b.tiled(&[4, 4, 4], false)
+        }),
+        Case::builtin("conv2d", conv2d::params(&conv_size), 11, |b| {
+            b.tiled(&[3, 3], false)
+        }),
     ]
 }
 

@@ -31,7 +31,8 @@
 //! so the gates hold on noisy CI runners too.
 
 use polymem_bench::harness::{conclude, smoke_mode, sweep, Case};
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::tunespace::jacobi_stepwise;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, me};
 use polymem_machine::{ExecStats, Json, MachineConfig};
 
 /// A harness case plus residency-specific knobs: whether the 2x
@@ -67,24 +68,16 @@ fn cases(smoke: bool) -> Vec<ResCase> {
         // ME: the W-wide search window slides one column per sub-tile;
         // consecutive windows share W of W+1 columns.
         res(
-            Case::builtin(
-                "me",
-                me::params(&me_size),
-                7,
-                me::blocked_seq_kernel(8, 1, true),
-            ),
+            Case::builtin("me", me::params(&me_size), 7, |b| b.tiled(&[8, 1], true)),
             true,
             false,
         ),
         // 1-D Jacobi keeps its round-only mapping: no sequential
         // sub-tile loop, so residency must be a structural no-op.
         res(
-            Case::builtin(
-                "jacobi",
-                jacobi::params(&jacobi_size),
-                8,
-                jacobi::stepwise_kernel(16, true),
-            ),
+            Case::builtin("jacobi", jacobi::params(&jacobi_size), 8, |_| {
+                jacobi_stepwise(16)
+            }),
             false,
             false,
         ),
@@ -92,34 +85,25 @@ fn cases(smoke: bool) -> Vec<ResCase> {
         // spans three sliding columns, of which two are retained. The
         // merged layout keeps the whole window in one buffer.
         res(
-            Case::builtin(
-                "jacobi2d",
-                jacobi2d::params(2, pick(32, 64)),
-                9,
-                jacobi2d::stepwise_seq_kernel(pick(8, 16), 1, true),
-            ),
+            Case::builtin("jacobi2d", jacobi2d::params(2, pick(32, 64)), 9, |b| {
+                b.tiled(&[pick(8, 16), 1], true)
+            }),
             true,
             true,
         ),
         // Matmul's hoisted mapping: the persistent-buffer shortcut
         // (§4.2) takes priority over residency on the hoisted operand.
         res(
-            Case::builtin(
-                "matmul",
-                vec![pick(8, 16)],
-                10,
-                matmul::blocked_kernel_hoisted(4, 4, 4, true),
-            ),
+            Case::builtin("matmul", vec![pick(8, 16)], 10, |b| {
+                b.tiled(&[4, 4, 4], true)
+            }),
             false,
             false,
         ),
         res(
-            Case::builtin(
-                "conv2d",
-                conv2d::params(&conv_size),
-                11,
-                conv2d::blocked_seq_kernel(3, pick(3, 5), true),
-            ),
+            Case::builtin("conv2d", conv2d::params(&conv_size), 11, |b| {
+                b.tiled(&[3, pick(3, 5)], true)
+            }),
             false,
             false,
         ),

@@ -13,9 +13,11 @@
 //! initialiser and checked array come from the built-in kernel table,
 //! counter names from [`ExecStats::to_json`].
 
+use polymem_core::smem::tune::MappingDesc;
 use polymem_ir::{exec_program, ArrayStore, Program};
 use polymem_kernels::builtins::Builtin;
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::tunespace::{self, jacobi_stepwise};
+use polymem_kernels::{conv2d, jacobi, jacobi2d, me};
 use polymem_machine::{
     execute_blocked_profiled, BlockedKernel, ExecStats, Json, MachineConfig, PassKind,
     PassProfiler, STATS_SCHEMA,
@@ -43,9 +45,16 @@ pub struct Case {
 impl Case {
     /// The built-in kernel `name` at explicit parameter values (benches
     /// pick their own problem shapes, not `--size`'s), its inputs
-    /// seeded with `seed`, under the mapping `kernel`.
-    pub fn builtin(name: &str, params: Vec<i64>, seed: u64, kernel: BlockedKernel) -> Case {
+    /// seeded with `seed`, under the mapping `mapping` picks for it —
+    /// typically its table mapping re-tiled ([`Builtin::tiled`]).
+    pub fn builtin(
+        name: &str,
+        params: Vec<i64>,
+        seed: u64,
+        mapping: impl FnOnce(&Builtin) -> MappingDesc,
+    ) -> Case {
         let b = Builtin::named(name).expect("built-in kernel");
+        let kernel = tunespace::build(name, &mapping(b)).expect("the mapping builds");
         let program = (b.program)();
         let mut base = ArrayStore::for_program(&program, &params).expect("store");
         (b.init)(&mut base, seed);
@@ -177,36 +186,22 @@ pub fn seq_cases(smoke: bool) -> Vec<Case> {
     };
     let mm = pick(4, 8);
     vec![
-        Case::builtin(
-            "me",
-            me::params(&me_size),
-            7,
-            me::blocked_seq_kernel(4, 4, true),
-        ),
-        Case::builtin(
-            "jacobi",
-            jacobi::params(&jacobi_size),
-            8,
-            jacobi::stepwise_kernel(16, true),
-        ),
+        Case::builtin("me", me::params(&me_size), 7, |b| b.tiled(&[4, 4], true)),
+        Case::builtin("jacobi", jacobi::params(&jacobi_size), 8, |_| {
+            jacobi_stepwise(16)
+        }),
         Case::builtin(
             "jacobi2d",
             jacobi2d::params(pick(2, 4), pick(8, 32)),
             9,
-            jacobi2d::stepwise_seq_kernel(4, pick(4, 8), true),
+            |b| b.tiled(&[4, pick(4, 8)], true),
         ),
-        Case::builtin(
-            "matmul",
-            vec![pick(8, 32)],
-            10,
-            matmul::blocked_kernel_hoisted(mm, mm, mm, true),
-        ),
-        Case::builtin(
-            "conv2d",
-            conv2d::params(&conv_size),
-            11,
-            conv2d::blocked_seq_kernel(3, pick(3, 5), true),
-        ),
+        Case::builtin("matmul", vec![pick(8, 32)], 10, |b| {
+            b.tiled(&[mm, mm, mm], true)
+        }),
+        Case::builtin("conv2d", conv2d::params(&conv_size), 11, |b| {
+            b.tiled(&[3, pick(3, 5)], true)
+        }),
     ]
 }
 

@@ -147,25 +147,41 @@ impl Builtin {
         BUILTINS.iter().find(|b| b.name == name)
     }
 
-    /// The canonical mapping — the sequential-sub-tile variant iff
-    /// `seq` — carrying `config`'s movement toggles.
-    pub(crate) fn mapping(&self, seq: bool, config: &MachineConfig) -> MappingDesc {
+    /// The table's mapping in its sequential-sub-tile split iff `seq`
+    /// (its flat one otherwise), its tile loops resized to `tiles` in
+    /// order — loops past the end of `tiles` keep the table's size —
+    /// with every movement toggle off. [`tunespace::build`] turns it
+    /// into the kernel; `use_scratchpad: false` over it is the
+    /// unstaged variant.
+    pub fn tiled(&self, tiles: &[i64], seq: bool) -> MappingDesc {
         let (block_dims, seq_dims) = if seq { self.seq } else { self.flat };
+        let mut sizes: Vec<(String, i64)> =
+            self.tiles.iter().map(|&(n, t)| (n.into(), t)).collect();
+        for ((_, t), &s) in sizes.iter_mut().zip(tiles) {
+            *t = s;
+        }
         MappingDesc {
             scheme: self.scheme.into(),
-            tiles: self
-                .tiles
-                .iter()
-                .map(|(n, t)| (n.to_string(), *t))
-                .collect(),
+            tiles: sizes,
             round_dims: owned(self.round_dims),
             block_dims: owned(block_dims),
             seq_dims: owned(seq_dims),
             thread_dims: owned(self.thread_dims),
             use_scratchpad: self.use_scratchpad,
+            double_buffer: false,
+            hierarchy: false,
+            residency: false,
+        }
+    }
+
+    /// The canonical mapping — the sequential-sub-tile variant iff
+    /// `seq` — carrying `config`'s movement toggles.
+    pub(crate) fn mapping(&self, seq: bool, config: &MachineConfig) -> MappingDesc {
+        MappingDesc {
             double_buffer: config.double_buffer,
             hierarchy: config.hierarchy,
             residency: config.residency,
+            ..self.tiled(&[], seq)
         }
     }
 }
@@ -295,32 +311,6 @@ mod tests {
             }
         }
         assert!(launch("nope", 16, &gpu, &LaunchToggles::default(), false).is_none());
-    }
-
-    #[test]
-    fn table_mappings_equal_the_per_kernel_constructors() {
-        let gpu = MachineConfig::geforce_8800_gtx();
-        // `BlockedKernel` has no `PartialEq`; its `Debug` form is
-        // deterministic (no hash containers) and shows every field.
-        let same = |name: &str, seq: bool, want: BlockedKernel| {
-            let b = Builtin::named(name).unwrap();
-            let got = tunespace::build(name, &b.mapping(seq, &gpu)).unwrap();
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{name} seq={seq}");
-        };
-        same("me", false, me::blocked_kernel(4, 4, true));
-        same("me", true, me::blocked_seq_kernel(4, 4, true));
-        same("jacobi", false, jacobi::overlapped_kernel(2, 8, false));
-        same("jacobi", true, jacobi::overlapped_kernel(2, 8, false));
-        same("jacobi2d", false, jacobi2d::stepwise_kernel(4, 4, true));
-        same("jacobi2d", true, jacobi2d::stepwise_seq_kernel(4, 4, true));
-        same("matmul", false, matmul::blocked_kernel(4, 4, 8, true));
-        same(
-            "matmul",
-            true,
-            matmul::blocked_kernel_hoisted(4, 4, 8, true),
-        );
-        same("conv2d", false, conv2d::blocked_kernel(4, 4, true));
-        same("conv2d", true, conv2d::blocked_seq_kernel(4, 4, true));
     }
 
     #[test]

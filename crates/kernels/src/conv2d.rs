@@ -11,10 +11,9 @@
 //! ```
 
 use crate::synth_value;
-use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_machine::{BlockedKernel, KernelProfile, MachineConfig};
+use polymem_machine::{KernelProfile, MachineConfig};
 
 /// Problem instance: `n × n` outputs, `k × k` kernel.
 #[derive(Clone, Copy, Debug)]
@@ -85,32 +84,6 @@ pub fn reference(store: &mut ArrayStore, size: &ConvSize) {
     }
 }
 
-/// Block mapping: `(ti, tj)` output tiles across thread blocks.
-pub fn blocked_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let p = program();
-    let t = tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj)], "T"))
-        .expect("tiling conv2d is legal");
-    BlockedKernel {
-        program: t,
-        round_dims: vec![],
-        block_dims: vec!["iT".into(), "jT".into()],
-        seq_dims: vec![],
-        thread_dims: vec!["i".into()],
-        use_scratchpad,
-    }
-}
-
-/// Like [`blocked_kernel`], but only `iT` spans thread blocks while
-/// `jT` runs sequentially inside each block, so the double-buffered
-/// DMA pipeline can prefetch the next output tile's input halo while
-/// the current one computes (conv2d carries no dependences at all).
-pub fn blocked_seq_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let mut k = blocked_kernel(ti, tj, use_scratchpad);
-    k.block_dims = vec!["iT".into()];
-    k.seq_dims = vec!["jT".into()];
-    k
-}
-
 /// Analytic profile (used by the extension experiment in
 /// EXPERIMENTS.md): same structure as ME's, with the extra `W` stage.
 pub fn profile(
@@ -156,6 +129,7 @@ pub fn profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table_kernel;
     use polymem_core::smem::{analyze_program, SmemConfig};
     use polymem_ir::exec_program;
     use polymem_machine::execute_blocked;
@@ -185,7 +159,7 @@ mod tests {
         let mut native = st.clone();
         let cfg = MachineConfig::geforce_8800_gtx();
         let stats = execute_blocked(
-            &blocked_kernel(3, 3, true),
+            &table_kernel("conv2d", &[3, 3], false, true),
             &params(&s),
             &mut st,
             &cfg,

@@ -114,26 +114,6 @@ pub fn reference(store: &mut ArrayStore, size: &JacobiSize) {
     }
 }
 
-/// Simple mapping: every time step is a round (device sync), space
-/// tiled across blocks. Used to validate the executor's round
-/// semantics; the time-tiled mapping is [`overlapped_kernel`].
-pub fn stepwise_kernel(space_tile: i64, use_scratchpad: bool) -> BlockedKernel {
-    let p = program();
-    let t = polymem_core::tiling::transform::tile_program(
-        &p,
-        &polymem_core::tiling::TileSpec::new(&[("i", space_tile)], "T"),
-    )
-    .expect("tiling is legal");
-    BlockedKernel {
-        program: t,
-        round_dims: vec!["t".into()],
-        block_dims: vec!["iT".into()],
-        seq_dims: vec![],
-        thread_dims: vec!["i".into()],
-        use_scratchpad,
-    }
-}
-
 /// The time-tiled **overlapped** mapping: rounds are time tiles of
 /// `tt` steps; each block owns a base region of `si` cells and
 /// redundantly recomputes a halo growing one cell per remaining time
@@ -312,6 +292,7 @@ pub fn search_tiles(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polymem_core::smem::tune::MappingDesc;
     use polymem_ir::exec_program;
     use polymem_machine::execute_blocked;
 
@@ -365,7 +346,11 @@ mod tests {
     #[test]
     fn stepwise_blocked_matches_native() {
         let s = small();
-        let st = run_kernel(&stepwise_kernel(4, false), &s, true);
+        let desc = MappingDesc {
+            use_scratchpad: false,
+            ..crate::tunespace::jacobi_stepwise(4)
+        };
+        let st = run_kernel(&crate::tunespace::build("jacobi", &desc).unwrap(), &s, true);
         assert_eq!(
             st.data("A").unwrap(),
             reference_store(&s).data("A").unwrap()

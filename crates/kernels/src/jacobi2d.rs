@@ -9,10 +9,8 @@
 //! ```
 
 use crate::synth_value;
-use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_machine::BlockedKernel;
 
 /// Build the program; `A[T+1][N+2][N+2]` keeps all time rows.
 pub fn program() -> Program {
@@ -84,37 +82,10 @@ pub fn reference(store: &mut ArrayStore, t_max: i64, n: i64) {
     }
 }
 
-/// Per-time-step rounds, `(i, j)` space tiles across blocks.
-pub fn stepwise_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let p = program();
-    let t =
-        tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj)], "T")).expect("tiling is legal");
-    BlockedKernel {
-        program: t,
-        round_dims: vec!["t".into()],
-        block_dims: vec!["iT".into(), "jT".into()],
-        seq_dims: vec![],
-        thread_dims: vec!["i".into()],
-        use_scratchpad,
-    }
-}
-
-/// Like [`stepwise_kernel`], but only `iT` spans thread blocks while
-/// the `jT` tile loop runs *sequentially inside* each block — the
-/// shape the double-buffered DMA pipeline targets: while one `jT`
-/// sub-tile computes, the next one's read tiles prefetch (the time
-/// recurrence is carried by the `t` rounds, not by `jT`, so overlap
-/// is legal).
-pub fn stepwise_seq_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let mut k = stepwise_kernel(ti, tj, use_scratchpad);
-    k.block_dims = vec!["iT".into()];
-    k.seq_dims = vec!["jT".into()];
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table_kernel;
     use polymem_ir::exec_program;
     use polymem_machine::{execute_blocked, MachineConfig};
 
@@ -137,7 +108,7 @@ mod tests {
         let mut st = ArrayStore::for_program(&p, &prm).unwrap();
         init_store(&mut st, 33);
         let mut native = st.clone();
-        let k = stepwise_kernel(4, 4, true);
+        let k = table_kernel("jacobi2d", &[4, 4], false, true);
         let cfg = MachineConfig::geforce_8800_gtx();
         let stats = execute_blocked(&k, &prm, &mut st, &cfg, true).unwrap();
         reference(&mut native, 2, 8);
@@ -156,7 +127,7 @@ mod tests {
             st
         };
         reference(&mut native, 2, 8);
-        let k = stepwise_seq_kernel(4, 4, true);
+        let k = table_kernel("jacobi2d", &[4, 4], true, true);
         let run = |double_buffer: bool| {
             let mut st = ArrayStore::for_program(&p, &prm).unwrap();
             init_store(&mut st, 33);

@@ -6,8 +6,6 @@
 //!   paper's loop structure — e.g. [`me`] reproduces Fig. 2);
 //! * a **native reference implementation** (plain Rust loops) used to
 //!   validate the polyhedral interpreter and the simulator;
-//! * a **mapped kernel** builder (tiled + block/round dims) for the
-//!   functional executor;
 //! * an **analytic profile** builder that derives the
 //!   [`KernelProfile`](polymem_machine::KernelProfile) for a given
 //!   problem size / tile sizes / launch configuration from the
@@ -17,6 +15,12 @@
 //! Modules: [`me`] (MPEG-4 motion estimation, Fig. 2), [`jacobi`]
 //! (1-D Jacobi with concurrent-start time tiling), [`matmul`] and
 //! [`jacobi2d`] (extra workloads for examples and tests).
+//!
+//! A kernel's **mapping** (tiles + round/block/sequential/thread dims)
+//! is data: [`builtins::BUILTINS`] holds each one's, and
+//! [`tunespace::build`] turns any description into the blocked kernel
+//! the functional executor runs. Only the overlapped time-tiled Jacobi
+//! program ([`jacobi::overlapped_kernel`]) is written by hand.
 
 pub mod builtins;
 pub mod conv2d;
@@ -37,6 +41,23 @@ pub(crate) fn synth_value(seed: u64, idx: &[i64]) -> i64 {
     }
     // Keep values small so i64 accumulations cannot overflow.
     (x % 256) as i64
+}
+
+/// Built-in `name`'s table mapping re-tiled to `tiles` (flat, or
+/// sequential iff `seq`), staged iff `use_scratchpad`, as a kernel.
+#[cfg(test)]
+pub(crate) fn table_kernel(
+    name: &str,
+    tiles: &[i64],
+    seq: bool,
+    use_scratchpad: bool,
+) -> polymem_machine::BlockedKernel {
+    let b = builtins::Builtin::named(name).expect("a built-in");
+    let desc = polymem_core::smem::tune::MappingDesc {
+        use_scratchpad,
+        ..b.tiled(tiles, seq)
+    };
+    tunespace::build(name, &desc).expect("table mappings build")
 }
 
 #[cfg(test)]

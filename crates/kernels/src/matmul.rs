@@ -6,10 +6,8 @@
 //! hoists past the `k` tile loop (§4.2 placement).
 
 use crate::synth_value;
-use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_machine::BlockedKernel;
 
 /// Build the `N × N` matmul program (accumulating into `C`).
 pub fn program() -> Program {
@@ -62,37 +60,10 @@ pub fn reference(store: &mut ArrayStore, n: i64) {
     }
 }
 
-/// Map onto the machine: `(ti, tj, tk)` tiles, `(i, j)` tiles across
-/// blocks, `k` tiles inside a block (staged together with the block).
-pub fn blocked_kernel(ti: i64, tj: i64, tk: i64, use_scratchpad: bool) -> BlockedKernel {
-    let p = program();
-    let t = tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj), ("k", tk)], "T"))
-        .expect("tiling matmul is legal");
-    BlockedKernel {
-        program: t,
-        round_dims: vec![],
-        block_dims: vec!["iT".into(), "jT".into()],
-        seq_dims: vec![],
-        thread_dims: vec!["i".into()],
-        use_scratchpad,
-    }
-}
-
-/// The paper's §4.2 mapping: `kT` is a *sequential sub-tile* loop
-/// inside each block — A and B are re-staged per `kT` iteration, while
-/// the `C` buffer (whose accesses do not depend on `k`) hoists: staged
-/// once per block and written back once. This keeps the per-sub-tile
-/// scratchpad footprint at `ti·tk + tk·tj + ti·tj` words instead of
-/// the whole-block `ti·N + N·tj + ti·tj`.
-pub fn blocked_kernel_hoisted(ti: i64, tj: i64, tk: i64, use_scratchpad: bool) -> BlockedKernel {
-    let mut k = blocked_kernel(ti, tj, tk, use_scratchpad);
-    k.seq_dims = vec!["kT".into()];
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table_kernel;
     use polymem_core::smem::{analyze_program, SmemConfig};
     use polymem_ir::exec_program;
     use polymem_machine::{execute_blocked, MachineConfig};
@@ -114,7 +85,7 @@ mod tests {
         let mut st = ArrayStore::for_program(&p, &[8]).unwrap();
         init_store(&mut st, 9);
         let mut native = st.clone();
-        let k = blocked_kernel(4, 4, 4, true);
+        let k = table_kernel("matmul", &[4, 4, 4], false, true);
         let cfg = MachineConfig::geforce_8800_gtx();
         let stats = execute_blocked(&k, &[8], &mut st, &cfg, true).unwrap();
         reference(&mut native, 8);
@@ -151,9 +122,10 @@ mod tests {
         reference(&mut expected, n);
         let cfg = MachineConfig::geforce_8800_gtx();
 
-        // Hoisted: kT sub-tiles, C staged once per block.
+        // The §4.2 mapping: kT sub-tiles run inside the block, A and B
+        // re-stage per sub-tile, C (independent of k) is staged once.
         let mut st_h = base.clone();
-        let hoisted = blocked_kernel_hoisted(4, 4, 3, true);
+        let hoisted = table_kernel("matmul", &[4, 4, 3], true, true);
         let sh = execute_blocked(&hoisted, &[n], &mut st_h, &cfg, true).unwrap();
         assert_eq!(st_h.data("C").unwrap(), expected.data("C").unwrap());
 
@@ -168,7 +140,7 @@ mod tests {
         // full A row / B column resident: footprint 4*12 + 12*4 + 16 =
         // 112 words vs the sub-tiled 12 + 12 + 16 = 40.
         let mut st_w = base.clone();
-        let whole = blocked_kernel(4, 4, 12, true);
+        let whole = table_kernel("matmul", &[4, 4, 12], false, true);
         let sw = execute_blocked(&whole, &[n], &mut st_w, &cfg, true).unwrap();
         assert_eq!(st_w.data("C").unwrap(), expected.data("C").unwrap());
         assert_eq!(sw.max_smem_words, 112);

@@ -18,11 +18,10 @@
 use crate::synth_value;
 use polymem_core::smem::dataspace::collect_refs;
 use polymem_core::tiling::cost::{BufferCost, CostModel};
-use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_core::tiling::{search_discrete, SearchOutcome, TileSizeProblem};
 use polymem_ir::expr::v;
 use polymem_ir::{ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_machine::{BlockedKernel, KernelProfile, MachineConfig};
+use polymem_machine::{KernelProfile, MachineConfig};
 
 /// Problem instance: `ni × nj` candidate positions, `ws × ws` window.
 #[derive(Clone, Copy, Debug)]
@@ -111,34 +110,6 @@ pub fn reference(store: &mut ArrayStore, size: &MeSize) {
             sad[(i * nj + j) as usize] = acc;
         }
     }
-}
-
-/// Tile the program and map it onto the machine: `(ti, tj)` tiles of
-/// positions per thread block, no inter-block synchronisation.
-pub fn blocked_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let p = program();
-    let t =
-        tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj)], "T")).expect("tiling ME is legal");
-    BlockedKernel {
-        program: t,
-        round_dims: vec![],
-        block_dims: vec!["iT".into(), "jT".into()],
-        seq_dims: vec![],
-        thread_dims: vec!["i".into()],
-        use_scratchpad,
-    }
-}
-
-/// Like [`blocked_kernel`], but only `iT` spans thread blocks while
-/// `jT` runs sequentially inside each block — the double-buffered
-/// DMA pipeline prefetches the next position tile's search window
-/// while the current one computes (ME is embarrassingly parallel, so
-/// every group overlaps).
-pub fn blocked_seq_kernel(ti: i64, tj: i64, use_scratchpad: bool) -> BlockedKernel {
-    let mut k = blocked_kernel(ti, tj, use_scratchpad);
-    k.block_dims = vec!["iT".into()];
-    k.seq_dims = vec!["jT".into()];
-    k
 }
 
 /// The §4.3 cost model for ME over tile sizes `(ti, tj, tk, tl)`.
@@ -277,6 +248,8 @@ pub fn profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table_kernel;
+    use polymem_core::tiling::search_sqp;
     use polymem_ir::exec_program;
     use polymem_machine::execute_blocked;
 
@@ -303,7 +276,7 @@ mod tests {
     #[test]
     fn blocked_scratchpad_run_matches_reference() {
         let s = small();
-        let k = blocked_kernel(2, 2, true);
+        let k = table_kernel("me", &[2, 2], false, true);
         let mut st = ArrayStore::for_program(&program(), &params(&s)).unwrap();
         init_store(&mut st, 7);
         let mut native = st.clone();
@@ -327,7 +300,7 @@ mod tests {
         init_store(&mut st1, 3);
         let mut st2 = st1.clone();
         let d = execute_blocked(
-            &blocked_kernel(4, 4, false),
+            &table_kernel("me", &[4, 4], false, false),
             &params(&s),
             &mut st1,
             &cfg,
@@ -335,7 +308,7 @@ mod tests {
         )
         .unwrap();
         let m = execute_blocked(
-            &blocked_kernel(4, 4, true),
+            &table_kernel("me", &[4, 4], false, true),
             &params(&s),
             &mut st2,
             &cfg,
@@ -363,6 +336,26 @@ mod tests {
             vec![32, 16, 16, 16],
             "expected the paper's (32, 16, 16, 16), cost {}",
             out.cost
+        );
+    }
+
+    /// The "SQP vs discrete" ablation: the continuous solver lands
+    /// within 25 % of the exact discrete optimum on ME's §4.3 problem.
+    #[test]
+    fn sqp_lands_near_the_discrete_optimum() {
+        let cfg = MachineConfig::geforce_8800_gtx();
+        let problem = TileSizeProblem {
+            cost: cost_model(&MeSize::square(1 << 22, 16)),
+            params: cfg.cost_params(256.0),
+            mem_limit: (cfg.smem_bytes / cfg.word_bytes) as f64,
+        };
+        let d = search_discrete(&problem, None);
+        let s = search_sqp(&problem);
+        assert!(
+            s.cost <= d.cost * 1.25 + 1.0,
+            "sqp {} vs {}",
+            s.cost,
+            d.cost
         );
     }
 

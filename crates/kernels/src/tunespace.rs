@@ -2,17 +2,17 @@
 //! `polymem tune` autotuner.
 //!
 //! Each kernel gets an explicit table of [`TuneCandidate`]s: tile-size
-//! menus crossed with the mapping shapes its constructors support
-//! (all-blocked, sequential-sub-tile, hoisted), plus toggle variants
+//! menus crossed with the two splits of its table mapping
+//! (all-blocked, sequential-sub-tile), plus toggle variants
 //! (double buffering, residency, hierarchy) — with the
 //! CLI's canonical preset mapping pinned (`preset = true`) so the
 //! tuned winner is ≤ the hand-picked mapping by construction.
 //!
 //! [`build`] is the inverse: it reconstructs the [`BlockedKernel`] a
-//! persisted [`MappingDesc`] denotes, including the kernel-specific
-//! schemes (`"jacobi_overlapped"`, `"jacobi_stepwise"`) that the
-//! generic tiling scheme cannot express. `polymem run --tuned` and the
-//! compile service use it to execute a tuned winner without searching.
+//! [`MappingDesc`] denotes, including the one scheme no tiling
+//! expresses (`"jacobi_overlapped"`). Every built-in kernel that runs —
+//! a launch, a tuned winner reloaded by `polymem run --tuned` or the
+//! compile service, a test's or a bench's own tiles — comes out of it.
 
 use crate::builtins::Builtin;
 use crate::jacobi;
@@ -42,17 +42,36 @@ pub fn build(name: &str, desc: &MappingDesc) -> Option<BlockedKernel> {
     let tile =
         |d: &str| -> Option<i64> { desc.tiles.iter().find(|(n, _)| n == d).map(|(_, s)| *s) };
     match desc.scheme.as_str() {
-        "tile" => {
+        // A per-round Jacobi description names its rounds, blocks and
+        // threads like any tiling; only its tune key tells it apart.
+        "tile" | "jacobi_stepwise" => {
             let program = (Builtin::named(name)?.program)();
-            tile_kernel(&program, desc).ok().flatten()
+            tile_kernel(&program, desc).ok()
         }
         "jacobi_overlapped" => Some(jacobi::overlapped_kernel(
             tile("t")?,
             tile("i")?,
             desc.use_scratchpad,
         )),
-        "jacobi_stepwise" => Some(jacobi::stepwise_kernel(tile("i")?, desc.use_scratchpad)),
         _ => None,
+    }
+}
+
+/// Jacobi's per-round mapping: every time step is a device-sync round,
+/// `i` tiles of `si` cells span the blocks, one thread per cell;
+/// staged, every movement toggle off.
+pub fn jacobi_stepwise(si: i64) -> MappingDesc {
+    MappingDesc {
+        scheme: "jacobi_stepwise".into(),
+        tiles: vec![("i".into(), si)],
+        round_dims: vec!["t".into()],
+        block_dims: vec!["iT".into()],
+        seq_dims: vec![],
+        thread_dims: vec!["i".into()],
+        use_scratchpad: true,
+        double_buffer: false,
+        hierarchy: false,
+        residency: false,
     }
 }
 
@@ -66,24 +85,14 @@ struct Shape {
     residency: bool,
 }
 
-/// `desc` with its tile loops resized to `sizes`, in order (none
-/// keeps them).
-fn retiled(mut desc: MappingDesc, sizes: &[i64]) -> MappingDesc {
-    for ((_, t), s) in desc.tiles.iter_mut().zip(sizes) {
-        *t = *s;
-    }
-    desc
-}
-
 /// The kernel's canonical mapping in `shape`, re-tiled to `sizes`. The
 /// tuner does not price the register level, so candidates leave it
 /// off.
-fn variant(b: &Builtin, sizes: &[i64], shape: &Shape, base: &MachineConfig) -> MappingDesc {
+fn variant(b: &Builtin, sizes: &[i64], shape: &Shape) -> MappingDesc {
     MappingDesc {
         double_buffer: shape.double_buffer,
-        hierarchy: false,
         residency: shape.residency,
-        ..retiled(b.mapping(shape.seq_last, base), sizes)
+        ..b.tiled(sizes, shape.seq_last)
     }
 }
 
@@ -139,24 +148,22 @@ pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<T
         // the space crosses its (time, space) tile sizes and adds the
         // stepwise per-round mapping with and without scratchpad
         // staging.
-        let unpipelined = MappingDesc {
-            double_buffer: false,
-            hierarchy: false,
-            ..b.mapping(false, base)
-        };
+        let residency = base.residency;
         let tts: &[i64] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
         let sis: &[i64] = if smoke { &[4, 8, 16] } else { &[4, 8, 16, 32] };
         for tiles in product(&[tts, sis]) {
-            push(retiled(unpipelined.clone(), &tiles), false);
+            push(
+                MappingDesc {
+                    residency,
+                    ..b.tiled(&tiles, false)
+                },
+                false,
+            );
         }
         for &si in sis {
             let step = MappingDesc {
-                scheme: "jacobi_stepwise".into(),
-                tiles: vec![("i".into(), si)],
-                round_dims: vec!["t".into()],
-                thread_dims: vec!["i".into()],
-                use_scratchpad: true,
-                ..unpipelined.clone()
+                residency,
+                ..jacobi_stepwise(si)
             };
             push(step.clone(), false);
             push(
@@ -172,7 +179,7 @@ pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<T
         // has its own) with the shapes.
         let tk_menu: &[i64] = if smoke { &[8] } else { &[4, 8, 16] };
         // The flat shape at the table's own tile sizes.
-        let canonical = variant(b, &[], &shapes[0], base);
+        let canonical = variant(b, &[], &shapes[0]);
         let menus: Vec<&[i64]> = canonical
             .tiles
             .iter()
@@ -180,7 +187,7 @@ pub fn candidates(name: &str, base: &MachineConfig, smoke: bool) -> Option<Vec<T
             .collect();
         for tiles in product(&menus) {
             for shape in &shapes {
-                push(variant(b, &tiles, shape, base), false);
+                push(variant(b, &tiles, shape), false);
             }
         }
         // Unstaged baseline.

@@ -327,15 +327,6 @@ struct SubBlock {
     staging: Option<Staging>,
 }
 
-/// What one sub-block's compute phase did, for the cycle model: the same
-/// tallies from either engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct PhaseCounts {
-    pub(crate) n_inst: u64,
-    pub(crate) n_smem: u64,
-    pub(crate) n_glob: u64,
-}
-
 /// The shared plan's residency decomposition, when it applies between
 /// the sub-tiles at `prev` and `cur` (each a `params ++ fixed values`
 /// vector): the two are lexicographically consecutive along the
@@ -641,16 +632,17 @@ impl<'a> Block<'a> {
             let mut ov = self.overlay.clone();
             let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
             let mut sc = ExecStats::default();
-            let c = interpreted_compute(launch, pparams, store, loc.as_mut(), &mut ov, &mut sc)?;
-            Some((ov, loc, tally(&sc), c, tally(&self.stats)))
+            interpreted_compute(launch, pparams, store, loc.as_mut(), &mut ov, &mut sc)?;
+            Some((ov, loc, tally(&sc)))
         } else {
             None
         };
 
+        let before = tally(&self.stats);
         let t0 = self.now();
         let (overlay, stats) = (&mut self.overlay, &mut self.stats);
         let local = sb.staging.as_mut().map(|st| &mut st.local);
-        let counts = match &launch.code {
+        match &launch.code {
             Some(code) => {
                 stats.compiled_blocks += 1;
                 run_compiled(launch, code, pparams, store, local, overlay, stats)?
@@ -660,25 +652,27 @@ impl<'a> Block<'a> {
                 stats.fallback.engine_off += 1;
                 interpreted_compute(launch, pparams, store, local, overlay, stats)?
             }
-        };
+        }
         self.record(PassKind::Compute, t0);
 
-        if let Some((ov, loc, charged, oc, before)) = oracle {
-            let mut deltas = tally(&self.stats);
-            for (d, b) in deltas.iter_mut().zip(before) {
-                *d -= b;
-            }
+        let mut deltas = tally(&self.stats);
+        for (d, b) in deltas.iter_mut().zip(before) {
+            *d -= b;
+        }
+        if let Some((ov, loc, charged)) = oracle {
             let same_overlay = self.overlay == ov;
             let same_local = sb.staging.as_ref().map(|st| &st.local) == loc.as_ref();
             assert!(
-                same_overlay && same_local && deltas == charged && counts == oc,
+                same_overlay && same_local && deltas == charged,
                 "POLYMEM_EXEC_CHECK: compiled execution diverged from the interpreter \
                  (sub-block {pparams:?}: overlay match {same_overlay}, local match \
                  {same_local}, counters {deltas:?} vs {charged:?})",
             );
         }
-        let cycles = (launch.cost).compute_cycles(counts.n_inst, counts.n_smem, counts.n_glob);
-        self.clock.now += cycles;
+        // The phase pays for what it added to the counters.
+        let [n_inst, g_reads, g_writes, s_reads, s_writes, ..] = deltas;
+        self.clock.now +=
+            (launch.cost).compute_cycles(n_inst, s_reads + s_writes, g_reads + g_writes);
         Ok(())
     }
 }
@@ -914,8 +908,7 @@ fn level1_index<'i>(
 /// only checked the representative block — frames can grow past it,
 /// e.g. on triangular domains) before anything of that size is
 /// allocated, then run the level-2 movement code against the backing
-/// level-1 buffers. Returns the scratchpad accesses to charge the
-/// cycle model.
+/// level-1 buffers.
 pub(crate) fn stage_frames(
     launch: &LaunchShared,
     fs: &mut FrameSet,
@@ -923,8 +916,8 @@ pub(crate) fn stage_frames(
     pparams: &[i64],
     local: &mut LocalStore,
     stats: &mut ExecStats,
-) -> Result<u64> {
-    let flushed = flush_frames(launch, fs, local, stats)?;
+) -> Result<()> {
+    flush_frames(launch, fs, local, stats)?;
     let (plan1, h) = launch.hier().expect("frames stage under a level-2 plan");
     fs.key.clear();
     fs.key.extend(key);
@@ -953,22 +946,21 @@ pub(crate) fn stage_frames(
     stats.smem_reads += n_smem;
     stats.reg_bytes_moved += n_smem * launch.config.word_bytes;
     stats.hier_groups += 1;
-    Ok(flushed + n_smem)
+    Ok(())
 }
 
 /// Flush the written register frames of the key `fs` holds (none: a
 /// no-op) back to their level-1 buffers (reg → smem move-out) before
 /// the thread key changes or the compute phase ends. Read-only frames
-/// are dropped for free. Returns the scratchpad writes to charge the
-/// cycle model.
+/// are dropped for free.
 pub(crate) fn flush_frames(
     launch: &LaunchShared,
     fs: &FrameSet,
     local: &mut LocalStore,
     stats: &mut ExecStats,
-) -> Result<u64> {
+) -> Result<()> {
     if fs.key.is_empty() {
-        return Ok(0);
+        return Ok(());
     }
     let (plan1, h) = launch.hier().expect("frames flush under a level-2 plan");
     let (mut n_smem, mut idx1) = (0u64, Vec::new());
@@ -985,7 +977,7 @@ pub(crate) fn flush_frames(
     }
     stats.smem_writes += n_smem;
     stats.reg_bytes_moved += n_smem * launch.config.word_bytes;
-    Ok(n_smem)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1182,8 +1174,11 @@ mod tests {
             }
         }
         let stats = &mut ExecStats::default();
-        let stage = |fs: &mut FrameSet, key: i64, local: &mut LocalStore, stats: &mut _| {
-            stage_frames(&launch, fs, [key].into_iter(), &params, local, stats).unwrap()
+        // The scratchpad accesses one switch to `key` charges.
+        let stage = |fs: &mut FrameSet, key: i64, local: &mut LocalStore, stats: &mut ExecStats| {
+            let before = stats.smem_reads + stats.smem_writes;
+            stage_frames(&launch, fs, [key].into_iter(), &params, local, stats).unwrap();
+            stats.smem_reads + stats.smem_writes - before
         };
         // The 8-word row, scribbled over, then the 3-word row in the
         // same storage: nothing of the larger frame survives.

@@ -48,7 +48,7 @@
 //! [`MachineConfig::compiled_exec`](crate::MachineConfig::compiled_exec) off, as the oracle
 //! (`POLYMEM_EXEC_CHECK=1` cross-checks every block against it).
 
-use crate::block::{flush_frames, stage_frames, Buffer, FrameSet, LocalStore, PhaseCounts};
+use crate::block::{flush_frames, stage_frames, Buffer, FrameSet, LocalStore};
 use crate::exec::{budget_error, shape_error, LaunchShared, StmtLayout};
 use crate::overlay::Overlay;
 use crate::stats::ExecStats;
@@ -558,32 +558,20 @@ fn flat_offset(
 
 /// Charge the counters for one read of `t` — exactly what the
 /// interpreter charges.
-fn charge_read(t: Target, stats: &mut ExecStats, counts: &mut PhaseCounts) {
+fn charge_read(t: Target, stats: &mut ExecStats) {
     match t {
-        Target::Local { .. } => {
-            stats.smem_reads += 1;
-            counts.n_smem += 1;
-        }
-        Target::Global { .. } => {
-            stats.global_reads += 1;
-            counts.n_glob += 1;
-        }
+        Target::Local { .. } => stats.smem_reads += 1,
+        Target::Global { .. } => stats.global_reads += 1,
         Target::Frame { .. } => stats.smem_loads_saved += 1,
     }
 }
 
 /// Charge the counters for one write of `t` (frame writes are silent,
 /// like the interpreter's: they pay at flush).
-fn charge_write(t: Target, stats: &mut ExecStats, counts: &mut PhaseCounts) {
+fn charge_write(t: Target, stats: &mut ExecStats) {
     match t {
-        Target::Local { .. } => {
-            stats.smem_writes += 1;
-            counts.n_smem += 1;
-        }
-        Target::Global { .. } => {
-            stats.global_writes += 1;
-            counts.n_glob += 1;
-        }
+        Target::Local { .. } => stats.smem_writes += 1,
+        Target::Global { .. } => stats.global_writes += 1,
         Target::Frame { .. } => {}
     }
 }
@@ -644,7 +632,7 @@ pub(crate) fn run_compiled(
     local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-) -> Result<PhaseCounts> {
+) -> Result<()> {
     let (params, budget) = (launch.params, launch.config.enum_budget);
     let thread_pos = |si: usize| {
         launch
@@ -682,7 +670,6 @@ pub(crate) fn run_compiled(
 
     // K-way merge in interleaved source order.
     let gdatas: Vec<&[i64]> = launch.sids.iter().map(|&id| store.data_by_id(id)).collect();
-    let mut counts = PhaseCounts::default();
     // Scratch reused across instances so the hot loop never allocates.
     let mut reads_buf: Vec<i64> = Vec::new();
     let mut stack: Vec<i64> = Vec::new();
@@ -716,7 +703,7 @@ pub(crate) fn run_compiled(
             if !tiles.frames.key.iter().copied().eq(key.clone()) {
                 let ls = tiles.local.as_deref_mut();
                 let ls = ls.expect("a staged launch passes its scratchpad");
-                counts.n_smem += stage_frames(launch, &mut tiles.frames, key, ep, ls, stats)?;
+                stage_frames(launch, &mut tiles.frames, key, ep, ls, stats)?;
                 for (sj, inst) in insts.iter_mut().enumerate() {
                     inst.rekey(&code[sj], ep, launch, &tiles, &boxes[sj]);
                     if alive[sj] {
@@ -779,7 +766,7 @@ pub(crate) fn run_compiled(
             let (inst, cur) = (&insts[si], &cursors[si]);
             reads_buf.clear();
             for acc in inst.reads() {
-                charge_read(acc.target, stats, &mut counts);
+                charge_read(acc.target, stats);
                 let off = flat_offset(acc, &cur.point, ep, launch, &tiles, &mut idx)?;
                 reads_buf.push(load_at(acc.target, off, &tiles, overlay, &gdatas));
             }
@@ -788,11 +775,10 @@ pub(crate) fn run_compiled(
                 .eval(&mut stack, &reads_buf, &cur.full, params)
                 .map_err(MachineError::Ir)?;
             let wacc = inst.write();
-            charge_write(wacc.target, stats, &mut counts);
+            charge_write(wacc.target, stats);
             let off = flat_offset(wacc, &cur.point, ep, launch, &tiles, &mut idx)?;
             store_at(wacc.target, off, value, &mut tiles, overlay);
             stats.instances += 1;
-            counts.n_inst += 1;
         }
         match cursors[si].advance().map_err(budget_error)? {
             Some(ch) => insts[si].carry(&cursors[si].point, ch),
@@ -802,9 +788,9 @@ pub(crate) fn run_compiled(
     // The trailing frame set flushes after the last instance, exactly
     // like the interpreter's final flush.
     if let Some(ls) = tiles.local {
-        counts.n_smem += flush_frames(launch, &tiles.frames, ls, stats)?;
+        flush_frames(launch, &tiles.frames, ls, stats)?;
     }
-    Ok(counts)
+    Ok(())
 }
 
 #[cfg(test)]

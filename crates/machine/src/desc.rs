@@ -192,7 +192,11 @@ impl MachineDesc {
     /// array-of-tables for the memory levels, `#` comments, values
     /// either quoted strings, booleans or numbers. Unknown sections or
     /// keys are errors (a typo must not silently describe a different
-    /// machine).
+    /// machine), and so is a description no machine has: a level name
+    /// other than `global`, `scratchpad` or `register` or one given
+    /// twice, a number that is not finite or is negative, a zero clock,
+    /// word size or (with channels) DMA bandwidth, and a unit count
+    /// (`rows × cols`, `n_outer × max_blocks_per_outer`) past `u64`.
     ///
     /// Inherent rather than `impl FromStr` so the error stays a plain
     /// `String` like the rest of the file codec.
@@ -261,7 +265,7 @@ impl MachineDesc {
             }
             None => None,
         };
-        let mut lvls = Vec::new();
+        let mut lvls: Vec<MemLevel> = Vec::new();
         for mut l in levels {
             let lvl = MemLevel {
                 name: l
@@ -271,6 +275,18 @@ impl MachineDesc {
                 latency: get_f64(&mut l, "level", "latency")?,
             };
             reject_extra(&l, "level")?;
+            if !["global", "scratchpad", "register"].contains(&lvl.name.as_str()) {
+                return Err(format!(
+                    "machine file: unknown [[level]] `{}` (global, scratchpad or register)",
+                    lvl.name
+                ));
+            }
+            if lvls.iter().any(|seen| seen.name == lvl.name) {
+                return Err(format!(
+                    "machine file: [[level]] `{}` given twice",
+                    lvl.name
+                ));
+            }
             lvls.push(lvl);
         }
         if lvls.is_empty() {
@@ -313,10 +329,27 @@ impl MachineDesc {
         if desc.caps.placement_cost && desc.mesh.is_none() {
             return Err("machine file: `placement_cost = true` needs a [mesh] section".into());
         }
-        if let Some(m) = &desc.mesh {
-            if m.rows == 0 || m.cols == 0 {
+        if desc.word_bytes == 0 {
+            return Err("machine file: [compute] `word_bytes` must be at least 1".into());
+        }
+        if desc.clock_ghz == 0.0 {
+            return Err("machine file: [compute] `clock_ghz` must be positive".into());
+        }
+        if desc.dma_channels > 0 && desc.dma_bytes_per_cycle == 0.0 {
+            return Err(
+                "machine file: [dma] `bytes_per_cycle` must be positive with channels".into(),
+            );
+        }
+        let n_outer = match &desc.mesh {
+            Some(m) if m.rows == 0 || m.cols == 0 => {
                 return Err("machine file: mesh rows/cols must be positive".into());
             }
+            Some(m) => m.rows.checked_mul(m.cols),
+            None => Some(desc.n_outer),
+        };
+        let n_outer = n_outer.ok_or("machine file: mesh rows × cols overflows u64")?;
+        if n_outer.checked_mul(desc.max_blocks_per_outer).is_none() {
+            return Err("machine file: n_outer × max_blocks_per_outer overflows u64".into());
         }
         Ok(desc)
     }
@@ -362,12 +395,21 @@ fn get_u64(tbl: &mut HashMap<String, String>, sec: &str, key: &str) -> Result<u6
         .map_err(|_| format!("machine file: [{sec}] `{key}` is not an unsigned integer: `{v}`"))
 }
 
+/// A finite, non-negative number: every float a description holds is a
+/// latency, rate or cost.
 fn get_f64(tbl: &mut HashMap<String, String>, sec: &str, key: &str) -> Result<f64, String> {
     let v = tbl
         .remove(key)
         .ok_or_else(|| format!("machine file: [{sec}] missing `{key}`"))?;
-    v.parse()
-        .map_err(|_| format!("machine file: [{sec}] `{key}` is not a number: `{v}`"))
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        Ok(_) => Err(format!(
+            "machine file: [{sec}] `{key}` must be finite and >= 0: `{v}`"
+        )),
+        Err(_) => Err(format!(
+            "machine file: [{sec}] `{key}` is not a number: `{v}`"
+        )),
+    }
 }
 
 fn get_bool(tbl: &mut HashMap<String, String>, sec: &str, key: &str) -> Result<bool, String> {
@@ -646,6 +688,57 @@ mod tests {
         );
         let bad = "name = \"x\"\n[turbo]\n";
         assert!(MachineDesc::from_str(bad).unwrap_err().contains("turbo"));
+        // Well-formed files that describe no machine: one input each.
+        let edited = |d: MachineDesc, from: &str, to: &str| {
+            let text = d.to_toml();
+            assert!(text.contains(from), "{from}");
+            MachineDesc::from_str(&text.replacen(from, to, 1)).unwrap_err()
+        };
+        let spad = "name = \"scratchpad\"";
+        let cases = [
+            (edited(gpu(), spad, "name = \"scrachpad\""), "`scrachpad`"),
+            (
+                edited(gpu(), spad, "name = \"global\""),
+                "`global` given twice",
+            ),
+            (edited(gpu(), "latency = 500", "latency = nan"), "`latency`"),
+            (
+                edited(gpu(), "latency = 500", "latency = -100"),
+                "`latency`",
+            ),
+            (edited(gpu(), "latency = 500", "latency = inf"), "`latency`"),
+            (
+                edited(gpu(), "sync_cycles = 20", "sync_cycles = -1"),
+                "`sync_cycles`",
+            ),
+            (
+                edited(gpu(), "clock_ghz = 1.35", "clock_ghz = 0"),
+                "`clock_ghz`",
+            ),
+            (
+                edited(gpu(), "word_bytes = 4", "word_bytes = 0"),
+                "`word_bytes`",
+            ),
+            (
+                edited(gpu(), "bytes_per_cycle = 16", "bytes_per_cycle = 0"),
+                "`bytes_per_cycle`",
+            ),
+            (
+                edited(spatial(), "rows = 8", "rows = 2305843009213693952"),
+                "rows × cols",
+            ),
+            (
+                edited(
+                    gpu(),
+                    "max_blocks_per_outer = 8",
+                    "max_blocks_per_outer = 2305843009213693952",
+                ),
+                "n_outer × max_blocks_per_outer",
+            ),
+        ];
+        for (err, want) in cases {
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]

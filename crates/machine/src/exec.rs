@@ -930,11 +930,12 @@ pub(crate) mod tests {
         (p, k)
     }
 
-    use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+    use polymem_kernels::builtins::Builtin;
+    use polymem_kernels::{conv2d, jacobi, jacobi2d, me, tunespace};
 
-    /// A `polymem_kernels` constructor's kernel as this crate's type
-    /// (the dev-dependency links the non-test build of this crate, so
-    /// its `BlockedKernel` is a different type with the same fields).
+    /// A `polymem_kernels` kernel as this crate's type (the
+    /// dev-dependency links the non-test build of this crate, so its
+    /// `BlockedKernel` is a different type with the same fields).
     macro_rules! own {
         ($kernel:expr) => {{
             let k = $kernel;
@@ -957,48 +958,36 @@ pub(crate) mod tests {
             nj: 8,
             ws: 4,
         };
-        let mut jacobi_k = own!(jacobi::stepwise_kernel(4, true));
+        let mut jacobi_desc = tunespace::jacobi_stepwise(4);
         if seq {
-            jacobi_k.block_dims = vec![];
-            jacobi_k.seq_dims = vec!["iT".into()];
+            jacobi_desc.block_dims = vec![];
+            jacobi_desc.seq_dims = vec!["iT".into()];
         }
-        let pick = |s: BlockedKernel, f: BlockedKernel| if seq { s } else { f };
+        // The sequential mappings halve the last tile loop.
+        let table = |name: &str, flat_tiles: &[i64]| {
+            let mut tiles = flat_tiles.to_vec();
+            if seq {
+                *tiles.last_mut().unwrap() /= 2;
+            }
+            let desc = Builtin::named(name).unwrap().tiled(&tiles, seq);
+            own!(tunespace::build(name, &desc).unwrap())
+        };
         vec![
-            (
-                "me",
-                pick(
-                    own!(me::blocked_seq_kernel(4, 2, true)),
-                    own!(me::blocked_kernel(4, 4, true)),
-                ),
-                me::params(&me_size),
-            ),
+            ("me", table("me", &[4, 4]), me::params(&me_size)),
             (
                 "jacobi",
-                jacobi_k,
+                own!(tunespace::build("jacobi", &jacobi_desc).unwrap()),
                 jacobi::params(&jacobi::JacobiSize { n: 16, t: 2 }),
             ),
             (
                 "jacobi2d",
-                pick(
-                    own!(jacobi2d::stepwise_seq_kernel(4, 2, true)),
-                    own!(jacobi2d::stepwise_kernel(4, 4, true)),
-                ),
+                table("jacobi2d", &[4, 4]),
                 jacobi2d::params(2, 8),
             ),
-            (
-                "matmul",
-                pick(
-                    own!(matmul::blocked_kernel_hoisted(4, 4, 2, true)),
-                    own!(matmul::blocked_kernel(4, 4, 4, true)),
-                ),
-                vec![8],
-            ),
+            ("matmul", table("matmul", &[4, 4, 4]), vec![8]),
             (
                 "conv2d",
-                pick(
-                    own!(conv2d::blocked_seq_kernel(4, 2, true)),
-                    own!(conv2d::blocked_kernel(4, 4, true)),
-                ),
+                table("conv2d", &[4, 4]),
                 conv2d::params(&conv2d::ConvSize { n: 8, k: 3 }),
             ),
         ]

@@ -3,7 +3,7 @@
 //! off, and the oracle `POLYMEM_EXEC_CHECK=1` runs beside every
 //! compiled block.
 
-use crate::block::{flush_frames, stage_frames, FrameSet, LocalStore, PhaseCounts};
+use crate::block::{flush_frames, stage_frames, FrameSet, LocalStore};
 use crate::exec::{budget_error, LaunchShared};
 use crate::overlay::Overlay;
 use crate::stats::ExecStats;
@@ -20,7 +20,7 @@ use std::ops::ControlFlow;
 /// `AffineMap::apply`. It shares the layout with the compiled engine
 /// but none of its walking code, which is what makes it an oracle.
 /// `local` is the sub-block's staged scratchpad (present iff the
-/// launch has a plan). Returns the tallies for the cycle model.
+/// launch has a plan).
 ///
 /// When the shared symbolic plan carries a level-2 (register-tile)
 /// plan, the walk additionally stages register frames per thread key:
@@ -39,7 +39,7 @@ pub(crate) fn interpreted_compute(
     mut local: Option<&mut LocalStore>,
     overlay: &mut Overlay,
     stats: &mut ExecStats,
-) -> Result<PhaseCounts> {
+) -> Result<()> {
     let (program, params) = (launch.program, launch.params);
     let source = launch.plan.as_deref();
     let hier: Option<&HierPlan> = source.and_then(|sp| sp.hier.as_ref());
@@ -67,7 +67,6 @@ pub(crate) fn interpreted_compute(
         (pa[..c].cmp(&pb[..c]).then(sa.cmp(sb))).then_with(|| pa[c..].cmp(&pb[c..]))
     });
 
-    let mut counts = PhaseCounts::default();
     for (si, point) in &instances {
         let stmt = &program.stmts[*si];
         // Stage the instance's register frames: flush the previous
@@ -78,8 +77,7 @@ pub(crate) fn interpreted_compute(
         if let Some(h) = hier {
             if let Some(key) = h.thread_key(*si, point).filter(|key| *key != frames.key) {
                 let ls = local.as_deref_mut().expect("hier implies local store");
-                counts.n_smem +=
-                    stage_frames(launch, &mut frames, key.into_iter(), pparams, ls, stats)?;
+                stage_frames(launch, &mut frames, key.into_iter(), pparams, ls, stats)?;
             }
         }
         // Frames serve accesses only once a key is staged.
@@ -103,7 +101,6 @@ pub(crate) fn interpreted_compute(
                 let proj = sp.project_point(*si, point);
                 let idx = la.local_index(buf, &proj, pparams)?;
                 stats.smem_reads += 1;
-                counts.n_smem += 1;
                 let ls = local.as_deref().expect("staged plan implies local store");
                 staged = Some(ls.get(la.buffer, &idx)?);
             }
@@ -113,7 +110,6 @@ pub(crate) fn interpreted_compute(
                     let idx = r.map.apply(point, params)?;
                     let name = &program.arrays[r.array].name;
                     stats.global_reads += 1;
-                    counts.n_glob += 1;
                     read_global(store, overlay, r.array, name, &idx, &launch.ext[r.array])?
                 }
             };
@@ -137,7 +133,6 @@ pub(crate) fn interpreted_compute(
             let proj = sp.project_point(*si, point);
             let idx = la.local_index(buf, &proj, pparams)?;
             stats.smem_writes += 1;
-            counts.n_smem += 1;
             let ls = local
                 .as_deref_mut()
                 .expect("staged plan implies local store");
@@ -148,18 +143,16 @@ pub(crate) fn interpreted_compute(
             let a = stmt.write.array;
             let idx = stmt.write.map.apply(point, params)?;
             stats.global_writes += 1;
-            counts.n_glob += 1;
             overlay.set_idx(a, &program.arrays[a].name, &idx, &launch.ext[a], value)?;
         }
         stats.instances += 1;
-        counts.n_inst += 1;
     }
     // Final flush: the last thread key's written frames must reach
     // scratchpad before the sub-block's move-out runs.
     if let Some(ls) = local {
-        counts.n_smem += flush_frames(launch, &frames, ls, stats)?;
+        flush_frames(launch, &frames, ls, stats)?;
     }
-    Ok(counts)
+    Ok(())
 }
 
 /// A global element read: the block's own buffered writes shadow the

@@ -163,27 +163,25 @@ pub fn launch_config(toggles: &LaunchToggles, base: &MachineConfig) -> MachineCo
     cfg
 }
 
-/// Rebuild the [`BlockedKernel`] a `scheme == "tile"` description
-/// denotes on `program`. Returns `None` for foreign schemes (callers
-/// with kernel-specific rebuilders handle those).
-pub fn tile_kernel(program: &Program, desc: &MappingDesc) -> Result<Option<BlockedKernel>> {
-    if desc.scheme != "tile" {
-        return Ok(None);
-    }
+/// The [`BlockedKernel`] a tiling description denotes on `program`:
+/// its tile sizes applied, its dims placed. The scheme is the caller's
+/// to dispatch on: a kernel-specific scheme that no tiling expresses
+/// never reaches here.
+pub fn tile_kernel(program: &Program, desc: &MappingDesc) -> Result<BlockedKernel> {
     let tiled = if desc.tiles.is_empty() {
         program.clone()
     } else {
         let tiles: Vec<(&str, i64)> = desc.tiles.iter().map(|(n, s)| (n.as_str(), *s)).collect();
         tile_program(program, &TileSpec::new(&tiles, "T"))?
     };
-    Ok(Some(BlockedKernel {
+    Ok(BlockedKernel {
         program: tiled,
         round_dims: desc.round_dims.clone(),
         block_dims: desc.block_dims.clone(),
         seq_dims: desc.seq_dims.clone(),
         thread_dims: desc.thread_dims.clone(),
         use_scratchpad: desc.use_scratchpad,
-    }))
+    })
 }
 
 /// Enumerate the launch shape the estimator prices: round/block/seq
@@ -303,13 +301,11 @@ pub fn generic_candidates(
     };
 
     fn push_desc(program: &Program, out: &mut Vec<TuneCandidate>, desc: MappingDesc) -> Result<()> {
-        if let Some(kernel) = tile_kernel(program, &desc)? {
-            out.push(TuneCandidate {
-                desc,
-                kernel,
-                preset: false,
-            });
-        }
+        out.push(TuneCandidate {
+            kernel: tile_kernel(program, &desc)?,
+            desc,
+            preset: false,
+        });
         Ok(())
     }
 

@@ -20,7 +20,8 @@
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{exec_program, ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::builtins::Builtin;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me, tunespace};
 use polymem_machine::{execute_blocked, BlockedKernel, ExecStats, MachineConfig};
 
 const GOLDEN: &str = include_str!("exec_golden.txt");
@@ -33,6 +34,13 @@ struct Case {
     base: ArrayStore,
     reference: ArrayStore,
     check: &'static str,
+}
+
+/// Built-in `name`'s table mapping at `tiles`, in its
+/// sequential-sub-tile split iff `seq`.
+fn table(name: &str, tiles: &[i64], seq: bool) -> BlockedKernel {
+    let desc = Builtin::named(name).unwrap().tiled(tiles, seq);
+    tunespace::build(name, &desc).unwrap()
 }
 
 /// `seq` picks the sequential-sub-tile mapping (the pipeline's target
@@ -62,11 +70,7 @@ fn case(name: &str, seq: bool) -> Case {
                 nj: 8,
                 ws: 4,
             };
-            let k = if seq {
-                me::blocked_seq_kernel(4, 2, true)
-            } else {
-                me::blocked_kernel(4, 4, true)
-            };
+            let k = table("me", if seq { &[4, 2] } else { &[4, 4] }, seq);
             finish(
                 k,
                 me::params(&size),
@@ -77,15 +81,15 @@ fn case(name: &str, seq: bool) -> Case {
         }
         "jacobi" => {
             let size = jacobi::JacobiSize { n: 16, t: 2 };
-            let mut k = jacobi::stepwise_kernel(4, true);
+            let mut desc = tunespace::jacobi_stepwise(4);
             if seq {
                 // Space tiles run one after another inside a single
                 // block per time step (all reads are of row t−1).
-                k.block_dims = vec![];
-                k.seq_dims = vec!["iT".into()];
+                desc.block_dims = vec![];
+                desc.seq_dims = vec!["iT".into()];
             }
             finish(
-                k,
+                tunespace::build("jacobi", &desc).unwrap(),
                 jacobi::params(&size),
                 &|s| jacobi::init_store(s, 8),
                 &|s| jacobi::reference(s, &size),
@@ -94,11 +98,7 @@ fn case(name: &str, seq: bool) -> Case {
         }
         "jacobi2d" => {
             let (t, n) = (2, 8);
-            let k = if seq {
-                jacobi2d::stepwise_seq_kernel(4, 2, true)
-            } else {
-                jacobi2d::stepwise_kernel(4, 4, true)
-            };
+            let k = table("jacobi2d", if seq { &[4, 2] } else { &[4, 4] }, seq);
             finish(
                 k,
                 jacobi2d::params(t, n),
@@ -109,11 +109,7 @@ fn case(name: &str, seq: bool) -> Case {
         }
         "matmul" => {
             let n = 8;
-            let k = if seq {
-                matmul::blocked_kernel_hoisted(4, 4, 2, true)
-            } else {
-                matmul::blocked_kernel(4, 4, 4, true)
-            };
+            let k = table("matmul", if seq { &[4, 4, 2] } else { &[4, 4, 4] }, seq);
             finish(
                 k,
                 vec![n],
@@ -124,11 +120,7 @@ fn case(name: &str, seq: bool) -> Case {
         }
         _ => {
             let size = conv2d::ConvSize { n: 8, k: 3 };
-            let k = if seq {
-                conv2d::blocked_seq_kernel(4, 2, true)
-            } else {
-                conv2d::blocked_kernel(4, 4, true)
-            };
+            let k = table("conv2d", if seq { &[4, 2] } else { &[4, 4] }, seq);
             finish(
                 k,
                 conv2d::params(&size),

@@ -25,8 +25,8 @@ use polymem_core::smem::{parametrize_dims, prove_flat, ExtSource};
 use polymem_core::tiling::transform::{tile_program, TileSpec};
 use polymem_ir::expr::v;
 use polymem_ir::{exec_program, ArrayStore, Expr, LinExpr, Program, ProgramBuilder};
-use polymem_kernels::builtins::{launch, BUILTINS};
-use polymem_kernels::{matmul, me};
+use polymem_kernels::builtins::{launch, Builtin, BUILTINS};
+use polymem_kernels::{me, tunespace};
 use polymem_machine::{
     desc, execute_blocked, warm_plan, BlockedKernel, LaunchToggles, MachineConfig, MachineError,
 };
@@ -483,9 +483,13 @@ fn dense_level2_vectors_equal_the_named_lookup_at_every_thread_key() {
         nj: 8,
         ws: 4,
     };
+    let flat = |name: &str, tiles: &[i64]| {
+        let desc = Builtin::named(name).unwrap().tiled(tiles, false);
+        tunespace::build(name, &desc).unwrap()
+    };
     let cases = [
-        (matmul::blocked_kernel(4, 4, 4, true), vec![8]),
-        (me::blocked_kernel(4, 4, true), me::params(&me_size)),
+        (flat("matmul", &[4, 4, 4]), vec![8]),
+        (flat("me", &[4, 4]), me::params(&me_size)),
     ];
     for (kernel, params) in cases {
         let mut cfg = MachineConfig::geforce_8800_gtx();

@@ -8,28 +8,20 @@
 //! bit-exact against the reference interpreter.
 
 use polymem_ir::{exec_program, ArrayStore};
-use polymem_kernels::{matmul, me, tunespace};
+use polymem_kernels::builtins::Builtin;
+use polymem_kernels::tunespace;
 use polymem_machine::{
     cost_constants, desc, execute_blocked, plan_artifact_key, BlockedKernel, MachineConfig,
     MachineDesc,
 };
 use proptest::prelude::*;
 
-/// A staged workload (kernel, params, output array, init) used by the
-/// divergence and key tests.
+/// A staged workload (kernel, params, output array) used by the
+/// divergence and key tests: the built-in's table mapping, flat.
 fn staged_workload(name: &str, size: i64) -> (BlockedKernel, Vec<i64>, &'static str) {
-    match name {
-        "matmul" => (matmul::blocked_kernel(4, 4, 8, true), vec![size], "C"),
-        "me" => {
-            let s = me::MeSize {
-                ni: size,
-                nj: size,
-                ws: 4,
-            };
-            (me::blocked_kernel(4, 4, true), me::params(&s), "Sad")
-        }
-        other => panic!("no staged workload named {other}"),
-    }
+    let b = Builtin::named(name).expect("a built-in");
+    let kernel = tunespace::build(name, &b.tiled(&[], false)).expect("the mapping builds");
+    (kernel, (b.params)(size), b.check)
 }
 
 /// Run `kernel` on `cfg` from a freshly-seeded store; return the

@@ -9,9 +9,16 @@
 //! whose offset rides on the seq dim must not alias across sub-tiles).
 
 use polymem_ir::ArrayStore;
-use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me};
+use polymem_kernels::builtins::Builtin;
+use polymem_kernels::{conv2d, jacobi, jacobi2d, matmul, me, tunespace};
 use polymem_machine::{execute_blocked, BlockedKernel, ExecStats, MachineConfig};
 use proptest::prelude::*;
+
+/// Built-in `name`'s sequential-sub-tile table mapping at `tiles`.
+fn seq_kernel(name: &str, tiles: &[i64]) -> BlockedKernel {
+    let desc = Builtin::named(name).unwrap().tiled(tiles, true);
+    tunespace::build(name, &desc).unwrap()
+}
 
 struct CaseSpec {
     kernel: BlockedKernel,
@@ -39,7 +46,7 @@ fn case(sel: u8) -> CaseSpec {
             let mut reference = base.clone();
             me::reference(&mut reference, &size);
             CaseSpec {
-                kernel: me::blocked_seq_kernel(8, 1, true),
+                kernel: seq_kernel("me", &[8, 1]),
                 params,
                 base,
                 reference,
@@ -56,7 +63,7 @@ fn case(sel: u8) -> CaseSpec {
             let mut reference = base.clone();
             jacobi::reference(&mut reference, &size);
             CaseSpec {
-                kernel: jacobi::stepwise_kernel(8, true),
+                kernel: tunespace::build("jacobi", &tunespace::jacobi_stepwise(8)).unwrap(),
                 params,
                 base,
                 reference,
@@ -73,7 +80,7 @@ fn case(sel: u8) -> CaseSpec {
             let mut reference = base.clone();
             jacobi2d::reference(&mut reference, t, n);
             CaseSpec {
-                kernel: jacobi2d::stepwise_seq_kernel(4, 1, true),
+                kernel: seq_kernel("jacobi2d", &[4, 1]),
                 params,
                 base,
                 reference,
@@ -90,7 +97,7 @@ fn case(sel: u8) -> CaseSpec {
             let mut reference = base.clone();
             matmul::reference(&mut reference, n);
             CaseSpec {
-                kernel: matmul::blocked_kernel_hoisted(4, 4, 4, true),
+                kernel: seq_kernel("matmul", &[4, 4, 4]),
                 params,
                 base,
                 reference,
@@ -107,7 +114,7 @@ fn case(sel: u8) -> CaseSpec {
             let mut reference = base.clone();
             conv2d::reference(&mut reference, &size);
             CaseSpec {
-                kernel: conv2d::blocked_seq_kernel(3, 3, true),
+                kernel: seq_kernel("conv2d", &[3, 3]),
                 params,
                 base,
                 reference,
@@ -458,25 +465,25 @@ fn retained_and_delta_partition_every_real_window() {
         // The sequential mappings exec_golden pins...
         (
             "me 4x2",
-            me::blocked_seq_kernel(4, 2, true),
+            seq_kernel("me", &[4, 2]),
             me8.params.clone(),
             false,
         ),
         (
             "jacobi2d 4x2",
-            jacobi2d::stepwise_seq_kernel(4, 2, true),
+            seq_kernel("jacobi2d", &[4, 2]),
             jacobi2d::params(2, 8),
             false,
         ),
         (
             "conv2d 4x2",
-            conv2d::blocked_seq_kernel(4, 2, true),
+            seq_kernel("conv2d", &[4, 2]),
             conv2d::params(&conv2d::ConvSize { n: 8, k: 3 }),
             false,
         ),
         (
             "matmul 4x4x2",
-            matmul::blocked_kernel_hoisted(4, 4, 2, true),
+            seq_kernel("matmul", &[4, 4, 2]),
             vec![8],
             false,
         ),

@@ -14,7 +14,8 @@ use polymem::core::smem::dataspace::collect_refs;
 use polymem::core::smem::{analyze_program, SmemConfig};
 use polymem::core::tiling::placement_level;
 use polymem::ir::ArrayStore;
-use polymem::kernels::matmul;
+use polymem::kernels::builtins::Builtin;
+use polymem::kernels::{matmul, tunespace};
 use polymem::machine::{execute_blocked, MachineConfig};
 
 fn main() {
@@ -68,7 +69,8 @@ fn main() {
         ),
     ] {
         let mut st = base.clone();
-        let kernel = matmul::blocked_kernel(4, 4, 6, true);
+        let mapping = Builtin::named("matmul").unwrap().tiled(&[4, 4, 6], false);
+        let kernel = tunespace::build("matmul", &mapping).expect("the mapping builds");
         let stats = execute_blocked(&kernel, &[n], &mut st, &cfg, true).expect("run");
         assert_eq!(st.data("C").unwrap(), expected.data("C").unwrap());
         println!(

@@ -11,7 +11,8 @@
 
 use polymem::core::tiling::{find_permutable_band, tilable_prefix};
 use polymem::ir::{exec_program, ArrayStore};
-use polymem::kernels::me;
+use polymem::kernels::builtins::Builtin;
+use polymem::kernels::{me, tunespace};
 use polymem::machine::{execute_blocked, MachineConfig};
 
 fn main() {
@@ -61,7 +62,9 @@ fn main() {
     me::init_store(&mut st, 2024);
     let mut reference = st.clone();
     exec_program(&p, &me::params(&small), &mut reference).expect("reference run");
-    let kernel = me::blocked_kernel(4, 5, true);
+    // The built-in mapping, re-tiled: 4 × 5 position tiles per block.
+    let mapping = Builtin::named("me").unwrap().tiled(&[4, 5], false);
+    let kernel = tunespace::build("me", &mapping).expect("the mapping builds");
     let stats =
         execute_blocked(&kernel, &me::params(&small), &mut st, &gpu, true).expect("simulated run");
     assert_eq!(st.data("Sad").unwrap(), reference.data("Sad").unwrap());

@@ -435,6 +435,24 @@ fn machine_file_loads_a_custom_description() {
 }
 
 #[test]
+fn a_misspelled_machine_level_is_a_usage_error() {
+    // Read as written, the file would describe a machine without a
+    // scratchpad: `smem_bytes = 0`, which the executor reads as
+    // unlimited.
+    let dir = std::env::temp_dir().join("polymem_cli_machine_level");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("typo.toml");
+    let text = polymem_machine::desc::gpu().to_toml();
+    std::fs::write(&path, text.replace("\"scratchpad\"", "\"scrachpad\"")).unwrap();
+    let (_, stderr, code) = polymem_code(
+        &["run", "matmul", "--machine-file", path.to_str().unwrap()],
+        &[],
+    );
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("unknown [[level]] `scrachpad`"), "{stderr}");
+}
+
+#[test]
 fn machine_keys_are_stable_across_processes_and_differ_per_machine() {
     // The PIM and spatial presets address artifacts as pure content
     // hashes: fresh processes agree digit-for-digit.

@@ -6,13 +6,35 @@
 
 use polymem::core::deps::compute_deps;
 use polymem::core::smem::liveness::optimize_movement;
+use polymem::core::smem::tune::MappingDesc;
 use polymem::core::smem::{analyze_program, SmemConfig};
 use polymem::core::tiling::transform::fix_dims;
 use polymem::ir::{exec_program, ArrayStore};
-use polymem::kernels::{jacobi, jacobi2d, matmul, me};
-use polymem::machine::{execute_blocked, MachineConfig};
+use polymem::kernels::builtins::Builtin;
+use polymem::kernels::{jacobi, jacobi2d, matmul, me, tunespace};
+use polymem::machine::{execute_blocked, BlockedKernel, MachineConfig};
 use polymem::poly::dep::DepKind;
 use std::collections::HashMap;
+
+/// Built-in `name`'s table mapping re-tiled to `tiles` (its sequential
+/// split iff `seq`), staged iff `use_scratchpad`.
+fn table(name: &str, tiles: &[i64], seq: bool, use_scratchpad: bool) -> BlockedKernel {
+    let desc = MappingDesc {
+        use_scratchpad,
+        ..Builtin::named(name).unwrap().tiled(tiles, seq)
+    };
+    tunespace::build(name, &desc).unwrap()
+}
+
+/// Jacobi's per-round mapping at space tile `si`, staged iff
+/// `use_scratchpad`.
+fn stepwise(si: i64, use_scratchpad: bool) -> BlockedKernel {
+    let desc = MappingDesc {
+        use_scratchpad,
+        ..tunespace::jacobi_stepwise(si)
+    };
+    tunespace::build("jacobi", &desc).unwrap()
+}
 
 #[test]
 fn all_kernels_run_identically_on_all_machine_kinds() {
@@ -32,7 +54,7 @@ fn all_kernels_run_identically_on_all_machine_kinds() {
     exec_program(&p, &me::params(&size), &mut reference).unwrap();
     for (cfg, smem) in [(&gpu, false), (&gpu, true), (&cell, true)] {
         let mut st = base.clone();
-        let k = me::blocked_kernel(3, 4, smem);
+        let k = table("me", &[3, 4], false, smem);
         execute_blocked(&k, &me::params(&size), &mut st, cfg, true).unwrap();
         assert_eq!(
             st.data("Sad").unwrap(),
@@ -50,8 +72,8 @@ fn all_kernels_run_identically_on_all_machine_kinds() {
     let base = reference.clone();
     jacobi::reference(&mut reference, &s);
     for kernel in [
-        jacobi::stepwise_kernel(4, false),
-        jacobi::stepwise_kernel(4, true),
+        stepwise(4, false),
+        stepwise(4, true),
         jacobi::overlapped_kernel(2, 5, false),
     ] {
         let mut st = base.clone();
@@ -71,14 +93,8 @@ fn all_kernels_run_identically_on_all_machine_kinds() {
     let base = reference.clone();
     matmul::reference(&mut reference, 9);
     let mut st = base.clone();
-    execute_blocked(
-        &matmul::blocked_kernel(3, 4, 5, true),
-        &[9],
-        &mut st,
-        &gpu,
-        true,
-    )
-    .unwrap();
+    let k = table("matmul", &[3, 4, 5], false, true);
+    execute_blocked(&k, &[9], &mut st, &gpu, true).unwrap();
     assert_eq!(st.data("C").unwrap(), reference.data("C").unwrap());
 
     // Jacobi 2-D.
@@ -89,14 +105,8 @@ fn all_kernels_run_identically_on_all_machine_kinds() {
     let base = reference.clone();
     jacobi2d::reference(&mut reference, 2, 7);
     let mut st = base.clone();
-    execute_blocked(
-        &jacobi2d::stepwise_kernel(3, 3, true),
-        &prm,
-        &mut st,
-        &gpu,
-        true,
-    )
-    .unwrap();
+    let k = table("jacobi2d", &[3, 3], false, true);
+    execute_blocked(&k, &prm, &mut st, &gpu, true).unwrap();
     assert_eq!(st.data("A").unwrap(), reference.data("A").unwrap());
 }
 
@@ -104,7 +114,6 @@ fn all_kernels_run_identically_on_all_machine_kinds() {
 fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     use polymem::ir::Program;
     use polymem::kernels::conv2d;
-    use polymem::machine::BlockedKernel;
     // Every sub-block of a launch evaluates the one shared symbolic
     // plan, so the contract is against the reference interpreter:
     // same contents, on the compiled engine, with no fallback.
@@ -145,7 +154,7 @@ fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     me::init_store(&mut base, 11);
     let me_stats = run(
         &p,
-        &me::blocked_kernel(4, 4, true),
+        &table("me", &[4, 4], false, true),
         &me::params(&size),
         &base,
         "Sad",
@@ -159,13 +168,7 @@ fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     let p = jacobi::program();
     let mut base = ArrayStore::for_program(&p, &jacobi::params(&s)).unwrap();
     jacobi::init_store(&mut base, 12);
-    let j_stats = run(
-        &p,
-        &jacobi::stepwise_kernel(4, true),
-        &jacobi::params(&s),
-        &base,
-        "A",
-    );
+    let j_stats = run(&p, &stepwise(4, true), &jacobi::params(&s), &base, "A");
     assert_eq!(j_stats[0].plan_cache_hits, j_stats[0].blocks);
     assert!(j_stats[0].rounds > 1, "{j_stats:?}");
 
@@ -176,7 +179,7 @@ fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     matmul::init_store(&mut base, 13);
     let mm_stats = run(
         &p,
-        &matmul::blocked_kernel_hoisted(3, 3, 3, true),
+        &table("matmul", &[3, 3, 3], true, true),
         &[9],
         &base,
         "C",
@@ -188,14 +191,21 @@ fn plan_cache_is_bit_exact_for_every_kernel_and_machine_kind() {
     let prm = jacobi2d::params(2, 7);
     let mut base = ArrayStore::for_program(&p, &prm).unwrap();
     jacobi2d::init_store(&mut base, 14);
-    run(&p, &jacobi2d::stepwise_kernel(3, 3, true), &prm, &base, "A");
+    let k = table("jacobi2d", &[3, 3], false, true);
+    run(&p, &k, &prm, &base, "A");
 
     // Conv2d.
     let p = conv2d::program();
     let prm = conv2d::params(&conv2d::ConvSize { n: 8, k: 3 });
     let mut base = ArrayStore::for_program(&p, &prm).unwrap();
     conv2d::init_store(&mut base, 15);
-    run(&p, &conv2d::blocked_kernel(4, 4, true), &prm, &base, "Out");
+    run(
+        &p,
+        &table("conv2d", &[4, 4], false, true),
+        &prm,
+        &base,
+        "Out",
+    );
 }
 
 #[test]
@@ -263,7 +273,7 @@ fn liveness_optimisation_shrinks_copy_sets_on_tiles() {
 fn scratchpad_overflow_is_detected_at_execution() {
     // A block footprint exceeding 16 KB must be rejected, matching the
     // paper's constraint that tiles are sized to the scratchpad.
-    let k = me::blocked_kernel(80, 80, true); // (80+2)^2 * 2 words >> 16 KB
+    let k = table("me", &[80, 80], false, true); // (80+2)^2 * 2 words >> 16 KB
     let size = me::MeSize {
         ni: 80,
         nj: 80,

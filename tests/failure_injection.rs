@@ -16,6 +16,18 @@ use polymem::linalg::{IMat, LinalgError};
 use polymem::poly::count::count_points;
 use polymem::poly::{Constraint, PolyError, Polyhedron, Space};
 
+/// ME's flat table mapping at `t × t` position tiles, staged iff
+/// `use_scratchpad`.
+fn me_kernel(t: i64, use_scratchpad: bool) -> polymem::machine::BlockedKernel {
+    let desc = polymem::core::smem::tune::MappingDesc {
+        use_scratchpad,
+        ..polymem::kernels::builtins::Builtin::named("me")
+            .unwrap()
+            .tiled(&[t, t], false)
+    };
+    polymem::kernels::tunespace::build("me", &desc).unwrap()
+}
+
 #[test]
 fn linalg_overflow_is_reported_not_wrapped() {
     let big = IMat::from_rows(&[&[i64::MAX, i64::MAX]]);
@@ -201,7 +213,7 @@ fn executor_enumeration_budget_is_configurable_and_typed() {
     let mut cfg = MachineConfig::geforce_8800_gtx();
     cfg.enum_budget = 3;
     match execute_blocked(
-        &me::blocked_kernel(4, 4, false),
+        &me_kernel(4, false),
         &me::params(&size),
         &mut st,
         &cfg,
@@ -217,7 +229,7 @@ fn executor_enumeration_budget_is_configurable_and_typed() {
         cfg.enum_budget = 16;
         cfg.compiled_exec = compiled_exec;
         match execute_blocked(
-            &me::blocked_kernel(4, 4, false),
+            &me_kernel(4, false),
             &me::params(&size),
             &mut st,
             &cfg,
@@ -232,7 +244,7 @@ fn executor_enumeration_budget_is_configurable_and_typed() {
     // The default budget is generous and the same run succeeds.
     cfg.enum_budget = polymem::machine::config::DEFAULT_ENUM_BUDGET;
     execute_blocked(
-        &me::blocked_kernel(4, 4, false),
+        &me_kernel(4, false),
         &me::params(&size),
         &mut st,
         &cfg,
@@ -259,7 +271,7 @@ fn panicking_block_worker_is_a_typed_error() {
     // the executor reads it once per launch).
     std::env::set_var("POLYMEM_FAULT_PANIC_BLOCK", "1");
     let res = execute_blocked(
-        &me::blocked_kernel(4, 4, false),
+        &me_kernel(4, false),
         &me::params(&size),
         &mut st,
         &cfg,
@@ -272,7 +284,7 @@ fn panicking_block_worker_is_a_typed_error() {
     }
     // Without the fault the same parallel launch completes.
     execute_blocked(
-        &me::blocked_kernel(4, 4, false),
+        &me_kernel(4, false),
         &me::params(&size),
         &mut st,
         &cfg,
@@ -295,7 +307,7 @@ fn scratchpad_overflow_error_carries_sizes() {
     me::init_store(&mut st, 0);
     let cfg = MachineConfig::geforce_8800_gtx();
     match execute_blocked(
-        &me::blocked_kernel(100, 100, true),
+        &me_kernel(100, true),
         &me::params(&size),
         &mut st,
         &cfg,

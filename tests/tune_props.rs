@@ -336,7 +336,7 @@ fn pipelined_band_tunes_to_a_bit_exact_winner() {
         ..honest.clone()
     };
     let racy = TuneCandidate {
-        kernel: tile_kernel(&program, &racy_desc).unwrap().unwrap(),
+        kernel: tile_kernel(&program, &racy_desc).unwrap(),
         desc: racy_desc.clone(),
         preset: false,
     };
@@ -381,7 +381,7 @@ fn a_seq_independent_array_with_two_buffers_is_priced_unhoisted() {
     let program = b.build().unwrap();
     let params = [8, 16];
     let mapping = square_desc(4, 4, true, false);
-    let kernel = tile_kernel(&program, &mapping).unwrap().unwrap();
+    let kernel = tile_kernel(&program, &mapping).unwrap();
     for machine in ["gpu", "cell"] {
         let cfg = config_for(&mapping, &desc::lookup(machine).unwrap().config());
         let sp = warm_plan(&kernel, &params, &cfg, None, None)
