@@ -1,5 +1,5 @@
 //! Shared machinery for the `BENCH_*.json` harness binaries
-//! (`polycore`, `dma`, `exec`, `hier`, …).
+//! (`polycore`, `dma`, `engine`, `residency`, …).
 //!
 //! Each binary benches the five built-in kernels on the machine
 //! models, checks outputs against the reference interpreter, gates on
@@ -168,7 +168,7 @@ pub fn sweep<'a, F: Fn(&mut MachineConfig)>(
 }
 
 /// The five kernels in their sequential-sub-tile mappings, at the
-/// sizes the `exec`, `hier` and `unified` harnesses share.
+/// sizes the `engine` harness sweeps.
 pub fn seq_cases(smoke: bool) -> Vec<Case> {
     let pick = |small: i64, full: i64| if smoke { small } else { full };
     let me_size = me::MeSize {

@@ -327,9 +327,14 @@ fn main() -> ExitCode {
     }
 }
 
+/// Report a usage error and return exit code 2. A message names the
+/// cause and a pointer to the usage text, so the cause is the last thing
+/// on screen; an empty message (no command, an unknown command) prints
+/// the usage text itself.
 fn usage(msg: &str) -> ExitCode {
     if !msg.is_empty() {
-        eprintln!("error: {msg}\n");
+        eprintln!("error: {msg}\n(run `polymem` with no arguments for usage)");
+        return ExitCode::from(EXIT_USAGE);
     }
     eprintln!(
         "usage: polymem <command>\n\
@@ -685,7 +690,7 @@ fn launch_inputs(cli: &Cli) -> Result<(MachineConfig, LaunchToggles), ExitCode> 
 /// The subcommand's kernel under `--machine`, the execution flags and
 /// `--size`, resolved against the built-in table: the launch `run`
 /// executes and `key` addresses. `Err` carries the exit already taken
-/// (usage text printed).
+/// (usage error printed).
 fn resolve_launch(cli: &Cli) -> Result<(&str, Launch, i64), ExitCode> {
     let Some(name) = cli.target.as_deref() else {
         return Err(usage("missing kernel name"));

@@ -450,6 +450,10 @@ fn a_misspelled_machine_level_is_a_usage_error() {
     );
     assert_eq!(code, 2, "{stderr}");
     assert!(stderr.contains("unknown [[level]] `scrachpad`"), "{stderr}");
+    // The cause is the last thing on screen, not buried under the
+    // usage text.
+    assert!(stderr.lines().count() <= 3, "{stderr}");
+    assert!(!stderr.contains("commands:"), "{stderr}");
 }
 
 #[test]
