@@ -1,5 +1,5 @@
 //! Shared machinery for the `BENCH_*.json` harness binaries
-//! (`polycore`, `dma`, `engine`, `residency`, …).
+//! (`polycore`, `engine`, `movement`, …).
 //!
 //! Each binary benches the five built-in kernels on the machine
 //! models, checks outputs against the reference interpreter, gates on
@@ -167,8 +167,9 @@ pub fn sweep<'a, F: Fn(&mut MachineConfig)>(
     })
 }
 
-/// The five kernels in their sequential-sub-tile mappings, at the
-/// sizes the `engine` harness sweeps.
+/// The five kernels in their sequential-sub-tile mappings (the 1-D
+/// Jacobi in its round-only one), at the sizes the `engine` and
+/// `movement` harnesses sweep.
 pub fn seq_cases(smoke: bool) -> Vec<Case> {
     let pick = |small: i64, full: i64| if smoke { small } else { full };
     let me_size = me::MeSize {

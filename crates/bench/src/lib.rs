@@ -3,13 +3,15 @@
 //! The paper's quantitative results are Figures 4–8 (there are no
 //! numbered tables). `polymem figures [N]` regenerates each figure's
 //! series on the simulated GeForce 8800 GTX and prints the same rows
-//! the paper plots; `EXPERIMENTS.md` records the paper-vs-measured
-//! comparison. This library holds the shared
-//! series/reporting machinery plus the per-figure generators, so the
+//! the paper plots — with no number, followed by one extension figure
+//! the paper motivates but does not measure ([`conv2d_extension`]);
+//! `EXPERIMENTS.md` records the paper-vs-measured comparison. This
+//! library holds the shared series/reporting machinery plus the
+//! per-figure generators, so the
 //! CLI stays thin and integration tests can assert the *shapes*
 //! (who wins, by what factor, where optima fall) directly.
 
-use polymem_kernels::{jacobi, me};
+use polymem_kernels::{conv2d, jacobi, me};
 use polymem_machine::MachineConfig;
 
 pub mod harness;
@@ -285,6 +287,39 @@ pub fn figure8() -> Figure {
     }
 }
 
+/// Extension beyond the paper's evaluation: 2-D convolution, the
+/// windowed kernel its introduction motivates, staged vs DRAM-only
+/// across window widths at N = 4096. The window-overlap reuse the
+/// framework captures grows with k², so staging should win at every
+/// width and by more as the window grows.
+pub fn conv2d_extension() -> Figure {
+    let gpu = MachineConfig::geforce_8800_gtx();
+    let n = 4096;
+    let mut dram = Series {
+        label: "DRAM-only".into(),
+        points: vec![],
+    };
+    let mut staged = Series {
+        label: "staged".into(),
+        points: vec![],
+    };
+    for k in [3i64, 5, 7, 9] {
+        let s = conv2d::ConvSize { n, k };
+        for (series, use_smem) in [(&mut dram, false), (&mut staged, true)] {
+            let p = conv2d::profile(&s, (32, 32), 64, 256, use_smem, &gpu);
+            series
+                .points
+                .push((k as f64, p.estimate(&gpu).expect("fits").total_ms));
+        }
+    }
+    Figure {
+        id: "Extension".into(),
+        title: format!("conv2d staged vs DRAM-only, varying window (N = {n})"),
+        x_label: "Window".into(),
+        series: vec![dram, staged],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +405,22 @@ mod tests {
             .label
             .clone();
         assert_eq!(best_label, "Tile Size = 32,256");
+    }
+
+    #[test]
+    fn conv2d_staging_wins_more_as_the_window_grows() {
+        let f = conv2d_extension();
+        let gains: Vec<f64> = f.series[0]
+            .points
+            .iter()
+            .map(|&(k, dram)| dram / f.series[1].at(k).unwrap())
+            .collect();
+        assert_eq!(gains.len(), 4);
+        assert!(gains.iter().all(|&g| g > 1.0), "staging lost: {gains:?}");
+        assert!(
+            gains.windows(2).all(|w| w[1] > w[0]),
+            "gain did not grow with k: {gains:?}"
+        );
     }
 
     #[test]

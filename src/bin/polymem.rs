@@ -145,15 +145,20 @@ struct Cli {
 }
 
 impl Cli {
-    /// Split `args` into flags and values. Unknown `--` flags (typo'd
-    /// or misplaced, like `--no-heirarchy`) are an error up front, not
-    /// a silent no-op that runs with the feature still on.
+    /// Split `args` into the target, flags and values. Unknown `--`
+    /// flags (typo'd or misplaced, like `--no-heirarchy`) and a second
+    /// positional argument are an error up front, not a silent no-op
+    /// that runs with the feature still on or the argument ignored.
     fn parse(cmd: &str, args: &[String]) -> Result<Cli, String> {
         let allowed = allowed_flags(cmd);
-        let mut flags = Vec::new();
+        let (mut target, mut flags) = (None, Vec::new());
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if !a.starts_with("--") {
+                if target.is_some() {
+                    return Err(format!("unexpected argument `{a}` for `{cmd}`"));
+                }
+                target = Some(a.clone());
                 continue;
             }
             if !allowed.contains(&a.as_str()) {
@@ -170,10 +175,7 @@ impl Cli {
             };
             flags.push((a.clone(), value));
         }
-        Ok(Cli {
-            target: args.first().cloned(),
-            flags,
-        })
+        Ok(Cli { target, flags })
     }
 
     fn has(&self, flag: &str) -> bool {
@@ -291,7 +293,7 @@ fn main() -> ExitCode {
                 );
                 ExitCode::SUCCESS
             }
-            other => usage(&format!("unknown search target {other:?}")),
+            other => bad_target("search", other),
         },
         "trace" => match target {
             Some("me") => {
@@ -317,7 +319,7 @@ fn main() -> ExitCode {
                 print!("{}", tl.render(64));
                 ExitCode::SUCCESS
             }
-            other => usage(&format!("unknown trace target {other:?}")),
+            other => bad_target("trace", other),
         },
         "run" => run(&cli),
         "key" => key(&cli),
@@ -397,6 +399,16 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(EXIT_USAGE)
 }
 
+/// The usage error of `search`/`trace` without one of their targets.
+fn bad_target(cmd: &str, target: Option<&str>) -> ExitCode {
+    match target {
+        None => usage(&format!("`{cmd}` needs a target: me or jacobi")),
+        Some(t) => usage(&format!("unknown {cmd} target `{t}` (targets: me, jacobi)")),
+    }
+}
+
+/// `figures N` prints the paper's Figure N; bare `figures` prints
+/// Figures 4–8 and then the conv2d extension figure.
 fn figures(which: Option<&str>) -> ExitCode {
     let all = [
         polymem_bench::figure4 as fn() -> polymem_bench::Figure,
@@ -404,15 +416,18 @@ fn figures(which: Option<&str>) -> ExitCode {
         polymem_bench::figure6,
         polymem_bench::figure7,
         polymem_bench::figure8,
+        polymem_bench::conv2d_extension,
     ];
-    match which.and_then(|w| w.parse::<usize>().ok()) {
-        Some(n) if (4..=8).contains(&n) => print!("{}", all[n - 4]().to_table()),
+    match which {
         None => {
             for f in all {
                 println!("{}", f().to_table());
             }
         }
-        Some(n) => return usage(&format!("no figure {n} (the paper has 4..8)")),
+        Some(w) => match w.parse::<usize>() {
+            Ok(n) if (4..=8).contains(&n) => print!("{}", all[n - 4]().to_table()),
+            _ => return usage(&format!("no figure `{w}` (the paper has 4..8)")),
+        },
     }
     ExitCode::SUCCESS
 }
@@ -969,7 +984,7 @@ fn tune_cmd(cli: &Cli) -> ExitCode {
         Err(m) => return usage(&m),
     }
 
-    let Some(target) = cli.target.as_ref().filter(|a| !a.starts_with("--")) else {
+    let Some(target) = cli.target.as_ref() else {
         return usage("`tune` needs a kernel name, a .poly path, or --random N");
     };
 

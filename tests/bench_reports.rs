@@ -7,15 +7,8 @@
 use polymem::machine::{Json, STATS_SCHEMA};
 
 /// The harness binaries that write a report, by bench name.
-const BENCHES: [&str; 8] = [
-    "dma",
-    "engine",
-    "extensions",
-    "machines",
-    "polycore",
-    "residency",
-    "serve",
-    "tune",
+const BENCHES: [&str; 6] = [
+    "engine", "machines", "movement", "polycore", "serve", "tune",
 ];
 
 #[test]

@@ -108,6 +108,62 @@ fn usage_errors_exit_with_code_2() {
 }
 
 #[test]
+fn stray_and_unknown_positional_arguments_are_usage_errors() {
+    // A stray or unknown argument is named in the two-line usage
+    // error, never ignored.
+    for (args, named) in [
+        (&["figures", "four"][..], "`four`"),
+        (&["figures", "9"], "`9`"),
+        (&["figures", "4", "5"], "`5`"),
+        (&["run", "matmul", "extra", "--size", "4"], "`extra`"),
+        (&["key", "matmul", "--size", "4", "extra"], "`extra`"),
+        (&["search", "foo"], "`foo`"),
+        (&["trace", "foo"], "`foo`"),
+    ] {
+        let (stdout, stderr, code) = polymem_code(args, &[]);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 2, "{args:?}: {stderr}");
+    }
+    // A missing or unknown target lists the valid ones in plain text.
+    for args in [&["search"][..], &["trace"], &["search", "foo"]] {
+        let (_, stderr, code) = polymem_code(args, &[]);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("me") && stderr.contains("jacobi"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn bare_figures_prints_the_paper_figures_then_the_extension() {
+    let (stdout, stderr, ok) = polymem(&["figures"]);
+    assert!(ok, "{stderr}");
+    let at = |id: &str| stdout.find(&format!("# {id} ")).expect(id);
+    let order: Vec<usize> = ["Figure 4", "Figure 5", "Figure 6", "Figure 7", "Figure 8"]
+        .into_iter()
+        .chain(["Extension"])
+        .map(at)
+        .collect();
+    assert!(order.windows(2).all(|w| w[0] < w[1]), "{stdout}");
+    assert!(stdout.contains("conv2d"), "{stdout}");
+}
+
+#[test]
+fn trace_renders_both_paper_timelines() {
+    for target in ["me", "jacobi"] {
+        let (stdout, stderr, ok) = polymem(&["trace", target]);
+        assert!(ok, "{target}: {stderr}");
+        for row in ["ms total", "movement", "compute", "smem"] {
+            assert!(stdout.contains(row), "{target}: no `{row}` in {stdout}");
+        }
+    }
+}
+
+#[test]
 fn unbuildable_sizes_are_typed_errors_not_panics() {
     // No store exists for a negative extent: a compile-class error
     // (like the daemon's `class: compile`), where `expect("store")`
