@@ -84,90 +84,109 @@ impl TransferList {
     }
 }
 
-/// What [`DmaChannels::issue_list`] hands each descriptor to, with its
+/// What [`DmaClock::issue`] hands each descriptor to, with its
 /// `(channel, cost, completion cycle)`.
 pub type DescriptorObserver<'o> = &'o mut dyn FnMut(&TransferDescriptor, (usize, u64, u64));
 
-/// The DMA channel cost model, written once: `n` channels, each a
-/// busy-until clock. A descriptor goes to the least-busy channel
-/// (deterministic tie-break on index), starts no earlier than
-/// `earliest` nor before that channel is free, and occupies it for
-/// `round(setup + ceil(bytes / bytes_per_cycle)).max(1) + route`
-/// cycles. The simulator's block clock issues through it, keeping tags,
-/// stalls and statistics through the list observer; the tune estimator
-/// prices transfer lists with it directly — so predicted and simulated
-/// DMA time cannot drift.
+/// The DMA cost model and a block's clock over it, written once: `n`
+/// channels, each busy until some cycle, and `now`, which advances with
+/// compute and with waits on transfers. A descriptor goes to the
+/// least-busy channel (deterministic tie-break on index), starts no
+/// earlier than its list nor before that channel is free, and occupies
+/// it for `round(setup + ceil(bytes / bytes_per_cycle)).max(1) + route`
+/// cycles. The simulator's block clock (keeping statistics through the
+/// descriptor observer) and the tune estimator both keep time with it,
+/// so predicted and simulated DMA time cannot drift. Without channels
+/// movement is free: every transfer completes at issue.
 #[derive(Clone, Debug)]
-pub struct DmaChannels {
+pub struct DmaClock {
+    /// The current cycle.
+    pub now: u64,
     busy_until: Vec<u64>,
+    /// The machine has DMA channels, so transfers cost time.
+    on: bool,
     setup_cycles: f64,
     bytes_per_cycle: f64,
     route_cycles: u64,
+    word_bytes: u64,
 }
 
-impl DmaChannels {
-    /// `channels` idle channels (at least one). `route_cycles` is the
-    /// NoC route every descriptor pays on top of setup + bandwidth (a
-    /// spatial block's placement-determined hop cost; 0 elsewhere).
+impl DmaClock {
+    /// A clock at cycle 0 over `channels` idle channels (at least one).
+    /// `route_cycles` is the NoC route every descriptor pays on top of
+    /// setup + bandwidth (a spatial block's placement-determined hop
+    /// cost; 0 elsewhere); elements are `word_bytes` wide.
     pub fn new(
         channels: u64,
         setup_cycles: f64,
         bytes_per_cycle: f64,
         route_cycles: u64,
-    ) -> DmaChannels {
-        DmaChannels {
+        word_bytes: u64,
+    ) -> DmaClock {
+        DmaClock {
+            now: 0,
             busy_until: vec![0; channels.max(1) as usize],
+            on: channels > 0,
             setup_cycles: setup_cycles.max(0.0),
             bytes_per_cycle: bytes_per_cycle.max(1e-9),
             route_cycles,
+            word_bytes,
         }
     }
 
     /// Number of channels.
-    pub fn count(&self) -> usize {
+    pub fn channels(&self) -> usize {
         self.busy_until.len()
     }
 
-    /// Queue one descriptor of `bytes`; returns `(channel, cycles it
-    /// occupies the channel, completion cycle)`.
-    pub fn issue(&mut self, bytes: u64, earliest: u64) -> (usize, u64, u64) {
-        let ch = self
-            .busy_until
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, &busy)| (busy, *i))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let xfer = (bytes as f64 / self.bytes_per_cycle).ceil();
-        let cost = (self.setup_cycles + xfer).round().max(1.0) as u64 + self.route_cycles;
-        let done = earliest.max(self.busy_until[ch]) + cost;
-        self.busy_until[ch] = done;
-        (ch, cost, done)
-    }
-
-    /// Queue a whole list — the one descriptor loop — handing each
-    /// descriptor to `observe`, if given, with what
-    /// [`issue`](DmaChannels::issue) returned for it. Returns the
-    /// completion cycle of its last descriptor (`earliest` when empty).
-    pub fn issue_list(
+    /// Queue `list` to start no earlier than `earliest` nor before
+    /// `now`, handing each descriptor to `observe`. Returns the cycle it
+    /// completes: its last descriptor's, or `now` for an empty list or
+    /// without channels. A residency delta names the `retained` elements
+    /// it re-bases by a scratchpad-local copy at 4× the DMA rate,
+    /// concurrently with the delta (the two touch disjoint buffer
+    /// regions): the group is ready at the later of the two, never their
+    /// sum, so no later than the full transfer it replaces.
+    pub fn issue(
         &mut self,
-        list: &TransferList,
-        word_bytes: u64,
         earliest: u64,
+        list: &TransferList,
+        retained: Option<u64>,
         mut observe: Option<DescriptorObserver>,
     ) -> u64 {
-        list.descriptors.iter().fold(earliest, |last, d| {
-            let issued = self.issue(d.bytes(word_bytes), earliest);
+        if !self.on {
+            return self.now;
+        }
+        let start = self.now.max(earliest);
+        let rebase = |r: u64| {
+            start + ((r * self.word_bytes) as f64 / (self.bytes_per_cycle * 4.0)).ceil() as u64
+        };
+        let ready = retained.map_or(self.now, rebase);
+        list.descriptors.iter().fold(ready, |last, d| {
+            let busy = |ch: &usize| (self.busy_until[*ch], *ch);
+            let ch = (0..self.busy_until.len()).min_by_key(busy).unwrap_or(0);
+            let xfer = (d.bytes(self.word_bytes) as f64 / self.bytes_per_cycle).ceil();
+            let cost = (self.setup_cycles + xfer).round().max(1.0) as u64 + self.route_cycles;
+            let done = start.max(self.busy_until[ch]) + cost;
+            self.busy_until[ch] = done;
             if let Some(f) = observe.as_mut() {
-                f(d, issued);
+                f(d, (ch, cost, done));
             }
-            last.max(issued.2)
+            last.max(done)
         })
     }
 
-    /// The cycle at which every channel is idle.
-    pub fn idle_at(&self) -> u64 {
-        self.busy_until.iter().copied().max().unwrap_or(0)
+    /// Advance `now` to `done`; returns the cycles stalled.
+    pub fn wait(&mut self, done: u64) -> u64 {
+        let stall = done.saturating_sub(self.now);
+        self.now += stall;
+        stall
+    }
+
+    /// The end-of-block fence: wait until every channel is idle;
+    /// returns the cycles stalled.
+    pub fn drain(&mut self) -> u64 {
+        self.wait(self.busy_until.iter().copied().max().unwrap_or(0))
     }
 }
 

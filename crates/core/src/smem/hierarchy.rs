@@ -44,7 +44,9 @@
 use super::cache::parametrize_dims;
 use super::lowering::{lower_rows_onto, LoweredRow};
 use super::{analyze_program_timed, AccessId, BufferId, Result, SmemConfig, SmemError, SmemPlan};
+use crate::tiling::transform::fix_dims;
 use polymem_ir::Program;
+use polymem_poly::count::enumerate_points;
 use std::collections::HashMap;
 
 /// The explicitly managed memory levels of the machine model.
@@ -174,6 +176,63 @@ impl HierPlan {
         }
         let sources = self.ext_sources(params.len());
         Some(ExtSource::assemble(&sources, &level1, threads))
+    }
+
+    /// Level-2 frame staging traffic of the sub-block whose block and seq
+    /// dims are `fixed`: per distinct thread key the executor moves every
+    /// frame's move-in elements from scratchpad and flushes the written
+    /// ones back — each element one smem access.
+    pub fn frame_traffic(
+        &self,
+        program: &Program,
+        params: &[i64],
+        fixed: &HashMap<String, i64>,
+        budget: u64,
+    ) -> Result<u64> {
+        let mut n_keys = 0u64;
+        let mut thread_rep: Option<Vec<i64>> = None;
+        for (si, stmt) in program.stmts.iter().enumerate() {
+            if self.stmt_thread_pos[si].is_none() {
+                continue;
+            }
+            let dom = fix_dims(&stmt.domain, fixed);
+            let keep: Vec<usize> = self
+                .thread_dims
+                .iter()
+                .filter_map(|n| dom.space().find_dim(n))
+                .collect();
+            if keep.len() != self.thread_dims.len() {
+                continue;
+            }
+            let proj = dom
+                .project_onto(&keep)
+                .and_then(|p| p.substitute_params(params))
+                .map_err(SmemError::Poly)?;
+            let mut first: Option<Vec<i64>> = None;
+            let mut count = 0u64;
+            enumerate_points(&proj, budget, &mut |p| {
+                first.get_or_insert_with(|| p.to_vec());
+                count += 1;
+            })
+            .map_err(SmemError::Poly)?;
+            if count > n_keys {
+                n_keys = count;
+                thread_rep = first;
+            }
+        }
+        if let (Some(tvals), true) = (thread_rep, n_keys > 0) {
+            let ext2 = (self.ext_params(params, fixed, &tvals)).ok_or_else(|| {
+                SmemError::Ir(polymem_ir::IrError::UnknownName(
+                    "level-2 ext params of a sub-block".into(),
+                ))
+            })?;
+            let moves = self.plan.movement.iter();
+            let per_key: u64 = moves
+                .map(|mc| mc.move_in_count(&ext2) + mc.move_out_count(&ext2))
+                .sum();
+            return Ok(n_keys.saturating_mul(per_key));
+        }
+        Ok(0)
     }
 
     /// The frame (level-2 buffer id) the access `id` is redirected

@@ -31,6 +31,7 @@ pub mod movement;
 pub mod partition;
 pub mod residency;
 pub mod reuse;
+pub mod schedule;
 pub mod tune;
 
 pub use access::LocalAccess;
@@ -43,13 +44,14 @@ pub use cache::{
     parametrize_domain, SymbolicPlan,
 };
 pub use dataspace::{AccessId, RefInfo};
-pub use descriptors::{flatten, transfer_list, DmaChannels, TransferDescriptor, TransferList};
+pub use descriptors::{flatten, transfer_list, DmaClock, TransferDescriptor, TransferList};
 pub use hierarchy::{analyze_hierarchy, ExtSource, HierPlan, HierSpec, MemLevel};
 pub use liveness::LivenessPlan;
 pub use lowering::{lower_rows, lower_rows_onto, prove_flat, FlatAffine, LoweredRow};
 pub use movement::{MovementCode, WindowPieces};
 pub use residency::{plan_residency, ResidencyPlan, RetainPlan};
 pub use reuse::{ReuseDecision, DEFAULT_DELTA};
+pub use schedule::{Decline, Entry, Schedule, SeqFacts, Steps, Tally, Transfer};
 pub use tune::{
     estimate, tune_key, CostConstants, CostEstimate, MappingDesc, Structure, TuneArtifact, TuneRow,
 };

@@ -9,9 +9,9 @@
 //! bytes from the movement/residency sets, DMA descriptor setup from
 //! the coalesced transfer lists, per-instance compute and memory ops
 //! from exact polyhedral point counts, and the §5 occupancy/sync terms
-//! — mirroring the executor's cycle formulas term by term (the DMA
-//! term through the very same [`DmaChannels`] model), with **no
-//! simulation**.
+//! — walking the executor's own sub-tile schedule
+//! ([`Schedule::walk`]) over the representative block's sub-tiles, on
+//! the same [`DmaClock`], with **no simulation**.
 //!
 //! One execution knob is deliberately *absent* from the predicted
 //! cycles: the compiled-vs-interpreted engine toggle. It changes
@@ -32,16 +32,21 @@
 use super::artifact::{
     atomic_write, decode_all, open, put_program, schema_hash, seal, ArtifactKey, DResult, Dec, Enc,
 };
-use super::descriptors::{transfer_list, DmaChannels, TransferList};
-use super::{AccessId, Result, SmemError, SymbolicPlan};
-use crate::tiling::transform::fix_dims;
+use super::descriptors::{transfer_list, DmaClock};
+use super::schedule::{Schedule, SeqFacts, Steps, Transfer};
+use super::{
+    ext_params, parametrize_domain, AccessId, LocalBuffer, MovementCode, Result, SmemError,
+    SymbolicPlan,
+};
 use polymem_ir::Program;
-use polymem_poly::count::{count_points, enumerate_points};
+use polymem_poly::bounds::bound_cascade;
+use polymem_poly::count::enumerate_with_cascade;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 /// Version of the tune-file envelope and of the tune key derivation.
-pub const TUNE_FORMAT_VERSION: u32 = 3;
+pub const TUNE_FORMAT_VERSION: u32 = 4;
 
 /// Tune-file magic: "polymem tune artifact".
 pub const TUNE_MAGIC: [u8; 4] = *b"PMTA";
@@ -254,21 +259,16 @@ pub struct Structure {
     pub rounds: u64,
     /// Blocks per round (≥ 1).
     pub blocks: u64,
-    /// Sequential sub-tiles per block (≥ 1).
-    pub seqs: u64,
-    /// Round/block/seq dims pinned at their first enumerated values.
+    /// Round/block/seq dims pinned at their first enumerated values:
+    /// the representative block's first sub-tile.
     pub rep_first: HashMap<String, i64>,
-    /// Same, with the innermost seq dim advanced to its second value
-    /// (present only when `seqs > 1`); evaluation point for the
-    /// residency delta/flush sets.
-    pub rep_mid: Option<HashMap<String, i64>>,
-    /// Arrays none of whose accesses depend on the seq dims, ascending.
-    /// A group of one of them hoists past the seq loop (moved in once,
-    /// written back once per block) iff
-    /// [`SmemPlan::hoists`](super::SmemPlan::hoists) says so.
-    pub seq_independent_arrays: Vec<usize>,
-    /// Whether the candidate double-buffers sub-tile DMA.
-    pub double_buffer: bool,
+    /// The representative block's later sub-tiles in order, each with
+    /// whether it directly follows the one before along the innermost
+    /// seq dim (every other coordinate equal). A block that stages
+    /// nothing is one sub-tile.
+    pub rep_later: Vec<(HashMap<String, i64>, bool)>,
+    /// What the schedule knows of the kernel's sub-tiles.
+    pub seq: SeqFacts,
 }
 
 /// The analytic price of one candidate mapping.
@@ -294,21 +294,143 @@ pub struct CostEstimate {
     pub smem_words: u64,
 }
 
-/// Per-movement-group pricing inputs gathered once per candidate.
-struct GroupLists {
-    hoisted: bool,
-    move_in: TransferList,
-    move_out: TransferList,
-    /// Residency delta move-in for non-first sub-tiles.
-    delta_in: Option<TransferList>,
-    /// Legal flush-delta move-out for non-last sub-tiles.
-    flush_out: Option<TransferList>,
+/// The estimator's [`Steps`]: the executor's schedule over the
+/// representative block, each transfer list built where the executor
+/// builds it, nothing copied.
+struct Priced<'a> {
+    program: &'a Program,
+    sp: Option<&'a SymbolicPlan>,
+    params: &'a [i64],
+    clock: DmaClock,
+    /// Per sub-tile: its `params ++ fixed values`, the modeled cycles of
+    /// its compute phase, and whether it follows its predecessor.
+    subs: Vec<(Vec<i64>, u64, bool)>,
+    descriptors: u64,
+    moved: u64,
+}
+
+impl<'a> Priced<'a> {
+    /// Movement entry `mi`'s plan, entry and buffer.
+    fn entry(&self, mi: usize) -> (&'a SymbolicPlan, &'a MovementCode, &'a LocalBuffer) {
+        let sp = self.sp.expect("a schedule with entries has a plan");
+        let mc = &sp.plan.movement[mi];
+        (sp, mc, &sp.plan.buffers[mc.buffer])
+    }
+}
+
+impl Steps for Priced<'_> {
+    type Error = SmemError;
+
+    fn open(&mut self, _: usize, _: Option<usize>) -> Result<()> {
+        Ok(())
+    }
+
+    fn transfer(&mut self, t: usize, mi: usize, kind: Transfer, earliest: u64) -> Result<u64> {
+        if matches!(kind, Transfer::Unpark | Transfer::Park) {
+            return Ok(self.clock.now);
+        }
+        let (sp, mc, buf) = self.entry(mi);
+        let rp = sp.residency.as_ref().and_then(|r| r.plans.get(&mc.buffer));
+        let rp = || rp.ok_or_else(|| shape_err("a residency set the plan lacks"));
+        let scan = match kind {
+            Transfer::Delta => &rp()?.delta_scan,
+            Transfer::Flush => &rp()?.flush_scan,
+            Transfer::Window => &mc.move_in,
+            _ => &mc.move_out,
+        };
+        let (program, ext) = (self.program, &self.subs[t].0);
+        let aext = (program.arrays[buf.array].eval_extents(&program.params, self.params))
+            .map_err(SmemError::Ir)?;
+        let list = transfer_list(scan, buf, &aext, ext)?;
+        let retained = match kind {
+            Transfer::Delta => Some(rp()?.retained_scan.count_visits(ext)),
+            _ => None,
+        };
+        self.descriptors += list.descriptors.len() as u64;
+        self.moved += list.elements;
+        Ok(self.clock.issue(earliest, &list, retained, None))
+    }
+
+    fn wait(&mut self, done: u64) {
+        self.clock.wait(done);
+    }
+
+    fn compute(&mut self, t: usize) -> Result<u64> {
+        self.clock.now += self.subs[t].1;
+        Ok(self.clock.now)
+    }
+
+    fn fits(&self, mi: usize, a: usize, b: usize) -> bool {
+        let buf = self.entry(mi).2;
+        let shape = |t: usize| {
+            (
+                buf.offsets(&self.subs[t].0).ok(),
+                buf.extents(&self.subs[t].0).ok(),
+            )
+        };
+        shape(a) == shape(b)
+    }
+
+    fn follows(&self, t: usize) -> bool {
+        self.subs[t].2
+    }
 }
 
 fn shape_err(what: &str) -> SmemError {
     SmemError::Ir(polymem_ir::IrError::UnknownName(format!(
         "tune estimator shape mismatch: {what}"
     )))
+}
+
+/// The compute-side counts `[instances, scratchpad accesses, global
+/// accesses]` of the sub-blocks pinned at `subs`, with the executor's
+/// exact access classification: level-2 frame hits are free, level-1
+/// staged accesses pay smem latency, the rest go to global memory. One
+/// bound cascade per statement serves every sub-block.
+fn sub_tile_counts(
+    program: &Program,
+    sp: Option<&SymbolicPlan>,
+    params: &[i64],
+    subs: &[&HashMap<String, i64>],
+    cc: &CostConstants,
+) -> Result<Vec<[u64; 3]>> {
+    let hier = sp.and_then(|s| s.hier.as_ref());
+    let names: Vec<String> = subs[0].keys().cloned().collect();
+    let mut counts = vec![[0u64; 3]; subs.len()];
+    for (si, stmt) in program.stmts.iter().enumerate() {
+        // Per instance `[1, scratchpad, global]`. A frame write reaches
+        // the scratchpad at flush, priced by [`HierPlan::frame_traffic`].
+        let mut per = [1, 0, 0];
+        let reads = (0..stmt.reads.len()).map(|k| AccessId::read(si, k));
+        for id in reads.chain([AccessId::write(si)]) {
+            if !hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
+                per[if sp.is_some_and(|s| s.plan.rewrites.contains_key(&id)) {
+                    1
+                } else {
+                    2
+                }] += 1;
+            }
+        }
+        let dom = parametrize_domain(&stmt.domain, &names)?;
+        let cascade = bound_cascade(&dom).map_err(SmemError::Poly)?;
+        for (fixed, n) in subs.iter().zip(&mut counts) {
+            let at = ext_params(&names, params, fixed).ok_or_else(|| shape_err("pinned dims"))?;
+            let mut c = 0u64;
+            let mut count = |_: &[i64]| {
+                c += 1;
+                ControlFlow::Continue(())
+            };
+            enumerate_with_cascade(&dom, &cascade, &at, cc.count_budget, &mut count)
+                .map_err(SmemError::Poly)?;
+            (0..3).for_each(|k| n[k] += c * per[k]);
+        }
+    }
+    if let Some(h) = hier {
+        for (fixed, n) in subs.iter().zip(&mut counts) {
+            n[1] = n[1].saturating_add(h.frame_traffic(program, params, fixed, cc.count_budget)?);
+        }
+    }
+    Ok(counts)
 }
 
 /// Price one candidate mapping from its symbolic plan alone.
@@ -318,8 +440,9 @@ fn shape_err(what: &str) -> SmemError {
 /// launch shape. The returned `predicted_cycles` mirrors the
 /// executor's accounting exactly where the plan permits: per sub-block
 /// `n_inst·cycles_per_op + n_smem·smem_latency + n_glob·(global_latency
-/// / global_overlap)`, DMA lists priced by the channel model, rounds
-/// charged `block_cycles · ⌈blocks / concurrent⌉ + sync`.
+/// / global_overlap)`, the block's sub-tiles walked through the
+/// executor's [`Schedule`] on the DMA clock, rounds charged
+/// `block_cycles · ⌈blocks / concurrent⌉ + sync`.
 pub fn estimate(
     program: &Program,
     sp: Option<&SymbolicPlan>,
@@ -327,214 +450,59 @@ pub fn estimate(
     structure: &Structure,
     cc: &CostConstants,
 ) -> Result<CostEstimate> {
-    let fixed = &structure.rep_first;
-    let hier = sp.and_then(|s| s.hier.as_ref());
-
-    // Compute-side counters of the representative sub-block, with the
-    // executor's exact access classification: level-2 frame hits are
-    // free, level-1 staged accesses pay smem latency, the rest go to
-    // global memory.
-    let (mut n_inst, mut n_smem, mut n_glob) = (0u64, 0u64, 0u64);
-    for (si, stmt) in program.stmts.iter().enumerate() {
-        let dom = fix_dims(&stmt.domain, fixed)
-            .substitute_params(params)
-            .map_err(SmemError::Poly)?;
-        let c = count_points(&dom, cc.count_budget).map_err(SmemError::Poly)?;
-        if c == 0 {
-            continue;
-        }
-        n_inst += c;
-        let reads = (0..stmt.reads.len()).map(|k| AccessId::read(si, k));
-        for id in reads.chain([AccessId::write(si)]) {
-            if hier.is_some_and(|h| h.plan.rewrites.contains_key(&id)) {
-                // Register-frame hit: no smem access in the cycle model
-                // (a frame write reaches scratchpad at flush, priced
-                // below).
-            } else if sp.is_some_and(|s| s.plan.rewrites.contains_key(&id)) {
-                n_smem += c;
-            } else {
-                n_glob += c;
-            }
-        }
-    }
-
-    // Level-2 frame staging traffic: per distinct thread key the
-    // executor moves every frame's move-in elements from scratchpad
-    // and flushes the written ones back — each element one smem
-    // access.
-    if let Some(h) = hier {
-        let mut n_keys = 0u64;
-        let mut thread_rep: Option<Vec<i64>> = None;
-        for (si, stmt) in program.stmts.iter().enumerate() {
-            if h.stmt_thread_pos[si].is_none() {
-                continue;
-            }
-            let dom = fix_dims(&stmt.domain, fixed);
-            let keep: Vec<usize> = h
-                .thread_dims
-                .iter()
-                .filter_map(|n| dom.space().find_dim(n))
-                .collect();
-            if keep.len() != h.thread_dims.len() {
-                continue;
-            }
-            let proj = dom
-                .project_onto(&keep)
-                .and_then(|p| p.substitute_params(params))
-                .map_err(SmemError::Poly)?;
-            let mut first: Option<Vec<i64>> = None;
-            let mut count = 0u64;
-            enumerate_points(&proj, cc.count_budget, &mut |p| {
-                first.get_or_insert_with(|| p.to_vec());
-                count += 1;
-            })
-            .map_err(SmemError::Poly)?;
-            if count > n_keys {
-                n_keys = count;
-                thread_rep = first;
-            }
-        }
-        if let (Some(tvals), true) = (thread_rep, n_keys > 0) {
-            let ext2 = h
-                .ext_params(params, fixed, &tvals)
-                .ok_or_else(|| shape_err("level-2 ext params"))?;
-            let moves = h.plan.movement.iter();
-            let per_key: u64 = moves
-                .map(|mc| mc.move_in_count(&ext2) + mc.move_out_count(&ext2))
-                .sum();
-            n_smem = n_smem.saturating_add(n_keys.saturating_mul(per_key));
-        }
-    }
-
-    let compute = cc.compute_cycles(n_inst, n_smem, n_glob);
-
-    // Movement lists of the representative sub-block.
-    let mut groups: Vec<GroupLists> = Vec::new();
-    let mut smem_words = 0u64;
-    if let Some(sp) = sp {
-        let ext = sp
-            .ext_params(params, fixed)
-            .ok_or_else(|| shape_err("level-1 ext params"))?;
-        let ext_mid = structure
-            .rep_mid
-            .as_ref()
-            .and_then(|m| sp.ext_params(params, m));
-        smem_words = sp.plan.total_buffer_words(&ext)?;
-        for mc in &sp.plan.movement {
-            let buf = &sp.plan.buffers[mc.buffer];
-            let aext = program.arrays[buf.array]
-                .eval_extents(&program.params, params)
-                .map_err(SmemError::Ir)?;
-            let move_in = transfer_list(&mc.move_in, buf, &aext, &ext)?;
-            let move_out = transfer_list(&mc.move_out, buf, &aext, &ext)?;
-            let rp = sp.residency.as_ref().and_then(|r| r.plans.get(&mc.buffer));
-            let (delta_in, flush_out) = match (rp, &ext_mid) {
-                (Some(rp), Some(em)) => (
-                    Some(transfer_list(&rp.delta_scan, buf, &aext, em)?),
-                    rp.flush_legal
-                        .then(|| transfer_list(&rp.flush_scan, buf, &aext, em))
-                        .transpose()?,
-                ),
-                _ => (None, None),
-            };
-            groups.push(GroupLists {
-                hoisted: sp.plan.hoists(mc.buffer, &structure.seq_independent_arrays),
-                move_in,
-                move_out,
-                delta_in,
-                flush_out,
-            });
-        }
-    }
-
-    // Walk the block's sub-tile schedule with the DMA channel model,
-    // pricing the representative block as the round's NoC critical
-    // path (the easternmost concurrently placed block's route).
-    let seqs = structure.seqs.max(1);
-    let mut dma = DmaChannels::new(
-        cc.dma_channels,
-        cc.dma_setup_cycles,
-        cc.dma_bytes_per_cycle,
-        cc.max_route_cycles(structure.blocks.max(1)),
-    );
-    let (mut descriptors, mut moved_elems) = (0u64, 0u64);
-    // Queue a list no earlier than `at`; returns its completion cycle.
-    let mut issue = |list: &TransferList, at: u64| {
-        descriptors += list.descriptors.len() as u64;
-        moved_elems += list.elements;
-        dma.issue_list(list, cc.word_bytes, at, None)
+    let later = structure.rep_later.iter().map(|(at, _)| at);
+    let fixed: Vec<_> = [&structure.rep_first].into_iter().chain(later).collect();
+    let counts = sub_tile_counts(program, sp, params, &fixed, cc)?;
+    let follows = [false]
+        .into_iter()
+        .chain(structure.rep_later.iter().map(|l| l.1));
+    let mut priced = Priced {
+        program,
+        sp,
+        params,
+        // The representative block is priced as the round's NoC
+        // critical path (the easternmost concurrently placed block's
+        // route).
+        clock: DmaClock::new(
+            cc.dma_channels,
+            cc.dma_setup_cycles,
+            cc.dma_bytes_per_cycle,
+            cc.max_route_cycles(structure.blocks.max(1)),
+            cc.word_bytes,
+        ),
+        subs: Vec::new(),
+        descriptors: 0,
+        moved: 0,
     };
-    let mut now = 0u64;
-    if structure.double_buffer && seqs > 1 && !groups.is_empty() {
-        // Pipelined: iteration s+1's move-in issues during compute of
-        // s; only the first stage is exposed.
-        let mut ready = 0u64;
-        for g in &groups {
-            ready = ready.max(issue(&g.move_in, now));
-        }
-        for s in 0..seqs {
-            now = now.max(ready);
-            let start = now;
-            ready = 0;
-            if s + 1 < seqs {
-                for g in groups.iter().filter(|g| !g.hoisted) {
-                    ready = ready.max(issue(&g.move_in, start));
-                }
-            }
-            now += compute;
-            for g in groups.iter().filter(|g| !g.hoisted) {
-                now = now.max(issue(&g.move_out, now));
-            }
-        }
-    } else {
-        for s in 0..seqs {
-            let first = s == 0;
-            let last = s + 1 == seqs;
-            for g in &groups {
-                if g.hoisted && !first {
-                    continue;
-                }
-                let list = match (&g.delta_in, first) {
-                    (Some(d), false) => d,
-                    _ => &g.move_in,
-                };
-                now = issue(list, now);
-            }
-            now += compute;
-            for g in groups.iter().filter(|g| !g.hoisted) {
-                let list = match (&g.flush_out, last) {
-                    (Some(f), false) => f,
-                    _ => &g.move_out,
-                };
-                now = issue(list, now);
-            }
-        }
+    for ((at, [i, s, g]), follows) in fixed.iter().zip(&counts).zip(follows) {
+        let ext = match sp {
+            Some(sp) => (sp.ext_params(params, at)).ok_or_else(|| shape_err("ext params"))?,
+            None => Vec::new(),
+        };
+        priced
+            .subs
+            .push((ext, cc.compute_cycles(*i, *s, *g), follows));
     }
-    for g in groups.iter().filter(|g| g.hoisted) {
-        now = issue(&g.move_out, now);
-    }
-    now = now.max(dma.idle_at());
-    let block_cycles = now;
+    let smem_words = sp.map_or(Ok(0), |sp| sp.plan.total_buffer_words(&priced.subs[0].0))?;
+    let schedule = sp.map_or_else(Schedule::default, |sp| Schedule::new(sp, &structure.seq));
+    schedule.walk(priced.subs.len(), &mut priced)?;
+    priced.clock.drain();
 
-    let blocks = structure.blocks.max(1);
-    let rounds = structure.rounds.max(1);
+    let (blocks, rounds) = (structure.blocks.max(1), structure.rounds.max(1));
     let smem_bytes = smem_words * cc.word_bytes;
-    let predicted = rounds.saturating_mul(cc.round_cycles(block_cycles, blocks, smem_bytes));
-    let per_block_glob = moved_elems + n_glob.saturating_mul(seqs);
+    let predicted = cc.round_cycles(priced.clock.now, blocks, smem_bytes);
+    let per_block = |k: usize| counts.iter().map(|c| c[k]).sum::<u64>();
     Ok(CostEstimate {
-        predicted_cycles: predicted,
-        global_bytes: per_block_glob
+        predicted_cycles: rounds.saturating_mul(predicted),
+        global_bytes: (priced.moved + per_block(2))
             .saturating_mul(blocks)
             .saturating_mul(rounds)
             .saturating_mul(cc.word_bytes),
-        dma_descriptors: descriptors,
+        dma_descriptors: priced.descriptors,
         sync_cycles: rounds * cc.round_cycles(0, blocks, smem_bytes),
-        compute_ops: n_inst
-            .saturating_mul(seqs)
-            .saturating_mul(blocks)
-            .saturating_mul(rounds),
-        smem_accesses: n_smem,
-        global_accesses: n_glob,
+        compute_ops: per_block(0).saturating_mul(blocks).saturating_mul(rounds),
+        smem_accesses: counts[0][1],
+        global_accesses: counts[0][2],
         smem_words,
     })
 }

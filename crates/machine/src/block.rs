@@ -4,8 +4,9 @@
 
 use crate::compiled::run_compiled;
 use crate::config::MachineConfig;
-use crate::dma::{BlockClock, DmaTag};
+use crate::dma::DmaStats;
 use crate::exec::{BlockedKernel, LaunchShared};
+use crate::grid::follows;
 use crate::oracle::interpreted_compute;
 use crate::overlay::Overlay;
 use crate::stats::ExecStats;
@@ -14,10 +15,11 @@ use crate::{MachineError, Result};
 use polymem_core::smem::alloc::extent_words;
 use polymem_core::smem::movement::for_each_scan;
 use polymem_core::smem::{
-    flatten, transfer_list, AccessId, ExtSource, LocalBuffer, MovementCode, ResidencyPlan,
-    RetainPlan, SmemError, SmemPlan, SymbolicPlan, TransferList,
+    flatten, transfer_list, AccessId, DmaClock, ExtSource, LocalBuffer, SeqFacts, SmemError,
+    SmemPlan, Steps, Transfer, TransferList,
 };
 use polymem_ir::ArrayStore;
+use polymem_poly::dep::access_pairs;
 use polymem_poly::Constraint;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -127,19 +129,6 @@ fn movement_list(
     })
 }
 
-/// A buffer kept alive across a block's sequential sub-tiles because
-/// none of its references depend on the sub-tile dims (§4.2 hoisting).
-struct Persistent<'a> {
-    buffer: &'a LocalBuffer,
-    mc: &'a MovementCode,
-    /// The parking sub-tile's `params ++ fixed values` (hoisted
-    /// buffers do not depend on the seq dims, so any captured seq
-    /// value yields the same element set).
-    pparams: Vec<i64>,
-    buf: Buffer,
-    dirty: bool,
-}
-
 /// Arrays none of whose accesses depend on the kernel's seq dims:
 /// their staged buffers are identical across sub-tiles and hoist.
 ///
@@ -184,183 +173,106 @@ pub(crate) fn seq_redundant_arrays(kernel: &BlockedKernel) -> Vec<usize> {
         .collect()
 }
 
-/// Read accesses reached by a flow dependence carried by a seq dim
-/// within one block (§3.1.4 dependence information, reused): for each
-/// flow dependence, restrict its polyhedron to pairs with equal
-/// round/block dims (same block, same round) and a strictly positive
-/// seq-dim distance (earlier seq dims equal). Non-empty means
-/// prefetching the target's buffer ahead of the writing sub-tile would
-/// read stale data, so its group must stage synchronously.
+/// Read accesses reached by a flow dependence a seq dim carries within
+/// one block (§3.1.4 dependence information, reused): a write of the
+/// same element runs earlier — at a common loop level, or textually
+/// first at none, as [`dependence_polyhedra`] orders instances — in the
+/// same round and block but an earlier sub-tile (earlier seq dims
+/// equal). Prefetching the read's buffer ahead of the writing sub-tile
+/// would read stale data, so its group stages synchronously. A level
+/// that orders the two instances by a dim the sub-tile constraints hold
+/// equal is empty, and is not tested.
+///
+/// [`dependence_polyhedra`]: polymem_poly::dep::dependence_polyhedra
 fn overlap_poisoned_reads(kernel: &BlockedKernel) -> Result<HashSet<AccessId>> {
-    use polymem_poly::dep::DepKind;
     let program = &kernel.program;
-    let deps = polymem_core::deps::compute_deps(program, &[DepKind::Flow])?;
     let mut out = HashSet::new();
-    let pos = |dims: &[String], n: &str| dims.iter().position(|x| x == n);
-    'deps: for d in deps {
-        let src_dims = program.stmts[d.dep.src_stmt].domain.space().dims().to_vec();
-        let dst_dims = program.stmts[d.dep.dst_stmt].domain.space().dims().to_vec();
-        let n_src = d.dep.n_src;
-        let n_cols = d.dep.poly.space().n_cols();
-        let mut base = d.dep.poly.clone();
-        for name in kernel.round_dims.iter().chain(&kernel.block_dims) {
-            if let (Some(s), Some(t)) = (pos(&src_dims, name), pos(&dst_dims, name)) {
-                let mut row = vec![0i64; n_cols];
-                row[s] = 1;
-                row[n_src + t] = -1;
-                base.add_constraint(Constraint::eq(row));
-            }
-        }
-        for (li, name) in kernel.seq_dims.iter().enumerate() {
-            let (Some(s), Some(t)) = (pos(&src_dims, name), pos(&dst_dims, name)) else {
-                continue;
+    for (si, s) in program.stmts.iter().enumerate() {
+        for (di, d) in program.stmts.iter().enumerate() {
+            let (sd, dd) = (s.domain.space().dims(), d.domain.space().dims());
+            // A dim both statements iterate, at its source and target index.
+            let both = |n: &String| {
+                Some((
+                    sd.iter().position(|x| x == n)?,
+                    dd.iter().position(|x| x == n)?,
+                ))
             };
-            let mut p = base.clone();
-            for prev in &kernel.seq_dims[..li] {
-                if let (Some(ps), Some(pt)) = (pos(&src_dims, prev), pos(&dst_dims, prev)) {
-                    let mut row = vec![0i64; n_cols];
-                    row[ps] = 1;
-                    row[n_src + pt] = -1;
-                    p.add_constraint(Constraint::eq(row));
+            let common = program.common_depth(si, di);
+            'read: for (k, r) in d.reads.iter().enumerate() {
+                if r.array != s.write.array || out.contains(&AccessId::read(di, k)) {
+                    continue;
                 }
-            }
-            // dst[seq] >= src[seq] + 1: carried strictly forward.
-            let mut row = vec![0i64; n_cols];
-            row[s] = -1;
-            row[n_src + t] = 1;
-            row[n_cols - 1] = -1;
-            p.add_constraint(Constraint::ineq(row));
-            if !p.is_empty()? {
-                out.insert(d.dst_access);
-                continue 'deps;
+                let base = access_pairs(&s.domain, &d.domain, &s.write.map, &r.map)?;
+                let n_cols = base.space().n_cols();
+                // The row `dst[b] − src[a] + c`.
+                let diff = |(a, b): (usize, usize), c: i64| {
+                    let mut v = vec![0i64; n_cols];
+                    (v[a], v[sd.len() + b], v[n_cols - 1]) = (-1, 1, c);
+                    v
+                };
+                let outer = kernel.round_dims.iter().chain(&kernel.block_dims);
+                let mut held: Vec<_> = outer.filter_map(both).collect();
+                for fwd in kernel.seq_dims.iter().filter_map(both) {
+                    // Levels: the first `l` common dims equal and dim `l`
+                    // earlier, or (textually first) all of them equal.
+                    for level in (0..common).map(Some).chain((si < di).then_some(None)) {
+                        let equal = level.unwrap_or(common);
+                        if (fwd.0 == fwd.1 && fwd.0 < equal)
+                            || level.is_some_and(|l| held.contains(&(l, l)))
+                        {
+                            continue;
+                        }
+                        let eqs = held.iter().copied().chain((0..equal).map(|j| (j, j)));
+                        let later = level.map(|l| (l, l)).into_iter().chain([fwd]);
+                        let mut p = base.clone();
+                        eqs.for_each(|h| p.add_constraint(Constraint::eq(diff(h, 0))));
+                        later.for_each(|h| p.add_constraint(Constraint::ineq(diff(h, -1))));
+                        if !p.is_empty()? {
+                            out.insert(AccessId::read(di, k));
+                            continue 'read;
+                        }
+                    }
+                    held.push(fwd);
+                }
             }
         }
     }
     Ok(out)
 }
 
-/// What staging needs to know about each movement entry of the
-/// launch's plan, decided once per launch: whether double buffering
-/// can engage at all, and [`EntryFlags`] per entry.
-#[derive(Default)]
-pub(crate) struct StagingFlags {
-    /// The mapping stages sequential sub-tiles with double buffering
-    /// on: a block with more than one sub-tile prefetches.
-    pub(crate) overlap: bool,
-    /// Per movement entry of the plan.
-    pub(crate) entries: Vec<EntryFlags>,
-    /// Per register-level entry: its frame is written
-    /// ([`SmemPlan::is_written`]), so [`flush_frames`] writes it back.
-    pub(crate) frames_written: Vec<bool>,
-}
-
-/// One movement entry's staging flags.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct EntryFlags {
-    /// §4.2 hoisting applies ([`SmemPlan::hoists`]).
-    pub(crate) hoists: bool,
-    /// A read reached by a seq-carried flow dependence is rewritten
-    /// into the entry's buffer: its group must stage synchronously.
-    pub(crate) poisoned: bool,
-    /// The entry's buffer is written ([`SmemPlan::is_written`]).
-    pub(crate) written: bool,
-}
-
-impl StagingFlags {
-    pub(crate) fn new(
-        kernel: &BlockedKernel,
-        config: &MachineConfig,
-        sp: Option<&SymbolicPlan>,
-    ) -> Result<StagingFlags> {
-        let Some(sp) = sp else {
-            return Ok(StagingFlags::default());
-        };
-        let written = |p: &SmemPlan| p.movement.iter().map(|m| p.is_written(m.buffer)).collect();
-        let plan = &sp.plan;
-        let (mut hoistable, mut stale) = (Vec::new(), HashSet::new());
-        let overlap = config.double_buffer && !kernel.seq_dims.is_empty();
-        if !kernel.seq_dims.is_empty() {
-            hoistable = seq_redundant_arrays(kernel);
-        }
+/// What the schedule knows of `kernel`'s sequential sub-tiles under
+/// `config`: the one place the launch and the estimator's
+/// [`structure_of`](crate::tune::structure_of) take it from.
+pub(crate) fn seq_facts(kernel: &BlockedKernel, config: &MachineConfig) -> Result<SeqFacts> {
+    if kernel.seq_dims.is_empty() || !kernel.use_scratchpad {
+        return Ok(SeqFacts::default());
+    }
+    let overlap = config.double_buffer;
+    Ok(SeqFacts {
+        overlap,
+        seq_independent: seq_redundant_arrays(kernel),
         // Double-buffer legality (§3.1.4 dependence information,
         // reused): read accesses reached by a seq-carried flow
         // dependence within a block may not be prefetched ahead of the
         // writing sub-tile.
-        if overlap {
-            stale = overlap_poisoned_reads(kernel)?;
-        }
-        let entries = plan.movement.iter().map(|mc| EntryFlags {
-            hoists: plan.hoists(mc.buffer, &hoistable),
-            poisoned: (plan.rewrites.iter())
-                .any(|(id, la)| la.buffer == mc.buffer && stale.contains(id)),
-            written: plan.is_written(mc.buffer),
-        });
-        Ok(StagingFlags {
-            overlap,
-            entries: entries.collect(),
-            frames_written: sp.hier.as_ref().map_or_else(Vec::new, |h| written(&h.plan)),
-        })
-    }
-}
-
-/// One sub-tile's scratchpad state: the local buffers allocated for
-/// the launch's shared plan at this sub-tile's extents, plus
-/// per-movement-entry staging progress (with overlap on, entries of
-/// two live sub-tiles interleave).
-struct Staging {
-    /// Shaped by [`Block::prepare_sub_block`]; storage comes once the
-    /// footprint passed its capacity check.
-    local: LocalStore,
-    words: u64,
-    /// Per movement entry: functional move-in already performed.
-    staged: Vec<bool>,
-    /// In-flight prefetch DMA tags, waited on before compute.
-    tags: Vec<DmaTag>,
+        stale_reads: if overlap {
+            overlap_poisoned_reads(kernel)?
+        } else {
+            HashSet::new()
+        },
+    })
 }
 
 /// A sub-block prepared for execution: the parameter vector
 /// `params ++ fixed values` everything shape-level (plan, enumeration
-/// layout, compiled streams) evaluates under — its identity — and
-/// (when the launch stages) its staging state.
+/// layout, compiled streams) evaluates under — its identity — and,
+/// when the launch stages, its scratchpad: the local buffers of the
+/// shared plan at its extents, `words` in all. Storage comes once the
+/// footprint passed its capacity check.
 struct SubBlock {
     pparams: Vec<i64>,
-    staging: Option<Staging>,
-}
-
-/// The shared plan's residency decomposition, when it applies between
-/// the sub-tiles at `prev` and `cur` (each a `params ++ fixed values`
-/// vector): the two are lexicographically consecutive along the
-/// residency seq dim, every other coordinate equal.
-fn shared_residency<'a>(
-    launch: &'a LaunchShared,
-    cur: &[i64],
-    prev: &[i64],
-) -> Option<&'a ResidencyPlan> {
-    let at = launch.residency_at?;
-    let consecutive =
-        (cur.iter().zip(prev).enumerate()).all(|(i, (c, p))| *c == p + i64::from(i == at));
-    launch
-        .plan
-        .as_deref()?
-        .residency
-        .as_ref()
-        .filter(|_| consecutive)
-}
-
-/// The flush-delta plan for one movement entry, present iff the delta
-/// flush is legal *and* the successor sub-tile will provably stage
-/// this buffer by residency — decided with the exact predicate and
-/// argument pair its move-in uses ([`shared_residency`] on
-/// `(next, cur)`), so the two sides can never disagree. `None` means
-/// the full move-out must run.
-fn flush_delta_plan<'a>(
-    launch: &'a LaunchShared,
-    buffer: usize,
-    cur: &[i64],
-    next: Option<&[i64]>,
-) -> Option<&'a RetainPlan> {
-    let rp = shared_residency(launch, next?, cur)?.plans.get(&buffer)?;
-    rp.flush_legal.then_some(rp)
+    local: Option<LocalStore>,
+    words: u64,
 }
 
 /// One thread block in flight: the launch record and store snapshot it
@@ -372,9 +284,21 @@ struct Block<'a> {
     profiler: Option<&'a PassProfiler>,
     overlay: Overlay,
     stats: ExecStats,
-    clock: BlockClock<'a>,
-    /// Parked copies by array.
-    persistent: HashMap<usize, Persistent<'a>>,
+    clock: DmaClock,
+    /// Copies parked past the seq loop (§4.2 hoisting), by array: the
+    /// parking sub-tile's `params ++ fixed values` and buffer (hoisted
+    /// buffers do not depend on the seq dims, so any captured seq value
+    /// yields the same element set).
+    persistent: HashMap<usize, (Vec<i64>, Buffer)>,
+    /// Grid coordinates of the block's sequential sub-tiles.
+    seqs: Vec<Vec<i64>>,
+    /// Sub-tiles `t − 1`, `t` and `t + 1`, at slot `t % 3`. The
+    /// predecessor stays live past its move-out: its scratchpad holds
+    /// the newest value of every element (flushing copies out of it,
+    /// never into it), which is what residency re-bases retained atoms
+    /// from — also under a delta flush, whose skipped elements are
+    /// exactly the ones served from there.
+    window: [Option<SubBlock>; 3],
 }
 
 impl<'a> Block<'a> {
@@ -395,42 +319,41 @@ impl<'a> Block<'a> {
         }
     }
 
-    /// Evaluate the launch shape at the sub-block at grid coordinates
-    /// `coords`: its parameter vector and the shape of its local
-    /// buffers. Footprint checks (one footprint must be resident
-    /// without overlap, two with it) and, after them, the storage
-    /// ([`LocalStore::zero`]) are the caller's job.
-    fn prepare_sub_block(&mut self, coords: &[i64]) -> Result<SubBlock> {
-        let pparams = self.launch.grid.pparams(coords);
-        let staging = match self.launch.plan.as_deref() {
-            Some(sp) => {
-                self.stats.plan_cache_hits += 1;
-                let mut local = LocalStore::default();
-                let words = local.reshape(&sp.plan, &pparams)?;
-                self.stats.max_smem_words = self.stats.max_smem_words.max(words);
-                Some(Staging {
-                    local,
-                    words,
-                    staged: vec![false; sp.plan.movement.len()],
-                    tags: Vec::new(),
-                })
-            }
-            None => None,
-        };
-        Ok(SubBlock { pparams, staging })
+    /// Sub-tile `t`, open in the window.
+    fn sub(&self, t: usize) -> &SubBlock {
+        self.window[t % 3].as_ref().expect("an open sub-tile")
     }
 
-    /// Write a persistent buffer's contents back to the (overlay of)
-    /// global memory, once, at the end of the block. The transfer is
-    /// modeled as a synchronous DMA list.
-    fn writeback_persistent(&mut self, p: &Persistent) -> Result<()> {
-        let (buf, label) = (p.buffer, || format!("persistent L{}", p.buffer.array_name));
-        let ext = &self.launch.ext[buf.array];
-        let list = movement_list(&p.mc.move_out, buf, ext, &p.pparams, label)?;
-        self.spill(buf.array, &list, &p.buf.data);
-        let tag = self.clock.issue(self.clock.now, &list);
-        self.clock.wait(&tag);
-        Ok(())
+    /// Take sub-tile `t` out of the window while a step copies into or
+    /// out of it; [`put`](Block::put) returns it.
+    fn take(&mut self, t: usize) -> SubBlock {
+        self.window[t % 3].take().expect("an open sub-tile")
+    }
+
+    fn put(&mut self, t: usize, sb: SubBlock) {
+        self.window[t % 3] = Some(sb);
+    }
+
+    /// Evaluate the launch shape at sub-tile `t`: its parameter vector
+    /// and the shape of its local buffers. Footprint checks (one
+    /// footprint must be resident without overlap, two with it) and,
+    /// after them, the storage ([`LocalStore::zero`]) are the caller's
+    /// job.
+    fn prepare_sub_block(&mut self, t: usize) -> Result<SubBlock> {
+        let pparams = self.launch.grid.pparams(&self.seqs[t]);
+        let (mut local, mut words) = (None, 0);
+        if let Some(sp) = self.launch.plan.as_deref() {
+            self.stats.plan_cache_hits += 1;
+            words = local
+                .insert(LocalStore::default())
+                .reshape(&sp.plan, &pparams)?;
+            self.stats.max_smem_words = self.stats.max_smem_words.max(words);
+        }
+        Ok(SubBlock {
+            pparams,
+            local,
+            words,
+        })
     }
 
     /// Execute a move-in list into `dst`: each element from the
@@ -456,146 +379,114 @@ impl<'a> Block<'a> {
         self.stats.moved_out += list.elements;
     }
 
-    /// Stage one movement entry's move-in (global → local): the one place
-    /// a movement entry becomes a move-in [`DmaTag`]. Cheapest source
-    /// first:
-    ///
-    /// 1. the §4.2 parked copy, when the array hoists and the copy's
-    ///    shape (extents and offsets) is this sub-tile's — free, no tag
-    ///    (`None`);
-    /// 2. residency, when the plan retains this buffer across `pred` (the
-    ///    lexicographic predecessor, its scratchpad still live): the
-    ///    retained atoms re-base with a scratchpad-local copy and only the
-    ///    delta crosses the bus;
-    /// 3. the full window — the partition whose retained set is empty.
-    ///
-    /// The transfer starts no earlier than `earliest` (buffer-reuse
-    /// dependence on an earlier sub-tile's move-out). A `prefetch` runs
-    /// ahead of the predecessor's compute, so `pred` holds pre-compute
-    /// contents (the caller only prefetches read-only, dependence-free
-    /// groups) and the parked copy is never taken: the caller's
-    /// [`hoist_shortcut_hits`] filter already ruled source 1 out.
-    fn stage_entry(
-        &mut self,
-        sb: &mut SubBlock,
-        mi: usize,
-        pred: Option<&SubBlock>,
-        prefetch: bool,
-        earliest: u64,
-    ) -> Result<Option<DmaTag>> {
-        let launch = self.launch;
-        let plan = self.plan();
-        let mc = &plan.movement[mi];
-        let bi = mc.buffer;
-        let buf = &plan.buffers[bi];
-        let pparams = &sb.pparams;
-        let Staging { local, staged, .. } = sb.staging.as_mut().expect("staged");
-        staged[mi] = true;
-        let hoists = launch.flags.entries[mi].hoists;
-        let parked_fits = hoists
-            && self.persistent.get(&buf.array).is_some_and(|p| {
-                p.buf.extents == local.bufs[bi].extents && p.buf.offsets == local.bufs[bi].offsets
-            });
-        if parked_fits && !prefetch {
-            local.bufs[bi]
-                .data
-                .copy_from_slice(&self.persistent[&buf.array].buf.data);
-            return Ok(None);
-        }
-        // Residency defers to a shape-stable parked copy (free, so cheaper
-        // than any delta).
-        let resident = pred.filter(|_| !parked_fits).and_then(|p| {
-            let prev = &p.staging.as_ref()?.local;
-            let rp = shared_residency(launch, pparams, &p.pparams)?
-                .plans
-                .get(&bi)?;
-            Some((rp, prev))
-        });
-        // A stale differently-shaped parked copy must reach global memory
-        // before this sub-tile stages fresh data — the predecessor's
-        // writes must be in the overlay before the move-in reads it. A
-        // prefetched full window leaves the parked copy alone: the
-        // predecessor has not moved out yet and re-parks it when it does.
-        if hoists && !parked_fits && (resident.is_some() || !prefetch) {
-            if let Some(p) = self.persistent.remove(&buf.array) {
-                if p.dirty {
-                    self.writeback_persistent(&p)?;
-                }
-            }
-        }
-        // Re-base the retained atoms: the predecessor's window contains
-        // them by construction (retained ⊆ W(s−1) ⊆ its bounding box), so
-        // the indexed reads below are always in bounds, boundary tiles
-        // included.
-        let mut retained = 0u64;
-        if let Some((rp, prev)) = resident {
-            let (origin, mut at) = (&prev.bufs[bi].offsets, Vec::new());
-            retained = copy_elements(
-                |f| for_each_scan(&rp.retained_scan, buf, pparams, f),
-                |g, l| local.set(bi, l, prev.get(bi, level1_index(buf, origin, g, &mut at))?),
-            )?;
-        }
-        // Fetch what crosses the bus: the delta atoms, or the whole window.
-        let scan = resident.map_or(&mc.move_in, |(rp, _)| &rp.delta_scan);
-        let ext = &launch.ext[buf.array];
-        let list = movement_list(scan, buf, ext, pparams, || format!("local buffer {bi}"))?;
-        self.fetch(buf.array, &list, &mut local.bufs[bi].data);
-        Ok(Some(if resident.is_some() {
-            self.stats.retained_elems += retained;
-            self.stats.delta_elems += list.elements;
-            self.stats.residency_groups += 1;
-            self.clock.issue_delta(earliest, retained, &list)
-        } else {
-            self.clock.issue(earliest, &list)
-        }))
+    /// Queue one level-1 list on the block clock, counting its
+    /// descriptors ([`DmaClock::issue`]).
+    fn issue(&mut self, earliest: u64, retained: Option<u64>, list: &TransferList) -> u64 {
+        let (word_bytes, dma) = (self.launch.config.word_bytes, &mut self.stats.dma);
+        let mut record = |d: &_, (ch, cost, _)| dma.record(d, word_bytes, ch, cost);
+        self.clock
+            .issue(earliest, list, retained, Some(&mut record))
     }
 
-    /// Apply one movement entry's move-out (local → global overlay) and
-    /// queue its DMA list at the current cycle. Hoisted arrays park in
-    /// `persistent` instead (one writeback at the end of the block;
-    /// nothing crosses the bus, no tag). When the successor (at
-    /// `next`) stages this buffer by residency and
-    /// [`RetainPlan::flush_legal`] holds, only the flush delta is
-    /// written back: the skipped elements lie in the successor's write
-    /// set, so a later sub-tile's flush overwrites them before
-    /// anything can read them from global memory, and their newest
-    /// values are already where every legal reader looks (this
-    /// sub-tile's still-live scratchpad).
-    fn move_out_buffer(
-        &mut self,
-        sb: &SubBlock,
-        mi: usize,
-        next: Option<&[i64]>,
-    ) -> Result<Option<DmaTag>> {
+    /// Stage entry `mi` of sub-tile `t` (global → local) `from` the
+    /// parked copy (free: no bus traffic), the residency delta or the
+    /// full window; the transfer starts no earlier than `earliest`.
+    /// Residency re-bases the retained atoms from `t − 1` with a
+    /// scratchpad-local copy: the predecessor's window contains them by
+    /// construction (retained ⊆ W(s−1) ⊆ its bounding box), so the
+    /// indexed reads are in bounds, boundary tiles included. Only the
+    /// delta crosses the bus.
+    fn stage_entry(&mut self, t: usize, mi: usize, from: Transfer, earliest: u64) -> Result<u64> {
         let launch = self.launch;
         let plan = self.plan();
         let mc = &plan.movement[mi];
         let (bi, buf) = (mc.buffer, &plan.buffers[mc.buffer]);
-        let local = &sb.staging.as_ref().expect("staged").local;
-        if launch.flags.entries[mi].hoists {
-            let dirty = launch.flags.entries[mi].written
-                || self.persistent.get(&buf.array).is_some_and(|q| q.dirty);
-            let parked = Persistent {
-                buffer: buf,
-                mc,
-                pparams: sb.pparams.clone(),
-                buf: local.bufs[bi].clone(),
-                dirty,
-            };
-            self.persistent.insert(buf.array, parked);
-            return Ok(None);
-        }
-        let flush = flush_delta_plan(launch, bi, &sb.pparams, next);
-        let scan = flush.map_or(&mc.move_out, |rp| &rp.flush_scan);
+        let mut sb = self.take(t);
+        let (pparams, local) = (&sb.pparams, sb.local.as_mut().expect("staged"));
         let ext = &launch.ext[buf.array];
-        let list = movement_list(scan, buf, ext, &sb.pparams, || format!("local buffer {bi}"))?;
-        self.spill(buf.array, &list, &local.bufs[bi].data);
-        if flush.is_some() {
-            self.stats.flushed_delta_elems += list.elements;
-        }
-        // The flush delta is a subset of the full list, so its tag
-        // never completes later than the flush it replaces.
-        Ok(Some(self.clock.issue(self.clock.now, &list)))
+        let label = || format!("local buffer {bi}");
+        let done = match from {
+            Transfer::Unpark => {
+                let parked = &self.persistent[&buf.array].1.data;
+                local.bufs[bi].data.copy_from_slice(parked);
+                self.clock.now
+            }
+            Transfer::Delta => {
+                let res = launch.plan.as_deref().and_then(|sp| sp.residency.as_ref());
+                let rp = &res.expect("a residency plan").plans[&bi];
+                let prev = self.sub(t - 1).local.as_ref().expect("staged");
+                let (origin, mut at) = (&prev.bufs[bi].offsets, Vec::new());
+                let retained = copy_elements(
+                    |f| for_each_scan(&rp.retained_scan, buf, pparams, f),
+                    |g, l| local.set(bi, l, prev.get(bi, level1_index(buf, origin, g, &mut at))?),
+                )?;
+                let list = movement_list(&rp.delta_scan, buf, ext, pparams, label)?;
+                self.fetch(buf.array, &list, &mut local.bufs[bi].data);
+                self.stats.retained_elems += retained;
+                self.stats.delta_elems += list.elements;
+                self.stats.residency_groups += 1;
+                self.issue(earliest, Some(retained), &list)
+            }
+            _ => {
+                let list = movement_list(&mc.move_in, buf, ext, pparams, label)?;
+                self.fetch(buf.array, &list, &mut local.bufs[bi].data);
+                self.issue(earliest, None, &list)
+            }
+        };
+        self.put(t, sb);
+        Ok(done)
+    }
+
+    /// Move entry `mi` of sub-tile `t` out (local → global overlay) as
+    /// `kind` and queue its DMA list now. A hoisted array parks in
+    /// `persistent` instead (nothing crosses the bus). A flush writes
+    /// back only the residency flush delta: the skipped elements lie in
+    /// the successor's write set, so a later sub-tile's flush overwrites
+    /// them before anything can read them from global memory, and their
+    /// newest values are already where every legal reader looks (this
+    /// sub-tile's still-live scratchpad).
+    fn move_out(&mut self, t: usize, mi: usize, kind: Transfer) -> Result<u64> {
+        let launch = self.launch;
+        let plan = self.plan();
+        let mc = &plan.movement[mi];
+        let (bi, buf) = (mc.buffer, &plan.buffers[mc.buffer]);
+        let sb = self.take(t);
+        let local = sb.local.as_ref().expect("staged");
+        let done = if kind == Transfer::Park {
+            let parked = (sb.pparams.clone(), local.bufs[bi].clone());
+            self.persistent.insert(buf.array, parked);
+            self.clock.now
+        } else {
+            let res = launch.plan.as_deref().and_then(|sp| sp.residency.as_ref());
+            let scan = match kind {
+                Transfer::Flush => &res.expect("a residency plan").plans[&bi].flush_scan,
+                _ => &mc.move_out,
+            };
+            let ext = &launch.ext[buf.array];
+            let label = || format!("local buffer {bi}");
+            let list = movement_list(scan, buf, ext, &sb.pparams, label)?;
+            self.spill(buf.array, &list, &local.bufs[bi].data);
+            if kind == Transfer::Flush {
+                self.stats.flushed_delta_elems += list.elements;
+            }
+            self.issue(0, None, &list)
+        };
+        self.put(t, sb);
+        Ok(done)
+    }
+
+    /// Write the copy parked for entry `mi`'s array back to the
+    /// (overlay of) global memory, as one DMA list queued now.
+    fn write_back(&mut self, mi: usize) -> Result<u64> {
+        let plan = self.plan();
+        let mc = &plan.movement[mi];
+        let buf = &plan.buffers[mc.buffer];
+        let (pparams, parked) = self.persistent.remove(&buf.array).expect("a parked copy");
+        let label = || format!("persistent L{}", buf.array_name);
+        let ext = &self.launch.ext[buf.array];
+        let list = movement_list(&mc.move_out, buf, ext, &pparams, label)?;
+        self.spill(buf.array, &list, &parked.data);
+        Ok(self.issue(0, None, &list))
     }
 
     /// Execute the sub-block's statement instances in interleaved source
@@ -630,7 +521,7 @@ impl<'a> Block<'a> {
         // cloned state, outside the timed window.
         let oracle = if launch.code.is_some() && launch.exec_check {
             let mut ov = self.overlay.clone();
-            let mut loc = sb.staging.as_ref().map(|st| st.local.clone());
+            let mut loc = sb.local.clone();
             let mut sc = ExecStats::default();
             interpreted_compute(launch, pparams, store, loc.as_mut(), &mut ov, &mut sc)?;
             Some((ov, loc, tally(&sc)))
@@ -641,7 +532,7 @@ impl<'a> Block<'a> {
         let before = tally(&self.stats);
         let t0 = self.now();
         let (overlay, stats) = (&mut self.overlay, &mut self.stats);
-        let local = sb.staging.as_mut().map(|st| &mut st.local);
+        let local = sb.local.as_mut();
         match &launch.code {
             Some(code) => {
                 stats.compiled_blocks += 1;
@@ -661,7 +552,7 @@ impl<'a> Block<'a> {
         }
         if let Some((ov, loc, charged)) = oracle {
             let same_overlay = self.overlay == ov;
-            let same_local = sb.staging.as_ref().map(|st| &st.local) == loc.as_ref();
+            let same_local = sb.local == loc;
             assert!(
                 same_overlay && same_local && deltas == charged,
                 "POLYMEM_EXEC_CHECK: compiled execution diverged from the interpreter \
@@ -671,24 +562,81 @@ impl<'a> Block<'a> {
         }
         // The phase pays for what it added to the counters.
         let [n_inst, g_reads, g_writes, s_reads, s_writes, ..] = deltas;
-        self.clock.now +=
-            (launch.cost).compute_cycles(n_inst, s_reads + s_writes, g_reads + g_writes);
+        let cycles = (launch.cost).compute_cycles(n_inst, s_reads + s_writes, g_reads + g_writes);
+        self.clock.now += cycles;
         Ok(())
     }
 }
 
-/// Whether staging after the predecessor's move-out would serve this
-/// (read-only) buffer from the §4.2 parked copy for free: the entry's
-/// array hoists and its buffer shape (extents and offsets) does not
-/// shift between the current and the next sub-tile. Prefetching such
-/// a buffer would only add global traffic.
-fn hoist_shortcut_hits(launch: &LaunchShared, cur: &SubBlock, next: &SubBlock, mi: usize) -> bool {
-    let (Some(c), Some(n), Some(sp)) = (&cur.staging, &next.staging, &launch.plan) else {
-        return false;
-    };
-    let bi = sp.plan.movement[mi].buffer;
-    let (c, n) = (&c.local.bufs[bi], &n.local.bufs[bi]);
-    launch.flags.entries[mi].hoists && c.extents == n.extents && c.offsets == n.offsets
+/// The executor's [`Steps`]: the schedule's copies run on the block's
+/// buffers, its transfers on the block clock.
+impl Steps for Block<'_> {
+    type Error = MachineError;
+
+    /// Shape sub-tile `t` and hold its footprint — alone, or with the
+    /// one `beside` it — against the scratchpad before it gets storage.
+    fn open(&mut self, t: usize, beside: Option<usize>) -> Result<()> {
+        let mut sb = self.prepare_sub_block(t)?;
+        let held = beside.map_or(0, |b| self.sub(b).words);
+        let requested = held.saturating_add(sb.words);
+        if let Some((requested, available)) = scratchpad_overflow(requested, self.launch.config) {
+            return Err(match beside {
+                None => MachineError::ScratchpadOverflow {
+                    requested,
+                    available,
+                },
+                Some(_) => MachineError::DoubleBufferOverflow {
+                    requested,
+                    available,
+                },
+            });
+        }
+        if let Some(local) = sb.local.as_mut() {
+            local.zero();
+        }
+        self.put(t, sb);
+        Ok(())
+    }
+
+    fn transfer(&mut self, t: usize, mi: usize, kind: Transfer, earliest: u64) -> Result<u64> {
+        let t0 = self.now();
+        let (pass, done) = match kind {
+            Transfer::Unpark | Transfer::Delta | Transfer::Window => {
+                (PassKind::MoveIn, self.stage_entry(t, mi, kind, earliest)?)
+            }
+            Transfer::WriteBack => (PassKind::MoveOut, self.write_back(mi)?),
+            Transfer::Park | Transfer::Flush | Transfer::MoveOut => {
+                (PassKind::MoveOut, self.move_out(t, mi, kind)?)
+            }
+        };
+        self.record(pass, t0);
+        Ok(done)
+    }
+
+    fn wait(&mut self, done: u64) {
+        self.stats.dma.stall_cycles += self.clock.wait(done);
+    }
+
+    fn compute(&mut self, t: usize) -> Result<u64> {
+        let mut sb = self.take(t);
+        self.compute_sub_block(&mut sb)?;
+        self.put(t, sb);
+        Ok(self.clock.now)
+    }
+
+    fn fits(&self, mi: usize, a: usize, b: usize) -> bool {
+        let bi = self.plan().movement[mi].buffer;
+        let shape = |t: usize| {
+            let buf = &self.sub(t).local.as_ref().expect("staged").bufs[bi];
+            (&buf.extents, &buf.offsets)
+        };
+        shape(a) == shape(b)
+    }
+
+    fn follows(&self, t: usize) -> bool {
+        let at = self.launch.residency_at;
+        at.is_some_and(|at| follows(&self.seqs[t - 1], &self.seqs[t], at))
+    }
 }
 
 /// `(requested, available)` bytes when a footprint of `words` does not
@@ -700,24 +648,10 @@ fn scratchpad_overflow(words: u64, config: &MachineConfig) -> Option<(u64, u64)>
     (limited && requested > config.smem_bytes).then_some((requested, config.smem_bytes))
 }
 
-/// Execute the thread block at grid coordinates `coords`: the single
-/// sub-tile driver. Every schedule is this loop — per sub-tile `t`:
-/// stage what is left of `t`, prepare `t+1` (and, when overlap is
-/// legal and on, prefetch its eligible groups), wait `t`'s tags,
-/// compute, move out. A mapping without sequential sub-tiles is one
-/// sub-tile spanning the block; the synchronous schedule is the
-/// pipeline at prefetch depth 0.
-///
-/// Overlap (double buffering) only changes *when* a copy is issued,
-/// never *what* it copies: with it on, the move-in for `t+1` is in
-/// flight on the DMA channels while `t` computes, and `t`'s move-out
-/// is left flying over `t+1`; with it off, every tag is waited on at
-/// issue. Functional semantics are identical either way: prefetched
-/// groups carry no seq-dim flow dependence
-/// ([`StagingFlags::poisoned`]), and everything else — hoisted copies,
-/// poisoned or written groups — stages after the previous sub-tile's
-/// move-out.
-#[allow(clippy::too_many_lines)]
+/// Execute the thread block at grid coordinates `coords`: walk the
+/// launch's [`Schedule`](polymem_core::smem::Schedule) over the block's
+/// sequential sub-tiles (one spanning the block when it has none or
+/// stages nothing), copying data and driving the block clock.
 pub(crate) fn execute_one_block(
     launch: &LaunchShared,
     coords: &[i64],
@@ -725,144 +659,31 @@ pub(crate) fn execute_one_block(
     profiler: Option<&PassProfiler>,
     block_idx: u64,
 ) -> Result<(Overlay, ExecStats)> {
-    let (config, flags) = (launch.config, &launch.flags);
+    let config = launch.config;
     let mut b = Block {
         launch,
         store,
         profiler,
         overlay: Overlay::new(launch.program.arrays.len()),
-        stats: ExecStats {
-            blocks: 1,
-            ..ExecStats::default()
-        },
-        clock: BlockClock::new(config, config.route_cycles(block_idx)),
+        stats: ExecStats::default(),
+        clock: DmaClock::new(
+            config.dma_channels,
+            config.dma_setup_cycles,
+            config.dma_bytes_per_cycle,
+            config.route_cycles(block_idx),
+            config.word_bytes,
+        ),
         persistent: HashMap::new(),
+        seqs: launch.grid.scan(2, coords)?,
+        window: Default::default(),
     };
-    // The block's sequential sub-tiles (§4.2 hoisting applies across
-    // them); an unstaged or seq-less block is one sub-tile spanning it.
-    let seqs = launch.grid.scan(2, coords)?;
-    let n_move = launch.plan.as_deref().map(|sp| sp.plan.movement.len());
-    let overlap = flags.overlap && seqs.len() > 1;
-    // The lexicographic predecessor, kept alive past its move-out:
-    // its scratchpad holds the newest value of every element (flushing
-    // copies out of it, never into it), which is what residency
-    // re-bases retained atoms from — also under a delta flush, whose
-    // skipped elements are exactly the ones served from here.
-    let mut pred: Option<SubBlock> = None;
-    let mut cur = b.prepare_sub_block(&seqs[0])?;
-    // Cycle at which the previous sub-tile's move-out has drained:
-    // its writes are in global memory and its buffer slots are free.
-    let mut out_done = 0u64;
-    for t in 0..seqs.len() {
-        let cur_words = cur.staging.as_ref().map_or(0, |st| st.words);
-        if let Some((requested, available)) = scratchpad_overflow(cur_words, config) {
-            return Err(MachineError::ScratchpadOverflow {
-                requested,
-                available,
-            });
-        }
-        // The footprint fits: only now does it get storage (under
-        // overlap every later sub-tile got its own below, when two
-        // footprints fitted, and may hold prefetched data by now).
-        if let Some(st) = cur.staging.as_mut().filter(|_| t == 0 || !overlap) {
-            st.local.zero();
-        }
-        // Stage whatever prefetching left of `t` (everything, when
-        // overlap is off or `t` is the first sub-tile): the stale
-        // parked copies, hoisted-copy shortcuts, written groups and
-        // groups pinned by a seq-carried flow dependence. These must
-        // observe `t−1`'s writes, so they run after its move-out and
-        // their transfers start no earlier than `out_done`.
-        if let Some(n_move) = n_move {
-            let t0 = b.now();
-            for mi in 0..n_move {
-                if cur.staging.as_ref().expect("staged").staged[mi] {
-                    continue;
-                }
-                let Some(tag) = b.stage_entry(&mut cur, mi, pred.as_ref(), false, out_done)? else {
-                    continue;
-                };
-                b.clock.wait(&tag);
-                if t > 0 && overlap && !flags.entries[mi].hoists && flags.entries[mi].poisoned {
-                    b.stats.sync_groups += 1;
-                }
-            }
-            b.record(PassKind::MoveIn, t0);
-        }
-        let mut next = match seqs.get(t + 1) {
-            Some(at) => Some(b.prepare_sub_block(at)?),
-            None => None,
-        };
-        // Prefetch `t+1`'s overlap-legal, non-hoisted groups; the
-        // transfers fly while `t` computes. Functionally the copies
-        // happen before `t`'s writes, which is exactly what the
-        // legality check licenses. Their slots were `t−1`'s, so they
-        // start no earlier than `out_done`; and two footprints must be
-        // resident at once.
-        if let (true, Some(nx), Some(n_move)) = (overlap, next.as_mut(), n_move) {
-            let st = nx.staging.as_mut().expect("staged");
-            let both = cur_words.saturating_add(st.words);
-            if let Some((requested, available)) = scratchpad_overflow(both, config) {
-                return Err(MachineError::DoubleBufferOverflow {
-                    requested,
-                    available,
-                });
-            }
-            st.local.zero();
-            let t0 = b.now();
-            for mi in 0..n_move {
-                // Only read-only, dependence-free buffers the hoist
-                // shortcut cannot satisfy prefetch: a written buffer's
-                // move-in may read locations the previous sub-tile
-                // wrote (an output/anti dependence the flow-dep check
-                // does not cover). Read-only and retention-legal also
-                // means `cur`'s pre-compute contents already hold the
-                // retained values residency re-bases from.
-                let f = flags.entries[mi];
-                if f.written || f.poisoned || hoist_shortcut_hits(launch, &cur, nx, mi) {
-                    continue;
-                }
-                if let Some(tag) = b.stage_entry(nx, mi, Some(&cur), true, out_done)? {
-                    nx.staging.as_mut().expect("staged").tags.push(tag);
-                    b.stats.overlap_groups += 1;
-                }
-            }
-            b.record(PassKind::MoveIn, t0);
-        }
-        // The prefetches for `cur` (issued while `t−1` computed) must
-        // have landed before its compute touches the buffers.
-        if let Some(st) = cur.staging.as_mut() {
-            for tag in std::mem::take(&mut st.tags) {
-                b.clock.wait(&tag);
-            }
-        }
-        b.compute_sub_block(&mut cur)?;
-        // Move-out of `t`: applied functionally now, in the same order
-        // under every schedule. With overlap its DMA time flies over
-        // `t+1`'s compute; without, each tag is waited on at issue.
-        out_done = b.clock.now;
-        if let Some(n_move) = n_move {
-            let t0 = b.now();
-            let next_at = next.as_ref().map(|nx| nx.pparams.as_slice());
-            for mi in 0..n_move {
-                if let Some(tag) = b.move_out_buffer(&cur, mi, next_at)? {
-                    if !overlap {
-                        b.clock.wait(&tag);
-                    }
-                    out_done = out_done.max(tag.done);
-                }
-            }
-            b.record(PassKind::MoveOut, t0);
-        }
-        pred = next.map(|nx| std::mem::replace(&mut cur, nx));
-    }
-    // Deterministic writeback order (DMA timing depends on it).
-    let mut parked: Vec<_> = std::mem::take(&mut b.persistent).into_iter().collect();
-    parked.sort_unstable_by_key(|(array, _)| *array);
-    for (_, p) in parked.iter().filter(|(_, p)| p.dirty) {
-        b.writeback_persistent(p)?;
-    }
-    (b.stats.block_cycles, b.stats.dma) = b.clock.finish();
+    b.stats.dma = DmaStats::for_channels(b.clock.channels());
+    let tally = launch.schedule.walk(b.seqs.len(), &mut b)?;
+    let s = &mut b.stats;
+    (s.overlap_groups, s.sync_groups) = (tally.prefetched, tally.forced_sync);
+    [s.declined_written, s.declined_poisoned, s.declined_parked] = tally.declined;
+    b.stats.dma.stall_cycles += b.clock.drain();
+    (b.stats.blocks, b.stats.block_cycles) = (1, b.clock.now);
     Ok((b.overlay, b.stats))
 }
 
@@ -964,7 +785,7 @@ pub(crate) fn flush_frames(
     }
     let (plan1, h) = launch.hier().expect("frames flush under a level-2 plan");
     let (mut n_smem, mut idx1) = (0u64, Vec::new());
-    let written = &launch.flags.frames_written;
+    let written = &launch.frames_written;
     for (mc, _) in (h.plan.movement.iter().zip(written)).filter(|(_, &w)| w) {
         let buf1 = &plan1.buffers[h.backing[mc.buffer]];
         n_smem += copy_elements(
@@ -991,6 +812,7 @@ mod tests {
     use polymem_core::tiling::transform::{tile_program, TileSpec};
     use polymem_ir::expr::v;
     use polymem_ir::{exec_program, Expr, LinExpr, Program, ProgramBuilder};
+    use proptest::prelude::*;
 
     fn run_seq(double_buffer: bool, params: &[i64]) -> (ArrayStore, ExecStats) {
         let k = blocked_seq();
@@ -1321,6 +1143,134 @@ mod tests {
         );
     }
 
+    #[test]
+    fn every_prefetch_is_issued_or_declined_once() {
+        let mut kernels = golden_builtins(true);
+        kernels.push(("flush", flush_kernel(), vec![8, 12]));
+        kernels.push(("carry", carry_kernel().1, vec![8]));
+        let (mut prefetched, mut declined) = ([0u64; 2], [0u64; 3]);
+        for (name, k, params) in &kernels {
+            for mut cfg in [
+                MachineConfig::geforce_8800_gtx(),
+                MachineConfig::cell_like(),
+            ] {
+                cfg.double_buffer = true;
+                let grid = launch_grid(k, params, &cfg, &k.program.stmts[0]).unwrap();
+                let rep = grid.representative(k, &cfg);
+                let (sp, _) = warm(k, params, &cfg, &rep, None, None).unwrap();
+                // Every entry of every sub-tile but a block's first.
+                let mut slots = 0;
+                for round in grid.scan(0, params).unwrap() {
+                    for block in grid.scan(1, &round).unwrap() {
+                        let later = grid.scan(2, &block).unwrap().len() - 1;
+                        slots += (later * sp.plan.movement.len()) as u64;
+                    }
+                }
+                let mut store = ArrayStore::for_program(&k.program, params).unwrap();
+                let s = execute_blocked(k, params, &mut store, &cfg, false).unwrap();
+                let why = [s.declined_written, s.declined_poisoned, s.declined_parked];
+                assert_eq!(s.overlap_groups + why.iter().sum::<u64>(), slots, "{name}");
+                prefetched[usize::from(s.overlap_groups > 0)] += 1;
+                (0..3).for_each(|r| declined[r] += why[r]);
+            }
+        }
+        // Launches that prefetched and launches that did not, and every
+        // reason, were seen.
+        assert!(prefetched.iter().all(|&n| n > 0), "{prefetched:?}");
+        assert!(declined.iter().all(|&n| n > 0), "{declined:?}");
+    }
+
+    /// The analysis `overlap_poisoned_reads` replaces: every flow
+    /// dependence level from `compute_deps`, restricted to pairs in one
+    /// round and block and strictly forward along a seq dim.
+    fn poisoned_reads_from_deps(kernel: &BlockedKernel) -> HashSet<AccessId> {
+        use polymem_poly::dep::DepKind;
+        let program = &kernel.program;
+        let deps = polymem_core::deps::compute_deps(program, &[DepKind::Flow]).unwrap();
+        let mut out = HashSet::new();
+        let pos = |dims: &[String], n: &str| dims.iter().position(|x| x == n);
+        for d in deps {
+            let src_dims = program.stmts[d.dep.src_stmt].domain.space().dims().to_vec();
+            let dst_dims = program.stmts[d.dep.dst_stmt].domain.space().dims().to_vec();
+            let (n_src, n_cols) = (d.dep.n_src, d.dep.poly.space().n_cols());
+            let eq = |p: &mut polymem_poly::Polyhedron, name: &String| {
+                if let (Some(s), Some(t)) = (pos(&src_dims, name), pos(&dst_dims, name)) {
+                    let mut row = vec![0i64; n_cols];
+                    (row[s], row[n_src + t]) = (1, -1);
+                    p.add_constraint(Constraint::eq(row));
+                }
+            };
+            let mut base = d.dep.poly.clone();
+            kernel
+                .round_dims
+                .iter()
+                .chain(&kernel.block_dims)
+                .for_each(|n| eq(&mut base, n));
+            for (li, name) in kernel.seq_dims.iter().enumerate() {
+                let (Some(s), Some(t)) = (pos(&src_dims, name), pos(&dst_dims, name)) else {
+                    continue;
+                };
+                let mut p = base.clone();
+                kernel.seq_dims[..li].iter().for_each(|n| eq(&mut p, n));
+                let mut row = vec![0i64; n_cols];
+                (row[s], row[n_src + t], row[n_cols - 1]) = (-1, 1, -1);
+                p.add_constraint(Constraint::ineq(row));
+                if !p.is_empty().unwrap() {
+                    out.insert(d.dst_access);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn stale_reads_equal_the_dependence_analysis() {
+        let mut kernels = golden_builtins(true);
+        kernels.push(("flush", flush_kernel(), vec![8, 12]));
+        kernels.push(("carry", carry_kernel().1, vec![8]));
+        kernels.push(("seq", blocked_seq(), vec![16]));
+        let mut stale = 0;
+        for (name, k, _) in &kernels {
+            let fast = overlap_poisoned_reads(k).unwrap();
+            assert_eq!(fast, poisoned_reads_from_deps(k), "{name}");
+            stale += fast.len();
+        }
+        assert!(stale > 0, "the comparison saw stale reads");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The same on generated stencil pipelines (one to three
+        /// statements), under every split of a 2-D tiling with seq dims.
+        #[test]
+        fn stale_reads_equal_the_dependence_analysis_on_generated_programs(
+            seed in 0u64..1000,
+            ti in 2i64..=5,
+            tj in 2i64..=5,
+            split in 0usize..=3,
+        ) {
+            let p = polymem_ir::random_program(seed);
+            let t = tile_program(&p, &TileSpec::new(&[("i", ti), ("j", tj)], "T")).unwrap();
+            let (it, jt) = ("iT".to_string(), "jT".to_string());
+            let (round_dims, block_dims, seq_dims) = match split {
+                0 => (vec![], vec![it], vec![jt]),
+                1 => (vec![], vec![jt], vec![it]),
+                2 => (vec![jt], vec![], vec![it]),
+                _ => (vec![], vec![], vec![it, jt]),
+            };
+            let k = BlockedKernel {
+                program: t,
+                round_dims,
+                block_dims,
+                seq_dims,
+                thread_dims: vec![],
+                use_scratchpad: true,
+            };
+            prop_assert_eq!(overlap_poisoned_reads(&k).unwrap(), poisoned_reads_from_deps(&k));
+        }
+    }
+
     /// The parent's per-call predicate behind every hoisting decision:
     /// §4.2 hoisting applies only when the array materialises as
     /// exactly one buffer in the plan.
@@ -1369,13 +1319,13 @@ mod tests {
                 let store = ArrayStore::for_program(&k.program, params).unwrap();
                 let plan = Some(sp.clone());
                 let launch = LaunchShared::new(k, params, &cfg, grid, plan, &store).unwrap();
-                let (plan, flags) = (&sp.plan, &launch.flags);
-                assert_eq!(flags.overlap, db, "{name}");
+                let (plan, schedule) = (&sp.plan, &launch.schedule);
+                assert_eq!(schedule.overlap, db, "{name}");
                 for (mi, mc) in plan.movement.iter().enumerate() {
                     let array = plan.buffers[mc.buffer].array;
                     let hoists = plan_hoists(plan, array, &hoistable);
                     let poisoned = db && buffer_poisoned(plan, mi, &stale);
-                    let f = flags.entries[mi];
+                    let f = schedule.entries[mi];
                     assert_eq!(f.hoists, hoists, "{name} db={db} entry {mi}");
                     assert_eq!(f.poisoned, poisoned, "{name} db={db} entry {mi}");
                     entries += 1;

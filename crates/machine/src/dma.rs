@@ -1,14 +1,14 @@
-//! The block clock: modeled cycles plus the block's DMA channels.
+//! The block clock's counters.
 //!
-//! Each outer unit owns [`MachineConfig::dma_channels`] channels, the
-//! shared [`DmaChannels`] cost model: issuing a [`TransferDescriptor`]
+//! Each outer unit owns [`MachineConfig::dma_channels`] channels of the
+//! shared [`DmaClock`] cost model: issuing a [`TransferDescriptor`]
 //! picks the least-busy channel and charges `dma_setup_cycles +
 //! ceil(bytes / dma_bytes_per_cycle)` (+ the block's NoC route) cycles
-//! on it. The block clock issues whole transfer lists through that one
-//! descriptor loop, recording [`DmaStats`] as it goes; the returned
-//! [`DmaTag`] records the completion cycle, and waiting on it advances
-//! the clock (accumulating stall cycles) only if the transfer has not
-//! already finished in the shadow of compute. Synchronous staging
+//! on it. A block issues whole transfer lists through that one
+//! descriptor loop, recording [`DmaStats`] as it goes; an issue returns
+//! the completion cycle, and waiting on it advances the clock
+//! (accumulating stall cycles) only if the transfer has not already
+//! finished in the shadow of compute. Synchronous staging
 //! issues and waits back to back, so every busy cycle is a stall; the
 //! double-buffered executor issues ahead and most busy cycles are
 //! hidden — the difference is the [`DmaStats::overlap_fraction`].
@@ -17,9 +17,10 @@
 //! so stats survive the executor's sequential-vs-parallel equality
 //! test.
 
-use crate::config::MachineConfig;
 use crate::json::{counters, Json};
-use polymem_core::smem::{DmaChannels, TransferDescriptor, TransferList};
+use polymem_core::smem::TransferDescriptor;
+#[cfg(doc)]
+use {crate::MachineConfig, polymem_core::smem::DmaClock};
 
 /// Number of log2 buckets in the bytes-per-descriptor histogram
 /// (bucket `k` counts descriptors with `bytes in [2^k, 2^(k+1))`;
@@ -118,144 +119,84 @@ impl DmaStats {
     }
 }
 
-/// Handle for an in-flight transfer: which channel it went to and
-/// the cycle it completes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DmaTag {
-    /// Channel index the transfer was queued on.
-    pub channel: usize,
-    /// Absolute cycle at which the transfer completes.
-    pub done: u64,
-}
-
-impl DmaTag {
-    /// A tag that is already complete (for empty transfer lists).
-    pub fn immediate(now: u64) -> DmaTag {
-        DmaTag {
-            channel: 0,
-            done: now,
-        }
-    }
-}
-
-/// Per-block simulated clock: `now` advances with modeled compute
-/// cycles and with waits on the block's DMA channels, whose in-flight
-/// transfers and counters it owns. Everything is deterministic integer
-/// arithmetic, so block stats are identical between sequential and
-/// parallel execution.
-pub(crate) struct BlockClock<'a> {
-    pub(crate) now: u64,
-    channels: DmaChannels,
-    stats: DmaStats,
-    /// DMA modeling enabled (`dma_channels > 0`). When off, movement
-    /// costs nothing in modeled time; lists, built for the copy, are
-    /// never issued.
-    dma_on: bool,
-    config: &'a MachineConfig,
-}
-
-impl<'a> BlockClock<'a> {
-    /// A clock at cycle 0 over idle channels (at least one, even when
-    /// the config says 0 and nothing is ever issued), each descriptor
-    /// paying `route_cycles` of NoC routing (the block's
-    /// placement-determined hop cost; 0 on machines without
-    /// placement-priced movement).
-    pub(crate) fn new(config: &'a MachineConfig, route_cycles: u64) -> BlockClock<'a> {
-        let channels = DmaChannels::new(
-            config.dma_channels,
-            config.dma_setup_cycles,
-            config.dma_bytes_per_cycle,
-            route_cycles,
-        );
-        BlockClock {
-            now: 0,
-            stats: DmaStats {
-                channel_busy_cycles: vec![0; channels.count()],
-                bytes_hist: vec![0; DMA_HIST_BUCKETS],
-                ..DmaStats::default()
-            },
-            channels,
-            dma_on: config.dma_channels > 0,
-            config,
+impl DmaStats {
+    /// Zeroed counters for a block over `channels` channels.
+    pub(crate) fn for_channels(channels: usize) -> DmaStats {
+        DmaStats {
+            channel_busy_cycles: vec![0; channels],
+            bytes_hist: vec![0; DMA_HIST_BUCKETS],
+            ..DmaStats::default()
         }
     }
 
-    /// Queue one transfer's DMA list; the transfer starts no earlier
-    /// than `earliest` (buffer-reuse dependence on an earlier sub-tile's
-    /// move-out) nor before `now`. The tag completes with the list's
-    /// last descriptor — at `now` for an empty list or with DMA off.
-    pub(crate) fn issue(&mut self, earliest: u64, list: &TransferList) -> DmaTag {
-        let mut tag = DmaTag::immediate(self.now);
-        if !self.dma_on {
-            return tag;
-        }
-        // The tag is the descriptor that completes last (the first such).
-        let (word_bytes, stats) = (self.config.word_bytes, &mut self.stats);
-        let mut record = |d: &TransferDescriptor, (ch, cost, done): (usize, u64, u64)| {
-            let bytes = d.bytes(word_bytes);
-            stats.descriptors += 1;
-            stats.elements += d.elements();
-            stats.bytes += bytes;
-            stats.channel_busy_cycles[ch] += cost;
-            stats.bytes_hist[(bytes.max(1).ilog2() as usize).min(DMA_HIST_BUCKETS - 1)] += 1;
-            if done > tag.done {
-                tag = DmaTag { channel: ch, done };
-            }
-        };
-        let start = self.now.max(earliest);
-        self.channels
-            .issue_list(list, word_bytes, start, Some(&mut record));
-        tag
-    }
-
-    /// Queue the DMA list for a residency delta — the only elements
-    /// that cross the bus. The local re-base rides the same channel
-    /// first: retained atoms move scratchpad-to-scratchpad at 4× the
-    /// global DMA rate, delaying the delta's start. The tag therefore
-    /// always completes no later than the full transfer it replaces
-    /// (the retained bytes leave the 1×-rate payload and come back as
-    /// a 4×-rate local copy), in both the synchronous and the
-    /// double-buffered schedule.
-    pub(crate) fn issue_delta(
-        &mut self,
-        earliest: u64,
-        retained: u64,
-        list: &TransferList,
-    ) -> DmaTag {
-        let start = earliest.max(self.now);
-        let mut tag = self.issue(start, list);
-        // Re-basing the retained atoms is a scratchpad-local copy at 4x
-        // the global DMA rate; it proceeds concurrently with the
-        // incoming delta (the two touch disjoint buffer regions), so
-        // the group is ready at the max of the two, never the sum.
-        if self.dma_on {
-            let bytes = (retained * self.config.word_bytes) as f64;
-            let rebase = (bytes / (self.config.dma_bytes_per_cycle * 4.0)).ceil() as u64;
-            tag.done = tag.done.max(start + rebase);
-        }
-        tag
-    }
-
-    /// Advance the clock to the tag's completion, recording stalls.
-    pub(crate) fn wait(&mut self, tag: &DmaTag) {
-        if tag.done > self.now {
-            self.stats.stall_cycles += tag.done - self.now;
-            self.now = tag.done;
-        }
-    }
-
-    /// The end-of-block fence: wait until every channel is idle, then
-    /// hand back the block's modeled cycles and DMA counters.
-    pub(crate) fn finish(mut self) -> (u64, DmaStats) {
-        self.wait(&DmaTag::immediate(self.channels.idle_at()));
-        (self.now, self.stats)
+    /// Count one descriptor of `word_bytes`-wide elements that kept
+    /// channel `ch` busy for `cost` cycles ([`DmaClock::issue`]'s
+    /// observer).
+    pub(crate) fn record(&mut self, d: &TransferDescriptor, word_bytes: u64, ch: usize, cost: u64) {
+        let bytes = d.bytes(word_bytes);
+        self.descriptors += 1;
+        self.elements += d.elements();
+        self.bytes += bytes;
+        self.channel_busy_cycles[ch] += cost;
+        self.bytes_hist[(bytes.max(1).ilog2() as usize).min(DMA_HIST_BUCKETS - 1)] += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MachineConfig;
+    use polymem_core::smem::{DmaClock, TransferList};
     use proptest::prelude::*;
+
+    /// A block's clock and DMA counters, kept as the executor keeps them.
+    struct BlockClock {
+        clock: DmaClock,
+        stats: DmaStats,
+        word_bytes: u64,
+    }
+
+    impl BlockClock {
+        fn new(cfg: &MachineConfig, route: u64) -> BlockClock {
+            let (channels, setup) = (cfg.dma_channels, cfg.dma_setup_cycles);
+            let clock = DmaClock::new(
+                channels,
+                setup,
+                cfg.dma_bytes_per_cycle,
+                route,
+                cfg.word_bytes,
+            );
+            BlockClock {
+                stats: DmaStats::for_channels(clock.channels()),
+                clock,
+                word_bytes: cfg.word_bytes,
+            }
+        }
+
+        fn issue(&mut self, earliest: u64, retained: Option<u64>, list: &TransferList) -> u64 {
+            let (word_bytes, stats) = (self.word_bytes, &mut self.stats);
+            let mut record = |d: &_, (ch, cost, _)| stats.record(d, word_bytes, ch, cost);
+            self.clock
+                .issue(earliest, list, retained, Some(&mut record))
+        }
+
+        fn wait(&mut self, done: u64) {
+            self.stats.stall_cycles += self.clock.wait(done);
+        }
+
+        fn now(&self) -> u64 {
+            self.clock.now
+        }
+
+        fn advance(&mut self, cycles: u64) {
+            self.clock.now += cycles;
+        }
+
+        fn finish(mut self) -> (u64, DmaStats) {
+            self.stats.stall_cycles += self.clock.drain();
+            (self.clock.now, self.stats)
+        }
+    }
 
     fn desc(elems: i64) -> TransferDescriptor {
         TransferDescriptor {
@@ -292,8 +233,8 @@ mod tests {
         let cfg = machine(1, 100.0, 4.0);
         let mut c = BlockClock::new(&cfg, 0);
         // 8 elements × 4 B = 32 B → 8 transfer cycles + 100 setup.
-        let tag = c.issue(0, &list(vec![desc(8)]));
-        assert_eq!(tag.done, 108);
+        let done = c.issue(0, None, &list(vec![desc(8)]));
+        assert_eq!(done, 108);
         let (_, stats) = c.finish();
         assert_eq!(stats.descriptors, 1);
         assert_eq!(stats.elements, 8);
@@ -308,19 +249,19 @@ mod tests {
         let cfg = machine(1, 100.0, 4.0);
         let mut c = BlockClock::new(&cfg, 7);
         // 100 + 8 + 7 per descriptor; the second queues behind the first.
-        assert_eq!(c.issue(0, &list(vec![desc(8)])).done, 115);
-        assert_eq!(c.issue(0, &list(vec![desc(8)])).done, 230);
+        assert_eq!(c.issue(0, None, &list(vec![desc(8)])), 115);
+        assert_eq!(c.issue(0, None, &list(vec![desc(8)])), 230);
     }
 
     #[test]
     fn channels_round_robin_by_load() {
         let cfg = machine(2, 10.0, 4.0);
         let mut c = BlockClock::new(&cfg, 0);
-        let t0 = c.issue(0, &list(vec![desc(4)])); // ch 0, done 14
-        let t1 = c.issue(0, &list(vec![desc(4)])); // ch 1, done 14
-        assert_ne!(t0.channel, t1.channel);
+        // Two channels take one transfer each, both done at 14.
+        assert_eq!(c.issue(0, None, &list(vec![desc(4)])), 14);
+        assert_eq!(c.issue(0, None, &list(vec![desc(4)])), 14);
         // Third transfer queues behind whichever frees first.
-        assert_eq!(c.issue(0, &list(vec![desc(4)])).done, 28);
+        assert_eq!(c.issue(0, None, &list(vec![desc(4)])), 28);
     }
 
     #[test]
@@ -328,17 +269,17 @@ mod tests {
         let cfg = machine(1, 50.0, 4.0);
         // Synchronous: issue, wait immediately → all busy is stalled.
         let mut c = BlockClock::new(&cfg, 0);
-        let tag = c.issue(0, &list(vec![desc(4)]));
-        c.wait(&tag);
-        assert_eq!(c.now, tag.done);
+        let done = c.issue(0, None, &list(vec![desc(4)]));
+        c.wait(done);
+        assert_eq!(c.now(), done);
         let (_, stats) = c.finish();
         assert_eq!(stats.stall_cycles, stats.total_busy_cycles());
         assert_eq!(stats.overlap_fraction(), 0.0);
         // Asynchronous: compute long enough to hide the transfer.
         let mut c = BlockClock::new(&cfg, 0);
-        let tag = c.issue(0, &list(vec![desc(4)]));
-        c.now = 1000; // clock already past completion
-        c.wait(&tag);
+        let done = c.issue(0, None, &list(vec![desc(4)]));
+        c.advance(1000); // clock already past completion
+        c.wait(done);
         let (now, stats) = c.finish();
         assert_eq!(now, 1000);
         assert_eq!(stats.stall_cycles, 0);
@@ -349,9 +290,9 @@ mod tests {
     fn a_list_completes_with_its_last_descriptor_and_finish_fences() {
         let cfg = machine(2, 10.0, 4.0);
         let mut c = BlockClock::new(&cfg, 0);
-        let tag = c.issue(0, &list(vec![desc(4), desc(4), desc(4)]));
-        assert_eq!(tag.done, 28); // two channels, third queues behind
-        assert_eq!(c.now, 0);
+        let done = c.issue(0, None, &list(vec![desc(4), desc(4), desc(4)]));
+        assert_eq!(done, 28); // two channels, third queues behind
+        assert_eq!(c.now(), 0);
         assert_eq!(c.finish().0, 28);
     }
 
@@ -359,8 +300,8 @@ mod tests {
     fn nothing_is_issued_without_channels() {
         let cfg = machine(0, 10.0, 4.0);
         let mut c = BlockClock::new(&cfg, 0);
-        c.now = 5;
-        assert_eq!(c.issue(0, &list(vec![desc(4)])), DmaTag::immediate(5));
+        c.advance(5);
+        assert_eq!(c.issue(0, None, &list(vec![desc(4)])), 5);
         let (now, stats) = c.finish();
         assert_eq!(now, 5);
         assert_eq!(stats.descriptors, 0);
@@ -371,10 +312,10 @@ mod tests {
     fn absorb_merges_all_fields() {
         let cfg = machine(2, 10.0, 4.0);
         let mut c1 = BlockClock::new(&cfg, 0);
-        c1.issue(0, &list(vec![desc(4)]));
+        c1.issue(0, None, &list(vec![desc(4)]));
         let mut c2 = BlockClock::new(&cfg, 0);
-        let t = c2.issue(0, &list(vec![desc(100)]));
-        c2.wait(&t);
+        let t = c2.issue(0, None, &list(vec![desc(100)]));
+        c2.wait(t);
         let (s1, s2) = (c1.finish().1, c2.finish().1);
         let mut total = DmaStats::default();
         total.absorb(&s1);
@@ -398,12 +339,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// "Predicted == simulated whenever counts agree", for the DMA
-        /// term: over arbitrary transfer lists, issue times, channel
-        /// counts and setup / bandwidth / route values, the completion
-        /// cycle the estimator computes with [`DmaChannels`] is the
-        /// `done` of the tag the block clock hands back — and with no
-        /// channels the clock charges nothing.
+        /// The block clock's statistics never perturb its timing: over
+        /// arbitrary transfer lists, issue times, channel counts and
+        /// setup / bandwidth / route values, the completion cycle the
+        /// estimator's bare [`DmaClock`] computes is the one the block
+        /// clock hands back — and with no channels nothing is charged.
         #[test]
         fn estimator_dma_completion_equals_the_clock(
             issues in prop::collection::vec(
@@ -419,9 +359,9 @@ mod tests {
             let mut cfg = machine(channels, setup, bytes_per_cycle);
             cfg.word_bytes = word_bytes;
             let mut clock = BlockClock::new(&cfg, route);
-            let mut model = DmaChannels::new(channels, setup, bytes_per_cycle, route);
+            let mut model = DmaClock::new(channels, setup, bytes_per_cycle, route, word_bytes);
             for (gap, rows) in &issues {
-                clock.now += gap;
+                clock.advance(*gap);
                 let descriptors: Vec<TransferDescriptor> = rows
                     .iter()
                     .map(|&(elem_count, n_rows)| TransferDescriptor {
@@ -436,13 +376,16 @@ mod tests {
                     })
                     .collect();
                 let list = list(descriptors);
-                let predicted = model.issue_list(&list, word_bytes, clock.now, None);
-                let simulated = clock.issue(clock.now, &list).done;
-                prop_assert_eq!(simulated, if channels == 0 { clock.now } else { predicted });
+                model.now = clock.now();
+                let predicted = model.issue(0, &list, None, None);
+                let simulated = clock.issue(0, None, &list);
+                prop_assert_eq!(simulated, predicted);
+                if channels == 0 {
+                    prop_assert_eq!(simulated, clock.now());
+                }
             }
-            let now = clock.now;
-            let drained = if channels == 0 { now } else { model.idle_at().max(now) };
-            prop_assert_eq!(clock.finish().0, drained);
+            model.drain();
+            prop_assert_eq!(clock.finish().0, model.now);
         }
     }
 }

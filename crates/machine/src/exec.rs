@@ -28,7 +28,7 @@
 //! the per-point interpreter it is checked against; `stats` holds the
 //! counters.
 
-use crate::block::{execute_one_block, StagingFlags};
+use crate::block::{execute_one_block, seq_facts};
 use crate::compiled::{lower_code, StmtCode};
 use crate::config::MachineConfig;
 use crate::grid::{launch_grid, LaunchGrid};
@@ -39,7 +39,7 @@ use crate::{MachineError, Result};
 use polymem_core::smem::tune::CostConstants;
 use polymem_core::smem::{
     analyze_symbolic_hier, parametrize_dims, plan_key, ArtifactKey, ArtifactStore, ExtSource,
-    HierPlan, HierSpec, PlanArtifact, SmemConfig, SmemPlan, SymbolicPlan,
+    HierPlan, HierSpec, MovementCode, PlanArtifact, Schedule, SmemConfig, SmemPlan, SymbolicPlan,
 };
 use polymem_ir::exec::resolve_array_ids;
 use polymem_ir::{ArrayStore, Program, Statement};
@@ -482,7 +482,7 @@ pub(crate) fn budget_error(e: PolyError) -> MachineError {
 /// (round ∪ block ∪ seq), so the grid that enumerates them, the shared
 /// symbolic plan, the per-statement enumeration layout both engines
 /// walk, the compiled statement code on top of it and the
-/// per-movement-entry staging flags are all derived here once. A
+/// sub-tile schedule are all derived here once. A
 /// sub-block contributes only its coordinate vector
 /// ([`LaunchGrid::pparams`]).
 pub(crate) struct LaunchShared<'a> {
@@ -509,10 +509,13 @@ pub(crate) struct LaunchShared<'a> {
     /// The shared symbolic scratchpad plan every staged sub-block
     /// evaluates; `None` when the mapping stages nothing.
     pub plan: Option<Arc<SymbolicPlan>>,
-    /// Hoisting and prefetch legality per movement entry of `plan`.
-    pub(crate) flags: StagingFlags,
-    /// Index of the residency seq dim in a sub-block's
-    /// `params ++ fixed values`, when the plan retains anything.
+    /// The sub-tile schedule every block of the launch walks.
+    pub(crate) schedule: Schedule,
+    /// Per register-level entry: its frame is written
+    /// ([`SmemPlan::is_written`]), so `flush_frames` writes it back.
+    pub(crate) frames_written: Vec<bool>,
+    /// Index of the residency seq dim in a sub-block's grid
+    /// coordinates, when the plan retains anything.
     pub(crate) residency_at: Option<usize>,
     /// Where each entry of a level-2 `params ++ ext values` vector
     /// comes from (sub-block vector or thread key); empty without a
@@ -575,8 +578,18 @@ impl<'a> LaunchShared<'a> {
         let residency = sp.and_then(|sp| sp.residency.as_ref());
         let residency_at = residency
             .filter(|res| !res.plans.is_empty())
-            .and_then(|res| fixed.iter().position(|n| *n == res.seq_param))
+            .and_then(|res| grid.names.iter().position(|n| *n == res.seq_param))
             .map(|i| params.len() + i);
+        let schedule = match sp {
+            Some(sp) => Schedule::new(sp, &seq_facts(kernel, config)?),
+            None => Schedule::default(),
+        };
+        let frames_written = sp
+            .and_then(|sp| sp.hier.as_ref())
+            .map_or_else(Vec::new, |h| {
+                let written = |m: &MovementCode| h.plan.is_written(m.buffer);
+                h.plan.movement.iter().map(written).collect()
+            });
         let hier_ext = match sp.and_then(|sp| sp.hier.as_ref()) {
             Some(h) => {
                 // The level-2 vector indexes the sub-block's by
@@ -600,7 +613,8 @@ impl<'a> LaunchShared<'a> {
             sids,
             exec_check: std::env::var("POLYMEM_EXEC_CHECK").is_ok_and(|v| v == "1"),
             cost: crate::tune::cost_constants(config),
-            flags: StagingFlags::new(kernel, config, sp)?,
+            schedule,
+            frames_written,
             residency_at,
             hier_ext,
             grid,

@@ -198,6 +198,13 @@ impl LaunchGrid {
     }
 }
 
+/// Whether the sub-tile at grid coordinates `cur` directly follows the
+/// one at `prev` along the dim at coordinate `at`, every other
+/// coordinate equal: the predecessor residency retains across.
+pub(crate) fn follows(prev: &[i64], cur: &[i64], at: usize) -> bool {
+    (prev.iter().zip(cur).enumerate()).all(|(i, (p, c))| *c == p + i64::from(i == at))
+}
+
 /// The grid of a launch of `kernel`: round and block tiers, the seq
 /// tier when the mapping stages (an unstaged block is one sub-tile),
 /// and the thread tier when the register level is on.

@@ -47,7 +47,7 @@ pub mod tune;
 
 pub use config::{Capabilities, MachineConfig, MeshDesc};
 pub use desc::{MachineDesc, MemLevel};
-pub use dma::{DmaStats, DmaTag};
+pub use dma::DmaStats;
 pub use exec::{
     execute_blocked, execute_blocked_profiled, execute_blocked_seeded, launch_representative,
     plan_artifact_key, warm_plan, BlockedKernel, PlanSource, WarmedPlan,

@@ -58,6 +58,16 @@ pub struct ExecStats {
     /// Buffer stagings forced synchronous by a seq-carried flow
     /// dependence while double buffering was on.
     pub sync_groups: u64,
+    /// Prefetches declined because the buffer is written (its move-in
+    /// may read what the computing sub-tile writes). Each declined
+    /// prefetch counts once, under the first of the three reasons.
+    pub declined_written: u64,
+    /// Prefetches declined because a seq-carried flow dependence
+    /// reaches the buffer (and it is not written).
+    pub declined_poisoned: u64,
+    /// Prefetches declined because the §4.2 parked copy serves the
+    /// buffer for free.
+    pub declined_parked: u64,
     /// Scratchpad reads avoided because the access hit a register
     /// frame instead (level-2 hits; charged near-zero latency).
     pub smem_loads_saved: u64,
@@ -115,6 +125,9 @@ counters!(ExecStats {
     modeled_cycles,
     overlap_groups,
     sync_groups,
+    declined_written,
+    declined_poisoned,
+    declined_parked,
     smem_loads_saved,
     reg_bytes_moved,
     hier_groups,
@@ -195,6 +208,9 @@ mod tests {
             modeled_cycles: x + 13,
             overlap_groups: x + 14,
             sync_groups: x + 15,
+            declined_written: x + 29,
+            declined_poisoned: x + 30,
+            declined_parked: x + 31,
             smem_loads_saved: x + 23,
             reg_bytes_moved: x + 24,
             hier_groups: x + 25,
@@ -237,6 +253,9 @@ mod tests {
             modeled_cycles: x + 13,
             overlap_groups: x + 14,
             sync_groups: x + 15,
+            declined_written: x + 29,
+            declined_poisoned: x + 30,
+            declined_parked: x + 31,
             smem_loads_saved: x + 23,
             reg_bytes_moved: x + 24,
             hier_groups: x + 25,
@@ -275,6 +294,9 @@ mod tests {
         assert_eq!(a.modeled_cycles, 127);
         assert_eq!(a.overlap_groups, 129);
         assert_eq!(a.sync_groups, 131);
+        assert_eq!(a.declined_written, 159);
+        assert_eq!(a.declined_poisoned, 161);
+        assert_eq!(a.declined_parked, 163);
         assert_eq!(a.dma.descriptors, 133);
         assert_eq!(a.dma.elements, 135);
         assert_eq!(a.dma.bytes, 137);
@@ -297,7 +319,7 @@ mod tests {
     #[test]
     fn equality_ignores_exactly_engine_attribution() {
         type Bump = fn(&mut ExecStats);
-        let bumps: [(&str, bool, Bump); 32] = [
+        let bumps: [(&str, bool, Bump); 35] = [
             ("blocks", true, |s| s.blocks += 1),
             ("instances", true, |s| s.instances += 1),
             ("global_reads", true, |s| s.global_reads += 1),
@@ -314,6 +336,9 @@ mod tests {
             ("modeled_cycles", true, |s| s.modeled_cycles += 1),
             ("overlap_groups", true, |s| s.overlap_groups += 1),
             ("sync_groups", true, |s| s.sync_groups += 1),
+            ("declined_written", true, |s| s.declined_written += 1),
+            ("declined_poisoned", true, |s| s.declined_poisoned += 1),
+            ("declined_parked", true, |s| s.declined_parked += 1),
             ("smem_loads_saved", true, |s| s.smem_loads_saved += 1),
             ("reg_bytes_moved", true, |s| s.reg_bytes_moved += 1),
             ("hier_groups", true, |s| s.hier_groups += 1),

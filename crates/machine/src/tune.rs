@@ -24,10 +24,10 @@
 //! an outermost time loop as device-sync rounds when no space loop
 //! exists.
 
-use crate::block::seq_redundant_arrays;
+use crate::block::seq_facts;
 use crate::config::MachineConfig;
 use crate::exec::{execute_blocked_seeded, machine_salt, warm_plan, BlockedKernel};
-use crate::grid::LaunchGrid;
+use crate::grid::{follows, launch_grid};
 use crate::{MachineError, Result};
 use polymem_core::smem::tune::{
     estimate, tune_key, CostConstants, CostEstimate, MappingDesc, Structure, TuneArtifact, TuneRow,
@@ -184,11 +184,12 @@ pub fn tile_kernel(program: &Program, desc: &MappingDesc) -> Result<BlockedKerne
     })
 }
 
-/// Enumerate the launch shape the estimator prices: round/block/seq
-/// counts plus the representative fixed-dim values — walked on the
-/// executor's own [`LaunchGrid`], so the estimator prices the
-/// sub-block the shared plan is analysed at — and the advanced seq
-/// point the residency delta sets are evaluated at. This is where the
+/// Enumerate the launch shape the estimator prices: round/block counts
+/// and the representative block's sub-tiles with their fixed-dim
+/// values — walked on the executor's own [`launch_grid`], so the
+/// estimator prices the sub-blocks the executor runs (an unstaged block
+/// is one sub-tile, and the first is where the shared plan is
+/// analysed) — plus the schedule's [`seq_facts`]. This is where the
 /// grid's coordinates get their names back.
 pub fn structure_of(
     kernel: &BlockedKernel,
@@ -198,17 +199,14 @@ pub fn structure_of(
     let mut st = Structure {
         rounds: 1,
         blocks: 1,
-        seqs: 1,
         rep_first: HashMap::new(),
-        rep_mid: None,
-        seq_independent_arrays: Vec::new(),
-        double_buffer: config.double_buffer,
+        rep_later: Vec::new(),
+        seq: seq_facts(kernel, config)?,
     };
     let Some(lead) = kernel.program.stmts.first() else {
         return Ok(st);
     };
-    let levels: [&[String]; 3] = [&kernel.round_dims, &kernel.block_dims, &kernel.seq_dims];
-    let grid = LaunchGrid::new(lead, &levels, &[], params, config.enum_budget)?;
+    let grid = launch_grid(kernel, params, config, lead)?;
     let named = |coords: &[i64]| -> HashMap<String, i64> {
         let vals = coords[params.len()..].iter().copied();
         grid.names.iter().cloned().zip(vals).collect()
@@ -220,14 +218,14 @@ pub fn structure_of(
     let seqs = grid.scan(2, &blocks[0])?;
     st.rounds = rounds.len() as u64;
     st.blocks = blocks.len() as u64;
-    st.seqs = seqs.len() as u64;
     st.rep_first = named(&seqs[0]);
-    // The delta sets compare sub-tile s1 against its predecessor s0,
-    // so the mid point carries s1's values.
-    st.rep_mid = seqs.get(1).map(|s1| named(s1));
-    if !kernel.seq_dims.is_empty() && kernel.use_scratchpad {
-        st.seq_independent_arrays = seq_redundant_arrays(kernel);
-    }
+    // Residency retains along the innermost seq dim.
+    let at = (kernel.seq_dims.last())
+        .and_then(|d| grid.names.iter().position(|n| n == d))
+        .map(|i| params.len() + i);
+    st.rep_later = (seqs.iter().zip(&seqs[1..]))
+        .map(|(prev, cur)| (named(cur), at.is_some_and(|at| follows(prev, cur, at))))
+        .collect();
     Ok(st)
 }
 

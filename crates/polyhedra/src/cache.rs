@@ -341,24 +341,32 @@ mod tests {
 
     #[test]
     fn naive_mode_bypasses_the_cache_and_matches() {
+        // The counters are process-wide and every other test's
+        // polyhedral work bumps them, lock or no lock; the memo entry of
+        // a probe in a space only this test names is this test's alone.
         let _core = global_core();
-        poly_core_reset();
-        let t = tri();
-        set_naive_mode(false);
-        let fast = t.eliminate_dims(&[0, 1]).unwrap();
-        set_naive_mode(true);
-        let stats_before = poly_core_stats();
-        let naive = t.eliminate_dims(&[0, 1]).unwrap();
-        let stats_after = poly_core_stats();
-        set_naive_mode(false);
-        assert_eq!(
-            stats_before.cache_hits + stats_before.cache_misses,
-            stats_after.cache_hits + stats_after.cache_misses,
-            "naive mode must not touch the cache"
+        let probe = Polyhedron::new(
+            Space::new(["naive_probe_i", "naive_probe_j"], ["naive_probe_N"]),
+            tri().constraints().to_vec(),
         );
+        let cached = || {
+            cache()
+                .read()
+                .unwrap()
+                .contains_key(&make_key(&probe, &[0, 1]))
+        };
+        set_naive_mode(true);
+        let naive = probe.eliminate_dims(&[0, 1]).unwrap();
+        // The memo itself, asked directly, must not store in naive mode.
+        let memo = project_memo(&probe, &[0, 1], || Ok(naive.clone())).unwrap();
+        set_naive_mode(false);
+        assert!(!cached(), "naive mode must not touch the cache");
+        let fast = probe.eliminate_dims(&[0, 1]).unwrap();
+        assert!(cached(), "the fast path memoises the projection");
         // Same set either way (possibly different row order/count).
         for n in [1i64, 3, 6] {
             assert_eq!(fast.contains(&[], &[n]), naive.contains(&[], &[n]), "N={n}");
+            assert_eq!(fast.contains(&[], &[n]), memo.contains(&[], &[n]), "N={n}");
         }
     }
 

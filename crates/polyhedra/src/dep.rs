@@ -175,35 +175,18 @@ fn constrain_side(
     Ok(out)
 }
 
-/// Build the dependence polyhedra between a source and target access.
-///
-/// * `src_dom`, `dst_dom` — iteration polytopes (shared params);
-/// * `f_src`, `f_dst` — access maps into the same array space;
-/// * `common` — number of shared outer loops (dims `0..common` on both
-///   sides refer to the same loops);
-/// * `src_textually_before` — whether the source statement appears
-///   before the target inside the innermost common loop (enables the
-///   all-equal level); for `src == dst` statement self-dependences pass
-///   `false`.
-///
-/// Returns one [`Dependence`] per non-empty level.
-#[allow(clippy::too_many_arguments)]
-pub fn dependence_polyhedra(
-    kind: DepKind,
-    src_stmt: usize,
-    dst_stmt: usize,
-    array: &str,
+/// The pairs of a source and a target instance that touch one element,
+/// `F_src(is) = F_dst(it)` over `src_dom × dst_dom`, in the product
+/// space `s_* ++ t_*` over the shared parameters: the polyhedron every
+/// dependence level restricts.
+pub fn access_pairs(
     src_dom: &Polyhedron,
     dst_dom: &Polyhedron,
     f_src: &AffineMap,
     f_dst: &AffineMap,
-    common: usize,
-    src_textually_before: bool,
-) -> Result<Vec<Dependence>> {
+) -> Result<Polyhedron> {
     if f_src.n_out() != f_dst.n_out() {
-        return Err(PolyError::SpaceMismatch {
-            op: "dependence_polyhedra",
-        });
+        return Err(PolyError::SpaceMismatch { op: "access_pairs" });
     }
     let n_src = src_dom.n_dims();
     let n_dst = dst_dom.n_dims();
@@ -253,7 +236,36 @@ pub fn dependence_polyhedra(
         }
         base_rows.push(Constraint::eq(row));
     }
-    let base = Polyhedron::new(space.clone(), base_rows);
+    Ok(Polyhedron::new(space, base_rows))
+}
+
+/// Build the dependence polyhedra between a source and target access.
+///
+/// * `src_dom`, `dst_dom` — iteration polytopes (shared params);
+/// * `f_src`, `f_dst` — access maps into the same array space;
+/// * `common` — number of shared outer loops (dims `0..common` on both
+///   sides refer to the same loops);
+/// * `src_textually_before` — whether the source statement appears
+///   before the target inside the innermost common loop (enables the
+///   all-equal level); for `src == dst` statement self-dependences pass
+///   `false`.
+///
+/// Returns one [`Dependence`] per non-empty level.
+#[allow(clippy::too_many_arguments)]
+pub fn dependence_polyhedra(
+    kind: DepKind,
+    src_stmt: usize,
+    dst_stmt: usize,
+    array: &str,
+    src_dom: &Polyhedron,
+    dst_dom: &Polyhedron,
+    f_src: &AffineMap,
+    f_dst: &AffineMap,
+    common: usize,
+    src_textually_before: bool,
+) -> Result<Vec<Dependence>> {
+    let base = access_pairs(src_dom, dst_dom, f_src, f_dst)?;
+    let (n_src, ncols) = (src_dom.n_dims(), base.space().n_cols());
 
     let mut out = Vec::new();
     let mut push_level = |poly: Polyhedron| -> Result<()> {

@@ -814,13 +814,16 @@ fn run(cli: &Cli) -> ExitCode {
     );
     if stats.dma.descriptors > 0 {
         println!(
-            "  dma: {} descriptors, {} bytes ({:.1} B/desc), overlap fraction {:.2}, prefetched/forced-sync groups {}/{}",
+            "  dma: {} descriptors, {} bytes ({:.1} B/desc), overlap fraction {:.2}, prefetched/forced-sync groups {}/{}, declined written/poisoned/parked {}/{}/{}",
             stats.dma.descriptors,
             stats.dma.bytes,
             stats.dma.mean_descriptor_bytes(),
             stats.dma.overlap_fraction(),
             stats.overlap_groups,
             stats.sync_groups,
+            stats.declined_written,
+            stats.declined_poisoned,
+            stats.declined_parked,
         );
     }
     if cli.has("--profile") {

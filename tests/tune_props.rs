@@ -405,6 +405,54 @@ fn a_seq_independent_array_with_two_buffers_is_priced_unhoisted() {
     }
 }
 
+/// The estimator walks the executor's own sub-tile schedule, so where
+/// every block has the representative block's shape — matmul and me
+/// tile evenly at size 16 — the predicted cycles are the simulated ones
+/// on every candidate of the smoke space, double-buffered ones
+/// included, on both DMA machines. An unstaged mapping with a
+/// sequential dim runs as one sub-tile per block and is priced as one.
+#[test]
+fn estimator_prices_the_schedule_the_executor_runs() {
+    for machine in ["gpu", "cell"] {
+        let base = desc::lookup(machine).unwrap().config();
+        for name in ["matmul", "me"] {
+            let cands = tunespace::candidates(name, &base, true).expect("space");
+            let (program, params, _) = tunespace::workload(name, 16).expect("workload");
+            let init = |st: &mut ArrayStore| tunespace::init_store(name, st, 42);
+            let opts = TuneOptions {
+                exhaustive: true,
+                space_label: format!("props:{name}:schedule"),
+                ..TuneOptions::default()
+            };
+            let out = tune(&program, &params, &init, &cands, &base, &opts).expect("tunes");
+            assert_eq!(out.simulated, cands.len(), "{name}/{machine}");
+            for r in &out.rows {
+                let label = r.desc.label();
+                assert_eq!(Some(r.predicted), r.simulated, "{name}/{machine}: {label}");
+            }
+        }
+        let unstaged = MappingDesc {
+            use_scratchpad: false,
+            ..builtins::Builtin::named("matmul")
+                .unwrap()
+                .tiled(&[4, 4, 4], true)
+        };
+        assert!(!unstaged.seq_dims.is_empty());
+        let kernel = tunespace::build("matmul", &unstaged).expect("desc rebuilds");
+        let (program, params, _) = tunespace::workload("matmul", 16).expect("workload");
+        let mut store = ArrayStore::for_program(&program, &params).expect("store");
+        tunespace::init_store("matmul", &mut store, 42);
+        let cfg = config_for(&unstaged, &base);
+        let stats = execute_blocked(&kernel, &params, &mut store, &cfg, false).expect("runs");
+        let est = price("matmul", &unstaged, &base, 16);
+        assert_eq!(
+            est.predicted_cycles, stats.modeled_cycles,
+            "unstaged seq on {machine}"
+        );
+        assert_eq!(est.compute_ops, stats.instances);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -414,9 +462,7 @@ proptest! {
     /// estimator's polyhedral counts are the executor's measured ones —
     /// and then, over arbitrary latencies, barrier costs and occupancy
     /// limits, the predicted launch cycles are the simulated ones
-    /// exactly. (No sequential dim: the executor runs an unstaged block
-    /// as one sub-tile and rounds its cycles once, the estimator once
-    /// per sub-tile — a rounding-granularity residual, ROADMAP item 2.)
+    /// exactly.
     #[test]
     fn estimator_compute_and_round_cycles_equal_the_executor(
         tiles in (0usize..3, 0usize..3, 0usize..3),
